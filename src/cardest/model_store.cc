@@ -1,9 +1,6 @@
 #include "cardest/model_store.h"
 
-#include <unistd.h>
-
 #include <algorithm>
-#include <atomic>
 #include <cctype>
 #include <cstdlib>
 #include <cmath>
@@ -15,6 +12,7 @@
 #include <utility>
 
 #include "cardest/registry.h"
+#include "common/file_util.h"
 #include "common/logging.h"
 #include "common/stopwatch.h"
 
@@ -148,60 +146,24 @@ std::string LatestPointerPath(const std::string& dir,
   return dir + "/" + lineage + ".latest";
 }
 
-// Atomic small-file write: temp in the same directory, then rename.
-Status AtomicWriteFile(const std::string& path, const std::string& contents) {
-  static std::atomic<uint64_t> tmp_counter{0};
-  const std::string tmp = path + ".tmp." + std::to_string(::getpid()) + "." +
-                          std::to_string(tmp_counter.fetch_add(1));
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) return Status::IOError("cannot write " + tmp);
-    out << contents;
-    if (!out.good()) {
-      std::error_code ec;
-      std::filesystem::remove(tmp, ec);
-      return Status::IOError("short write to " + tmp);
-    }
-  }
-  std::error_code ec;
-  std::filesystem::rename(tmp, path, ec);
-  if (ec) {
-    std::filesystem::remove(tmp, ec);
-    return Status::IOError("cannot install " + path);
-  }
-  return Status::OK();
-}
-
 }  // namespace
 
 Status ModelStore::PersistVersion(const std::string& lineage, uint64_t version,
                                   const CardinalityEstimator& est) {
   std::error_code ec;
   std::filesystem::create_directories(dir_, ec);
-  const std::string path = VersionPathFor(lineage, version);
-  static std::atomic<uint64_t> tmp_counter{0};
-  const std::string tmp = path + ".tmp." + std::to_string(::getpid()) + "." +
-                          std::to_string(tmp_counter.fetch_add(1));
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) return Status::IOError("cannot write " + tmp);
-    const Status serialized = est.Serialize(out);
-    if (!serialized.ok()) {
-      out.close();
-      std::filesystem::remove(tmp, ec);
-      // Oracles (TrueCard) have nothing to persist; that is not a failure
-      // of the refresh pipeline.
-      if (serialized.code() == StatusCode::kUnsupported) return Status::OK();
-      return serialized;
-    }
-  }
-  std::filesystem::rename(tmp, path, ec);
-  if (ec) {
-    std::filesystem::remove(tmp, ec);
-    return Status::IOError("cannot install " + path);
-  }
+  const Status persisted =
+      AtomicWriteFile(VersionPathFor(lineage, version),
+                      [&](std::ostream& out) { return est.Serialize(out); });
+  // Oracles (TrueCard) have nothing to persist; that is not a failure of
+  // the refresh pipeline.
+  if (persisted.code() == StatusCode::kUnsupported) return Status::OK();
+  CARDBENCH_RETURN_IF_ERROR(persisted);
   return AtomicWriteFile(LatestPointerPath(dir_, lineage),
-                         std::to_string(version) + "\n");
+                         [&](std::ostream& out) {
+                           out << version << "\n";
+                           return Status::OK();
+                         });
 }
 
 Result<uint64_t> ModelStore::LatestVersion(const std::string& lineage) const {
@@ -284,32 +246,13 @@ Result<std::unique_ptr<CardinalityEstimator>> ModelStore::BuildOrLoad(
   // Best-effort persist; a failure here leaves the freshly built estimator
   // usable and the previous artifact (if any) untouched.
   std::filesystem::create_directories(dir_, ec);
-  static std::atomic<uint64_t> tmp_counter{0};
-  const std::string tmp = s.path + ".tmp." + std::to_string(::getpid()) + "." +
-                          std::to_string(tmp_counter.fetch_add(1));
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      CARDBENCH_LOG("model store: cannot write %s", tmp.c_str());
-      return est;
-    }
-    const Status serialized = est->Serialize(out);
-    if (!serialized.ok()) {
-      out.close();
-      std::filesystem::remove(tmp, ec);
-      // Oracle estimators (TrueCard) have nothing to persist; anything else
-      // failing to serialize is worth a log line.
-      if (serialized.code() != StatusCode::kUnsupported) {
-        CARDBENCH_LOG("model store: serialize failed for %s (%s)", key.c_str(),
-                      serialized.ToString().c_str());
-      }
-      return est;
-    }
-  }
-  std::filesystem::rename(tmp, s.path, ec);
-  if (ec) {
-    std::filesystem::remove(tmp, ec);
-    CARDBENCH_LOG("model store: cannot install %s", s.path.c_str());
+  const Status persisted = AtomicWriteFile(
+      s.path, [&](std::ostream& out) { return est->Serialize(out); });
+  // Oracle estimators (TrueCard) have nothing to persist; any other failure
+  // is worth a log line.
+  if (!persisted.ok() && persisted.code() != StatusCode::kUnsupported) {
+    CARDBENCH_LOG("model store: cannot persist %s (%s)", s.path.c_str(),
+                  persisted.ToString().c_str());
   }
   return est;
 }

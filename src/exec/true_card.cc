@@ -3,10 +3,14 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
+#include <iterator>
 #include <limits>
 
+#include "common/file_util.h"
 #include "common/logging.h"
 #include "common/str_util.h"
 #include "storage/filter.h"
@@ -176,25 +180,49 @@ void TrueCardService::ImportFrom(const TrueCardService& other) {
 }
 
 Status TrueCardService::SaveCache(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) return Status::IOError("cannot open " + path);
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& [key, card] : cache_) {
-    out << key << '\t' << StrFormat("%.17g", card) << '\n';
-  }
-  return out ? Status::OK() : Status::IOError("write failed: " + path);
+  return AtomicWriteFile(path, [&](std::ostream& out) {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (const auto& [key, card] : cache_) {
+      out << key << '\t' << StrFormat("%.17g", card) << '\n';
+    }
+    return Status::OK();
+  });
 }
 
 Status TrueCardService::LoadCache(const std::string& path) {
-  std::ifstream in(path);
+  std::ifstream in(path, std::ios::binary);
   if (!in) return Status::IOError("cannot open " + path);
-  std::lock_guard<std::mutex> lock(mu_);
-  std::string line;
-  while (std::getline(in, line)) {
+  const std::string contents((std::istreambuf_iterator<char>(in)),
+                             std::istreambuf_iterator<char>());
+  // Parse everything before touching the memo: one bad line rejects the
+  // whole file. Every line SaveCache writes ends in '\n', so a missing
+  // final newline means a torn file.
+  std::unordered_map<std::string, double> loaded;
+  size_t begin = 0;
+  for (size_t line_no = 1; begin < contents.size(); ++line_no) {
+    const auto malformed = [&] {
+      return Status::InvalidArgument(
+          StrFormat("malformed true-cardinality cache line %zu in %s",
+                    line_no, path.c_str()));
+    };
+    const size_t end = contents.find('\n', begin);
+    if (end == std::string::npos) return malformed();
+    const std::string line = contents.substr(begin, end - begin);
     const size_t tab = line.rfind('\t');
-    if (tab == std::string::npos) continue;
-    cache_[line.substr(0, tab)] = std::stod(line.substr(tab + 1));
+    if (tab == std::string::npos || tab == 0 || tab + 1 == line.size()) {
+      return malformed();
+    }
+    char* parsed_end = nullptr;
+    const double card = std::strtod(line.c_str() + tab + 1, &parsed_end);
+    if (parsed_end != line.c_str() + line.size() || !std::isfinite(card) ||
+        card < 0.0) {
+      return malformed();
+    }
+    loaded[line.substr(0, tab)] = card;
+    begin = end + 1;
   }
+  std::lock_guard<std::mutex> lock(mu_);
+  for (auto& [key, card] : loaded) cache_[key] = card;
   return Status::OK();
 }
 

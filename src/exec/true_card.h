@@ -51,7 +51,9 @@ class TrueCardService {
   std::unique_ptr<PlanNode> BuildCountingPlan(const Query& query) const;
 
   /// Persists / restores the memo table (one "key<TAB>card" line per entry)
-  /// so repeated bench runs skip recomputation.
+  /// so repeated bench runs skip recomputation. SaveCache replaces the file
+  /// atomically (processes sharing a cache directory may be loading it).
+  /// LoadCache rejects a file with any malformed line, loading nothing.
   Status SaveCache(const std::string& path) const;
   Status LoadCache(const std::string& path);
 

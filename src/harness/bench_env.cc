@@ -225,9 +225,17 @@ Status BenchEnv::Prepare(BenchDataset dataset, const BenchFlags& flags) {
                 std::to_string(flags.seed) + "_v" +
                 std::to_string(kDataGenVersion) + ".tsv";
   if (std::filesystem::exists(cache_path_)) {
-    CARDBENCH_RETURN_IF_ERROR(truecard_->LoadCache(cache_path_));
-    CARDBENCH_LOG("loaded %zu cached true cardinalities from %s",
-                  truecard_->cache_size(), cache_path_.c_str());
+    // A cache that fails to load (a malformed line) is only lost time: log
+    // it, recompute, and overwrite it below — the way ModelStore treats a
+    // corrupt model artifact.
+    const Status loaded = truecard_->LoadCache(cache_path_);
+    if (loaded.ok()) {
+      CARDBENCH_LOG("loaded %zu cached true cardinalities from %s",
+                    truecard_->cache_size(), cache_path_.c_str());
+    } else {
+      CARDBENCH_LOG("ignoring true-cardinality cache (%s); recomputing",
+                    loaded.ToString().c_str());
+    }
   }
 
   // Workload generation (STATS-CEB or JOB-LIGHT shape).

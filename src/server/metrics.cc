@@ -2,9 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <fstream>
 
+#include "common/file_util.h"
 #include "common/str_util.h"
 
 namespace cardbench {
@@ -257,17 +256,10 @@ std::string ServerMetrics::RenderJson(const ServerGauges& gauges) const {
 
 Status ServerMetrics::WriteJsonSnapshot(const std::string& path,
                                         const ServerGauges& gauges) const {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::trunc);
-    if (!out) return Status::IOError("cannot open " + tmp);
+  return AtomicWriteFile(path, [&](std::ostream& out) {
     out << RenderJson(gauges) << "\n";
-    if (!out) return Status::IOError("short write to " + tmp);
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    return Status::IOError("rename " + tmp + " -> " + path + " failed");
-  }
-  return Status::OK();
+    return Status::OK();
+  });
 }
 
 }  // namespace cardbench

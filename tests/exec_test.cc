@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <fstream>
 #include <functional>
+#include <iterator>
 
 #include "datagen/stats_gen.h"
 #include "exec/executor.h"
@@ -277,6 +280,63 @@ TEST_F(ExecTest, CacheRoundTripsThroughDisk) {
   auto card2 = svc2.Card(q);
   ASSERT_TRUE(card2.ok());
   EXPECT_DOUBLE_EQ(*card2, *card);
+}
+
+TEST_F(ExecTest, MalformedCacheLineFailsTheLoadAndLoadsNothing) {
+  const std::string path = ::testing::TempDir() + "/true_card_malformed.tsv";
+  // One bad line after a good one: the whole file is rejected.
+  for (const char* contents : {
+           "a\t12\nb\t\n",     // empty value
+           "a\t12\nb\t1x\n",   // trailing garbage
+           "a\t12\nno tab\n",  // no separator
+           "a\t12\nb\t-3\n",   // negative count
+           "a\t12\nb\t1",      // torn last line
+       }) {
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out << contents;
+    }
+    TrueCardService svc(*db_);
+    Status status;
+    EXPECT_NO_THROW(status = svc.LoadCache(path)) << contents;
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << contents;
+    EXPECT_EQ(svc.cache_size(), 0u) << contents;
+  }
+}
+
+TEST_F(ExecTest, CacheSaveReplacesTheFileAtomically) {
+  const std::string path = ::testing::TempDir() + "/true_card_atomic.tsv";
+  TrueCardService first(*db_);
+  ASSERT_TRUE(
+      first.Card(Parse("SELECT COUNT(*) FROM badges WHERE badges.Date >= 500;"))
+          .ok());
+  ASSERT_TRUE(first.SaveCache(path).ok());
+  // A loader in another process that opened the file before the next save.
+  std::ifstream early_reader(path, std::ios::binary);
+  ASSERT_TRUE(early_reader.is_open());
+
+  TrueCardService second(*db_);
+  ASSERT_TRUE(second.LoadCache(path).ok());
+  const Query q =
+      Parse("SELECT COUNT(*) FROM users WHERE users.Reputation >= 10;");
+  auto card = second.Card(q);
+  ASSERT_TRUE(card.ok());
+  ASSERT_TRUE(second.SaveCache(path).ok());
+
+  // The early reader still sees the complete first save, not a file
+  // truncated and rewritten under it.
+  const std::string early((std::istreambuf_iterator<char>(early_reader)),
+                          std::istreambuf_iterator<char>());
+  EXPECT_EQ(static_cast<size_t>(std::count(early.begin(), early.end(), '\n')),
+            first.cache_size());
+
+  // A fresh load round-trips the second save exactly.
+  TrueCardService reloaded(*db_);
+  ASSERT_TRUE(reloaded.LoadCache(path).ok());
+  EXPECT_EQ(reloaded.cache_size(), second.cache_size());
+  auto reloaded_card = reloaded.Card(q);
+  ASSERT_TRUE(reloaded_card.ok());
+  EXPECT_EQ(*reloaded_card, *card);
 }
 
 }  // namespace
