@@ -1,14 +1,10 @@
-// Micro-benchmark of the planner's QueryGraph refactor: plans every
-// STATS-CEB query repeatedly through the legacy string-based path
-// (Induced(mask) sub-queries, per-split edge scans) and the compiled-IR
-// path ((graph, mask) dispatch over precomputed adjacency bitmasks), and
-// reports plans/second plus the estimation-dispatch share of planning time
-// for each. Plans are asserted identical between the paths — the parity
-// the refactor promises — so the delta is pure overhead removed. The shape
-// to verify: the graph path is faster than the legacy path, and compiling
-// the graph per plan (the convenience overload) lands between the two.
-// Results go to stdout and to bench_micro_planner.json (consumed by
-// scripts/run_all_benches.sh).
+// Micro-benchmark of the planner: plans every STATS-CEB query repeatedly
+// through Optimizer::Plan over the query's precompiled QueryGraph, and
+// through the convenience overload that compiles a throwaway graph per
+// plan, and reports plans/second plus the estimation share of planning
+// time for each. The shape to verify: reusing the compiled graph is faster,
+// and the gap is the per-plan compile cost. Results go to stdout and to
+// bench_micro_planner.json (consumed by scripts/run_all_benches.sh).
 
 #include <algorithm>
 #include <cstdio>
@@ -57,18 +53,6 @@ int Run(const BenchFlags& flags) {
               "estimator %s, scale %g\n\n",
               contexts.size(), repeats, estimator_name.c_str(), flags.scale);
 
-  // Identity check first (outside the timed loops): both paths must choose
-  // the same plan at the same cost for every query.
-  for (const auto& ctx : contexts) {
-    auto legacy = opt.PlanLegacy(*ctx.query, estimator);
-    auto graph = opt.Plan(*ctx.graph, estimator);
-    CARDBENCH_CHECK(legacy.ok() && graph.ok(), "planning failed");
-    CARDBENCH_CHECK(
-        legacy->plan->Explain() == graph->plan->Explain() &&
-            legacy->plan->estimated_cost == graph->plan->estimated_cost,
-        "graph and legacy paths diverged on %s", ctx.query->name.c_str());
-  }
-
   // One timed sweep: `plan` maps a context to a PlanResult.
   auto run_path = [&](const char* name, auto&& plan) {
     PathResult result;
@@ -87,9 +71,6 @@ int Run(const BenchFlags& flags) {
     return result;
   };
 
-  const PathResult legacy = run_path("legacy", [&](const auto& ctx) {
-    return opt.PlanLegacy(*ctx.query, estimator);
-  });
   const PathResult graph = run_path("graph", [&](const auto& ctx) {
     return opt.Plan(*ctx.graph, estimator);
   });
@@ -99,19 +80,18 @@ int Run(const BenchFlags& flags) {
     return opt.Plan(*ctx.query, estimator);
   });
 
-  std::printf("%-14s %12s %10s %14s %9s\n", "path", "plans/s", "total",
-              "estimation", "speedup");
-  const std::vector<const PathResult*> rows = {&legacy, &graph, &compile};
+  std::printf("%-14s %12s %10s %14s\n", "path", "plans/s", "total",
+              "estimation");
+  const std::vector<const PathResult*> rows = {&graph, &compile};
   for (const PathResult* r : rows) {
-    std::printf("%-14s %12.1f %10s %14s %8.2fx\n", r->path.c_str(),
+    std::printf("%-14s %12.1f %10s %14s\n", r->path.c_str(),
                 r->PlansPerSecond(), FormatDuration(r->seconds).c_str(),
-                FormatDuration(r->estimation_seconds).c_str(),
-                r->seconds > 0.0 ? legacy.seconds / r->seconds : 0.0);
+                FormatDuration(r->estimation_seconds).c_str());
   }
-  std::printf("\nshape check: graph path faster than legacy %s "
+  std::printf("\nshape check: reusing the compiled graph faster %s "
               "(%.2fx), per-plan compile overhead %s\n",
-              graph.seconds < legacy.seconds ? "yes" : "NO",
-              graph.seconds > 0.0 ? legacy.seconds / graph.seconds : 0.0,
+              graph.seconds < compile.seconds ? "yes" : "NO",
+              graph.seconds > 0.0 ? compile.seconds / graph.seconds : 0.0,
               FormatDuration((compile.seconds - graph.seconds) /
                              std::max<size_t>(1, compile.plans))
                   .c_str());
@@ -129,12 +109,9 @@ int Run(const BenchFlags& flags) {
       const PathResult& r = *rows[i];
       std::fprintf(out,
                    "    {\"path\": \"%s\", \"plans_per_second\": %.1f, "
-                   "\"seconds\": %.6f, \"estimation_seconds\": %.6f, "
-                   "\"speedup_vs_legacy\": %.4f}%s\n",
+                   "\"seconds\": %.6f, \"estimation_seconds\": %.6f}%s\n",
                    r.path.c_str(), r.PlansPerSecond(), r.seconds,
-                   r.estimation_seconds,
-                   r.seconds > 0.0 ? legacy.seconds / r.seconds : 0.0,
-                   i + 1 < rows.size() ? "," : "");
+                   r.estimation_seconds, i + 1 < rows.size() ? "," : "");
     }
     std::fprintf(out, "  ]\n}\n");
     std::fclose(out);

@@ -31,12 +31,9 @@ std::vector<std::unordered_map<uint64_t, double>> SerialReference(
     const CardinalityEstimator& estimator, const BenchEnv& env) {
   std::vector<std::unordered_map<uint64_t, double>> reference;
   for (const auto& ctx : env.query_contexts()) {
-    const Query& query = *ctx.query;
     std::unordered_map<uint64_t, double> cards;
-    for (uint64_t mask : EnumerateConnectedSubsets(query)) {
-      cards[mask] = mask == query.FullMask()
-                        ? estimator.EstimateCard(query)
-                        : estimator.EstimateCard(query.Induced(mask));
+    for (uint64_t mask : ctx.graph->connected_subsets()) {
+      cards[mask] = estimator.EstimateCard(*ctx.graph, mask);
     }
     reference.push_back(std::move(cards));
   }
@@ -53,12 +50,14 @@ class RemoteModelEstimator : public CardinalityEstimator {
  public:
   RemoteModelEstimator(std::unique_ptr<CardinalityEstimator> inner,
                        double latency_seconds)
-      : inner_(std::move(inner)), latency_seconds_(latency_seconds) {}
+      : CardinalityEstimator(inner->database()),
+        inner_(std::move(inner)),
+        latency_seconds_(latency_seconds) {}
   std::string name() const override { return "RemoteModel"; }
-  double EstimateCard(const Query& subquery) const override {
+  double EstimateCard(const QueryGraph& graph, uint64_t mask) const override {
     std::this_thread::sleep_for(
         std::chrono::duration<double>(latency_seconds_));
-    return inner_->EstimateCard(subquery);
+    return inner_->EstimateCard(graph, mask);
   }
 
  private:

@@ -1,6 +1,7 @@
 // Shows how to plug a custom cardinality estimator into the benchmark
-// platform: implement the CardinalityEstimator interface, hand it to the
-// optimizer, and measure it against the built-in baselines. The toy
+// platform: implement the CardinalityEstimator interface (one method,
+// EstimateCard over a compiled QueryGraph and a sub-plan mask), hand it to
+// the optimizer, and measure it against the built-in baselines. The toy
 // estimator below combines exact single-table histograms with a damped
 // join correction — a few dozen lines, yet it can be evaluated with the
 // full Q-Error / P-Error / end-to-end machinery like any paper method.
@@ -24,33 +25,33 @@ namespace {
 
 using namespace cardbench;
 
-/// A toy estimator: PostgreSQL's single-table machinery plus a damping
+/// A toy estimator: PostgreSQL's single-table estimates plus a damping
 /// exponent on the join-uniformity correction (joins shrink estimates less
 /// aggressively than pure independence suggests).
 class DampedJoinEstimator : public CardinalityEstimator {
  public:
+  // Passing the database lets callers estimate a whole Query too: the base
+  // class compiles it and calls the graph overload below.
   DampedJoinEstimator(const Database& db, double damping)
-      : base_(db), db_(db), damping_(damping) {}
+      : CardinalityEstimator(db), base_(db), damping_(damping) {}
 
   std::string name() const override { return "DampedJoin"; }
 
-  double EstimateCard(const Query& subquery) const override {
+  // `mask` selects the sub-plan's tables (bit i = graph.table(i)); the graph
+  // holds them, their predicates and the join edges, resolved once.
+  double EstimateCard(const QueryGraph& graph, uint64_t mask) const override {
     double card = 1.0;
-    for (const auto& table : subquery.tables) {
-      card *= static_cast<double>(db_.TableOrDie(table).num_rows()) *
-              base_.TableSelectivity(subquery, table);
+    for (uint64_t rest = mask; rest != 0; rest &= rest - 1) {
+      card *= base_.EstimateCard(graph, rest & ~(rest - 1));  // one table
     }
-    for (const auto& edge : subquery.joins) {
-      const Table& lt = db_.TableOrDie(edge.left_table);
-      const Table& rt = db_.TableOrDie(edge.right_table);
+    for (const QueryGraph::EdgeInfo& edge : graph.edges()) {
+      if ((edge.mask & mask) != edge.mask) continue;  // not in the sub-plan
       const double ndv = std::max<double>(
           {1.0,
            static_cast<double>(
-               lt.GetIndex(lt.ColumnIndexOrDie(edge.left_column))
-                   .num_distinct()),
-           static_cast<double>(
-               rt.GetIndex(rt.ColumnIndexOrDie(edge.right_column))
-                   .num_distinct())});
+               edge.left_table->GetIndex(edge.left_column_id).num_distinct()),
+           static_cast<double>(edge.right_table->GetIndex(edge.right_column_id)
+                                   .num_distinct())});
       card /= std::pow(ndv, damping_);  // damping < 1: milder shrinkage
     }
     return std::max(card, 1.0);
@@ -58,7 +59,6 @@ class DampedJoinEstimator : public CardinalityEstimator {
 
  private:
   PostgresEstimator base_;
-  const Database& db_;
   double damping_;
 };
 

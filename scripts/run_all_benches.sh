@@ -67,8 +67,8 @@ run bench_sensitivity_noise
 # table (the JSON artifact records the speedup-vs-serial curve).
 run bench_micro_executor
 [ -f bench_micro_executor.json ] && mv bench_micro_executor.json "$LOGS/"
-# Planner path comparison (legacy strings vs compiled QueryGraph); emits
-# bench_micro_planner.json with the plans/sec and dispatch-overhead numbers.
+# Planner throughput over the precompiled QueryGraph vs compiling per plan;
+# emits bench_micro_planner.json with the plans/sec and estimation share.
 run bench_micro_planner
 [ -f bench_micro_planner.json ] && mv bench_micro_planner.json "$LOGS/"
 # Join-table micro-bench: radix-partitioned build/probe vs the legacy

@@ -14,7 +14,7 @@ BUILD_DIR=${BUILD_DIR:-build-asan}
 cmake -B "$BUILD_DIR" -S . -DCARDBENCH_ASAN=ON >/dev/null
 cmake --build "$BUILD_DIR" -j "$(nproc)" \
   --target storage_test exec_test exec_parity_test thread_pool_test \
-           service_test harness_test query_graph_test planner_parity_test \
+           service_test harness_test query_graph_test planner_golden_test \
            batch_parity_test serialization_test model_store_test \
            server_test server_metrics_test drift_test \
            kernel_parity_test arena_test join_hash_test
@@ -25,7 +25,7 @@ if [ "$#" -gt 0 ]; then
 else
   for test in storage_test exec_test exec_parity_test thread_pool_test \
               service_test harness_test query_graph_test \
-              planner_parity_test batch_parity_test serialization_test \
+              planner_golden_test batch_parity_test serialization_test \
               model_store_test server_test server_metrics_test drift_test \
               kernel_parity_test arena_test join_hash_test; do
     echo "== $test (ASAN) =="

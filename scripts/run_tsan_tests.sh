@@ -14,7 +14,7 @@ BUILD_DIR=${BUILD_DIR:-build-tsan}
 cmake -B "$BUILD_DIR" -S . -DCARDBENCH_TSAN=ON >/dev/null
 cmake --build "$BUILD_DIR" -j "$(nproc)" \
   --target thread_pool_test service_test optimizer_test harness_test \
-           exec_parity_test query_graph_test planner_parity_test \
+           exec_parity_test query_graph_test planner_golden_test \
            batch_parity_test server_test server_metrics_test drift_test \
            kernel_parity_test arena_test join_hash_test
 
@@ -23,7 +23,7 @@ if [ "$#" -gt 0 ]; then
   ctest --test-dir "$BUILD_DIR" --output-on-failure "$@"
 else
   for test in thread_pool_test service_test optimizer_test harness_test \
-              exec_parity_test query_graph_test planner_parity_test \
+              exec_parity_test query_graph_test planner_golden_test \
               batch_parity_test server_test server_metrics_test drift_test \
               kernel_parity_test arena_test join_hash_test; do
     echo "== $test (TSAN) =="

@@ -42,7 +42,8 @@ Column DoubleColumn(const std::vector<double>& values) {
 AutoregressiveEstimator::AutoregressiveEstimator(
     const Database& db, ArTraining mode,
     const std::vector<TrainingQuery>* training_queries, ArOptions options)
-    : db_(db),
+    : CardinalityEstimator(db),
+      db_(db),
       mode_(mode),
       training_queries_(training_queries),
       options_(options) {
@@ -314,37 +315,6 @@ Status AutoregressiveEstimator::Update() {
   return Status::OK();
 }
 
-bool AutoregressiveEstimator::MapToTree(const Query& query,
-                                        std::vector<bool>* table_in_s) const {
-  table_in_s->assign(sampler_->bfs_order().size(), false);
-  for (const auto& table : query.tables) {
-    const int idx = sampler_->TableIndex(table);
-    if (idx < 0) return false;
-    (*table_in_s)[static_cast<size_t>(idx)] = true;
-  }
-  for (const auto& edge : query.joins) {
-    bool matched = false;
-    for (const auto& tree_edge : sampler_->edges()) {
-      const std::string& parent = sampler_->bfs_order()[tree_edge.parent_idx];
-      const std::string& child = sampler_->bfs_order()[tree_edge.child_idx];
-      const bool forward = edge.left_table == parent &&
-                           edge.left_column == tree_edge.parent_col &&
-                           edge.right_table == child &&
-                           edge.right_column == tree_edge.child_col;
-      const bool backward = edge.right_table == parent &&
-                            edge.right_column == tree_edge.parent_col &&
-                            edge.left_table == child &&
-                            edge.left_column == tree_edge.child_col;
-      if (forward || backward) {
-        matched = true;
-        break;
-      }
-    }
-    if (!matched) return false;
-  }
-  return true;
-}
-
 double AutoregressiveEstimator::ProgressiveEstimate(
     const std::vector<std::pair<size_t, std::vector<double>>>& factors,
     Rng& rng) const {
@@ -420,16 +390,13 @@ bool AutoregressiveEstimator::GraphMapToTree(
 
 double AutoregressiveEstimator::EstimateCard(const QueryGraph& graph,
                                              uint64_t mask) const {
-  // Same per-sub-plan stream as the Query overload: the graph's canonical
-  // key is byte-identical to the induced sub-query's.
+  // Per-sub-plan progressive-sampling stream (see header).
   Rng rng(options_.seed ^ 0xABCDEF ^ Fnv1aHash(graph.CanonicalKey(mask)));
   std::vector<bool> in_s;
   std::vector<int> local_of_sampler;
   if (!GraphMapToTree(graph, mask, &in_s, &local_of_sampler)) {
     // Off-tree join (FK-FK shortcut): independence fallback — single-table
     // estimates combined with 1/max(ndv) per edge (tree-schema limitation).
-    // Singleton masks recurse through this overload; their canonical keys
-    // equal the per-table Query the legacy fallback materializes.
     double card = 1.0;
     for (uint64_t rest = mask; rest != 0; rest &= rest - 1) {
       card *= EstimateCard(graph, rest & ~(rest - 1));
@@ -629,100 +596,15 @@ std::vector<double> AutoregressiveEstimator::EstimateCards(
   return out;
 }
 
-double AutoregressiveEstimator::EstimateCard(const Query& subquery) const {
-  // Per-sub-plan progressive-sampling stream (see header).
-  Rng rng(options_.seed ^ 0xABCDEF ^ Fnv1aHash(subquery.CanonicalKey()));
-  std::vector<bool> in_s;
-  if (!MapToTree(subquery, &in_s)) {
-    // Off-tree join (FK-FK shortcut): independence fallback — single-table
-    // estimates combined with 1/max(ndv) per edge (tree-schema limitation).
-    double card = 1.0;
-    for (const auto& table : subquery.tables) {
-      Query single;
-      single.tables = {table};
-      for (const auto& pred : subquery.predicates) {
-        if (pred.table == table) single.predicates.push_back(pred);
-      }
-      card *= EstimateCard(single);
-    }
-    for (const auto& edge : subquery.joins) {
-      const Table& lt = db_.TableOrDie(edge.left_table);
-      const Table& rt = db_.TableOrDie(edge.right_table);
-      const double lndv = std::max<double>(
-          1.0, static_cast<double>(
-                   lt.GetIndex(lt.ColumnIndexOrDie(edge.left_column))
-                       .num_distinct()));
-      const double rndv = std::max<double>(
-          1.0, static_cast<double>(
-                   rt.GetIndex(rt.ColumnIndexOrDie(edge.right_column))
-                       .num_distinct()));
-      card /= std::max(lndv, rndv);
-    }
-    return std::max(card, 1.0);
-  }
-
-  // Top of S: the BFS-shallowest table (parents precede children).
-  size_t top = 0;
-  for (size_t t = 0; t < in_s.size(); ++t) {
-    if (in_s[t]) {
-      top = t;
-      break;
-    }
-  }
-
-  std::vector<std::pair<size_t, std::vector<double>>> factors;
-  for (size_t c = 0; c < columns_.size(); ++c) {
-    const ModelColumn& mc = columns_[c];
-    const bool table_in_query = in_s[mc.table_idx];
-    switch (mc.kind) {
-      case ModelColumn::Kind::kPresence:
-        if (table_in_query) factors.push_back({c, {0.0, 1.0}});
-        break;
-      case ModelColumn::Kind::kAttr: {
-        if (!table_in_query) break;
-        std::vector<Predicate> preds;
-        const std::string& table = sampler_->bfs_order()[mc.table_idx];
-        for (const auto& pred : subquery.predicates) {
-          if (pred.table == table && pred.column == mc.attr) {
-            preds.push_back(pred);
-          }
-        }
-        if (!preds.empty()) {
-          factors.push_back({c, mc.binner->PredicateFractions(preds)});
-        }
-        break;
-      }
-      case ModelColumn::Kind::kUpward: {
-        if (mc.table_idx != top) break;
-        std::vector<double> inv(mc.domain);
-        for (uint16_t b = 0; b < mc.domain; ++b) {
-          inv[b] = mc.binner->BinInverseMean(b);
-        }
-        factors.push_back({c, std::move(inv)});
-        break;
-      }
-      case ModelColumn::Kind::kEdgeDup: {
-        if (!table_in_query) break;
-        const auto& edge = sampler_->edges()[static_cast<size_t>(mc.edge_idx)];
-        if (in_s[edge.child_idx]) break;  // child joined: no duplication
-        std::vector<double> inv(mc.domain);
-        for (uint16_t b = 0; b < mc.domain; ++b) {
-          inv[b] = mc.binner->BinInverseMean(b);
-        }
-        factors.push_back({c, std::move(inv)});
-        break;
-      }
-    }
-  }
-  const double expectation = ProgressiveEstimate(factors, rng);
-  return std::max(1.0, sampler_->foj_size() * expectation);
-}
-
 AutoregressiveEstimator::AutoregressiveEstimator(const Database& db,
                                                  ArTraining mode,
                                                  ArOptions options,
                                                  DeferredInit)
-    : db_(db), mode_(mode), training_queries_(nullptr), options_(options) {
+    : CardinalityEstimator(db),
+      db_(db),
+      mode_(mode),
+      training_queries_(nullptr),
+      options_(options) {
   sampler_ = std::make_unique<FojSampler>(db_);
   RebuildIdMaps();
 }

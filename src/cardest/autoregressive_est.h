@@ -71,14 +71,12 @@ class AutoregressiveEstimator : public CardinalityEstimator {
     return "AR";
   }
 
+  using CardinalityEstimator::EstimateCard;
   /// Progressive-sampling randomness is derived from a hash of the
   /// sub-plan's canonical key, so estimates are deterministic per sub-plan
-  /// and safe under concurrent callers (thread-safety contract). The graph
-  /// overload seeds from the precomputed canonical key and maps tables and
-  /// join edges onto the FOJ spanning tree by resolved ids, so both paths
-  /// draw identical progressive samples.
+  /// and safe under concurrent callers (thread-safety contract). Tables and
+  /// join edges map onto the FOJ spanning tree by resolved ids.
   double EstimateCard(const QueryGraph& graph, uint64_t mask) const override;
-  double EstimateCard(const Query& subquery) const override;
   /// Batched: every on-tree mask keeps its own progressive-sampling state
   /// (encoded matrix, weights, canonical-key-seeded RNG) but the MADE
   /// forward passes are fused — one ConditionalProbs call per constrained
@@ -134,18 +132,16 @@ class AutoregressiveEstimator : public CardinalityEstimator {
       const std::vector<std::pair<size_t, std::vector<double>>>& factors,
       Rng& rng) const;
 
-  /// The per-column factors of an on-tree sub-plan (graph path), in model
+  /// The per-column factors of an on-tree sub-plan, in model
   /// column order — the input of ProgressiveEstimate.
   std::vector<std::pair<size_t, std::vector<double>>> BuildGraphFactors(
       const QueryGraph& graph, const std::vector<bool>& table_in_s,
       const std::vector<int>& local_of_sampler) const;
 
-  /// Maps query join edges onto tree edges; false if any edge leaves the
-  /// tree.
-  bool MapToTree(const Query& query, std::vector<bool>* table_in_s) const;
-
-  /// Graph-path MapToTree: ids instead of names. Also records which local
-  /// table occupies each sampler slot (-1 when absent from the mask).
+  /// Maps the mask's tables and join edges onto the FOJ spanning tree by
+  /// resolved ids; false if any edge leaves the tree. Also records which
+  /// local table occupies each sampler slot (-1 when absent from the
+  /// mask).
   bool GraphMapToTree(const QueryGraph& graph, uint64_t mask,
                       std::vector<bool>* table_in_s,
                       std::vector<int>* local_of_sampler) const;

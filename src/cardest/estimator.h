@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "cardest/insertion_batch.h"
+#include "common/logging.h"
 #include "common/status.h"
 #include "query/query.h"
 #include "query/query_graph.h"
@@ -19,13 +20,15 @@ namespace cardbench {
 /// query space of each query and calls EstimateCard for every sub-plan
 /// exactly as the overwritten `calc_joinrel_size_estimate` injects
 /// estimates into PostgreSQL's planner. Implementations range from the
-/// built-in histogram baseline to learned data-driven models.
+/// built-in histogram baseline to learned data-driven models; each writes
+/// one estimation body, EstimateCard(graph, mask), over the compiled
+/// QueryGraph (and may batch it in EstimateCards).
 ///
 /// Thread-safety contract (required by `src/service` and the harness's
 /// `--threads=N` fan-out): EstimateCard is const and must be safe to call
 /// concurrently from many threads on one shared instance, and deterministic
-/// — the same sub-plan query always receives the same estimate regardless
-/// of call order or interleaving (samplers derive their randomness from a
+/// — the same sub-plan always receives the same estimate regardless of
+/// call order or interleaving (samplers derive their randomness from a
 /// hash of the sub-plan, never from shared mutable generator state).
 /// Internal memo caches are allowed but must be internally synchronized.
 /// Update() is exempt: it is an exclusive-access operation and callers must
@@ -40,28 +43,27 @@ class CardinalityEstimator {
   virtual std::string name() const = 0;
 
   /// Estimated COUNT(*) of the sub-plan of `graph` selected by `mask` (a
-  /// *connected* table subset, as enumerated by the optimizer's DP). This is
-  /// the primary dispatch: the graph carries pre-resolved table/column ids,
-  /// pre-bound predicate slots and precomputed canonical keys, so no name is
-  /// re-resolved per sub-plan. Never executes the query; implementations
-  /// should return a non-negative finite value (the optimizer clamps >= 1).
-  /// Const and thread-safe per the class-level contract.
-  ///
-  /// The default adapter forwards to the string-based overload on the
-  /// precomputed induced sub-query, so estimators that only implement the
-  /// legacy overload keep working unchanged. Exactly one of the two
-  /// overloads must be overridden (the migrated estimators override both:
-  /// the graph overload is the serving path, the Query overload remains the
-  /// reference implementation the parity suite compares against).
-  virtual double EstimateCard(const QueryGraph& graph, uint64_t mask) const {
-    return EstimateCard(graph.InducedRef(mask));
-  }
+  /// *connected* table subset, as enumerated by the optimizer's DP). The
+  /// graph carries pre-resolved table/column ids, pre-bound predicate slots
+  /// and precomputed canonical keys, so no name is re-resolved per
+  /// sub-plan. Never executes the query; implementations should return a
+  /// non-negative finite value (the optimizer clamps >= 1). Const and
+  /// thread-safe per the class-level contract.
+  virtual double EstimateCard(const QueryGraph& graph, uint64_t mask) const = 0;
 
-  /// Estimated COUNT(*) of `subquery` (a sub-plan query: subset of tables,
-  /// induced joins and predicates). Never executes the query. Implementations
-  /// should return a non-negative finite value; the optimizer clamps to >= 1.
-  /// Const and thread-safe per the class-level contract.
-  virtual double EstimateCard(const Query& subquery) const = 0;
+  /// Estimated COUNT(*) of a whole (connected) query: compiles it against
+  /// the estimator's database and estimates the full mask. A convenience
+  /// for callers holding a Query; planning and serving compile once and
+  /// use the graph overload. Dies if the estimator was built without a
+  /// database. Overriding the graph overload hides this one on the derived
+  /// type; estimators re-expose it with `using
+  /// CardinalityEstimator::EstimateCard;`.
+  virtual double EstimateCard(const Query& query) const {
+    CARDBENCH_CHECK(db_ != nullptr, "%s has no database to compile against",
+                    name().c_str());
+    const QueryGraph graph(query, *db_);
+    return EstimateCard(graph, graph.full_mask());
+  }
 
   /// Batch estimation: the cardinalities of every sub-plan in `masks`, in
   /// order. This is the serving entry point — the optimizer issues one call
@@ -163,6 +165,20 @@ class CardinalityEstimator {
     return Status::Unsupported(name() +
                                ": no incremental path, full retrain required");
   }
+
+  /// The database the Query overload compiles against; null for
+  /// estimators built without one (wrappers over such estimators, fakes).
+  const Database* database() const { return db_; }
+
+ protected:
+  CardinalityEstimator() = default;
+  /// Estimators built over a database pass it here.
+  explicit CardinalityEstimator(const Database& db) : db_(&db) {}
+  /// Wrappers pass the database of what they wrap (possibly null).
+  explicit CardinalityEstimator(const Database* db) : db_(db) {}
+
+ private:
+  const Database* db_ = nullptr;
 };
 
 }  // namespace cardbench

@@ -5,7 +5,6 @@
 #include <istream>
 #include <ostream>
 #include <queue>
-#include <set>
 
 #include "common/logging.h"
 #include "common/serde.h"
@@ -34,20 +33,10 @@ std::vector<ColumnFactor> MergeFactors(std::vector<ColumnFactor> factors) {
   return merged;
 }
 
-/// Predicates of `query` on `table`, grouped by column name.
-std::map<std::string, std::vector<Predicate>> PredicatesByColumn(
-    const Query& query, const std::string& table) {
-  std::map<std::string, std::vector<Predicate>> by_column;
-  for (const auto& pred : query.predicates) {
-    if (pred.table == table) by_column[pred.column].push_back(pred);
-  }
-  return by_column;
-}
-
 }  // namespace
 
 FanoutModelEstimator::FanoutModelEstimator(const Database& db, size_t max_bins)
-    : db_(db), max_bins_(max_bins) {
+    : CardinalityEstimator(db), db_(db), max_bins_(max_bins) {
   for (const auto& name : db_.table_names()) {
     ext_tables_[name] = std::make_unique<ExtendedTable>(db_, name, max_bins_);
   }
@@ -121,63 +110,6 @@ Status FanoutModelEstimator::Update() {
 double FanoutModelEstimator::ExpectWithFactors(
     const std::string& table, std::vector<ColumnFactor> factors) const {
   return models_.at(table)->ExpectProduct(MergeFactors(std::move(factors)));
-}
-
-double FanoutModelEstimator::SubtreeRho(
-    const Query& query, const std::string& table,
-    const std::string& parent_table, const JoinEdge& parent_edge,
-    const std::map<std::string, std::vector<std::pair<JoinEdge, std::string>>>&
-        tree_children) const {
-  const ExtendedTable& ext = *ext_tables_.at(table);
-
-  // Fanout column counting this table's matches in the parent.
-  const std::string& my_col = parent_edge.left_table == table
-                                  ? parent_edge.left_column
-                                  : parent_edge.right_column;
-  const std::string& parent_col = parent_edge.left_table == table
-                                      ? parent_edge.right_column
-                                      : parent_edge.left_column;
-  const int up_idx = ext.FanoutIndex(my_col, {parent_table, parent_col});
-  CARDBENCH_CHECK(up_idx >= 0, "no fanout column %s.%s -> %s.%s",
-                  table.c_str(), my_col.c_str(), parent_table.c_str(),
-                  parent_col.c_str());
-
-  std::vector<ColumnFactor> numer;
-  numer.push_back(
-      {static_cast<size_t>(up_idx),
-       ext.FanoutMeanFactor(static_cast<size_t>(up_idx))});
-  for (const auto& [column, preds] : PredicatesByColumn(query, table)) {
-    const int idx = ext.AttrIndex(column);
-    if (idx < 0) continue;  // predicate on unmodeled column: ignore
-    numer.push_back({static_cast<size_t>(idx),
-                     ext.PredicateFactor(static_cast<size_t>(idx), preds)});
-  }
-
-  double child_scalars = 1.0;
-  auto it = tree_children.find(table);
-  if (it != tree_children.end()) {
-    for (const auto& [edge, child] : it->second) {
-      const std::string& down_col =
-          edge.left_table == table ? edge.left_column : edge.right_column;
-      const std::string& child_col =
-          edge.left_table == table ? edge.right_column : edge.left_column;
-      const int idx = ext.FanoutIndex(down_col, {child, child_col});
-      CARDBENCH_CHECK(idx >= 0, "no fanout column for child edge");
-      numer.push_back({static_cast<size_t>(idx),
-                       ext.FanoutMeanFactor(static_cast<size_t>(idx))});
-      child_scalars *=
-          SubtreeRho(query, child, table, edge, tree_children);
-    }
-  }
-
-  const double numer_e = ExpectWithFactors(table, std::move(numer));
-  std::vector<ColumnFactor> denom;
-  denom.push_back(
-      {static_cast<size_t>(up_idx),
-       ext.FanoutMeanFactor(static_cast<size_t>(up_idx))});
-  const double denom_e = ExpectWithFactors(table, std::move(denom));
-  if (denom_e <= 1e-12) return 0.0;
-  return (numer_e / denom_e) * child_scalars;
 }
 
 const std::vector<ColumnFactor>& FanoutModelEstimator::PredFactorsFor(
@@ -291,9 +223,8 @@ double FanoutModelEstimator::EstimateCardImpl(const QueryGraph& graph,
                     rows * ExpectWithFactors(info.name, std::move(factors)));
   }
 
-  // Ablation mode: join uniformity over single-table model estimates. The
-  // single-table recursion takes the popcount==1 branch above, which folds
-  // exactly like the legacy per-table Query materialization.
+  // Ablation mode: join uniformity over single-table model estimates (the
+  // single-table recursion takes the popcount==1 branch above).
   if (!use_fanout_join_) {
     double card = 1.0;
     for (uint64_t rest = mask; rest != 0; rest &= rest - 1) {
@@ -398,139 +329,6 @@ double FanoutModelEstimator::EstimateCardImpl(const QueryGraph& graph,
     const double rndv = std::max<double>(
         1.0, static_cast<double>(
                  edge->right_table->GetIndex(edge->right_column_id)
-                     .num_distinct()));
-    card /= std::max(lndv, rndv);
-  }
-  return std::max(card, 1e-6);
-}
-
-double FanoutModelEstimator::EstimateCard(const Query& subquery) const {
-  CARDBENCH_CHECK(!subquery.tables.empty(), "empty query");
-
-  // Single table: |T| * E[predicate factors].
-  if (subquery.tables.size() == 1) {
-    const std::string& table = subquery.tables[0];
-    const ExtendedTable& ext = *ext_tables_.at(table);
-    std::vector<ColumnFactor> factors;
-    for (const auto& [column, preds] : PredicatesByColumn(subquery, table)) {
-      const int idx = ext.AttrIndex(column);
-      if (idx < 0) continue;
-      factors.push_back({static_cast<size_t>(idx),
-                         ext.PredicateFactor(static_cast<size_t>(idx), preds)});
-    }
-    const double rows = static_cast<double>(db_.TableOrDie(table).num_rows());
-    return std::max(1.0, rows * ExpectWithFactors(table, std::move(factors)));
-  }
-
-  // Ablation mode: join uniformity over single-table model estimates.
-  if (!use_fanout_join_) {
-    double card = 1.0;
-    for (const auto& table : subquery.tables) {
-      Query single;
-      single.tables = {table};
-      for (const auto& pred : subquery.predicates) {
-        if (pred.table == table) single.predicates.push_back(pred);
-      }
-      card *= EstimateCard(single);
-    }
-    for (const auto& edge : subquery.joins) {
-      const Table& lt = db_.TableOrDie(edge.left_table);
-      const Table& rt = db_.TableOrDie(edge.right_table);
-      const double lndv = std::max<double>(
-          1.0, static_cast<double>(
-                   lt.GetIndex(lt.ColumnIndexOrDie(edge.left_column))
-                       .num_distinct()));
-      const double rndv = std::max<double>(
-          1.0, static_cast<double>(
-                   rt.GetIndex(rt.ColumnIndexOrDie(edge.right_column))
-                       .num_distinct()));
-      card /= std::max(lndv, rndv);
-    }
-    return std::max(card, 1e-6);
-  }
-
-  // Spanning tree of the query join graph rooted at the largest table;
-  // non-tree (parallel) edges contribute independence selectivities.
-  std::string root = subquery.tables[0];
-  for (const auto& t : subquery.tables) {
-    if (db_.TableOrDie(t).num_rows() > db_.TableOrDie(root).num_rows()) {
-      root = t;
-    }
-  }
-  std::map<std::string, std::vector<std::pair<JoinEdge, std::string>>>
-      tree_children;
-  std::vector<const JoinEdge*> non_tree;
-  {
-    std::set<std::string> visited = {root};
-    std::queue<std::string> frontier;
-    frontier.push(root);
-    std::vector<bool> used(subquery.joins.size(), false);
-    while (!frontier.empty()) {
-      const std::string at = frontier.front();
-      frontier.pop();
-      for (size_t e = 0; e < subquery.joins.size(); ++e) {
-        if (used[e]) continue;
-        const JoinEdge& edge = subquery.joins[e];
-        std::string other;
-        if (edge.left_table == at) {
-          other = edge.right_table;
-        } else if (edge.right_table == at) {
-          other = edge.left_table;
-        } else {
-          continue;
-        }
-        if (visited.count(other) > 0) continue;
-        used[e] = true;
-        visited.insert(other);
-        tree_children[at].push_back({edge, other});
-        frontier.push(other);
-      }
-    }
-    for (size_t e = 0; e < subquery.joins.size(); ++e) {
-      if (!used[e]) non_tree.push_back(&subquery.joins[e]);
-    }
-  }
-
-  const ExtendedTable& root_ext = *ext_tables_.at(root);
-  std::vector<ColumnFactor> factors;
-  for (const auto& [column, preds] : PredicatesByColumn(subquery, root)) {
-    const int idx = root_ext.AttrIndex(column);
-    if (idx < 0) continue;
-    factors.push_back(
-        {static_cast<size_t>(idx),
-         root_ext.PredicateFactor(static_cast<size_t>(idx), preds)});
-  }
-  double scalars = 1.0;
-  auto it = tree_children.find(root);
-  if (it != tree_children.end()) {
-    for (const auto& [edge, child] : it->second) {
-      const std::string& my_col =
-          edge.left_table == root ? edge.left_column : edge.right_column;
-      const std::string& child_col =
-          edge.left_table == root ? edge.right_column : edge.left_column;
-      const int idx = root_ext.FanoutIndex(my_col, {child, child_col});
-      CARDBENCH_CHECK(idx >= 0, "no fanout column for root edge");
-      factors.push_back({static_cast<size_t>(idx),
-                         root_ext.FanoutMeanFactor(static_cast<size_t>(idx))});
-      scalars *= SubtreeRho(subquery, child, root, edge, tree_children);
-    }
-  }
-
-  double card = static_cast<double>(db_.TableOrDie(root).num_rows()) *
-                ExpectWithFactors(root, std::move(factors)) * scalars;
-
-  // Independence correction for parallel/non-tree edges (PostgreSQL's
-  // 1/max(ndv) equi-join selectivity).
-  for (const JoinEdge* edge : non_tree) {
-    const Table& lt = db_.TableOrDie(edge->left_table);
-    const Table& rt = db_.TableOrDie(edge->right_table);
-    const double lndv = std::max<double>(
-        1.0, static_cast<double>(
-                 lt.GetIndex(lt.ColumnIndexOrDie(edge->left_column))
-                     .num_distinct()));
-    const double rndv = std::max<double>(
-        1.0, static_cast<double>(
-                 rt.GetIndex(rt.ColumnIndexOrDie(edge->right_column))
                      .num_distinct()));
     card /= std::max(lndv, rndv);
   }

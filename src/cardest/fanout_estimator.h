@@ -58,12 +58,12 @@ class FanoutModelEstimator : public CardinalityEstimator {
   /// is recorded for Figure 3).
   FanoutModelEstimator(const Database& db, size_t max_bins);
 
+  using CardinalityEstimator::EstimateCard;
   /// Mask-based dispatch: spanning tree built over local table ids and
   /// pre-resolved edges; predicate groups come from the graph (no per-call
-  /// name grouping). Model lookups stay name-keyed — the per-table models
-  /// are string-keyed internal state, untouched by the dispatch refactor.
+  /// name grouping). Model lookups stay name-keyed (the per-table models
+  /// are string-keyed internal state).
   double EstimateCard(const QueryGraph& graph, uint64_t mask) const override;
-  double EstimateCard(const Query& subquery) const override;
   /// Batched: the per-table predicate ColumnFactors (the expensive
   /// PredicateFactor bin scans, mask-independent) are computed once per
   /// query and shared across all masks; each mask then runs the unchanged
@@ -89,7 +89,7 @@ class FanoutModelEstimator : public CardinalityEstimator {
   /// deserialized state via InjectState).
   struct DeferredInit {};
   FanoutModelEstimator(const Database& db, size_t max_bins, DeferredInit)
-      : db_(db), max_bins_(max_bins) {}
+      : CardinalityEstimator(db), db_(db), max_bins_(max_bins) {}
 
   /// Installs deserialized per-table state (model-loading path).
   void InjectState(
@@ -156,14 +156,7 @@ class FanoutModelEstimator : public CardinalityEstimator {
   double EstimateCardImpl(const QueryGraph& graph, uint64_t mask,
                           PredFactorCache* cache) const;
 
-  /// Recursive ρ computation for a child subtree.
-  double SubtreeRho(const Query& query, const std::string& table,
-                    const std::string& parent_table,
-                    const JoinEdge& parent_edge,
-                    const std::map<std::string, std::vector<std::pair<JoinEdge, std::string>>>&
-                        tree_children) const;
-
-  /// Graph-path ρ: same recursion keyed on local table ids.
+  /// Recursive ρ computation for a child subtree, keyed on local table ids.
   double GraphSubtreeRho(
       const QueryGraph& graph, int local, int parent_local,
       const QueryGraph::EdgeInfo& parent_edge,

@@ -17,12 +17,27 @@ double TargetOf(double cardinality) { return std::log2(1.0 + cardinality); }
 double CardOf(double prediction) {
   return std::max(1.0, std::exp2(prediction) - 1.0);
 }
+
+/// Flat features and log2 targets of `training`, each query featurized as
+/// its compiled graph at the full mask.
+void FeaturizeTraining(const QueryFeaturizer& featurizer, const Database& db,
+                       const std::vector<TrainingQuery>& training,
+                       std::vector<std::vector<double>>* features,
+                       std::vector<double>* targets) {
+  features->reserve(training.size());
+  targets->reserve(training.size());
+  for (const TrainingQuery& example : training) {
+    const QueryGraph graph(example.query, db);
+    features->push_back(featurizer.FlatFeatures(graph, graph.full_mask()));
+    targets->push_back(TargetOf(example.cardinality));
+  }
+}
 }  // namespace
 
 LwNnEstimator::LwNnEstimator(const Database& db,
                              const std::vector<TrainingQuery>& training,
                              LwNnOptions options)
-    : featurizer_(db), options_(options) {
+    : CardinalityEstimator(db), featurizer_(db), options_(options) {
   CARDBENCH_CHECK(!training.empty(), "LW-NN requires training queries");
   Stopwatch watch;
   Rng rng(options.seed);
@@ -37,14 +52,9 @@ LwNnEstimator::LwNnEstimator(const Database& db,
 
 void LwNnEstimator::TrainEpochs(const std::vector<TrainingQuery>& training,
                                 size_t epochs, Rng& rng) {
-  // Pre-featurize once.
   std::vector<std::vector<double>> features;
   std::vector<double> targets;
-  features.reserve(training.size());
-  for (const auto& example : training) {
-    features.push_back(featurizer_.FlatFeatures(example.query));
-    targets.push_back(TargetOf(example.cardinality));
-  }
+  FeaturizeTraining(featurizer_, *database(), training, &features, &targets);
 
   for (size_t epoch = 0; epoch < epochs; ++epoch) {
     const auto order = rng.Permutation(training.size());
@@ -94,13 +104,6 @@ double LwNnEstimator::EstimateCard(const QueryGraph& graph,
   return CardOf(net_->Infer(x).At(0, 0));
 }
 
-double LwNnEstimator::EstimateCard(const Query& subquery) const {
-  const std::vector<double> features = featurizer_.FlatFeatures(subquery);
-  Matrix x(1, features.size());
-  for (size_t c = 0; c < features.size(); ++c) x.At(0, c) = features[c];
-  return CardOf(net_->Infer(x).At(0, 0));
-}
-
 std::vector<double> LwNnEstimator::EstimateCards(
     const QueryGraph& graph, std::span<const uint64_t> masks) const {
   std::vector<double> out;
@@ -122,17 +125,13 @@ std::vector<double> LwNnEstimator::EstimateCards(
 LwXgbEstimator::LwXgbEstimator(const Database& db,
                                const std::vector<TrainingQuery>& training,
                                GbdtOptions options, uint64_t seed)
-    : featurizer_(db), gbdt_(options) {
+    : CardinalityEstimator(db), featurizer_(db), gbdt_(options) {
   CARDBENCH_CHECK(!training.empty(), "LW-XGB requires training queries");
   (void)seed;
   Stopwatch watch;
   std::vector<std::vector<double>> features;
   std::vector<double> targets;
-  features.reserve(training.size());
-  for (const auto& example : training) {
-    features.push_back(featurizer_.FlatFeatures(example.query));
-    targets.push_back(TargetOf(example.cardinality));
-  }
+  FeaturizeTraining(featurizer_, db, training, &features, &targets);
   gbdt_.Fit(features, targets);
   train_seconds_ = watch.ElapsedSeconds();
 }
@@ -144,14 +143,10 @@ Status LwXgbEstimator::IncrementalUpdate(const InsertionBatch& batch) {
         "(batch.refresh_training), full retrain required");
   }
   Stopwatch watch;
-  const std::vector<TrainingQuery>& training = *batch.refresh_training;
   std::vector<std::vector<double>> features;
   std::vector<double> targets;
-  features.reserve(training.size());
-  for (const auto& example : training) {
-    features.push_back(featurizer_.FlatFeatures(example.query));
-    targets.push_back(TargetOf(example.cardinality));
-  }
+  FeaturizeTraining(featurizer_, *database(), *batch.refresh_training,
+                    &features, &targets);
   const size_t extra =
       std::max<size_t>(1, gbdt_.options().num_trees / 10);
   gbdt_.BoostMore(features, targets, extra);
@@ -162,10 +157,6 @@ Status LwXgbEstimator::IncrementalUpdate(const InsertionBatch& batch) {
 double LwXgbEstimator::EstimateCard(const QueryGraph& graph,
                                     uint64_t mask) const {
   return CardOf(gbdt_.Predict(featurizer_.FlatFeatures(graph, mask)));
-}
-
-double LwXgbEstimator::EstimateCard(const Query& subquery) const {
-  return CardOf(gbdt_.Predict(featurizer_.FlatFeatures(subquery)));
 }
 
 std::vector<double> LwXgbEstimator::EstimateCards(
@@ -183,7 +174,7 @@ std::vector<double> LwXgbEstimator::EstimateCards(
 
 LwNnEstimator::LwNnEstimator(const Database& db, LwNnOptions options,
                              DeferredInit)
-    : featurizer_(db), options_(options) {
+    : CardinalityEstimator(db), featurizer_(db), options_(options) {
   Rng rng(options_.seed);
   net_ = std::make_unique<Mlp>(
       std::vector<size_t>{featurizer_.flat_dim(), options_.hidden_units,

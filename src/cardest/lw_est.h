@@ -33,8 +33,8 @@ class LwNnEstimator : public CardinalityEstimator {
                 LwNnOptions options = LwNnOptions());
 
   std::string name() const override { return "LW-NN"; }
+  using CardinalityEstimator::EstimateCard;
   double EstimateCard(const QueryGraph& graph, uint64_t mask) const override;
-  double EstimateCard(const Query& subquery) const override;
   /// Batched: all masks featurized into one (N x flat_dim) matrix, one
   /// forward pass. Bit-identical per row (row-independent GEMM).
   std::vector<double> EstimateCards(
@@ -78,8 +78,8 @@ class LwXgbEstimator : public CardinalityEstimator {
                  GbdtOptions options = GbdtOptions(), uint64_t seed = 17);
 
   std::string name() const override { return "LW-XGB"; }
+  using CardinalityEstimator::EstimateCard;
   double EstimateCard(const QueryGraph& graph, uint64_t mask) const override;
-  double EstimateCard(const Query& subquery) const override;
   /// Batched: one tree-major GBDT pass over all featurized masks.
   std::vector<double> EstimateCards(
       const QueryGraph& graph,
@@ -103,7 +103,8 @@ class LwXgbEstimator : public CardinalityEstimator {
  private:
   struct DeferredInit {};
   /// Load path: empty ensemble, parameters injected afterwards.
-  LwXgbEstimator(const Database& db, DeferredInit) : featurizer_(db) {}
+  LwXgbEstimator(const Database& db, DeferredInit)
+      : CardinalityEstimator(db), featurizer_(db) {}
 
   QueryFeaturizer featurizer_;
   GbdtRegressor gbdt_;

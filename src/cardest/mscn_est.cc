@@ -42,7 +42,7 @@ double TargetOf(double cardinality) { return std::log2(1.0 + cardinality); }
 MscnEstimator::MscnEstimator(const Database& db,
                              const std::vector<TrainingQuery>& training,
                              MscnOptions options)
-    : featurizer_(db), options_(options) {
+    : CardinalityEstimator(db), featurizer_(db), options_(options) {
   Stopwatch watch;
   Rng rng(options_.seed);
   const size_t h = options_.hidden_units;
@@ -62,12 +62,19 @@ MscnEstimator::MscnEstimator(const Database& db,
 void MscnEstimator::TrainEpochs(const std::vector<TrainingQuery>& training,
                                 size_t epochs, Rng& rng) {
   const size_t h = options_.hidden_units;
+  // Featurize each query once, as its compiled graph at the full mask.
+  std::vector<QueryFeaturizer::SetFeatures> all_features;
+  all_features.reserve(training.size());
+  for (const TrainingQuery& example : training) {
+    const QueryGraph graph(example.query, *database());
+    all_features.push_back(featurizer_.MscnFeatures(graph, graph.full_mask()));
+  }
   for (size_t epoch = 0; epoch < epochs; ++epoch) {
     const auto order = rng.Permutation(training.size());
     double loss_sum = 0.0;
     for (size_t idx : order) {
       const TrainingQuery& example = training[idx];
-      const auto features = featurizer_.MscnFeatures(example.query);
+      const QueryFeaturizer::SetFeatures& features = all_features[idx];
       const Matrix xt = ToMatrix(features.tables);
       const Matrix xj = ToMatrix(features.joins);
       const Matrix xp = ToMatrix(features.predicates);
@@ -132,10 +139,6 @@ Status MscnEstimator::IncrementalUpdate(const InsertionBatch& batch) {
   return Status::OK();
 }
 
-double MscnEstimator::Predict(const Query& query) const {
-  return Forward(featurizer_.MscnFeatures(query));
-}
-
 double MscnEstimator::Forward(
     const QueryFeaturizer::SetFeatures& features) const {
   const size_t h = options_.hidden_units;
@@ -156,10 +159,6 @@ double MscnEstimator::Forward(
 double MscnEstimator::EstimateCard(const QueryGraph& graph,
                                    uint64_t mask) const {
   return Forward(featurizer_.MscnFeatures(graph, mask));
-}
-
-double MscnEstimator::EstimateCard(const Query& subquery) const {
-  return Predict(subquery);
 }
 
 std::vector<double> MscnEstimator::EstimateCards(
@@ -290,7 +289,7 @@ std::vector<double> MscnEstimator::EstimateCards(
 
 MscnEstimator::MscnEstimator(const Database& db, MscnOptions options,
                              DeferredInit)
-    : featurizer_(db), options_(options) {
+    : CardinalityEstimator(db), featurizer_(db), options_(options) {
   Rng rng(options_.seed);
   const size_t h = options_.hidden_units;
   table_module_ = std::make_unique<Mlp>(

@@ -33,10 +33,10 @@ class MscnEstimator : public CardinalityEstimator {
                 MscnOptions options = MscnOptions());
 
   std::string name() const override { return "MSCN"; }
+  using CardinalityEstimator::EstimateCard;
   /// Mask-based dispatch: features come from the featurizer's graph
   /// overload (dense id-resolved vocabularies), then the same forward pass.
   double EstimateCard(const QueryGraph& graph, uint64_t mask) const override;
-  double EstimateCard(const Query& subquery) const override;
   /// Batched: every mask's set elements are concatenated into one matrix
   /// per module (tables/joins/predicates), each module runs a single
   /// forward pass, per-mask segments are mean-pooled (same summation order
@@ -78,7 +78,6 @@ class MscnEstimator : public CardinalityEstimator {
   Matrix ModuleForward(Mlp& module,
                        const std::vector<std::vector<double>>& elements,
                        Matrix* cache_in) const;
-  double Predict(const Query& query) const;
   double Forward(const QueryFeaturizer::SetFeatures& features) const;
 
   QueryFeaturizer featurizer_;

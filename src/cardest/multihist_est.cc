@@ -15,7 +15,8 @@ MultiHistEstimator::MultiHistEstimator(const Database& db,
                                        size_t dims_per_group,
                                        size_t bins_per_dim,
                                        double correlation_threshold)
-    : db_(db),
+    : CardinalityEstimator(db),
+      db_(db),
       dims_per_group_(dims_per_group),
       bins_per_dim_(bins_per_dim),
       correlation_threshold_(correlation_threshold) {
@@ -193,40 +194,6 @@ double MultiHistEstimator::EstimateCard(const QueryGraph& graph,
     const double rndv = std::max<double>(
         1.0, static_cast<double>(
                  edge.right_table->GetIndex(edge.right_column_id)
-                     .num_distinct()));
-    card /= std::max(lndv, rndv);
-  }
-  return std::max(card, 1e-6);
-}
-
-double MultiHistEstimator::EstimateCard(const Query& subquery) const {
-  double card = 1.0;
-  for (const auto& table_name : subquery.tables) {
-    const Table& table = db_.TableOrDie(table_name);
-    double selectivity = 1.0;
-    for (const auto& group : groups_.at(table_name)) {
-      std::vector<std::vector<Predicate>> preds(group.columns.size());
-      for (const auto& pred : subquery.predicates) {
-        if (pred.table != table_name) continue;
-        for (size_t k = 0; k < group.columns.size(); ++k) {
-          if (group.columns[k] == pred.column) preds[k].push_back(pred);
-        }
-      }
-      selectivity *= GroupSelectivity(group, preds);
-    }
-    card *= static_cast<double>(table.num_rows()) * selectivity;
-  }
-  // Join uniformity, like the other histogram methods.
-  for (const auto& edge : subquery.joins) {
-    const Table& lt = db_.TableOrDie(edge.left_table);
-    const Table& rt = db_.TableOrDie(edge.right_table);
-    const double lndv = std::max<double>(
-        1.0, static_cast<double>(
-                 lt.GetIndex(lt.ColumnIndexOrDie(edge.left_column))
-                     .num_distinct()));
-    const double rndv = std::max<double>(
-        1.0, static_cast<double>(
-                 rt.GetIndex(rt.ColumnIndexOrDie(edge.right_column))
                      .num_distinct()));
     card /= std::max(lndv, rndv);
   }

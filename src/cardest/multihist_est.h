@@ -28,10 +28,10 @@ class MultiHistEstimator : public CardinalityEstimator {
                      double correlation_threshold = 0.3);
 
   std::string name() const override { return "MultiHist"; }
+  using CardinalityEstimator::EstimateCard;
   /// Mask-based dispatch: groups looked up by table id, predicates matched
   /// to group dimensions by resolved column id.
   double EstimateCard(const QueryGraph& graph, uint64_t mask) const override;
-  double EstimateCard(const Query& subquery) const override;
   double TrainSeconds() const override { return train_seconds_; }
 
   bool SupportsUpdate() const override { return true; }
@@ -54,8 +54,8 @@ class MultiHistEstimator : public CardinalityEstimator {
   struct DeferredInit {};
   /// Load path: constructs without building; state injected by Deserialize.
   MultiHistEstimator(const Database& db, DeferredInit)
-      : db_(db), dims_per_group_(0), bins_per_dim_(0),
-        correlation_threshold_(0.0) {}
+      : CardinalityEstimator(db), db_(db), dims_per_group_(0),
+        bins_per_dim_(0), correlation_threshold_(0.0) {}
 
   struct Group {
     std::vector<std::string> columns;

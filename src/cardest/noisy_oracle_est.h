@@ -29,27 +29,21 @@ class NoisyOracleEstimator : public CardinalityEstimator {
   /// means estimates are typically off by ~2x, sigma = 3 by ~8x.
   NoisyOracleEstimator(TrueCardService& service, double sigma,
                        uint64_t seed = 77)
-      : service_(service), sigma_(sigma), seed_(seed) {}
+      : CardinalityEstimator(service.db()),
+        service_(service),
+        sigma_(sigma),
+        seed_(seed) {}
 
   std::string name() const override {
     return StrFormat("NoisyOracle(%.1f)", sigma_);
   }
 
+  using CardinalityEstimator::EstimateCard;
   double EstimateCard(const QueryGraph& graph, uint64_t mask) const override {
     auto card = service_.Card(graph, mask);
     if (!card.ok()) return 1.0;
-    // Same deterministic draw as the Query overload: the graph's canonical
-    // key is byte-identical to the induced sub-query's.
-    Rng rng(seed_ ^ Fnv1aHash(graph.CanonicalKey(mask)));
-    const double noise = std::exp2(sigma_ * rng.NextGaussian());
-    return std::max(1.0, *card * noise);
-  }
-
-  double EstimateCard(const Query& subquery) const override {
-    auto card = service_.Card(subquery);
-    if (!card.ok()) return 1.0;
     // Deterministic per-sub-plan draw.
-    Rng rng(seed_ ^ Fnv1aHash(subquery.CanonicalKey()));
+    Rng rng(seed_ ^ Fnv1aHash(graph.CanonicalKey(mask)));
     const double noise = std::exp2(sigma_ * rng.NextGaussian());
     return std::max(1.0, *card * noise);
   }

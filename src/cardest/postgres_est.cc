@@ -13,7 +13,7 @@
 namespace cardbench {
 
 PostgresEstimator::PostgresEstimator(const Database& db, size_t stats_target)
-    : db_(db), stats_target_(stats_target) {
+    : CardinalityEstimator(db), db_(db), stats_target_(stats_target) {
   Stopwatch watch;
   Analyze();
   train_seconds_ = watch.ElapsedSeconds();
@@ -56,34 +56,11 @@ Status PostgresEstimator::Update() {
   return Status::OK();
 }
 
-double PostgresEstimator::TableSelectivity(const Query& subquery,
-                                           const std::string& table) const {
-  // Group predicates by column, fold each group through the column's
-  // histogram, multiply groups under the attribute-independence assumption.
-  std::map<std::string, std::vector<Predicate>> by_column;
-  for (const auto& pred : subquery.predicates) {
-    if (pred.table == table) by_column[pred.column].push_back(pred);
-  }
-  double selectivity = 1.0;
-  for (const auto& [column, preds] : by_column) {
-    auto it = stats_.find({table, column});
-    if (it == stats_.end()) continue;
-    const ColumnBinner& binner = *it->second.binner;
-    const std::vector<double> fractions = binner.PredicateFractions(preds);
-    double sel = 0.0;
-    for (uint16_t b = 0; b < binner.num_bins(); ++b) {
-      sel += binner.BinMass(b) * fractions[b];
-    }
-    selectivity *= sel;
-  }
-  return selectivity;
-}
-
 double PostgresEstimator::GraphTableSelectivity(
     const QueryGraph::TableInfo& info) const {
-  // Same fold as TableSelectivity: the graph's predicate groups come
-  // pre-sorted by column name, matching the std::map iteration order of
-  // the string path, so the product accumulates identically.
+  // Fold each column's predicates through the column's histogram, multiply
+  // columns under the attribute-independence assumption. The predicate
+  // groups come sorted by column name, which fixes the product's order.
   double selectivity = 1.0;
   for (const auto& group : info.pred_groups) {
     const ColumnStatsEntry* entry = StatsById(info.table_id, group.column_id);
@@ -117,21 +94,6 @@ double PostgresEstimator::EstimateCard(const QueryGraph& graph,
                     "missing join-column statistics");
     card *= (1.0 - left->null_frac) * (1.0 - right->null_frac) /
             std::max(left->ndv, right->ndv);
-  }
-  return std::max(card, 1e-6);
-}
-
-double PostgresEstimator::EstimateCard(const Query& subquery) const {
-  double card = 1.0;
-  for (const auto& table : subquery.tables) {
-    card *= static_cast<double>(db_.TableOrDie(table).num_rows()) *
-            TableSelectivity(subquery, table);
-  }
-  for (const auto& edge : subquery.joins) {
-    const auto& left = stats_.at({edge.left_table, edge.left_column});
-    const auto& right = stats_.at({edge.right_table, edge.right_column});
-    card *= (1.0 - left.null_frac) * (1.0 - right.null_frac) /
-            std::max(left.ndv, right.ndv);
   }
   return std::max(card, 1e-6);
 }

@@ -26,21 +26,15 @@ class PostgresEstimator : public CardinalityEstimator {
   explicit PostgresEstimator(const Database& db, size_t stats_target = 100);
 
   std::string name() const override { return "PostgreSQL"; }
+  using CardinalityEstimator::EstimateCard;
   /// Mask-based dispatch: per-table selectivities from the graph's
   /// pre-resolved predicate groups, eqjoinsel per in-mask edge through a
   /// dense (table_id, column_id) statistics index — no name lookups.
   double EstimateCard(const QueryGraph& graph, uint64_t mask) const override;
-  double EstimateCard(const Query& subquery) const override;
   double TrainSeconds() const override { return train_seconds_; }
   bool SupportsUpdate() const override { return true; }
   /// Re-ANALYZE: rebuilds all per-column statistics.
   Status Update() override;
-
-  /// Selectivity of the predicate conjunction on one table (exposed for
-  /// reuse by the sampling/bound estimators that share PostgreSQL's
-  /// single-table machinery, and for tests).
-  double TableSelectivity(const Query& subquery,
-                          const std::string& table) const;
 
   /// Persists the collected statistics (the "model") as a CBMD artifact and
   /// restores an estimator from one — deployment without re-ANALYZE (§4.3's
@@ -54,7 +48,7 @@ class PostgresEstimator : public CardinalityEstimator {
   struct DeferredInit {};
   /// Load path: constructs without ANALYZE; state injected by Deserialize.
   PostgresEstimator(const Database& db, DeferredInit)
-      : db_(db), stats_target_(0) {}
+      : CardinalityEstimator(db), db_(db), stats_target_(0) {}
 
   void Analyze();
 

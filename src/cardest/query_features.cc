@@ -19,7 +19,7 @@ std::string QueryFeaturizer::EdgeKey(const JoinEdge& edge) {
 
 QueryFeaturizer::QueryFeaturizer(const Database& db, uint64_t seed,
                                  size_t bitmap_size)
-    : db_(db), bitmap_size_(bitmap_size) {
+    : bitmap_size_(bitmap_size) {
   Rng rng(seed);
   for (const auto& name : db.table_names()) {
     table_index_[name] = table_index_.size();
@@ -46,7 +46,7 @@ QueryFeaturizer::QueryFeaturizer(const Database& db, uint64_t seed,
       column_info_[{name, col.name()}] = info;
     }
   }
-  // Dense id-indexed views for the graph path.
+  // Dense id-indexed views.
   table_slot_.clear();
   bitmap_by_id_.clear();
   column_slot_.clear();
@@ -86,49 +86,6 @@ size_t QueryFeaturizer::flat_dim() const {
   return table_index_.size() + join_index_.size() + 3 * column_index_.size();
 }
 
-std::vector<double> QueryFeaturizer::FlatFeatures(const Query& query) const {
-  std::vector<double> features(flat_dim(), 0.0);
-  for (const auto& table : query.tables) {
-    auto it = table_index_.find(table);
-    if (it != table_index_.end()) features[it->second] = 1.0;
-  }
-  const size_t join_base = table_index_.size();
-  for (const auto& edge : query.joins) {
-    auto it = join_index_.find(EdgeKey(edge));
-    if (it != join_index_.end()) features[join_base + it->second] = 1.0;
-  }
-  const size_t col_base = join_base + join_index_.size();
-  // Fold predicates per column into a normalized range.
-  std::map<std::pair<std::string, std::string>, ValueRange> ranges;
-  for (const auto& pred : query.predicates) {
-    if (pred.op == CompareOp::kNeq) {
-      // Represent <> as "has predicate" with the full range.
-      ranges.try_emplace({pred.table, pred.column});
-      continue;
-    }
-    ranges[{pred.table, pred.column}].Apply(pred.op, pred.value);
-  }
-  // Default encoding for unconstrained columns: has_pred=0, lo=0, hi=1.
-  for (const auto& [key, idx] : column_index_) {
-    features[col_base + 3 * idx + 1] = 0.0;
-    features[col_base + 3 * idx + 2] = 1.0;
-  }
-  for (const auto& [key, range] : ranges) {
-    auto it = column_index_.find(key);
-    if (it == column_index_.end()) continue;
-    const ColumnInfo& info = column_info_.at(key);
-    auto norm = [&](double v) {
-      return std::clamp((v - info.min) / (info.max - info.min), 0.0, 1.0);
-    };
-    features[col_base + 3 * it->second] = 1.0;
-    features[col_base + 3 * it->second + 1] =
-        norm(static_cast<double>(range.lo));
-    features[col_base + 3 * it->second + 2] =
-        norm(static_cast<double>(range.hi));
-  }
-  return features;
-}
-
 std::vector<double> QueryFeaturizer::FlatFeatures(const QueryGraph& graph,
                                                   uint64_t mask) const {
   std::vector<double> features(flat_dim(), 0.0);
@@ -142,8 +99,8 @@ std::vector<double> QueryFeaturizer::FlatFeatures(const QueryGraph& graph,
     if (it != join_index_.end()) features[join_base + it->second] = 1.0;
   }
   const size_t col_base = join_base + join_index_.size();
-  // Fold predicates per column into a normalized range (resolved ids; same
-  // per-column Apply order as the name-keyed path).
+  // Fold predicates per column into a normalized range (in query order
+  // within a column).
   std::map<std::pair<int, int>, ValueRange> ranges;
   for (const auto& pred : graph.predicates()) {
     if (((mask >> pred.local_table) & 1) == 0) continue;
@@ -341,60 +298,6 @@ void FlatFeaturePlan::FillRow(const QueryGraph& graph, uint64_t mask,
     if ((edges[e].mask & mask) != edges[e].mask) continue;
     if (edge_slots_[e] >= 0) row[edge_slots_[e]] = 1.0;
   }
-}
-
-QueryFeaturizer::SetFeatures QueryFeaturizer::MscnFeatures(
-    const Query& query) const {
-  SetFeatures out;
-
-  // Table elements: one-hot table plus predicate-satisfaction bitmap over
-  // the table's materialized sample (MSCN's signature feature).
-  for (const auto& table_name : query.tables) {
-    std::vector<double> element(table_element_dim(), 0.0);
-    auto it = table_index_.find(table_name);
-    if (it != table_index_.end()) element[it->second] = 1.0;
-    const Table& table = db_.TableOrDie(table_name);
-    const auto& rows = bitmap_rows_.at(table_name);
-    const auto compiled =
-        CompilePredicatesFor(table, table_name, query.predicates);
-    for (size_t i = 0; i < rows.size(); ++i) {
-      const bool pass =
-          table.num_rows() > 0 && RowPassesCompiled(compiled, rows[i]);
-      element[table_index_.size() + i] = pass ? 1.0 : 0.0;
-    }
-    out.tables.push_back(std::move(element));
-  }
-
-  for (const auto& edge : query.joins) {
-    std::vector<double> element(join_element_dim(), 0.0);
-    auto it = join_index_.find(EdgeKey(edge));
-    if (it != join_index_.end()) element[it->second] = 1.0;
-    out.joins.push_back(std::move(element));
-  }
-  if (out.joins.empty()) {
-    out.joins.push_back(std::vector<double>(join_element_dim(), 0.0));
-  }
-
-  for (const auto& pred : query.predicates) {
-    std::vector<double> element(predicate_element_dim(), 0.0);
-    auto it = column_index_.find({pred.table, pred.column});
-    if (it != column_index_.end()) element[it->second] = 1.0;
-    element[column_index_.size() + static_cast<size_t>(pred.op)] = 1.0;
-    const auto info_it = column_info_.find({pred.table, pred.column});
-    if (info_it != column_info_.end()) {
-      const ColumnInfo& info = info_it->second;
-      element[column_index_.size() + 6] =
-          std::clamp((static_cast<double>(pred.value) - info.min) /
-                         (info.max - info.min),
-                     0.0, 1.0);
-    }
-    out.predicates.push_back(std::move(element));
-  }
-  if (out.predicates.empty()) {
-    out.predicates.push_back(
-        std::vector<double>(predicate_element_dim(), 0.0));
-  }
-  return out;
 }
 
 }  // namespace cardbench

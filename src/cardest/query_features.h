@@ -31,11 +31,10 @@ class QueryFeaturizer {
   explicit QueryFeaturizer(const Database& db, uint64_t seed = 3,
                            size_t bitmap_size = 64);
 
-  /// Flat feature vector for LW-style regressors.
-  std::vector<double> FlatFeatures(const Query& query) const;
-  /// Mask-based variant: vocabulary slots resolved through dense
-  /// (table_id, column_id) tables and the graph's precomputed canonical
-  /// edge keys; element values and orders match the Query path exactly.
+  /// Flat feature vector of the sub-plan `mask` for LW-style regressors:
+  /// vocabulary slots resolved through dense (table_id, column_id) tables
+  /// and the graph's precomputed canonical edge keys. A whole query (a
+  /// training example) is its compiled graph at full_mask().
   std::vector<double> FlatFeatures(const QueryGraph& graph,
                                    uint64_t mask) const;
   size_t flat_dim() const;
@@ -47,10 +46,9 @@ class QueryFeaturizer {
     std::vector<std::vector<double>> joins;
     std::vector<std::vector<double>> predicates;
   };
-  SetFeatures MscnFeatures(const Query& query) const;
   SetFeatures MscnFeatures(const QueryGraph& graph, uint64_t mask) const;
 
-  /// Per-element builders of the graph path. A sub-plan's MSCN element
+  /// Per-element builders. A sub-plan's MSCN element
   /// vectors are mask-independent — a table's one-hot + bitmap, an edge's
   /// one-hot, a predicate's encoding never change across the sub-plans of
   /// one query — so batch callers featurize each distinct element once and
@@ -85,7 +83,6 @@ class QueryFeaturizer {
     double max = 1.0;
   };
 
-  const Database& db_;
   size_t bitmap_size_;
   std::map<std::string, size_t> table_index_;
   std::map<std::string, size_t> join_index_;
@@ -93,8 +90,8 @@ class QueryFeaturizer {
   std::map<std::pair<std::string, std::string>, ColumnInfo> column_info_;
   // Per table: sampled row ids for the bitmap feature.
   std::map<std::string, std::vector<uint32_t>> bitmap_rows_;
-  // Dense views over the vocabularies for the graph path, indexed by global
-  // table id (and column id), built alongside the maps above.
+  // Dense views over the vocabularies, indexed by global table id (and
+  // column id), built alongside the maps above.
   std::vector<size_t> table_slot_;
   std::vector<const std::vector<uint32_t>*> bitmap_by_id_;
   std::vector<std::vector<int>> column_slot_;  // -1: not in the vocabulary

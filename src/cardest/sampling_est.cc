@@ -8,7 +8,6 @@
 #include <limits>
 #include <ostream>
 #include <queue>
-#include <set>
 
 #include "cardest/extended_table.h"
 #include "common/arena.h"
@@ -21,60 +20,6 @@ namespace cardbench {
 
 namespace {
 
-double JoinUniformitySelectivity(const Database& db, const JoinEdge& edge) {
-  const Table& lt = db.TableOrDie(edge.left_table);
-  const Table& rt = db.TableOrDie(edge.right_table);
-  const double lndv = std::max<double>(
-      1.0,
-      static_cast<double>(
-          lt.GetIndex(lt.ColumnIndexOrDie(edge.left_column)).num_distinct()));
-  const double rndv = std::max<double>(
-      1.0,
-      static_cast<double>(
-          rt.GetIndex(rt.ColumnIndexOrDie(edge.right_column)).num_distinct()));
-  return 1.0 / std::max(lndv, rndv);
-}
-
-/// BFS spanning tree of the query graph rooted at `root`: returns edges in
-/// visit order as (edge, new table) pairs plus the unused (non-tree) edges.
-struct QueryTree {
-  std::vector<std::pair<JoinEdge, std::string>> steps;
-  std::vector<JoinEdge> non_tree;
-};
-
-QueryTree BuildQueryTree(const Query& query, const std::string& root) {
-  QueryTree tree;
-  std::set<std::string> visited = {root};
-  std::queue<std::string> frontier;
-  frontier.push(root);
-  std::vector<bool> used(query.joins.size(), false);
-  while (!frontier.empty()) {
-    const std::string at = frontier.front();
-    frontier.pop();
-    for (size_t e = 0; e < query.joins.size(); ++e) {
-      if (used[e]) continue;
-      const JoinEdge& edge = query.joins[e];
-      std::string other;
-      if (edge.left_table == at) {
-        other = edge.right_table;
-      } else if (edge.right_table == at) {
-        other = edge.left_table;
-      } else {
-        continue;
-      }
-      if (visited.count(other) > 0) continue;
-      used[e] = true;
-      visited.insert(other);
-      tree.steps.push_back({edge, other});
-      frontier.push(other);
-    }
-  }
-  for (size_t e = 0; e < query.joins.size(); ++e) {
-    if (!used[e]) tree.non_tree.push_back(query.joins[e]);
-  }
-  return tree;
-}
-
 double GraphJoinUniformitySelectivity(const QueryGraph::EdgeInfo& edge) {
   const double lndv = std::max<double>(
       1.0, static_cast<double>(
@@ -85,10 +30,9 @@ double GraphJoinUniformitySelectivity(const QueryGraph::EdgeInfo& edge) {
   return 1.0 / std::max(lndv, rndv);
 }
 
-/// BuildQueryTree over a compiled graph restricted to `mask`: BFS in the
-/// same visit order as the string version runs on the induced sub-query
-/// (edges considered in query order per frontier table), but over local
-/// table ids with no name comparisons.
+/// BFS spanning tree of the graph restricted to `mask`, rooted at
+/// `root_local`: tree steps in visit order (edges considered in query order
+/// per frontier table) plus the unused (non-tree) in-mask edges.
 struct GraphQueryTree {
   struct Step {
     const QueryGraph::EdgeInfo* edge;
@@ -142,7 +86,11 @@ GraphQueryTree BuildGraphQueryTree(const QueryGraph& graph, uint64_t mask,
 
 UniSampleEstimator::UniSampleEstimator(const Database& db, size_t sample_size,
                                        uint64_t seed)
-    : db_(db), sample_size_(sample_size), seed_(seed), rng_(seed) {
+    : CardinalityEstimator(db),
+      db_(db),
+      sample_size_(sample_size),
+      seed_(seed),
+      rng_(seed) {
   Resample();
 }
 
@@ -305,29 +253,6 @@ Status UniSampleEstimator::IncrementalUpdate(const InsertionBatch& batch) {
   return Status::OK();
 }
 
-double UniSampleEstimator::EstimateCard(const Query& subquery) const {
-  double card = 1.0;
-  for (const auto& table_name : subquery.tables) {
-    const Table& table = db_.TableOrDie(table_name);
-    const auto& sample = samples_.at(table_name);
-    const auto compiled =
-        CompilePredicatesFor(table, table_name, subquery.predicates);
-    ArenaFrame frame(&ThreadLocalArena());
-    uint32_t* passing = frame.arena()->AllocateArray<uint32_t>(sample.size());
-    std::memcpy(passing, sample.data(), sample.size() * sizeof(uint32_t));
-    const size_t pass = FilterRowsConjunction(compiled, passing, sample.size());
-    const double sel = sample.empty()
-                           ? 1.0
-                           : static_cast<double>(pass) /
-                                 static_cast<double>(sample.size());
-    card *= static_cast<double>(table.num_rows()) * sel;
-  }
-  for (const auto& edge : subquery.joins) {
-    card *= JoinUniformitySelectivity(db_, edge);
-  }
-  return std::max(card, 1e-6);
-}
-
 Status UniSampleEstimator::Serialize(std::ostream& out) const {
   ModelWriter writer("unisample");
   SectionWriter& meta = writer.AddSection("meta");
@@ -386,7 +311,7 @@ Result<std::unique_ptr<UniSampleEstimator>> UniSampleEstimator::Deserialize(
 
 WjSampleEstimator::WjSampleEstimator(const Database& db, size_t num_walks,
                                      uint64_t seed)
-    : db_(db), num_walks_(num_walks), seed_(seed) {}
+    : CardinalityEstimator(db), db_(db), num_walks_(num_walks), seed_(seed) {}
 
 Status WjSampleEstimator::Serialize(std::ostream& out) const {
   ModelWriter writer("wjsample");
@@ -408,9 +333,9 @@ Result<std::unique_ptr<WjSampleEstimator>> WjSampleEstimator::Deserialize(
 
 double WjSampleEstimator::EstimateCard(const QueryGraph& graph,
                                        uint64_t mask) const {
-  // Same per-sub-plan generator as the string path: the graph's canonical
-  // key is byte-identical to the induced sub-query's, so the walks (and
-  // therefore the estimate) match exactly.
+  // Per-sub-plan generator: seeding from the canonical key makes the walks
+  // deterministic for a given sub-plan and keeps concurrent estimates from
+  // sharing (and racing on) one generator stream.
   Rng rng(seed_ ^ Fnv1aHash(graph.CanonicalKey(mask)));
   // Root the walk at the smallest table (fewer wasted walks).
   int root = std::countr_zero(mask);
@@ -483,94 +408,10 @@ double WjSampleEstimator::EstimateCard(const QueryGraph& graph,
   return std::max(estimate, 1e-6);
 }
 
-double WjSampleEstimator::EstimateCard(const Query& subquery) const {
-  // Per-sub-plan generator: seeding from the canonical key makes the walks
-  // deterministic for a given sub-plan and keeps concurrent estimates from
-  // sharing (and racing on) one generator stream.
-  Rng rng(seed_ ^ Fnv1aHash(subquery.CanonicalKey()));
-  // Root the walk at the smallest table (fewer wasted walks).
-  std::string root = subquery.tables[0];
-  for (const auto& t : subquery.tables) {
-    if (db_.TableOrDie(t).num_rows() < db_.TableOrDie(root).num_rows()) {
-      root = t;
-    }
-  }
-  const QueryTree tree = BuildQueryTree(subquery, root);
-  const Table& root_table = db_.TableOrDie(root);
-  if (root_table.num_rows() == 0) return 1e-6;
-
-  // Compile each table's filter conjunction once; walks check single rows
-  // against the compiled form.
-  std::map<std::string, std::vector<CompiledPredicate>> compiled;
-  for (const auto& t : subquery.tables) {
-    compiled[t] =
-        CompilePredicatesFor(db_.TableOrDie(t), t, subquery.predicates);
-  }
-
-  double total = 0.0;
-  for (size_t w = 0; w < num_walks_; ++w) {
-    std::map<std::string, uint32_t> walk_rows;
-    const uint32_t start =
-        static_cast<uint32_t>(rng.NextUint64(root_table.num_rows()));
-    if (!RowPassesCompiled(compiled.at(root), start)) continue;
-    walk_rows[root] = start;
-    double weight = static_cast<double>(root_table.num_rows());
-    bool dead = false;
-    for (const auto& [edge, next_table] : tree.steps) {
-      const bool next_is_left = edge.left_table == next_table;
-      const std::string& prev_table =
-          next_is_left ? edge.right_table : edge.left_table;
-      const std::string& prev_col =
-          next_is_left ? edge.right_column : edge.left_column;
-      const std::string& next_col =
-          next_is_left ? edge.left_column : edge.right_column;
-      const Table& prev = db_.TableOrDie(prev_table);
-      const Table& next = db_.TableOrDie(next_table);
-      const Column& key = prev.ColumnByName(prev_col);
-      const uint32_t prev_row = walk_rows.at(prev_table);
-      if (!key.IsValid(prev_row)) {
-        dead = true;
-        break;
-      }
-      const auto& matches =
-          next.GetIndex(next.ColumnIndexOrDie(next_col)).Lookup(key.Get(prev_row));
-      if (matches.empty()) {
-        dead = true;
-        break;
-      }
-      const uint32_t pick = matches[rng.NextUint64(matches.size())];
-      if (!RowPassesCompiled(compiled.at(next_table), pick)) {
-        dead = true;
-        break;
-      }
-      walk_rows[next_table] = pick;
-      weight *= static_cast<double>(matches.size());
-    }
-    if (dead) continue;
-    // Non-tree edges act as rejection filters on the completed walk.
-    bool pass = true;
-    for (const auto& edge : tree.non_tree) {
-      const Column& lcol =
-          db_.TableOrDie(edge.left_table).ColumnByName(edge.left_column);
-      const Column& rcol =
-          db_.TableOrDie(edge.right_table).ColumnByName(edge.right_column);
-      const uint32_t lrow = walk_rows.at(edge.left_table);
-      const uint32_t rrow = walk_rows.at(edge.right_table);
-      if (!lcol.IsValid(lrow) || !rcol.IsValid(rrow) ||
-          lcol.Get(lrow) != rcol.Get(rrow)) {
-        pass = false;
-        break;
-      }
-    }
-    if (pass) total += weight;
-  }
-  const double estimate = total / static_cast<double>(num_walks_);
-  return std::max(estimate, 1e-6);
-}
-
 // ------------------------------------------------------------- PessEst
 
-PessEstEstimator::PessEstEstimator(const Database& db) : db_(db) {
+PessEstEstimator::PessEstEstimator(const Database& db)
+    : CardinalityEstimator(db), db_(db) {
   for (size_t i = 0; i < db.table_names().size(); ++i) {
     table_ids_[db.table_names()[i]] = static_cast<int>(i);
   }
@@ -578,7 +419,7 @@ PessEstEstimator::PessEstEstimator(const Database& db) : db_(db) {
 }
 
 PessEstEstimator::PessEstEstimator(const Database& db, DeferredInit)
-    : db_(db) {
+    : CardinalityEstimator(db), db_(db) {
   for (size_t i = 0; i < db.table_names().size(); ++i) {
     table_ids_[db.table_names()[i]] = static_cast<int>(i);
   }
@@ -613,15 +454,6 @@ void PessEstEstimator::BuildDegreeSketches() {
 Status PessEstEstimator::Update() {
   BuildDegreeSketches();
   return Status::OK();
-}
-
-double PessEstEstimator::FilteredCard(const Query& subquery,
-                                      const std::string& table_name) const {
-  const Table& table = db_.TableOrDie(table_name);
-  const auto compiled =
-      CompilePredicatesFor(table, table_name, subquery.predicates);
-  return static_cast<double>(
-      CountRangeConjunction(compiled, 0, table.num_rows()));
 }
 
 double PessEstEstimator::EstimateCard(const QueryGraph& graph,
@@ -753,40 +585,6 @@ Result<std::unique_ptr<PessEstEstimator>> PessEstEstimator::Deserialize(
     est->max_degree_[key] = max_deg;
   }
   return est;
-}
-
-double PessEstEstimator::EstimateCard(const Query& subquery) const {
-  // Exact filtered base cardinalities (the bound must hold).
-  std::map<std::string, double> base;
-  for (const auto& table : subquery.tables) {
-    base[table] = FilteredCard(subquery, table);
-  }
-  if (subquery.tables.size() == 1) {
-    return std::max(base.begin()->second, 1e-6);
-  }
-
-  // Tightest bound over root choices: |σT_r| × Π max-degree of each tree
-  // step's target column (unfiltered degrees keep it a true upper bound).
-  double best = std::numeric_limits<double>::infinity();
-  for (const auto& root : subquery.tables) {
-    const QueryTree tree = BuildQueryTree(subquery, root);
-    double bound = base.at(root);
-    for (const auto& [edge, next_table] : tree.steps) {
-      const bool next_is_left = edge.left_table == next_table;
-      const std::string& next_col =
-          next_is_left ? edge.left_column : edge.right_column;
-      const Table& next = db_.TableOrDie(next_table);
-      auto tid = table_ids_.find(next_table);
-      CARDBENCH_CHECK(tid != table_ids_.end(), "unknown table '%s'",
-                      next_table.c_str());
-      bound *= std::max(
-          1.0, MaxDegreeOf(tid->second,
-                           static_cast<int>(next.ColumnIndexOrDie(next_col)),
-                           next));
-    }
-    best = std::min(best, bound);
-  }
-  return std::max(best, 1e-6);
 }
 
 }  // namespace cardbench

@@ -26,10 +26,10 @@ class UniSampleEstimator : public CardinalityEstimator {
                      uint64_t seed = 101);
 
   std::string name() const override { return "UniSample"; }
+  using CardinalityEstimator::EstimateCard;
   /// Mask-based dispatch: samples looked up by table id, filters evaluated
   /// through the graph's pre-bound compiled predicates.
   double EstimateCard(const QueryGraph& graph, uint64_t mask) const override;
-  double EstimateCard(const Query& subquery) const override;
   /// Batched: each table's sample probe (rows x selectivity) and each
   /// edge's uniformity selectivity are materialized once per query and
   /// reused across all masks, multiplied per mask in the scalar path's
@@ -58,7 +58,8 @@ class UniSampleEstimator : public CardinalityEstimator {
   struct DeferredInit {};
   /// Load path: constructs without sampling; state injected by Deserialize.
   UniSampleEstimator(const Database& db, DeferredInit)
-      : db_(db), sample_size_(0), seed_(0), rng_(0) {}
+      : CardinalityEstimator(db), db_(db), sample_size_(0), seed_(0),
+        rng_(0) {}
 
   void Resample();
 
@@ -83,14 +84,11 @@ class WjSampleEstimator : public CardinalityEstimator {
                     uint64_t seed = 202);
 
   std::string name() const override { return "WJSample"; }
+  using CardinalityEstimator::EstimateCard;
   /// Walk randomness is derived from a hash of the sub-plan's canonical
   /// key (never from shared generator state), so the estimate for a given
   /// sub-plan is deterministic and concurrent calls never interleave draws.
-  /// The graph overload seeds from the precomputed canonical key (byte-
-  /// identical to the induced sub-query's) and walks the spanning tree over
-  /// local table ids, so both paths draw identical walks.
   double EstimateCard(const QueryGraph& graph, uint64_t mask) const override;
-  double EstimateCard(const Query& subquery) const override;
 
   /// Wander join has no trained state beyond its configuration: walks are
   /// re-drawn per sub-plan from (seed, canonical key), so persisting the
@@ -115,8 +113,8 @@ class PessEstEstimator : public CardinalityEstimator {
   explicit PessEstEstimator(const Database& db);
 
   std::string name() const override { return "PessEst"; }
+  using CardinalityEstimator::EstimateCard;
   double EstimateCard(const QueryGraph& graph, uint64_t mask) const override;
-  double EstimateCard(const Query& subquery) const override;
   /// Batched: the exact filtered base cardinality of every table in the
   /// batch (the expensive full-table predicate count, mask-independent) is
   /// computed once per query; each mask then runs the unchanged bound
@@ -144,7 +142,6 @@ class PessEstEstimator : public CardinalityEstimator {
   PessEstEstimator(const Database& db, DeferredInit);
 
   void BuildDegreeSketches();
-  double FilteredCard(const Query& subquery, const std::string& table) const;
   double MaxDegreeOf(int table_id, int column_id, const Table& table) const;
   /// The bound search of EstimateCard(graph, mask) over precomputed
   /// filtered base cardinalities (indexed by local table id).
@@ -155,7 +152,7 @@ class PessEstEstimator : public CardinalityEstimator {
   std::unordered_map<std::string, int> table_ids_;
   // (table_id << 32 | column_id) -> maximum join degree of any key value.
   // A lazily filled memo, synchronized so concurrent EstimateCard calls can
-  // share it; both dispatch paths key it on ids (no heap string keys).
+  // share it; keyed on ids (no heap string keys).
   mutable std::mutex degree_mu_;
   mutable std::unordered_map<uint64_t, double> max_degree_;
 };

@@ -14,17 +14,14 @@ namespace cardbench {
 /// optimal plan; the paper uses it as the gold standard.
 class TrueCardEstimator : public CardinalityEstimator {
  public:
-  explicit TrueCardEstimator(TrueCardService& service) : service_(service) {}
+  explicit TrueCardEstimator(TrueCardService& service)
+      : CardinalityEstimator(service.db()), service_(service) {}
 
   std::string name() const override { return "TrueCard"; }
 
+  using CardinalityEstimator::EstimateCard;
   double EstimateCard(const QueryGraph& graph, uint64_t mask) const override {
     auto card = service_.Card(graph, mask);
-    return card.ok() ? *card : 1.0;
-  }
-
-  double EstimateCard(const Query& subquery) const override {
-    auto card = service_.Card(subquery);
     // Sub-plans whose exact count exceeded execution limits fall back to 1;
     // the harness precomputes all workload sub-plans so this is unreachable
     // in the benches.
@@ -43,22 +40,19 @@ class InjectedCardEstimator : public CardinalityEstimator {
  public:
   InjectedCardEstimator(CardinalityEstimator& fallback,
                         std::unordered_map<std::string, double> overrides)
-      : fallback_(fallback), overrides_(std::move(overrides)) {}
+      : CardinalityEstimator(fallback.database()),
+        fallback_(fallback),
+        overrides_(std::move(overrides)) {}
 
   std::string name() const override {
     return fallback_.name() + "+injected";
   }
 
+  using CardinalityEstimator::EstimateCard;
   double EstimateCard(const QueryGraph& graph, uint64_t mask) const override {
     auto it = overrides_.find(graph.CanonicalKey(mask));
     if (it != overrides_.end()) return it->second;
     return fallback_.EstimateCard(graph, mask);
-  }
-
-  double EstimateCard(const Query& subquery) const override {
-    auto it = overrides_.find(subquery.CanonicalKey());
-    if (it != overrides_.end()) return it->second;
-    return fallback_.EstimateCard(subquery);
   }
 
  private:

@@ -9,15 +9,13 @@ namespace cardbench {
 
 namespace {
 
-/// Serves the precomputed true cardinalities by sub-plan bitmask. Purely
-/// graph-dispatched: the optimizer's graph path never materializes
-/// sub-queries for it, and an unknown mask dies instead of degrading into
-/// a silent estimate.
+/// Serves the precomputed true cardinalities by sub-plan bitmask; an
+/// unknown mask dies instead of degrading into a silent estimate.
 class TrueCardMapEstimator : public CardinalityEstimator {
  public:
   TrueCardMapEstimator(const QueryGraph& graph,
                        const std::unordered_map<uint64_t, double>& cards)
-      : graph_(graph), cards_(cards) {}
+      : CardinalityEstimator(graph.db()), cards_(cards) {}
 
   std::string name() const override { return "truecard-map"; }
 
@@ -29,19 +27,7 @@ class TrueCardMapEstimator : public CardinalityEstimator {
     return it->second;
   }
 
-  double EstimateCard(const Query& subquery) const override {
-    // Legacy-dispatch adapter: recover the bitmask from the table set.
-    uint64_t mask = 0;
-    for (const auto& table : subquery.tables) {
-      const int idx = graph_.query().TableIndex(table);
-      CARDBENCH_CHECK(idx >= 0, "sub-query table not in query");
-      mask |= uint64_t{1} << idx;
-    }
-    return EstimateCard(graph_, mask);
-  }
-
  private:
-  const QueryGraph& graph_;
   const std::unordered_map<uint64_t, double>& cards_;
 };
 

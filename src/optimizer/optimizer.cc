@@ -4,7 +4,6 @@
 #include <bit>
 #include <cmath>
 #include <limits>
-#include <span>
 #include <vector>
 
 #include "common/logging.h"
@@ -22,26 +21,6 @@ double ClampCard(double card) {
 uint64_t NdvKey(int table_id, int column_id) {
   return (static_cast<uint64_t>(static_cast<uint32_t>(table_id)) << 32) |
          static_cast<uint32_t>(column_id);
-}
-
-/// The subset-estimation preamble shared by Plan and PlanLegacy: estimate
-/// every connected sub-plan in one pass of `estimate_all` (the batched
-/// EstimateCards call on the graph path; a scalar loop on the legacy path)
-/// and inject the clamped cardinalities, charging the whole pass to
-/// estimation_seconds.
-template <typename EstimateAll>
-void InjectSubplanCards(const std::vector<uint64_t>& subsets,
-                        EstimateAll&& estimate_all, PlanResult* result) {
-  Stopwatch est_watch;
-  const std::vector<double> cards = estimate_all(subsets);
-  result->estimation_seconds += est_watch.ElapsedSeconds();
-  result->num_estimates += subsets.size();
-  CARDBENCH_CHECK(cards.size() == subsets.size(),
-                  "estimator returned %zu cards for %zu sub-plans",
-                  cards.size(), subsets.size());
-  for (size_t i = 0; i < subsets.size(); ++i) {
-    result->injected_cards[subsets[i]] = ClampCard(cards[i]);
-  }
 }
 
 }  // namespace
@@ -91,14 +70,18 @@ Result<PlanResult> Optimizer::Plan(const QueryGraph& graph,
 
   // --- Estimate every connected sub-plan (the sub-plan query space) in one
   // batched call, so learned estimators run one GEMM per query instead of
-  // one per sub-plan.
+  // one per sub-plan, and inject the clamped cardinalities.
   const std::vector<uint64_t>& subsets = graph.connected_subsets();
-  InjectSubplanCards(
-      subsets,
-      [&](std::span<const uint64_t> masks) {
-        return estimator.EstimateCards(graph, masks);
-      },
-      &result);
+  Stopwatch est_watch;
+  const std::vector<double> cards = estimator.EstimateCards(graph, subsets);
+  result.estimation_seconds = est_watch.ElapsedSeconds();
+  result.num_estimates = subsets.size();
+  CARDBENCH_CHECK(cards.size() == subsets.size(),
+                  "estimator returned %zu cards for %zu sub-plans",
+                  cards.size(), subsets.size());
+  for (size_t i = 0; i < subsets.size(); ++i) {
+    result.injected_cards[subsets[i]] = ClampCard(cards[i]);
+  }
 
   // --- Base relations: access-path selection. ---
   for (size_t i = 0; i < graph.num_tables(); ++i) {
@@ -287,202 +270,6 @@ Result<PlanResult> Optimizer::Plan(const Query& query,
   auto result = Plan(graph, estimator);
   // Count the one-time compile in the plan time the caller observes.
   if (result.ok()) result->planning_seconds = total_watch.ElapsedSeconds();
-  return result;
-}
-
-Result<PlanResult> Optimizer::PlanLegacy(
-    const Query& query, const CardinalityEstimator& estimator) const {
-  Stopwatch total_watch;
-  PlanResult result;
-
-  struct Entry {
-    std::unique_ptr<PlanNode> plan;
-    double cost = std::numeric_limits<double>::infinity();
-    double card = 1.0;
-  };
-  std::unordered_map<uint64_t, Entry> dp;
-
-  // --- Estimate every connected sub-plan (the sub-plan query space). ---
-  const std::vector<uint64_t> subsets = EnumerateConnectedSubsets(query);
-  InjectSubplanCards(
-      subsets,
-      [&](std::span<const uint64_t> masks) {
-        std::vector<double> cards;
-        cards.reserve(masks.size());
-        for (uint64_t mask : masks) {
-          cards.push_back(estimator.EstimateCard(query.Induced(mask)));
-        }
-        return cards;
-      },
-      &result);
-
-  // --- Base relations: access-path selection. ---
-  for (size_t i = 0; i < query.tables.size(); ++i) {
-    const uint64_t mask = uint64_t{1} << i;
-    const std::string& table_name = query.tables[i];
-    const Table& table = db_.TableOrDie(table_name);
-    const double table_rows = static_cast<double>(table.num_rows());
-    const double out_card = result.injected_cards.at(mask);
-
-    std::vector<Predicate> filters;
-    for (const auto& pred : query.predicates) {
-      if (pred.table == table_name) filters.push_back(pred);
-    }
-
-    Entry entry;
-    // Sequential scan is always available.
-    {
-      auto scan = std::make_unique<PlanNode>();
-      scan->type = PlanNode::Type::kScan;
-      scan->table = table_name;
-      scan->scan_method = ScanMethod::kSeqScan;
-      scan->filters = filters;
-      scan->table_mask = mask;
-      scan->estimated_card = out_card;
-      scan->estimated_cost = cost_.SeqScanCost(table_rows, filters.size());
-      entry.cost = scan->estimated_cost;
-      entry.plan = std::move(scan);
-    }
-    // Index scan: leading equality predicate on an indexed (key) column.
-    for (size_t f = 0; f < filters.size(); ++f) {
-      if (filters[f].op != CompareOp::kEq) continue;
-      const Column& col = table.ColumnByName(filters[f].column);
-      if (col.kind() != ColumnKind::kKey) continue;
-      const double matched = table_rows / NdvOf(table_name, filters[f].column);
-      const double cost = cost_.IndexScanCost(matched, filters.size() - 1);
-      if (cost < entry.cost) {
-        auto scan = std::make_unique<PlanNode>();
-        scan->type = PlanNode::Type::kScan;
-        scan->table = table_name;
-        scan->scan_method = ScanMethod::kIndexScan;
-        scan->filters = filters;
-        std::swap(scan->filters[0], scan->filters[f]);
-        scan->table_mask = mask;
-        scan->estimated_card = out_card;
-        scan->estimated_cost = cost;
-        entry.cost = cost;
-        entry.plan = std::move(scan);
-      }
-    }
-    entry.card = out_card;
-    dp[mask] = std::move(entry);
-  }
-
-  // --- Join enumeration: DP over connected subsets in popcount order. ---
-  for (uint64_t mask : subsets) {
-    if (std::popcount(mask) < 2) continue;
-    Entry best;
-    // Enumerate ordered splits (outer, inner) of `mask`.
-    for (uint64_t outer = (mask - 1) & mask; outer != 0;
-         outer = (outer - 1) & mask) {
-      const uint64_t inner = mask ^ outer;
-      auto outer_it = dp.find(outer);
-      auto inner_it = dp.find(inner);
-      if (outer_it == dp.end() || inner_it == dp.end()) continue;
-
-      // Connecting edges between the two sides.
-      std::vector<JoinEdge> connecting;
-      for (const auto& edge : query.joins) {
-        const int li = query.TableIndex(edge.left_table);
-        const int ri = query.TableIndex(edge.right_table);
-        if (li < 0 || ri < 0) continue;
-        const uint64_t lb = uint64_t{1} << li;
-        const uint64_t rb = uint64_t{1} << ri;
-        if (((outer & lb) && (inner & rb)) || ((outer & rb) && (inner & lb))) {
-          connecting.push_back(edge);
-        }
-      }
-      if (connecting.empty()) continue;  // avoid cross products, like PG
-
-      const Entry& oe = outer_it->second;
-      const Entry& ie = inner_it->second;
-      const double out_card = result.injected_cards.at(mask);
-      const double child_cost = oe.cost + ie.cost;
-      const size_t num_extra = connecting.size() - 1;
-
-      auto consider = [&](JoinMethod method, double join_cost,
-                          const JoinEdge& primary) {
-        const double total = child_cost + join_cost;
-        if (total >= best.cost) return;
-        auto node = std::make_unique<PlanNode>();
-        node->type = PlanNode::Type::kJoin;
-        node->join_method = method;
-        node->edge = primary;
-        for (const auto& e : connecting) {
-          if (e != primary) node->extra_edges.push_back(e);
-        }
-        node->left = oe.plan->Clone();
-        node->right = ie.plan->Clone();
-        node->table_mask = mask;
-        node->estimated_card = out_card;
-        node->estimated_cost = total;
-        best.cost = total;
-        best.card = out_card;
-        best.plan = std::move(node);
-      };
-
-      consider(JoinMethod::kHashJoin,
-               cost_.HashJoinCost(oe.card, ie.card, out_card, num_extra),
-               connecting[0]);
-      consider(JoinMethod::kMergeJoin,
-               cost_.MergeJoinCost(oe.card, ie.card, out_card, num_extra),
-               connecting[0]);
-
-      // Index nested loop: inner side must be a single base table whose
-      // join-edge endpoint is an indexed key column.
-      if (std::popcount(inner) == 1 && ie.plan->IsScan() &&
-          ie.plan->scan_method == ScanMethod::kSeqScan) {
-        const std::string& inner_table = ie.plan->table;
-        for (const auto& edge : connecting) {
-          const bool inner_is_left = edge.left_table == inner_table;
-          const bool inner_is_right = edge.right_table == inner_table;
-          if (!inner_is_left && !inner_is_right) continue;
-          const std::string& inner_col =
-              inner_is_left ? edge.left_column : edge.right_column;
-          const Table& it_table = db_.TableOrDie(inner_table);
-          if (it_table.ColumnByName(inner_col).kind() != ColumnKind::kKey) {
-            continue;
-          }
-          const double matched_per_probe =
-              static_cast<double>(it_table.num_rows()) /
-              NdvOf(inner_table, inner_col);
-          // The inner scan's cost is not paid: probes replace the scan.
-          const double join_cost = cost_.IndexNestLoopCost(
-              oe.card, matched_per_probe, out_card, ie.plan->filters.size(),
-              num_extra);
-          const double total = oe.cost + join_cost;
-          if (total >= best.cost) continue;
-          auto node = std::make_unique<PlanNode>();
-          node->type = PlanNode::Type::kJoin;
-          node->join_method = JoinMethod::kIndexNestLoop;
-          node->edge = edge;
-          for (const auto& e : connecting) {
-            if (e != edge) node->extra_edges.push_back(e);
-          }
-          node->left = oe.plan->Clone();
-          node->right = ie.plan->Clone();
-          node->table_mask = mask;
-          node->estimated_card = out_card;
-          node->estimated_cost = total;
-          best.cost = total;
-          best.card = out_card;
-          best.plan = std::move(node);
-          break;
-        }
-      }
-    }
-    if (best.plan == nullptr) {
-      return Status::Internal("no join plan found for connected subset");
-    }
-    dp[mask] = std::move(best);
-  }
-
-  auto full_it = dp.find(query.FullMask());
-  if (full_it == dp.end() || full_it->second.plan == nullptr) {
-    return Status::Internal("planning failed for " + query.ToSql());
-  }
-  result.plan = std::move(full_it->second.plan);
-  result.planning_seconds = total_watch.ElapsedSeconds();
   return result;
 }
 

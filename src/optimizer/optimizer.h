@@ -57,14 +57,6 @@ class Optimizer {
   Result<PlanResult> Plan(const Query& query,
                           const CardinalityEstimator& estimator) const;
 
-  /// The pre-QueryGraph planning path: string-based sub-queries via
-  /// Induced(mask) and a per-split O(edges) connecting-edge scan. Kept as
-  /// the reference for the planner parity suite and the micro benchmark;
-  /// produces bit-identical plans, costs and injected cardinalities to the
-  /// graph path.
-  Result<PlanResult> PlanLegacy(const Query& query,
-                                const CardinalityEstimator& estimator) const;
-
   /// Re-costs an existing plan shape under a different set of sub-plan
   /// cardinalities (bitmask-keyed). This is the PPC function of the P-Error
   /// metric: PPC(P(C_E), C_T) re-costs the estimate-chosen plan with true
@@ -81,8 +73,8 @@ class Optimizer {
   /// column_id) pair (PostgreSQL keeps the same statistic in pg_stats; used
   /// for index-nested-loop costing).
   double NdvOf(int table_id, int column_id, const Table& table) const;
-  /// Name-based resolution front-end for the legacy path and recosting
-  /// (plan nodes carry names).
+  /// Name-based resolution front-end for recosting (plan nodes carry
+  /// names).
   double NdvOf(const std::string& table, const std::string& column) const;
 
   const Database& db_;

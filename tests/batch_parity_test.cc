@@ -1,10 +1,10 @@
 // Batched-estimation parity suite: EstimateCards (one call per query over
 // all connected sub-plans) must be bit-identical to per-mask EstimateCard
 // for every estimator in the zoo — same doubles, independent of batch
-// composition — and routing the planner and the serving layer through the
-// batch path must change nothing observable: injected cardinalities,
-// EXPLAIN text, plan cost, P-Error. The concurrent case hammers the
-// service's batch cache path from several client threads (TSAN coverage).
+// composition — and routing the serving layer through the batch path must
+// change nothing observable. (What the planner does with the batch is
+// pinned by planner_golden_test.) The concurrent case hammers the service's
+// batch cache path from several client threads (TSAN coverage).
 
 #include <gtest/gtest.h>
 
@@ -17,7 +17,6 @@
 
 #include "cardest/registry.h"
 #include "harness/bench_env.h"
-#include "metrics/perror.h"
 #include "service/estimation_service.h"
 
 namespace cardbench {
@@ -59,7 +58,6 @@ TEST_P(BatchParityTest, BatchIsBitIdenticalToScalar) {
   auto est = env->MakeNamedEstimator(GetParam());
   ASSERT_TRUE(est.ok()) << est.status().ToString();
   const CardinalityEstimator& estimator = **est;
-  const Optimizer& opt = env->optimizer();
 
   for (const auto& ctx : env->query_contexts()) {
     const QueryGraph& graph = *ctx.graph;
@@ -91,29 +89,6 @@ TEST_P(BatchParityTest, BatchIsBitIdenticalToScalar) {
           << ctx.query->name << " mask " << strided[k] << " under "
           << GetParam();
     }
-
-    // The batched planner path changes nothing observable vs the scalar
-    // legacy path: injected cards, chosen plan, cost, P-Error.
-    auto legacy = opt.PlanLegacy(*ctx.query, estimator);
-    auto planned = opt.Plan(graph, estimator);
-    ASSERT_TRUE(legacy.ok()) << legacy.status().ToString();
-    ASSERT_TRUE(planned.ok()) << planned.status().ToString();
-    EXPECT_EQ(planned->num_estimates, legacy->num_estimates);
-    ASSERT_EQ(planned->injected_cards.size(), legacy->injected_cards.size());
-    for (const auto& [mask, card] : legacy->injected_cards) {
-      auto it = planned->injected_cards.find(mask);
-      ASSERT_NE(it, planned->injected_cards.end()) << "mask " << mask;
-      EXPECT_EQ(it->second, card)
-          << ctx.query->name << " mask " << mask << " under " << GetParam();
-    }
-    EXPECT_EQ(planned->plan->Explain(), legacy->plan->Explain())
-        << ctx.query->name;
-    EXPECT_EQ(planned->plan->estimated_cost, legacy->plan->estimated_cost);
-
-    PErrorCalculator perror(opt, graph, ctx.true_cards);
-    EXPECT_EQ(perror.EvaluatePlan(*planned->plan),
-              perror.EvaluatePlan(*legacy->plan))
-        << ctx.query->name;
   }
 }
 

@@ -237,16 +237,25 @@ TEST(DriftTest, IncrementalRefreshTracksFullRetrain) {
 // Hot-swap linearizability and version stamping
 // ---------------------------------------------------------------------------
 
+/// The database the fakes below compile the service's query-only requests
+/// against.
+const Database& SchemaDb() {
+  static const Database* db = SmallStats().release();
+  return *db;
+}
+
 /// Deterministic estimator parameterized by a generation tag: every answer
 /// is a pure function of (tag, sub-plan key), so a torn read — a response
 /// mixing two generations — is detectable by exact comparison.
 class TaggedEstimator : public CardinalityEstimator {
  public:
-  explicit TaggedEstimator(double tag) : tag_(tag) {}
+  explicit TaggedEstimator(double tag)
+      : CardinalityEstimator(SchemaDb()), tag_(tag) {}
   std::string name() const override { return "Tagged"; }
-  double EstimateCard(const Query& subquery) const override {
+  using CardinalityEstimator::EstimateCard;
+  double EstimateCard(const QueryGraph& graph, uint64_t mask) const override {
     return tag_ * 1e9 +
-           static_cast<double>(Fnv1aHash(subquery.CanonicalKey()) % 1000003);
+           static_cast<double>(Fnv1aHash(graph.CanonicalKey(mask)) % 1000003);
   }
 
  private:
@@ -421,9 +430,11 @@ TEST(ServiceTest, ExpiredQueueEntriesDoNotBlockAdmission) {
 
   class BlockingEstimator : public CardinalityEstimator {
    public:
-    BlockingEstimator() : released_(release_.get_future().share()) {}
+    BlockingEstimator()
+        : CardinalityEstimator(SchemaDb()),
+          released_(release_.get_future().share()) {}
     std::string name() const override { return "Block"; }
-    double EstimateCard(const Query&) const override {
+    double EstimateCard(const QueryGraph&, uint64_t) const override {
       entered_.fetch_add(1);
       released_.wait();
       return 1.0;

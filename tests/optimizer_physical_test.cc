@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <set>
 
@@ -22,8 +23,8 @@ class ScriptedEstimator : public CardinalityEstimator {
   explicit ScriptedEstimator(std::vector<double> cards_by_size)
       : cards_(std::move(cards_by_size)) {}
   std::string name() const override { return "Scripted"; }
-  double EstimateCard(const Query& subquery) const override {
-    const size_t k = subquery.tables.size();
+  double EstimateCard(const QueryGraph&, uint64_t mask) const override {
+    const size_t k = static_cast<size_t>(std::popcount(mask));
     return k <= cards_.size() ? cards_[k - 1] : cards_.back();
   }
 
@@ -104,7 +105,9 @@ TEST_F(OptimizerPhysicalTest, EstimatesSteerJoinOrder) {
     explicit PairBiased(std::string cheap_table)
         : cheap_(std::move(cheap_table)) {}
     std::string name() const override { return "PairBiased"; }
-    double EstimateCard(const Query& subquery) const override {
+    double EstimateCard(const QueryGraph& graph,
+                        uint64_t mask) const override {
+      const Query& subquery = graph.InducedRef(mask);
       double base = 1000.0 * std::pow(10.0, static_cast<double>(
                                                 subquery.tables.size()));
       for (const auto& t : subquery.tables) {
@@ -142,8 +145,9 @@ TEST_F(OptimizerPhysicalTest, SystematicEstimateErrorFlipsOperatorChoice) {
    public:
     Scaled(TrueCardService& svc, double factor) : svc_(svc), factor_(factor) {}
     std::string name() const override { return "Scaled"; }
-    double EstimateCard(const Query& subquery) const override {
-      auto card = svc_.Card(subquery);
+    double EstimateCard(const QueryGraph& graph,
+                        uint64_t mask) const override {
+      auto card = svc_.Card(graph, mask);
       return (card.ok() ? *card : 1.0) * factor_;
     }
 

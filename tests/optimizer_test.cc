@@ -15,8 +15,8 @@ class PerfectEstimator : public CardinalityEstimator {
  public:
   explicit PerfectEstimator(TrueCardService& svc) : svc_(svc) {}
   std::string name() const override { return "TrueCard"; }
-  double EstimateCard(const Query& subquery) const override {
-    auto card = svc_.Card(subquery);
+  double EstimateCard(const QueryGraph& graph, uint64_t mask) const override {
+    auto card = svc_.Card(graph, mask);
     return card.ok() ? *card : 1.0;
   }
 
@@ -29,7 +29,9 @@ class ConstEstimator : public CardinalityEstimator {
  public:
   explicit ConstEstimator(double value) : value_(value) {}
   std::string name() const override { return "Const"; }
-  double EstimateCard(const Query&) const override { return value_; }
+  double EstimateCard(const QueryGraph&, uint64_t) const override {
+    return value_;
+  }
 
  private:
   double value_;

@@ -3,6 +3,7 @@
 #include "cardest/query_features.h"
 #include "datagen/stats_gen.h"
 #include "query/parser.h"
+#include "query/query_graph.h"
 
 namespace cardbench {
 namespace {
@@ -26,6 +27,16 @@ class QueryFeaturesTest : public ::testing::Test {
     return *q;
   }
 
+  // Whole-query features: the query's compiled graph at the full mask.
+  static std::vector<double> Flat(const Query& q) {
+    const QueryGraph graph(q, *db_);
+    return featurizer_->FlatFeatures(graph, graph.full_mask());
+  }
+  static QueryFeaturizer::SetFeatures Mscn(const Query& q) {
+    const QueryGraph graph(q, *db_);
+    return featurizer_->MscnFeatures(graph, graph.full_mask());
+  }
+
   static Database* db_;
   static QueryFeaturizer* featurizer_;
 };
@@ -37,19 +48,19 @@ TEST_F(QueryFeaturesTest, FlatDimensionsAreConsistent) {
   const Query q = Parse(
       "SELECT COUNT(*) FROM users, badges WHERE users.Id = badges.UserId AND "
       "users.Reputation >= 10;");
-  const auto features = featurizer_->FlatFeatures(q);
+  const auto features = Flat(q);
   EXPECT_EQ(features.size(), featurizer_->flat_dim());
   // Different query, same dimensionality.
   const Query q2 = Parse("SELECT COUNT(*) FROM posts;");
-  EXPECT_EQ(featurizer_->FlatFeatures(q2).size(), featurizer_->flat_dim());
+  EXPECT_EQ(Flat(q2).size(), featurizer_->flat_dim());
 }
 
 TEST_F(QueryFeaturesTest, TableAndJoinOneHotsAreSet) {
   const Query q = Parse(
       "SELECT COUNT(*) FROM users, badges WHERE users.Id = badges.UserId;");
-  const auto with_join = featurizer_->FlatFeatures(q);
+  const auto with_join = Flat(q);
   const Query single = Parse("SELECT COUNT(*) FROM users;");
-  const auto without = featurizer_->FlatFeatures(single);
+  const auto without = Flat(single);
   double join_diff = 0;
   for (size_t i = 0; i < with_join.size(); ++i) {
     join_diff += std::abs(with_join[i] - without[i]);
@@ -61,7 +72,7 @@ TEST_F(QueryFeaturesTest, PredicateRangesAreNormalized) {
   const Query q = Parse(
       "SELECT COUNT(*) FROM users WHERE users.Reputation >= 10 AND "
       "users.Reputation <= 100;");
-  const auto features = featurizer_->FlatFeatures(q);
+  const auto features = Flat(q);
   for (double v : features) {
     EXPECT_GE(v, 0.0);
     EXPECT_LE(v, 1.0);
@@ -73,7 +84,7 @@ TEST_F(QueryFeaturesTest, MscnSetsHaveOneElementPerItem) {
       "SELECT COUNT(*) FROM users, posts, comments WHERE users.Id = "
       "posts.OwnerUserId AND posts.Id = comments.PostId AND posts.Score >= 3 "
       "AND users.Views >= 1;");
-  const auto sets = featurizer_->MscnFeatures(q);
+  const auto sets = Mscn(q);
   EXPECT_EQ(sets.tables.size(), 3u);
   EXPECT_EQ(sets.joins.size(), 2u);
   EXPECT_EQ(sets.predicates.size(), 2u);
@@ -90,7 +101,7 @@ TEST_F(QueryFeaturesTest, MscnSetsHaveOneElementPerItem) {
 
 TEST_F(QueryFeaturesTest, EmptySetsGetZeroPlaceholder) {
   const Query q = Parse("SELECT COUNT(*) FROM users;");
-  const auto sets = featurizer_->MscnFeatures(q);
+  const auto sets = Mscn(q);
   ASSERT_EQ(sets.joins.size(), 1u);
   ASSERT_EQ(sets.predicates.size(), 1u);
   for (double v : sets.joins[0]) EXPECT_DOUBLE_EQ(v, 0.0);
@@ -105,7 +116,7 @@ TEST_F(QueryFeaturesTest, BitmapReactsToPredicateSelectivity) {
   const Query tight = Parse(
       "SELECT COUNT(*) FROM users WHERE users.Reputation >= 100000000;");
   auto count_bits = [&](const Query& q) {
-    const auto sets = featurizer_->MscnFeatures(q);
+    const auto sets = Mscn(q);
     double bits = 0;
     for (double v : sets.tables[0]) bits += v;
     return bits;

@@ -161,9 +161,9 @@ class HashEstimator : public CardinalityEstimator {
   explicit HashEstimator(std::string name = "Hash")
       : name_(std::move(name)) {}
   std::string name() const override { return name_; }
-  double EstimateCard(const Query& subquery) const override {
+  double EstimateCard(const QueryGraph& graph, uint64_t mask) const override {
     return 1.0 +
-           static_cast<double>(Fnv1aHash(subquery.CanonicalKey()) % 1000003);
+           static_cast<double>(Fnv1aHash(graph.CanonicalKey(mask)) % 1000003);
   }
 
  private:
@@ -175,7 +175,7 @@ class HashEstimator : public CardinalityEstimator {
 class GateEstimator : public CardinalityEstimator {
  public:
   std::string name() const override { return "Gate"; }
-  double EstimateCard(const Query&) const override {
+  double EstimateCard(const QueryGraph&, uint64_t) const override {
     std::unique_lock<std::mutex> lock(mu_);
     ++entered_;
     cv_.notify_all();

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <condition_variable>
 #include <future>
@@ -11,6 +12,7 @@
 #include <vector>
 
 #include "common/str_util.h"
+#include "datagen/stats_gen.h"
 #include "query/parser.h"
 #include "service/estimation_service.h"
 #include "service/load_driver.h"
@@ -19,16 +21,29 @@
 namespace cardbench {
 namespace {
 
+/// The schema the test queries name. The fakes below are built over it so
+/// the service's query-only requests can compile their queries.
+const Database& TestDb() {
+  static const Database* db = [] {
+    StatsGenConfig config;
+    config.scale = 0.01;
+    return GenerateStatsDatabase(config).release();
+  }();
+  return *db;
+}
+
 /// Deterministic stand-in estimator: the estimate is a pure function of the
 /// sub-plan's canonical key, so serial and concurrent runs must agree to the
 /// last bit. Counts EstimateCard invocations to observe cache effectiveness.
 class HashEstimator : public CardinalityEstimator {
  public:
+  HashEstimator() : CardinalityEstimator(TestDb()) {}
   std::string name() const override { return "Hash"; }
-  double EstimateCard(const Query& subquery) const override {
+  using CardinalityEstimator::EstimateCard;
+  double EstimateCard(const QueryGraph& graph, uint64_t mask) const override {
     calls_.fetch_add(1, std::memory_order_relaxed);
     return 1.0 +
-           static_cast<double>(Fnv1aHash(subquery.CanonicalKey()) % 1000003);
+           static_cast<double>(Fnv1aHash(graph.CanonicalKey(mask)) % 1000003);
   }
   size_t calls() const { return calls_.load(); }
 
@@ -40,11 +55,12 @@ class HashEstimator : public CardinalityEstimator {
 /// tests prove that NotifyDataUpdate actually invalidates cached estimates.
 class VersionedEstimator : public CardinalityEstimator {
  public:
+  VersionedEstimator() : CardinalityEstimator(TestDb()) {}
   std::string name() const override { return "Versioned"; }
-  double EstimateCard(const Query& subquery) const override {
+  double EstimateCard(const QueryGraph&, uint64_t mask) const override {
     calls_.fetch_add(1, std::memory_order_relaxed);
     return 1e6 * static_cast<double>(model_version_.load()) +
-           static_cast<double>(subquery.tables.size());
+           static_cast<double>(std::popcount(mask));
   }
   bool SupportsUpdate() const override { return true; }
   Status Update() override {
@@ -65,8 +81,9 @@ class VersionedEstimator : public CardinalityEstimator {
 /// worker so the request queue can be filled deterministically.
 class GateEstimator : public CardinalityEstimator {
  public:
+  GateEstimator() : CardinalityEstimator(TestDb()) {}
   std::string name() const override { return "Gate"; }
-  double EstimateCard(const Query&) const override {
+  double EstimateCard(const QueryGraph&, uint64_t) const override {
     std::unique_lock<std::mutex> lock(mu_);
     ++entered_;
     cv_.notify_all();
