@@ -102,7 +102,8 @@ Result<LoadReport> LoadDriver::Run(const LoadOptions& options) {
   // Work distribution: one shared ticket counter; clients pull the next
   // query index until the replay budget is exhausted. In open-loop mode
   // the ticket also fixes the request's scheduled arrival time, so the
-  // offered rate is independent of completions (no coordinated omission).
+  // offered rate is independent of completions, and latency counts from
+  // that time (no coordinated omission).
   std::atomic<size_t> next_ticket{0};
   std::atomic<size_t> total_estimates{0};
   std::atomic<size_t> total_rejected{0};
@@ -124,6 +125,8 @@ Result<LoadReport> LoadDriver::Run(const LoadOptions& options) {
         const size_t ticket = next_ticket.fetch_add(1);
         if (ticket >= total_requests || failed.load()) return;
         const size_t q = ticket % num_queries;
+        // When the request's latency starts, on the `wall` clock.
+        double start = 0.0;
         if (open_loop) {
           // Hold to the schedule: request `ticket` departs at
           // ticket * interval, regardless of how earlier ones fared.
@@ -136,14 +139,18 @@ Result<LoadReport> LoadDriver::Run(const LoadOptions& options) {
                 std::min(depart - now, 1e-3)));
           }
           if (failed.load()) return;
+          // From the due time, not the actual send: a client running behind
+          // schedule adds its delay to the request's latency.
+          start = depart;
+        } else {
+          start = wall.ElapsedSeconds();
         }
-        Stopwatch request_watch;
         for (;;) {
           BackendCallResult result = backend_.EstimateQuery(
               options.estimator, q, timeout_seconds);
           if (result.status.ok()) {
             total_estimates.fetch_add(result.estimates);
-            latencies.push_back(request_watch.ElapsedSeconds());
+            latencies.push_back(wall.ElapsedSeconds() - start);
             break;
           }
           if (result.status.code() == StatusCode::kResourceExhausted) {

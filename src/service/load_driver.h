@@ -27,9 +27,11 @@ struct LoadOptions {
   size_t replays = 1;
   /// Open-loop arrival rate in requests/second; 0 selects closed-loop mode.
   /// Open-loop arrivals follow a fixed schedule independent of completions
-  /// (the overload-measurement mode): a backpressure rejection is counted
-  /// as dropped and NOT retried, so the report shows how an overloaded
-  /// server sheds load instead of hiding it behind retries.
+  /// (the overload-measurement mode), and each request's latency counts
+  /// from its scheduled arrival, so time spent waiting for a busy client
+  /// shows up. A backpressure rejection is counted as dropped and NOT
+  /// retried, so the report shows how an overloaded server sheds load
+  /// instead of hiding it behind retries.
   double offered_qps = 0.0;
   /// Per-request deadline in milliseconds forwarded to the backend; 0
   /// disables it. Expired requests count as `timeouts` in the report.
@@ -44,7 +46,8 @@ struct LoadReport {
   size_t timeouts = 0;   ///< requests answered with DeadlineExceeded
   size_t estimates = 0;  ///< sub-plan estimates inside completed requests
   double wall_seconds = 0.0;
-  /// Per-request latency distribution over completed requests, in seconds.
+  /// Per-request latency distribution over completed requests, in seconds
+  /// (open loop: from each request's scheduled arrival).
   Percentiles latency;
   /// Cache counters accumulated over this run only (delta, not lifetime).
   EstimateCacheStats cache;

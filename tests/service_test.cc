@@ -455,6 +455,38 @@ TEST(LoadDriverTest, ClosedLoopReplayReportsThroughputAndCacheDelta) {
   EXPECT_GT(report->cache.HitRate(), 0.0);
 }
 
+/// Backend whose every request takes 2 ms.
+class SlowBackend : public EstimateBackend {
+ public:
+  size_t num_queries() const override { return 20; }
+  Status Validate(const std::string&) override { return Status::OK(); }
+  BackendCallResult EstimateQuery(const std::string&, size_t,
+                                  double) override {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    BackendCallResult result;
+    result.estimates = 1;
+    return result;
+  }
+  EstimateCacheStats cache_stats() const override { return {}; }
+};
+
+TEST(LoadDriverTest, OpenLoopLatencyCountsScheduleDelay) {
+  // One client offered 1000 req/s of 2 ms requests falls 1 ms further
+  // behind schedule per request: request i is due at i ms but completes
+  // near 2(i + 1) ms, so the late requests' latency from their due time
+  // approaches 20 ms.
+  SlowBackend backend;
+  LoadDriver driver(backend);
+  LoadOptions load;
+  load.estimator = "Slow";
+  load.concurrency = 1;
+  load.offered_qps = 1000.0;
+  auto report = driver.Run(load);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->requests, 20u);
+  EXPECT_GE(report->latency.p99, 10e-3);
+}
+
 TEST(LoadDriverTest, UnknownEstimatorFailsFast) {
   EstimationService service;
   const Query q = TestQueries()[2];
