@@ -6,6 +6,7 @@
 // retraining, never mis-parse.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <filesystem>
 #include <memory>
@@ -108,7 +109,11 @@ BenchFlags LifecycleFlags() {
   flags.max_queries = 6;
   flags.exec_timeout = 10.0;
   flags.cache_dir = ::testing::TempDir() + "/cardbench_lifecycle_cache";
-  flags.model_dir = ::testing::TempDir() + "/cardbench_lifecycle_models";
+  // One store per process: ctest runs each estimator's case in its own
+  // process, and a shared store would let one process's cold-start wipe
+  // delete another's artifacts mid-test.
+  flags.model_dir = ::testing::TempDir() + "/cardbench_lifecycle_models_" +
+                    std::to_string(getpid());
   flags.training_queries = 100;
   return flags;
 }
@@ -117,12 +122,15 @@ class EstimatorLifecycleTest : public ::testing::TestWithParam<std::string> {
  protected:
   static void SetUpTestSuite() {
     if (env_ != nullptr) return;
-    // Stale artifacts from previous runs would turn the "train" leg into a
+    // Stale artifacts (a recycled pid) would turn the "train" leg into a
     // second load; start every suite run from a cold store.
     std::filesystem::remove_all(LifecycleFlags().model_dir);
     auto env = BenchEnv::Create(BenchDataset::kStats, LifecycleFlags());
     ASSERT_TRUE(env.ok()) << env.status().ToString();
     env_ = env->release();
+  }
+  static void TearDownTestSuite() {
+    std::filesystem::remove_all(LifecycleFlags().model_dir);
   }
 
   static BenchEnv* env_;
@@ -161,6 +169,12 @@ TEST_P(EstimatorLifecycleTest, StoreRoundTripIsBitIdentical) {
 
   const Optimizer& opt = env_->optimizer();
   for (const auto& ctx : env_->query_contexts()) {
+    // The Query overload compiles against the estimator's database, which a
+    // loaded estimator must have received as well.
+    EXPECT_EQ((*loaded)->EstimateCard(*ctx.query),
+              (*trained)->EstimateCard(*ctx.query))
+        << ctx.query->name;
+
     auto plan_trained = opt.Plan(*ctx.graph, **trained);
     auto plan_loaded = opt.Plan(*ctx.graph, **loaded);
     ASSERT_TRUE(plan_trained.ok()) << plan_trained.status().ToString();
