@@ -8,10 +8,10 @@
 //  - the plan Optimizer::Plan(graph) chooses (EXPLAIN fingerprint), its
 //    cost and its P-Error.
 // The goldens were generated while each estimator still had a second,
-// string-based estimation body and the optimizer a string-based planner
-// (PlanLegacy), which a live parity suite held bit-identical to the graph
-// path. They freeze that shared answer, so this suite keeps the name of
-// the parity check it replaces.
+// string-based estimation body and the optimizer a second, string-based
+// planner, which a live parity suite held bit-identical to the graph path.
+// They freeze that shared answer, so this suite keeps the name of the
+// parity check it replaces.
 
 #include <gtest/gtest.h>
 
