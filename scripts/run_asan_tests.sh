@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Builds the repo with AddressSanitizer and runs the tests that pound the
 # executor's raw-pointer batch kernels (selection vectors, key gathers,
-# morsel buffers) plus the concurrency-sensitive binaries. Any out-of-bounds
-# access or leak in the vectorized pipeline fails the run.
+# morsel buffers), the estimators' binary searches and flat multi-leaf keys,
+# plus the concurrency-sensitive binaries. Any out-of-bounds access or leak
+# in these paths fails the run.
 #
 #   scripts/run_asan_tests.sh               # the default binary set
 #   scripts/run_asan_tests.sh -R Parity     # forward extra args to ctest
@@ -17,7 +18,8 @@ cmake --build "$BUILD_DIR" -j "$(nproc)" \
            service_test harness_test query_graph_test planner_golden_test \
            batch_parity_test serialization_test model_store_test \
            server_test server_metrics_test drift_test \
-           kernel_parity_test arena_test join_hash_test
+           kernel_parity_test arena_test join_hash_test \
+           binner_test cardest_test
 
 export ASAN_OPTIONS="${ASAN_OPTIONS:-halt_on_error=1 detect_leaks=1}"
 if [ "$#" -gt 0 ]; then
@@ -27,7 +29,8 @@ else
               service_test harness_test query_graph_test \
               planner_golden_test batch_parity_test serialization_test \
               model_store_test server_test server_metrics_test drift_test \
-              kernel_parity_test arena_test join_hash_test; do
+              kernel_parity_test arena_test join_hash_test \
+              binner_test cardest_test; do
     echo "== $test (ASAN) =="
     "$BUILD_DIR/tests/$test"
   done

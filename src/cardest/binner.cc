@@ -74,10 +74,28 @@ uint16_t ColumnBinner::BinOf(std::optional<Value> v) const {
 double ColumnBinner::RangeOverlap(uint16_t bin, const ValueRange& range) const {
   if (bin == 0) return 0.0;
   const auto& values = bin_values_[bin - 1];
-  if (masses_[bin] <= 0) return 0.0;
+  if (masses_[bin] <= 0 || range.Empty()) return 0.0;
+  // A bin wholly outside or inside the range is decided from its first and
+  // last stored value (not starts_/ends_: Refresh can append values beyond
+  // them); only a partly covered bin is searched and summed. Counts are
+  // integers and the mass is their sum, so skipping the scan returns the
+  // same double: 0, 1, or the covered run's sum over the mass.
+  if (values.back().value < range.lo || values.front().value > range.hi) {
+    return 0.0;
+  }
+  if (range.Contains(values.front().value) &&
+      range.Contains(values.back().value)) {
+    return 1.0;
+  }
+  const auto first = std::lower_bound(
+      values.begin(), values.end(), range.lo,
+      [](const BinValue& bv, Value target) { return bv.value < target; });
+  const auto last = std::upper_bound(
+      first, values.end(), range.hi,
+      [](Value target, const BinValue& bv) { return target < bv.value; });
   double pass = 0.0;
-  for (const auto& bv : values) {
-    if (range.Contains(bv.value)) pass += static_cast<double>(bv.count);
+  for (auto it = first; it != last; ++it) {
+    pass += static_cast<double>(it->count);
   }
   return pass / masses_[bin];
 }
@@ -195,6 +213,12 @@ void ColumnBinner::Serialize(SectionWriter& out) const {
 Result<ColumnBinner> ColumnBinner::Deserialize(SectionReader& in) {
   ColumnBinner binner;
   CARDBENCH_ASSIGN_OR_RETURN(uint64_t num_value_bins, in.GetU64());
+  // Bin ids are uint16_t and BinOf never answers below bin 1.
+  if (num_value_bins == 0 || num_value_bins > kMaxValueBins) {
+    return Status::InvalidArgument(
+        "binner value-bin count " + std::to_string(num_value_bins) +
+        " outside [1, " + std::to_string(kMaxValueBins) + "]");
+  }
   CARDBENCH_ASSIGN_OR_RETURN(binner.total_rows_, in.GetDouble());
   CARDBENCH_ASSIGN_OR_RETURN(double null_mass, in.GetDouble());
   binner.starts_.resize(num_value_bins);
@@ -207,18 +231,31 @@ Result<ColumnBinner> ColumnBinner::Deserialize(SectionReader& in) {
     CARDBENCH_ASSIGN_OR_RETURN(binner.starts_[b], in.GetI64());
     CARDBENCH_ASSIGN_OR_RETURN(binner.ends_[b], in.GetI64());
     CARDBENCH_ASSIGN_OR_RETURN(uint64_t num_values, in.GetU64());
-    binner.bin_values_[b].resize(num_values);
+    // Each value is stored as an i64 and a u64: a count the payload cannot
+    // hold is truncation, reported before allocating.
+    if (num_values > in.remaining() / (2 * sizeof(uint64_t))) {
+      return Status::OutOfRange("binner bin " + std::to_string(b + 1) +
+                                " truncated");
+    }
+    std::vector<BinValue>& values = binner.bin_values_[b];
+    values.resize(num_values);
     // Masses and means are derived state; recomputing them from the stored
     // value counts keeps the payload minimal and cannot drift (counts are
     // integers, and the summation order below matches the builder's).
     double sum = 0.0, mass = 0.0;
     for (size_t v = 0; v < num_values; ++v) {
-      CARDBENCH_ASSIGN_OR_RETURN(binner.bin_values_[b][v].value, in.GetI64());
-      CARDBENCH_ASSIGN_OR_RETURN(uint64_t count, in.GetU64());
-      binner.bin_values_[b][v].count = count;
-      sum += static_cast<double>(binner.bin_values_[b][v].value) *
-             static_cast<double>(count);
-      mass += static_cast<double>(count);
+      CARDBENCH_ASSIGN_OR_RETURN(values[v].value, in.GetI64());
+      CARDBENCH_ASSIGN_OR_RETURN(values[v].count, in.GetU64());
+      // The binary searches of EqualFraction, RangeOverlap and Refresh
+      // need each bin's values strictly ascending.
+      if (v > 0 && values[v - 1].value >= values[v].value) {
+        return Status::InvalidArgument(
+            "binner values of bin " + std::to_string(b + 1) +
+            " are not strictly ascending");
+      }
+      sum += static_cast<double>(values[v].value) *
+             static_cast<double>(values[v].count);
+      mass += static_cast<double>(values[v].count);
     }
     binner.masses_[b + 1] = mass;
     binner.means_[b + 1] = mass > 0 ? sum / mass : 0.0;

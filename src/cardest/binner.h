@@ -21,6 +21,10 @@ class SectionReader;
 /// selectivity math uses per-bin value counts for partial-overlap fractions.
 class ColumnBinner {
  public:
+  /// Most value bins a loaded binner may hold: bin ids (NULL bin included)
+  /// are uint16_t, and PredicateFractions counts bins in one.
+  static constexpr size_t kMaxValueBins = 65534;
+
   /// Builds at most `max_bins` bins (including the NULL bin) over `column`.
   ColumnBinner(const Column& column, size_t max_bins);
 
@@ -63,7 +67,9 @@ class ColumnBinner {
   /// Appends the binner (bins, boundaries, per-bin value counts) to a serde
   /// section and restores it. Serialization covers everything EstimateCard
   /// needs, enabling model transfer without the source data (§4.3's
-  /// "convenient to transfer and deploy").
+  /// "convenient to transfer and deploy"). Deserialize rejects, with
+  /// InvalidArgument, a value-bin count outside [1, kMaxValueBins] and
+  /// per-bin values that are not strictly ascending.
   void Serialize(SectionWriter& out) const;
   static Result<ColumnBinner> Deserialize(SectionReader& in);
 

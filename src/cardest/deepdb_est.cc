@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <istream>
+#include <numeric>
 #include <ostream>
+#include <span>
 
 #include "common/logging.h"
 #include "common/serde.h"
@@ -51,12 +53,36 @@ size_t SpnModel::MakeMultiLeaf(const ExtendedTable& ext,
   Node leaf;
   leaf.type = Node::Type::kMultiLeaf;
   leaf.cols = std::move(cols);
-  for (size_t i = begin; i < end; ++i) {
-    std::vector<uint16_t> key(leaf.cols.size());
-    for (size_t k = 0; k < leaf.cols.size(); ++k) {
-      key[k] = ext.column(leaf.cols[k]).bins[rows[i]];
+  // Every row's key, then the rows in key order (an LSD radix sort: one
+  // stable counting pass per column, last column first), so equal keys
+  // form runs: one flat entry per run, with the run length as its count.
+  const size_t n = end - begin;
+  const size_t width = leaf.cols.size();
+  std::vector<uint16_t> keys(n * width);
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t k = 0; k < width; ++k) {
+      keys[i * width + k] = ext.column(leaf.cols[k]).bins[rows[begin + i]];
     }
-    leaf.joint[key] += 1.0;
+  }
+  const auto key_of = [&](size_t i) { return keys.data() + i * width; };
+  std::vector<size_t> order(n), sorted(n);
+  std::iota(order.begin(), order.end(), size_t{0});
+  for (size_t k = width; k-- > 0;) {
+    std::vector<size_t> next(ext.column(leaf.cols[k]).binner->num_bins() + 1);
+    for (size_t i : order) ++next[key_of(i)[k] + 1];
+    std::partial_sum(next.begin(), next.end(), next.begin());
+    for (size_t i : order) sorted[next[key_of(i)[k]]++] = i;
+    order.swap(sorted);
+  }
+  for (size_t i : order) {
+    const uint16_t* key = key_of(i);
+    if (!leaf.joint_counts.empty() &&
+        std::equal(key, key + width, leaf.joint_keys.end() - width)) {
+      leaf.joint_counts.back() += 1.0;
+    } else {
+      leaf.joint_keys.insert(leaf.joint_keys.end(), key, key + width);
+      leaf.joint_counts.push_back(1.0);
+    }
   }
   leaf.total = static_cast<double>(end - begin);
   nodes_.push_back(std::move(leaf));
@@ -256,14 +282,17 @@ double SpnModel::Eval(
       for (size_t col : nd.cols) any |= factor_of_col[col] != nullptr;
       if (!any) return 1.0;
       if (nd.total <= 0) return 0.0;
+      const size_t width = nd.cols.size();
+      const uint16_t* key = nd.joint_keys.data();
       double total = 0.0;
-      for (const auto& [key, count] : nd.joint) {
+      for (double count : nd.joint_counts) {
         double phi = 1.0;
-        for (size_t k = 0; k < nd.cols.size(); ++k) {
+        for (size_t k = 0; k < width; ++k) {
           const std::vector<double>* factor = factor_of_col[nd.cols[k]];
           if (factor != nullptr) phi *= (*factor)[key[k]];
         }
         total += count * phi;
+        key += width;
       }
       return total / nd.total;
     }
@@ -297,6 +326,24 @@ double SpnModel::ExpectProduct(const std::vector<ColumnFactor>& factors) const {
   return Eval(root_, factor_of_col);
 }
 
+std::pair<size_t, bool> SpnModel::FindJointKey(
+    const Node& nd, const std::vector<uint16_t>& key) {
+  const size_t width = key.size();
+  const auto key_at = [&](size_t j) { return nd.joint_keys.data() + j * width; };
+  size_t lo = 0, hi = nd.joint_counts.size();
+  while (lo < hi) {
+    const size_t mid = lo + (hi - lo) / 2;
+    if (std::lexicographical_compare(key_at(mid), key_at(mid) + width,
+                                     key.begin(), key.end())) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  return {lo, lo < nd.joint_counts.size() &&
+                  std::equal(key.begin(), key.end(), key_at(lo))};
+}
+
 double SpnModel::PointLikelihood(size_t node,
                                  const std::vector<uint16_t>& row) const {
   const Node& nd = nodes_[node];
@@ -311,8 +358,8 @@ double SpnModel::PointLikelihood(size_t node,
       if (nd.total <= 0) return 0.0;
       std::vector<uint16_t> key(nd.cols.size());
       for (size_t k = 0; k < nd.cols.size(); ++k) key[k] = row[nd.cols[k]];
-      auto it = nd.joint.find(key);
-      const double count = it == nd.joint.end() ? 0.0 : it->second;
+      const auto [at, found] = FindJointKey(nd, key);
+      const double count = found ? nd.joint_counts[at] : 0.0;
       return (count + kLeafSmoothing) / (nd.total + kLeafSmoothing);
     }
     case Node::Type::kProduct: {
@@ -343,9 +390,19 @@ void SpnModel::Route(size_t node, const std::vector<uint16_t>& row) {
       nd.total += 1.0;
       return;
     case Node::Type::kMultiLeaf: {
+      // Counts a seen key; inserts an unseen one at its ordered position.
       std::vector<uint16_t> key(nd.cols.size());
       for (size_t k = 0; k < nd.cols.size(); ++k) key[k] = row[nd.cols[k]];
-      nd.joint[key] += 1.0;
+      const auto [at, found] = FindJointKey(nd, key);
+      if (found) {
+        nd.joint_counts[at] += 1.0;
+      } else {
+        nd.joint_keys.insert(
+            nd.joint_keys.begin() + static_cast<long>(at * key.size()),
+            key.begin(), key.end());
+        nd.joint_counts.insert(
+            nd.joint_counts.begin() + static_cast<long>(at), 1.0);
+      }
       nd.total += 1.0;
       return;
     }
@@ -388,9 +445,8 @@ size_t SpnModel::ModelBytes() const {
     bytes += nd.weights.size() * sizeof(double);
     bytes += nd.cols.size() * sizeof(size_t);
     bytes += nd.histogram.size() * sizeof(double);
-    for (const auto& [key, count] : nd.joint) {
-      bytes += key.size() * sizeof(uint16_t) + sizeof(double) + 32;
-    }
+    bytes += nd.joint_keys.size() * sizeof(uint16_t);
+    bytes += nd.joint_counts.size() * sizeof(double);
   }
   return bytes;
 }
@@ -413,10 +469,12 @@ void SpnModel::Serialize(SectionWriter& out) const {
     out.PutDoubles(nd.weights);
     out.PutU64s(std::vector<uint64_t>(nd.cols.begin(), nd.cols.end()));
     out.PutDoubles(nd.histogram);
-    out.PutU64(nd.joint.size());
-    for (const auto& [key, count] : nd.joint) {
-      out.PutU16s(key);
-      out.PutDouble(count);
+    const size_t width = nd.cols.size();
+    out.PutU64(nd.joint_counts.size());
+    for (size_t j = 0; j < nd.joint_counts.size(); ++j) {
+      out.PutU16s(std::span<const uint16_t>(nd.joint_keys).subspan(
+          j * width, width));
+      out.PutDouble(nd.joint_counts[j]);
     }
     out.PutDouble(nd.total);
   }
@@ -442,8 +500,10 @@ Result<std::unique_ptr<SpnModel>> SpnModel::Deserialize(SectionReader& in) {
   if (num_nodes == 0 || model->root_ >= num_nodes) {
     return Status::InvalidArgument("SPN root out of range");
   }
-  model->nodes_.resize(num_nodes);
-  for (auto& nd : model->nodes_) {
+  // Nodes are appended as read, so a crafted count cannot allocate more
+  // than the payload holds.
+  for (uint64_t i = 0; i < num_nodes; ++i) {
+    Node nd;
     uint32_t type_raw = 0;
     CARDBENCH_ASSIGN_OR_RETURN(type_raw, in.GetU32());
     if (type_raw > static_cast<uint32_t>(Node::Type::kMultiLeaf)) {
@@ -452,27 +512,56 @@ Result<std::unique_ptr<SpnModel>> SpnModel::Deserialize(SectionReader& in) {
     nd.type = static_cast<Node::Type>(type_raw);
     std::vector<uint64_t> children;
     CARDBENCH_ASSIGN_OR_RETURN(children, in.GetU64s());
-    nd.children.assign(children.begin(), children.end());
-    for (size_t child : nd.children) {
-      if (child >= num_nodes) {
-        return Status::InvalidArgument("SPN child index out of range");
+    for (uint64_t child : children) {
+      if (child >= i) {
+        return Status::InvalidArgument("SPN child index " +
+                                       std::to_string(child) +
+                                       " not below its parent's " +
+                                       std::to_string(i));
       }
     }
+    nd.children.assign(children.begin(), children.end());
     CARDBENCH_ASSIGN_OR_RETURN(nd.weights, in.GetDoubles());
+    if (nd.type == Node::Type::kSum &&
+        nd.weights.size() != nd.children.size()) {
+      return Status::InvalidArgument("SPN sum node weights/children differ");
+    }
     std::vector<uint64_t> cols;
     CARDBENCH_ASSIGN_OR_RETURN(cols, in.GetU64s());
+    for (uint64_t col : cols) {
+      if (col >= model->num_cols_) {
+        return Status::InvalidArgument("SPN column id " + std::to_string(col) +
+                                       " out of range");
+      }
+    }
+    if (nd.type == Node::Type::kLeaf && cols.size() != 1) {
+      return Status::InvalidArgument("SPN leaf without exactly one column");
+    }
     nd.cols.assign(cols.begin(), cols.end());
     CARDBENCH_ASSIGN_OR_RETURN(nd.histogram, in.GetDoubles());
     uint64_t joint_size = 0;
     CARDBENCH_ASSIGN_OR_RETURN(joint_size, in.GetU64());
+    const size_t width = nd.cols.size();
     for (uint64_t j = 0; j < joint_size; ++j) {
       std::vector<uint16_t> key;
       CARDBENCH_ASSIGN_OR_RETURN(key, in.GetU16s());
+      if (key.size() != width) {
+        return Status::InvalidArgument("SPN multi-leaf key width differs "
+                                       "from its column count");
+      }
+      if (j > 0 && !std::lexicographical_compare(
+                       nd.joint_keys.end() - static_cast<long>(width),
+                       nd.joint_keys.end(), key.begin(), key.end())) {
+        return Status::InvalidArgument(
+            "SPN multi-leaf keys not strictly ascending");
+      }
       double count = 0.0;
       CARDBENCH_ASSIGN_OR_RETURN(count, in.GetDouble());
-      nd.joint[std::move(key)] = count;
+      nd.joint_keys.insert(nd.joint_keys.end(), key.begin(), key.end());
+      nd.joint_counts.push_back(count);
     }
     CARDBENCH_ASSIGN_OR_RETURN(nd.total, in.GetDouble());
+    model->nodes_.push_back(std::move(nd));
   }
   return model;
 }

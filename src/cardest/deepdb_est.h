@@ -3,6 +3,7 @@
 
 #include <iosfwd>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "cardest/fanout_estimator.h"
@@ -48,7 +49,13 @@ class SpnModel : public TableDistribution {
   size_t num_nodes() const { return nodes_.size(); }
 
   /// Writes / restores the learned structure: options, node list (type,
-  /// children, weights, scopes, histograms, multi-leaf joints).
+  /// children, weights, scopes, histograms, multi-leaf joints). Deserialize
+  /// rejects, with InvalidArgument, what Eval would index out of bounds or
+  /// recurse on forever: a child index not below its parent's (training
+  /// appends children first, so this also rules out cycles), a sum node
+  /// whose weights and children differ in number, a leaf without exactly
+  /// one column, a column id >= the model's column count, and multi-leaf
+  /// keys of the wrong width or not strictly ascending.
   void Serialize(SectionWriter& out) const;
   static Result<std::unique_ptr<SpnModel>> Deserialize(SectionReader& in);
 
@@ -61,10 +68,19 @@ class SpnModel : public TableDistribution {
     std::vector<size_t> children;
     std::vector<double> weights;  // sum node: child row counts
     std::vector<size_t> cols;     // column scope (leaf: 1; multi-leaf: >1)
-    std::vector<double> histogram;          // leaf: counts per bin
-    std::map<std::vector<uint16_t>, double> joint;  // multi-leaf counts
+    std::vector<double> histogram;  // leaf: counts per bin
+    // Multi-leaf counts: the distinct bin keys, cols.size() bins each,
+    // row-major in ascending lexicographic order, and each key's count.
+    std::vector<uint16_t> joint_keys;
+    std::vector<double> joint_counts;
     double total = 0.0;
   };
+
+  /// Where `key` (cols.size() bins) is or would be inserted among the
+  /// multi-leaf keys of `nd` (binary search over the ordered flat keys),
+  /// and whether it is there.
+  static std::pair<size_t, bool> FindJointKey(
+      const Node& nd, const std::vector<uint16_t>& key);
 
   size_t Learn(const ExtendedTable& ext, std::vector<size_t>& rows,
                size_t begin, size_t end, std::vector<size_t> cols, Rng& rng,

@@ -14,6 +14,10 @@ namespace cardbench {
 
 namespace {
 
+/// Factor-sequence item standing for a table's predicate ColumnFactors; any
+/// other item is a fanout column whose per-bin mean factor is pushed.
+constexpr int kPredBlock = -1;
+
 /// Merges factors that target the same column by elementwise product.
 std::vector<ColumnFactor> MergeFactors(std::vector<ColumnFactor> factors) {
   std::vector<ColumnFactor> merged;
@@ -108,8 +112,29 @@ Status FanoutModelEstimator::Update() {
 }
 
 double FanoutModelEstimator::ExpectWithFactors(
-    const std::string& table, std::vector<ColumnFactor> factors) const {
-  return models_.at(table)->ExpectProduct(MergeFactors(std::move(factors)));
+    const QueryGraph& graph, int local, std::vector<int> key,
+    PredFactorCache* cache) const {
+  std::map<std::vector<int>, double>& memo =
+      cache->expectations[static_cast<size_t>(local)];
+  const auto hit = memo.find(key);
+  if (hit != memo.end()) return hit->second;
+  const std::string& table = graph.table(local).name;
+  const ExtendedTable& ext = *ext_tables_.at(table);
+  std::vector<ColumnFactor> factors;
+  for (int item : key) {
+    if (item == kPredBlock) {
+      const std::vector<ColumnFactor>& preds =
+          PredFactorsFor(graph, local, cache);
+      factors.insert(factors.end(), preds.begin(), preds.end());
+    } else {
+      const size_t idx = static_cast<size_t>(item);
+      factors.push_back({idx, ext.FanoutMeanFactor(idx)});
+    }
+  }
+  const double expectation =
+      models_.at(table)->ExpectProduct(MergeFactors(std::move(factors)));
+  memo.emplace(std::move(key), expectation);
+  return expectation;
 }
 
 const std::vector<ColumnFactor>& FanoutModelEstimator::PredFactorsFor(
@@ -153,14 +178,7 @@ double FanoutModelEstimator::GraphSubtreeRho(
                   info.name.c_str(), my_col.c_str(), parent_name.c_str(),
                   parent_col.c_str());
 
-  std::vector<ColumnFactor> numer;
-  numer.push_back(
-      {static_cast<size_t>(up_idx),
-       ext.FanoutMeanFactor(static_cast<size_t>(up_idx))});
-  for (const ColumnFactor& factor : PredFactorsFor(graph, local, cache)) {
-    numer.push_back(factor);
-  }
-
+  std::vector<int> numer = {up_idx, kPredBlock};
   double child_scalars = 1.0;
   auto it = tree_children.find(local);
   if (it != tree_children.end()) {
@@ -174,19 +192,15 @@ double FanoutModelEstimator::GraphSubtreeRho(
       const int idx = ext.FanoutIndex(
           down_col, {graph.table(child).name, child_col});
       CARDBENCH_CHECK(idx >= 0, "no fanout column for child edge");
-      numer.push_back({static_cast<size_t>(idx),
-                       ext.FanoutMeanFactor(static_cast<size_t>(idx))});
+      numer.push_back(idx);
       child_scalars *=
           GraphSubtreeRho(graph, child, local, *edge, tree_children, cache);
     }
   }
 
-  const double numer_e = ExpectWithFactors(info.name, std::move(numer));
-  std::vector<ColumnFactor> denom;
-  denom.push_back(
-      {static_cast<size_t>(up_idx),
-       ext.FanoutMeanFactor(static_cast<size_t>(up_idx))});
-  const double denom_e = ExpectWithFactors(info.name, std::move(denom));
+  const double numer_e =
+      ExpectWithFactors(graph, local, std::move(numer), cache);
+  const double denom_e = ExpectWithFactors(graph, local, {up_idx}, cache);
   if (denom_e <= 1e-12) return 0.0;
   return (numer_e / denom_e) * child_scalars;
 }
@@ -215,12 +229,11 @@ double FanoutModelEstimator::EstimateCardImpl(const QueryGraph& graph,
 
   // Single table: |T| * E[predicate factors].
   if (std::popcount(mask) == 1) {
-    const QueryGraph::TableInfo& info = graph.table(std::countr_zero(mask));
-    std::vector<ColumnFactor> factors =
-        PredFactorsFor(graph, std::countr_zero(mask), cache);
-    const double rows = static_cast<double>(info.table->num_rows());
-    return std::max(1.0,
-                    rows * ExpectWithFactors(info.name, std::move(factors)));
+    const int local = std::countr_zero(mask);
+    const double rows =
+        static_cast<double>(graph.table(local).table->num_rows());
+    return std::max(
+        1.0, rows * ExpectWithFactors(graph, local, {kPredBlock}, cache));
   }
 
   // Ablation mode: join uniformity over single-table model estimates (the
@@ -294,7 +307,7 @@ double FanoutModelEstimator::EstimateCardImpl(const QueryGraph& graph,
 
   const QueryGraph::TableInfo& root_info = graph.table(root);
   const ExtendedTable& root_ext = *ext_tables_.at(root_info.name);
-  std::vector<ColumnFactor> factors = PredFactorsFor(graph, root, cache);
+  std::vector<int> factors = {kPredBlock};
   double scalars = 1.0;
   auto it = tree_children.find(root);
   if (it != tree_children.end()) {
@@ -308,15 +321,14 @@ double FanoutModelEstimator::EstimateCardImpl(const QueryGraph& graph,
       const int idx = root_ext.FanoutIndex(
           my_col, {graph.table(child).name, child_col});
       CARDBENCH_CHECK(idx >= 0, "no fanout column for root edge");
-      factors.push_back({static_cast<size_t>(idx),
-                         root_ext.FanoutMeanFactor(static_cast<size_t>(idx))});
+      factors.push_back(idx);
       scalars *=
           GraphSubtreeRho(graph, child, root, *edge, tree_children, cache);
     }
   }
 
   double card = static_cast<double>(root_info.table->num_rows()) *
-                ExpectWithFactors(root_info.name, std::move(factors)) *
+                ExpectWithFactors(graph, root, std::move(factors), cache) *
                 scalars;
 
   // Independence correction for parallel/non-tree edges (PostgreSQL's

@@ -64,11 +64,11 @@ class FanoutModelEstimator : public CardinalityEstimator {
   /// name grouping). Model lookups stay name-keyed (the per-table models
   /// are string-keyed internal state).
   double EstimateCard(const QueryGraph& graph, uint64_t mask) const override;
-  /// Batched: the per-table predicate ColumnFactors (the expensive
-  /// PredicateFactor bin scans, mask-independent) are computed once per
-  /// query and shared across all masks; each mask then runs the unchanged
-  /// fanout recursion, pushing factors in the same order — bit-identical
-  /// to per-mask EstimateCard.
+  /// Batched: the per-table predicate ColumnFactors and the model
+  /// expectations (mask-independent per factor sequence) are computed once
+  /// per query and shared across all masks; each mask then runs the
+  /// unchanged fanout recursion over the same factor sequences —
+  /// bit-identical to per-mask EstimateCard.
   std::vector<double> EstimateCards(
       const QueryGraph& graph,
       std::span<const uint64_t> masks) const override;
@@ -135,17 +135,26 @@ class FanoutModelEstimator : public CardinalityEstimator {
   const Database& db_;
 
  private:
-  double ExpectWithFactors(const std::string& table,
-                           std::vector<ColumnFactor> factors) const;
-
-  /// Per-query memo of each local table's predicate ColumnFactors (built
-  /// from the graph's pred_groups) — mask-independent, so a batch computes
-  /// them once and every mask copies from the memo in the original push
-  /// order.
+  /// Per-query memos, both mask-independent, so a batch fills them once:
+  /// each local table's predicate ColumnFactors (built from the graph's
+  /// pred_groups), and each ExpectWithFactors result keyed by the local
+  /// table and the factor sequence pushed (see ExpectWithFactors).
   struct PredFactorCache {
-    explicit PredFactorCache(size_t num_tables) : by_local(num_tables) {}
+    explicit PredFactorCache(size_t num_tables)
+        : by_local(num_tables), expectations(num_tables) {}
     std::vector<std::unique_ptr<std::vector<ColumnFactor>>> by_local;
+    std::vector<std::map<std::vector<int>, double>> expectations;
   };
+
+  /// E[product of factors] under local table `local`'s model, the factors
+  /// given by `key` in push order: -1 stands for the table's predicate
+  /// factors, any other item for that fanout column's mean factor. Within
+  /// one query the key determines the factors, so the value is memoized in
+  /// `cache` (the query-invariant denominators E_c[F_{c->p}] and repeated
+  /// numerators run once per query) and the factor vectors are built only
+  /// on a miss. A hit returns the double the call would have computed.
+  double ExpectWithFactors(const QueryGraph& graph, int local,
+                           std::vector<int> key, PredFactorCache* cache) const;
 
   const std::vector<ColumnFactor>& PredFactorsFor(const QueryGraph& graph,
                                                   int local,

@@ -78,11 +78,32 @@ double PostgresEstimator::GraphTableSelectivity(
 
 double PostgresEstimator::EstimateCard(const QueryGraph& graph,
                                        uint64_t mask) const {
+  TableSelectivities selectivities(graph.num_tables());
+  return EstimateMask(graph, mask, selectivities);
+}
+
+std::vector<double> PostgresEstimator::EstimateCards(
+    const QueryGraph& graph, std::span<const uint64_t> masks) const {
+  TableSelectivities selectivities(graph.num_tables());
+  std::vector<double> out;
+  out.reserve(masks.size());
+  for (uint64_t mask : masks) {
+    out.push_back(EstimateMask(graph, mask, selectivities));
+  }
+  return out;
+}
+
+double PostgresEstimator::EstimateMask(
+    const QueryGraph& graph, uint64_t mask,
+    TableSelectivities& selectivities) const {
   double card = 1.0;
   for (uint64_t rest = mask; rest != 0; rest &= rest - 1) {
-    const QueryGraph::TableInfo& info = graph.table(std::countr_zero(rest));
-    card *= static_cast<double>(info.table->num_rows()) *
-            GraphTableSelectivity(info);
+    const int local = std::countr_zero(rest);
+    const QueryGraph::TableInfo& info = graph.table(local);
+    std::optional<double>& selectivity =
+        selectivities[static_cast<size_t>(local)];
+    if (!selectivity) selectivity = GraphTableSelectivity(info);
+    card *= static_cast<double>(info.table->num_rows()) * *selectivity;
   }
   for (const auto& edge : graph.edges()) {
     if ((edge.mask & mask) != edge.mask) continue;

@@ -4,6 +4,8 @@
 #include <iosfwd>
 #include <map>
 #include <memory>
+#include <optional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -31,6 +33,12 @@ class PostgresEstimator : public CardinalityEstimator {
   /// pre-resolved predicate groups, eqjoinsel per in-mask edge through a
   /// dense (table_id, column_id) statistics index — no name lookups.
   double EstimateCard(const QueryGraph& graph, uint64_t mask) const override;
+  /// Batched: each table's selectivity (its predicates folded through the
+  /// column histograms, mask-independent) is computed at most once per
+  /// call; every mask then multiplies in the scalar path's order.
+  std::vector<double> EstimateCards(
+      const QueryGraph& graph,
+      std::span<const uint64_t> masks) const override;
   double TrainSeconds() const override { return train_seconds_; }
   bool SupportsUpdate() const override { return true; }
   /// Re-ANALYZE: rebuilds all per-column statistics.
@@ -65,6 +73,12 @@ class PostgresEstimator : public CardinalityEstimator {
     return stats_by_id_[table_id][column_id];
   }
   double GraphTableSelectivity(const QueryGraph::TableInfo& info) const;
+
+  /// Per-call memo of GraphTableSelectivity by local table id.
+  using TableSelectivities = std::vector<std::optional<double>>;
+  /// The one per-mask body of EstimateCard and EstimateCards.
+  double EstimateMask(const QueryGraph& graph, uint64_t mask,
+                      TableSelectivities& selectivities) const;
 
   const Database& db_;
   size_t stats_target_;

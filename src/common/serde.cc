@@ -58,48 +58,45 @@ void SectionWriter::PutU32s(const std::vector<uint32_t>& v) {
   for (uint32_t x : v) PutU32(x);
 }
 
-void SectionWriter::PutU16s(const std::vector<uint16_t>& v) {
+void SectionWriter::PutU16s(std::span<const uint16_t> v) {
   PutU64(v.size());
   for (uint16_t x : v) AppendRaw(buf_, x);
 }
 
-Status SectionReader::Need(size_t n) const {
-  if (pos_ + n > bytes_.size()) {
-    return Status::OutOfRange("section payload truncated: need " +
-                              std::to_string(n) + " bytes at offset " +
-                              std::to_string(pos_) + " of " +
-                              std::to_string(bytes_.size()));
+Status SectionReader::Need(uint64_t count, size_t width) const {
+  // Compared by division against what is left, so a crafted count can
+  // neither wrap pos_ + n nor overflow count * width.
+  if (count > (bytes_.size() - pos_) / width) {
+    return Status::OutOfRange(
+        "section payload truncated: need " + std::to_string(count) + " x " +
+        std::to_string(width) + " bytes at offset " + std::to_string(pos_) +
+        " of " + std::to_string(bytes_.size()));
   }
   return Status::OK();
 }
 
-Result<uint32_t> SectionReader::GetU32() {
-  CARDBENCH_RETURN_IF_ERROR(Need(sizeof(uint32_t)));
-  uint32_t v = ReadRaw<uint32_t>(bytes_, pos_);
-  pos_ += sizeof(uint32_t);
+template <typename T>
+Result<T> SectionReader::GetScalar() {
+  CARDBENCH_RETURN_IF_ERROR(Need(1, sizeof(T)));
+  T v = ReadRaw<T>(bytes_, pos_);
+  pos_ += sizeof(T);
   return v;
 }
 
-Result<uint64_t> SectionReader::GetU64() {
-  CARDBENCH_RETURN_IF_ERROR(Need(sizeof(uint64_t)));
-  uint64_t v = ReadRaw<uint64_t>(bytes_, pos_);
-  pos_ += sizeof(uint64_t);
-  return v;
+template <typename T>
+Result<std::vector<T>> SectionReader::GetArray() {
+  CARDBENCH_ASSIGN_OR_RETURN(uint64_t n, GetU64());
+  CARDBENCH_RETURN_IF_ERROR(Need(n, sizeof(T)));
+  std::vector<T> out(n);
+  if (n > 0) std::memcpy(out.data(), bytes_.data() + pos_, n * sizeof(T));
+  pos_ += n * sizeof(T);
+  return out;
 }
 
-Result<int64_t> SectionReader::GetI64() {
-  CARDBENCH_RETURN_IF_ERROR(Need(sizeof(int64_t)));
-  int64_t v = ReadRaw<int64_t>(bytes_, pos_);
-  pos_ += sizeof(int64_t);
-  return v;
-}
-
-Result<double> SectionReader::GetDouble() {
-  CARDBENCH_RETURN_IF_ERROR(Need(sizeof(double)));
-  double v = ReadRaw<double>(bytes_, pos_);
-  pos_ += sizeof(double);
-  return v;
-}
+Result<uint32_t> SectionReader::GetU32() { return GetScalar<uint32_t>(); }
+Result<uint64_t> SectionReader::GetU64() { return GetScalar<uint64_t>(); }
+Result<int64_t> SectionReader::GetI64() { return GetScalar<int64_t>(); }
+Result<double> SectionReader::GetDouble() { return GetScalar<double>(); }
 
 Result<bool> SectionReader::GetBool() {
   CARDBENCH_ASSIGN_OR_RETURN(uint32_t v, GetU32());
@@ -108,61 +105,26 @@ Result<bool> SectionReader::GetBool() {
 
 Result<std::string> SectionReader::GetString() {
   CARDBENCH_ASSIGN_OR_RETURN(uint64_t n, GetU64());
-  CARDBENCH_RETURN_IF_ERROR(Need(n));
+  CARDBENCH_RETURN_IF_ERROR(Need(n, 1));
   std::string s(bytes_.substr(pos_, n));
   pos_ += n;
   return s;
 }
 
 Result<std::vector<double>> SectionReader::GetDoubles() {
-  CARDBENCH_ASSIGN_OR_RETURN(uint64_t n, GetU64());
-  CARDBENCH_RETURN_IF_ERROR(Need(n * sizeof(double)));
-  std::vector<double> out(n);
-  if (n > 0) std::memcpy(out.data(), bytes_.data() + pos_, n * sizeof(double));
-  pos_ += n * sizeof(double);
-  return out;
+  return GetArray<double>();
 }
-
 Result<std::vector<int64_t>> SectionReader::GetI64s() {
-  CARDBENCH_ASSIGN_OR_RETURN(uint64_t n, GetU64());
-  CARDBENCH_RETURN_IF_ERROR(Need(n * sizeof(int64_t)));
-  std::vector<int64_t> out(n);
-  if (n > 0) std::memcpy(out.data(), bytes_.data() + pos_, n * sizeof(int64_t));
-  pos_ += n * sizeof(int64_t);
-  return out;
+  return GetArray<int64_t>();
 }
-
 Result<std::vector<uint64_t>> SectionReader::GetU64s() {
-  CARDBENCH_ASSIGN_OR_RETURN(uint64_t n, GetU64());
-  CARDBENCH_RETURN_IF_ERROR(Need(n * sizeof(uint64_t)));
-  std::vector<uint64_t> out(n);
-  if (n > 0) {
-    std::memcpy(out.data(), bytes_.data() + pos_, n * sizeof(uint64_t));
-  }
-  pos_ += n * sizeof(uint64_t);
-  return out;
+  return GetArray<uint64_t>();
 }
-
 Result<std::vector<uint32_t>> SectionReader::GetU32s() {
-  CARDBENCH_ASSIGN_OR_RETURN(uint64_t n, GetU64());
-  CARDBENCH_RETURN_IF_ERROR(Need(n * sizeof(uint32_t)));
-  std::vector<uint32_t> out(n);
-  if (n > 0) {
-    std::memcpy(out.data(), bytes_.data() + pos_, n * sizeof(uint32_t));
-  }
-  pos_ += n * sizeof(uint32_t);
-  return out;
+  return GetArray<uint32_t>();
 }
-
 Result<std::vector<uint16_t>> SectionReader::GetU16s() {
-  CARDBENCH_ASSIGN_OR_RETURN(uint64_t n, GetU64());
-  CARDBENCH_RETURN_IF_ERROR(Need(n * sizeof(uint16_t)));
-  std::vector<uint16_t> out(n);
-  if (n > 0) {
-    std::memcpy(out.data(), bytes_.data() + pos_, n * sizeof(uint16_t));
-  }
-  pos_ += n * sizeof(uint16_t);
-  return out;
+  return GetArray<uint16_t>();
 }
 
 SectionWriter& ModelWriter::AddSection(std::string name) {
@@ -210,7 +172,7 @@ Result<ModelReader> ModelReader::Open(std::istream& in,
   auto read_string = [&](std::string* s) -> bool {
     uint64_t n = 0;
     if (!read_u64(&n)) return false;
-    if (pos + n > raw.size()) return false;
+    if (n > raw.size() - pos) return false;
     s->assign(raw, pos, n);
     pos += n;
     return true;
@@ -252,7 +214,7 @@ Result<ModelReader> ModelReader::Open(std::istream& in,
     if (!read_string(&name) || !read_u64(&size) || !read_u64(&checksum)) {
       return Status::IOError("model artifact truncated in section header");
     }
-    if (pos + size > raw.size()) {
+    if (size > raw.size() - pos) {
       return Status::IOError("model artifact truncated in section \"" + name +
                              "\" payload");
     }

@@ -5,6 +5,7 @@
 #include <iosfwd>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -44,7 +45,7 @@ class SectionWriter {
   void PutI64s(const std::vector<int64_t>& v);
   void PutU64s(const std::vector<uint64_t>& v);
   void PutU32s(const std::vector<uint32_t>& v);
-  void PutU16s(const std::vector<uint16_t>& v);
+  void PutU16s(std::span<const uint16_t> v);
 
   const std::string& bytes() const { return buf_; }
 
@@ -54,7 +55,8 @@ class SectionWriter {
 
 /// Bounds-checked cursor over one section's payload. Every getter returns
 /// OutOfRange past the end instead of reading garbage, so a truncated or
-/// reordered payload fails loudly.
+/// reordered payload fails loudly; an array or string whose stored count
+/// exceeds what is left fails the same way, without allocating.
 class SectionReader {
  public:
   explicit SectionReader(std::string_view bytes) : bytes_(bytes) {}
@@ -72,9 +74,16 @@ class SectionReader {
   Result<std::vector<uint16_t>> GetU16s();
 
   bool AtEnd() const { return pos_ == bytes_.size(); }
+  /// Payload bytes not yet read.
+  size_t remaining() const { return bytes_.size() - pos_; }
 
  private:
-  Status Need(size_t n) const;
+  /// OK when `count` elements of `width` bytes remain.
+  Status Need(uint64_t count, size_t width) const;
+  template <typename T>
+  Result<T> GetScalar();
+  template <typename T>
+  Result<std::vector<T>> GetArray();
 
   std::string_view bytes_;
   size_t pos_ = 0;

@@ -1,10 +1,10 @@
 // Batched-estimation parity suite: EstimateCards (one call per query over
 // all connected sub-plans) must be bit-identical to per-mask EstimateCard
 // for every estimator in the zoo — same doubles, independent of batch
-// composition — and routing the serving layer through the batch path must
-// change nothing observable. (What the planner does with the batch is
-// pinned by planner_golden_test.) The concurrent case hammers the service's
-// batch cache path from several client threads (TSAN coverage).
+// composition and order — and routing the serving layer through the batch
+// path must change nothing observable. (What the planner does with the
+// batch is pinned by planner_golden_test.) The concurrent case hammers the
+// service's batch cache path from several client threads (TSAN coverage).
 
 #include <gtest/gtest.h>
 
@@ -87,6 +87,18 @@ TEST_P(BatchParityTest, BatchIsBitIdenticalToScalar) {
     for (size_t k = 0; k < strided.size(); ++k) {
       EXPECT_EQ(partial[k], batch[strided_idx[k]])
           << ctx.query->name << " mask " << strided[k] << " under "
+          << GetParam();
+    }
+
+    // Nor may the order: reversed, the per-query memos fill from the
+    // largest sub-plans first.
+    const std::vector<uint64_t> reversed(subsets.rbegin(), subsets.rend());
+    const std::vector<double> backward =
+        estimator.EstimateCards(graph, reversed);
+    ASSERT_EQ(backward.size(), reversed.size());
+    for (size_t k = 0; k < reversed.size(); ++k) {
+      EXPECT_EQ(backward[k], batch[subsets.size() - 1 - k])
+          << ctx.query->name << " mask " << reversed[k] << " under "
           << GetParam();
     }
   }

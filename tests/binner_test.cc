@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <climits>
+#include <map>
+
 #include "cardest/binner.h"
 #include "common/rng.h"
 #include "cardest/extended_table.h"
@@ -99,6 +102,154 @@ TEST(BinnerTest, RefreshTracksAppendedRows) {
     sel += binner.BinMass(b) * fractions[b];
   }
   EXPECT_NEAR(sel, 3.0 / 7.0, 1e-12);
+}
+
+/// Today's per-value linear scan, written out independently of the binner:
+/// each bin's (value, count) list rebuilt from the column through BinOf,
+/// then every value tested against the folded range and every <> value
+/// subtracted. PredicateFractions must equal it double for double.
+std::vector<double> ReferenceFractions(const ColumnBinner& binner,
+                                       const Column& col,
+                                       const std::vector<Predicate>& preds) {
+  std::vector<std::map<Value, size_t>> bins(binner.num_bins());
+  for (size_t row = 0; row < col.size(); ++row) {
+    if (col.IsValid(row)) ++bins[binner.BinOf(col.Get(row))][col.Get(row)];
+  }
+  std::vector<double> fractions(binner.num_bins(), 1.0);
+  if (preds.empty()) return fractions;
+  fractions[0] = 0.0;
+  ValueRange range;
+  std::vector<Value> excluded;
+  for (const auto& pred : preds) {
+    if (pred.op == CompareOp::kNeq) {
+      excluded.push_back(pred.value);
+    } else {
+      range.Apply(pred.op, pred.value);
+    }
+  }
+  for (size_t b = 1; b < bins.size(); ++b) {
+    double mass = 0.0, pass = 0.0;
+    for (const auto& [value, count] : bins[b]) {
+      mass += static_cast<double>(count);
+      if (range.Contains(value)) pass += static_cast<double>(count);
+    }
+    if (mass <= 0) {
+      fractions[b] = 0.0;
+      continue;
+    }
+    double frac = pass / mass;
+    for (Value v : excluded) {
+      if (!range.Contains(v)) continue;
+      const auto it = bins[b].find(v);
+      if (it != bins[b].end()) frac -= static_cast<double>(it->second) / mass;
+    }
+    fractions[b] = std::max(0.0, frac);
+  }
+  return fractions;
+}
+
+/// Predicate sets covering every shape the range search must get right:
+/// empty, unbounded either side, single-point, aligned to a bin's first and
+/// last value, straddling bins, and <> values inside and outside the range.
+std::vector<std::vector<Predicate>> PredicateShapes(const ColumnBinner& binner,
+                                                    const Column& col,
+                                                    Rng& rng) {
+  std::vector<std::pair<Value, Value>> bin_span(binner.num_bins(),
+                                                {INT64_MAX, INT64_MIN});
+  for (size_t row = 0; row < col.size(); ++row) {
+    if (!col.IsValid(row)) continue;
+    auto& [lo, hi] = bin_span[binner.BinOf(col.Get(row))];
+    lo = std::min(lo, col.Get(row));
+    hi = std::max(hi, col.Get(row));
+  }
+  const auto pred = [](CompareOp op, Value v) {
+    return Predicate{"t", "c", op, v};
+  };
+  const auto any_value = [&]() -> Value {
+    return rng.NextInt64(-20, 260);
+  };
+  std::vector<std::vector<Predicate>> shapes = {
+      {},
+      {pred(CompareOp::kGt, 50), pred(CompareOp::kLt, 40)},  // empty
+      {pred(CompareOp::kGe, 50), pred(CompareOp::kLt, 50)},  // empty
+      {pred(CompareOp::kGe, INT64_MIN)},                     // everything
+      {pred(CompareOp::kNeq, 1), pred(CompareOp::kNeq, 2)},
+  };
+  for (size_t b = 1; b < bin_span.size(); ++b) {
+    const auto [lo, hi] = bin_span[b];
+    if (lo > hi) continue;
+    shapes.push_back({pred(CompareOp::kEq, lo)});
+    shapes.push_back({pred(CompareOp::kEq, hi)});
+    shapes.push_back({pred(CompareOp::kGe, lo), pred(CompareOp::kLe, hi)});
+    shapes.push_back({pred(CompareOp::kGt, lo), pred(CompareOp::kLt, hi)});
+    shapes.push_back({pred(CompareOp::kGe, lo)});
+    shapes.push_back({pred(CompareOp::kLe, hi)});
+    shapes.push_back({pred(CompareOp::kGe, lo), pred(CompareOp::kNeq, lo)});
+  }
+  for (int i = 0; i < 60; ++i) {
+    const Value a = any_value(), b = any_value();
+    std::vector<Predicate> shape;
+    switch (rng.NextInt64(0, 5)) {
+      case 0: shape = {pred(CompareOp::kGe, a), pred(CompareOp::kLe, b)}; break;
+      case 1: shape = {pred(CompareOp::kGt, a), pred(CompareOp::kLt, b)}; break;
+      case 2: shape = {pred(CompareOp::kEq, a)}; break;
+      case 3: shape = {pred(CompareOp::kLt, a)}; break;
+      case 4: shape = {pred(CompareOp::kGt, a)}; break;
+      default: shape = {pred(CompareOp::kNeq, a)}; break;
+    }
+    for (int64_t k = rng.NextInt64(0, 2); k > 0; --k) {
+      shape.push_back(pred(CompareOp::kNeq, any_value()));
+    }
+    shapes.push_back(std::move(shape));
+  }
+  return shapes;
+}
+
+void ExpectMatchesReference(const ColumnBinner& binner, const Column& col,
+                            Rng& rng, const std::string& label) {
+  for (const auto& preds : PredicateShapes(binner, col, rng)) {
+    const std::vector<double> got = binner.PredicateFractions(preds);
+    const std::vector<double> want = ReferenceFractions(binner, col, preds);
+    ASSERT_EQ(got.size(), want.size());
+    std::string rendered;
+    for (const auto& pred : preds) rendered += pred.ToString() + " ";
+    for (size_t b = 0; b < got.size(); ++b) {
+      EXPECT_EQ(got[b], want[b]) << label << " bin " << b << ": " << rendered;
+    }
+  }
+}
+
+TEST(BinnerTest, PredicateFractionsEqualPerValueScan) {
+  Rng rng(17);
+  for (int trial = 0; trial < 12; ++trial) {
+    // Skewed values with NULLs, shifted so ranges can fall below them.
+    const int64_t domain = rng.NextInt64(5, 240);
+    Column col("c", ColumnKind::kNumeric);
+    for (int64_t i = rng.NextInt64(50, 4000); i > 0; --i) {
+      if (rng.NextBool(0.05)) {
+        col.AppendNull();
+      } else {
+        col.Append(10 + rng.NextZipf(domain, 1.1));
+      }
+    }
+    const size_t max_bins = static_cast<size_t>(rng.NextInt64(2, 64));
+    ColumnBinner binner(col, max_bins);
+    const std::string label = "trial " + std::to_string(trial) + " bins " +
+                              std::to_string(max_bins);
+    ExpectMatchesReference(binner, col, rng, label);
+
+    // Refresh appends values below the first and above the last bin
+    // boundary (and new ones between), which a fully-covered bin test
+    // must see although they lie outside the bin's original boundaries.
+    for (int i = 0; i < 40; ++i) {
+      col.Append(rng.NextInt64(-15, 9));
+      col.Append(11 + domain + rng.NextInt64(0, 20));
+      col.Append(10 + rng.NextInt64(0, domain));
+    }
+    col.AppendNull();
+    binner.Refresh(col);
+    ExpectMatchesReference(binner, col, rng, label + " refreshed");
+  }
 }
 
 TEST(ExtendedTableTest, JoinColumnGroupsOnStatsSchema) {

@@ -15,6 +15,7 @@
 
 #include "cardest/bayescard_est.h"
 #include "cardest/binner.h"
+#include "cardest/deepdb_est.h"
 #include "cardest/model_store.h"
 #include "cardest/noisy_oracle_est.h"
 #include "cardest/postgres_est.h"
@@ -22,6 +23,7 @@
 #include "common/rng.h"
 #include "common/serde.h"
 #include "datagen/stats_gen.h"
+#include "datagen/update_split.h"
 #include "exec/true_card.h"
 #include "harness/bench_env.h"
 #include "metrics/metrics.h"
@@ -96,6 +98,233 @@ TEST(SerdeFormatTest, RoundTripAndTagCheck) {
   stream.clear();
   stream.seekg(0);
   EXPECT_FALSE(ModelReader::Open(stream, "other").ok());
+}
+
+TEST(SerdeFormatTest, WrappingCountsFailWithoutThrowing) {
+  // Counts whose byte size wraps 64 bits beside 8 payload bytes: 2^61 + 1
+  // doubles is 2^64 + 8 bytes. A bounds check on pos + count * size passes
+  // these, and the vector allocation then throws out of a Status reader.
+  const auto section = [](uint64_t count) {
+    SectionWriter s;
+    s.PutU64(count);
+    s.PutDouble(1.0);
+    return s.bytes();
+  };
+  const uint64_t wraps8 = (uint64_t{1} << 61) + 1;
+  const std::string doubles = section(wraps8);
+  const std::string i64s = section(wraps8);
+  const std::string u64s = section(wraps8);
+  const std::string u32s = section((uint64_t{1} << 62) + 2);
+  const std::string u16s = section((uint64_t{1} << 63) + 4);
+  const std::string str = section(~uint64_t{0} - 6);
+  StatusCode code = StatusCode::kOk;
+  EXPECT_NO_THROW(code = SectionReader(doubles).GetDoubles().status().code());
+  EXPECT_EQ(code, StatusCode::kOutOfRange);
+  EXPECT_NO_THROW(code = SectionReader(i64s).GetI64s().status().code());
+  EXPECT_EQ(code, StatusCode::kOutOfRange);
+  EXPECT_NO_THROW(code = SectionReader(u64s).GetU64s().status().code());
+  EXPECT_EQ(code, StatusCode::kOutOfRange);
+  EXPECT_NO_THROW(code = SectionReader(u32s).GetU32s().status().code());
+  EXPECT_EQ(code, StatusCode::kOutOfRange);
+  EXPECT_NO_THROW(code = SectionReader(u16s).GetU16s().status().code());
+  EXPECT_EQ(code, StatusCode::kOutOfRange);
+  EXPECT_NO_THROW(code = SectionReader(str).GetString().status().code());
+  EXPECT_EQ(code, StatusCode::kOutOfRange);
+}
+
+TEST(SerdeFormatTest, WrappingSectionSizeIsTruncation) {
+  // A frame whose section size wraps pos + size must read as truncated.
+  std::string frame(kModelMagic, sizeof(kModelMagic));
+  const auto raw = [&frame](auto v) {
+    frame.append(reinterpret_cast<const char*>(&v), sizeof(v));
+  };
+  raw(kModelFormatVersion);
+  raw(uint64_t{4});
+  frame += "demo";
+  raw(uint32_t{1});
+  raw(uint64_t{1});
+  frame += "s";
+  raw(~uint64_t{0} - 2);  // payload size
+  raw(uint64_t{0});       // checksum
+  frame += "abc";
+  std::stringstream stream(frame);
+  auto reader = ModelReader::Open(stream, "demo");
+  ASSERT_FALSE(reader.ok());
+  EXPECT_EQ(reader.status().code(), StatusCode::kIOError)
+      << reader.status().ToString();
+}
+
+// ---------------------------------------------------------------------------
+// Crafted artifacts: loads must reject what the lookups would index out of
+// bounds or loop on.
+// ---------------------------------------------------------------------------
+
+/// One value bin per entry of `bins`, each holding those values once.
+std::string BinnerPayload(const std::vector<std::vector<Value>>& bins) {
+  SectionWriter out;
+  out.PutU64(bins.size());
+  out.PutDouble(10.0);  // total rows
+  out.PutDouble(0.0);   // NULL mass
+  for (const auto& values : bins) {
+    out.PutI64(values.empty() ? 0 : values.front());
+    out.PutI64(values.empty() ? 0 : values.back());
+    out.PutU64(values.size());
+    for (Value v : values) {
+      out.PutI64(v);
+      out.PutU64(1);
+    }
+  }
+  return out.bytes();
+}
+
+StatusCode LoadBinner(const std::string& payload) {
+  SectionReader in(payload);
+  return ColumnBinner::Deserialize(in).status().code();
+}
+
+TEST(BinnerSerializationTest, RejectsMoreBinsThanBinIdsHold) {
+  // 65534 value bins is the most a uint16_t bin id (NULL bin included)
+  // can count through; 70000 used to load, and PredicateFractions' bin
+  // loop then never ended.
+  std::vector<std::vector<Value>> bins(ColumnBinner::kMaxValueBins);
+  for (size_t b = 0; b < bins.size(); ++b) bins[b] = {static_cast<Value>(b)};
+  EXPECT_EQ(LoadBinner(BinnerPayload(bins)), StatusCode::kOk);
+  bins.resize(70000, {Value{70000}});
+  EXPECT_EQ(LoadBinner(BinnerPayload(bins)), StatusCode::kInvalidArgument);
+  EXPECT_EQ(LoadBinner(BinnerPayload({})), StatusCode::kInvalidArgument);
+}
+
+TEST(BinnerSerializationTest, RejectsValuesOutOfOrder) {
+  // Descending values used to load, and EqualFraction's binary search then
+  // answered 0 for a value holding half the bin.
+  EXPECT_EQ(LoadBinner(BinnerPayload({{3, 5}})), StatusCode::kOk);
+  EXPECT_EQ(LoadBinner(BinnerPayload({{5, 3}})), StatusCode::kInvalidArgument);
+  EXPECT_EQ(LoadBinner(BinnerPayload({{1}, {4, 4}})),
+            StatusCode::kInvalidArgument);
+}
+
+/// A hand-written SPN node, serialized in SpnModel's node layout.
+struct CraftedNode {
+  uint32_t type = 2;  // 0 sum, 1 product, 2 leaf, 3 multi-leaf
+  std::vector<uint64_t> children;
+  std::vector<double> weights;
+  std::vector<uint64_t> cols;
+  std::vector<double> histogram;
+  std::vector<std::vector<uint16_t>> keys;
+  double total = 0.0;
+};
+
+/// A valid three-column model: a sum (root) over a product of a leaf and
+/// a multi-leaf, and a second leaf.
+std::vector<CraftedNode> ValidSpnNodes() {
+  CraftedNode leaf;
+  leaf.cols = {2};
+  leaf.histogram = {1, 3};
+  leaf.total = 4;
+  CraftedNode multi;
+  multi.type = 3;
+  multi.cols = {0, 1};
+  multi.keys = {{0, 1}, {1, 0}, {1, 1}};
+  multi.total = 3;
+  CraftedNode product;
+  product.type = 1;
+  product.children = {0, 1};
+  CraftedNode sum;
+  sum.type = 0;
+  sum.children = {2, 0};
+  sum.weights = {3, 1};
+  return {leaf, multi, product, sum};
+}
+
+StatusCode LoadSpn(const std::vector<CraftedNode>& nodes) {
+  SectionWriter out;
+  const SpnOptions options;
+  out.PutDouble(options.independence_threshold);
+  out.PutDouble(options.high_correlation_threshold);
+  out.PutDouble(options.min_slice_fraction);
+  out.PutU64(options.min_slice_rows);
+  out.PutU64(options.dependence_sample);
+  out.PutBool(true);
+  out.PutU64(options.max_multi_leaf_cols);
+  out.PutU64(options.seed);
+  out.PutU64(3);                 // columns
+  out.PutU64(nodes.size() - 1);  // root
+  out.PutU64(nodes.size());
+  for (const CraftedNode& nd : nodes) {
+    out.PutU32(nd.type);
+    out.PutU64s(nd.children);
+    out.PutDoubles(nd.weights);
+    out.PutU64s(nd.cols);
+    out.PutDoubles(nd.histogram);
+    out.PutU64(nd.keys.size());
+    for (const auto& key : nd.keys) {
+      out.PutU16s(key);
+      out.PutDouble(1.0);
+    }
+    out.PutDouble(nd.total);
+  }
+  SectionReader in(out.bytes());
+  auto model = SpnModel::Deserialize(in);
+  if (model.ok()) {
+    // Whatever loads must evaluate.
+    const std::vector<ColumnFactor> factors = {
+        {0, {0.5, 0.5}}, {1, {1.0, 0.0}}, {2, {0.25, 1.0}}};
+    EXPECT_GT((*model)->ExpectProduct(factors), 0.0);
+  }
+  return model.status().code();
+}
+
+TEST(SpnSerializationTest, CraftedValidModelLoads) {
+  EXPECT_EQ(LoadSpn(ValidSpnNodes()), StatusCode::kOk);
+}
+
+TEST(SpnSerializationTest, RejectsLeafWithoutExactlyOneColumn) {
+  auto nodes = ValidSpnNodes();
+  nodes[0].cols = {1, 2};
+  EXPECT_EQ(LoadSpn(nodes), StatusCode::kInvalidArgument);
+  nodes[0].cols = {};
+  EXPECT_EQ(LoadSpn(nodes), StatusCode::kInvalidArgument);
+}
+
+TEST(SpnSerializationTest, RejectsColumnIdOutOfRange) {
+  auto nodes = ValidSpnNodes();
+  nodes[0].cols = {3};
+  EXPECT_EQ(LoadSpn(nodes), StatusCode::kInvalidArgument);
+  nodes = ValidSpnNodes();
+  nodes[1].cols = {0, 7};
+  EXPECT_EQ(LoadSpn(nodes), StatusCode::kInvalidArgument);
+}
+
+TEST(SpnSerializationTest, RejectsMultiLeafKeyOfWrongWidth) {
+  auto nodes = ValidSpnNodes();
+  nodes[1].keys[1] = {1, 0, 0};
+  EXPECT_EQ(LoadSpn(nodes), StatusCode::kInvalidArgument);
+  nodes[1].keys[1] = {1};
+  EXPECT_EQ(LoadSpn(nodes), StatusCode::kInvalidArgument);
+}
+
+TEST(SpnSerializationTest, RejectsMultiLeafKeysNotStrictlyAscending) {
+  auto nodes = ValidSpnNodes();
+  std::swap(nodes[1].keys[0], nodes[1].keys[2]);
+  EXPECT_EQ(LoadSpn(nodes), StatusCode::kInvalidArgument);
+  nodes = ValidSpnNodes();
+  nodes[1].keys[2] = nodes[1].keys[1];  // duplicate
+  EXPECT_EQ(LoadSpn(nodes), StatusCode::kInvalidArgument);
+}
+
+TEST(SpnSerializationTest, RejectsChildNotBelowItsParent) {
+  // Forward references, self loops and cycles all fail this one rule.
+  auto nodes = ValidSpnNodes();
+  nodes[2].children = {0, 3};
+  EXPECT_EQ(LoadSpn(nodes), StatusCode::kInvalidArgument);
+  nodes[2].children = {2};
+  EXPECT_EQ(LoadSpn(nodes), StatusCode::kInvalidArgument);
+}
+
+TEST(SpnSerializationTest, RejectsSumWeightsNotMatchingChildren) {
+  auto nodes = ValidSpnNodes();
+  nodes[3].weights = {3};
+  EXPECT_EQ(LoadSpn(nodes), StatusCode::kInvalidArgument);
 }
 
 // ---------------------------------------------------------------------------
@@ -282,6 +511,46 @@ TEST(BayesCardSerializationTest, LoadedModelStillUpdates) {
   // The updated estimate tracks the new row count.
   EXPECT_NEAR((*loaded)->EstimateCard(q), static_cast<double>(before + 20),
               (before + 20) * 0.05);
+}
+
+TEST(FanoutModelSerializationTest, UpdatedModelsRoundTripBitIdentically) {
+  // Built on the stale half, then Update()d with the insertions: FLAT's
+  // multi-leaves gain keys through Route, and the reloaded model passes the
+  // ascending-key check only if Route kept the flat keys in order.
+  for (const std::string name : {"DeepDB", "FLAT"}) {
+    StatsGenConfig config;
+    config.scale = 0.05;
+    auto full = GenerateStatsDatabase(config);
+    TimeSplit split = SplitDatabaseByTime(*full, StatsTimestampColumn, 0.5);
+    Database& db = *split.stale;
+    TrueCardService truecard(db);
+    auto est = MakeEstimator(name, db, truecard, nullptr);
+    ASSERT_TRUE(est.ok()) << est.status().ToString();
+    ASSERT_TRUE(ApplyInsertions(db, split.insertions).ok());
+    ASSERT_TRUE((*est)->Update().ok());
+
+    std::stringstream stream;
+    ASSERT_TRUE((*est)->Serialize(stream).ok());
+    auto loaded = DeserializeEstimator(name, db, stream);
+    ASSERT_TRUE(loaded.ok()) << name << ": " << loaded.status().ToString();
+
+    for (const char* sql : {
+             "SELECT COUNT(*) FROM users, posts, comments WHERE users.Id = "
+             "posts.OwnerUserId AND posts.Id = comments.PostId AND "
+             "posts.Score >= 1 AND users.Reputation <= 500;",
+             "SELECT COUNT(*) FROM posts, votes, badges, users WHERE "
+             "posts.Id = votes.PostId AND users.Id = badges.UserId AND "
+             "users.Id = posts.OwnerUserId AND votes.VoteTypeId = 2;",
+         }) {
+      auto q = ParseSql(sql);
+      ASSERT_TRUE(q.ok()) << sql;
+      const QueryGraph graph(*q, db);
+      const auto& masks = graph.connected_subsets();
+      EXPECT_EQ((*loaded)->EstimateCards(graph, masks),
+                (*est)->EstimateCards(graph, masks))
+          << name << ": " << sql;
+    }
+  }
 }
 
 TEST(RegistryDeserializeTest, RefusesMismatchedArtifact) {
