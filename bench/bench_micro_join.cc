@@ -1,12 +1,13 @@
 // Micro-benchmark of the join hash path (src/exec/join_hash.h): builds and
-// count-probes the radix-partitioned open-addressing table against the
-// legacy chained `std::unordered_map<Value, std::vector<uint32_t>>` over a
-// (rows × radix_bits × threads) sweep with STATS-like key duplication.
-// Match counts are asserted identical between implementations at every
-// point — layout, fan-out, prefetch and parallelism are performance knobs
-// only. The JSON artifact feeds the check_perf_floor gate: the shape to
-// verify is multi-x probe throughput over legacy on STATS-scale build
-// sides.
+// count-probes the radix-partitioned open-addressing table against a
+// bench-local chained `std::unordered_map<Value, std::vector<uint32_t>>`
+// baseline (the "legacy" columns, named after the executor's join table
+// that the radix table replaced) over a (rows × radix_bits × threads)
+// sweep with STATS-like key duplication. Match counts are asserted
+// identical between the two tables at every point — layout, fan-out and
+// parallelism are performance knobs only. The JSON artifact feeds the
+// check_perf_floor gate: the shape to verify is multi-x probe throughput
+// over the baseline on STATS-scale build sides.
 //
 //   bench_micro_join [--json=PATH] [--reps=N] [--quick]
 //
@@ -88,8 +89,8 @@ LegacyTable BuildLegacy(const Input& build) {
   return ht;
 }
 
-/// Count-probe of the legacy table over one morsel (the executor's
-/// count-only fast path: sum bucket sizes).
+/// Count-probe of the baseline table over one morsel (the count-only fast
+/// path: sum bucket sizes).
 uint64_t ProbeLegacyMorsel(const LegacyTable& ht, const Input& probe,
                            size_t lo, size_t hi) {
   uint64_t count = 0;
@@ -103,9 +104,9 @@ uint64_t ProbeLegacyMorsel(const LegacyTable& ht, const Input& probe,
 
 /// Count-probe of the radix table over one morsel, mirroring the
 /// executor's RadixProbeMorsel: batch-hashed keys with software prefetch
-/// `distance` probes ahead.
+/// kJoinPrefetchDistance probes ahead.
 uint64_t ProbeRadixMorsel(const JoinHashTable& ht, const Input& probe,
-                          size_t lo, size_t hi, size_t distance,
+                          size_t lo, size_t hi,
                           std::vector<uint64_t>& hash_scratch) {
   uint64_t count = 0;
   uint64_t* hashes = hash_scratch.data();
@@ -113,13 +114,12 @@ uint64_t ProbeRadixMorsel(const JoinHashTable& ht, const Input& probe,
     hashes[i - lo] = probe.valid[i] ? JoinKeyHash(probe.keys[i]) : 0;
   }
   const size_t n = hi - lo;
-  for (size_t i = 0; i < std::min(distance, n); ++i) {
+  for (size_t i = 0; i < std::min(kJoinPrefetchDistance, n); ++i) {
     if (probe.valid[lo + i]) ht.Prefetch(hashes[i]);
   }
   for (size_t i = 0; i < n; ++i) {
-    if (distance != 0 && i + distance < n && probe.valid[lo + i + distance]) {
-      ht.Prefetch(hashes[i + distance]);
-    }
+    const size_t ahead = i + kJoinPrefetchDistance;
+    if (ahead < n && probe.valid[lo + ahead]) ht.Prefetch(hashes[ahead]);
     if (!probe.valid[lo + i]) continue;
     count += ht.CountMatches(probe.keys[lo + i], hashes[i]);
   }
@@ -270,8 +270,7 @@ int Run(int argc, char** argv) {
                   // arena-backed KeyScratch (which never zero-fills).
                   thread_local std::vector<uint64_t> scratch;
                   scratch.resize(kProbeMorselTuples);
-                  return ProbeRadixMorsel(table, probe, lo, hi,
-                                          config.prefetch_distance, scratch);
+                  return ProbeRadixMorsel(table, probe, lo, hi, scratch);
                 });
           }));
           CARDBENCH_CHECK(count == expected[t],

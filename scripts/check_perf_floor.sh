@@ -4,7 +4,8 @@
 # compares per-tier kernel speedups and join build/probe throughput against
 # the checked-in floors in bench/perf_floor.json. A change that silently
 # drops a vector tier to scalar-level throughput, or the radix join below
-# the legacy hash-map baseline, fails here instead of landing.
+# bench_micro_join's bench-local unordered_map baseline (its "legacy"
+# columns), fails here instead of landing.
 #
 # If scripts/perf_stat.sh has left a bench_perf_counters.json around, its
 # hardware counters (IPC, miss rates) are gated too; without one — perf is

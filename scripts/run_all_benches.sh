@@ -71,9 +71,10 @@ run bench_micro_executor
 # emits bench_micro_planner.json with the plans/sec and estimation share.
 run bench_micro_planner
 [ -f bench_micro_planner.json ] && mv bench_micro_planner.json "$LOGS/"
-# Join-table micro-bench: radix-partitioned build/probe vs the legacy
-# unordered_map across rows x radix_bits x threads; emits
-# bench_micro_join.json with ns-per-row and speedup-vs-legacy per point.
+# Join-table micro-bench: radix-partitioned build/probe vs a bench-local
+# unordered_map baseline (the "legacy" columns) across rows x radix_bits x
+# threads; emits bench_micro_join.json with ns-per-row and
+# speedup-vs-legacy per point.
 "$BENCH/bench_micro_join" --json=bench_micro_join.json \
   > "$LOGS/bench_micro_join.log" 2>&1
 [ -f bench_micro_join.json ] && mv bench_micro_join.json "$LOGS/"

@@ -169,8 +169,8 @@ void QueryFeaturizer::MscnTableElementInto(const QueryGraph::TableInfo& info,
     for (size_t i = 0; i < rows.size(); ++i) bits[i] = 1.0;
     return;
   }
-  ArenaFrame frame(&ThreadLocalArena());
-  uint32_t* passing = frame.arena()->AllocateArray<uint32_t>(rows.size());
+  ArenaFrame frame(ThreadLocalArena());
+  uint32_t* passing = frame.arena().AllocateArray<uint32_t>(rows.size());
   std::memcpy(passing, rows.data(), rows.size() * sizeof(uint32_t));
   const size_t count =
       FilterRowsConjunction(info.compiled, passing, rows.size());

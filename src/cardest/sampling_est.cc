@@ -125,8 +125,8 @@ double UniSampleEstimator::EstimateCard(const QueryGraph& graph,
     const std::vector<uint32_t>& sample = *samples_by_id_[info.table_id];
     // Probe scratch lives on the thread's arena: the sample copy is released
     // when the frame unwinds, so repeated probes allocate zero heap.
-    ArenaFrame frame(&ThreadLocalArena());
-    uint32_t* passing = frame.arena()->AllocateArray<uint32_t>(sample.size());
+    ArenaFrame frame(ThreadLocalArena());
+    uint32_t* passing = frame.arena().AllocateArray<uint32_t>(sample.size());
     std::memcpy(passing, sample.data(), sample.size() * sizeof(uint32_t));
     const size_t pass =
         FilterRowsConjunction(info.compiled, passing, sample.size());
@@ -157,8 +157,8 @@ std::vector<double> UniSampleEstimator::EstimateCards(
     const int local = std::countr_zero(rest);
     const QueryGraph::TableInfo& info = graph.table(local);
     const std::vector<uint32_t>& sample = *samples_by_id_[info.table_id];
-    ArenaFrame frame(&ThreadLocalArena());
-    uint32_t* passing = frame.arena()->AllocateArray<uint32_t>(sample.size());
+    ArenaFrame frame(ThreadLocalArena());
+    uint32_t* passing = frame.arena().AllocateArray<uint32_t>(sample.size());
     std::memcpy(passing, sample.data(), sample.size() * sizeof(uint32_t));
     const size_t pass =
         FilterRowsConjunction(info.compiled, passing, sample.size());

@@ -78,23 +78,19 @@ class Arena {
 };
 
 /// RAII frame: rewinds the arena to its construction point on destruction.
-/// Accepts nullptr and becomes inert — callers with an optional arena can
-/// always open a frame.
 class ArenaFrame {
  public:
-  explicit ArenaFrame(Arena* arena)
-      : arena_(arena), mark_(arena ? arena->Position() : Arena::Mark{}) {}
-  ~ArenaFrame() {
-    if (arena_ != nullptr) arena_->Rewind(mark_);
-  }
+  explicit ArenaFrame(Arena& arena)
+      : arena_(arena), mark_(arena.Position()) {}
+  ~ArenaFrame() { arena_.Rewind(mark_); }
 
   ArenaFrame(const ArenaFrame&) = delete;
   ArenaFrame& operator=(const ArenaFrame&) = delete;
 
-  Arena* arena() const { return arena_; }
+  Arena& arena() const { return arena_; }
 
  private:
-  Arena* arena_;
+  Arena& arena_;
   Arena::Mark mark_;
 };
 

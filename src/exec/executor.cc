@@ -14,12 +14,6 @@ namespace cardbench {
 
 namespace {
 
-/// Contiguous input rows per scan morsel / input tuples per probe morsel.
-/// A morsel is the unit of work dispatched to one worker; batches of
-/// ExecOptions::batch_size are the vectorization unit inside a morsel.
-constexpr size_t kScanMorselRows = 1 << 14;
-constexpr size_t kProbeMorselTuples = 1 << 12;
-
 /// Rows / iterations processed between wall-clock budget checks. Checking
 /// the clock is cheap but not free; this bounds both the overhead and the
 /// cut-off latency.
@@ -77,41 +71,32 @@ class EmitCap {
   Budget budget_;
 };
 
-/// KeyBatch storage for one morsel, allocated once at the morsel's batch
-/// capacity: from the calling thread's arena when `use_arena` (the frame
-/// unwinds when the morsel ends, so steady-state probing allocates zero
-/// heap), from the heap otherwise. Must be constructed on the thread that
-/// runs the morsel — it borrows that thread's arena.
+/// Gather buffers for one morsel's batched join-key access, allocated once
+/// at the morsel's batch capacity from the calling thread's arena (the
+/// frame unwinds when the morsel ends, so steady-state probing allocates
+/// zero heap). `rows[i]` is the base-table row of input tuple i of the
+/// batch, `keys[i]`/`valid[i]` the gathered key value and its non-NULL flag
+/// (see Column::Gather). Must be constructed on the thread that runs the
+/// morsel — it borrows that thread's arena.
 class KeyScratch {
  public:
-  KeyScratch(bool use_arena, size_t capacity)
-      : frame_(use_arena ? &ThreadLocalArena() : nullptr) {
-    if (Arena* arena = frame_.arena(); arena != nullptr) {
-      rows = arena->AllocateArray<uint32_t>(capacity);
-      keys = arena->AllocateArray<Value>(capacity);
-      valid = arena->AllocateArray<uint8_t>(capacity);
-      hashes = arena->AllocateArray<uint64_t>(capacity);
-    } else {
-      heap_.Resize(capacity);
-      rows = heap_.rows.data();
-      keys = heap_.keys.data();
-      valid = heap_.valid.data();
-      heap_hashes_.resize(capacity);
-      hashes = heap_hashes_.data();
-    }
+  explicit KeyScratch(size_t capacity) : frame_(ThreadLocalArena()) {
+    Arena& arena = frame_.arena();
+    rows = arena.AllocateArray<uint32_t>(capacity);
+    keys = arena.AllocateArray<Value>(capacity);
+    valid = arena.AllocateArray<uint8_t>(capacity);
+    hashes = arena.AllocateArray<uint64_t>(capacity);
   }
 
   uint32_t* rows = nullptr;
   Value* keys = nullptr;
   uint8_t* valid = nullptr;
-  /// Per-batch key hashes of the radix probe (computed once, then used for
-  /// both the prefetch lookahead and the table walk).
+  /// Per-batch key hashes of the hash-join probe (computed once, then used
+  /// for both the prefetch lookahead and the table walk).
   uint64_t* hashes = nullptr;
 
  private:
   ArenaFrame frame_;
-  KeyBatch heap_;
-  std::vector<uint64_t> heap_hashes_;
 };
 
 int LookupId(const std::unordered_map<std::string, int>& ids,
@@ -296,117 +281,19 @@ void ScanRange(const std::vector<CompiledPredicate>& preds, size_t lo,
   }
 }
 
-using HashTable = std::unordered_map<Value, std::vector<uint32_t>>;
-
-/// Builds the join hash table over the build side's key column: batched key
-/// gathers, budget-checked (a huge build input must respect the wall
-/// clock). NULL keys are skipped (they join nothing).
-void BuildHashTable(const TupleSet& build, const ColRef& key,
-                    size_t batch_size, bool use_arena, Budget budget,
-                    HashTable* ht) {
-  ht->reserve(build.size());
-  KeyScratch kb(use_arena, std::min(batch_size, build.size()));
-  size_t since_check = 0;
-  for (size_t b = 0; b < build.size(); b += batch_size) {
-    const size_t e = std::min(build.size(), b + batch_size);
-    if (since_check >= kBudgetCheckInterval) {
-      since_check = 0;
-      if (!budget.CheckTime()) return;
-    }
-    for (size_t t = b; t < e; ++t) {
-      kb.rows[t - b] = build.Row(t, static_cast<size_t>(key.component));
-    }
-    key.column->Gather(kb.rows, e - b, kb.keys, kb.valid);
-    for (size_t i = 0; i < e - b; ++i) {
-      if (kb.valid[i]) {
-        (*ht)[kb.keys[i]].push_back(static_cast<uint32_t>(b + i));
-      }
-    }
-    since_check += e - b;
-  }
-}
-
-/// Probes `ht` for the input tuples [t_lo, t_hi) of `left`. With `dst`
-/// non-null, combined tuples are appended (cap-enforced); otherwise matches
-/// are counted into `*count_out`. Key access is batched through
-/// Column::Gather; the budget is checked on every loop that scales with
-/// input or output size.
-void HashProbeMorsel(const TupleSet& left, const TupleSet& right,
-                     const ColRef& lkey, const HashTable& ht,
-                     const std::vector<std::pair<ColRef, ColRef>>& extra,
-                     size_t batch_size, bool use_arena, size_t t_lo,
-                     size_t t_hi, Budget budget, EmitCap* cap,
-                     std::vector<uint32_t>* dst, uint64_t* count_out) {
-  const size_t larity = left.arity();
-  const size_t rarity = right.arity();
-  KeyScratch kb(use_arena, std::min(batch_size, t_hi - t_lo));
-  uint64_t count = 0;
-  size_t since_check = 0;
-  if (!budget.CheckTime()) return;
-  for (size_t b = t_lo; b < t_hi; b += batch_size) {
-    const size_t e = std::min(t_hi, b + batch_size);
-    if (since_check >= kBudgetCheckInterval) {
-      since_check = 0;
-      if (!budget.CheckTime()) return;
-    }
-    for (size_t t = b; t < e; ++t) {
-      kb.rows[t - b] = left.Row(t, static_cast<size_t>(lkey.component));
-    }
-    lkey.column->Gather(kb.rows, e - b, kb.keys, kb.valid);
-    for (size_t i = 0; i < e - b; ++i) {
-      if (!kb.valid[i]) continue;
-      auto it = ht.find(kb.keys[i]);
-      if (it == ht.end()) continue;
-      const size_t lt = b + i;
-      if (dst == nullptr && extra.empty()) {
-        // Count-only without post-join filters: the whole bucket matches.
-        count += it->second.size();
-        since_check += it->second.size();
-        continue;
-      }
-      for (uint32_t rt : it->second) {
-        if (++since_check >= kBudgetCheckInterval) {
-          since_check = 0;
-          if (!budget.CheckTime()) return;
-        }
-        if (!extra.empty() && !ExtraEdgesMatch(extra, left, lt, right, rt)) {
-          continue;
-        }
-        if (dst != nullptr) {
-          if (!cap->Admit()) return;
-          for (size_t c = 0; c < larity; ++c) dst->push_back(left.Row(lt, c));
-          for (size_t c = 0; c < rarity; ++c) dst->push_back(right.Row(rt, c));
-        } else {
-          ++count;
-        }
-      }
-    }
-    since_check += e - b;
-  }
-  if (count_out != nullptr) *count_out += count;
-}
-
 /// JoinKeySource over a TupleSet's key column: batched row-id gathers
 /// through Column::Gather, exactly like the probe side's key access. Called
 /// from build morsel workers for disjoint ranges; the row-id scratch comes
-/// from the calling worker's arena (or the heap, per `use_arena`).
+/// from the calling worker's arena.
 class TupleKeySource final : public JoinKeySource {
  public:
-  TupleKeySource(const TupleSet& ts, const ColRef& key, bool use_arena)
-      : ts_(ts), key_(key), use_arena_(use_arena) {}
+  TupleKeySource(const TupleSet& ts, const ColRef& key) : ts_(ts), key_(key) {}
 
   void GatherKeys(size_t lo, size_t hi, Value* keys,
                   uint8_t* valid) const override {
     const size_t n = hi - lo;
-    ArenaFrame frame(use_arena_ ? &ThreadLocalArena() : nullptr);
-    std::vector<uint32_t> heap;
-    uint32_t* rows;
-    if (frame.arena() != nullptr) {
-      rows = frame.arena()->AllocateArray<uint32_t>(n);
-    } else {
-      heap.resize(n);
-      rows = heap.data();
-    }
+    ArenaFrame frame(ThreadLocalArena());
+    uint32_t* rows = frame.arena().AllocateArray<uint32_t>(n);
     for (size_t t = lo; t < hi; ++t) {
       rows[t - lo] = ts_.Row(t, static_cast<size_t>(key_.component));
     }
@@ -416,25 +303,25 @@ class TupleKeySource final : public JoinKeySource {
  private:
   const TupleSet& ts_;
   const ColRef& key_;
-  bool use_arena_;
 };
 
-/// RadixProbeMorsel is HashProbeMorsel's counterpart over the radix table:
-/// same batching, budget checks, count fast path, extra-edge evaluation and
-/// emission order (ForEachMatch enumerates ascending build rows, as the
-/// legacy bucket vectors did), plus a software-prefetch pipeline — while
-/// probe i walks the table, the tag/key lines of probe i + distance are
-/// already on their way up the cache hierarchy.
+/// Probes the radix join table `ht` for the input tuples [t_lo, t_hi) of
+/// `left`. With `dst` non-null, combined tuples are appended (cap-enforced)
+/// in (probe tuple, ascending build row) order; otherwise matches are
+/// counted into `*count_out`, reading each key's run length when there are
+/// no extra edges to check. Keys are gathered and hashed a batch at a time
+/// through Column::Gather, and the table lines of probe i +
+/// kJoinPrefetchDistance are prefetched while probe i walks the table. The
+/// budget is checked on every loop that scales with input or output size.
 void RadixProbeMorsel(const TupleSet& left, const TupleSet& right,
                       const ColRef& lkey, const JoinHashTable& ht,
                       const std::vector<std::pair<ColRef, ColRef>>& extra,
-                      size_t batch_size, bool use_arena,
-                      size_t prefetch_distance, size_t t_lo, size_t t_hi,
+                      size_t batch_size, size_t t_lo, size_t t_hi,
                       Budget budget, EmitCap* cap, std::vector<uint32_t>* dst,
                       uint64_t* count_out) {
   const size_t larity = left.arity();
   const size_t rarity = right.arity();
-  KeyScratch kb(use_arena, std::min(batch_size, t_hi - t_lo));
+  KeyScratch kb(std::min(batch_size, t_hi - t_lo));
   uint64_t count = 0;
   size_t since_check = 0;
   if (!budget.CheckTime()) return;
@@ -452,14 +339,12 @@ void RadixProbeMorsel(const TupleSet& left, const TupleSet& right,
     for (size_t i = 0; i < n; ++i) {
       kb.hashes[i] = kb.valid[i] ? JoinKeyHash(kb.keys[i]) : 0;
     }
-    for (size_t i = 0; i < std::min(prefetch_distance, n); ++i) {
+    for (size_t i = 0; i < std::min(kJoinPrefetchDistance, n); ++i) {
       if (kb.valid[i]) ht.Prefetch(kb.hashes[i]);
     }
     for (size_t i = 0; i < n; ++i) {
-      if (prefetch_distance != 0 && i + prefetch_distance < n &&
-          kb.valid[i + prefetch_distance]) {
-        ht.Prefetch(kb.hashes[i + prefetch_distance]);
-      }
+      const size_t ahead = i + kJoinPrefetchDistance;
+      if (ahead < n && kb.valid[ahead]) ht.Prefetch(kb.hashes[ahead]);
       if (!kb.valid[i]) continue;
       if (dst == nullptr && extra.empty()) {
         // Count-only without post-join filters: no per-match work at all.
@@ -505,11 +390,11 @@ void RadixProbeMorsel(const TupleSet& left, const TupleSet& right,
 /// edges. Budget-checked per posting-list entry batch (a huge posting list
 /// must respect the wall clock).
 void IndexProbeMorsel(const TupleSet& left, const IndexJoinSetup& s,
-                      size_t batch_size, bool use_arena, size_t t_lo,
-                      size_t t_hi, Budget budget, EmitCap* cap,
-                      std::vector<uint32_t>* dst, uint64_t* count_out) {
+                      size_t batch_size, size_t t_lo, size_t t_hi,
+                      Budget budget, EmitCap* cap, std::vector<uint32_t>* dst,
+                      uint64_t* count_out) {
   const size_t arity = left.arity();
-  KeyScratch kb(use_arena, std::min(batch_size, t_hi - t_lo));
+  KeyScratch kb(std::min(batch_size, t_hi - t_lo));
   uint64_t count = 0;
   size_t since_check = 0;
   if (!budget.CheckTime()) return;
@@ -557,11 +442,10 @@ void IndexProbeMorsel(const TupleSet& left, const IndexJoinSetup& s,
 std::vector<std::pair<Value, uint32_t>> SortedKeys(const TupleSet& ts,
                                                    const ColRef& key,
                                                    size_t batch_size,
-                                                   bool use_arena,
                                                    Budget budget) {
   std::vector<std::pair<Value, uint32_t>> keys;
   keys.reserve(ts.size());
-  KeyScratch kb(use_arena, std::min(batch_size, ts.size()));
+  KeyScratch kb(std::min(batch_size, ts.size()));
   size_t since_check = 0;
   for (size_t b = 0; b < ts.size(); b += batch_size) {
     const size_t e = std::min(ts.size(), b + batch_size);
@@ -728,28 +612,10 @@ Status Executor::HashJoinDriver(const PlanNode& plan, const TupleSet& left,
   CARDBENCH_RETURN_IF_ERROR(
       ResolveEdges(db_, table_ids_, plan, left, right, &refs));
 
-  if (options_.join_impl == JoinImpl::kLegacy) {
-    // Build on the right (inner) side, probe with the left.
-    HashTable ht;
-    BuildHashTable(right, refs.rkey, options_.batch_size, options_.use_arena,
-                   budget, &ht);
-    if (ctx.TimedOut()) return Status::OK();
-    RunProbeMorsels(
-        left.size(), ctx, out, count,
-        [&](size_t lo, size_t hi, std::vector<uint32_t>* dst, uint64_t* cnt) {
-          HashProbeMorsel(left, right, refs.lkey, ht, refs.extra,
-                          options_.batch_size, options_.use_arena, lo, hi,
-                          budget, cap_ptr, dst, cnt);
-        });
-    return Status::OK();
-  }
-
-  TupleKeySource source(right, refs.rkey, options_.use_arena);
+  // Build on the right (inner) side, probe with the left.
+  TupleKeySource source(right, refs.rkey);
   JoinHashConfig config;
-  config.radix_bits = options_.radix_bits;
-  config.prefetch_distance = options_.prefetch_distance;
   config.batch_size = options_.batch_size;
-  config.use_arena = options_.use_arena;
   JoinHashTable ht;
   const bool built = ht.Build(
       source, right.size(), config,
@@ -762,9 +628,8 @@ Status Executor::HashJoinDriver(const PlanNode& plan, const TupleSet& left,
       left.size(), ctx, out, count,
       [&](size_t lo, size_t hi, std::vector<uint32_t>* dst, uint64_t* cnt) {
         RadixProbeMorsel(left, right, refs.lkey, ht, refs.extra,
-                         options_.batch_size, options_.use_arena,
-                         options_.prefetch_distance, lo, hi, budget, cap_ptr,
-                         dst, cnt);
+                         options_.batch_size, lo, hi, budget, cap_ptr, dst,
+                         cnt);
       });
   return Status::OK();
 }
@@ -875,9 +740,8 @@ Status Executor::ExecuteJoin(const PlanNode& plan, Ctx& ctx,
     RunProbeMorsels(
         left.size(), ctx, out, nullptr,
         [&](size_t lo, size_t hi, std::vector<uint32_t>* dst, uint64_t* cnt) {
-          IndexProbeMorsel(left, setup, options_.batch_size,
-                           options_.use_arena, lo, hi, budget, &cap, dst,
-                           cnt);
+          IndexProbeMorsel(left, setup, options_.batch_size, lo, hi, budget,
+                           &cap, dst, cnt);
         });
     return Status::OK();
   }
@@ -900,10 +764,8 @@ Status Executor::ExecuteJoin(const PlanNode& plan, Ctx& ctx,
 
   // Merge join: sort both inputs by key (NULLs dropped), then walk equal
   // runs, emitting their cross products.
-  const auto lkeys = SortedKeys(left, refs.lkey, options_.batch_size,
-                                options_.use_arena, budget);
-  const auto rkeys = SortedKeys(right, refs.rkey, options_.batch_size,
-                                options_.use_arena, budget);
+  const auto lkeys = SortedKeys(left, refs.lkey, options_.batch_size, budget);
+  const auto rkeys = SortedKeys(right, refs.rkey, options_.batch_size, budget);
   if (ctx.TimedOut()) return Status::OK();
   MergeRuns(left, right, lkeys, rkeys, refs.extra, budget, &cap, &out->data,
             nullptr);
@@ -944,9 +806,8 @@ Status Executor::CountNode(const PlanNode& plan, Ctx& ctx,
     RunProbeMorsels(
         left.size(), ctx, nullptr, count,
         [&](size_t lo, size_t hi, std::vector<uint32_t>* dst, uint64_t* cnt) {
-          IndexProbeMorsel(left, setup, options_.batch_size,
-                           options_.use_arena, lo, hi, budget, nullptr, dst,
-                           cnt);
+          IndexProbeMorsel(left, setup, options_.batch_size, lo, hi, budget,
+                           nullptr, dst, cnt);
         });
     return Status::OK();
   }
@@ -962,10 +823,10 @@ Status Executor::CountNode(const PlanNode& plan, Ctx& ctx,
     EdgeRefs refs;
     CARDBENCH_RETURN_IF_ERROR(
         ResolveEdges(db_, table_ids_, plan, left, right, &refs));
-    const auto lkeys = SortedKeys(left, refs.lkey, options_.batch_size,
-                                  options_.use_arena, budget);
-    const auto rkeys = SortedKeys(right, refs.rkey, options_.batch_size,
-                                  options_.use_arena, budget);
+    const auto lkeys =
+        SortedKeys(left, refs.lkey, options_.batch_size, budget);
+    const auto rkeys =
+        SortedKeys(right, refs.rkey, options_.batch_size, budget);
     if (ctx.TimedOut()) return Status::OK();
     MergeRuns(left, right, lkeys, rkeys, refs.extra, budget, nullptr, nullptr,
               count);
@@ -973,7 +834,7 @@ Status Executor::CountNode(const PlanNode& plan, Ctx& ctx,
   }
 
   // Hash-count: the same driver ExecuteJoin materializes through, in its
-  // count-only mode (no emission, no cap, bucket-size fast path).
+  // count-only mode (no emission, no cap, run-length fast path).
   return HashJoinDriver(plan, left, right, ctx, nullptr, count);
 }
 

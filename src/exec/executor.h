@@ -28,25 +28,18 @@ struct ExecLimits {
   double timeout_seconds = 60.0;
 };
 
-/// Which hash-join table implementation the executor runs on. Both produce
-/// bit-identical TupleSets and counts (exec_parity_test asserts it); the
-/// legacy table stays selectable as the A/B and parity baseline.
-enum class JoinImpl {
-  /// Radix-partitioned open-addressing table with tag vectors, arena
-  /// backing, software prefetch and morsel-parallel build (exec/join_hash).
-  kRadix,
-  /// Chained `std::unordered_map<Value, std::vector<uint32_t>>`.
-  kLegacy,
-};
+/// Contiguous input rows per scan morsel / input tuples per probe morsel.
+/// A morsel is the unit of work dispatched to one worker; batches of
+/// ExecOptions::batch_size are the vectorization unit inside a morsel (a
+/// batch larger than a morsel widens the morsel to one batch).
+inline constexpr size_t kScanMorselRows = size_t{1} << 14;
+inline constexpr size_t kProbeMorselTuples = size_t{1} << 12;
 
 /// Knobs of the vectorized, morsel-driven execution pipeline. No knob
 /// affects results: with num_threads == 1 output is bit-identical to any
 /// other configuration (morsel outputs are concatenated in morsel order, so
 /// parallel runs produce identical tuple order too); batch_size only sets
-/// the granularity of the internal selection-vector / key-gather batches;
-/// join_impl/radix_bits/prefetch_distance select layout and lookahead of
-/// the join hash table, whose match enumeration order is
-/// implementation-independent (ascending build row).
+/// the granularity of the internal selection-vector / key-gather batches.
 struct ExecOptions {
   /// Rows per vectorized batch (selection vectors, key gathers).
   size_t batch_size = 1024;
@@ -54,19 +47,6 @@ struct ExecOptions {
   /// build + probe, index-nested-loop probe). 1 = serial, no pool is
   /// created.
   size_t num_threads = 1;
-  /// Allocate per-morsel gather scratch (KeyBatch buffers) and the radix
-  /// join table from the worker thread's arena instead of the heap.
-  /// Steady-state execution then allocates zero heap per morsel. Purely an
-  /// allocation-strategy knob — results are identical either way.
-  bool use_arena = true;
-  /// Hash-join table implementation (A/B switch; results identical).
-  JoinImpl join_impl = JoinImpl::kRadix;
-  /// log2 of the radix join's partition fan-out (0 = unpartitioned single
-  /// table). Ignored by the legacy implementation.
-  size_t radix_bits = 4;
-  /// Software-prefetch lookahead (in keys / build entries) of the radix
-  /// join's build and probe loops; 0 disables prefetching.
-  size_t prefetch_distance = 8;
 };
 
 /// Outcome of executing one COUNT(*) plan.
@@ -140,10 +120,10 @@ class Executor {
   Status CountNode(const PlanNode& plan, Ctx& ctx, uint64_t* count) const;
 
   /// Shared hash-join driver of ExecuteJoin and the count-only root:
-  /// resolves the join edges, builds the configured join table (JoinImpl
-  /// A/B seam) over `right`, and probes with `left` — materializing
-  /// combined tuples into `out` when non-null (cap-enforced), streaming a
-  /// match count into `*count` otherwise.
+  /// resolves the join edges, builds the join table (exec/join_hash) over
+  /// `right`, and probes with `left` — materializing combined tuples into
+  /// `out` when non-null (cap-enforced), streaming a match count into
+  /// `*count` otherwise.
   Status HashJoinDriver(const PlanNode& plan, const TupleSet& left,
                         const TupleSet& right, Ctx& ctx, TupleSet* out,
                         uint64_t* count) const;

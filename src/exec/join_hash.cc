@@ -8,10 +8,6 @@ namespace cardbench {
 
 namespace {
 
-/// Rows per build morsel — matches the executor's scan morsel granularity
-/// so one morsel's gather touches the same working set a scan morsel does.
-constexpr size_t kBuildMorselRows = size_t{1} << 14;
-
 /// Inserts between budget checks inside the partition-insert loop (the only
 /// build loop whose per-task size is unbounded by the morsel split).
 constexpr size_t kInsertBudgetInterval = size_t{1} << 14;
@@ -23,15 +19,6 @@ size_t NextPow2(size_t x) {
 
 }  // namespace
 
-template <typename T>
-T* JoinHashTable::Alloc(size_t count) {
-  if (frame_.has_value()) {
-    return frame_->arena()->AllocateArray<T>(count);
-  }
-  heap_blocks_.emplace_back(std::max<size_t>(count * sizeof(T), 1));
-  return reinterpret_cast<T*>(heap_blocks_.back().data());
-}
-
 bool JoinHashTable::Build(const JoinKeySource& source, size_t num_tuples,
                           const JoinHashConfig& config,
                           const JoinMorselRunner& runner,
@@ -39,7 +26,7 @@ bool JoinHashTable::Build(const JoinKeySource& source, size_t num_tuples,
   radix_bits_ = std::min(config.radix_bits, JoinHashConfig::kMaxRadixBits);
   const size_t fanout = size_t{1} << radix_bits_;
   fanout_mask_ = fanout - 1;
-  if (config.use_arena) frame_.emplace(&ThreadLocalArena());
+  Arena& arena = frame_.emplace(ThreadLocalArena()).arena();
   parts_.assign(fanout, Partition{});
 
   const size_t num_morsels =
@@ -93,8 +80,7 @@ bool JoinHashTable::Build(const JoinKeySource& source, size_t num_tuples,
   // partition-major bases with morsel-major cursors inside a partition, so
   // the scatter below writes every partition's entries in ascending build-
   // row order no matter how morsels interleave across threads. That order
-  // is what makes the table's match enumeration bit-identical to the legacy
-  // chained table's bucket vectors.
+  // is what makes the table's match enumeration ascending in build row.
   std::vector<uint64_t> part_start(fanout + 1, 0);
   for (size_t p = 0; p < fanout; ++p) {
     uint64_t total = 0;
@@ -144,8 +130,7 @@ bool JoinHashTable::Build(const JoinKeySource& source, size_t num_tuples,
     uint32_t count;
     uint32_t base;
   };
-  const size_t dist =
-      std::min(config.prefetch_distance, JoinHashConfig::kMaxPrefetchDistance);
+  constexpr size_t dist = kJoinPrefetchDistance;
   std::vector<std::vector<TempSlot>> temps(fanout);
   std::vector<size_t> distinct(fanout, 0);
   run(fanout, [&](size_t p) {
@@ -158,7 +143,7 @@ bool JoinHashTable::Build(const JoinKeySource& source, size_t num_tuples,
     temp.assign(tcap, TempSlot{0, 0, 0});
     size_t d = 0;
     for (uint64_t i = 0; i < n; ++i) {
-      if (dist != 0 && i + dist < n) {
+      if (i + dist < n) {
         __builtin_prefetch(
             temp.data() + ((ent_hash[base + i + dist] >> radix_bits_) & tmask),
             1, 1);
@@ -193,9 +178,9 @@ bool JoinHashTable::Build(const JoinKeySource& source, size_t num_tuples,
     const size_t cap = std::max(kTagGroupWidth, NextPow2(2 * distinct[p]));
     Partition& part = parts_[p];
     part.cap_mask = cap - 1;
-    part.tags = Alloc<uint8_t>(cap + kTagGroupWidth - 1);
-    part.slots = Alloc<Slot>(cap);
-    part.rows = Alloc<uint32_t>(std::max<size_t>(n, 1));
+    part.tags = arena.AllocateArray<uint8_t>(cap + kTagGroupWidth - 1);
+    part.slots = arena.AllocateArray<Slot>(cap);
+    part.rows = arena.AllocateArray<uint32_t>(std::max<size_t>(n, 1));
     std::memset(part.tags, kEmptyTag, cap + kTagGroupWidth - 1);
   }
 
@@ -232,7 +217,7 @@ bool JoinHashTable::Build(const JoinKeySource& source, size_t num_tuples,
     if (aborted.load(std::memory_order_relaxed)) return;
 
     for (uint64_t i = 0; i < n; ++i) {
-      if (dist != 0 && i + dist < n) {
+      if (i + dist < n) {
         __builtin_prefetch(
             temp + ((ent_hash[base + i + dist] >> radix_bits_) & tmask), 1, 1);
       }

@@ -14,36 +14,43 @@
 
 namespace cardbench {
 
-/// Cache-conscious replacement for the executor's chained
-/// `std::unordered_map<Value, std::vector<uint32_t>>` join table:
+/// Build tuples per build morsel — matches the executor's scan morsel
+/// granularity so one morsel's gather touches the same working set a scan
+/// morsel does.
+inline constexpr size_t kBuildMorselRows = size_t{1} << 14;
+
+/// Software-prefetch lookahead, in keys / build entries, of the join's
+/// build loops and of its probe callers (the executor's probe morsels and
+/// bench_micro_join): while entry i walks the table, the home slot of entry
+/// i + kJoinPrefetchDistance is already on its way up the cache hierarchy.
+inline constexpr size_t kJoinPrefetchDistance = 8;
+
+/// The executor's hash-join table:
 ///
 ///  - **Radix-partitioned build** (configurable fan-out 2^radix_bits):
 ///    build keys are materialized once, then distributed with a classic
 ///    2-pass histogram + scatter keyed on the low hash bits. Per-morsel
 ///    histograms merged into global offsets make the scatter morsel-
 ///    parallel yet write each partition's entries in ascending build-tuple
-///    order regardless of thread count — the order the legacy table's
-///    bucket vectors had, so results stay bit-identical.
+///    order regardless of thread count.
 ///  - **Unique-key open addressing + contiguous postings** per partition:
 ///    the linear-probe table (load factor <= 1/2, sized by the *distinct*
 ///    key count) holds one 16-byte slot per distinct key — the key plus an
 ///    (offset, count) run descriptor into a contiguous build-row postings
 ///    array. Duplicates never lengthen probe chains, a count-only probe is
-///    O(1) after the slot lookup (read `count`, like the legacy table's
-///    `vector::size()`), and match enumeration streams one cache-friendly
-///    postings run laid out in ascending build-row order — the order the
-///    legacy table's bucket vectors had, so results stay bit-identical.
+///    O(1) after the slot lookup (read `count`), and match enumeration
+///    streams one cache-friendly postings run laid out in ascending
+///    build-row order, so results do not depend on fan-out or threads.
 ///  - **1-byte tag vectors**: a slot's tag is 1 + the top 7 hash bits
 ///    (never the empty marker 0). Probes scan tags 16 at a time through the
 ///    storage tag-probe kernel and only touch the slot array on tag hits —
 ///    a bloom-style early reject that keeps misses inside one cache line.
-///  - **Arena-backed storage**: with `use_arena` every array comes from the
-///    building thread's ThreadLocalArena inside an ArenaFrame held by the
-///    table, so steady-state joins allocate zero heap; the frame unwinds
-///    when the table is destroyed. The arrays are plain trivially-
-///    destructible storage either way.
-///  - **Software prefetch**: the build insert loop prefetches the home
-///    slots `prefetch_distance` entries ahead; probe-side callers are
+///  - **Arena-backed storage**: every array comes from the building
+///    thread's ThreadLocalArena inside an ArenaFrame held by the table, so
+///    steady-state joins allocate zero heap; the frame unwinds when the
+///    table is destroyed.
+///  - **Software prefetch**: the build insert loops prefetch the home
+///    slots kJoinPrefetchDistance entries ahead; probe-side callers are
 ///    expected to do the same through Prefetch() (the executor's batched
 ///    probe morsels do).
 ///
@@ -54,16 +61,10 @@ struct JoinHashConfig {
   /// log2 of the partition fan-out. 0 = a single table (no partitioning).
   /// Clamped to kMaxRadixBits.
   size_t radix_bits = 4;
-  /// Entries of lookahead for software prefetch in build/probe loops;
-  /// 0 disables prefetching. Clamped to kMaxPrefetchDistance.
-  size_t prefetch_distance = 8;
   /// Granularity of the batched key gathers feeding the build.
   size_t batch_size = 1024;
-  /// Allocate the table from the building thread's arena (else the heap).
-  bool use_arena = true;
 
   static constexpr size_t kMaxRadixBits = 12;
-  static constexpr size_t kMaxPrefetchDistance = 64;
 };
 
 /// Batched key access of the build input: fills keys[0, hi-lo) and
@@ -106,8 +107,8 @@ class JoinHashTable {
 
   /// Builds the table over `num_tuples` build tuples. Returns false when
   /// the budget tripped mid-build (the table is then unusable and the
-  /// caller must unwind, mirroring the legacy build's abandonment
-  /// contract). NULL keys (valid == 0) are skipped: they join nothing.
+  /// caller must unwind). NULL keys (valid == 0) are skipped: they join
+  /// nothing.
   bool Build(const JoinKeySource& source, size_t num_tuples,
              const JoinHashConfig& config, const JoinMorselRunner& runner,
              const JoinBudgetCheck& budget_check);
@@ -119,12 +120,12 @@ class JoinHashTable {
   size_t fanout() const { return size_t{1} << radix_bits_; }
 
   /// Prefetches the tag/slot lines a probe of `hash` will touch first.
-  /// Probe loops call this `prefetch_distance` keys ahead.
+  /// Probe loops call this kJoinPrefetchDistance keys ahead.
   inline void Prefetch(uint64_t hash) const {
     const Partition& p = parts_[hash & fanout_mask_];
     const size_t slot = (hash >> radix_bits_) & p.cap_mask;
     // Locality 3 = prefetcht0: pull all the way into L1 — the demand loads
-    // follow within `prefetch_distance` probes, and a t2 prefetch would
+    // follow within kJoinPrefetchDistance probes, and a t2 prefetch would
     // still leave them paying the L2 round trip.
     __builtin_prefetch(p.tags + slot, 0, 3);
     __builtin_prefetch(p.slots + slot, 0, 3);
@@ -200,13 +201,9 @@ class JoinHashTable {
     }
   }
 
-  /// Allocates `count` Ts from the arena or the heap backing store.
-  template <typename T>
-  T* Alloc(size_t count);
-
+  /// Holds the partition arrays; opened by Build() on the building
+  /// thread's arena.
   std::optional<ArenaFrame> frame_;
-  /// Heap fallback when use_arena is off: one owned block per allocation.
-  std::vector<std::vector<char>> heap_blocks_;
 
   std::vector<Partition> parts_;
   size_t radix_bits_ = 0;

@@ -4,8 +4,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "storage/value.h"
-
 namespace cardbench {
 
 /// A fixed-capacity unit of vectorized work: a selection vector of row ids
@@ -20,21 +18,6 @@ struct RowBatch {
   bool empty() const { return sel.empty(); }
   void Clear() { sel.clear(); }
   void Reserve(size_t n) { sel.reserve(n); }
-};
-
-/// Gather buffers for batched join-key access: `rows[i]` is the base-table
-/// row of input tuple i of the batch, `keys[i]`/`valid[i]` the gathered key
-/// value and its non-NULL flag (see Column::Gather).
-struct KeyBatch {
-  std::vector<uint32_t> rows;
-  std::vector<Value> keys;
-  std::vector<uint8_t> valid;
-
-  void Resize(size_t n) {
-    rows.resize(n);
-    keys.resize(n);
-    valid.resize(n);
-  }
 };
 
 }  // namespace cardbench

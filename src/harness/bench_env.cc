@@ -1,8 +1,13 @@
 #include "harness/bench_env.h"
 
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <limits>
+#include <string>
+#include <type_traits>
 
 #include "cardest/truecard_est.h"
 #include "common/logging.h"
@@ -13,6 +18,42 @@
 #include "metrics/metrics.h"
 
 namespace cardbench {
+
+namespace {
+
+/// Parses the value of the numeric flag `arg` ("--name=value", `prefix` =
+/// "--name="). The whole value must spell one T — no whitespace, no
+/// trailing characters, no sign for unsigned T — within [lo, hi]; a
+/// floating-point value must also be finite and above 0. Anything else
+/// prints the error and exits with status 2.
+template <typename T>
+T NumericFlag(const std::string& arg, const std::string& prefix,
+              T lo = std::numeric_limits<T>::lowest(),
+              T hi = std::numeric_limits<T>::max()) {
+  const char* begin = arg.c_str() + prefix.size();
+  const char* end = arg.c_str() + arg.size();
+  T value{};
+  const auto [ptr, ec] = std::from_chars(begin, end, value);
+  bool ok = ec == std::errc() && ptr == end && lo <= value && value <= hi;
+  if constexpr (std::is_floating_point_v<T>) {
+    ok = ok && std::isfinite(value) && value > 0;
+  }
+  if (!ok) {
+    const std::string name = prefix.substr(0, prefix.size() - 1);
+    if constexpr (std::is_floating_point_v<T>) {
+      std::fprintf(stderr, "%s must be a finite number > 0, got %s\n",
+                   name.c_str(), arg.c_str());
+    } else {
+      std::fprintf(stderr, "%s must be an integer in [%s, %s], got %s\n",
+                   name.c_str(), std::to_string(lo).c_str(),
+                   std::to_string(hi).c_str(), arg.c_str());
+    }
+    std::exit(2);
+  }
+  return value;
+}
+
+}  // namespace
 
 BenchFlags ParseBenchFlags(int argc, char** argv) {
   // Bench tables are often tee'd into logs; line buffering keeps rows
@@ -27,11 +68,11 @@ BenchFlags ParseBenchFlags(int argc, char** argv) {
     if (arg == "--fast") {
       flags.fast = true;
     } else if (StartsWith(arg, "--scale=")) {
-      flags.scale = std::stod(value_of("--scale="));
+      flags.scale = NumericFlag<double>(arg, "--scale=");
     } else if (StartsWith(arg, "--max-queries=")) {
-      flags.max_queries = std::stoul(value_of("--max-queries="));
+      flags.max_queries = NumericFlag<size_t>(arg, "--max-queries=");
     } else if (StartsWith(arg, "--exec-timeout=")) {
-      flags.exec_timeout = std::stod(value_of("--exec-timeout="));
+      flags.exec_timeout = NumericFlag<double>(arg, "--exec-timeout=");
     } else if (StartsWith(arg, "--cache-dir=")) {
       flags.cache_dir = value_of("--cache-dir=");
     } else if (StartsWith(arg, "--model-dir=")) {
@@ -39,124 +80,31 @@ BenchFlags ParseBenchFlags(int argc, char** argv) {
     } else if (StartsWith(arg, "--estimators=")) {
       flags.estimators = Split(value_of("--estimators="), ',');
     } else if (StartsWith(arg, "--training-queries=")) {
-      flags.training_queries = std::stoul(value_of("--training-queries="));
+      flags.training_queries =
+          NumericFlag<size_t>(arg, "--training-queries=");
     } else if (StartsWith(arg, "--exec-repeats=")) {
-      flags.exec_repeats = std::stoul(value_of("--exec-repeats="));
+      flags.exec_repeats = NumericFlag<size_t>(arg, "--exec-repeats=", 1);
     } else if (StartsWith(arg, "--threads=")) {
-      size_t parsed = 0;
-      try {
-        parsed = std::stoul(value_of("--threads="));
-      } catch (const std::exception&) {
-        parsed = 0;  // falls through to the range error below
-      }
-      if (parsed < 1 || parsed > 1024) {
-        std::fprintf(stderr, "--threads must be in [1, 1024], got %s\n",
-                     arg.c_str());
-        std::exit(2);
-      }
-      flags.threads = parsed;
+      flags.threads = NumericFlag<size_t>(arg, "--threads=", 1, 1024);
     } else if (StartsWith(arg, "--queue-depth=")) {
-      size_t parsed = 0;
-      try {
-        parsed = std::stoul(value_of("--queue-depth="));
-      } catch (const std::exception&) {
-        parsed = 0;
-      }
-      if (parsed < 1) {
-        std::fprintf(stderr, "--queue-depth must be >= 1, got %s\n",
-                     arg.c_str());
-        std::exit(2);
-      }
-      flags.queue_depth = parsed;
+      flags.queue_depth = NumericFlag<size_t>(arg, "--queue-depth=", 1);
     } else if (StartsWith(arg, "--exec-threads=")) {
-      size_t parsed = 0;
-      try {
-        parsed = std::stoul(value_of("--exec-threads="));
-      } catch (const std::exception&) {
-        parsed = 0;
-      }
-      if (parsed < 1 || parsed > 1024) {
-        std::fprintf(stderr, "--exec-threads must be in [1, 1024], got %s\n",
-                     arg.c_str());
-        std::exit(2);
-      }
-      flags.exec_threads = parsed;
+      flags.exec_threads =
+          NumericFlag<size_t>(arg, "--exec-threads=", 1, 1024);
     } else if (StartsWith(arg, "--batch-size=")) {
-      size_t parsed = 0;
-      try {
-        parsed = std::stoul(value_of("--batch-size="));
-      } catch (const std::exception&) {
-        parsed = 0;
-      }
-      if (parsed < 1) {
-        std::fprintf(stderr, "--batch-size must be >= 1, got %s\n",
-                     arg.c_str());
-        std::exit(2);
-      }
-      flags.batch_size = parsed;
-    } else if (StartsWith(arg, "--arena=")) {
-      const std::string v = value_of("--arena=");
-      if (v == "on" || v == "1" || v == "true") {
-        flags.use_arena = true;
-      } else if (v == "off" || v == "0" || v == "false") {
-        flags.use_arena = false;
-      } else {
-        std::fprintf(stderr, "--arena must be on/off, got %s\n", arg.c_str());
-        std::exit(2);
-      }
-    } else if (StartsWith(arg, "--join-impl=")) {
-      const std::string v = value_of("--join-impl=");
-      if (v == "radix") {
-        flags.join_impl = JoinImpl::kRadix;
-      } else if (v == "legacy") {
-        flags.join_impl = JoinImpl::kLegacy;
-      } else {
-        std::fprintf(stderr, "--join-impl must be radix/legacy, got %s\n",
-                     arg.c_str());
-        std::exit(2);
-      }
-    } else if (StartsWith(arg, "--radix-bits=")) {
-      size_t parsed = 0;
-      bool ok = true;
-      try {
-        parsed = std::stoul(value_of("--radix-bits="));
-      } catch (const std::exception&) {
-        ok = false;
-      }
-      if (!ok || parsed > 12) {
-        std::fprintf(stderr, "--radix-bits must be in [0, 12], got %s\n",
-                     arg.c_str());
-        std::exit(2);
-      }
-      flags.radix_bits = parsed;
-    } else if (StartsWith(arg, "--prefetch-distance=")) {
-      size_t parsed = 0;
-      bool ok = true;
-      try {
-        parsed = std::stoul(value_of("--prefetch-distance="));
-      } catch (const std::exception&) {
-        ok = false;
-      }
-      if (!ok || parsed > 64) {
-        std::fprintf(stderr,
-                     "--prefetch-distance must be in [0, 64], got %s\n",
-                     arg.c_str());
-        std::exit(2);
-      }
-      flags.prefetch_distance = parsed;
+      flags.batch_size =
+          NumericFlag<size_t>(arg, "--batch-size=", 1, size_t{1} << 20);
     } else if (StartsWith(arg, "--seed=")) {
-      flags.seed = std::stoull(value_of("--seed="));
+      flags.seed = NumericFlag<uint64_t>(arg, "--seed=");
     } else if (StartsWith(arg, "--verbose=")) {
-      LogLevel() = std::stoi(value_of("--verbose="));
+      LogLevel() = NumericFlag<int>(arg, "--verbose=", 0, 2);
     } else {
       std::fprintf(stderr,
                    "unknown flag %s\nflags: --fast --scale=F --max-queries=N "
                    "--exec-timeout=S --exec-repeats=N --cache-dir=D "
                    "--model-dir=D --estimators=a,b --training-queries=N "
                    "--threads=N --queue-depth=N --exec-threads=N "
-                   "--batch-size=N --arena=on|off --join-impl=radix|legacy "
-                   "--radix-bits=N --prefetch-distance=N --seed=N "
-                   "--verbose=L\n",
+                   "--batch-size=N --seed=N --verbose=L\n",
                    arg.c_str());
       std::exit(2);
     }

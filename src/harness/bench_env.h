@@ -52,38 +52,24 @@ struct BenchFlags {
   size_t exec_threads = 1;
   /// Vectorized batch size of the executor (ExecOptions::batch_size).
   size_t batch_size = 1024;
-  /// Arena-backed per-morsel scratch and join tables (ExecOptions::
-  /// use_arena). Off routes the executor's gather buffers and the radix
-  /// join's arrays back to the heap for A/B comparisons.
-  bool use_arena = true;
-  /// Hash-join implementation (ExecOptions::join_impl): the radix-
-  /// partitioned table or the legacy chained map (A/B; identical results).
-  JoinImpl join_impl = JoinImpl::kRadix;
-  /// Radix join partition fan-out, log2 (ExecOptions::radix_bits).
-  size_t radix_bits = 4;
-  /// Radix join software-prefetch lookahead (ExecOptions::
-  /// prefetch_distance); 0 disables prefetching.
-  size_t prefetch_distance = 8;
   uint64_t seed = 2021;
 
   ExecOptions exec_options() const {
     ExecOptions options;
     options.batch_size = batch_size;
     options.num_threads = exec_threads;
-    options.use_arena = use_arena;
-    options.join_impl = join_impl;
-    options.radix_bits = radix_bits;
-    options.prefetch_distance = prefetch_distance;
     return options;
   }
 };
 
 /// Parses --scale=, --fast, --max-queries=, --exec-timeout=, --cache-dir=,
-/// --model-dir=, --estimators=a,b,c, --training-queries=, --threads=,
-/// --queue-depth=, --exec-threads=, --batch-size=, --arena=on|off,
-/// --join-impl=radix|legacy, --radix-bits=, --prefetch-distance=, --seed=,
+/// --model-dir=, --estimators=a,b,c, --training-queries=, --exec-repeats=,
+/// --threads=, --queue-depth=, --exec-threads=, --batch-size=, --seed=,
 /// --verbose=.
-/// Unknown flags and invalid values abort with a usage message.
+/// Numeric values must be the whole argument after '=': unsigned integers
+/// without a sign within each flag's range, and for --scale and
+/// --exec-timeout a finite number above 0. Unknown flags and invalid values
+/// print the error and exit with status 2.
 BenchFlags ParseBenchFlags(int argc, char** argv);
 
 enum class BenchDataset { kStats, kImdb };

@@ -77,8 +77,8 @@ uint64_t CountRangeConjunction(const std::vector<CompiledPredicate>& predicates,
   // counting allocates zero heap.
   constexpr size_t kCountBatch = 4096;
   uint64_t count = 0;
-  ArenaFrame frame(&ThreadLocalArena());
-  uint32_t* scratch = frame.arena()->AllocateArray<uint32_t>(kCountBatch);
+  ArenaFrame frame(ThreadLocalArena());
+  uint32_t* scratch = frame.arena().AllocateArray<uint32_t>(kCountBatch);
   for (size_t lo = begin; lo < end; lo += kCountBatch) {
     const size_t hi = std::min(end, lo + kCountBatch);
     size_t kept = predicates[0].column->FilterRangeRaw(

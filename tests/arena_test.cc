@@ -82,9 +82,9 @@ TEST(ArenaTest, FrameRewindsToConstructionPoint) {
   (void)arena.Allocate(100);
   const size_t outer = arena.bytes_used();
   {
-    ArenaFrame frame(&arena);
-    EXPECT_EQ(frame.arena(), &arena);
-    (void)frame.arena()->Allocate(5000);
+    ArenaFrame frame(arena);
+    EXPECT_EQ(&frame.arena(), &arena);
+    (void)frame.arena().Allocate(5000);
     EXPECT_GT(arena.bytes_used(), outer);
   }
   EXPECT_EQ(arena.bytes_used(), outer);
@@ -92,14 +92,14 @@ TEST(ArenaTest, FrameRewindsToConstructionPoint) {
 
 TEST(ArenaTest, NestedFramesUnwindInOrder) {
   Arena arena(256);
-  ArenaFrame a(&arena);
+  ArenaFrame a(arena);
   (void)arena.Allocate(100);
   const size_t after_a = arena.bytes_used();
   {
-    ArenaFrame b(&arena);
+    ArenaFrame b(arena);
     (void)arena.Allocate(1000);  // spills into a grown block
     {
-      ArenaFrame c(&arena);
+      ArenaFrame c(arena);
       (void)arena.Allocate(10000);
     }
     const size_t in_b = arena.bytes_used();
@@ -107,11 +107,6 @@ TEST(ArenaTest, NestedFramesUnwindInOrder) {
     EXPECT_GT(arena.bytes_used(), in_b);
   }
   EXPECT_EQ(arena.bytes_used(), after_a);
-}
-
-TEST(ArenaTest, NullFrameIsInert) {
-  ArenaFrame frame(nullptr);
-  EXPECT_EQ(frame.arena(), nullptr);
 }
 
 TEST(ArenaTest, AllocateArrayIsTypedAndAligned) {
@@ -140,8 +135,8 @@ TEST(ArenaAsanTest, RewoundMemoryIsPoisoned) {
   Arena arena(1 << 12);
   char* p = nullptr;
   {
-    ArenaFrame frame(&arena);
-    p = static_cast<char*>(frame.arena()->Allocate(64));
+    ArenaFrame frame(arena);
+    p = static_cast<char*>(frame.arena().Allocate(64));
     EXPECT_FALSE(__asan_address_is_poisoned(p));
     p[0] = 1;
   }

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <string>
 
 #include "harness/bench_env.h"
 
@@ -37,6 +38,62 @@ TEST(BenchFlagsTest, ParsesAllFlags) {
   EXPECT_EQ(flags.estimators[1], "FLAT");
   EXPECT_EQ(flags.training_queries, 50u);
   EXPECT_EQ(flags.seed, 9u);
+}
+
+TEST(BenchFlagsTest, ParsesEveryNumericFlag) {
+  const char* argv[] = {"prog",
+                        "--scale=1e-1",
+                        "--exec-repeats=5",
+                        "--threads=1024",
+                        "--queue-depth=3",
+                        "--exec-threads=2",
+                        "--batch-size=7",
+                        "--seed=18446744073709551615"};
+  const BenchFlags flags = ParseBenchFlags(8, const_cast<char**>(argv));
+  EXPECT_DOUBLE_EQ(flags.scale, 0.1);
+  EXPECT_EQ(flags.exec_repeats, 5u);
+  EXPECT_EQ(flags.threads, 1024u);
+  EXPECT_EQ(flags.queue_depth, 3u);
+  EXPECT_EQ(flags.exec_threads, 2u);
+  EXPECT_EQ(flags.batch_size, 7u);
+  EXPECT_EQ(flags.seed, 18446744073709551615u);
+}
+
+/// Runs ParseBenchFlags on the single argument `arg` (death-test body).
+void ParseOne(const std::string& arg) {
+  const char* argv[] = {"prog", arg.c_str()};
+  (void)ParseBenchFlags(2, const_cast<char**>(argv));
+}
+
+// Every numeric flag rejects a malformed, a negative and a trailing-garbage
+// value with a usage error and exit status 2 — no uncaught exception, no
+// wrap-around of "-1", no silent prefix parse of "12abc".
+TEST(BenchFlagsDeathTest, BadNumericValuesExitWithUsageError) {
+  for (const char* flag :
+       {"--scale=", "--max-queries=", "--exec-timeout=",
+        "--training-queries=", "--exec-repeats=", "--threads=",
+        "--queue-depth=", "--exec-threads=", "--batch-size=", "--seed=",
+        "--verbose="}) {
+    for (const char* value : {"abc", "-1", "12abc", ""}) {
+      const std::string arg = std::string(flag) + value;
+      EXPECT_EXIT(ParseOne(arg), ::testing::ExitedWithCode(2), "must be")
+          << arg;
+    }
+  }
+}
+
+// Values that parse but fall outside a flag's range are rejected too.
+TEST(BenchFlagsDeathTest, OutOfRangeValuesExitWithUsageError) {
+  for (const char* arg :
+       {"--scale=0", "--scale=inf", "--scale=nan", "--scale=+1",
+        "--scale= 1", "--exec-timeout=-0.5", "--exec-timeout=0",
+        "--exec-repeats=0", "--threads=0", "--threads=1025",
+        "--queue-depth=0", "--exec-threads=0", "--exec-threads=1025",
+        "--batch-size=0", "--batch-size=1048577",
+        "--seed=18446744073709551616", "--verbose=3"}) {
+    EXPECT_EXIT(ParseOne(arg), ::testing::ExitedWithCode(2), "must be")
+        << arg;
+  }
 }
 
 TEST(BenchEnvTest, EndToEndSmoke) {

@@ -96,15 +96,12 @@ TEST(JoinHashTest, MatchesReferenceAcrossSizesAndFanouts) {
     const auto input = MakeInput(n, /*seed=*/n + 1, domain);
     const auto ref = Reference(input);
     for (size_t radix_bits : {size_t{0}, size_t{3}, size_t{8}}) {
-      for (bool arena : {true, false}) {
-        JoinHashConfig config;
-        config.radix_bits = radix_bits;
-        config.use_arena = arena;
-        JoinHashTable table;
-        ASSERT_TRUE(table.Build(input, n, config, nullptr, nullptr))
-            << "n=" << n << " radix_bits=" << radix_bits;
-        ExpectMatchesReference(table, ref, domain);
-      }
+      JoinHashConfig config;
+      config.radix_bits = radix_bits;
+      JoinHashTable table;
+      ASSERT_TRUE(table.Build(input, n, config, nullptr, nullptr))
+          << "n=" << n << " radix_bits=" << radix_bits;
+      ExpectMatchesReference(table, ref, domain);
     }
   }
 }
@@ -124,19 +121,6 @@ TEST(JoinHashTest, ParallelBuildIsDeterministic) {
     JoinHashTable table;
     ASSERT_TRUE(table.Build(input, n, config, runner, nullptr));
     ExpectMatchesReference(table, ref, static_cast<int64_t>(n / 8));
-  }
-}
-
-TEST(JoinHashTest, PrefetchDistanceDoesNotAffectContents) {
-  const size_t n = 30000;
-  const auto input = MakeInput(n, /*seed=*/11, /*domain=*/1000);
-  const auto ref = Reference(input);
-  for (size_t distance : {size_t{0}, size_t{1}, size_t{64}}) {
-    JoinHashConfig config;
-    config.prefetch_distance = distance;
-    JoinHashTable table;
-    ASSERT_TRUE(table.Build(input, n, config, nullptr, nullptr));
-    ExpectMatchesReference(table, ref, 1000);
   }
 }
 
