@@ -36,7 +36,8 @@ void ShowPlan(BenchEnv& env, const Query& query,
               ctx.true_cards.at(query.FullMask()),
               FormatDuration(exec->elapsed_seconds).c_str(),
               exec->timed_out ? " (capped)" : "", perror);
-  std::printf("%s\n", plan->plan->ExplainAnalyze(exec->actual_rows).c_str());
+  std::printf("%s\n",
+              plan->plan->Explain(env.db(), &exec->actual_rows).c_str());
 }
 
 }  // namespace

@@ -38,7 +38,8 @@ int Run(const BenchFlags& flags) {
 
   std::vector<std::unique_ptr<PlanNode>> plans;
   for (const auto& ctx : env.query_contexts()) {
-    plans.push_back(env.truecard().BuildCountingPlan(*ctx.query));
+    plans.push_back(env.truecard().BuildCountingPlan(
+        *ctx.graph, ctx.graph->full_mask()));
   }
   CARDBENCH_CHECK(!plans.empty(), "empty workload");
 

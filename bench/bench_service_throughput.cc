@@ -107,14 +107,12 @@ void RunBench(const BenchFlags& flags) {
   const std::string estimator_name =
       flags.estimators.empty() ? "PostgreSQL" : flags.estimators[0];
 
-  std::vector<const Query*> queries;
   std::vector<const QueryGraph*> graphs;
   for (const auto& ctx : env.query_contexts()) {
-    queries.push_back(ctx.query);
     graphs.push_back(ctx.graph.get());
   }
   std::printf("\nworkload: %s, %zu queries, estimator: %s\n",
-              env.dataset_name().c_str(), queries.size(),
+              env.dataset_name().c_str(), graphs.size(),
               estimator_name.c_str());
 
   // Serial reference for the identity check, from its own instance (equally
@@ -202,18 +200,15 @@ void RunBench(const BenchFlags& flags) {
   // means identical Q-Error and P-Error by construction (both metrics are
   // pure functions of the sub-plan estimates).
   size_t mismatched = 0;
-  for (size_t i = 0; i < queries.size(); ++i) {
-    auto cards = last_service->EstimateQuerySync(serving_name, *queries[i]);
+  for (size_t i = 0; i < graphs.size(); ++i) {
+    auto cards = last_service->EstimateQuerySync(serving_name, *graphs[i]);
     CARDBENCH_CHECK(cards.ok(), "estimate failed: %s",
                     cards.status().ToString().c_str());
     if (*cards != reference[i]) ++mismatched;
   }
 
-  // Hot-cache replay: the workload was just served, so a repeat should be
-  // absorbed by the sub-plan cache.
-  // Graph-dispatch replay against entries the query-path identity check just
-  // inserted: a hit rate > 0 proves graph and graph-less requests share
-  // cache entries through the fingerprint key.
+  // Hot-cache replay: the identity check just served the workload, so a
+  // repeat should be absorbed by the sub-plan cache.
   LoadDriver hot_driver(*last_service, graphs);
   LoadOptions hot;
   hot.estimator = serving_name;
@@ -227,7 +222,7 @@ void RunBench(const BenchFlags& flags) {
   const double rpc_scaling = rpc_baseline > 0.0 ? rpc_top / rpc_baseline : 0.0;
   std::printf("\nestimates vs serial: %s (%zu/%zu queries match exactly)\n",
               mismatched == 0 ? "identical" : "MISMATCH",
-              queries.size() - mismatched, queries.size());
+              graphs.size() - mismatched, graphs.size());
   std::printf("hot-cache replay: %.1f QPS, hit rate %.1f%%\n",
               hot_report->QueriesPerSecond(),
               100.0 * hot_report->cache.HitRate());

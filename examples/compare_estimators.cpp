@@ -38,7 +38,8 @@ int main() {
   }
   std::printf("query: %s\n\n", query->ToSql().c_str());
 
-  auto true_cards = truecard.AllSubplanCards(*query);
+  const QueryGraph graph(*query, *db);
+  auto true_cards = truecard.AllSubplanCards(graph);
   if (!true_cards.ok()) {
     std::fprintf(stderr, "true cards failed\n");
     return 1;
@@ -77,6 +78,6 @@ int main() {
   std::printf("\ntrue final cardinality: %s\n",
               FormatCount(true_cards->at(query->FullMask())).c_str());
   std::printf("\nfull plan under TrueCard:\n%s\n",
-              oracle_plan->plan->Explain().c_str());
+              oracle_plan->plan->Explain(*db).c_str());
   return 0;
 }

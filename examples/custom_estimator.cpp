@@ -101,7 +101,7 @@ int main() {
   auto plan = optimizer.Plan(*query, custom);
   if (plan.ok()) {
     std::printf("\nplan chosen with the custom estimator:\n%s\n",
-                plan->plan->Explain().c_str());
+                plan->plan->Explain(*db).c_str());
   }
   return 0;
 }

@@ -52,7 +52,7 @@ int main() {
     return 1;
   }
   std::printf("chosen plan (estimates shown per node):\n%s\n",
-              plan->plan->Explain().c_str());
+              plan->plan->Explain(*db).c_str());
   std::printf("planning took %s (%zu sub-plan estimates, %s inside the "
               "estimator)\n\n",
               FormatDuration(plan->planning_seconds).c_str(),

@@ -2,8 +2,9 @@
 # Builds the repo with AddressSanitizer and runs the tests that pound the
 # executor's raw-pointer batch kernels (selection vectors, key gathers,
 # morsel buffers), the estimators' binary searches and flat multi-leaf keys,
-# plus the concurrency-sensitive binaries. Any out-of-bounds access or leak
-# in these paths fails the run.
+# the plan paths (planning, execution of planned and hand-built plans,
+# EXPLAIN, recosting), plus the concurrency-sensitive binaries. Any
+# out-of-bounds access or leak in these paths fails the run.
 #
 #   scripts/run_asan_tests.sh               # the default binary set
 #   scripts/run_asan_tests.sh -R Parity     # forward extra args to ctest
@@ -19,7 +20,8 @@ cmake --build "$BUILD_DIR" -j "$(nproc)" \
            batch_parity_test serialization_test model_store_test \
            server_test server_metrics_test drift_test \
            kernel_parity_test arena_test join_hash_test \
-           binner_test cardest_test
+           binner_test cardest_test explain_analyze_test optimizer_test \
+           optimizer_physical_test perror_test property_test
 
 export ASAN_OPTIONS="${ASAN_OPTIONS:-halt_on_error=1 detect_leaks=1}"
 if [ "$#" -gt 0 ]; then
@@ -30,7 +32,8 @@ else
               planner_golden_test batch_parity_test serialization_test \
               model_store_test server_test server_metrics_test drift_test \
               kernel_parity_test arena_test join_hash_test \
-              binner_test cardest_test; do
+              binner_test cardest_test explain_analyze_test optimizer_test \
+              optimizer_physical_test perror_test property_test; do
     echo "== $test (ASAN) =="
     "$BUILD_DIR/tests/$test"
   done

@@ -449,7 +449,7 @@ AutoregressiveEstimator::BuildGraphFactors(
             graph.table(local_of_sampler[mc.table_idx]);
         std::vector<Predicate> preds;
         for (size_t p = 0; p < info.preds.size(); ++p) {
-          if (info.pred_column_ids[p] == mc.attr_column_id) {
+          if (info.compiled[p].column_id == mc.attr_column_id) {
             preds.push_back(info.preds[p]);
           }
         }

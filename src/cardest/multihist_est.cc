@@ -175,7 +175,7 @@ double MultiHistEstimator::EstimateCard(const QueryGraph& graph,
       std::vector<std::vector<Predicate>> preds(group.columns.size());
       for (size_t p = 0; p < info.preds.size(); ++p) {
         for (size_t k = 0; k < group.column_ids.size(); ++k) {
-          if (group.column_ids[k] == info.pred_column_ids[p]) {
+          if (group.column_ids[k] == info.compiled[p].column_id) {
             preds[k].push_back(info.preds[p]);
           }
         }

@@ -412,18 +412,11 @@ double WjSampleEstimator::EstimateCard(const QueryGraph& graph,
 
 PessEstEstimator::PessEstEstimator(const Database& db)
     : CardinalityEstimator(db), db_(db) {
-  for (size_t i = 0; i < db.table_names().size(); ++i) {
-    table_ids_[db.table_names()[i]] = static_cast<int>(i);
-  }
   BuildDegreeSketches();
 }
 
 PessEstEstimator::PessEstEstimator(const Database& db, DeferredInit)
-    : CardinalityEstimator(db), db_(db) {
-  for (size_t i = 0; i < db.table_names().size(); ++i) {
-    table_ids_[db.table_names()[i]] = static_cast<int>(i);
-  }
-}
+    : CardinalityEstimator(db), db_(db) {}
 
 double PessEstEstimator::MaxDegreeOf(int table_id, int column_id,
                                      const Table& table) const {
@@ -576,11 +569,9 @@ Result<std::unique_ptr<PessEstEstimator>> PessEstEstimator::Deserialize(
     if (table == nullptr) {
       return Status::NotFound("degree sketch for unknown table " + table_name);
     }
-    auto tid = est->table_ids_.find(table_name);
-    CARDBENCH_CHECK(tid != est->table_ids_.end(), "unknown table '%s'",
-                    table_name.c_str());
+    const int table_id = db.TableId(table_name);
     const uint64_t key =
-        (static_cast<uint64_t>(static_cast<uint32_t>(tid->second)) << 32) |
+        (static_cast<uint64_t>(static_cast<uint32_t>(table_id)) << 32) |
         static_cast<uint32_t>(table->ColumnIndexOrDie(column_name));
     est->max_degree_[key] = max_deg;
   }

@@ -149,7 +149,6 @@ class PessEstEstimator : public CardinalityEstimator {
                        const std::vector<double>& base) const;
 
   const Database& db_;
-  std::unordered_map<std::string, int> table_ids_;
   // (table_id << 32 | column_id) -> maximum join degree of any key value.
   // A lazily filled memo, synchronized so concurrent EstimateCard calls can
   // share it; keyed on ids (no heap string keys).

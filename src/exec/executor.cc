@@ -1,11 +1,13 @@
 #include "exec/executor.h"
 
 #include <algorithm>
+#include <span>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "common/arena.h"
+#include "common/str_util.h"
 #include "exec/join_hash.h"
 #include "exec/row_batch.h"
 #include "storage/filter.h"
@@ -99,23 +101,37 @@ class KeyScratch {
   ArenaFrame frame_;
 };
 
-int LookupId(const std::unordered_map<std::string, int>& ids,
-             const std::string& table) {
-  auto it = ids.find(table);
-  return it == ids.end() ? -1 : it->second;
+/// Index of the table `table_id` among a join input's component tables, or
+/// -1.
+int ComponentIndex(const std::vector<int>& table_ids, int table_id) {
+  auto it = std::find(table_ids.begin(), table_ids.end(), table_id);
+  return it == table_ids.end() ? -1
+                               : static_cast<int>(it - table_ids.begin());
 }
 
-ColRef Resolve(const TupleSet& ts, const Database& db, int table_id,
-               const std::string& table, const std::string& column) {
-  ColRef ref;
-  ref.component = ts.ComponentOfId(table_id);
-  if (ref.component < 0) return ref;
-  const Table* t = db.FindTable(table);
-  if (t == nullptr) return ColRef{};
-  auto idx = t->FindColumn(column);
-  if (!idx.has_value()) return ColRef{};
-  ref.column = &t->column(*idx);
-  return ref;
+/// Binds the catalog column `ref` on a join input whose component tables are
+/// `table_ids`. Unbound (null column) when its table is not a component or
+/// either id names nothing.
+ColRef Resolve(const Database& db, const std::vector<int>& table_ids,
+               CatalogColumn ref) {
+  const int component = ComponentIndex(table_ids, ref.table_id);
+  const Column* column = db.ColumnById(ref.table_id, ref.column_id);
+  if (component < 0 || column == nullptr) return ColRef{};
+  return ColRef{column, component};
+}
+
+/// Checks that every filter of the scan `node` is bound to a column of the
+/// node's table, so no scan loop dereferences a stray id.
+Status CheckFilters(const Database& db, const PlanNode& node) {
+  for (const CompiledPredicate& f : node.filters) {
+    const Column* column = db.ColumnById(node.table_id, f.column_id);
+    if (column == nullptr || f.column != column) {
+      return Status::InvalidArgument(
+          StrFormat("filter column id %d does not name a column of table %d",
+                    f.column_id, node.table_id));
+    }
+  }
+  return Status::OK();
 }
 
 /// Evaluates the extra (non-primary) join edges for a candidate combined
@@ -149,117 +165,69 @@ bool ExtraEdgesMatchInner(const std::vector<std::pair<ColRef, ColRef>>& refs,
   return true;
 }
 
-/// Primary + extra join-edge endpoints resolved on the two join inputs.
+/// Primary + extra join-edge endpoints bound on the two join inputs.
 struct EdgeRefs {
   ColRef lkey;
   ColRef rkey;
   std::vector<std::pair<ColRef, ColRef>> extra;
 };
 
-Status ResolveEdges(const Database& db,
-                    const std::unordered_map<std::string, int>& ids,
-                    const PlanNode& plan, const TupleSet& left,
-                    const TupleSet& right, EdgeRefs* out) {
-  out->lkey = Resolve(left, db, LookupId(ids, plan.edge.left_table),
-                      plan.edge.left_table, plan.edge.left_column);
-  out->rkey = Resolve(right, db, LookupId(ids, plan.edge.right_table),
-                      plan.edge.right_table, plan.edge.right_column);
-  if (out->lkey.column == nullptr || out->rkey.column == nullptr) {
-    out->lkey = Resolve(left, db, LookupId(ids, plan.edge.right_table),
-                        plan.edge.right_table, plan.edge.right_column);
-    out->rkey = Resolve(right, db, LookupId(ids, plan.edge.left_table),
-                        plan.edge.left_table, plan.edge.left_column);
-  }
-  if (out->lkey.column == nullptr || out->rkey.column == nullptr) {
-    return Status::InvalidArgument("cannot resolve join edge " +
-                                   plan.edge.ToString());
-  }
-  for (const auto& e : plan.extra_edges) {
-    ColRef l = Resolve(left, db, LookupId(ids, e.left_table), e.left_table,
-                       e.left_column);
-    ColRef r = Resolve(right, db, LookupId(ids, e.right_table), e.right_table,
-                       e.right_column);
-    if (l.column == nullptr || r.column == nullptr) {
-      l = Resolve(left, db, LookupId(ids, e.right_table), e.right_table,
-                  e.right_column);
-      r = Resolve(right, db, LookupId(ids, e.left_table), e.left_table,
-                  e.left_column);
-    }
-    if (l.column == nullptr || r.column == nullptr) {
-      return Status::InvalidArgument("cannot resolve extra join edge " +
-                                     e.ToString());
-    }
-    out->extra.emplace_back(l, r);
+/// Binds every join edge of `plan` across a join whose outer input has the
+/// component tables `outer` and whose inner side has `inner`: the endpoint
+/// on an outer table binds to the outer input, the other to the inner side.
+Status ResolveEdges(const Database& db, const PlanNode& plan,
+                    const std::vector<int>& outer,
+                    const std::vector<int>& inner, EdgeRefs* out) {
+  auto bind = [&](const PlanEdge& edge, ColRef* o, ColRef* i) {
+    const bool flip = ComponentIndex(outer, edge.left.table_id) < 0;
+    *o = Resolve(db, outer, flip ? edge.right : edge.left);
+    *i = Resolve(db, inner, flip ? edge.left : edge.right);
+    if (o->column != nullptr && i->column != nullptr) return Status::OK();
+    return Status::InvalidArgument(StrFormat(
+        "cannot resolve join edge (table %d, column %d) = (table %d, column "
+        "%d)",
+        edge.left.table_id, edge.left.column_id, edge.right.table_id,
+        edge.right.column_id));
+  };
+  CARDBENCH_RETURN_IF_ERROR(bind(plan.edge, &out->lkey, &out->rkey));
+  out->extra.resize(plan.extra_edges.size());
+  for (size_t e = 0; e < plan.extra_edges.size(); ++e) {
+    CARDBENCH_RETURN_IF_ERROR(bind(plan.extra_edges[e], &out->extra[e].first,
+                                   &out->extra[e].second));
   }
   return Status::OK();
 }
 
 /// Everything an index-nested-loop probe needs, resolved once before the
-/// probe loops: the inner table and index, compiled inner filters, and the
-/// extra-edge endpoints (right endpoints bind to the probed inner row).
+/// probe loops: the inner table's join-column index and filters, and the
+/// edge endpoints (inner endpoints bind to the probed inner row).
 struct IndexJoinSetup {
-  const Table* inner = nullptr;
-  ColRef outer_ref;
   const HashIndex* index = nullptr;
   std::vector<CompiledPredicate> inner_filters;
-  std::vector<std::pair<ColRef, ColRef>> extra;
+  EdgeRefs refs;
 };
 
-Status SetupIndexJoin(const Database& db,
-                      const std::unordered_map<std::string, int>& ids,
-                      const PlanNode& plan, const TupleSet& left,
-                      IndexJoinSetup* out) {
-  if (!plan.right->IsScan()) {
+/// The one check of an index-nested-loop node, whether its output is
+/// counted or materialized: the inner side must be a base-table scan.
+Status SetupIndexJoin(const Database& db, const PlanNode& plan,
+                      const TupleSet& left, IndexJoinSetup* out) {
+  const PlanNode& inner = *plan.right;
+  if (!inner.IsScan()) {
     return Status::InvalidArgument(
         "index nested loop requires a base-table inner side");
   }
-  const std::string& inner_name = plan.right->table;
-  out->inner = db.FindTable(inner_name);
-  if (out->inner == nullptr) return Status::NotFound("table " + inner_name);
-
-  // Orient the primary edge: which endpoint is on the (left) outer side?
-  const bool edge_left_is_outer =
-      left.ComponentOfId(LookupId(ids, plan.edge.left_table)) >= 0;
-  const std::string& outer_table =
-      edge_left_is_outer ? plan.edge.left_table : plan.edge.right_table;
-  const std::string& outer_col =
-      edge_left_is_outer ? plan.edge.left_column : plan.edge.right_column;
-  const std::string& inner_col =
-      edge_left_is_outer ? plan.edge.right_column : plan.edge.left_column;
-
-  out->outer_ref = Resolve(left, db, LookupId(ids, outer_table), outer_table,
-                           outer_col);
-  if (out->outer_ref.column == nullptr) {
-    return Status::InvalidArgument("cannot resolve join key " + outer_table +
-                                   "." + outer_col);
+  const Table* table = db.TableById(inner.table_id);
+  if (table == nullptr) {
+    return Status::NotFound(StrFormat("table id %d", inner.table_id));
   }
-  out->index =
-      &out->inner->GetIndex(out->inner->ColumnIndexOrDie(inner_col));
-  out->inner_filters = CompilePredicates(*out->inner, plan.right->filters);
-
-  // Extra edges: left endpoint resolved on the outer input, right on a
-  // synthetic single-component view of the inner table.
-  TupleSet inner_view;
-  inner_view.tables = {inner_name};
-  inner_view.table_ids = {LookupId(ids, inner_name)};
-  inner_view.data = {0};
-  for (const auto& e : plan.extra_edges) {
-    ColRef l = Resolve(left, db, LookupId(ids, e.left_table), e.left_table,
-                       e.left_column);
-    ColRef r = Resolve(inner_view, db, LookupId(ids, e.right_table),
-                       e.right_table, e.right_column);
-    if (l.column == nullptr || r.column == nullptr) {
-      l = Resolve(left, db, LookupId(ids, e.right_table), e.right_table,
-                  e.right_column);
-      r = Resolve(inner_view, db, LookupId(ids, e.left_table), e.left_table,
-                  e.left_column);
-    }
-    if (l.column == nullptr || r.column == nullptr) {
-      return Status::InvalidArgument("cannot resolve extra join edge " +
-                                     e.ToString());
-    }
-    out->extra.emplace_back(l, r);
-  }
+  CARDBENCH_RETURN_IF_ERROR(CheckFilters(db, inner));
+  CARDBENCH_RETURN_IF_ERROR(
+      ResolveEdges(db, plan, left.table_ids, {inner.table_id}, &out->refs));
+  const CatalogColumn key = plan.edge.left.table_id == inner.table_id
+                                ? plan.edge.left
+                                : plan.edge.right;
+  out->index = &table->GetIndex(static_cast<size_t>(key.column_id));
+  out->inner_filters = inner.filters;
   return Status::OK();
 }
 
@@ -405,9 +373,9 @@ void IndexProbeMorsel(const TupleSet& left, const IndexJoinSetup& s,
       if (!budget.CheckTime()) return;
     }
     for (size_t t = b; t < e; ++t) {
-      kb.rows[t - b] = left.Row(t, static_cast<size_t>(s.outer_ref.component));
+      kb.rows[t - b] = left.Row(t, static_cast<size_t>(s.refs.lkey.component));
     }
-    s.outer_ref.column->Gather(kb.rows, e - b, kb.keys, kb.valid);
+    s.refs.lkey.column->Gather(kb.rows, e - b, kb.keys, kb.valid);
     for (size_t i = 0; i < e - b; ++i) {
       if (!kb.valid[i]) continue;
       const size_t t = b + i;
@@ -420,7 +388,8 @@ void IndexProbeMorsel(const TupleSet& left, const IndexJoinSetup& s,
             !RowPassesCompiled(s.inner_filters, irow)) {
           continue;
         }
-        if (!s.extra.empty() && !ExtraEdgesMatchInner(s.extra, left, t, irow)) {
+        if (!s.refs.extra.empty() &&
+            !ExtraEdgesMatchInner(s.refs.extra, left, t, irow)) {
           continue;
         }
         if (dst != nullptr) {
@@ -539,19 +508,9 @@ void MergeRuns(const TupleSet& left, const TupleSet& right,
 Executor::Executor(const Database& db, ExecLimits limits, ExecOptions options)
     : db_(db), limits_(limits), options_(options) {
   if (options_.batch_size == 0) options_.batch_size = 1;
-  const auto& names = db_.table_names();
-  table_ids_.reserve(names.size());
-  for (size_t i = 0; i < names.size(); ++i) {
-    table_ids_[names[i]] = static_cast<int>(i);
-  }
   if (options_.num_threads > 1) {
     pool_ = std::make_unique<ThreadPool>(options_.num_threads);
   }
-}
-
-int Executor::TableId(const std::string& table) const {
-  auto it = table_ids_.find(table);
-  return it == table_ids_.end() ? -1 : it->second;
 }
 
 void Executor::ForEachMorsel(size_t count,
@@ -602,63 +561,32 @@ void Executor::RunProbeMorsels(
   }
 }
 
-Status Executor::HashJoinDriver(const PlanNode& plan, const TupleSet& left,
-                                const TupleSet& right, Ctx& ctx, TupleSet* out,
-                                uint64_t* count) const {
-  Budget budget{&ctx.watch, ctx.limits, &ctx.timed_out};
-  EmitCap cap(ctx.limits->max_intermediate_tuples, budget);
-  EmitCap* cap_ptr = out != nullptr ? &cap : nullptr;
-  EdgeRefs refs;
-  CARDBENCH_RETURN_IF_ERROR(
-      ResolveEdges(db_, table_ids_, plan, left, right, &refs));
-
-  // Build on the right (inner) side, probe with the left.
-  TupleKeySource source(right, refs.rkey);
-  JoinHashConfig config;
-  config.batch_size = options_.batch_size;
-  JoinHashTable ht;
-  const bool built = ht.Build(
-      source, right.size(), config,
-      [this](size_t n, const std::function<void(size_t)>& fn) {
-        ForEachMorsel(n, fn);
-      },
-      [&budget] { return budget.CheckTime(); });
-  if (!built || ctx.TimedOut()) return Status::OK();
-  RunProbeMorsels(
-      left.size(), ctx, out, count,
-      [&](size_t lo, size_t hi, std::vector<uint32_t>* dst, uint64_t* cnt) {
-        RadixProbeMorsel(left, right, refs.lkey, ht, refs.extra,
-                         options_.batch_size, lo, hi, budget, cap_ptr, dst,
-                         cnt);
-      });
-  return Status::OK();
-}
-
 Status Executor::ExecuteScan(const PlanNode& plan, Ctx& ctx,
                              TupleSet* out) const {
-  const Table* table = db_.FindTable(plan.table);
+  const Table* table = db_.TableById(plan.table_id);
   if (table == nullptr) {
-    return Status::NotFound("scan of unknown table " + plan.table);
+    return Status::NotFound(
+        StrFormat("scan of unknown table id %d", plan.table_id));
   }
-  out->tables = {plan.table};
-  out->table_ids = {TableId(plan.table)};
+  CARDBENCH_RETURN_IF_ERROR(CheckFilters(db_, plan));
+  // The first filter of an index scan must be an equality served by the
+  // index.
+  if (plan.scan_method == ScanMethod::kIndexScan &&
+      (plan.filters.empty() || plan.filters[0].op != CompareOp::kEq)) {
+    return Status::InvalidArgument(
+        "index scan requires a leading equality filter on " + table->name());
+  }
+  out->table_ids = {plan.table_id};
   out->data.clear();
   Budget budget{&ctx.watch, ctx.limits, &ctx.timed_out};
   if (!budget.CheckTime()) return Status::OK();
 
   if (plan.scan_method == ScanMethod::kIndexScan) {
-    // The first filter must be an equality served by the index.
-    if (plan.filters.empty() || plan.filters[0].op != CompareOp::kEq) {
-      return Status::InvalidArgument(
-          "index scan requires a leading equality filter on " + plan.table);
-    }
-    const Predicate& key = plan.filters[0];
-    const HashIndex& index =
-        table->GetIndex(table->ColumnIndexOrDie(key.column));
-    const std::vector<uint32_t>& postings = index.Lookup(key.value);
-    const auto rest = CompilePredicates(
-        *table, std::vector<Predicate>(plan.filters.begin() + 1,
-                                       plan.filters.end()));
+    const CompiledPredicate& key = plan.filters[0];
+    const std::vector<uint32_t>& postings =
+        table->GetIndex(static_cast<size_t>(key.column_id)).Lookup(key.value);
+    const auto rest =
+        std::span<const CompiledPredicate>(plan.filters).subspan(1);
     // The posting list scales with input size: refine it in budget-checked
     // batches so a huge list cannot blow past the wall clock.
     const size_t batch = options_.batch_size;
@@ -688,14 +616,14 @@ Status Executor::ExecuteScan(const PlanNode& plan, Ctx& ctx,
   }
 
   const size_t n = table->num_rows();
-  const auto compiled = CompilePredicates(*table, plan.filters);
   const size_t morsel_rows = std::max(options_.batch_size, kScanMorselRows);
   const size_t num_morsels = n == 0 ? 0 : (n + morsel_rows - 1) / morsel_rows;
   if (pool_ == nullptr || num_morsels <= 1) {
     for (size_t m = 0; m < num_morsels; ++m) {
       if (!budget.CheckTime()) return Status::OK();
-      ScanRange(compiled, m * morsel_rows, std::min(n, (m + 1) * morsel_rows),
-                options_.batch_size, budget, &out->data);
+      ScanRange(plan.filters, m * morsel_rows,
+                std::min(n, (m + 1) * morsel_rows), options_.batch_size,
+                budget, &out->data);
     }
     return Status::OK();
   }
@@ -704,8 +632,9 @@ Status Executor::ExecuteScan(const PlanNode& plan, Ctx& ctx,
   std::vector<RowBatch> parts(num_morsels);
   ForEachMorsel(num_morsels, [&](size_t m) {
     if (!budget.CheckTime()) return;
-    ScanRange(compiled, m * morsel_rows, std::min(n, (m + 1) * morsel_rows),
-              options_.batch_size, budget, &parts[m].sel);
+    ScanRange(plan.filters, m * morsel_rows,
+              std::min(n, (m + 1) * morsel_rows), options_.batch_size, budget,
+              &parts[m].sel);
   });
   if (ctx.TimedOut()) return Status::OK();
   size_t total = 0;
@@ -717,31 +646,29 @@ Status Executor::ExecuteScan(const PlanNode& plan, Ctx& ctx,
   return Status::OK();
 }
 
-Status Executor::ExecuteJoin(const PlanNode& plan, Ctx& ctx,
-                             TupleSet* out) const {
+Status Executor::ExecuteJoin(const PlanNode& plan, Ctx& ctx, TupleSet* out,
+                             uint64_t* count) const {
   TupleSet left;
   CARDBENCH_RETURN_IF_ERROR(ExecuteNode(*plan.left, ctx, &left));
   if (ctx.TimedOut()) return Status::OK();
   Budget budget{&ctx.watch, ctx.limits, &ctx.timed_out};
   EmitCap cap(ctx.limits->max_intermediate_tuples, budget);
-
-  out->tables = left.tables;
-  out->table_ids = left.table_ids;
-  out->data.clear();
+  EmitCap* cap_ptr = out != nullptr ? &cap : nullptr;
 
   // Index-nested-loop: the inner side is a base table accessed through its
   // join-column index; it is never materialized.
   if (plan.join_method == JoinMethod::kIndexNestLoop) {
     IndexJoinSetup setup;
-    CARDBENCH_RETURN_IF_ERROR(SetupIndexJoin(db_, table_ids_, plan, left,
-                                             &setup));
-    out->tables.push_back(plan.right->table);
-    out->table_ids.push_back(TableId(plan.right->table));
+    CARDBENCH_RETURN_IF_ERROR(SetupIndexJoin(db_, plan, left, &setup));
+    if (out != nullptr) {
+      out->table_ids = left.table_ids;
+      out->table_ids.push_back(plan.right->table_id);
+    }
     RunProbeMorsels(
-        left.size(), ctx, out, nullptr,
+        left.size(), ctx, out, count,
         [&](size_t lo, size_t hi, std::vector<uint32_t>* dst, uint64_t* cnt) {
           IndexProbeMorsel(left, setup, options_.batch_size, lo, hi, budget,
-                           &cap, dst, cnt);
+                           cap_ptr, dst, cnt);
         });
     return Status::OK();
   }
@@ -749,93 +676,58 @@ Status Executor::ExecuteJoin(const PlanNode& plan, Ctx& ctx,
   TupleSet right;
   CARDBENCH_RETURN_IF_ERROR(ExecuteNode(*plan.right, ctx, &right));
   if (ctx.TimedOut()) return Status::OK();
-  for (size_t i = 0; i < right.tables.size(); ++i) {
-    out->tables.push_back(right.tables[i]);
-    out->table_ids.push_back(right.table_ids[i]);
+  EdgeRefs refs;
+  CARDBENCH_RETURN_IF_ERROR(
+      ResolveEdges(db_, plan, left.table_ids, right.table_ids, &refs));
+  if (out != nullptr) {
+    out->table_ids = left.table_ids;
+    out->table_ids.insert(out->table_ids.end(), right.table_ids.begin(),
+                          right.table_ids.end());
   }
 
   if (plan.join_method == JoinMethod::kHashJoin) {
-    return HashJoinDriver(plan, left, right, ctx, out, nullptr);
+    // Build on the right (inner) side, probe with the left.
+    TupleKeySource source(right, refs.rkey);
+    JoinHashConfig config;
+    config.batch_size = options_.batch_size;
+    JoinHashTable ht;
+    const bool built = ht.Build(
+        source, right.size(), config,
+        [this](size_t n, const std::function<void(size_t)>& fn) {
+          ForEachMorsel(n, fn);
+        },
+        [&budget] { return budget.CheckTime(); });
+    if (!built || ctx.TimedOut()) return Status::OK();
+    RunProbeMorsels(
+        left.size(), ctx, out, count,
+        [&](size_t lo, size_t hi, std::vector<uint32_t>* dst, uint64_t* cnt) {
+          RadixProbeMorsel(left, right, refs.lkey, ht, refs.extra,
+                           options_.batch_size, lo, hi, budget, cap_ptr, dst,
+                           cnt);
+        });
+    return Status::OK();
   }
 
-  EdgeRefs refs;
-  CARDBENCH_RETURN_IF_ERROR(
-      ResolveEdges(db_, table_ids_, plan, left, right, &refs));
-
   // Merge join: sort both inputs by key (NULLs dropped), then walk equal
-  // runs, emitting their cross products.
+  // runs, emitting or counting their cross products. Counts agree across
+  // join algorithms, but the root's method still matters for timing: merge
+  // join pays the sort, hash join the build.
   const auto lkeys = SortedKeys(left, refs.lkey, options_.batch_size, budget);
   const auto rkeys = SortedKeys(right, refs.rkey, options_.batch_size, budget);
   if (ctx.TimedOut()) return Status::OK();
-  MergeRuns(left, right, lkeys, rkeys, refs.extra, budget, &cap, &out->data,
-            nullptr);
+  MergeRuns(left, right, lkeys, rkeys, refs.extra, budget, cap_ptr,
+            out != nullptr ? &out->data : nullptr, count);
   return Status::OK();
 }
 
 Status Executor::ExecuteNode(const PlanNode& plan, Ctx& ctx,
                              TupleSet* out) const {
-  const Status status =
-      plan.IsScan() ? ExecuteScan(plan, ctx, out) : ExecuteJoin(plan, ctx, out);
+  const Status status = plan.IsScan() ? ExecuteScan(plan, ctx, out)
+                                      : ExecuteJoin(plan, ctx, out, nullptr);
   if (status.ok() && !ctx.TimedOut() && ctx.actual_rows != nullptr) {
     (*ctx.actual_rows)[plan.table_mask] = static_cast<double>(out->size());
   }
   return status;
-}
-
-Status Executor::CountNode(const PlanNode& plan, Ctx& ctx,
-                           uint64_t* count) const {
-  // The root is evaluated count-only: materialize the children, stream the
-  // final join without materializing its output. For scans, count matching
-  // rows directly.
-  *count = 0;
-  if (plan.IsScan()) {
-    TupleSet out;
-    CARDBENCH_RETURN_IF_ERROR(ExecuteScan(plan, ctx, &out));
-    *count = out.size();
-    return Status::OK();
-  }
-  TupleSet left;
-  CARDBENCH_RETURN_IF_ERROR(ExecuteNode(*plan.left, ctx, &left));
-  if (ctx.TimedOut()) return Status::OK();
-  Budget budget{&ctx.watch, ctx.limits, &ctx.timed_out};
-
-  if (plan.join_method == JoinMethod::kIndexNestLoop && plan.right->IsScan()) {
-    IndexJoinSetup setup;
-    CARDBENCH_RETURN_IF_ERROR(SetupIndexJoin(db_, table_ids_, plan, left,
-                                             &setup));
-    RunProbeMorsels(
-        left.size(), ctx, nullptr, count,
-        [&](size_t lo, size_t hi, std::vector<uint32_t>* dst, uint64_t* cnt) {
-          IndexProbeMorsel(left, setup, options_.batch_size, lo, hi, budget,
-                           nullptr, dst, cnt);
-        });
-    return Status::OK();
-  }
-
-  TupleSet right;
-  CARDBENCH_RETURN_IF_ERROR(ExecuteNode(*plan.right, ctx, &right));
-  if (ctx.TimedOut()) return Status::OK();
-
-  // Merge-count: the counting semantics are identical across join
-  // algorithms, but the root method matters for timing — merge join pays
-  // the sort, hash join the build.
-  if (plan.join_method == JoinMethod::kMergeJoin) {
-    EdgeRefs refs;
-    CARDBENCH_RETURN_IF_ERROR(
-        ResolveEdges(db_, table_ids_, plan, left, right, &refs));
-    const auto lkeys =
-        SortedKeys(left, refs.lkey, options_.batch_size, budget);
-    const auto rkeys =
-        SortedKeys(right, refs.rkey, options_.batch_size, budget);
-    if (ctx.TimedOut()) return Status::OK();
-    MergeRuns(left, right, lkeys, rkeys, refs.extra, budget, nullptr, nullptr,
-              count);
-    return Status::OK();
-  }
-
-  // Hash-count: the same driver ExecuteJoin materializes through, in its
-  // count-only mode (no emission, no cap, run-length fast path).
-  return HashJoinDriver(plan, left, right, ctx, nullptr, count);
 }
 
 Result<ExecResult> Executor::ExecuteCount(const PlanNode& plan,
@@ -844,8 +736,16 @@ Result<ExecResult> Executor::ExecuteCount(const PlanNode& plan,
   ctx.limits = &limits_;
   ExecResult result;
   if (analyze) ctx.actual_rows = &result.actual_rows;
+  // The root is evaluated count-only: its children are materialized, the
+  // final join streams a match count. A scan root counts its rows.
   uint64_t count = 0;
-  CARDBENCH_RETURN_IF_ERROR(CountNode(plan, ctx, &count));
+  if (plan.IsScan()) {
+    TupleSet out;
+    CARDBENCH_RETURN_IF_ERROR(ExecuteScan(plan, ctx, &out));
+    count = out.size();
+  } else {
+    CARDBENCH_RETURN_IF_ERROR(ExecuteJoin(plan, ctx, nullptr, &count));
+  }
   result.count = count;
   result.timed_out = ctx.TimedOut();
   result.elapsed_seconds = ctx.watch.ElapsedSeconds();

@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <string>
 #include <unordered_map>
 
 #include "common/status.h"
@@ -67,10 +66,11 @@ struct ExecResult {
 /// evaluates the root count-only (never materializing the final result).
 /// Implements the three PostgreSQL join algorithms plus seq/index scans.
 ///
-/// Scans evaluate predicate conjunctions through the storage filter kernels
+/// Plan nodes name tables and columns by catalog id; the executor resolves
+/// each id in O(1) through the Database and never looks up a name. Scans
+/// evaluate the nodes' bound filters through the storage filter kernels
 /// (Column::FilterRange / FilterRows) into selection vectors; joins gather
-/// keys in batches (Column::Gather) and intern table names into catalog ids
-/// so no inner loop compares strings. Leaf scans and hash/index-NL probes
+/// keys in batches (Column::Gather). Leaf scans and hash/index-NL probes
 /// are split into morsels dispatched on an internal thread pool when
 /// ExecOptions::num_threads > 1; the ExecLimits budget (wall clock +
 /// intermediate-size cap) is enforced inside every loop that scales with
@@ -85,10 +85,11 @@ class Executor {
                     ExecOptions options = ExecOptions());
 
   /// Executes `plan` and returns the COUNT(*) of its output (or a timeout).
-  /// Returns an error Status only for malformed plans (unknown tables etc.);
-  /// resource exhaustion is reported via ExecResult::timed_out. With
-  /// `analyze` set, per-node actual row counts are collected (EXPLAIN
-  /// ANALYZE).
+  /// Returns an error Status only for malformed plans (an id that names no
+  /// table or column, an index nested loop over a join, ...), the same one
+  /// Materialize returns; resource exhaustion is reported via
+  /// ExecResult::timed_out. With `analyze` set, per-node actual row counts
+  /// are collected (EXPLAIN ANALYZE).
   Result<ExecResult> ExecuteCount(const PlanNode& plan,
                                   bool analyze = false) const;
 
@@ -116,21 +117,11 @@ class Executor {
 
   Status ExecuteNode(const PlanNode& plan, Ctx& ctx, TupleSet* out) const;
   Status ExecuteScan(const PlanNode& plan, Ctx& ctx, TupleSet* out) const;
-  Status ExecuteJoin(const PlanNode& plan, Ctx& ctx, TupleSet* out) const;
-  Status CountNode(const PlanNode& plan, Ctx& ctx, uint64_t* count) const;
-
-  /// Shared hash-join driver of ExecuteJoin and the count-only root:
-  /// resolves the join edges, builds the join table (exec/join_hash) over
-  /// `right`, and probes with `left` — materializing combined tuples into
-  /// `out` when non-null (cap-enforced), streaming a match count into
-  /// `*count` otherwise.
-  Status HashJoinDriver(const PlanNode& plan, const TupleSet& left,
-                        const TupleSet& right, Ctx& ctx, TupleSet* out,
-                        uint64_t* count) const;
-
-  /// Interned catalog id of `table` (position in Database::table_names()),
-  /// or -1 for unknown tables.
-  int TableId(const std::string& table) const;
+  /// Joins the children of `plan`: materializes the combined tuples into
+  /// `out` when non-null (cap-enforced), streams a match count into `*count`
+  /// otherwise (the count-only root). Both modes share every check.
+  Status ExecuteJoin(const PlanNode& plan, Ctx& ctx, TupleSet* out,
+                     uint64_t* count) const;
 
   /// Runs `fn(m)` for every morsel m in [0, count): in order on the calling
   /// thread when serial (or a single morsel), otherwise fanned out over the
@@ -150,7 +141,6 @@ class Executor {
   const Database& db_;
   ExecLimits limits_;
   ExecOptions options_;
-  std::unordered_map<std::string, int> table_ids_;
   /// Morsel workers; created only when options_.num_threads > 1.
   std::unique_ptr<ThreadPool> pool_;
 };

@@ -29,7 +29,7 @@ size_t PlanNode::NumTables() const {
 std::unique_ptr<PlanNode> PlanNode::Clone() const {
   auto copy = std::make_unique<PlanNode>();
   copy->type = type;
-  copy->table = table;
+  copy->table_id = table_id;
   copy->scan_method = scan_method;
   copy->filters = filters;
   copy->join_method = join_method;
@@ -43,57 +43,75 @@ std::unique_ptr<PlanNode> PlanNode::Clone() const {
   return copy;
 }
 
-std::string PlanNode::ExplainAnalyze(
-    const std::unordered_map<uint64_t, double>& actual_rows,
-    int indent) const {
-  const std::string pad(static_cast<size_t>(indent) * 2, ' ');
-  std::string out;
-  if (IsScan()) {
-    out = pad + StrFormat("%s on %s", ScanMethodName(scan_method).c_str(),
-                          table.c_str());
-    if (!filters.empty()) {
-      std::vector<std::string> parts;
-      for (const auto& f : filters) parts.push_back(f.ToString());
-      out += "  filter: " + Join(parts, " AND ");
-    }
-  } else {
-    out = pad + StrFormat("%s on %s", JoinMethodName(join_method).c_str(),
-                          edge.ToString().c_str());
-    for (const auto& e : extra_edges) out += " AND " + e.ToString();
-  }
-  auto it = actual_rows.find(table_mask);
-  if (it != actual_rows.end()) {
-    out += StrFormat("  (rows=%.0f actual=%.0f cost=%.1f)\n", estimated_card,
-                     it->second, estimated_cost);
-  } else {
-    out += StrFormat("  (rows=%.0f actual=? cost=%.1f)\n", estimated_card,
-                     estimated_cost);
-  }
-  if (left != nullptr) out += left->ExplainAnalyze(actual_rows, indent + 1);
-  if (right != nullptr) out += right->ExplainAnalyze(actual_rows, indent + 1);
-  return out;
+namespace {
+
+/// Catalog name of `table_id`, or "?" for an id that names no table.
+std::string TableName(const Database& db, int table_id) {
+  const Table* table = db.TableById(table_id);
+  return table != nullptr ? table->name() : "?";
 }
 
-std::string PlanNode::Explain(int indent) const {
-  const std::string pad(static_cast<size_t>(indent) * 2, ' ');
-  std::string out;
-  if (IsScan()) {
-    out = pad + StrFormat("%s on %s", ScanMethodName(scan_method).c_str(),
-                          table.c_str());
-    if (!filters.empty()) {
-      std::vector<std::string> parts;
-      for (const auto& f : filters) parts.push_back(f.ToString());
-      out += "  filter: " + Join(parts, " AND ");
+/// Catalog name of the column `ref`, or "?" for an id that names nothing.
+std::string ColumnName(const Database& db, CatalogColumn ref) {
+  const Column* column = db.ColumnById(ref.table_id, ref.column_id);
+  return column != nullptr ? column->name() : "?";
+}
+
+/// `edge` with its ids turned back into names, rendered as the query wrote
+/// it.
+std::string EdgeText(const Database& db, const PlanEdge& edge) {
+  return JoinEdge{TableName(db, edge.left.table_id), ColumnName(db, edge.left),
+                  TableName(db, edge.right.table_id),
+                  ColumnName(db, edge.right)}
+      .ToString();
+}
+
+void Render(const PlanNode& node, const Database& db,
+            const std::unordered_map<uint64_t, double>* actual_rows,
+            int indent, std::string* out) {
+  *out += std::string(static_cast<size_t>(indent) * 2, ' ');
+  if (node.IsScan()) {
+    *out += ScanMethodName(node.scan_method) + " on " +
+            TableName(db, node.table_id);
+    for (size_t i = 0; i < node.filters.size(); ++i) {
+      const CompiledPredicate& f = node.filters[i];
+      *out += (i == 0 ? "  filter: " : " AND ") +
+              Predicate{TableName(db, node.table_id),
+                        ColumnName(db, {node.table_id, f.column_id}), f.op,
+                        f.value}
+                  .ToString();
     }
   } else {
-    out = pad + StrFormat("%s on %s", JoinMethodName(join_method).c_str(),
-                          edge.ToString().c_str());
-    for (const auto& e : extra_edges) out += " AND " + e.ToString();
+    *out += JoinMethodName(node.join_method) + " on " +
+            EdgeText(db, node.edge);
+    for (const PlanEdge& e : node.extra_edges) {
+      *out += " AND " + EdgeText(db, e);
+    }
   }
-  out += StrFormat("  (rows=%.0f cost=%.1f)\n", estimated_card,
-                   estimated_cost);
-  if (left != nullptr) out += left->Explain(indent + 1);
-  if (right != nullptr) out += right->Explain(indent + 1);
+  if (actual_rows == nullptr) {
+    *out += StrFormat("  (rows=%.0f cost=%.1f)\n", node.estimated_card,
+                      node.estimated_cost);
+  } else {
+    auto it = actual_rows->find(node.table_mask);
+    const std::string actual = it != actual_rows->end()
+                                   ? StrFormat("%.0f", it->second)
+                                   : std::string("?");
+    *out += StrFormat("  (rows=%.0f actual=%s cost=%.1f)\n",
+                      node.estimated_card, actual.c_str(),
+                      node.estimated_cost);
+  }
+  for (const PlanNode* child : {node.left.get(), node.right.get()}) {
+    if (child != nullptr) Render(*child, db, actual_rows, indent + 1, out);
+  }
+}
+
+}  // namespace
+
+std::string PlanNode::Explain(
+    const Database& db,
+    const std::unordered_map<uint64_t, double>* actual_rows) const {
+  std::string out;
+  Render(*this, db, actual_rows, 0, &out);
   return out;
 }
 

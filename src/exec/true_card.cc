@@ -2,13 +2,12 @@
 
 #include <unistd.h>
 
-#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <iterator>
-#include <limits>
 
 #include "common/file_util.h"
 #include "common/logging.h"
@@ -21,120 +20,84 @@ TrueCardService::TrueCardService(const Database& db, ExecLimits limits,
                                  ExecOptions options)
     : db_(db), executor_(db, limits, options) {}
 
-double TrueCardService::FilteredBaseCard(const Query& query,
-                                         const std::string& table_name) const {
-  const Table& table = db_.TableOrDie(table_name);
-  const auto compiled =
-      CompilePredicatesFor(table, table_name, query.predicates);
-  return static_cast<double>(
-      CountRangeConjunction(compiled, 0, table.num_rows()));
-}
-
 std::unique_ptr<PlanNode> TrueCardService::BuildCountingPlan(
-    const Query& query) const {
-  auto make_scan = [&](const std::string& table) {
+    const QueryGraph& graph, uint64_t mask) const {
+  auto make_scan = [&](int local) {
+    const QueryGraph::TableInfo& info = graph.table(local);
     auto scan = std::make_unique<PlanNode>();
     scan->type = PlanNode::Type::kScan;
-    scan->table = table;
+    scan->table_id = info.table_id;
     scan->scan_method = ScanMethod::kSeqScan;
-    for (const auto& pred : query.predicates) {
-      if (pred.table == table) scan->filters.push_back(pred);
-    }
-    const int idx = query.TableIndex(table);
-    scan->table_mask = uint64_t{1} << idx;
+    scan->filters = info.compiled;
+    scan->table_mask = uint64_t{1} << local;
     return scan;
   };
 
   // Greedy left-deep order: start from the smallest filtered table, then
   // repeatedly attach the connected table with the smallest filtered
-  // cardinality. Any order yields the same exact count; small-first keeps
-  // intermediates manageable.
-  std::vector<std::string> remaining = query.tables;
-  std::string first = remaining[0];
-  double best = std::numeric_limits<double>::max();
-  for (const auto& t : remaining) {
-    const double card = FilteredBaseCard(query, t);
-    if (card < best) {
-      best = card;
-      first = t;
-    }
+  // cardinality, ties going to the earlier table in query order. Any order
+  // yields the same exact count; small-first keeps intermediates
+  // manageable.
+  std::vector<double> base_card(graph.num_tables(), 0.0);
+  for (uint64_t rest = mask; rest != 0; rest &= rest - 1) {
+    const int local = std::countr_zero(rest);
+    const QueryGraph::TableInfo& info = graph.table(local);
+    base_card[local] = static_cast<double>(
+        CountRangeConjunction(info.compiled, 0, info.table->num_rows()));
   }
+  auto smallest = [&](uint64_t candidates) {
+    int best = -1;
+    for (uint64_t rest = candidates; rest != 0; rest &= rest - 1) {
+      const int local = std::countr_zero(rest);
+      if (best < 0 || base_card[local] < base_card[best]) best = local;
+    }
+    return best;
+  };
+
+  const int first = smallest(mask);
   std::unique_ptr<PlanNode> plan = make_scan(first);
-  remaining.erase(std::find(remaining.begin(), remaining.end(), first));
-  std::vector<std::string> joined = {first};
-
-  while (!remaining.empty()) {
-    // Pick the connected remaining table with the smallest filtered card.
-    std::string next;
-    double next_card = std::numeric_limits<double>::max();
-    for (const auto& cand : remaining) {
-      bool connected = false;
-      for (const auto& edge : query.joins) {
-        const bool touches_cand =
-            edge.left_table == cand || edge.right_table == cand;
-        if (!touches_cand) continue;
-        const std::string& other =
-            edge.left_table == cand ? edge.right_table : edge.left_table;
-        if (std::find(joined.begin(), joined.end(), other) != joined.end()) {
-          connected = true;
-          break;
-        }
-      }
-      if (!connected) continue;
-      const double card = FilteredBaseCard(query, cand);
-      if (card < next_card) {
-        next_card = card;
-        next = cand;
+  uint64_t joined = uint64_t{1} << first;
+  while (joined != mask) {
+    const int next = smallest(graph.AdjacencyOf(joined) & mask & ~joined);
+    CARDBENCH_CHECK(next >= 0, "sub-plan %llu of %s is not connected",
+                    static_cast<unsigned long long>(mask),
+                    graph.query().CanonicalKey().c_str());
+    // Every edge between `next` and the joined set, in query edge order:
+    // the first is the hash join's key, the rest post-join filters.
+    const uint64_t next_bit = uint64_t{1} << next;
+    std::vector<PlanEdge> connecting;
+    for (const QueryGraph::EdgeInfo& edge : graph.edges()) {
+      if ((edge.mask & next_bit) != 0 && (edge.mask & joined) != 0) {
+        connecting.push_back(PlanEdge::Of(edge));
       }
     }
-    CARDBENCH_CHECK(!next.empty(), "query join graph disconnected: %s",
-                    query.CanonicalKey().c_str());
-
-    // Collect the edges connecting `next` to the joined set.
-    std::vector<JoinEdge> connecting;
-    for (const auto& edge : query.joins) {
-      const bool next_left = edge.left_table == next;
-      const bool next_right = edge.right_table == next;
-      if (!next_left && !next_right) continue;
-      const std::string& other = next_left ? edge.right_table : edge.left_table;
-      if (std::find(joined.begin(), joined.end(), other) != joined.end()) {
-        connecting.push_back(edge);
-      }
-    }
-    CARDBENCH_CHECK(!connecting.empty(), "no connecting edge for %s",
-                    next.c_str());
-
     auto join = std::make_unique<PlanNode>();
     join->type = PlanNode::Type::kJoin;
     join->join_method = JoinMethod::kHashJoin;
     join->edge = connecting[0];
     join->extra_edges.assign(connecting.begin() + 1, connecting.end());
-    auto scan = make_scan(next);
-    join->table_mask = plan->table_mask | scan->table_mask;
+    join->table_mask = joined | next_bit;
     join->left = std::move(plan);
-    join->right = std::move(scan);
+    join->right = make_scan(next);
     plan = std::move(join);
-
-    joined.push_back(next);
-    remaining.erase(std::find(remaining.begin(), remaining.end(), next));
+    joined |= next_bit;
   }
   return plan;
 }
 
-Result<double> TrueCardService::Card(const Query& query) {
-  const std::string key = query.CanonicalKey();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = cache_.find(key);
-    if (it != cache_.end()) return it->second;
-  }
+std::optional<double> TrueCardService::Cached(const std::string& key) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = cache_.find(key);
+  if (it == cache_.end()) return std::nullopt;
+  return it->second;
+}
 
-  auto plan = BuildCountingPlan(query);
-  CARDBENCH_ASSIGN_OR_RETURN(ExecResult result,
-                             executor_.ExecuteCount(*plan));
+Result<double> TrueCardService::CountAndMemoize(const std::string& key,
+                                                const PlanNode& plan) {
+  CARDBENCH_ASSIGN_OR_RETURN(ExecResult result, executor_.ExecuteCount(plan));
   if (result.timed_out) {
-    return Status::OutOfRange("true-cardinality computation exceeded limits: " +
-                              query.ToSql());
+    return Status::OutOfRange(
+        "true-cardinality computation exceeded limits: " + key);
   }
   const double card = static_cast<double>(result.count);
   std::lock_guard<std::mutex> lock(mu_);
@@ -142,26 +105,19 @@ Result<double> TrueCardService::Card(const Query& query) {
   return card;
 }
 
-Result<double> TrueCardService::Card(const QueryGraph& graph, uint64_t mask) {
-  const std::string& key = graph.CanonicalKey(mask);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = cache_.find(key);
-    if (it != cache_.end()) return it->second;
-  }
-  // Uncached: execute the counting plan of the precomputed induced
-  // sub-query (the slow path; identical to the Query overload's).
-  return Card(graph.InducedRef(mask));
+Result<double> TrueCardService::Card(const Query& query) {
+  const std::string key = query.CanonicalKey();
+  if (const auto card = Cached(key)) return *card;
+  // Compiled only on a miss: workload generation probes thousands of
+  // candidate queries and mostly hits the memo.
+  const QueryGraph graph(query, db_);
+  return CountAndMemoize(key, *BuildCountingPlan(graph, graph.full_mask()));
 }
 
-Result<std::unordered_map<uint64_t, double>> TrueCardService::AllSubplanCards(
-    const Query& query) {
-  std::unordered_map<uint64_t, double> cards;
-  for (uint64_t mask : EnumerateConnectedSubsets(query)) {
-    CARDBENCH_ASSIGN_OR_RETURN(double card, Card(query.Induced(mask)));
-    cards[mask] = card;
-  }
-  return cards;
+Result<double> TrueCardService::Card(const QueryGraph& graph, uint64_t mask) {
+  const std::string& key = graph.CanonicalKey(mask);
+  if (const auto card = Cached(key)) return *card;
+  return CountAndMemoize(key, *BuildCountingPlan(graph, mask));
 }
 
 Result<std::unordered_map<uint64_t, double>> TrueCardService::AllSubplanCards(

@@ -3,6 +3,7 @@
 
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <unordered_map>
 
@@ -24,7 +25,8 @@ class TrueCardService {
                            ExecOptions options = ExecOptions());
 
   /// Exact COUNT(*) of `query` (which may be a sub-plan query). Cached by
-  /// the query's canonical key. Returns OutOfRange if execution exceeded the
+  /// the query's canonical key; the query is compiled into a QueryGraph
+  /// only on a miss. Returns OutOfRange if execution exceeded the
   /// (generous) limits. Thread-safe: the memo table is synchronized, and an
   /// uncached execution serializes callers (the harness precomputes all
   /// workload sub-plans, so the concurrent paths hit the memo).
@@ -36,19 +38,16 @@ class TrueCardService {
   /// caches written by either path serve the other.
   Result<double> Card(const QueryGraph& graph, uint64_t mask);
 
-  /// Exact cardinalities of every connected sub-plan of `query`, keyed by
+  /// Exact cardinalities of every connected sub-plan of `graph`, keyed by
   /// table-subset bitmask — the full sub-plan query space of §4.2.
-  Result<std::unordered_map<uint64_t, double>> AllSubplanCards(
-      const Query& query);
-
-  /// Same, over a compiled graph: the connected-subset enumeration and the
-  /// per-mask canonical keys come precomputed from the graph.
   Result<std::unordered_map<uint64_t, double>> AllSubplanCards(
       const QueryGraph& graph);
 
-  /// Builds the greedy left-deep hash-join counting plan used internally.
+  /// Builds the greedy left-deep hash-join counting plan of the connected
+  /// sub-plan `mask` of `graph`. The plan holds no pointer into the graph.
   /// Exposed for tests and for the executor's own test coverage.
-  std::unique_ptr<PlanNode> BuildCountingPlan(const Query& query) const;
+  std::unique_ptr<PlanNode> BuildCountingPlan(const QueryGraph& graph,
+                                              uint64_t mask) const;
 
   /// Persists / restores the memo table (one "key<TAB>card" line per entry)
   /// so repeated bench runs skip recomputation. SaveCache replaces the file
@@ -76,8 +75,9 @@ class TrueCardService {
   }
 
  private:
-  /// Number of rows of `table` passing the filter predicates of `query`.
-  double FilteredBaseCard(const Query& query, const std::string& table) const;
+  std::optional<double> Cached(const std::string& key) const;
+  /// Executes `plan` and memoizes its count under `key`.
+  Result<double> CountAndMemoize(const std::string& key, const PlanNode& plan);
 
   const Database& db_;
   Executor executor_;

@@ -2,7 +2,6 @@
 #define CARDBENCH_EXEC_TUPLE_SET_H_
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 namespace cardbench {
@@ -12,35 +11,14 @@ namespace cardbench {
 /// Keeping only row ids (late materialization) means joins can access any
 /// column of any constituent table without copying payloads.
 struct TupleSet {
-  /// Constituent base tables, defining component order within each tuple.
-  std::vector<std::string> tables;
-  /// Interned catalog ids of `tables`, kept parallel by the executor so join
-  /// loops resolve components with integer compares, never strings.
+  /// Catalog ids of the constituent base tables, defining component order
+  /// within each tuple.
   std::vector<int> table_ids;
   /// Row ids, row-major; size is a multiple of arity().
   std::vector<uint32_t> data;
 
-  size_t arity() const { return tables.size(); }
-  size_t size() const { return tables.empty() ? 0 : data.size() / arity(); }
-
-  /// Component index of `table` or -1. String-comparing fallback for
-  /// diagnostics and tests; operators resolve via ComponentOfId.
-  int ComponentOf(const std::string& table) const {
-    for (size_t i = 0; i < tables.size(); ++i) {
-      if (tables[i] == table) return static_cast<int>(i);
-    }
-    return -1;
-  }
-
-  /// Component index of the interned table id `table_id`, or -1. Negative
-  /// ids (unknown tables) never match.
-  int ComponentOfId(int table_id) const {
-    if (table_id < 0) return -1;
-    for (size_t i = 0; i < table_ids.size(); ++i) {
-      if (table_ids[i] == table_id) return static_cast<int>(i);
-    }
-    return -1;
-  }
+  size_t arity() const { return table_ids.size(); }
+  size_t size() const { return table_ids.empty() ? 0 : data.size() / arity(); }
 
   /// Row id of `component` within tuple `t`.
   uint32_t Row(size_t t, size_t component) const {

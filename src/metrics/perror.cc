@@ -34,23 +34,9 @@ class TrueCardMapEstimator : public CardinalityEstimator {
 }  // namespace
 
 PErrorCalculator::PErrorCalculator(
-    const Optimizer& optimizer, const Query& query,
-    std::unordered_map<uint64_t, double> true_cards)
-    : optimizer_(optimizer),
-      owned_graph_(std::make_unique<QueryGraph>(query, optimizer.db())),
-      graph_(*owned_graph_),
-      true_cards_(std::move(true_cards)) {
-  ComputeTruePlanCost();
-}
-
-PErrorCalculator::PErrorCalculator(
     const Optimizer& optimizer, const QueryGraph& graph,
     std::unordered_map<uint64_t, double> true_cards)
     : optimizer_(optimizer), graph_(graph), true_cards_(std::move(true_cards)) {
-  ComputeTruePlanCost();
-}
-
-void PErrorCalculator::ComputeTruePlanCost() {
   TrueCardMapEstimator oracle(graph_, true_cards_);
   auto plan = optimizer_.Plan(graph_, oracle);
   CARDBENCH_CHECK(plan.ok(), "true-card planning failed: %s",

@@ -1,13 +1,11 @@
 #ifndef CARDBENCH_METRICS_PERROR_H_
 #define CARDBENCH_METRICS_PERROR_H_
 
-#include <memory>
 #include <unordered_map>
 
 #include "cardest/estimator.h"
 #include "common/status.h"
 #include "optimizer/optimizer.h"
-#include "query/query.h"
 #include "query/query_graph.h"
 
 namespace cardbench {
@@ -27,14 +25,9 @@ namespace cardbench {
 /// connected sub-plan must have been executed), never a silent fallback.
 class PErrorCalculator {
  public:
-  /// `true_cards`: exact cardinality of every connected sub-plan of
-  /// `query`, keyed by table-subset bitmask. Compiles the query's graph
-  /// internally.
-  PErrorCalculator(const Optimizer& optimizer, const Query& query,
-                   std::unordered_map<uint64_t, double> true_cards);
-
-  /// Same, but reuses an already-compiled graph (the harness compiles one
-  /// per workload query; `graph` must outlive the calculator).
+  /// `true_cards`: exact cardinality of every connected sub-plan of the
+  /// compiled query `graph`, keyed by table-subset bitmask. `graph` must
+  /// outlive the calculator.
   PErrorCalculator(const Optimizer& optimizer, const QueryGraph& graph,
                    std::unordered_map<uint64_t, double> true_cards);
 
@@ -49,10 +42,7 @@ class PErrorCalculator {
   double EvaluatePlan(const PlanNode& plan) const;
 
  private:
-  void ComputeTruePlanCost();
-
   const Optimizer& optimizer_;
-  std::unique_ptr<QueryGraph> owned_graph_;  // only the Query ctor sets this
   const QueryGraph& graph_;
   std::unordered_map<uint64_t, double> true_cards_;
   double true_plan_cost_ = 0.0;

@@ -26,34 +26,24 @@ uint64_t NdvKey(int table_id, int column_id) {
 }  // namespace
 
 Optimizer::Optimizer(const Database& db, CostModel cost_model)
-    : db_(db), cost_(cost_model) {
-  for (size_t i = 0; i < db.table_names().size(); ++i) {
-    table_ids_[db.table_names()[i]] = static_cast<int>(i);
-  }
-}
+    : db_(db), cost_(cost_model) {}
 
-double Optimizer::NdvOf(int table_id, int column_id,
-                        const Table& table) const {
+double Optimizer::NdvOf(int table_id, int column_id) const {
   const uint64_t key = NdvKey(table_id, column_id);
   {
     std::lock_guard<std::mutex> lock(ndv_mu_);
     auto it = ndv_cache_.find(key);
     if (it != ndv_cache_.end()) return it->second;
   }
+  CARDBENCH_CHECK(db_.ColumnById(table_id, column_id) != nullptr,
+                  "no column %d in table id %d", column_id, table_id);
   const double ndv = std::max<double>(
-      1.0, static_cast<double>(table.GetIndex(column_id).num_distinct()));
+      1.0, static_cast<double>(db_.TableById(table_id)
+                                   ->GetIndex(static_cast<size_t>(column_id))
+                                   .num_distinct()));
   std::lock_guard<std::mutex> lock(ndv_mu_);
   ndv_cache_[key] = ndv;
   return ndv;
-}
-
-double Optimizer::NdvOf(const std::string& table,
-                        const std::string& column) const {
-  const Table& t = db_.TableOrDie(table);
-  auto it = table_ids_.find(table);
-  CARDBENCH_CHECK(it != table_ids_.end(), "unknown table '%s'",
-                  table.c_str());
-  return NdvOf(it->second, static_cast<int>(t.ColumnIndexOrDie(column)), t);
 }
 
 Result<PlanResult> Optimizer::Plan(const QueryGraph& graph,
@@ -89,14 +79,14 @@ Result<PlanResult> Optimizer::Plan(const QueryGraph& graph,
     const QueryGraph::TableInfo& info = graph.table(i);
     const double table_rows = static_cast<double>(info.table->num_rows());
     const double out_card = result.injected_cards.at(mask);
-    const std::vector<Predicate>& filters = info.preds;
+    const std::vector<CompiledPredicate>& filters = info.compiled;
 
     Entry entry;
     // Sequential scan is always available.
     {
       auto scan = std::make_unique<PlanNode>();
       scan->type = PlanNode::Type::kScan;
-      scan->table = info.name;
+      scan->table_id = info.table_id;
       scan->scan_method = ScanMethod::kSeqScan;
       scan->filters = filters;
       scan->table_mask = mask;
@@ -108,15 +98,14 @@ Result<PlanResult> Optimizer::Plan(const QueryGraph& graph,
     // Index scan: leading equality predicate on an indexed (key) column.
     for (size_t f = 0; f < filters.size(); ++f) {
       if (filters[f].op != CompareOp::kEq) continue;
-      const int col_id = info.pred_column_ids[f];
-      if (info.table->column(col_id).kind() != ColumnKind::kKey) continue;
+      if (filters[f].column->kind() != ColumnKind::kKey) continue;
       const double matched =
-          table_rows / NdvOf(info.table_id, col_id, *info.table);
+          table_rows / NdvOf(info.table_id, filters[f].column_id);
       const double cost = cost_.IndexScanCost(matched, filters.size() - 1);
       if (cost < entry.cost) {
         auto scan = std::make_unique<PlanNode>();
         scan->type = PlanNode::Type::kScan;
-        scan->table = info.name;
+        scan->table_id = info.table_id;
         scan->scan_method = ScanMethod::kIndexScan;
         scan->filters = filters;
         std::swap(scan->filters[0], scan->filters[f]);
@@ -173,16 +162,18 @@ Result<PlanResult> Optimizer::Plan(const QueryGraph& graph,
       const double child_cost = oe.cost + ie.cost;
       const size_t num_extra = connecting.size() - 1;
 
-      auto consider = [&](JoinMethod method, double join_cost,
-                          const JoinEdge& primary) {
-        const double total = child_cost + join_cost;
-        if (total >= best.cost) return;
+      // Keeps the join of the two sides on `primary` when its total cost
+      // beats the best so far; the other connecting edges become post-join
+      // filters, in query edge order. True if the join was kept.
+      auto consider = [&](JoinMethod method, double total,
+                          const QueryGraph::EdgeInfo* primary) {
+        if (total >= best.cost) return false;
         auto node = std::make_unique<PlanNode>();
         node->type = PlanNode::Type::kJoin;
         node->join_method = method;
-        node->edge = primary;
+        node->edge = PlanEdge::Of(*primary);
         for (const QueryGraph::EdgeInfo* e : connecting) {
-          if (*e->edge != primary) node->extra_edges.push_back(*e->edge);
+          if (e != primary) node->extra_edges.push_back(PlanEdge::Of(*e));
         }
         node->left = oe.plan->Clone();
         node->right = ie.plan->Clone();
@@ -192,14 +183,17 @@ Result<PlanResult> Optimizer::Plan(const QueryGraph& graph,
         best.cost = total;
         best.card = out_card;
         best.plan = std::move(node);
+        return true;
       };
 
       consider(JoinMethod::kHashJoin,
-               cost_.HashJoinCost(oe.card, ie.card, out_card, num_extra),
-               *connecting[0]->edge);
+               child_cost +
+                   cost_.HashJoinCost(oe.card, ie.card, out_card, num_extra),
+               connecting[0]);
       consider(JoinMethod::kMergeJoin,
-               cost_.MergeJoinCost(oe.card, ie.card, out_card, num_extra),
-               *connecting[0]->edge);
+               child_cost +
+                   cost_.MergeJoinCost(oe.card, ie.card, out_card, num_extra),
+               connecting[0]);
 
       // Index nested loop: inner side must be a single base table whose
       // join-edge endpoint is an indexed key column.
@@ -222,29 +216,15 @@ Result<PlanResult> Optimizer::Plan(const QueryGraph& graph,
           if (inner_column->kind() != ColumnKind::kKey) continue;
           const double matched_per_probe =
               static_cast<double>(it_info.table->num_rows()) /
-              NdvOf(it_info.table_id, inner_col, *it_info.table);
+              NdvOf(it_info.table_id, inner_col);
           // The inner scan's cost is not paid: probes replace the scan.
           const double join_cost = cost_.IndexNestLoopCost(
               oe.card, matched_per_probe, out_card, ie.plan->filters.size(),
               num_extra);
-          const double total = oe.cost + join_cost;
-          if (total >= best.cost) continue;
-          auto node = std::make_unique<PlanNode>();
-          node->type = PlanNode::Type::kJoin;
-          node->join_method = JoinMethod::kIndexNestLoop;
-          node->edge = *edge->edge;
-          for (const QueryGraph::EdgeInfo* e : connecting) {
-            if (*e->edge != *edge->edge) node->extra_edges.push_back(*e->edge);
+          if (consider(JoinMethod::kIndexNestLoop, oe.cost + join_cost,
+                       edge)) {
+            break;
           }
-          node->left = oe.plan->Clone();
-          node->right = ie.plan->Clone();
-          node->table_mask = mask;
-          node->estimated_card = out_card;
-          node->estimated_cost = total;
-          best.cost = total;
-          best.card = out_card;
-          best.plan = std::move(node);
-          break;
         }
       }
     }
@@ -281,11 +261,18 @@ double Optimizer::RecostWithCards(
     return ClampCard(it != cards.end() ? it->second : node.estimated_card);
   };
 
+  auto rows_of = [this](int table_id) {
+    const Table* table = db_.TableById(table_id);
+    CARDBENCH_CHECK(table != nullptr, "plan names unknown table id %d",
+                    table_id);
+    return static_cast<double>(table->num_rows());
+  };
+
   if (plan.IsScan()) {
-    const Table& table = db_.TableOrDie(plan.table);
-    const double table_rows = static_cast<double>(table.num_rows());
+    const double table_rows = rows_of(plan.table_id);
     if (plan.scan_method == ScanMethod::kIndexScan) {
-      const double matched = table_rows / NdvOf(plan.table, plan.filters[0].column);
+      const double matched =
+          table_rows / NdvOf(plan.table_id, plan.filters[0].column_id);
       return cost_.IndexScanCost(matched, plan.filters.size() - 1);
     }
     return cost_.SeqScanCost(table_rows, plan.filters.size());
@@ -297,13 +284,12 @@ double Optimizer::RecostWithCards(
   const size_t num_extra = plan.extra_edges.size();
 
   if (plan.join_method == JoinMethod::kIndexNestLoop) {
-    const std::string& inner_table = plan.right->table;
-    const bool inner_is_left = plan.edge.left_table == inner_table;
-    const std::string& inner_col =
-        inner_is_left ? plan.edge.left_column : plan.edge.right_column;
-    const Table& it_table = db_.TableOrDie(inner_table);
+    const int inner_table = plan.right->table_id;
+    const CatalogColumn key = plan.edge.left.table_id == inner_table
+                                  ? plan.edge.left
+                                  : plan.edge.right;
     const double matched_per_probe =
-        static_cast<double>(it_table.num_rows()) / NdvOf(inner_table, inner_col);
+        rows_of(inner_table) / NdvOf(inner_table, key.column_id);
     return left_cost + cost_.IndexNestLoopCost(outer_card, matched_per_probe,
                                                out_card,
                                                plan.right->filters.size(),

@@ -69,17 +69,14 @@ class Optimizer {
   const Database& db() const { return db_; }
 
  private:
-  /// Distinct-value count of a column, cached under its (table_id,
+  /// Distinct-value count of a catalog column, cached under its (table_id,
   /// column_id) pair (PostgreSQL keeps the same statistic in pg_stats; used
-  /// for index-nested-loop costing).
-  double NdvOf(int table_id, int column_id, const Table& table) const;
-  /// Name-based resolution front-end for recosting (plan nodes carry
-  /// names).
-  double NdvOf(const std::string& table, const std::string& column) const;
+  /// for index-scan and index-nested-loop costing). Dies on an id that
+  /// names no column.
+  double NdvOf(int table_id, int column_id) const;
 
   const Database& db_;
   CostModel cost_;
-  std::unordered_map<std::string, int> table_ids_;
   mutable std::mutex ndv_mu_;
   mutable std::unordered_map<uint64_t, double> ndv_cache_;
 };

@@ -23,17 +23,6 @@ struct JoinEdge {
     return left_table + "." + left_column + " = " + right_table + "." +
            right_column;
   }
-
-  /// Field-wise equality (orientation-sensitive, like the ToString
-  /// comparison it replaces in the optimizer's split loop — no string
-  /// materialization).
-  bool operator==(const JoinEdge& other) const {
-    return left_table == other.left_table &&
-           left_column == other.left_column &&
-           right_table == other.right_table &&
-           right_column == other.right_column;
-  }
-  bool operator!=(const JoinEdge& other) const { return !(*this == other); }
 };
 
 /// A COUNT(*) select-project-join query in the paper's canonical form:

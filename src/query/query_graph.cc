@@ -11,23 +11,17 @@ namespace cardbench {
 
 QueryGraph::QueryGraph(const Query& query, const Database& db)
     : query_(query), db_(&db) {
-  // --- Tables: intern names to global ids once. ---
-  std::unordered_map<std::string, int> global_id;
-  global_id.reserve(db.num_tables());
-  for (size_t i = 0; i < db.table_names().size(); ++i) {
-    global_id[db.table_names()[i]] = static_cast<int>(i);
-  }
+  // --- Tables: resolve names to catalog ids once. ---
   std::unordered_map<std::string, int> local_id;
   tables_.reserve(query_.tables.size());
   for (size_t i = 0; i < query_.tables.size(); ++i) {
     const std::string& name = query_.tables[i];
-    auto it = global_id.find(name);
-    CARDBENCH_CHECK(it != global_id.end(), "query table '%s' not in database",
-                    name.c_str());
     TableInfo info;
     info.name = name;
-    info.table_id = it->second;
-    info.table = &db.TableOrDie(name);
+    info.table_id = db.TableId(name);
+    CARDBENCH_CHECK(info.table_id >= 0, "query table '%s' not in database",
+                    name.c_str());
+    info.table = db.TableById(info.table_id);
     tables_.push_back(std::move(info));
     local_id[name] = static_cast<int>(i);
   }
@@ -47,7 +41,6 @@ QueryGraph::QueryGraph(const Query& query, const Database& db)
     info.column = &owner.table->column(info.column_id);
     info.pred = pred;
     owner.preds.push_back(pred);
-    owner.pred_column_ids.push_back(info.column_id);
     preds_.push_back(std::move(info));
   }
   for (TableInfo& info : tables_) {
@@ -59,7 +52,7 @@ QueryGraph::QueryGraph(const Query& query, const Database& db)
     for (size_t p = 0; p < info.preds.size(); ++p) {
       PredGroup& group = groups[info.preds[p].column];
       group.column = info.preds[p].column;
-      group.column_id = info.pred_column_ids[p];
+      group.column_id = info.compiled[p].column_id;
       group.preds.push_back(info.preds[p]);
     }
     info.pred_groups.reserve(groups.size());
@@ -101,7 +94,7 @@ QueryGraph::QueryGraph(const Query& query, const Database& db)
     edges_.push_back(std::move(info));
   }
 
-  // --- Sub-plan space: connected subsets, induced queries, keys. ---
+  // --- Sub-plan space: connected subsets and their canonical keys. ---
   const uint64_t full = full_mask();
   for (uint64_t mask = 1; mask <= full; ++mask) {
     if (IsConnected(mask)) connected_subsets_.push_back(mask);
@@ -110,14 +103,9 @@ QueryGraph::QueryGraph(const Query& query, const Database& db)
                    [](uint64_t a, uint64_t b) {
                      return std::popcount(a) < std::popcount(b);
                    });
-  subplans_.reserve(connected_subsets_.size());
-  subplan_slot_.reserve(connected_subsets_.size());
+  canonical_keys_.reserve(connected_subsets_.size());
   for (uint64_t mask : connected_subsets_) {
-    SubplanSlot slot;
-    slot.induced = query_.Induced(mask);
-    slot.canonical_key = slot.induced.CanonicalKey();
-    subplan_slot_[mask] = subplans_.size();
-    subplans_.push_back(std::move(slot));
+    canonical_keys_[mask] = query_.Induced(mask).CanonicalKey();
   }
   fingerprint_ = Fnv1aHash(query_.CanonicalKey());
 }
@@ -141,20 +129,12 @@ bool QueryGraph::IsConnected(uint64_t mask) const {
   return visited == mask;
 }
 
-const QueryGraph::SubplanSlot& QueryGraph::SlotFor(uint64_t mask) const {
-  auto it = subplan_slot_.find(mask);
-  CARDBENCH_CHECK(it != subplan_slot_.end(),
+const std::string& QueryGraph::CanonicalKey(uint64_t mask) const {
+  auto it = canonical_keys_.find(mask);
+  CARDBENCH_CHECK(it != canonical_keys_.end(),
                   "mask %llu is not a connected sub-plan of this query",
                   static_cast<unsigned long long>(mask));
-  return subplans_[it->second];
-}
-
-const Query& QueryGraph::InducedRef(uint64_t mask) const {
-  return SlotFor(mask).induced;
-}
-
-const std::string& QueryGraph::CanonicalKey(uint64_t mask) const {
-  return SlotFor(mask).canonical_key;
+  return it->second;
 }
 
 }  // namespace cardbench

@@ -21,7 +21,7 @@ namespace cardbench {
 /// Table pointers, predicate/join columns to column ids and Column pointers
 /// — and precomputes what the planning loop otherwise recomputes per
 /// (estimator x sub-plan): per-table adjacency bitmasks, the connected
-/// subset enumeration, the induced sub-query and its canonical key per
+/// subset enumeration, the canonical key of the induced sub-query per
 /// connected mask, and a stable 64-bit fingerprint of the whole query.
 ///
 /// The graph deliberately stores *no* data statistics (NDV, null fractions,
@@ -59,8 +59,8 @@ class QueryGraph {
     const Table* table = nullptr;
     uint64_t adjacency = 0;       ///< local-id bitmask of join neighbours
     std::vector<Predicate> preds;         ///< this table's filters, query order
-    std::vector<int> pred_column_ids;     ///< column id per entry of `preds`
-    std::vector<CompiledPredicate> compiled;  ///< `preds` bound to base columns
+    /// `preds` bound to base columns, with their column ids.
+    std::vector<CompiledPredicate> compiled;
     std::vector<PredGroup> pred_groups;
   };
 
@@ -116,18 +116,11 @@ class QueryGraph {
     return connected_subsets_;
   }
 
-  /// The sub-query induced by a *connected* `mask`, precomputed — byte-for-
-  /// byte equal to query().Induced(mask). Dies on a non-connected mask (no
-  /// caller dispatches a disconnected sub-plan).
-  const Query& InducedRef(uint64_t mask) const;
-
-  /// The induced sub-query for any mask (copies; prefer InducedRef).
-  Query InducedQuery(uint64_t mask) const { return query_.Induced(mask); }
-
-  /// Canonical key of the sub-plan `mask` (connected masks only),
-  /// precomputed — byte-for-byte equal to query().Induced(mask)
-  /// .CanonicalKey(), so hash-seeded samplers and the true-cardinality
-  /// disk cache see exactly the keys the string path produced.
+  /// Canonical key of the sub-plan `mask`, precomputed — byte-for-byte
+  /// equal to query().Induced(mask).CanonicalKey(), so hash-seeded samplers
+  /// and the true-cardinality disk cache see exactly the keys the string
+  /// path produced. Dies on a non-connected mask (no caller dispatches a
+  /// disconnected sub-plan).
   const std::string& CanonicalKey(uint64_t mask) const;
 
   /// Stable 64-bit fingerprint of the whole query: FNV-1a of the full-mask
@@ -137,21 +130,13 @@ class QueryGraph {
   uint64_t fingerprint() const { return fingerprint_; }
 
  private:
-  struct SubplanSlot {
-    Query induced;
-    std::string canonical_key;
-  };
-
-  const SubplanSlot& SlotFor(uint64_t mask) const;
-
   Query query_;  // owned copy; EdgeInfo::edge points into its joins
   const Database* db_;
   std::vector<TableInfo> tables_;
   std::vector<EdgeInfo> edges_;
   std::vector<PredInfo> preds_;
   std::vector<uint64_t> connected_subsets_;
-  std::vector<SubplanSlot> subplans_;                // one per connected mask
-  std::unordered_map<uint64_t, size_t> subplan_slot_;  // mask -> subplans_ idx
+  std::unordered_map<uint64_t, std::string> canonical_keys_;  // by mask
   uint64_t fingerprint_ = 0;
 };
 

@@ -75,21 +75,8 @@ void RequestExecutor::ExecuteAsync(const ServerRequest& request,
     return;
   }
   std::shared_ptr<const QueryGraph> graph = std::move(*compiled);
-  if (request.subplan_mask != 0) {
-    if ((request.subplan_mask & graph->full_mask()) != request.subplan_mask) {
-      done(ErrorResponse(
-          request,
-          Status::InvalidArgument("subplan mask selects absent tables")));
-      return;
-    }
-    if (!graph->IsConnected(request.subplan_mask)) {
-      done(ErrorResponse(
-          request,
-          Status::InvalidArgument("subplan mask is not connected")));
-      return;
-    }
-  }
 
+  // Submit rejects a mask that names absent tables or is not connected.
   EstimateRequest estimate;
   estimate.estimator = request.estimator;
   estimate.graph = graph.get();

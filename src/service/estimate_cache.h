@@ -14,9 +14,9 @@ namespace cardbench {
 
 /// Identity of one cached sub-plan estimate: which estimator produced it,
 /// which workload query it belongs to (the QueryGraph's 64-bit fingerprint
-/// — FNV-1a of the query's canonical key, so graph-less requests can form
-/// the same key by hashing) and which connected table subset of that query
-/// (bitmask, as used by the optimizer's DP and the Q-Error analysis).
+/// — FNV-1a of the query's canonical key) and which connected table subset
+/// of that query (bitmask, as used by the optimizer's DP and the Q-Error
+/// analysis).
 struct SubplanCacheKey {
   std::string estimator;
   uint64_t fingerprint = 0;

@@ -171,12 +171,20 @@ void EstimationService::NotifyRefresh(const std::string& name,
 
 Status EstimationService::Submit(EstimateRequest request,
                                  EstimateCallback done) {
-  if (request.query == nullptr && request.graph == nullptr) {
-    return Status::InvalidArgument(
-        "EstimateRequest needs a query or a graph");
+  if (request.graph == nullptr) {
+    return Status::InvalidArgument("EstimateRequest needs a graph");
   }
   if (request.timeout_seconds < 0.0) {
     return Status::InvalidArgument("negative EstimateRequest timeout");
+  }
+  const uint64_t mask = request.subplan_mask;
+  if (mask != kAllSubplans) {
+    if ((mask & request.graph->full_mask()) != mask) {
+      return Status::InvalidArgument("subplan mask selects absent tables");
+    }
+    if (!request.graph->IsConnected(mask)) {
+      return Status::InvalidArgument("subplan mask is not connected");
+    }
   }
   WorkItem item{std::move(request), std::move(done)};
   if (item.request.timeout_seconds > 0.0) {
@@ -231,37 +239,25 @@ double EstimationService::SuggestedRetrySeconds() const {
   return std::clamp(drain, 1e-3, 1.0);
 }
 
-Result<double> EstimationService::EstimateSync(const std::string& estimator,
-                                               const Query& query,
-                                               uint64_t subplan_mask) {
+Result<EstimateResponse> EstimationService::SubmitSync(
+    EstimateRequest request) {
   std::promise<EstimateResponse> promise;
   std::future<EstimateResponse> future = promise.get_future();
-  CARDBENCH_RETURN_IF_ERROR(Submit(
-      EstimateRequest{estimator, &query, subplan_mask},
-      [&promise](EstimateResponse response) {
+  CARDBENCH_RETURN_IF_ERROR(
+      Submit(std::move(request), [&promise](EstimateResponse response) {
         promise.set_value(std::move(response));
       }));
   EstimateResponse response = future.get();
   CARDBENCH_RETURN_IF_ERROR(response.status);
-  auto it = response.cards.find(subplan_mask);
-  if (it == response.cards.end()) {
-    return Status::Internal("estimate missing from response");
-  }
-  return it->second;
+  return response;
 }
 
 Result<double> EstimationService::EstimateSync(const std::string& estimator,
                                                const QueryGraph& graph,
                                                uint64_t subplan_mask) {
-  std::promise<EstimateResponse> promise;
-  std::future<EstimateResponse> future = promise.get_future();
-  CARDBENCH_RETURN_IF_ERROR(Submit(
-      EstimateRequest{estimator, nullptr, subplan_mask, &graph},
-      [&promise](EstimateResponse response) {
-        promise.set_value(std::move(response));
-      }));
-  EstimateResponse response = future.get();
-  CARDBENCH_RETURN_IF_ERROR(response.status);
+  CARDBENCH_ASSIGN_OR_RETURN(
+      const EstimateResponse response,
+      SubmitSync(EstimateRequest{estimator, subplan_mask, &graph}));
   auto it = response.cards.find(subplan_mask);
   if (it == response.cards.end()) {
     return Status::Internal("estimate missing from response");
@@ -272,30 +268,9 @@ Result<double> EstimationService::EstimateSync(const std::string& estimator,
 Result<std::unordered_map<uint64_t, double>>
 EstimationService::EstimateQuerySync(const std::string& estimator,
                                      const QueryGraph& graph) {
-  std::promise<EstimateResponse> promise;
-  std::future<EstimateResponse> future = promise.get_future();
-  CARDBENCH_RETURN_IF_ERROR(Submit(
-      EstimateRequest{estimator, nullptr, kAllSubplans, &graph},
-      [&promise](EstimateResponse response) {
-        promise.set_value(std::move(response));
-      }));
-  EstimateResponse response = future.get();
-  CARDBENCH_RETURN_IF_ERROR(response.status);
-  return std::move(response.cards);
-}
-
-Result<std::unordered_map<uint64_t, double>>
-EstimationService::EstimateQuerySync(const std::string& estimator,
-                                     const Query& query) {
-  std::promise<EstimateResponse> promise;
-  std::future<EstimateResponse> future = promise.get_future();
-  CARDBENCH_RETURN_IF_ERROR(Submit(
-      EstimateRequest{estimator, &query, kAllSubplans},
-      [&promise](EstimateResponse response) {
-        promise.set_value(std::move(response));
-      }));
-  EstimateResponse response = future.get();
-  CARDBENCH_RETURN_IF_ERROR(response.status);
+  CARDBENCH_ASSIGN_OR_RETURN(
+      EstimateResponse response,
+      SubmitSync(EstimateRequest{estimator, kAllSubplans, &graph}));
   return std::move(response.cards);
 }
 
@@ -355,107 +330,69 @@ EstimateResponse EstimationService::Process(const EstimateRequest& request,
     return response;
   }
   response.model_version = model_version;
-  if (request.graph != nullptr) {
-    // Compiled-IR batch path: every mask of the request is probed against
-    // the sharded LRU in one batch (one lock acquisition per shard), only
-    // the misses go to the estimator — as one EstimateCards batch — and
-    // the fresh estimates are filled back in one batch.
-    const QueryGraph& graph = *request.graph;
-    std::vector<uint64_t> masks;
-    if (request.subplan_mask == kAllSubplans) {
-      masks = graph.connected_subsets();
-    } else {
-      masks.push_back(request.subplan_mask);
-    }
-    std::vector<SubplanCacheKey> keys;
-    keys.reserve(masks.size());
-    for (uint64_t mask : masks) {
-      keys.push_back(SubplanCacheKey{request.estimator, graph.fingerprint(),
-                                     mask, model_version});
-    }
-    std::vector<double> estimates;
-    std::vector<bool> hit;
-    const size_t hits = cache_.LookupBatch(keys, &estimates, &hit);
-    response.cache_hits += hits;
-    response.cache_misses += masks.size() - hits;
-    if (hits < masks.size()) {
-      std::vector<uint64_t> miss_masks;
-      std::vector<size_t> miss_idx;
-      miss_masks.reserve(masks.size() - hits);
-      miss_idx.reserve(masks.size() - hits);
-      for (size_t i = 0; i < masks.size(); ++i) {
-        if (!hit[i]) {
-          miss_masks.push_back(masks[i]);
-          miss_idx.push_back(i);
-        }
-      }
-      // Without a deadline the whole miss set goes to the estimator as one
-      // batch (maximum GEMM/featurization amortization). With one, the
-      // batch is cut into bounded slices with a clock check before each, so
-      // an expired request frees its worker after at most one slice. Work
-      // finished before expiry is still cached — a retry resumes, not
-      // restarts.
-      const bool deadlined = deadline != Clock::time_point::max();
-      const size_t stride =
-          deadlined ? kDeadlineCheckStride : miss_masks.size();
-      for (size_t begin = 0; begin < miss_masks.size(); begin += stride) {
-        if (deadlined && Clock::now() > deadline) {
-          response.status = Status::DeadlineExceeded(StrFormat(
-              "deadline expired after %zu of %zu sub-plan estimates", begin,
-              miss_masks.size()));
-          response.cards.clear();
-          return response;
-        }
-        const size_t count = std::min(stride, miss_masks.size() - begin);
-        const std::vector<double> fresh = estimator->EstimateCards(
-            graph, std::span<const uint64_t>(miss_masks).subspan(begin,
-                                                                 count));
-        std::vector<SubplanCacheKey> slice_keys;
-        slice_keys.reserve(count);
-        for (size_t m = 0; m < count; ++m) {
-          estimates[miss_idx[begin + m]] = fresh[m];
-          slice_keys.push_back(keys[miss_idx[begin + m]]);
-        }
-        cache_.InsertBatch(slice_keys, fresh);
-      }
-    }
-    for (size_t i = 0; i < masks.size(); ++i) {
-      response.cards[masks[i]] = estimates[i];
-    }
-    return response;
-  }
-
-  const Query& query = *request.query;
-  // Same fingerprint a compiled graph of this query would carry, so graph
-  // and graph-less requests share cache entries.
-  const uint64_t fingerprint = Fnv1aHash(query.CanonicalKey());
-
+  // Every mask of the request is probed against the sharded LRU in one
+  // batch (one lock acquisition per shard), only the misses go to the
+  // estimator — as one EstimateCards batch — and the fresh estimates are
+  // filled back in one batch.
+  const QueryGraph& graph = *request.graph;
   std::vector<uint64_t> masks;
   if (request.subplan_mask == kAllSubplans) {
-    masks = EnumerateConnectedSubsets(query);
+    masks = graph.connected_subsets();
   } else {
     masks.push_back(request.subplan_mask);
   }
-
+  std::vector<SubplanCacheKey> keys;
+  keys.reserve(masks.size());
   for (uint64_t mask : masks) {
-    if (deadline != Clock::time_point::max() && Clock::now() > deadline) {
-      response.status = Status::DeadlineExceeded(
-          "deadline expired during sub-plan estimation");
-      response.cards.clear();
-      return response;
+    keys.push_back(SubplanCacheKey{request.estimator, graph.fingerprint(),
+                                   mask, model_version});
+  }
+  std::vector<double> estimates;
+  std::vector<bool> hit;
+  const size_t hits = cache_.LookupBatch(keys, &estimates, &hit);
+  response.cache_hits += hits;
+  response.cache_misses += masks.size() - hits;
+  if (hits < masks.size()) {
+    std::vector<uint64_t> miss_masks;
+    std::vector<size_t> miss_idx;
+    miss_masks.reserve(masks.size() - hits);
+    miss_idx.reserve(masks.size() - hits);
+    for (size_t i = 0; i < masks.size(); ++i) {
+      if (!hit[i]) {
+        miss_masks.push_back(masks[i]);
+        miss_idx.push_back(i);
+      }
     }
-    SubplanCacheKey key{request.estimator, fingerprint, mask, model_version};
-    double estimate = 0.0;
-    if (cache_.Lookup(key, &estimate)) {
-      ++response.cache_hits;
-    } else {
-      estimate = mask == query.FullMask()
-                     ? estimator->EstimateCard(query)
-                     : estimator->EstimateCard(query.Induced(mask));
-      cache_.Insert(key, estimate);
-      ++response.cache_misses;
+    // Without a deadline the whole miss set goes to the estimator as one
+    // batch (maximum GEMM/featurization amortization). With one, the batch
+    // is cut into bounded slices with a clock check before each, so an
+    // expired request frees its worker after at most one slice. Work
+    // finished before expiry is still cached — a retry resumes, not
+    // restarts.
+    const bool deadlined = deadline != Clock::time_point::max();
+    const size_t stride = deadlined ? kDeadlineCheckStride : miss_masks.size();
+    for (size_t begin = 0; begin < miss_masks.size(); begin += stride) {
+      if (deadlined && Clock::now() > deadline) {
+        response.status = Status::DeadlineExceeded(StrFormat(
+            "deadline expired after %zu of %zu sub-plan estimates", begin,
+            miss_masks.size()));
+        response.cards.clear();
+        return response;
+      }
+      const size_t count = std::min(stride, miss_masks.size() - begin);
+      const std::vector<double> fresh = estimator->EstimateCards(
+          graph, std::span<const uint64_t>(miss_masks).subspan(begin, count));
+      std::vector<SubplanCacheKey> slice_keys;
+      slice_keys.reserve(count);
+      for (size_t m = 0; m < count; ++m) {
+        estimates[miss_idx[begin + m]] = fresh[m];
+        slice_keys.push_back(keys[miss_idx[begin + m]]);
+      }
+      cache_.InsertBatch(slice_keys, fresh);
     }
-    response.cards[mask] = estimate;
+  }
+  for (size_t i = 0; i < masks.size(); ++i) {
+    response.cards[masks[i]] = estimates[i];
   }
   return response;
 }

@@ -14,7 +14,6 @@
 #include "cardest/estimator.h"
 #include "common/status.h"
 #include "common/thread_pool.h"
-#include "query/query.h"
 #include "query/query_graph.h"
 #include "service/estimate_cache.h"
 #include "service/request_queue.h"
@@ -37,18 +36,15 @@ struct ServiceOptions {
 /// the query (the optimizer's full sub-plan query space, §4.2).
 inline constexpr uint64_t kAllSubplans = 0;
 
-/// One estimation request: which estimator, which query, which sub-plan(s).
-/// `query` is borrowed — it must outlive the request's completion (workload
-/// queries live in the Workload that outlives the replay; the planner's
-/// sub-plan queries live for the planning call).
-///
-/// When `graph` is set (same lifetime contract), workers dispatch through
-/// the estimators' mask-based overload and key the cache on the graph's
-/// precomputed fingerprint — no sub-query materialization or string hashing
-/// on the serving path. `query` may then be null.
+/// One estimation request: which estimator, which compiled query, which
+/// sub-plan(s). `graph` is borrowed — it must outlive the request's
+/// completion. Workers dispatch through the estimators' mask-based overload
+/// and key the cache on the graph's precomputed fingerprint, so the serving
+/// path materializes no sub-query and hashes no string.
 struct EstimateRequest {
   std::string estimator;
-  const Query* query = nullptr;
+  /// kAllSubplans, or one connected sub-plan of `graph` (Submit rejects a
+  /// mask naming absent tables or a disconnected one).
   uint64_t subplan_mask = kAllSubplans;
   const QueryGraph* graph = nullptr;
   /// Per-request wall-clock budget in seconds, measured from Submit; 0
@@ -171,19 +167,17 @@ class EstimationService {
 
   /// Enqueues `request`; `done` runs on a worker thread when it completes
   /// (including with a non-OK response status, e.g. unknown estimator).
-  /// Returns ResourceExhausted — without invoking `done` — when the queue
-  /// is full or the service is shut down.
+  /// Returns — without invoking `done` — InvalidArgument for a malformed
+  /// request (no graph, negative timeout, a sub-plan mask naming tables
+  /// absent from the graph or not connected), and ResourceExhausted when
+  /// the queue is full or the service is shut down.
   Status Submit(EstimateRequest request, EstimateCallback done);
 
   /// Blocking single sub-plan estimate (convenience over Submit).
-  Result<double> EstimateSync(const std::string& estimator, const Query& query,
-                              uint64_t subplan_mask);
   Result<double> EstimateSync(const std::string& estimator,
                               const QueryGraph& graph, uint64_t subplan_mask);
 
   /// Blocking whole-query estimate: every connected sub-plan, one request.
-  Result<std::unordered_map<uint64_t, double>> EstimateQuerySync(
-      const std::string& estimator, const Query& query);
   Result<std::unordered_map<uint64_t, double>> EstimateQuerySync(
       const std::string& estimator, const QueryGraph& graph);
 
@@ -240,6 +234,9 @@ class EstimationService {
     bool full_retrain_required = false;
   };
 
+  /// Submits `request` and blocks until its response; a rejection or a
+  /// non-OK response comes back as the error.
+  Result<EstimateResponse> SubmitSync(EstimateRequest request);
   void WorkerLoop();
   EstimateResponse Process(const EstimateRequest& request,
                            Clock::time_point deadline);

@@ -13,10 +13,6 @@
 namespace cardbench {
 
 ServiceEstimateBackend::ServiceEstimateBackend(
-    EstimationService& service, std::vector<const Query*> queries)
-    : service_(service), queries_(std::move(queries)) {}
-
-ServiceEstimateBackend::ServiceEstimateBackend(
     EstimationService& service, std::vector<const QueryGraph*> graphs)
     : service_(service), graphs_(std::move(graphs)) {}
 
@@ -40,11 +36,7 @@ BackendCallResult ServiceEstimateBackend::EstimateQuery(
   request.estimator = estimator;
   request.subplan_mask = kAllSubplans;
   request.timeout_seconds = timeout_seconds;
-  if (graphs_.empty()) {
-    request.query = queries_[query_index];
-  } else {
-    request.graph = graphs_[query_index];
-  }
+  request.graph = graphs_[query_index];
   std::promise<EstimateResponse> promise;
   std::future<EstimateResponse> future = promise.get_future();
   const Status submitted =
@@ -62,12 +54,6 @@ BackendCallResult ServiceEstimateBackend::EstimateQuery(
   result.cache_misses = response.cache_misses;
   return result;
 }
-
-LoadDriver::LoadDriver(EstimationService& service,
-                       std::vector<const Query*> queries)
-    : owned_backend_(std::make_unique<ServiceEstimateBackend>(
-          service, std::move(queries))),
-      backend_(*owned_backend_) {}
 
 LoadDriver::LoadDriver(EstimationService& service,
                        std::vector<const QueryGraph*> graphs)

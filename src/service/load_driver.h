@@ -8,7 +8,6 @@
 
 #include "common/status.h"
 #include "metrics/metrics.h"
-#include "query/query.h"
 #include "service/estimation_service.h"
 
 namespace cardbench {
@@ -97,19 +96,15 @@ class EstimateBackend {
   virtual EstimateCacheStats cache_stats() const = 0;
 };
 
-/// In-process backend: submits directly to an EstimationService, either
-/// graph-compiled (preferred) or Query-based requests.
+/// In-process backend: submits one request per compiled query directly to
+/// an EstimationService.
 class ServiceEstimateBackend : public EstimateBackend {
  public:
-  /// `queries`/`graphs` are borrowed and must outlive the backend's use.
-  ServiceEstimateBackend(EstimationService& service,
-                         std::vector<const Query*> queries);
+  /// `graphs` are borrowed and must outlive the backend's use.
   ServiceEstimateBackend(EstimationService& service,
                          std::vector<const QueryGraph*> graphs);
 
-  size_t num_queries() const override {
-    return graphs_.empty() ? queries_.size() : graphs_.size();
-  }
+  size_t num_queries() const override { return graphs_.size(); }
   Status Validate(const std::string& estimator) override;
   BackendCallResult EstimateQuery(const std::string& estimator,
                                   size_t query_index,
@@ -120,8 +115,7 @@ class ServiceEstimateBackend : public EstimateBackend {
 
  private:
   EstimationService& service_;
-  std::vector<const Query*> queries_;
-  std::vector<const QueryGraph*> graphs_;  // non-empty: graph dispatch
+  std::vector<const QueryGraph*> graphs_;
 };
 
 /// Workload replayer against an estimation backend: `concurrency` clients
@@ -133,9 +127,8 @@ class ServiceEstimateBackend : public EstimateBackend {
 /// or open-loop (fixed offered rate, overload-measuring) mode.
 class LoadDriver {
  public:
-  /// In-process convenience constructors; `queries`/`graphs` are borrowed
-  /// and must outlive Run calls.
-  LoadDriver(EstimationService& service, std::vector<const Query*> queries);
+  /// In-process convenience constructor; `graphs` are borrowed and must
+  /// outlive Run calls.
   LoadDriver(EstimationService& service,
              std::vector<const QueryGraph*> graphs);
 

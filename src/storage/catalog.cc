@@ -5,24 +5,27 @@
 namespace cardbench {
 
 Result<Table*> Database::AddTable(const std::string& table_name) {
-  if (tables_.count(table_name) > 0) {
+  if (ids_by_name_.count(table_name) > 0) {
     return Status::AlreadyExists("table " + table_name + " already exists");
   }
-  auto table = std::make_unique<Table>(table_name);
-  Table* ptr = table.get();
-  tables_[table_name] = std::move(table);
+  ids_by_name_[table_name] = static_cast<int>(tables_.size());
+  tables_.push_back(std::make_unique<Table>(table_name));
   table_names_.push_back(table_name);
-  return ptr;
+  return tables_.back().get();
+}
+
+int Database::TableId(const std::string& table_name) const {
+  auto it = ids_by_name_.find(table_name);
+  return it == ids_by_name_.end() ? -1 : it->second;
 }
 
 const Table* Database::FindTable(const std::string& table_name) const {
-  auto it = tables_.find(table_name);
-  return it == tables_.end() ? nullptr : it->second.get();
+  return TableById(TableId(table_name));
 }
 
 Table* Database::FindTable(const std::string& table_name) {
-  auto it = tables_.find(table_name);
-  return it == tables_.end() ? nullptr : it->second.get();
+  const int id = TableId(table_name);
+  return id < 0 ? nullptr : tables_[static_cast<size_t>(id)].get();
 }
 
 const Table& Database::TableOrDie(const std::string& table_name) const {
@@ -74,7 +77,7 @@ std::vector<JoinRelation> Database::RelationsBetween(
 
 size_t Database::MemoryBytes() const {
   size_t total = 0;
-  for (const auto& [name, table] : tables_) total += table->MemoryBytes();
+  for (const auto& table : tables_) total += table->MemoryBytes();
   return total;
 }
 

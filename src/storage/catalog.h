@@ -55,6 +55,26 @@ class Database {
   const Table* FindTable(const std::string& table_name) const;
   Table* FindTable(const std::string& table_name);
 
+  /// Catalog id of `table_name` (its index in table_names()), or -1.
+  int TableId(const std::string& table_name) const;
+
+  /// Table by catalog id in O(1); nullptr if `table_id` names no table.
+  const Table* TableById(int table_id) const {
+    return table_id >= 0 && static_cast<size_t>(table_id) < tables_.size()
+               ? tables_[static_cast<size_t>(table_id)].get()
+               : nullptr;
+  }
+
+  /// Column `column_id` of table `table_id` in O(1); nullptr if either id
+  /// names nothing.
+  const Column* ColumnById(int table_id, int column_id) const {
+    const Table* table = TableById(table_id);
+    return table != nullptr && column_id >= 0 &&
+                   static_cast<size_t>(column_id) < table->num_columns()
+               ? &table->column(static_cast<size_t>(column_id))
+               : nullptr;
+  }
+
   /// Table lookup that dies on absence (schema validated upfront).
   const Table& TableOrDie(const std::string& table_name) const;
   Table& TableOrDie(const std::string& table_name);
@@ -95,7 +115,8 @@ class Database {
  private:
   std::string name_;
   std::vector<std::string> table_names_;
-  std::unordered_map<std::string, std::unique_ptr<Table>> tables_;
+  std::vector<std::unique_ptr<Table>> tables_;  // indexed by catalog id
+  std::unordered_map<std::string, int> ids_by_name_;
   std::vector<JoinRelation> relations_;
   std::atomic<uint64_t> data_version_{1};
 };

@@ -11,20 +11,9 @@ std::vector<CompiledPredicate> CompilePredicates(
   std::vector<CompiledPredicate> compiled;
   compiled.reserve(predicates.size());
   for (const auto& pred : predicates) {
+    const size_t id = table.ColumnIndexOrDie(pred.column);
     compiled.push_back(
-        {&table.ColumnByName(pred.column), pred.op, pred.value});
-  }
-  return compiled;
-}
-
-std::vector<CompiledPredicate> CompilePredicatesFor(
-    const Table& table, const std::string& table_name,
-    const std::vector<Predicate>& predicates) {
-  std::vector<CompiledPredicate> compiled;
-  for (const auto& pred : predicates) {
-    if (pred.table != table_name) continue;
-    compiled.push_back(
-        {&table.ColumnByName(pred.column), pred.op, pred.value});
+        {&table.column(id), pred.op, static_cast<int>(id), pred.value});
   }
   return compiled;
 }

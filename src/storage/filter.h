@@ -2,7 +2,6 @@
 #define CARDBENCH_STORAGE_FILTER_H_
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "query/predicate.h"
@@ -12,26 +11,24 @@ namespace cardbench {
 
 /// One filter predicate with its column reference resolved: the shared
 /// compiled form behind every predicate-evaluation loop in the repo (the
-/// executor's scans, TrueCardService's filtered base cardinalities, and the
-/// sampling estimators). Resolving names once per operator keeps string
+/// executor's scans, the counting plans' filtered base cardinalities, and
+/// the sampling estimators). Resolving names once, at compile, keeps string
 /// lookups out of per-row loops.
 struct CompiledPredicate {
   const Column* column = nullptr;
   CompareOp op = CompareOp::kEq;
+  /// Index of `column` within its table (-1 when bound without one); plan
+  /// nodes carry it so the executor and EXPLAIN resolve by id.
+  int column_id = -1;
   Value value = 0;
 };
 
-/// Resolves every predicate in `predicates` against `table`. All predicates
-/// must name columns of `table` (callers pass plan-node filter lists, which
-/// the planner has already scoped); unknown columns die.
+/// Resolves every predicate in `predicates` against `table`, recording each
+/// column's id. All predicates must name columns of `table` (callers pass
+/// one table's predicates, as QueryGraph does at compile); unknown columns
+/// die.
 std::vector<CompiledPredicate> CompilePredicates(
     const Table& table, const std::vector<Predicate>& predicates);
-
-/// Like CompilePredicates but takes a mixed query-level predicate list and
-/// keeps only the predicates on `table_name` (the form estimators see).
-std::vector<CompiledPredicate> CompilePredicatesFor(
-    const Table& table, const std::string& table_name,
-    const std::vector<Predicate>& predicates);
 
 /// Scalar fallback: true iff `row` satisfies every compiled predicate
 /// (NULLs never pass). For call sites that test isolated rows (samples,

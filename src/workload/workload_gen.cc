@@ -256,7 +256,8 @@ Result<Workload> GenerateWorkload(const Database& db,
       continue;
     }
     // Validate the entire sub-plan space.
-    auto subplans = probe.AllSubplanCards(query);
+    const QueryGraph graph(query, db);
+    auto subplans = probe.AllSubplanCards(graph);
     if (!subplans.ok()) {
       ++rejects;
       continue;

@@ -24,6 +24,7 @@
 #include "exec/true_card.h"
 #include "metrics/metrics.h"
 #include "query/parser.h"
+#include "query/query_graph.h"
 #include "service/estimation_service.h"
 #include "service/request_queue.h"
 #include "workload/workload_gen.h"
@@ -237,8 +238,8 @@ TEST(DriftTest, IncrementalRefreshTracksFullRetrain) {
 // Hot-swap linearizability and version stamping
 // ---------------------------------------------------------------------------
 
-/// The database the fakes below compile the service's query-only requests
-/// against.
+/// The database the fakes below are built over and the requests' queries
+/// are compiled against.
 const Database& SchemaDb() {
   static const Database* db = SmallStats().release();
   return *db;
@@ -279,6 +280,7 @@ TEST(DriftTest, HotSwapIsLinearizableUnderConcurrentLoad) {
       "SELECT COUNT(*) FROM users, posts, comments WHERE users.Id = "
       "posts.OwnerUserId AND posts.Id = comments.PostId AND "
       "posts.Score >= 5;");
+  const QueryGraph graph(query, SchemaDb());
   const auto v1_cards = ExpectedCards(1.0, query);
   const auto v2_cards = ExpectedCards(2.0, query);
 
@@ -301,7 +303,7 @@ TEST(DriftTest, HotSwapIsLinearizableUnderConcurrentLoad) {
       auto future = promise.get_future();
       EstimateRequest request;
       request.estimator = "Tagged";
-      request.query = &query;
+      request.graph = &graph;
       const Status submitted = service.Submit(
           std::move(request),
           [&promise](EstimateResponse r) { promise.set_value(std::move(r)); });
@@ -357,15 +359,16 @@ TEST(DriftTest, ResponsesStampTheServingModelVersion) {
   service.RegisterEstimator(std::make_unique<TaggedEstimator>(1.0));
   const Query query =
       Parse("SELECT COUNT(*) FROM users WHERE users.Reputation >= 100;");
+  const QueryGraph graph(query, SchemaDb());
 
-  auto cards = service.EstimateQuerySync("Tagged", query);
+  auto cards = service.EstimateQuerySync("Tagged", graph);
   ASSERT_TRUE(cards.ok());
 
   std::promise<EstimateResponse> promise;
   auto future = promise.get_future();
   EstimateRequest request;
   request.estimator = "Tagged";
-  request.query = &query;
+  request.graph = &graph;
   ASSERT_TRUE(service
                   .Submit(std::move(request),
                           [&promise](EstimateResponse r) {
@@ -379,7 +382,7 @@ TEST(DriftTest, ResponsesStampTheServingModelVersion) {
   auto future2 = promise2.get_future();
   EstimateRequest request2;
   request2.estimator = "Tagged";
-  request2.query = &query;
+  request2.graph = &graph;
   ASSERT_TRUE(service
                   .Submit(std::move(request2),
                           [&promise2](EstimateResponse r) {
@@ -455,12 +458,13 @@ TEST(ServiceTest, ExpiredQueueEntriesDoNotBlockAdmission) {
 
   const Query query =
       Parse("SELECT COUNT(*) FROM users WHERE users.Reputation >= 100;");
+  const QueryGraph graph(query, SchemaDb());
   auto submit = [&](double timeout) {
     auto promise = std::make_shared<std::promise<EstimateResponse>>();
     auto future = promise->get_future();
     EstimateRequest request;
     request.estimator = "Block";
-    request.query = &query;
+    request.graph = &graph;
     request.timeout_seconds = timeout;
     const Status status = service.Submit(
         std::move(request),

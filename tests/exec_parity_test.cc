@@ -11,6 +11,7 @@
 #include "datagen/stats_gen.h"
 #include "exec/executor.h"
 #include "exec/join_hash.h"
+#include "storage/filter.h"
 
 namespace cardbench {
 namespace {
@@ -83,17 +84,31 @@ class ExecParityTest : public ::testing::Test {
     return db;
   }
 
-  static std::unique_ptr<PlanNode> Scan(const std::string& table,
+  /// A scan of `table` filtered by `filters`, its names resolved once
+  /// against `db`.
+  static std::unique_ptr<PlanNode> Scan(const Database& db,
+                                        const std::string& table,
                                         ScanMethod method,
-                                        std::vector<Predicate> filters,
+                                        const std::vector<Predicate>& filters,
                                         uint64_t mask) {
     auto scan = std::make_unique<PlanNode>();
     scan->type = PlanNode::Type::kScan;
-    scan->table = table;
+    scan->table_id = db.TableId(table);
     scan->scan_method = method;
-    scan->filters = std::move(filters);
+    scan->filters = CompilePredicates(db.TableOrDie(table), filters);
     scan->table_mask = mask;
     return scan;
+  }
+
+  /// The join edge `edge`, its names resolved once against `db`.
+  static PlanEdge Edge(const Database& db, const JoinEdge& edge) {
+    auto column = [&db](const std::string& table, const std::string& name) {
+      return CatalogColumn{
+          db.TableId(table),
+          static_cast<int>(db.TableOrDie(table).ColumnIndexOrDie(name))};
+    };
+    return {column(edge.left_table, edge.left_column),
+            column(edge.right_table, edge.right_column)};
   }
 
   /// users ⋈ comments on users.Id = comments.UserId. The comments leaf
@@ -104,10 +119,10 @@ class ExecParityTest : public ::testing::Test {
     auto join = std::make_unique<PlanNode>();
     join->type = PlanNode::Type::kJoin;
     join->join_method = join_method;
-    join->edge = {"users", "Id", "comments", "UserId"};
-    join->left = Scan("users", ScanMethod::kSeqScan,
+    join->edge = Edge(*db_, {"users", "Id", "comments", "UserId"});
+    join->left = Scan(*db_, "users", ScanMethod::kSeqScan,
                       {{"users", "Reputation", CompareOp::kGe, 20}}, 1);
-    join->right = Scan("comments", inner_scan,
+    join->right = Scan(*db_, "comments", inner_scan,
                        {{"comments", "Score", CompareOp::kEq, 1}}, 2);
     join->table_mask = 3;
     return join;
@@ -122,11 +137,11 @@ class ExecParityTest : public ::testing::Test {
     auto join = std::make_unique<PlanNode>();
     join->type = PlanNode::Type::kJoin;
     join->join_method = join_method;
-    join->edge = {"r", "k", "s", "k"};
-    join->left = Scan("r", ScanMethod::kSeqScan,
+    join->edge = Edge(*multi_morsel_db_, {"r", "k", "s", "k"});
+    join->left = Scan(*multi_morsel_db_, "r", ScanMethod::kSeqScan,
                       {{"r", "v", CompareOp::kLt, 16}}, 1);
-    join->right =
-        Scan("s", inner_scan, {{"s", "f", CompareOp::kEq, 1}}, 2);
+    join->right = Scan(*multi_morsel_db_, "s", inner_scan,
+                       {{"s", "f", CompareOp::kEq, 1}}, 2);
     join->table_mask = 3;
     return join;
   }
@@ -139,7 +154,7 @@ Database* ExecParityTest::db_ = nullptr;
 Database* ExecParityTest::multi_morsel_db_ = nullptr;
 
 /// Reference hash join: a nested loop over the materialized scan inputs of
-/// the two-leaf `plan`, whose edges name the left leaf's table on their
+/// the two-leaf `plan`, whose edges have the left leaf's table on their
 /// left. For every probe (left) tuple in order it emits every build (right)
 /// tuple, in ascending order, whose primary and extra edge columns are all
 /// non-NULL and equal — the (probe tuple, ascending build row) order the
@@ -151,21 +166,20 @@ std::vector<uint32_t> NestedLoopJoin(const Database& db,
   const TupleSet right = leaves.Materialize(*plan.right).value();
   // Each edge endpoint's value per input tuple, gathered once; NULL stays
   // nullopt, and nullopt never equals a value.
-  auto gather = [&db](const TupleSet& ts, const std::string& table,
-                      const std::string& column) {
-    const Column& col = db.TableOrDie(table).ColumnByName(column);
+  auto gather = [&db](const TupleSet& ts, CatalogColumn ref) {
+    const Column& col = *db.ColumnById(ref.table_id, ref.column_id);
     std::vector<std::optional<Value>> values(ts.size());
     for (size_t t = 0; t < ts.size(); ++t) {
       if (col.IsValid(ts.Row(t, 0))) values[t] = col.Get(ts.Row(t, 0));
     }
     return values;
   };
-  std::vector<JoinEdge> edges = {plan.edge};
+  std::vector<PlanEdge> edges = {plan.edge};
   edges.insert(edges.end(), plan.extra_edges.begin(), plan.extra_edges.end());
   std::vector<std::vector<std::optional<Value>>> lvals, rvals;
-  for (const JoinEdge& e : edges) {
-    lvals.push_back(gather(left, e.left_table, e.left_column));
-    rvals.push_back(gather(right, e.right_table, e.right_column));
+  for (const PlanEdge& e : edges) {
+    lvals.push_back(gather(left, e.left));
+    rvals.push_back(gather(right, e.right));
   }
   // The build tuples with a non-NULL primary key, ascending, with their
   // keys in a flat array: the inner loop's only per-iteration load.
@@ -294,7 +308,7 @@ TEST_F(ExecParityTest, IndexScanHonorsTimeout) {
   ExecLimits limits;
   limits.timeout_seconds = 0.0;
   Executor exec(*db_, limits);
-  const auto plan = Scan("comments", ScanMethod::kIndexScan,
+  const auto plan = Scan(*db_, "comments", ScanMethod::kIndexScan,
                          {{"comments", "Score", CompareOp::kEq, 1}}, 1);
   auto result = exec.ExecuteCount(*plan);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
@@ -363,7 +377,7 @@ TEST_F(ExecParityTest, RadixJoinBitIdenticalToLegacyAcrossConfigs) {
 // extra edge r.w = s.w keeps about a quarter of the primary matches.
 TEST_F(ExecParityTest, ExtraEdgesAgreeAcrossJoinImpls) {
   auto plan = MultiMorselPlan(JoinMethod::kHashJoin, ScanMethod::kSeqScan);
-  plan->extra_edges = {{"r", "w", "s", "w"}};
+  plan->extra_edges = {Edge(*multi_morsel_db_, {"r", "w", "s", "w"})};
   const std::vector<uint32_t> expected =
       NestedLoopJoin(*multi_morsel_db_, *plan);
   ASSERT_GT(expected.size(), 0u);

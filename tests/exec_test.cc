@@ -9,6 +9,7 @@
 #include "exec/executor.h"
 #include "exec/true_card.h"
 #include "query/parser.h"
+#include "query/query_graph.h"
 
 namespace cardbench {
 namespace {
@@ -85,6 +86,13 @@ class ExecTest : public ::testing::Test {
     return *q;
   }
 
+  /// The greedy counting plan of the whole query `q`.
+  static std::unique_ptr<PlanNode> CountingPlan(const TrueCardService& svc,
+                                                const Query& q) {
+    const QueryGraph graph(q, *db_);
+    return svc.BuildCountingPlan(graph, graph.full_mask());
+  }
+
   static Database* db_;
 };
 
@@ -94,7 +102,7 @@ TEST_F(ExecTest, SingleTableScanMatchesBruteForce) {
   const Query q =
       Parse("SELECT COUNT(*) FROM users WHERE users.Reputation >= 50;");
   TrueCardService svc(*db_);
-  auto plan = svc.BuildCountingPlan(q);
+  auto plan = CountingPlan(svc, q);
   Executor exec(*db_);
   auto result = exec.ExecuteCount(*plan);
   ASSERT_TRUE(result.ok());
@@ -147,7 +155,7 @@ TEST_F(ExecTest, ParallelEdgesBecomeExtraJoinFilters) {
       "SELECT COUNT(*) FROM users, posts WHERE users.Id = posts.OwnerUserId "
       "AND users.Id = posts.LastEditorUserId;");
   TrueCardService svc(*db_);
-  auto plan = svc.BuildCountingPlan(q);
+  auto plan = CountingPlan(svc, q);
   ASSERT_FALSE(plan->IsScan());
   ASSERT_EQ(plan->extra_edges.size(), 1u);
   const uint64_t expected = BruteForceCount(*db_, q);
@@ -180,7 +188,7 @@ TEST_P(JoinMethodTest, AgreesWithHashJoinReference) {
       "SELECT COUNT(*) FROM users, comments WHERE users.Id = comments.UserId "
       "AND comments.Score >= 1;");
   TrueCardService svc(*db_);
-  auto plan = svc.BuildCountingPlan(q);
+  auto plan = CountingPlan(svc, q);
   ASSERT_FALSE(plan->IsScan());
   auto reference = Executor(*db_).ExecuteCount(*plan);
   ASSERT_TRUE(reference.ok());
@@ -204,7 +212,7 @@ TEST_F(ExecTest, MaterializeMatchesCount) {
       "SELECT COUNT(*) FROM users, badges WHERE users.Id = badges.UserId AND "
       "badges.Date >= 100000;");
   TrueCardService svc(*db_);
-  auto plan = svc.BuildCountingPlan(q);
+  auto plan = CountingPlan(svc, q);
   Executor exec(*db_);
   auto count = exec.ExecuteCount(*plan);
   auto tuples = exec.Materialize(*plan);
@@ -221,7 +229,7 @@ TEST_F(ExecTest, TimeoutReportsTimedOut) {
       "SELECT COUNT(*) FROM users, comments WHERE users.Id = "
       "comments.UserId;");
   TrueCardService svc(*db_);
-  auto plan = svc.BuildCountingPlan(q);
+  auto plan = CountingPlan(svc, q);
   Executor exec(*db_, limits);
   auto result = exec.ExecuteCount(*plan);
   ASSERT_TRUE(result.ok());
@@ -235,11 +243,108 @@ TEST_F(ExecTest, IntermediateCapReportsTimedOut) {
       "SELECT COUNT(*) FROM users, posts, comments WHERE users.Id = "
       "posts.OwnerUserId AND posts.Id = comments.PostId;");
   TrueCardService svc(*db_);
-  auto plan = svc.BuildCountingPlan(q);
+  auto plan = CountingPlan(svc, q);
   Executor exec(*db_, limits);
   auto result = exec.ExecuteCount(*plan);
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result->timed_out);
+}
+
+// Malformed plans: ExecuteCount and Materialize share every check, so both
+// reject a plan with the same error code.
+void ExpectBothReject(const Database& db, const PlanNode& plan,
+                      StatusCode code) {
+  Executor exec(db);
+  auto count = exec.ExecuteCount(plan);
+  auto tuples = exec.Materialize(plan);
+  ASSERT_FALSE(count.ok()) << "ExecuteCount accepted the plan";
+  ASSERT_FALSE(tuples.ok()) << "Materialize accepted the plan";
+  EXPECT_EQ(count.status().code(), code) << count.status().ToString();
+  EXPECT_EQ(tuples.status().code(), code) << tuples.status().ToString();
+}
+
+// users(0), posts(1), comments(2), badges(3); edges users-posts,
+// posts-comments, users-badges in that order.
+constexpr char kFourWaySql[] =
+    "SELECT COUNT(*) FROM users, posts, comments, badges WHERE users.Id = "
+    "posts.OwnerUserId AND posts.Id = comments.PostId AND users.Id = "
+    "badges.UserId;";
+
+std::unique_ptr<PlanNode> JoinNode(JoinMethod method, const PlanEdge& edge,
+                                   std::unique_ptr<PlanNode> left,
+                                   std::unique_ptr<PlanNode> right) {
+  auto join = std::make_unique<PlanNode>();
+  join->type = PlanNode::Type::kJoin;
+  join->join_method = method;
+  join->edge = edge;
+  join->table_mask = left->table_mask | right->table_mask;
+  join->left = std::move(left);
+  join->right = std::move(right);
+  return join;
+}
+
+TEST_F(ExecTest, IndexNestLoopOverAJoinIsRejectedByBothPaths) {
+  const QueryGraph graph(Parse(kFourWaySql), *db_);
+  TrueCardService svc(*db_);
+  // users index-NL (posts ⋈ comments): the inner side is not a base table.
+  auto malformed = JoinNode(JoinMethod::kIndexNestLoop,
+                            PlanEdge::Of(graph.edges()[0]),
+                            svc.BuildCountingPlan(graph, 0b0001),
+                            svc.BuildCountingPlan(graph, 0b0110));
+  ExpectBothReject(*db_, *malformed, StatusCode::kInvalidArgument);
+
+  auto wrapped = JoinNode(JoinMethod::kHashJoin,
+                          PlanEdge::Of(graph.edges()[2]),
+                          std::move(malformed),
+                          svc.BuildCountingPlan(graph, 0b1000));
+  ExpectBothReject(*db_, *wrapped, StatusCode::kInvalidArgument);
+}
+
+TEST_F(ExecTest, IndexScanWithoutLeadingEqualityIsRejectedByBothPaths) {
+  const QueryGraph graph(
+      Parse("SELECT COUNT(*) FROM users WHERE users.Reputation >= 20;"),
+      *db_);
+  auto scan = TrueCardService(*db_).BuildCountingPlan(graph, 1);
+  scan->scan_method = ScanMethod::kIndexScan;
+  ExpectBothReject(*db_, *scan, StatusCode::kInvalidArgument);
+  scan->filters.clear();
+  ExpectBothReject(*db_, *scan, StatusCode::kInvalidArgument);
+}
+
+TEST_F(ExecTest, OutOfRangeTableIdIsRejectedByBothPaths) {
+  const QueryGraph graph(Parse(kFourWaySql), *db_);
+  TrueCardService svc(*db_);
+  const int bad_table = static_cast<int>(db_->num_tables());
+  auto scan = svc.BuildCountingPlan(graph, 0b0001);
+  scan->filters.clear();
+  scan->table_id = bad_table;
+  ExpectBothReject(*db_, *scan, StatusCode::kNotFound);
+
+  auto join = svc.BuildCountingPlan(graph, 0b0011);
+  join->edge.right.table_id = bad_table;
+  ExpectBothReject(*db_, *join, StatusCode::kInvalidArgument);
+}
+
+TEST_F(ExecTest, OutOfRangeColumnIdIsRejectedByBothPaths) {
+  const QueryGraph graph(
+      Parse("SELECT COUNT(*) FROM users, posts WHERE users.Id = "
+            "posts.OwnerUserId AND users.Reputation >= 20;"),
+      *db_);
+  TrueCardService svc(*db_);
+  const int bad_column =
+      static_cast<int>(db_->TableOrDie("users").num_columns());
+  auto scan = svc.BuildCountingPlan(graph, 0b01);
+  ASSERT_EQ(scan->filters.size(), 1u);
+  scan->filters[0].column_id = bad_column;
+  ExpectBothReject(*db_, *scan, StatusCode::kInvalidArgument);
+
+  auto join = svc.BuildCountingPlan(graph, 0b11);
+  join->edge.left.column_id = bad_column;
+  for (JoinMethod method : {JoinMethod::kHashJoin, JoinMethod::kMergeJoin,
+                            JoinMethod::kIndexNestLoop}) {
+    join->join_method = method;
+    ExpectBothReject(*db_, *join, StatusCode::kInvalidArgument);
+  }
 }
 
 TEST_F(ExecTest, TrueCardServiceCachesResults) {
@@ -257,7 +362,7 @@ TEST_F(ExecTest, AllSubplanCardsCoversConnectedSubsets) {
       "SELECT COUNT(*) FROM users, posts, comments WHERE users.Id = "
       "posts.OwnerUserId AND posts.Id = comments.PostId;");
   TrueCardService svc(*db_);
-  auto cards = svc.AllSubplanCards(q);
+  auto cards = svc.AllSubplanCards(QueryGraph(q, *db_));
   ASSERT_TRUE(cards.ok());
   EXPECT_EQ(cards->size(), EnumerateConnectedSubsets(q).size());
   // Monotonicity sanity: the filtered base card of `users` is bounded by

@@ -80,7 +80,7 @@ TEST_F(OptimizerPhysicalTest, TinyOuterPrefersIndexNestedLoop) {
   auto plan = opt.Plan(q, script);
   ASSERT_TRUE(plan.ok());
   EXPECT_EQ(plan->plan->join_method, JoinMethod::kIndexNestLoop)
-      << plan->plan->Explain();
+      << plan->plan->Explain(*db_);
 }
 
 void CollectJoinMethods(const PlanNode& node, std::set<JoinMethod>* out) {
@@ -107,11 +107,13 @@ TEST_F(OptimizerPhysicalTest, EstimatesSteerJoinOrder) {
     std::string name() const override { return "PairBiased"; }
     double EstimateCard(const QueryGraph& graph,
                         uint64_t mask) const override {
-      const Query& subquery = graph.InducedRef(mask);
-      double base = 1000.0 * std::pow(10.0, static_cast<double>(
-                                                subquery.tables.size()));
-      for (const auto& t : subquery.tables) {
-        if (t == cheap_ && subquery.tables.size() > 1) base /= 1e3;
+      const int num_tables = std::popcount(mask);
+      double base = 1000.0 * std::pow(10.0, static_cast<double>(num_tables));
+      for (uint64_t rest = mask; rest != 0; rest &= rest - 1) {
+        if (graph.table(std::countr_zero(rest)).name == cheap_ &&
+            num_tables > 1) {
+          base /= 1e3;
+        }
       }
       return base;
     }
@@ -124,7 +126,7 @@ TEST_F(OptimizerPhysicalTest, EstimatesSteerJoinOrder) {
   auto plan_a = opt.Plan(q, badges_cheap);
   auto plan_b = opt.Plan(q, comments_cheap);
   ASSERT_TRUE(plan_a.ok() && plan_b.ok());
-  EXPECT_NE(plan_a->plan->Explain(), plan_b->plan->Explain());
+  EXPECT_NE(plan_a->plan->Explain(*db_), plan_b->plan->Explain(*db_));
 }
 
 TEST_F(OptimizerPhysicalTest, SystematicEstimateErrorFlipsOperatorChoice) {
@@ -162,7 +164,8 @@ TEST_F(OptimizerPhysicalTest, SystematicEstimateErrorFlipsOperatorChoice) {
   auto over_plan = opt.Plan(q, over);
   ASSERT_TRUE(under_plan.ok() && over_plan.ok());
   // Systematic error changes the chosen plan (order and/or operators).
-  EXPECT_NE(under_plan->plan->Explain(), over_plan->plan->Explain());
+  EXPECT_NE(under_plan->plan->Explain(*db_),
+            over_plan->plan->Explain(*db_));
 }
 
 }  // namespace

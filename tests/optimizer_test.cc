@@ -108,7 +108,7 @@ TEST_F(OptimizerTest, AnyPlanShapeComputesTheSameCount) {
     ASSERT_FALSE(count->timed_out);
     EXPECT_DOUBLE_EQ(static_cast<double>(count->count), *expected)
         << "const estimate " << v << " produced plan:\n"
-        << result->plan->Explain();
+        << result->plan->Explain(*db_);
   }
   PerfectEstimator perfect(*svc_);
   auto result = opt.Plan(q, perfect);
@@ -136,7 +136,7 @@ TEST_F(OptimizerTest, TruePlanIsNoWorseUnderTrueCost) {
   // are costed under true cardinalities.
   const Query q = Parse(kFourWayQuery);
   Optimizer opt(*db_);
-  auto true_cards = svc_->AllSubplanCards(q);
+  auto true_cards = svc_->AllSubplanCards(QueryGraph(q, *db_));
   ASSERT_TRUE(true_cards.ok());
 
   PerfectEstimator perfect(*svc_);
@@ -180,7 +180,7 @@ TEST_F(OptimizerTest, EstimateMagnitudeChangesThePlan) {
   auto big_plan = opt.Plan(q, huge);
   ASSERT_TRUE(small_plan.ok());
   ASSERT_TRUE(big_plan.ok());
-  EXPECT_NE(small_plan->plan->Explain(), big_plan->plan->Explain());
+  EXPECT_NE(small_plan->plan->Explain(*db_), big_plan->plan->Explain(*db_));
 }
 
 TEST_F(OptimizerTest, ExplainMentionsMethodsAndTables) {
@@ -189,7 +189,7 @@ TEST_F(OptimizerTest, ExplainMentionsMethodsAndTables) {
   PerfectEstimator est(*svc_);
   auto result = opt.Plan(q, est);
   ASSERT_TRUE(result.ok());
-  const std::string text = result->plan->Explain();
+  const std::string text = result->plan->Explain(*db_);
   EXPECT_NE(text.find("users"), std::string::npos);
   EXPECT_NE(text.find("Join"), std::string::npos);
   EXPECT_NE(text.find("rows="), std::string::npos);

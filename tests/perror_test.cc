@@ -42,10 +42,10 @@ TrueCardService* PErrorTest::truecard_ = nullptr;
 Optimizer* PErrorTest::optimizer_ = nullptr;
 
 TEST_F(PErrorTest, OracleScoresExactlyOne) {
-  const Query q = FourWay();
-  auto cards = truecard_->AllSubplanCards(q);
+  const QueryGraph graph(FourWay(), *db_);
+  auto cards = truecard_->AllSubplanCards(graph);
   ASSERT_TRUE(cards.ok());
-  PErrorCalculator calc(*optimizer_, q, *cards);
+  PErrorCalculator calc(*optimizer_, graph, *cards);
   EXPECT_GT(calc.true_plan_cost(), 0.0);
 
   TrueCardEstimator oracle(*truecard_);
@@ -55,10 +55,10 @@ TEST_F(PErrorTest, OracleScoresExactlyOne) {
 }
 
 TEST_F(PErrorTest, RealEstimatorNeverBeatsTheOraclePlan) {
-  const Query q = FourWay();
-  auto cards = truecard_->AllSubplanCards(q);
+  const QueryGraph graph(FourWay(), *db_);
+  auto cards = truecard_->AllSubplanCards(graph);
   ASSERT_TRUE(cards.ok());
-  PErrorCalculator calc(*optimizer_, q, *cards);
+  PErrorCalculator calc(*optimizer_, graph, *cards);
 
   PostgresEstimator pg(*db_);
   auto p_error = calc.Evaluate(pg);
@@ -87,10 +87,10 @@ TEST_F(PErrorTest, WorsePlansScoreHigher) {
     const std::unordered_map<uint64_t, double>& cards_;
   };
 
-  const Query q = FourWay();
-  auto cards = truecard_->AllSubplanCards(q);
+  const QueryGraph graph(FourWay(), *db_);
+  auto cards = truecard_->AllSubplanCards(graph);
   ASSERT_TRUE(cards.ok());
-  PErrorCalculator calc(*optimizer_, q, *cards);
+  PErrorCalculator calc(*optimizer_, graph, *cards);
 
   InvertingEstimator bad(*cards);
   auto bad_p = calc.Evaluate(bad);

@@ -121,7 +121,7 @@ TEST_P(PropertyTest, EveryEstimatorPlanComputesTheExactCount) {
       ASSERT_FALSE(exec->timed_out);
       EXPECT_DOUBLE_EQ(static_cast<double>(exec->count), *truth)
           << name << " on " << q.ToSql() << "\n"
-          << plan->plan->Explain();
+          << plan->plan->Explain(*db_);
     }
   }
 }

@@ -422,7 +422,8 @@ TEST_P(EstimatorLifecycleTest, StoreRoundTripIsBitIdentical) {
     }
 
     // Same chosen plan and cost, hence the same EXPLAIN output.
-    EXPECT_EQ(plan_loaded->plan->Explain(), plan_trained->plan->Explain())
+    EXPECT_EQ(plan_loaded->plan->Explain(env_->db()),
+              plan_trained->plan->Explain(env_->db()))
         << ctx.query->name;
     EXPECT_EQ(plan_loaded->plan->estimated_cost,
               plan_trained->plan->estimated_cost);

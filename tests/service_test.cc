@@ -14,6 +14,7 @@
 #include "common/str_util.h"
 #include "datagen/stats_gen.h"
 #include "query/parser.h"
+#include "query/query_graph.h"
 #include "service/estimation_service.h"
 #include "service/load_driver.h"
 #include "service/request_queue.h"
@@ -21,8 +22,8 @@
 namespace cardbench {
 namespace {
 
-/// The schema the test queries name. The fakes below are built over it so
-/// the service's query-only requests can compile their queries.
+/// The schema the test queries name: requests carry the queries compiled
+/// against it, and the fakes below are built over it.
 const Database& TestDb() {
   static const Database* db = [] {
     StatsGenConfig config;
@@ -130,6 +131,16 @@ std::vector<Query> TestQueries() {
   return queries;
 }
 
+/// TestQueries() compiled against TestDb(). Graphs can be neither copied
+/// nor moved, so each lives behind a pointer.
+std::vector<std::unique_ptr<const QueryGraph>> TestGraphs() {
+  std::vector<std::unique_ptr<const QueryGraph>> graphs;
+  for (const Query& q : TestQueries()) {
+    graphs.push_back(std::make_unique<const QueryGraph>(q, TestDb()));
+  }
+  return graphs;
+}
+
 /// Serial ground truth: what one thread calling the estimator directly
 /// computes for every connected sub-plan of `query`.
 std::unordered_map<uint64_t, double> SerialEstimates(
@@ -182,7 +193,8 @@ TEST(EstimationServiceTest, SingleSubplanMatchesDirectEstimate) {
   HashEstimator reference;
 
   const Query q = TestQueries()[1];
-  auto result = service.EstimateSync("Hash", q, q.FullMask());
+  const QueryGraph graph(q, TestDb());
+  auto result = service.EstimateSync("Hash", graph, graph.full_mask());
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(*result, reference.EstimateCard(q));
 }
@@ -193,7 +205,7 @@ TEST(EstimationServiceTest, WholeQueryCoversEveryConnectedSubplan) {
   HashEstimator reference;
 
   for (const Query& q : TestQueries()) {
-    auto cards = service.EstimateQuerySync("Hash", q);
+    auto cards = service.EstimateQuerySync("Hash", QueryGraph(q, TestDb()));
     ASSERT_TRUE(cards.ok()) << cards.status().ToString();
     const auto expected = SerialEstimates(reference, q);
     ASSERT_EQ(cards->size(), expected.size());
@@ -206,8 +218,8 @@ TEST(EstimationServiceTest, WholeQueryCoversEveryConnectedSubplan) {
 
 TEST(EstimationServiceTest, UnknownEstimatorReturnsNotFound) {
   EstimationService service;
-  const Query q = TestQueries()[2];
-  auto result = service.EstimateSync("NoSuchModel", q, q.FullMask());
+  const QueryGraph graph(TestQueries()[2], TestDb());
+  auto result = service.EstimateSync("NoSuchModel", graph, graph.full_mask());
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kNotFound);
 }
@@ -217,10 +229,10 @@ TEST(EstimationServiceTest, SubmitAfterShutdownIsRejectedWithoutCallback) {
   service.RegisterEstimator(std::make_unique<HashEstimator>());
   service.Shutdown();
 
-  const Query q = TestQueries()[2];
+  const QueryGraph graph(TestQueries()[2], TestDb());
   std::atomic<bool> callback_ran{false};
   Status status =
-      service.Submit(EstimateRequest{"Hash", &q, kAllSubplans},
+      service.Submit(EstimateRequest{"Hash", kAllSubplans, &graph},
                      [&](EstimateResponse) { callback_ran.store(true); });
   EXPECT_EQ(status.code(), StatusCode::kResourceExhausted);
   EXPECT_FALSE(callback_ran.load());
@@ -235,7 +247,7 @@ TEST(EstimationServiceTest, FullQueueRejectsWithResourceExhausted) {
   GateEstimator* gate_ptr = gate.get();
   service.RegisterEstimator(std::move(gate));
 
-  const Query q = TestQueries()[2];
+  const QueryGraph graph(TestQueries()[2], TestDb());
   std::atomic<int> completed{0};
   auto done = [&](EstimateResponse response) {
     EXPECT_TRUE(response.status.ok()) << response.status.ToString();
@@ -243,14 +255,14 @@ TEST(EstimationServiceTest, FullQueueRejectsWithResourceExhausted) {
   };
 
   // First request occupies the single worker inside the gated EstimateCard.
-  ASSERT_TRUE(service.Submit(EstimateRequest{"Gate", &q, q.FullMask()}, done)
+  ASSERT_TRUE(service.Submit(EstimateRequest{"Gate", graph.full_mask(), &graph}, done)
                   .ok());
   gate_ptr->WaitUntilEntered();
   // Second request sits in the depth-1 queue; the third has nowhere to go.
-  ASSERT_TRUE(service.Submit(EstimateRequest{"Gate", &q, q.FullMask()}, done)
+  ASSERT_TRUE(service.Submit(EstimateRequest{"Gate", graph.full_mask(), &graph}, done)
                   .ok());
   Status overflow =
-      service.Submit(EstimateRequest{"Gate", &q, q.FullMask()}, done);
+      service.Submit(EstimateRequest{"Gate", graph.full_mask(), &graph}, done);
   EXPECT_EQ(overflow.code(), StatusCode::kResourceExhausted);
 
   gate_ptr->Release();
@@ -267,15 +279,15 @@ TEST(EstimationServiceTest, RejectionPayloadCarriesDepthAndRetryHint) {
   GateEstimator* gate_ptr = gate.get();
   service.RegisterEstimator(std::move(gate));
 
-  const Query q = TestQueries()[2];
+  const QueryGraph graph(TestQueries()[2], TestDb());
   auto done = [](EstimateResponse) {};
-  ASSERT_TRUE(service.Submit(EstimateRequest{"Gate", &q, q.FullMask()}, done)
+  ASSERT_TRUE(service.Submit(EstimateRequest{"Gate", graph.full_mask(), &graph}, done)
                   .ok());
   gate_ptr->WaitUntilEntered();
-  ASSERT_TRUE(service.Submit(EstimateRequest{"Gate", &q, q.FullMask()}, done)
+  ASSERT_TRUE(service.Submit(EstimateRequest{"Gate", graph.full_mask(), &graph}, done)
                   .ok());
   Status overflow =
-      service.Submit(EstimateRequest{"Gate", &q, q.FullMask()}, done);
+      service.Submit(EstimateRequest{"Gate", graph.full_mask(), &graph}, done);
   ASSERT_EQ(overflow.code(), StatusCode::kResourceExhausted);
   // The error payload is self-describing: observed depth and a backoff
   // hint, so network clients can be told when to come back.
@@ -287,7 +299,7 @@ TEST(EstimationServiceTest, RejectionPayloadCarriesDepthAndRetryHint) {
   EXPECT_LE(retry, 1.0);
 
   gate_ptr->Release();
-  service.Shutdown();  // drain the queued request while `q` is alive
+  service.Shutdown();  // drain the queued request while `graph` is alive
 }
 
 TEST(EstimationServiceTest, DeadlineExpiredInQueueAnswersDeadlineExceeded) {
@@ -298,9 +310,9 @@ TEST(EstimationServiceTest, DeadlineExpiredInQueueAnswersDeadlineExceeded) {
   GateEstimator* gate_ptr = gate.get();
   service.RegisterEstimator(std::move(gate));
 
-  const Query q = TestQueries()[2];
+  const QueryGraph graph(TestQueries()[2], TestDb());
   ASSERT_TRUE(service
-                  .Submit(EstimateRequest{"Gate", &q, q.FullMask()},
+                  .Submit(EstimateRequest{"Gate", graph.full_mask(), &graph},
                           [](EstimateResponse response) {
                             EXPECT_TRUE(response.status.ok());
                           })
@@ -312,7 +324,7 @@ TEST(EstimationServiceTest, DeadlineExpiredInQueueAnswersDeadlineExceeded) {
   // DeadlineExceeded and no estimates.
   std::promise<EstimateResponse> expired_promise;
   auto expired_future = expired_promise.get_future();
-  EstimateRequest deadlined{"Gate", &q, kAllSubplans};
+  EstimateRequest deadlined{"Gate", kAllSubplans, &graph};
   deadlined.timeout_seconds = 1e-3;
   ASSERT_TRUE(service
                   .Submit(deadlined,
@@ -331,14 +343,60 @@ TEST(EstimationServiceTest, DeadlineExpiredInQueueAnswersDeadlineExceeded) {
 TEST(EstimationServiceTest, NegativeTimeoutIsRejectedUpFront) {
   EstimationService service;
   service.RegisterEstimator(std::make_unique<HashEstimator>());
-  const Query q = TestQueries()[2];
-  EstimateRequest request{"Hash", &q, q.FullMask()};
+  const QueryGraph graph(TestQueries()[2], TestDb());
+  EstimateRequest request{"Hash", graph.full_mask(), &graph};
   request.timeout_seconds = -1.0;
   std::atomic<bool> callback_ran{false};
   Status status = service.Submit(
       request, [&](EstimateResponse) { callback_ran.store(true); });
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
   EXPECT_FALSE(callback_ran.load());
+}
+
+/// Submits `request` and expects an up-front InvalidArgument rejection
+/// that never runs the callback (no worker or estimator sees the request).
+void ExpectRejectedUpFront(EstimationService& service,
+                           const EstimateRequest& request) {
+  std::atomic<bool> callback_ran{false};
+  const Status status = service.Submit(
+      request, [&](EstimateResponse) { callback_ran.store(true); });
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status.ToString();
+  EXPECT_FALSE(callback_ran.load());
+}
+
+/// users(0) ⋈ posts(1) ⋈ comments(2); users and comments share no edge.
+constexpr char kChainSql[] =
+    "SELECT COUNT(*) FROM users, posts, comments WHERE users.Id = "
+    "posts.OwnerUserId AND posts.Id = comments.PostId;";
+
+TEST(EstimationServiceTest, RequestWithoutGraphIsRejectedUpFront) {
+  EstimationService service;
+  service.RegisterEstimator(std::make_unique<HashEstimator>());
+  ExpectRejectedUpFront(service, EstimateRequest{"Hash", kAllSubplans});
+}
+
+TEST(EstimationServiceTest, MaskNamingAbsentTablesIsRejectedUpFront) {
+  EstimationService service;
+  service.RegisterEstimator(std::make_unique<HashEstimator>());
+  const QueryGraph graph(Parse(kChainSql), TestDb());
+  ExpectRejectedUpFront(service,
+                        EstimateRequest{"Hash", (uint64_t{1} << 40) | 1,
+                                        &graph});
+  ExpectRejectedUpFront(service, EstimateRequest{"Hash", 0b1001, &graph});
+  EXPECT_EQ(service.EstimateSync("Hash", graph, 0b1000).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(EstimationServiceTest, DisconnectedMaskIsRejectedUpFront) {
+  EstimationService service;
+  service.RegisterEstimator(std::make_unique<HashEstimator>());
+  const QueryGraph graph(Parse(kChainSql), TestDb());
+  ExpectRejectedUpFront(service, EstimateRequest{"Hash", 0b101, &graph});
+  EXPECT_EQ(service.EstimateSync("Hash", graph, 0b101).status().code(),
+            StatusCode::kInvalidArgument);
+  // Its connected neighbours are answered.
+  EXPECT_TRUE(service.EstimateSync("Hash", graph, 0b011).ok());
+  EXPECT_TRUE(service.EstimateSync("Hash", graph, 0b111).ok());
 }
 
 TEST(EstimationServiceTest, EightThreadHammerMatchesSerialExactly) {
@@ -349,10 +407,10 @@ TEST(EstimationServiceTest, EightThreadHammerMatchesSerialExactly) {
   service.RegisterEstimator(std::make_unique<HashEstimator>());
   HashEstimator reference;
 
-  const std::vector<Query> queries = TestQueries();
+  const std::vector<std::unique_ptr<const QueryGraph>> graphs = TestGraphs();
   std::vector<std::unordered_map<uint64_t, double>> expected;
-  for (const Query& q : queries) {
-    expected.push_back(SerialEstimates(reference, q));
+  for (const auto& graph : graphs) {
+    expected.push_back(SerialEstimates(reference, graph->query()));
   }
 
   constexpr size_t kClients = 8;
@@ -363,8 +421,8 @@ TEST(EstimationServiceTest, EightThreadHammerMatchesSerialExactly) {
   for (size_t c = 0; c < kClients; ++c) {
     clients.emplace_back([&, c] {
       for (size_t i = 0; i < kIterations; ++i) {
-        const size_t qi = (c + i) % queries.size();
-        auto cards = service.EstimateQuerySync("Hash", queries[qi]);
+        const size_t qi = (c + i) % graphs.size();
+        auto cards = service.EstimateQuerySync("Hash", *graphs[qi]);
         if (!cards.ok()) {
           failures.fetch_add(1);
           continue;
@@ -385,15 +443,15 @@ TEST(EstimationServiceTest, RepeatedReplayServesFromCache) {
   HashEstimator* estimator = owned.get();
   service.RegisterEstimator(std::move(owned));
 
-  const Query q = TestQueries()[0];
-  const size_t num_subplans = EnumerateConnectedSubsets(q).size();
+  const QueryGraph graph(TestQueries()[0], TestDb());
+  const size_t num_subplans = graph.connected_subsets().size();
 
-  auto first = service.EstimateQuerySync("Hash", q);
+  auto first = service.EstimateQuerySync("Hash", graph);
   ASSERT_TRUE(first.ok());
   EXPECT_EQ(estimator->calls(), num_subplans);
   EXPECT_EQ(service.cache_stats().misses, num_subplans);
 
-  auto second = service.EstimateQuerySync("Hash", q);
+  auto second = service.EstimateQuerySync("Hash", graph);
   ASSERT_TRUE(second.ok());
   // Every sub-plan was served from the cache: the model was not re-invoked.
   EXPECT_EQ(estimator->calls(), num_subplans);
@@ -407,17 +465,17 @@ TEST(EstimationServiceTest, DataUpdateInvalidatesCacheAndRefreshesModel) {
   VersionedEstimator* estimator = owned.get();
   service.RegisterEstimator(std::move(owned));
 
-  const Query q = TestQueries()[1];
-  const size_t num_subplans = EnumerateConnectedSubsets(q).size();
+  const QueryGraph graph(TestQueries()[1], TestDb());
+  const size_t num_subplans = graph.connected_subsets().size();
 
-  auto before = service.EstimateQuerySync("Versioned", q);
+  auto before = service.EstimateQuerySync("Versioned", graph);
   ASSERT_TRUE(before.ok());
   ASSERT_EQ(estimator->calls(), num_subplans);
 
   ASSERT_TRUE(service.NotifyDataUpdate().ok());
   EXPECT_EQ(estimator->update_calls(), 1u);
 
-  auto after = service.EstimateQuerySync("Versioned", q);
+  auto after = service.EstimateQuerySync("Versioned", graph);
   ASSERT_TRUE(after.ok());
   // Stale entries were not served: the refresh advanced the model version,
   // so the pre-update entries (keyed to the old version) are unreachable
@@ -435,9 +493,9 @@ TEST(LoadDriverTest, ClosedLoopReplayReportsThroughputAndCacheDelta) {
   EstimationService service(options);
   service.RegisterEstimator(std::make_unique<HashEstimator>());
 
-  const std::vector<Query> queries = TestQueries();
-  std::vector<const Query*> pointers;
-  for (const Query& q : queries) pointers.push_back(&q);
+  const std::vector<std::unique_ptr<const QueryGraph>> graphs = TestGraphs();
+  std::vector<const QueryGraph*> pointers;
+  for (const auto& graph : graphs) pointers.push_back(graph.get());
   LoadDriver driver(service, pointers);
 
   LoadOptions load;
@@ -447,7 +505,7 @@ TEST(LoadDriverTest, ClosedLoopReplayReportsThroughputAndCacheDelta) {
   auto report = driver.Run(load);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
 
-  EXPECT_EQ(report->requests, queries.size() * load.replays);
+  EXPECT_EQ(report->requests, graphs.size() * load.replays);
   EXPECT_GT(report->QueriesPerSecond(), 0.0);
   EXPECT_GE(report->latency.p99, report->latency.p50);
   // Replays 2 and 3 hit the sub-plan cache.
@@ -489,8 +547,8 @@ TEST(LoadDriverTest, OpenLoopLatencyCountsScheduleDelay) {
 
 TEST(LoadDriverTest, UnknownEstimatorFailsFast) {
   EstimationService service;
-  const Query q = TestQueries()[2];
-  LoadDriver driver(service, {&q});
+  const QueryGraph graph(TestQueries()[2], TestDb());
+  LoadDriver driver(service, {&graph});
   LoadOptions load;
   load.estimator = "NoSuchModel";
   auto report = driver.Run(load);

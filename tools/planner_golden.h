@@ -55,13 +55,14 @@ inline std::string CardLine(const std::string& estimator,
                    static_cast<unsigned long long>(mask), card);
 }
 
-inline std::string PlanLine(const std::string& estimator,
+inline std::string PlanLine(const Database& db, const std::string& estimator,
                             const std::string& query, const PlanNode& plan,
                             double p_error) {
-  return StrFormat("plan %s %s %016llx %a %a", estimator.c_str(),
-                   QueryField(query).c_str(),
-                   static_cast<unsigned long long>(Fnv1aHash(plan.Explain())),
-                   plan.estimated_cost, p_error);
+  return StrFormat(
+      "plan %s %s %016llx %a %a", estimator.c_str(),
+      QueryField(query).c_str(),
+      static_cast<unsigned long long>(Fnv1aHash(plan.Explain(db))),
+      plan.estimated_cost, p_error);
 }
 
 /// Every golden line of `estimator` over `env`'s workload, in query order:
@@ -81,8 +82,8 @@ inline Result<std::vector<std::string>> Lines(
     CARDBENCH_ASSIGN_OR_RETURN(PlanResult plan,
                                env.optimizer().Plan(graph, estimator));
     const PErrorCalculator perror(env.optimizer(), graph, ctx.true_cards);
-    lines.push_back(PlanLine(name, ctx.query->name, *plan.plan,
-                             perror.EvaluatePlan(*plan.plan)));
+    lines.push_back(PlanLine(env.optimizer().db(), name, ctx.query->name,
+                             *plan.plan, perror.EvaluatePlan(*plan.plan)));
   }
   return lines;
 }
