@@ -5,7 +5,7 @@
 // policies:
 //
 //   no_refresh    — the stale models keep serving, never updated;
-//   incremental   — every micro-batch goes through RefreshIncremental
+//   incremental   — every micro-batch goes through EstimationService::Refresh
 //                   (reservoir merge / histogram merge / warm-start
 //                   boosting / warm-start NN and MSCN fine-tune epochs),
 //                   models mutate in place;
@@ -206,7 +206,7 @@ int Run(const BenchFlags& flags) {
     batch->refresh_training = &refresh_training;
 
     RefreshReport report;
-    const Status refresh = svc_inc.RefreshIncremental(*batch, &report);
+    const Status refresh = svc_inc.Refresh(*batch, &report);
     CARDBENCH_CHECK(refresh.ok(), "incremental refresh failed: %s",
                     refresh.ToString().c_str());
     for (const auto& entry : report.entries) {

@@ -46,8 +46,8 @@ int main() {
               model.EstimateCard(*query), *stale_truth.Card(*query));
 
   // New data streams in as timestamp-ordered micro-batches; after each one
-  // the model absorbs the delta through its incremental-update hook
-  // (BayesCard: structure frozen, counts absorbed) instead of retraining.
+  // the model absorbs the delta through Update(batch) (BayesCard: structure
+  // frozen, counts absorbed) instead of retraining.
   StreamingInsertFeed feed(*split.stale, std::move(split.insertions),
                            StatsTimestampColumn, 3);
   std::printf("\nstreaming %zu rows in %zu micro-batches:\n",
@@ -64,7 +64,7 @@ int main() {
     const double stale_estimate = model.EstimateCard(*query);
 
     Stopwatch update_watch;
-    if (!model.IncrementalUpdate(*batch).ok()) {
+    if (!model.Update(*batch).ok()) {
       std::fprintf(stderr, "update failed\n");
       return 1;
     }

@@ -3,8 +3,9 @@
 # executor's raw-pointer batch kernels (selection vectors, key gathers,
 # morsel buffers), the estimators' binary searches and flat multi-leaf keys,
 # the plan paths (planning, execution of planned and hand-built plans,
-# EXPLAIN, recosting), plus the concurrency-sensitive binaries. Any
-# out-of-bounds access or leak in these paths fails the run.
+# EXPLAIN, recosting), every estimator's update path (the refresh
+# goldens), plus the concurrency-sensitive binaries. Any out-of-bounds
+# access or leak in these paths fails the run.
 #
 #   scripts/run_asan_tests.sh               # the default binary set
 #   scripts/run_asan_tests.sh -R Parity     # forward extra args to ctest
@@ -17,8 +18,8 @@ cmake -B "$BUILD_DIR" -S . -DCARDBENCH_ASAN=ON >/dev/null
 cmake --build "$BUILD_DIR" -j "$(nproc)" \
   --target storage_test exec_test exec_parity_test thread_pool_test \
            service_test harness_test query_graph_test planner_golden_test \
-           batch_parity_test serialization_test model_store_test \
-           server_test server_metrics_test drift_test \
+           refresh_golden_test batch_parity_test serialization_test \
+           model_store_test server_test server_metrics_test drift_test \
            kernel_parity_test arena_test join_hash_test \
            binner_test cardest_test explain_analyze_test optimizer_test \
            optimizer_physical_test perror_test property_test
@@ -29,8 +30,9 @@ if [ "$#" -gt 0 ]; then
 else
   for test in storage_test exec_test exec_parity_test thread_pool_test \
               service_test harness_test query_graph_test \
-              planner_golden_test batch_parity_test serialization_test \
-              model_store_test server_test server_metrics_test drift_test \
+              planner_golden_test refresh_golden_test batch_parity_test \
+              serialization_test model_store_test server_test \
+              server_metrics_test drift_test \
               kernel_parity_test arena_test join_hash_test \
               binner_test cardest_test explain_analyze_test optimizer_test \
               optimizer_physical_test perror_test property_test; do

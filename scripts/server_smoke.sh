@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# End-to-end smoke test of the network serving stack: starts cardserved on
-# an ephemeral loopback port, fires a burst of queries through cardclient
+# End-to-end smoke test of the network serving stack: checks that bad
+# numeric server flags exit with status 2, starts cardserved on an
+# ephemeral loopback port, fires a burst of queries through cardclient
 # (including one with a deliberately unknown estimator to exercise the
 # structured-error path), asserts non-zero completions on a parseable
 # /metrics page, then SIGTERMs the server and requires a clean drain exit.
@@ -34,6 +35,20 @@ cleanup() {
   rm -rf "$WORK_DIR"
 }
 trap cleanup EXIT
+
+# Numeric server flags that parse but are not finite or are out of range
+# are usage errors: exit status 2 before anything is built. `timeout`
+# bounds a binary that would accept one and go on to serve.
+for flag in --drain-timeout=nan --snapshot-period=inf --snapshot-period=1e10; do
+  STATUS=0
+  timeout 60 "$SERVED" --port=0 --fast --scale=0.05 "$flag" \
+    > "$WORK_DIR/flag.log" 2>&1 || STATUS=$?
+  if [ "$STATUS" -ne 2 ]; then
+    echo "server_smoke: $flag exited $STATUS, want 2" >&2
+    cat "$WORK_DIR/flag.log" >&2
+    exit 1
+  fi
+done
 
 # Ephemeral port (--port=0), tiny dataset, snapshot written fast so the
 # JSON artifact also gets exercised.

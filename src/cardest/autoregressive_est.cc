@@ -298,7 +298,10 @@ void AutoregressiveEstimator::Train() {
   }
 }
 
-Status AutoregressiveEstimator::Update() {
+Status AutoregressiveEstimator::UpdateImpl(const InsertionBatch& batch) {
+  if (mode_ != ArTraining::kData) {
+    return CardinalityEstimator::UpdateImpl(batch);
+  }
   // Fanouts and FOJ weights changed: rebuild the sampler, draw fresh
   // samples (binned with the frozen binners) and fine-tune.
   Stopwatch watch;
@@ -403,15 +406,7 @@ double AutoregressiveEstimator::EstimateCard(const QueryGraph& graph,
     }
     for (const auto& edge : graph.edges()) {
       if ((edge.mask & mask) != edge.mask) continue;
-      const double lndv = std::max<double>(
-          1.0, static_cast<double>(
-                   edge.left_table->GetIndex(edge.left_column_id)
-                       .num_distinct()));
-      const double rndv = std::max<double>(
-          1.0, static_cast<double>(
-                   edge.right_table->GetIndex(edge.right_column_id)
-                       .num_distinct()));
-      card /= std::max(lndv, rndv);
+      card /= JoinUniformityDivisor(edge);
     }
     return std::max(card, 1.0);
   }

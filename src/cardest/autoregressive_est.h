@@ -88,10 +88,6 @@ class AutoregressiveEstimator : public CardinalityEstimator {
       const QueryGraph& graph,
       std::span<const uint64_t> masks) const override;
   double TrainSeconds() const override { return train_seconds_; }
-  bool SupportsUpdate() const override { return mode_ == ArTraining::kData; }
-  /// Re-samples the FOJ (fanouts changed) and fine-tunes the net — the
-  /// slowest update path of all methods, as in the paper's Table 6.
-  Status Update() override;
 
   /// Persists mode + options, the model-column layout (including the
   /// binners over attributes and fanout columns) and the MADE parameters.
@@ -102,6 +98,12 @@ class AutoregressiveEstimator : public CardinalityEstimator {
       const Database& db, std::istream& in);
 
  private:
+  /// Data-trained models (NeuroCard) re-sample the FOJ (fanouts changed)
+  /// and fine-tune the net, whatever the batch — the slowest update path of
+  /// all methods, as in the paper's Table 6. The query-aware UAE modes
+  /// would need a fresh training workload: Unsupported.
+  Status UpdateImpl(const InsertionBatch& batch) override;
+
   struct DeferredInit {};
   /// Load path: rebuilds sampler + id maps, leaves columns_ and made_ for
   /// Deserialize to restore from the artifact.
@@ -148,7 +150,7 @@ class AutoregressiveEstimator : public CardinalityEstimator {
 
   /// Rebuilds the id-keyed views over the sampler's spanning tree (table id
   /// -> sampler slot; packed edge keys) — called whenever sampler_ is
-  /// replaced (constructor, Update).
+  /// replaced (constructor, UpdateImpl).
   void RebuildIdMaps();
 
   const Database& db_;

@@ -65,7 +65,7 @@ class BayesCardEstimator : public FanoutModelEstimator {
   /// Persists all per-table BNs plus the extended-table metadata, and
   /// restores a ready-to-serve estimator without retraining — the paper's
   /// model-transfer deployment path (§4.3). The loaded estimator still
-  /// supports incremental Update() (bins are recomputed lazily).
+  /// supports Update (bins are recomputed lazily).
   Status Serialize(std::ostream& out) const override;
   static Result<std::unique_ptr<BayesCardEstimator>> Deserialize(
       const Database& db, std::istream& in);

@@ -1,6 +1,7 @@
 #ifndef CARDBENCH_CARDEST_ESTIMATOR_H_
 #define CARDBENCH_CARDEST_ESTIMATOR_H_
 
+#include <algorithm>
 #include <ostream>
 #include <span>
 #include <streambuf>
@@ -31,7 +32,7 @@ namespace cardbench {
 /// call order or interleaving (samplers derive their randomness from a
 /// hash of the sub-plan, never from shared mutable generator state).
 /// Internal memo caches are allowed but must be internally synchronized.
-/// Update() is exempt: it is an exclusive-access operation and callers must
+/// Update is exempt: it is an exclusive-access operation and callers must
 /// quiesce all concurrent EstimateCard calls around it (EstimationService
 /// enforces this with a shared/exclusive lock).
 class CardinalityEstimator {
@@ -128,42 +129,24 @@ class CardinalityEstimator {
   /// Offline training / construction time in seconds (paper Figure 3).
   virtual double TrainSeconds() const { return 0.0; }
 
-  /// Whether the method supports incremental model updates after data
-  /// insertions (paper Table 6). Query-driven methods return false — they
-  /// would need to re-collect and re-execute a training workload (O9).
-  virtual bool SupportsUpdate() const { return false; }
-
-  /// Whether IncrementalUpdate has a genuinely incremental path — one whose
-  /// cost scales with the insertion delta (or a small refresh workload),
-  /// not with the full data. Defaults to SupportsUpdate() because the
-  /// Update() implementations of the data-driven zoo are delta-driven or
-  /// cheap rebuilds; query-driven estimators that fine-tune from
-  /// `InsertionBatch::refresh_training` override this to true while keeping
-  /// SupportsUpdate() false (they still cannot refresh from data alone).
-  virtual bool SupportsIncrementalUpdate() const { return SupportsUpdate(); }
-
-  /// Incrementally refreshes the model after rows were appended to the
-  /// database the estimator was built on. Only called when SupportsUpdate().
-  virtual Status Update() {
-    return Status::Unsupported(name() + " does not support updates");
-  }
-
-  /// Refreshes the model for one applied insertion batch — the primary
-  /// update entry point of the online-refresh pipeline (EstimationService::
-  /// RefreshIncremental, bench_drift, bench_table6_update all call this).
-  /// Exclusive-access like Update(): callers quiesce concurrent
-  /// EstimateCard calls first.
-  ///
-  /// Estimators with a delta-aware path (sampling re-reservoir, histogram
-  /// merge, warm-start boosting, fine-tune epochs) override this; the
-  /// default forwards to the legacy batch-oblivious Update() when
-  /// SupportsUpdate(), and otherwise answers Unsupported — the "full
-  /// retrain required" flag the refresh pipeline reports per estimator.
-  virtual Status IncrementalUpdate(const InsertionBatch& batch) {
-    (void)batch;
-    if (SupportsUpdate()) return Update();
-    return Status::Unsupported(name() +
-                               ": no incremental path, full retrain required");
+  /// Absorbs one applied insertion batch: rows already appended to
+  /// database() (paper §6.3, Table 6). A full-refresh batch (no deltas)
+  /// refreshes the model from the data as it stands. The batch is checked
+  /// against database() first (InsertionBatch::CheckAgainst), so a batch
+  /// that names rows or tables the database does not hold fails before the
+  /// model changes. An estimator with no path for the batch answers
+  /// Unsupported, the "full retrain required" signal: O9's query-driven
+  /// methods refresh only from a batch carrying `refresh_training`.
+  /// Exclusive-access: callers quiesce concurrent EstimateCard calls first.
+  Status Update(const InsertionBatch& batch) {
+    if (!batch.IsFullRefresh()) {
+      if (db_ == nullptr) {
+        return Status::InvalidArgument(name() +
+                                       " has no database to check a batch");
+      }
+      CARDBENCH_RETURN_IF_ERROR(batch.CheckAgainst(*db_));
+    }
+    return UpdateImpl(batch);
   }
 
   /// The database the Query overload compiles against; null for
@@ -177,9 +160,28 @@ class CardinalityEstimator {
   /// Wrappers pass the database of what they wrap (possibly null).
   explicit CardinalityEstimator(const Database* db) : db_(db) {}
 
+  /// The model's refresh for a batch Update has checked. Estimators whose
+  /// refresh reads no deltas treat every batch as a full refresh.
+  virtual Status UpdateImpl(const InsertionBatch& batch) {
+    (void)batch;
+    return Status::Unsupported(name() + " has no update path");
+  }
+
  private:
   const Database* db_ = nullptr;
 };
+
+/// The join-uniformity divisor of an equi-join edge, max(1, ndv_left,
+/// ndv_right): estimators without a join model take 1/max(ndv) as the
+/// edge's selectivity, PostgreSQL's rule for keys without statistics.
+inline double JoinUniformityDivisor(const QueryGraph::EdgeInfo& edge) {
+  return std::max(
+      {1.0,
+       static_cast<double>(
+           edge.left_table->GetIndex(edge.left_column_id).num_distinct()),
+       static_cast<double>(
+           edge.right_table->GetIndex(edge.right_column_id).num_distinct())});
+}
 
 }  // namespace cardbench
 

@@ -102,7 +102,7 @@ Status FanoutModelEstimator::LoadFanout(std::istream& in,
   return Status::OK();
 }
 
-Status FanoutModelEstimator::Update() {
+Status FanoutModelEstimator::UpdateImpl(const InsertionBatch&) {
   for (const auto& name : db_.table_names()) {
     const std::vector<size_t> new_rows =
         ext_tables_[name]->RefreshAfterInsert(db_);
@@ -245,15 +245,7 @@ double FanoutModelEstimator::EstimateCardImpl(const QueryGraph& graph,
     }
     for (const auto& edge : graph.edges()) {
       if ((edge.mask & mask) != edge.mask) continue;
-      const double lndv = std::max<double>(
-          1.0, static_cast<double>(
-                   edge.left_table->GetIndex(edge.left_column_id)
-                       .num_distinct()));
-      const double rndv = std::max<double>(
-          1.0, static_cast<double>(
-                   edge.right_table->GetIndex(edge.right_column_id)
-                       .num_distinct()));
-      card /= std::max(lndv, rndv);
+      card /= JoinUniformityDivisor(edge);
     }
     return std::max(card, 1e-6);
   }
@@ -334,15 +326,7 @@ double FanoutModelEstimator::EstimateCardImpl(const QueryGraph& graph,
   // Independence correction for parallel/non-tree edges (PostgreSQL's
   // 1/max(ndv) equi-join selectivity).
   for (const QueryGraph::EdgeInfo* edge : non_tree) {
-    const double lndv = std::max<double>(
-        1.0, static_cast<double>(
-                 edge->left_table->GetIndex(edge->left_column_id)
-                     .num_distinct()));
-    const double rndv = std::max<double>(
-        1.0, static_cast<double>(
-                 edge->right_table->GetIndex(edge->right_column_id)
-                     .num_distinct()));
-    card /= std::max(lndv, rndv);
+    card /= JoinUniformityDivisor(*edge);
   }
   return std::max(card, 1e-6);
 }

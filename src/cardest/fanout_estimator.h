@@ -73,8 +73,6 @@ class FanoutModelEstimator : public CardinalityEstimator {
       const QueryGraph& graph,
       std::span<const uint64_t> masks) const override;
   double TrainSeconds() const override { return train_seconds_; }
-  bool SupportsUpdate() const override { return true; }
-  Status Update() override;
 
   /// Ablation switch: when disabled, multi-table estimates fall back to the
   /// join-uniformity combination of single-table model estimates (the
@@ -135,6 +133,10 @@ class FanoutModelEstimator : public CardinalityEstimator {
   const Database& db_;
 
  private:
+  /// Refreshes every table's extended table and folds the rows it gained
+  /// into the table's model, whatever the batch.
+  Status UpdateImpl(const InsertionBatch& batch) override;
+
   /// Per-query memos, both mask-independent, so a batch fills them once:
   /// each local table's predicate ColumnFactors (built from the graph's
   /// pred_groups), and each ExpectWithFactors result keyed by the local

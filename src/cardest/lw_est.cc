@@ -79,11 +79,11 @@ void LwNnEstimator::TrainEpochs(const std::vector<TrainingQuery>& training,
   }
 }
 
-Status LwNnEstimator::IncrementalUpdate(const InsertionBatch& batch) {
+Status LwNnEstimator::UpdateImpl(const InsertionBatch& batch) {
   if (batch.refresh_training == nullptr || batch.refresh_training->empty()) {
     return Status::Unsupported(
-        "LW-NN: incremental refresh needs re-labeled training queries "
-        "(batch.refresh_training), full retrain required");
+        "LW-NN: refreshing needs re-labeled training queries "
+        "(batch.refresh_training)");
   }
   Stopwatch watch;
   // Derive the shuffle stream from (seed, data_version) so the same refresh
@@ -136,11 +136,11 @@ LwXgbEstimator::LwXgbEstimator(const Database& db,
   train_seconds_ = watch.ElapsedSeconds();
 }
 
-Status LwXgbEstimator::IncrementalUpdate(const InsertionBatch& batch) {
+Status LwXgbEstimator::UpdateImpl(const InsertionBatch& batch) {
   if (batch.refresh_training == nullptr || batch.refresh_training->empty()) {
     return Status::Unsupported(
-        "LW-XGB: incremental refresh needs re-labeled training queries "
-        "(batch.refresh_training), full retrain required");
+        "LW-XGB: refreshing needs re-labeled training queries "
+        "(batch.refresh_training)");
   }
   Stopwatch watch;
   std::vector<std::vector<double>> features;

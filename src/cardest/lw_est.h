@@ -42,13 +42,6 @@ class LwNnEstimator : public CardinalityEstimator {
       std::span<const uint64_t> masks) const override;
   double TrainSeconds() const override { return train_seconds_; }
 
-  /// Query-driven: refreshing needs re-labeled queries, not raw rows, so the
-  /// incremental path requires `batch.refresh_training` to be populated.
-  bool SupportsIncrementalUpdate() const override { return true; }
-  /// Warm-start fine-tune: continues SGD from the current weights for
-  /// ~epochs/10 passes over the refresh workload.
-  Status IncrementalUpdate(const InsertionBatch& batch) override;
-
   /// Persists options + network parameters; the featurizer is rebuilt
   /// deterministically from the database on load.
   Status Serialize(std::ostream& out) const override;
@@ -56,6 +49,12 @@ class LwNnEstimator : public CardinalityEstimator {
       const Database& db, std::istream& in);
 
  private:
+  /// Query-driven: refreshing needs re-labeled queries, not raw rows, so a
+  /// batch without `refresh_training` answers Unsupported. Warm-start
+  /// fine-tune: continues SGD from the current weights for ~epochs/10
+  /// passes over the refresh workload.
+  Status UpdateImpl(const InsertionBatch& batch) override;
+
   struct DeferredInit {};
   /// Load path: seeded untrained topology, parameters injected afterwards.
   LwNnEstimator(const Database& db, LwNnOptions options, DeferredInit);
@@ -86,14 +85,6 @@ class LwXgbEstimator : public CardinalityEstimator {
       std::span<const uint64_t> masks) const override;
   double TrainSeconds() const override { return train_seconds_; }
 
-  /// Query-driven: refreshing needs re-labeled queries, not raw rows, so the
-  /// incremental path requires `batch.refresh_training` to be populated.
-  bool SupportsIncrementalUpdate() const override { return true; }
-  /// Warm-start boosting: appends ~num_trees/10 rounds fitted to the current
-  /// ensemble's residuals on the refresh workload — the existing trees are
-  /// untouched, so the refresh costs a tenth of a retrain.
-  Status IncrementalUpdate(const InsertionBatch& batch) override;
-
   /// Persists the fitted tree ensemble; the featurizer is rebuilt
   /// deterministically from the database on load.
   Status Serialize(std::ostream& out) const override;
@@ -101,6 +92,13 @@ class LwXgbEstimator : public CardinalityEstimator {
       const Database& db, std::istream& in);
 
  private:
+  /// Query-driven: refreshing needs re-labeled queries, not raw rows, so a
+  /// batch without `refresh_training` answers Unsupported. Warm-start
+  /// boosting: appends ~num_trees/10 rounds fitted to the current
+  /// ensemble's residuals on the refresh workload — the existing trees are
+  /// untouched, so the refresh costs a tenth of a retrain.
+  Status UpdateImpl(const InsertionBatch& batch) override;
+
   struct DeferredInit {};
   /// Load path: empty ensemble, parameters injected afterwards.
   LwXgbEstimator(const Database& db, DeferredInit)

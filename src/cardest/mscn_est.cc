@@ -122,11 +122,11 @@ void MscnEstimator::TrainEpochs(const std::vector<TrainingQuery>& training,
   }
 }
 
-Status MscnEstimator::IncrementalUpdate(const InsertionBatch& batch) {
+Status MscnEstimator::UpdateImpl(const InsertionBatch& batch) {
   if (batch.refresh_training == nullptr || batch.refresh_training->empty()) {
     return Status::Unsupported(
-        "MSCN: incremental refresh needs re-labeled training queries "
-        "(batch.refresh_training), full retrain required");
+        "MSCN: refreshing needs re-labeled training queries "
+        "(batch.refresh_training)");
   }
   Stopwatch watch;
   // Derive the shuffle stream from (seed, data_version) so the same refresh

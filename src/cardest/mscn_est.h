@@ -46,15 +46,6 @@ class MscnEstimator : public CardinalityEstimator {
       const QueryGraph& graph,
       std::span<const uint64_t> masks) const override;
   double TrainSeconds() const override { return train_seconds_; }
-  // Query-driven: SupportsUpdate stays false (a plain Update() would need
-  // the original training set), but a fine-tune path exists when the caller
-  // supplies re-labeled queries alongside the insertion batch.
-  /// Requires `batch.refresh_training`; see IncrementalUpdate.
-  bool SupportsIncrementalUpdate() const override { return true; }
-  /// Fine-tune: runs ~epochs/10 SGD epochs over the refresh workload from
-  /// the current parameters (no re-init), shuffled by an RNG derived from
-  /// (seed, data_version) so refreshes are deterministic per version.
-  Status IncrementalUpdate(const InsertionBatch& batch) override;
 
   /// Persists options + the four modules' parameters. The featurizer is
   /// rebuilt deterministically from the database on load, so vocabularies
@@ -64,13 +55,20 @@ class MscnEstimator : public CardinalityEstimator {
       const Database& db, std::istream& in);
 
  private:
+  /// Query-driven: refreshing needs re-labeled queries, so a batch without
+  /// `refresh_training` answers Unsupported. Fine-tune: runs ~epochs/10 SGD
+  /// epochs over the refresh workload from the current parameters (no
+  /// re-init), shuffled by an RNG derived from (seed, data_version) so
+  /// refreshes are deterministic per version.
+  Status UpdateImpl(const InsertionBatch& batch) override;
+
   struct DeferredInit {};
   /// Load path: builds the featurizer and untrained module topology (same
   /// seeded init as training), then Deserialize overwrites the parameters.
   MscnEstimator(const Database& db, MscnOptions options, DeferredInit);
 
   /// Runs `epochs` epochs of per-example SGD over `training`, continuing
-  /// from the current parameters (shared by the ctor and IncrementalUpdate).
+  /// from the current parameters (shared by the ctor and UpdateImpl).
   void TrainEpochs(const std::vector<TrainingQuery>& training, size_t epochs,
                    Rng& rng);
 

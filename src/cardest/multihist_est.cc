@@ -105,28 +105,19 @@ void MultiHistEstimator::Build(const Database& db) {
   }
 }
 
-Status MultiHistEstimator::Update() {
-  Stopwatch watch;
-  groups_.clear();
-  groups_by_id_.clear();
-  Build(db_);
-  train_seconds_ += watch.ElapsedSeconds();
-  return Status::OK();
-}
-
-Status MultiHistEstimator::IncrementalUpdate(const InsertionBatch& batch) {
-  if (batch.IsFullRefresh()) return Update();
+Status MultiHistEstimator::UpdateImpl(const InsertionBatch& batch) {
+  if (batch.IsFullRefresh()) {
+    Stopwatch watch;
+    groups_.clear();
+    groups_by_id_.clear();
+    Build(db_);
+    train_seconds_ += watch.ElapsedSeconds();
+    return Status::OK();
+  }
   for (const TableDelta& delta : batch.tables) {
-    auto it = groups_.find(delta.table);
-    if (it == groups_.end()) {
-      return Status::NotFound("MultiHist: unknown table " + delta.table);
-    }
     const Table& table = db_.TableOrDie(delta.table);
-    if (delta.new_num_rows > table.num_rows()) {
-      return Status::InvalidArgument(
-          "MultiHist: delta row range exceeds table " + delta.table);
-    }
-    for (Group& group : it->second) {
+    // Build and Deserialize keep the groups of every table.
+    for (Group& group : groups_.at(delta.table)) {
       std::vector<uint16_t> key(group.column_ids.size());
       for (size_t row = delta.old_num_rows; row < delta.new_num_rows; ++row) {
         for (size_t k = 0; k < group.column_ids.size(); ++k) {
@@ -187,15 +178,7 @@ double MultiHistEstimator::EstimateCard(const QueryGraph& graph,
   // Join uniformity, like the other histogram methods.
   for (const auto& edge : graph.edges()) {
     if ((edge.mask & mask) != edge.mask) continue;
-    const double lndv = std::max<double>(
-        1.0, static_cast<double>(
-                 edge.left_table->GetIndex(edge.left_column_id)
-                     .num_distinct()));
-    const double rndv = std::max<double>(
-        1.0, static_cast<double>(
-                 edge.right_table->GetIndex(edge.right_column_id)
-                     .num_distinct()));
-    card /= std::max(lndv, rndv);
+    card /= JoinUniformityDivisor(edge);
   }
   return std::max(card, 1e-6);
 }

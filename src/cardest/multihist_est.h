@@ -34,23 +34,20 @@ class MultiHistEstimator : public CardinalityEstimator {
   double EstimateCard(const QueryGraph& graph, uint64_t mask) const override;
   double TrainSeconds() const override { return train_seconds_; }
 
-  bool SupportsUpdate() const override { return true; }
-  /// Full rebuild: re-derives groupings, binners and joint counts from the
-  /// current data (the "full retrain" arm of the drift bench).
-  Status Update() override;
-  /// Binner merge: the inserted rows of each delta are binned through the
-  /// *frozen* per-group binners and added to the joint counts — cost is
-  /// O(inserted rows x groups), no re-clustering, no binner rebuild. Bucket
-  /// boundaries stay where training put them, so heavy distribution shift
-  /// eventually needs the full rebuild; the drift bench measures exactly
-  /// that gap.
-  Status IncrementalUpdate(const InsertionBatch& batch) override;
-
   Status Serialize(std::ostream& out) const override;
   static Result<std::unique_ptr<MultiHistEstimator>> Deserialize(
       const Database& db, std::istream& in);
 
  private:
+  /// A full refresh rebuilds: re-derives groupings, binners and joint
+  /// counts from the current data. A delta merges: its inserted rows are
+  /// binned through the *frozen* per-group binners and added to the joint
+  /// counts — cost is O(inserted rows x groups), no re-clustering, no
+  /// binner rebuild. Bucket boundaries stay where training put them, so
+  /// heavy distribution shift eventually needs the full rebuild; the drift
+  /// bench measures exactly that gap.
+  Status UpdateImpl(const InsertionBatch& batch) override;
+
   struct DeferredInit {};
   /// Load path: constructs without building; state injected by Deserialize.
   MultiHistEstimator(const Database& db, DeferredInit)

@@ -49,7 +49,7 @@ void PostgresEstimator::RebuildIdIndex() {
   }
 }
 
-Status PostgresEstimator::Update() {
+Status PostgresEstimator::UpdateImpl(const InsertionBatch&) {
   Stopwatch watch;
   Analyze();
   train_seconds_ += watch.ElapsedSeconds();

@@ -40,9 +40,6 @@ class PostgresEstimator : public CardinalityEstimator {
       const QueryGraph& graph,
       std::span<const uint64_t> masks) const override;
   double TrainSeconds() const override { return train_seconds_; }
-  bool SupportsUpdate() const override { return true; }
-  /// Re-ANALYZE: rebuilds all per-column statistics.
-  Status Update() override;
 
   /// Persists the collected statistics (the "model") as a CBMD artifact and
   /// restores an estimator from one — deployment without re-ANALYZE (§4.3's
@@ -53,6 +50,9 @@ class PostgresEstimator : public CardinalityEstimator {
       const Database& db, std::istream& in);
 
  private:
+  /// Re-ANALYZE: rebuilds all per-column statistics, whatever the batch.
+  Status UpdateImpl(const InsertionBatch& batch) override;
+
   struct DeferredInit {};
   /// Load path: constructs without ANALYZE; state injected by Deserialize.
   PostgresEstimator(const Database& db, DeferredInit)

@@ -20,16 +20,6 @@ namespace cardbench {
 
 namespace {
 
-double GraphJoinUniformitySelectivity(const QueryGraph::EdgeInfo& edge) {
-  const double lndv = std::max<double>(
-      1.0, static_cast<double>(
-               edge.left_table->GetIndex(edge.left_column_id).num_distinct()));
-  const double rndv = std::max<double>(
-      1.0, static_cast<double>(
-               edge.right_table->GetIndex(edge.right_column_id).num_distinct()));
-  return 1.0 / std::max(lndv, rndv);
-}
-
 /// BFS spanning tree of the graph restricted to `mask`, rooted at
 /// `root_local`: tree steps in visit order (edges considered in query order
 /// per frontier table) plus the unused (non-tree) in-mask edges.
@@ -138,7 +128,7 @@ double UniSampleEstimator::EstimateCard(const QueryGraph& graph,
   }
   for (const auto& edge : graph.edges()) {
     if ((edge.mask & mask) != edge.mask) continue;
-    card *= GraphJoinUniformitySelectivity(edge);
+    card *= 1.0 / JoinUniformityDivisor(edge);
   }
   return std::max(card, 1e-6);
 }
@@ -172,7 +162,7 @@ std::vector<double> UniSampleEstimator::EstimateCards(
   std::vector<double> edge_sel;
   edge_sel.reserve(graph.edges().size());
   for (const auto& edge : graph.edges()) {
-    edge_sel.push_back(GraphJoinUniformitySelectivity(edge));
+    edge_sel.push_back(1.0 / JoinUniformityDivisor(edge));
   }
 
   for (uint64_t mask : masks) {
@@ -189,22 +179,14 @@ std::vector<double> UniSampleEstimator::EstimateCards(
   return out;
 }
 
-Status UniSampleEstimator::Update() {
-  Resample();
-  return Status::OK();
-}
-
-Status UniSampleEstimator::IncrementalUpdate(const InsertionBatch& batch) {
+Status UniSampleEstimator::UpdateImpl(const InsertionBatch& batch) {
   if (batch.IsFullRefresh()) {
     Resample();
     return Status::OK();
   }
   for (const TableDelta& delta : batch.tables) {
-    auto it = samples_.find(delta.table);
-    if (it == samples_.end()) {
-      return Status::NotFound("UniSample: unknown table " + delta.table);
-    }
-    std::vector<uint32_t>& sample = it->second;
+    // Resample and Deserialize keep a sample of every table.
+    std::vector<uint32_t>& sample = samples_.at(delta.table);
     const size_t n0 = delta.old_num_rows;
     const size_t n1 = delta.new_num_rows;
     if (n1 <= n0) continue;
@@ -444,7 +426,7 @@ void PessEstEstimator::BuildDegreeSketches() {
   max_degree_.clear();
 }
 
-Status PessEstEstimator::Update() {
+Status PessEstEstimator::UpdateImpl(const InsertionBatch&) {
   BuildDegreeSketches();
   return Status::OK();
 }

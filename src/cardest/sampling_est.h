@@ -37,16 +37,6 @@ class UniSampleEstimator : public CardinalityEstimator {
   std::vector<double> EstimateCards(
       const QueryGraph& graph,
       std::span<const uint64_t> masks) const override;
-  bool SupportsUpdate() const override { return true; }
-  /// Resamples (cheap: sampling is the whole model). Exclusive-access:
-  /// concurrent EstimateCard calls must be quiesced first.
-  Status Update() override;
-  /// Delta-aware re-reservoir: each existing draw survives with probability
-  /// old_rows/new_rows, otherwise it is redrawn from the inserted range —
-  /// the resulting sample is iid uniform over the grown table, the same
-  /// distribution a full Resample draws, at cost proportional to the
-  /// insertion fraction (geometric skips, no per-slot coin flip).
-  Status IncrementalUpdate(const InsertionBatch& batch) override;
 
   /// The "model" is the drawn row-id sample; persisting it keeps the
   /// deployed estimator's draws (and estimates) identical to training.
@@ -55,6 +45,14 @@ class UniSampleEstimator : public CardinalityEstimator {
       const Database& db, std::istream& in);
 
  private:
+  /// A full refresh resamples (cheap: sampling is the whole model). A delta
+  /// re-reservoirs: each existing draw survives with probability
+  /// old_rows/new_rows, otherwise it is redrawn from the inserted range —
+  /// the resulting sample is iid uniform over the grown table, the same
+  /// distribution a full Resample draws, at cost proportional to the
+  /// insertion fraction (geometric skips, no per-slot coin flip).
+  Status UpdateImpl(const InsertionBatch& batch) override;
+
   struct DeferredInit {};
   /// Load path: constructs without sampling; state injected by Deserialize.
   UniSampleEstimator(const Database& db, DeferredInit)
@@ -122,9 +120,6 @@ class PessEstEstimator : public CardinalityEstimator {
   std::vector<double> EstimateCards(
       const QueryGraph& graph,
       std::span<const uint64_t> masks) const override;
-  bool SupportsUpdate() const override { return true; }
-  /// Refreshes the degree sketches.
-  Status Update() override;
 
   /// Persists per-join-column degree sketches (max degree + the full degree
   /// histogram over distinct key values), computed eagerly over the schema's
@@ -136,6 +131,9 @@ class PessEstEstimator : public CardinalityEstimator {
       const Database& db, std::istream& in);
 
  private:
+  /// Refreshes the degree sketches, whatever the batch.
+  Status UpdateImpl(const InsertionBatch& batch) override;
+
   struct DeferredInit {};
   /// Load path: table ids are schema-derived; the degree memo is injected
   /// by Deserialize instead of being scanned lazily.

@@ -22,7 +22,7 @@ namespace cardbench {
 /// Each ApplyNext call appends one micro-batch to the target database
 /// (atomically — see ApplyInsertions), bumps its data version, and returns
 /// the per-table row deltas stamped with the new version, ready to hand to
-/// CardinalityEstimator::IncrementalUpdate.
+/// CardinalityEstimator::Update.
 class StreamingInsertFeed {
  public:
   /// `db` is only used to resolve timestamp columns at construction (it is

@@ -1,13 +1,10 @@
 #include "harness/bench_env.h"
 
-#include <charconv>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <limits>
 #include <string>
-#include <type_traits>
 
 #include "cardest/truecard_est.h"
 #include "common/logging.h"
@@ -19,46 +16,12 @@
 
 namespace cardbench {
 
-namespace {
-
-/// Parses the value of the numeric flag `arg` ("--name=value", `prefix` =
-/// "--name="). The whole value must spell one T — no whitespace, no
-/// trailing characters, no sign for unsigned T — within [lo, hi]; a
-/// floating-point value must also be finite and above 0. Anything else
-/// prints the error and exits with status 2.
-template <typename T>
-T NumericFlag(const std::string& arg, const std::string& prefix,
-              T lo = std::numeric_limits<T>::lowest(),
-              T hi = std::numeric_limits<T>::max()) {
-  const char* begin = arg.c_str() + prefix.size();
-  const char* end = arg.c_str() + arg.size();
-  T value{};
-  const auto [ptr, ec] = std::from_chars(begin, end, value);
-  bool ok = ec == std::errc() && ptr == end && lo <= value && value <= hi;
-  if constexpr (std::is_floating_point_v<T>) {
-    ok = ok && std::isfinite(value) && value > 0;
-  }
-  if (!ok) {
-    const std::string name = prefix.substr(0, prefix.size() - 1);
-    if constexpr (std::is_floating_point_v<T>) {
-      std::fprintf(stderr, "%s must be a finite number > 0, got %s\n",
-                   name.c_str(), arg.c_str());
-    } else {
-      std::fprintf(stderr, "%s must be an integer in [%s, %s], got %s\n",
-                   name.c_str(), std::to_string(lo).c_str(),
-                   std::to_string(hi).c_str(), arg.c_str());
-    }
-    std::exit(2);
-  }
-  return value;
-}
-
-}  // namespace
-
 BenchFlags ParseBenchFlags(int argc, char** argv) {
   // Bench tables are often tee'd into logs; line buffering keeps rows
   // visible as they are produced.
   std::setvbuf(stdout, nullptr, _IOLBF, 0);
+  // The smallest double above 0: [kPositive, max] is "finite and > 0".
+  constexpr double kPositive = std::numeric_limits<double>::denorm_min();
   BenchFlags flags;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -68,11 +31,12 @@ BenchFlags ParseBenchFlags(int argc, char** argv) {
     if (arg == "--fast") {
       flags.fast = true;
     } else if (StartsWith(arg, "--scale=")) {
-      flags.scale = NumericFlag<double>(arg, "--scale=");
+      flags.scale = NumericFlag<double>(arg, "--scale=", kPositive);
     } else if (StartsWith(arg, "--max-queries=")) {
       flags.max_queries = NumericFlag<size_t>(arg, "--max-queries=");
     } else if (StartsWith(arg, "--exec-timeout=")) {
-      flags.exec_timeout = NumericFlag<double>(arg, "--exec-timeout=");
+      flags.exec_timeout =
+          NumericFlag<double>(arg, "--exec-timeout=", kPositive);
     } else if (StartsWith(arg, "--cache-dir=")) {
       flags.cache_dir = value_of("--cache-dir=");
     } else if (StartsWith(arg, "--model-dir=")) {

@@ -1,8 +1,14 @@
 #ifndef CARDBENCH_HARNESS_BENCH_ENV_H_
 #define CARDBENCH_HARNESS_BENCH_ENV_H_
 
+#include <charconv>
+#include <cmath>
+#include <cstdio>
+#include <cstdlib>
+#include <limits>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -61,6 +67,35 @@ struct BenchFlags {
     return options;
   }
 };
+
+/// Parses the value of the numeric flag `arg` ("--name=value", `prefix` =
+/// "--name="). The whole value must spell one finite T — no whitespace, no
+/// trailing characters, no sign for unsigned T — within [lo, hi]. Anything
+/// else prints the error and exits with status 2.
+template <typename T>
+T NumericFlag(const std::string& arg, const std::string& prefix,
+              T lo = std::numeric_limits<T>::lowest(),
+              T hi = std::numeric_limits<T>::max()) {
+  const char* begin = arg.c_str() + prefix.size();
+  const char* end = arg.c_str() + arg.size();
+  T value{};
+  const auto [ptr, ec] = std::from_chars(begin, end, value);
+  bool ok = ec == std::errc() && ptr == end && lo <= value && value <= hi;
+  if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(value);
+  if (!ok) {
+    const std::string name = prefix.substr(0, prefix.size() - 1);
+    if constexpr (std::is_floating_point_v<T>) {
+      std::fprintf(stderr, "%s must be a finite number in [%g, %g], got %s\n",
+                   name.c_str(), lo, hi, arg.c_str());
+    } else {
+      std::fprintf(stderr, "%s must be an integer in [%s, %s], got %s\n",
+                   name.c_str(), std::to_string(lo).c_str(),
+                   std::to_string(hi).c_str(), arg.c_str());
+    }
+    std::exit(2);
+  }
+  return value;
+}
 
 /// Parses --scale=, --fast, --max-queries=, --exec-timeout=, --cache-dir=,
 /// --model-dir=, --estimators=a,b,c, --training-queries=, --exec-repeats=,

@@ -66,13 +66,7 @@ void EstimationService::HotSwapEstimator(
     RegisteredEstimator& entry = estimators_[name];
     if (entry.estimator != nullptr) retired_.push_back(entry.estimator);
     entry.estimator = std::move(estimator);
-    // Versions only move forward, even if the caller hands back a smaller
-    // number (e.g. replays an old artifact: it still becomes a new epoch).
-    entry.model_version = std::max(entry.model_version + 1, model_version);
-    entry.refresh_count += 1;
-    entry.last_refresh_seconds = refresh_seconds;
-    entry.installed_at = Clock::now();
-    entry.full_retrain_required = false;
+    entry.Advance(model_version, refresh_seconds);
     model_version = entry.model_version;
   }
   // No cache flush and no quiesce: keys carry the model version, so the
@@ -81,10 +75,10 @@ void EstimationService::HotSwapEstimator(
   NotifyRefresh(name, model_version, refresh_seconds);
 }
 
-Status EstimationService::RefreshIncremental(const InsertionBatch& batch,
-                                             RefreshReport* report) {
-  // Writer lock: IncrementalUpdate mutates models in place, which needs
-  // every in-flight estimate quiesced (same contract as Update()).
+Status EstimationService::Refresh(const InsertionBatch& batch,
+                                  RefreshReport* report) {
+  // Writer lock: Update mutates models in place, which needs every
+  // in-flight estimate quiesced.
   std::unique_lock<std::shared_mutex> quiesce(update_mu_);
   Status first_error = Status::OK();
   struct Refreshed {
@@ -99,19 +93,12 @@ Status EstimationService::RefreshIncremental(const InsertionBatch& batch,
       RefreshReport::Entry out;
       out.name = name;
       const Clock::time_point start = Clock::now();
-      Status status = entry.estimator->IncrementalUpdate(batch);
+      Status status = entry.estimator->Update(batch);
       out.seconds =
           std::chrono::duration<double>(Clock::now() - start).count();
       out.status = status;
       if (status.ok()) {
-        out.incremental = !batch.IsFullRefresh() &&
-                          entry.estimator->SupportsIncrementalUpdate();
-        entry.model_version =
-            std::max(entry.model_version + 1, batch.data_version);
-        entry.refresh_count += 1;
-        entry.last_refresh_seconds = out.seconds;
-        entry.installed_at = Clock::now();
-        entry.full_retrain_required = false;
+        entry.Advance(batch.data_version, out.seconds);
         refreshed.push_back(Refreshed{name, entry.model_version, out.seconds});
       } else if (status.code() == StatusCode::kUnsupported) {
         // Not an error: the model simply has no in-place path for this
@@ -272,13 +259,6 @@ EstimationService::EstimateQuerySync(const std::string& estimator,
       EstimateResponse response,
       SubmitSync(EstimateRequest{estimator, kAllSubplans, &graph}));
   return std::move(response.cards);
-}
-
-Status EstimationService::NotifyDataUpdate() {
-  // A full-refresh batch: every estimator that supports any update path
-  // rebuilds from current data (default IncrementalUpdate forwards to
-  // Update()); the rest are flagged, not failed.
-  return RefreshIncremental(InsertionBatch{});
 }
 
 void EstimationService::Shutdown() {

@@ -1,6 +1,7 @@
 #ifndef CARDBENCH_SERVICE_ESTIMATION_SERVICE_H_
 #define CARDBENCH_SERVICE_ESTIMATION_SERVICE_H_
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <functional>
@@ -73,14 +74,11 @@ struct EstimateResponse {
 
 using EstimateCallback = std::function<void(EstimateResponse)>;
 
-/// Outcome of one RefreshIncremental pass, per estimator.
+/// Outcome of one Refresh pass, per estimator.
 struct RefreshReport {
   struct Entry {
     std::string name;
     Status status;
-    /// True when the estimator took the incremental path (vs. falling back
-    /// to a full Update or reporting Unsupported).
-    bool incremental = false;
     /// The estimator has no path to absorb this batch in place; the caller
     /// should schedule a full retrain + HotSwapEstimator.
     bool full_retrain_required = false;
@@ -107,10 +105,10 @@ using RefreshListener =
 ///
 /// Concurrency contract: estimators are shared across workers and accessed
 /// only through the const, thread-safe EstimateCard path (see the contract
-/// in cardest/estimator.h). NotifyDataUpdate is the one exclusive
-/// operation: it quiesces workers with a writer lock, runs the estimators'
-/// Update() hooks, and bumps the cache version so stale estimates can never
-/// be served afterwards.
+/// in cardest/estimator.h). Refresh is the one exclusive operation: it
+/// quiesces workers with a writer lock, runs the estimators' Update, and
+/// bumps the cache version so stale estimates can never be served
+/// afterwards.
 class EstimationService {
  public:
   explicit EstimationService(ServiceOptions options = ServiceOptions());
@@ -139,15 +137,16 @@ class EstimationService {
   void HotSwapEstimator(std::unique_ptr<CardinalityEstimator> estimator,
                         uint64_t model_version, double refresh_seconds = 0.0);
 
-  /// Quiesces serving and applies `batch` to every registered estimator via
-  /// IncrementalUpdate. Per-estimator outcomes land in `report` (if given):
-  /// success advances the estimator's model version to
-  /// max(current+1, batch.data_version); Unsupported marks
+  /// Quiesces serving and applies `batch` to every registered estimator
+  /// through CardinalityEstimator::Update; a full-refresh batch
+  /// (InsertionBatch{}) is the data-update hook. Per-estimator outcomes
+  /// land in `report` (if given): success advances the estimator's model
+  /// version to max(current+1, batch.data_version); Unsupported marks
   /// full_retrain_required instead of failing the pass. Returns the first
-  /// hard error (after attempting every estimator and bumping the cache
-  /// data version).
-  Status RefreshIncremental(const InsertionBatch& batch,
-                            RefreshReport* report = nullptr);
+  /// other error (a malformed batch fails every estimator before any model
+  /// changes), after attempting every estimator and bumping the cache data
+  /// version.
+  Status Refresh(const InsertionBatch& batch, RefreshReport* report = nullptr);
 
   /// Per-estimator lifecycle snapshot (registration order not guaranteed).
   struct EstimatorVersionInfo {
@@ -180,13 +179,6 @@ class EstimationService {
   /// Blocking whole-query estimate: every connected sub-plan, one request.
   Result<std::unordered_map<uint64_t, double>> EstimateQuerySync(
       const std::string& estimator, const QueryGraph& graph);
-
-  /// Data-update hook: quiesces all in-flight estimation, invokes the full
-  /// refresh path (Update()) on every estimator that SupportsUpdate, and
-  /// invalidates the cache. Equivalent to RefreshIncremental with a
-  /// full-refresh batch. Returns the first estimator-update error (after
-  /// finishing the rest and always bumping the cache version).
-  Status NotifyDataUpdate();
 
   EstimateCacheStats cache_stats() const { return cache_.stats(); }
   const SubplanEstimateCache& cache() const { return cache_; }
@@ -223,8 +215,8 @@ class EstimationService {
 
   /// One entry of the versioned registry: the live model, its version, and
   /// refresh bookkeeping. Swaps replace `estimator` (the old shared_ptr is
-  /// retired); incremental refreshes mutate the object in place under the
-  /// update_mu_ writer lock and advance `model_version`.
+  /// retired); refreshes mutate the object in place under the update_mu_
+  /// writer lock. Both then Advance.
   struct RegisteredEstimator {
     std::shared_ptr<CardinalityEstimator> estimator;
     uint64_t model_version = 1;
@@ -232,6 +224,17 @@ class EstimationService {
     double last_refresh_seconds = 0.0;
     Clock::time_point installed_at;
     bool full_retrain_required = false;
+
+    /// Records a new live version that took `seconds` to produce. Versions
+    /// only move forward, even when `version` is smaller (a replayed old
+    /// artifact still becomes a new epoch).
+    void Advance(uint64_t version, double seconds) {
+      model_version = std::max(model_version + 1, version);
+      refresh_count += 1;
+      last_refresh_seconds = seconds;
+      installed_at = Clock::now();
+      full_retrain_required = false;
+    }
   };
 
   /// Submits `request` and blocks until its response; a rejection or a
@@ -255,9 +258,9 @@ class EstimationService {
   std::atomic<uint64_t> processed_requests_{0};
   std::atomic<uint64_t> processed_nanos_{0};
 
-  /// Readers: workers serving estimates. Writer: RefreshIncremental /
-  /// NotifyDataUpdate (in-place model mutation needs exclusive access;
-  /// hot-swaps don't — they only retire a pointer).
+  /// Readers: workers serving estimates. Writer: Refresh (in-place model
+  /// mutation needs exclusive access; hot-swaps don't — they only retire a
+  /// pointer).
   std::shared_mutex update_mu_;
 
   mutable std::shared_mutex registry_mu_;

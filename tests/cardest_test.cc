@@ -232,7 +232,7 @@ TYPED_TEST(PgmEstimatorTest, FkFkJoinSupported) {
 }
 
 TYPED_TEST(PgmEstimatorTest, UpdateTracksInsertedRows) {
-  // Build on the stale half, then insert the rest and Update(): the
+  // Build on the stale half, then insert the rest and refresh: the
   // single-table estimate must follow the new row count.
   StatsGenConfig config;
   config.scale = 0.05;
@@ -243,7 +243,7 @@ TYPED_TEST(PgmEstimatorTest, UpdateTracksInsertedRows) {
   const Query q = this->Parse("SELECT COUNT(*) FROM votes;");
   const double before = est.EstimateCard(q);
   ASSERT_TRUE(ApplyInsertions(*split.stale, split.insertions).ok());
-  ASSERT_TRUE(est.Update().ok());
+  ASSERT_TRUE(est.Update(InsertionBatch{}).ok());
   const double after = est.EstimateCard(q);
   const double full_rows =
       static_cast<double>(full->TableOrDie("votes").num_rows());

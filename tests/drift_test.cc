@@ -10,6 +10,7 @@
 #include <cmath>
 #include <future>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -162,6 +163,161 @@ TEST(ApplyInsertionsTest, SchemaMismatchIsStructuredErrorAndAtomic) {
 }
 
 // ---------------------------------------------------------------------------
+// Update(batch): the batch check and the zoo's outcomes
+// ---------------------------------------------------------------------------
+
+std::string ArtifactBytes(const CardinalityEstimator& est) {
+  std::ostringstream out;
+  EXPECT_TRUE(est.Serialize(out).ok()) << est.name();
+  return out.str();
+}
+
+struct MalformedBatch {
+  std::string what;
+  InsertionBatch batch;
+  StatusCode code;
+};
+
+/// Batches no database state can explain, over a database whose `tags`
+/// table holds `tags_rows` rows. The last two open with a well-formed
+/// delta, so a model that applied a prefix before failing would change.
+std::vector<MalformedBatch> MalformedBatches(size_t tags_rows) {
+  auto batch_of = [](std::vector<TableDelta> tables) {
+    InsertionBatch batch;
+    batch.data_version = 1;
+    batch.tables = std::move(tables);
+    return batch;
+  };
+  return {
+      {"reversed range",
+       batch_of({{"tags", tags_rows, tags_rows - 1}}),
+       StatusCode::kInvalidArgument},
+      {"range past the table end",
+       batch_of({{"tags", tags_rows, tags_rows + 20000}}),
+       StatusCode::kInvalidArgument},
+      {"unknown table",
+       batch_of({{"tags", 0, tags_rows}, {"no_such_table", 0, 1}}),
+       StatusCode::kNotFound},
+      {"same table twice",
+       batch_of({{"tags", 0, tags_rows}, {"tags", 0, tags_rows}}),
+       StatusCode::kInvalidArgument},
+  };
+}
+
+std::unique_ptr<Database> GoldenScaleStats() {
+  StatsGenConfig config;
+  config.scale = 0.05;
+  return GenerateStatsDatabase(config);
+}
+
+TEST(UpdateBatchTest, MalformedBatchesAreRejectedBeforeAnyStateChanges) {
+  auto db = GoldenScaleStats();
+  TrueCardService cards(*db);
+  const size_t tags_rows = db->TableOrDie("tags").num_rows();
+  for (const std::string name : {"UniSample", "MultiHist"}) {
+    auto est = MakeEstimator(name, *db, cards, nullptr);
+    ASSERT_TRUE(est.ok()) << name << ": " << est.status().ToString();
+    for (const MalformedBatch& bad : MalformedBatches(tags_rows)) {
+      const std::string before = ArtifactBytes(**est);
+      const Status status = (*est)->Update(bad.batch);
+      EXPECT_EQ(status.code(), bad.code)
+          << name << ": " << bad.what << ": " << status.ToString();
+      EXPECT_TRUE(ArtifactBytes(**est) == before) << name << ": " << bad.what;
+    }
+  }
+}
+
+TEST(UpdateBatchTest, RefreshRejectsMalformedBatchesWithoutNewVersions) {
+  auto db = GoldenScaleStats();
+  TrueCardService cards(*db);
+  EstimationService service;
+  for (const std::string name : {"UniSample", "MultiHist"}) {
+    auto est = MakeEstimator(name, *db, cards, nullptr);
+    ASSERT_TRUE(est.ok()) << name << ": " << est.status().ToString();
+    service.RegisterEstimator(std::move(*est));
+  }
+  for (const MalformedBatch& bad :
+       MalformedBatches(db->TableOrDie("tags").num_rows())) {
+    std::unordered_map<std::string, std::string> before;
+    for (const std::string name : {"UniSample", "MultiHist"}) {
+      before[name] = ArtifactBytes(*service.GetEstimator(name));
+    }
+    RefreshReport report;
+    const Status status = service.Refresh(bad.batch, &report);
+    EXPECT_EQ(status.code(), bad.code)
+        << bad.what << ": " << status.ToString();
+    for (const RefreshReport::Entry& entry : report.entries) {
+      EXPECT_EQ(entry.status.code(), bad.code)
+          << entry.name << ": " << bad.what << ": "
+          << entry.status.ToString();
+      EXPECT_FALSE(entry.full_retrain_required) << entry.name;
+    }
+    for (const auto& info : service.VersionInfo()) {
+      EXPECT_EQ(info.model_version, 1u) << info.name << ": " << bad.what;
+      EXPECT_TRUE(ArtifactBytes(*service.GetEstimator(info.name)) ==
+                  before[info.name])
+          << info.name << ": " << bad.what;
+    }
+  }
+}
+
+TEST(UpdateBatchTest, ZooOutcomesOfAFullRefresh) {
+  // Data-driven models refresh from the grown data alone; the oracle, the
+  // walk sampler, UAE and the query-driven models need a full retrain.
+  const std::unordered_map<std::string, StatusCode> expected = {
+      {"PostgreSQL", StatusCode::kOk},
+      {"MultiHist", StatusCode::kOk},
+      {"UniSample", StatusCode::kOk},
+      {"PessEst", StatusCode::kOk},
+      {"NeuroCardE", StatusCode::kOk},
+      {"BayesCard", StatusCode::kOk},
+      {"DeepDB", StatusCode::kOk},
+      {"FLAT", StatusCode::kOk},
+      {"TrueCard", StatusCode::kUnsupported},
+      {"WJSample", StatusCode::kUnsupported},
+      {"MSCN", StatusCode::kUnsupported},
+      {"LW-XGB", StatusCode::kUnsupported},
+      {"LW-NN", StatusCode::kUnsupported},
+      {"UAE-Q", StatusCode::kUnsupported},
+      {"UAE", StatusCode::kUnsupported},
+  };
+  ASSERT_EQ(AllEstimatorNames().size(), expected.size());
+
+  auto full = GoldenScaleStats();
+  TimeSplit split = SplitDatabaseByTime(*full, StatsTimestampColumn, 0.5);
+  Database& db = *split.stale;
+  TrueCardService cards(db);
+  auto training = GenerateTrainingQueries(db, cards, 60, 11);
+  ASSERT_TRUE(training.ok()) << training.status().ToString();
+  EstimatorConfig config;
+  config.fast = true;
+  std::unordered_map<std::string, std::unique_ptr<CardinalityEstimator>> zoo;
+  for (const std::string& name : AllEstimatorNames()) {
+    ASSERT_EQ(expected.count(name), 1u) << name;
+    auto est = MakeEstimator(name, db, cards, &*training, config);
+    ASSERT_TRUE(est.ok()) << name << ": " << est.status().ToString();
+    EXPECT_EQ((*est)->Update(InsertionBatch{}).code(), expected.at(name))
+        << name;
+    zoo[name] = std::move(*est);
+  }
+
+  // The query-driven models refresh from a batch that carries re-labeled
+  // queries.
+  StreamingInsertFeed feed(db, std::move(split.insertions),
+                           StatsTimestampColumn, 2);
+  auto batch = feed.ApplyNext(db);
+  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+  TrueCardService now(db);
+  auto refresh_training = GenerateTrainingQueries(db, now, 60, 11);
+  ASSERT_TRUE(refresh_training.ok());
+  batch->refresh_training = &*refresh_training;
+  for (const std::string name : {"MSCN", "LW-NN", "LW-XGB"}) {
+    const Status status = zoo.at(name)->Update(*batch);
+    EXPECT_TRUE(status.ok()) << name << ": " << status.ToString();
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Incremental refresh quality vs full retrain
 // ---------------------------------------------------------------------------
 
@@ -194,7 +350,6 @@ TEST(DriftTest, IncrementalRefreshTracksFullRetrain) {
   for (const auto& name : names) {
     auto est = MakeEstimator(name, db, cards, &*stale_training, config);
     ASSERT_TRUE(est.ok()) << name << ": " << est.status().ToString();
-    EXPECT_TRUE((*est)->SupportsIncrementalUpdate()) << name;
     incremental.push_back(std::move(*est));
   }
 
@@ -209,7 +364,7 @@ TEST(DriftTest, IncrementalRefreshTracksFullRetrain) {
     ASSERT_TRUE(refresh_training.ok());
     batch->refresh_training = &*refresh_training;
     for (auto& est : incremental) {
-      const Status status = est->IncrementalUpdate(*batch);
+      const Status status = est->Update(*batch);
       EXPECT_TRUE(status.ok()) << est->name() << ": " << status.ToString();
     }
   }

@@ -92,8 +92,7 @@ TEST_F(LearnedEstTest, LwXgbFitsItsTrainingDistribution) {
 TEST_F(LearnedEstTest, QueryDrivenMethodsDoNotSupportUpdate) {
   // O9: query-driven models would need a fresh executed workload.
   LwXgbEstimator est(*db_, *training_);
-  EXPECT_FALSE(est.SupportsUpdate());
-  EXPECT_FALSE(est.Update().ok());
+  EXPECT_EQ(est.Update(InsertionBatch{}).code(), StatusCode::kUnsupported);
 }
 
 TEST_F(LearnedEstTest, FojSamplerInvariants) {

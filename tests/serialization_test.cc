@@ -489,7 +489,7 @@ TEST(PostgresModelSerializationTest, DeserializeFromEmptyStreamFails) {
 
 TEST(BayesCardSerializationTest, LoadedModelStillUpdates) {
   // The deserialized model (no row bins in memory) must survive the
-  // incremental-update path: bins are recomputed lazily on Update().
+  // update path: bins are recomputed lazily on Update.
   StatsGenConfig config;
   config.scale = 0.04;
   auto db = GenerateStatsDatabase(config);
@@ -506,7 +506,7 @@ TEST(BayesCardSerializationTest, LoadedModelStillUpdates) {
         tags.AppendRow({static_cast<Value>(before + 1 + i), 77, std::nullopt})
             .ok());
   }
-  ASSERT_TRUE((*loaded)->Update().ok());
+  ASSERT_TRUE((*loaded)->Update(InsertionBatch{}).ok());
   Query q;
   q.tables = {"tags"};
   // The updated estimate tracks the new row count.
@@ -515,7 +515,7 @@ TEST(BayesCardSerializationTest, LoadedModelStillUpdates) {
 }
 
 TEST(FanoutModelSerializationTest, UpdatedModelsRoundTripBitIdentically) {
-  // Built on the stale half, then Update()d with the insertions: FLAT's
+  // Built on the stale half, then refreshed after the insertions: FLAT's
   // multi-leaves gain keys through Route, and the reloaded model passes the
   // ascending-key check only if Route kept the flat keys in order.
   for (const std::string name : {"DeepDB", "FLAT"}) {
@@ -528,7 +528,7 @@ TEST(FanoutModelSerializationTest, UpdatedModelsRoundTripBitIdentically) {
     auto est = MakeEstimator(name, db, truecard, nullptr);
     ASSERT_TRUE(est.ok()) << est.status().ToString();
     ASSERT_TRUE(ApplyInsertions(db, split.insertions).ok());
-    ASSERT_TRUE((*est)->Update().ok());
+    ASSERT_TRUE((*est)->Update(InsertionBatch{}).ok());
 
     std::stringstream stream;
     ASSERT_TRUE((*est)->Serialize(stream).ok());

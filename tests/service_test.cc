@@ -52,8 +52,8 @@ class HashEstimator : public CardinalityEstimator {
   mutable std::atomic<size_t> calls_{0};
 };
 
-/// Updatable estimator whose answers change with every Update() — lets the
-/// tests prove that NotifyDataUpdate actually invalidates cached estimates.
+/// Updatable estimator whose answers change with every Update — lets the
+/// tests prove that a refresh actually invalidates cached estimates.
 class VersionedEstimator : public CardinalityEstimator {
  public:
   VersionedEstimator() : CardinalityEstimator(TestDb()) {}
@@ -63,16 +63,16 @@ class VersionedEstimator : public CardinalityEstimator {
     return 1e6 * static_cast<double>(model_version_.load()) +
            static_cast<double>(std::popcount(mask));
   }
-  bool SupportsUpdate() const override { return true; }
-  Status Update() override {
-    model_version_.fetch_add(1);
-    ++update_calls_;
-    return Status::OK();
-  }
   size_t calls() const { return calls_.load(); }
   size_t update_calls() const { return update_calls_; }
 
  private:
+  Status UpdateImpl(const InsertionBatch&) override {
+    model_version_.fetch_add(1);
+    ++update_calls_;
+    return Status::OK();
+  }
+
   mutable std::atomic<size_t> calls_{0};
   std::atomic<uint64_t> model_version_{1};
   size_t update_calls_ = 0;
@@ -472,7 +472,7 @@ TEST(EstimationServiceTest, DataUpdateInvalidatesCacheAndRefreshesModel) {
   ASSERT_TRUE(before.ok());
   ASSERT_EQ(estimator->calls(), num_subplans);
 
-  ASSERT_TRUE(service.NotifyDataUpdate().ok());
+  ASSERT_TRUE(service.Refresh(InsertionBatch{}).ok());
   EXPECT_EQ(estimator->update_calls(), 1u);
 
   auto after = service.EstimateQuerySync("Versioned", graph);

@@ -11,15 +11,14 @@
 // --drain-timeout=) are peeled off before the shared bench flags; 0 (the
 // default port) binds an ephemeral port and prints it.
 
-#include <cerrno>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
 
 #include "common/logging.h"
+#include "common/str_util.h"
 #include "harness/bench_env.h"
 #include "server/server.h"
 #include "service/estimation_service.h"
@@ -39,32 +38,6 @@ struct ServedFlags {
   std::vector<char*> passthrough;  // flags left for ParseBenchFlags
 };
 
-long ParseIntFlagOrDie(const char* value, const char* flag, long min_value,
-                       long max_value) {
-  char* end = nullptr;
-  errno = 0;
-  const long parsed = std::strtol(value, &end, 10);
-  if (end == value || *end != '\0' || errno == ERANGE || parsed < min_value ||
-      parsed > max_value) {
-    std::fprintf(stderr, "%s must be an integer in [%ld, %ld], got %s=%s\n",
-                 flag, min_value, max_value, flag, value);
-    std::exit(2);
-  }
-  return parsed;
-}
-
-double ParseSecondsFlagOrDie(const char* value, const char* flag) {
-  char* end = nullptr;
-  errno = 0;
-  const double parsed = std::strtod(value, &end);
-  if (end == value || *end != '\0' || errno == ERANGE || parsed < 0.0) {
-    std::fprintf(stderr, "%s must be a non-negative number, got %s=%s\n", flag,
-                 flag, value);
-    std::exit(2);
-  }
-  return parsed;
-}
-
 ServedFlags SplitFlags(int argc, char** argv) {
   ServedFlags flags;
   flags.passthrough.push_back(argv[0]);
@@ -74,9 +47,8 @@ ServedFlags SplitFlags(int argc, char** argv) {
       const size_t n = std::strlen(prefix);
       return arg.compare(0, n, prefix) == 0 ? arg.c_str() + n : nullptr;
     };
-    if (const char* v = value_of("--port=")) {
-      flags.server.port =
-          static_cast<uint16_t>(ParseIntFlagOrDie(v, "--port", 0, 65535));
+    if (StartsWith(arg, "--port=")) {
+      flags.server.port = NumericFlag<uint16_t>(arg, "--port=", 0, 65535);
     } else if (const char* v = value_of("--host=")) {
       flags.server.host = v;
     } else if (const char* v = value_of("--snapshot=")) {
@@ -84,12 +56,12 @@ ServedFlags SplitFlags(int argc, char** argv) {
       if (flags.server.snapshot_period_seconds <= 0.0) {
         flags.server.snapshot_period_seconds = 5.0;
       }
-    } else if (const char* v = value_of("--snapshot-period=")) {
+    } else if (StartsWith(arg, "--snapshot-period=")) {
       flags.server.snapshot_period_seconds =
-          ParseSecondsFlagOrDie(v, "--snapshot-period");
-    } else if (const char* v = value_of("--drain-timeout=")) {
+          NumericFlag<double>(arg, "--snapshot-period=", 0.0, 86400.0);
+    } else if (StartsWith(arg, "--drain-timeout=")) {
       flags.server.drain_timeout_seconds =
-          ParseSecondsFlagOrDie(v, "--drain-timeout");
+          NumericFlag<double>(arg, "--drain-timeout=", 0.0);
     } else {
       flags.passthrough.push_back(argv[i]);
     }
