@@ -11,9 +11,13 @@
 //
 //   bench_micro_join [--json=PATH] [--reps=N] [--quick]
 //
-// Timing method: per configuration, `reps` full build (and probe) passes;
-// the minimum wall time is reported — insensitive to one-off scheduler
-// noise, cheap enough for a ctest gate in --quick mode.
+// Timing method: paired rounds. Per configuration, `reps` rounds each time
+// a baseline build, a radix build, a baseline probe and a radix probe, the
+// baseline first in even rounds and second in odd ones. A speedup is the
+// median over rounds of (baseline time / radix time) from the same round,
+// so a host-speed shift between rounds cancels instead of landing in the
+// ratio; ns-per-row figures are medians over rounds, and the quartiles of
+// the per-round probe ratios are reported as the spread.
 
 #include <algorithm>
 #include <chrono>
@@ -29,6 +33,7 @@
 #include "common/logging.h"
 #include "common/thread_pool.h"
 #include "exec/join_hash.h"
+#include "paired_timing.h"
 
 namespace cardbench {
 namespace {
@@ -163,11 +168,13 @@ struct ConfigResult {
   double legacy_probe_ns_per_row = 0.0;
   double probe_speedup_vs_legacy = 0.0;
   double build_speedup_vs_legacy = 0.0;
+  double probe_speedup_p25 = 0.0;  // quartiles of the per-round ratios
+  double probe_speedup_p75 = 0.0;
 };
 
 int Run(int argc, char** argv) {
   std::string json_path;
-  size_t reps = 3;
+  size_t reps = 15;
   bool quick = false;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -177,7 +184,6 @@ int Run(int argc, char** argv) {
       reps = std::stoul(arg.substr(7));
     } else if (arg == "--quick") {
       quick = true;
-      reps = std::min<size_t>(reps, 2);
     } else {
       std::fprintf(stderr, "usage: %s [--json=PATH] [--reps=N] [--quick]\n",
                    argv[0]);
@@ -198,7 +204,7 @@ int Run(int argc, char** argv) {
   const std::vector<size_t> thread_sweep = {size_t{1}, size_t{4}};
 
   std::printf(
-      "join micro-bench: %zu reps, cpu \"%s\" (best tier %s)\n",
+      "join micro-bench: %zu paired rounds, cpu \"%s\" (best tier %s)\n",
       reps, CpuModelName().c_str(), CpuSimdCapability());
   std::printf("%9s %5s %8s %11s %11s %11s %11s %9s\n", "rows", "bits",
               "threads", "build ns/r", "probe ns/r", "leg bld ns",
@@ -211,36 +217,8 @@ int Run(int argc, char** argv) {
     const Input probe = MakeInput(rows * 2, domain, /*seed=*/rows + 2);
     const VectorKeySource source(build.keys, build.valid);
 
-    // Legacy baseline at each thread count (the build is inherently
-    // serial; only its probe parallelizes).
-    const LegacyTable legacy = BuildLegacy(build);
-    double legacy_build_s = 1e300;
-    for (size_t r = 0; r < reps; ++r) {
-      legacy_build_s =
-          std::min(legacy_build_s, Seconds([&] { (void)BuildLegacy(build); }));
-    }
-    std::vector<double> legacy_probe_s(thread_sweep.size(), 1e300);
-    std::vector<uint64_t> expected(thread_sweep.size(), 0);
-    for (size_t t = 0; t < thread_sweep.size(); ++t) {
-      ThreadPool pool_storage(std::max<size_t>(thread_sweep[t], 1));
-      ThreadPool* pool = thread_sweep[t] > 1 ? &pool_storage : nullptr;
-      for (size_t r = 0; r < reps; ++r) {
-        uint64_t count = 0;
-        const double s = Seconds([&] {
-          count = RunMorsels(pool, probe.keys.size(),
-                             [&](size_t lo, size_t hi) {
-                               return ProbeLegacyMorsel(legacy, probe, lo, hi);
-                             });
-        });
-        legacy_probe_s[t] = std::min(legacy_probe_s[t], s);
-        expected[t] = count;
-      }
-    }
-    CARDBENCH_CHECK(expected[0] > 0, "degenerate workload: zero matches");
-
     for (size_t radix : radix_bits_sweep) {
-      for (size_t t = 0; t < thread_sweep.size(); ++t) {
-        const size_t threads = thread_sweep[t];
+      for (size_t threads : thread_sweep) {
         ThreadPool pool_storage(threads);
         ThreadPool* pool = threads > 1 ? &pool_storage : nullptr;
         JoinMorselRunner runner;
@@ -253,32 +231,63 @@ int Run(int argc, char** argv) {
         JoinHashConfig config;
         config.radix_bits = radix;
 
-        double build_s = 1e300;
-        double probe_s = 1e300;
+        std::vector<double> build_s, probe_s, legacy_build_s, legacy_probe_s;
+        std::vector<double> build_ratio, probe_ratio;
         for (size_t r = 0; r < reps; ++r) {
-          JoinHashTable table;
-          build_s = std::min(build_s, Seconds([&] {
-            CARDBENCH_CHECK(table.Build(source, build.keys.size(), config,
-                                        runner, nullptr),
-                            "build aborted without a budget");
-          }));
-          uint64_t count = 0;
-          probe_s = std::min(probe_s, Seconds([&] {
-            count = RunMorsels(
-                pool, probe.keys.size(), [&](size_t lo, size_t hi) {
-                  // Reused per-thread hash scratch, like the executor's
-                  // arena-backed KeyScratch (which never zero-fills).
-                  thread_local std::vector<uint64_t> scratch;
-                  scratch.resize(kProbeMorselTuples);
-                  return ProbeRadixMorsel(table, probe, lo, hi, scratch);
-                });
-          }));
-          CARDBENCH_CHECK(count == expected[t],
+          double lb = 0, lp = 0, rb = 0, rp = 0;
+          uint64_t legacy_count = 0, count = 0;
+          // Each side probes the table it has just built. The baseline
+          // build is serial at every thread count; only its probe
+          // parallelizes.
+          auto time_legacy = [&] {
+            LegacyTable legacy;
+            lb = Seconds([&] { legacy = BuildLegacy(build); });
+            lp = Seconds([&] {
+              legacy_count = RunMorsels(
+                  pool, probe.keys.size(), [&](size_t lo, size_t hi) {
+                    return ProbeLegacyMorsel(legacy, probe, lo, hi);
+                  });
+            });
+          };
+          auto time_radix = [&] {
+            JoinHashTable table;
+            rb = Seconds([&] {
+              CARDBENCH_CHECK(table.Build(source, build.keys.size(), config,
+                                          runner, nullptr),
+                              "build aborted without a budget");
+            });
+            rp = Seconds([&] {
+              count = RunMorsels(
+                  pool, probe.keys.size(), [&](size_t lo, size_t hi) {
+                    // Reused per-thread hash scratch, like the executor's
+                    // arena-backed KeyScratch (which never zero-fills).
+                    thread_local std::vector<uint64_t> scratch;
+                    scratch.resize(kProbeMorselTuples);
+                    return ProbeRadixMorsel(table, probe, lo, hi, scratch);
+                  });
+            });
+          };
+          if (r % 2 == 0) {
+            time_legacy();
+            time_radix();
+          } else {
+            time_radix();
+            time_legacy();
+          }
+          CARDBENCH_CHECK(legacy_count > 0,
+                          "degenerate workload: zero matches");
+          CARDBENCH_CHECK(count == legacy_count,
                           "radix join counted %llu, legacy %llu at rows=%zu "
                           "radix_bits=%zu threads=%zu — join table bug",
                           static_cast<unsigned long long>(count),
-                          static_cast<unsigned long long>(expected[t]), rows,
+                          static_cast<unsigned long long>(legacy_count), rows,
                           radix, threads);
+          legacy_build_s.push_back(lb);
+          legacy_probe_s.push_back(lp);
+          build_s.push_back(rb);
+          probe_s.push_back(rp);
+          build_ratio.push_back(rb > 0 ? lb / rb : 0.0);
+          probe_ratio.push_back(rp > 0 ? lp / rp : 0.0);
         }
 
         ConfigResult res;
@@ -287,14 +296,16 @@ int Run(int argc, char** argv) {
         res.threads = threads;
         const double rows_d = static_cast<double>(rows);
         const double probes_d = static_cast<double>(probe.keys.size());
-        res.build_ns_per_row = build_s * 1e9 / rows_d;
-        res.probe_ns_per_row = probe_s * 1e9 / probes_d;
-        res.legacy_build_ns_per_row = legacy_build_s * 1e9 / rows_d;
-        res.legacy_probe_ns_per_row = legacy_probe_s[t] * 1e9 / probes_d;
-        res.probe_speedup_vs_legacy =
-            probe_s > 0 ? legacy_probe_s[t] / probe_s : 0.0;
-        res.build_speedup_vs_legacy =
-            build_s > 0 ? legacy_build_s / build_s : 0.0;
+        res.build_ns_per_row = Quantile(build_s, 0.5) * 1e9 / rows_d;
+        res.probe_ns_per_row = Quantile(probe_s, 0.5) * 1e9 / probes_d;
+        res.legacy_build_ns_per_row =
+            Quantile(legacy_build_s, 0.5) * 1e9 / rows_d;
+        res.legacy_probe_ns_per_row =
+            Quantile(legacy_probe_s, 0.5) * 1e9 / probes_d;
+        res.probe_speedup_vs_legacy = Quantile(probe_ratio, 0.5);
+        res.build_speedup_vs_legacy = Quantile(build_ratio, 0.5);
+        res.probe_speedup_p25 = Quantile(probe_ratio, 0.25);
+        res.probe_speedup_p75 = Quantile(probe_ratio, 0.75);
         results.push_back(res);
         std::printf("%9zu %5zu %8zu %11.2f %11.2f %11.2f %11.2f %8.2fx\n",
                     rows, radix, threads, res.build_ns_per_row,
@@ -322,11 +333,13 @@ int Run(int argc, char** argv) {
           "\"legacy_build_ns_per_row\": %.3f, "
           "\"legacy_probe_ns_per_row\": %.3f, "
           "\"build_speedup_vs_legacy\": %.3f, "
-          "\"probe_speedup_vs_legacy\": %.3f}%s\n",
+          "\"probe_speedup_vs_legacy\": %.3f, "
+          "\"probe_speedup_p25\": %.3f, \"probe_speedup_p75\": %.3f}%s\n",
           r.rows, r.radix_bits, r.threads, r.build_ns_per_row,
           r.probe_ns_per_row, r.legacy_build_ns_per_row,
           r.legacy_probe_ns_per_row, r.build_speedup_vs_legacy,
-          r.probe_speedup_vs_legacy, i + 1 < results.size() ? "," : "");
+          r.probe_speedup_vs_legacy, r.probe_speedup_p25, r.probe_speedup_p75,
+          i + 1 < results.size() ? "," : "");
     }
     std::fprintf(out, "  ]\n}\n");
     std::fclose(out);

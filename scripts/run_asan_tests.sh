@@ -1,11 +1,16 @@
 #!/usr/bin/env bash
 # Builds the repo with AddressSanitizer and runs the tests that pound the
 # executor's raw-pointer batch kernels (selection vectors, key gathers,
-# morsel buffers), the estimators' binary searches and flat multi-leaf keys,
-# the plan paths (planning, execution of planned and hand-built plans,
-# EXPLAIN, recosting), every estimator's update path (the refresh
-# goldens), plus the concurrency-sensitive binaries. Any out-of-bounds
-# access or leak in these paths fails the run.
+# morsel buffers, reserved join output), the estimators' binary searches and
+# flat multi-leaf keys, the plan paths (planning, execution of planned and
+# hand-built plans, EXPLAIN, recosting), every estimator's update path (the
+# refresh goldens), plus the concurrency-sensitive binaries. Any
+# out-of-bounds access (including a write past a std::vector's size into
+# its reserved capacity) or leak in these paths fails the run.
+# scripts/asan_suppressions.txt silences the false positives that vector
+# annotations raise inside GoogleTest's prebuilt test registration; the
+# options are exported before the build because test discovery runs the
+# binaries at build time.
 #
 #   scripts/run_asan_tests.sh               # the default binary set
 #   scripts/run_asan_tests.sh -R Parity     # forward extra args to ctest
@@ -13,6 +18,8 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 BUILD_DIR=${BUILD_DIR:-build-asan}
+
+export ASAN_OPTIONS="${ASAN_OPTIONS:-halt_on_error=1 detect_leaks=1} suppressions=$PWD/scripts/asan_suppressions.txt"
 
 cmake -B "$BUILD_DIR" -S . -DCARDBENCH_ASAN=ON >/dev/null
 cmake --build "$BUILD_DIR" -j "$(nproc)" \
@@ -24,7 +31,6 @@ cmake --build "$BUILD_DIR" -j "$(nproc)" \
            binner_test cardest_test explain_analyze_test optimizer_test \
            optimizer_physical_test perror_test property_test
 
-export ASAN_OPTIONS="${ASAN_OPTIONS:-halt_on_error=1 detect_leaks=1}"
 if [ "$#" -gt 0 ]; then
   ctest --test-dir "$BUILD_DIR" --output-on-failure "$@"
 else

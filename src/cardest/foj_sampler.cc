@@ -151,7 +151,7 @@ std::vector<int64_t> FojSampler::SampleTuple(Rng& rng) const {
     if (!parent_key.IsValid(prow)) continue;  // no matches -> absent
     const HashIndex& index =
         child.GetIndex(child.ColumnIndexOrDie(edges_[e].child_col));
-    const auto& matches = index.Lookup(parent_key.Get(prow));
+    const auto matches = index.Lookup(parent_key.Get(prow));
     if (matches.empty()) continue;  // outer join keeps parent, child absent
     double mass = 0.0;
     for (uint32_t m : matches) mass += weight_[c][m];

@@ -8,6 +8,7 @@
 #include <limits>
 #include <ostream>
 #include <queue>
+#include <span>
 
 #include "cardest/extended_table.h"
 #include "common/arena.h"
@@ -332,6 +333,27 @@ double WjSampleEstimator::EstimateCard(const QueryGraph& graph,
   const Table& root_table = *graph.table(root).table;
   if (root_table.num_rows() == 0) return 1e-6;
 
+  // Each tree step resolved once, before the walks: the key column on the
+  // side already walked and the index of the side the step walks into.
+  struct WalkStep {
+    const Column* key;
+    const HashIndex* index;
+    int prev_local;
+    int next_local;
+  };
+  std::vector<WalkStep> steps;
+  steps.reserve(tree.steps.size());
+  for (const auto& step : tree.steps) {
+    const QueryGraph::EdgeInfo& edge = *step.edge;
+    const bool next_is_left = edge.left_local == step.next_local;
+    const Table& next = *(next_is_left ? edge.left_table : edge.right_table);
+    steps.push_back(
+        {next_is_left ? edge.right_column : edge.left_column,
+         &next.GetIndex(static_cast<size_t>(
+             next_is_left ? edge.left_column_id : edge.right_column_id)),
+         next_is_left ? edge.right_local : edge.left_local, step.next_local});
+  }
+
   // Filter conjunctions come pre-compiled from the graph; walks check
   // single rows against them.
   double total = 0.0;
@@ -343,21 +365,14 @@ double WjSampleEstimator::EstimateCard(const QueryGraph& graph,
     walk_rows[root] = start;
     double weight = static_cast<double>(root_table.num_rows());
     bool dead = false;
-    for (const auto& step : tree.steps) {
-      const QueryGraph::EdgeInfo& edge = *step.edge;
-      const bool next_is_left = edge.left_local == step.next_local;
-      const int prev_local = next_is_left ? edge.right_local : edge.left_local;
-      const Column& key =
-          *(next_is_left ? edge.right_column : edge.left_column);
-      const Table& next = *(next_is_left ? edge.left_table : edge.right_table);
-      const int next_col =
-          next_is_left ? edge.left_column_id : edge.right_column_id;
-      const uint32_t prev_row = walk_rows[prev_local];
-      if (!key.IsValid(prev_row)) {
+    for (const WalkStep& step : steps) {
+      const uint32_t prev_row = walk_rows[step.prev_local];
+      if (!step.key->IsValid(prev_row)) {
         dead = true;
         break;
       }
-      const auto& matches = next.GetIndex(next_col).Lookup(key.Get(prev_row));
+      const std::span<const uint32_t> matches =
+          step.index->Lookup(step.key->Get(prev_row));
       if (matches.empty()) {
         dead = true;
         break;
@@ -411,10 +426,10 @@ double PessEstEstimator::MaxDegreeOf(int table_id, int column_id,
     if (it != max_degree_.end()) return it->second;
   }
   double max_deg = 0.0;
-  const HashIndex& index = table.GetIndex(column_id);
-  for (const auto& [value, rows] : index.entries()) {
-    max_deg = std::max(max_deg, static_cast<double>(rows.size()));
-  }
+  table.GetIndex(column_id).ForEachKey(
+      [&](Value, std::span<const uint32_t> rows) {
+        max_deg = std::max(max_deg, static_cast<double>(rows.size()));
+      });
   std::lock_guard<std::mutex> lock(degree_mu_);
   max_degree_[key] = max_deg;
   return max_deg;
@@ -511,9 +526,10 @@ Status PessEstEstimator::Serialize(std::ostream& out) const {
     const int column_id =
         static_cast<int>(table.ColumnIndexOrDie(endpoint.column));
     std::map<uint64_t, uint64_t> degree_histogram;
-    for (const auto& [value, rows] : table.GetIndex(column_id).entries()) {
-      ++degree_histogram[rows.size()];
-    }
+    table.GetIndex(column_id).ForEachKey(
+        [&](Value, std::span<const uint32_t> rows) {
+          ++degree_histogram[rows.size()];
+        });
     sketches.PutString(endpoint.table);
     sketches.PutString(endpoint.column);
     sketches.PutU64(degree_histogram.size());

@@ -10,9 +10,12 @@ namespace cardbench {
 /// splitmix64 finalizer (Stafford variant 13). Full-width mixing means any
 /// bit window of the result is usable — the radix join takes its partition
 /// id from the low bits, its bucket slot from the next bits and its 1-byte
-/// tag from the top bits, all from one hash; HashIndex uses the same
-/// function so a value hashes identically in every table of the system.
-/// Cheap enough (2 multiplies, 3 shifts) to recompute rather than cache.
+/// tag from the top bits, all from one hash; HashIndex takes its slot from
+/// the low bits of the same function, so a value hashes identically in
+/// every table of the system. std::hash<int64_t> is the identity on most
+/// standard libraries, which would put sequential keys in sequential slots;
+/// the finalizer spreads them. Cheap enough (2 multiplies, 3 shifts) to
+/// recompute rather than cache.
 inline uint64_t HashMix64(uint64_t x) {
   x ^= x >> 30;
   x *= 0xbf58476d1ce4e5b9ULL;
@@ -21,17 +24,6 @@ inline uint64_t HashMix64(uint64_t x) {
   x ^= x >> 31;
   return x;
 }
-
-/// Hasher for Value (int64_t) keyed hash maps — HashIndex and any other
-/// value-keyed container that should agree with the join layer's hash.
-/// std::hash<int64_t> is the identity on most standard libraries, which
-/// makes sequential keys collide into sequential buckets; the finalizer
-/// spreads them.
-struct ValueHash64 {
-  size_t operator()(int64_t v) const noexcept {
-    return static_cast<size_t>(HashMix64(static_cast<uint64_t>(v)));
-  }
-};
 
 }  // namespace cardbench
 

@@ -52,26 +52,141 @@ struct Budget {
 };
 
 /// Operator-wide emitted-tuple counter enforcing max_intermediate_tuples
-/// across concurrent probe morsels of one materializing join.
+/// across concurrent probe morsels of one materializing join. Tuples are
+/// admitted before they are written, so the admitted total is the
+/// operator's output up to the first refusal.
 class EmitCap {
  public:
   EmitCap(size_t cap, Budget budget) : cap_(cap), budget_(budget) {}
 
-  /// Admits one more output tuple; false (and the shared cut-off is
-  /// published) once the operator's output would exceed the cap.
-  bool Admit() {
-    if (emitted_.fetch_add(1, std::memory_order_relaxed) >= cap_) {
+  /// Admits `n` more output tuples; false (and the shared cut-off is
+  /// published) when the operator's output would exceed the cap.
+  bool Admit(uint64_t n) {
+    if (emitted_.fetch_add(n, std::memory_order_relaxed) + n > cap_) {
       budget_.timed_out->store(true, std::memory_order_relaxed);
       return false;
     }
     return true;
   }
 
+  /// Tuples the cap still admits: no morsel can write more from now on.
+  uint64_t Remaining() const {
+    const uint64_t emitted = emitted_.load(std::memory_order_relaxed);
+    return emitted >= cap_ ? 0 : cap_ - emitted;
+  }
+
  private:
   std::atomic<uint64_t> emitted_{0};
-  size_t cap_;
+  uint64_t cap_;
   Budget budget_;
 };
+
+/// Staged (left tuple, right tuple) pairs per cap admission of a join whose
+/// output bound is not exact.
+constexpr size_t kEmitStage = 1024;
+
+/// Output of one materializing join morsel, reserved once for `capacity`
+/// combined tuples before anything is written; the caller guarantees the
+/// morsel emits no more, so no append regrows `dst`. With `cap` null the
+/// tuples were admitted up front and are written directly. Otherwise
+/// matches are staged and each stage is admitted against `cap` before it
+/// is written, so the cap fails exactly when the operator's output exceeds
+/// it. Borrows the calling thread's arena for the stage: construct it on
+/// the thread that runs the morsel.
+class JoinEmitter {
+ public:
+  /// `right` is null for the index-nested-loop join, whose right side of
+  /// each match is one base-table row.
+  JoinEmitter(const TupleSet& left, const TupleSet* right, uint64_t capacity,
+              EmitCap* cap, std::vector<uint32_t>* dst)
+      : left_(left),
+        right_(right),
+        larity_(left.arity()),
+        rarity_(right == nullptr ? 1 : right->arity()),
+        cap_(cap),
+        dst_(dst),
+        frame_(ThreadLocalArena()) {
+    if (cap_ != nullptr) {
+      stage_ = frame_.arena().AllocateArray<Pair>(kEmitStage);
+    }
+    dst_->reserve(dst_->size() + capacity * (larity_ + rarity_));
+  }
+
+  /// Emits left tuple `lt` joined with right tuple (index-NL: inner row)
+  /// `rt`. False once the operator's output exceeds the cap.
+  bool Emit(size_t lt, uint32_t rt) {
+    if (cap_ == nullptr) {
+      Write(lt, rt);
+      return true;
+    }
+    stage_[staged_++] = Pair{lt, rt};
+    return staged_ < kEmitStage || Flush();
+  }
+
+  /// Admits and writes the staged tuples; false when they exceed the cap.
+  bool Flush() {
+    const size_t n = staged_;
+    staged_ = 0;
+    if (n == 0) return true;
+    if (!cap_->Admit(n)) return false;
+    for (size_t i = 0; i < n; ++i) Write(stage_[i].left, stage_[i].right);
+    return true;
+  }
+
+ private:
+  struct Pair {
+    size_t left;
+    uint32_t right;
+  };
+
+  void Write(size_t lt, uint32_t rt) {
+    const uint32_t* l = left_.data.data() + lt * larity_;
+    for (size_t c = 0; c < larity_; ++c) dst_->push_back(l[c]);
+    if (right_ == nullptr) {
+      dst_->push_back(rt);
+      return;
+    }
+    const uint32_t* r = right_->data.data() + size_t{rt} * rarity_;
+    for (size_t c = 0; c < rarity_; ++c) dst_->push_back(r[c]);
+  }
+
+  const TupleSet& left_;
+  const TupleSet* right_;
+  size_t larity_;
+  size_t rarity_;
+  EmitCap* cap_;
+  std::vector<uint32_t>* dst_;
+  ArenaFrame frame_;
+  Pair* stage_ = nullptr;
+  size_t staged_ = 0;
+};
+
+/// Runs one join probe loop, `probe(emit, count, primary_only)`, in the
+/// mode its caller asks for. With `dst` null it counts the matches passing
+/// the join's filters into `*count`. Otherwise it sizes the output first:
+/// a counting pass with `primary_only` set ignores extra edges and inner
+/// filters, so its count bounds the output, exactly when `exact` (the join
+/// has neither). An exact bound is admitted whole before anything is
+/// written, so a join over the cap publishes the cut-off without writing a
+/// tuple; an inexact one is admitted stage by stage. Either way the output
+/// is reserved once, for min(bound, what the cap still admits) tuples.
+template <typename Probe>
+void CountOrEmit(const TupleSet& left, const TupleSet* right, bool exact,
+                 Budget budget, EmitCap* cap, std::vector<uint32_t>* dst,
+                 uint64_t* count, const Probe& probe) {
+  if (dst == nullptr) {
+    probe(nullptr, count, false);
+    return;
+  }
+  uint64_t bound = 0;
+  probe(nullptr, &bound, true);
+  if (budget.TimedOut()) return;
+  if (exact && !cap->Admit(bound)) return;
+  const uint64_t capacity = exact ? bound : std::min(bound, cap->Remaining());
+  JoinEmitter emit(left, right, capacity, exact ? nullptr : cap, dst);
+  probe(&emit, nullptr, false);
+  emit.Flush();
+}
 
 /// Gather buffers for one morsel's batched join-key access, allocated once
 /// at the morsel's batch capacity from the calling thread's arena (the
@@ -274,21 +389,21 @@ class TupleKeySource final : public JoinKeySource {
 };
 
 /// Probes the radix join table `ht` for the input tuples [t_lo, t_hi) of
-/// `left`. With `dst` non-null, combined tuples are appended (cap-enforced)
-/// in (probe tuple, ascending build row) order; otherwise matches are
-/// counted into `*count_out`, reading each key's run length when there are
-/// no extra edges to check. Keys are gathered and hashed a batch at a time
-/// through Column::Gather, and the table lines of probe i +
-/// kJoinPrefetchDistance are prefetched while probe i walks the table. The
-/// budget is checked on every loop that scales with input or output size.
+/// `left`. With `emit` non-null, combined tuples are emitted in (probe
+/// tuple, ascending build row) order; otherwise matches are counted into
+/// `*count_out`, reading each key's run length when there are no extra
+/// edges to check (or `primary_only` says to ignore them). Keys are
+/// gathered and hashed a batch at a time through Column::Gather, and the
+/// table lines of probe i + kJoinPrefetchDistance are prefetched while
+/// probe i walks the table. The budget is checked on every loop that scales
+/// with input or output size.
 void RadixProbeMorsel(const TupleSet& left, const TupleSet& right,
                       const ColRef& lkey, const JoinHashTable& ht,
                       const std::vector<std::pair<ColRef, ColRef>>& extra,
                       size_t batch_size, size_t t_lo, size_t t_hi,
-                      Budget budget, EmitCap* cap, std::vector<uint32_t>* dst,
+                      Budget budget, bool primary_only, JoinEmitter* emit,
                       uint64_t* count_out) {
-  const size_t larity = left.arity();
-  const size_t rarity = right.arity();
+  const bool count_runs = emit == nullptr && (primary_only || extra.empty());
   KeyScratch kb(std::min(batch_size, t_hi - t_lo));
   uint64_t count = 0;
   size_t since_check = 0;
@@ -314,7 +429,7 @@ void RadixProbeMorsel(const TupleSet& left, const TupleSet& right,
       const size_t ahead = i + kJoinPrefetchDistance;
       if (ahead < n && kb.valid[ahead]) ht.Prefetch(kb.hashes[ahead]);
       if (!kb.valid[i]) continue;
-      if (dst == nullptr && extra.empty()) {
+      if (count_runs) {
         // Count-only without post-join filters: no per-match work at all.
         const uint64_t matches = ht.CountMatches(kb.keys[i], kb.hashes[i]);
         count += matches;
@@ -334,15 +449,11 @@ void RadixProbeMorsel(const TupleSet& left, const TupleSet& right,
         if (!extra.empty() && !ExtraEdgesMatch(extra, left, lt, right, rt)) {
           return true;
         }
-        if (dst != nullptr) {
-          if (!cap->Admit()) {
-            cut_off = true;
-            return false;
-          }
-          for (size_t c = 0; c < larity; ++c) dst->push_back(left.Row(lt, c));
-          for (size_t c = 0; c < rarity; ++c) dst->push_back(right.Row(rt, c));
-        } else {
+        if (emit == nullptr) {
           ++count;
+        } else if (!emit->Emit(lt, rt)) {
+          cut_off = true;
+          return false;
         }
         return true;
       });
@@ -355,13 +466,18 @@ void RadixProbeMorsel(const TupleSet& left, const TupleSet& right,
 
 /// Index-nested-loop probe over the outer tuples [t_lo, t_hi): batched
 /// outer-key gathers, inner index lookups, compiled inner filters, extra
-/// edges. Budget-checked per posting-list entry batch (a huge posting list
-/// must respect the wall clock).
+/// edges. Emits (outer tuple, ascending inner row) tuples into `emit`, or
+/// counts into `*count_out` — adding whole posting lengths when there is
+/// nothing to filter (or `primary_only` says to ignore the filters).
+/// Budget-checked per posting-list entry batch (a huge posting list must
+/// respect the wall clock).
 void IndexProbeMorsel(const TupleSet& left, const IndexJoinSetup& s,
                       size_t batch_size, size_t t_lo, size_t t_hi,
-                      Budget budget, EmitCap* cap, std::vector<uint32_t>* dst,
+                      Budget budget, bool primary_only, JoinEmitter* emit,
                       uint64_t* count_out) {
-  const size_t arity = left.arity();
+  const bool count_runs =
+      emit == nullptr &&
+      (primary_only || (s.inner_filters.empty() && s.refs.extra.empty()));
   KeyScratch kb(std::min(batch_size, t_hi - t_lo));
   uint64_t count = 0;
   size_t since_check = 0;
@@ -379,7 +495,13 @@ void IndexProbeMorsel(const TupleSet& left, const IndexJoinSetup& s,
     for (size_t i = 0; i < e - b; ++i) {
       if (!kb.valid[i]) continue;
       const size_t t = b + i;
-      for (uint32_t irow : s.index->Lookup(kb.keys[i])) {
+      const std::span<const uint32_t> postings = s.index->Lookup(kb.keys[i]);
+      if (count_runs) {
+        count += postings.size();
+        since_check += postings.size();
+        continue;
+      }
+      for (uint32_t irow : postings) {
         if (++since_check >= kBudgetCheckInterval) {
           since_check = 0;
           if (!budget.CheckTime()) return;
@@ -392,12 +514,10 @@ void IndexProbeMorsel(const TupleSet& left, const IndexJoinSetup& s,
             !ExtraEdgesMatchInner(s.refs.extra, left, t, irow)) {
           continue;
         }
-        if (dst != nullptr) {
-          if (!cap->Admit()) return;
-          for (size_t c = 0; c < arity; ++c) dst->push_back(left.Row(t, c));
-          dst->push_back(irow);
-        } else {
+        if (emit == nullptr) {
           ++count;
+        } else if (!emit->Emit(t, irow)) {
+          return;
         }
       }
     }
@@ -439,16 +559,17 @@ std::vector<std::pair<Value, uint32_t>> SortedKeys(const TupleSet& ts,
 }
 
 /// Merge join over sorted runs: walks equal-key runs of both inputs and
-/// emits (dst mode) or counts their cross products. Serial — the sort
-/// dominates merge-join cost; gathers are batched upstream.
+/// emits (into `emit`) or counts their cross products — as run-length
+/// products when there are no extra edges to check (or `primary_only` says
+/// to ignore them). Serial — the sort dominates merge-join cost; gathers
+/// are batched upstream.
 void MergeRuns(const TupleSet& left, const TupleSet& right,
                const std::vector<std::pair<Value, uint32_t>>& lkeys,
                const std::vector<std::pair<Value, uint32_t>>& rkeys,
                const std::vector<std::pair<ColRef, ColRef>>& extra,
-               Budget budget, EmitCap* cap, std::vector<uint32_t>* dst,
+               Budget budget, bool primary_only, JoinEmitter* emit,
                uint64_t* count_out) {
-  const size_t larity = left.arity();
-  const size_t rarity = right.arity();
+  const bool count_runs = emit == nullptr && (primary_only || extra.empty());
   uint64_t count = 0;
   size_t li = 0, ri = 0;
   size_t since_check = 0;
@@ -466,7 +587,7 @@ void MergeRuns(const TupleSet& left, const TupleSet& right,
       size_t lend = li, rend = ri;
       while (lend < lkeys.size() && lkeys[lend].first == v) ++lend;
       while (rend < rkeys.size() && rkeys[rend].first == v) ++rend;
-      if (dst == nullptr && extra.empty()) {
+      if (count_runs) {
         count += static_cast<uint64_t>(lend - li) *
                  static_cast<uint64_t>(rend - ri);
         since_check += rend - ri;
@@ -482,16 +603,10 @@ void MergeRuns(const TupleSet& left, const TupleSet& right,
                                  rkeys[j].second)) {
               continue;
             }
-            if (dst != nullptr) {
-              if (!cap->Admit()) return;
-              for (size_t c = 0; c < larity; ++c) {
-                dst->push_back(left.Row(lkeys[i].second, c));
-              }
-              for (size_t c = 0; c < rarity; ++c) {
-                dst->push_back(right.Row(rkeys[j].second, c));
-              }
-            } else {
+            if (emit == nullptr) {
               ++count;
+            } else if (!emit->Emit(lkeys[i].second, rkeys[j].second)) {
+              return;
             }
           }
         }
@@ -583,15 +698,16 @@ Status Executor::ExecuteScan(const PlanNode& plan, Ctx& ctx,
 
   if (plan.scan_method == ScanMethod::kIndexScan) {
     const CompiledPredicate& key = plan.filters[0];
-    const std::vector<uint32_t>& postings =
+    const std::span<const uint32_t> postings =
         table->GetIndex(static_cast<size_t>(key.column_id)).Lookup(key.value);
     const auto rest =
         std::span<const CompiledPredicate>(plan.filters).subspan(1);
     // The posting list scales with input size: refine it in budget-checked
-    // batches so a huge list cannot blow past the wall clock.
+    // batches so a huge list cannot blow past the wall clock. It also
+    // bounds the output, so the output never regrows.
     const size_t batch = options_.batch_size;
     size_t since_check = 0;
-    out->data.reserve(rest.empty() ? postings.size() : 0);
+    out->data.reserve(postings.size());
     for (size_t lo = 0; lo < postings.size(); lo += batch) {
       const size_t hi = std::min(postings.size(), lo + batch);
       if (since_check >= kBudgetCheckInterval) {
@@ -653,7 +769,6 @@ Status Executor::ExecuteJoin(const PlanNode& plan, Ctx& ctx, TupleSet* out,
   if (ctx.TimedOut()) return Status::OK();
   Budget budget{&ctx.watch, ctx.limits, &ctx.timed_out};
   EmitCap cap(ctx.limits->max_intermediate_tuples, budget);
-  EmitCap* cap_ptr = out != nullptr ? &cap : nullptr;
 
   // Index-nested-loop: the inner side is a base table accessed through its
   // join-column index; it is never materialized.
@@ -664,11 +779,15 @@ Status Executor::ExecuteJoin(const PlanNode& plan, Ctx& ctx, TupleSet* out,
       out->table_ids = left.table_ids;
       out->table_ids.push_back(plan.right->table_id);
     }
+    const bool exact = setup.inner_filters.empty() && setup.refs.extra.empty();
     RunProbeMorsels(
         left.size(), ctx, out, count,
         [&](size_t lo, size_t hi, std::vector<uint32_t>* dst, uint64_t* cnt) {
-          IndexProbeMorsel(left, setup, options_.batch_size, lo, hi, budget,
-                           cap_ptr, dst, cnt);
+          CountOrEmit(left, nullptr, exact, budget, &cap, dst, cnt,
+                      [&](JoinEmitter* emit, uint64_t* c, bool primary_only) {
+                        IndexProbeMorsel(left, setup, options_.batch_size, lo,
+                                         hi, budget, primary_only, emit, c);
+                      });
         });
     return Status::OK();
   }
@@ -701,9 +820,12 @@ Status Executor::ExecuteJoin(const PlanNode& plan, Ctx& ctx, TupleSet* out,
     RunProbeMorsels(
         left.size(), ctx, out, count,
         [&](size_t lo, size_t hi, std::vector<uint32_t>* dst, uint64_t* cnt) {
-          RadixProbeMorsel(left, right, refs.lkey, ht, refs.extra,
-                           options_.batch_size, lo, hi, budget, cap_ptr, dst,
-                           cnt);
+          CountOrEmit(left, &right, refs.extra.empty(), budget, &cap, dst, cnt,
+                      [&](JoinEmitter* emit, uint64_t* c, bool primary_only) {
+                        RadixProbeMorsel(left, right, refs.lkey, ht,
+                                         refs.extra, options_.batch_size, lo,
+                                         hi, budget, primary_only, emit, c);
+                      });
         });
     return Status::OK();
   }
@@ -715,8 +837,12 @@ Status Executor::ExecuteJoin(const PlanNode& plan, Ctx& ctx, TupleSet* out,
   const auto lkeys = SortedKeys(left, refs.lkey, options_.batch_size, budget);
   const auto rkeys = SortedKeys(right, refs.rkey, options_.batch_size, budget);
   if (ctx.TimedOut()) return Status::OK();
-  MergeRuns(left, right, lkeys, rkeys, refs.extra, budget, cap_ptr,
-            out != nullptr ? &out->data : nullptr, count);
+  CountOrEmit(left, &right, refs.extra.empty(), budget, &cap,
+              out != nullptr ? &out->data : nullptr, count,
+              [&](JoinEmitter* emit, uint64_t* c, bool primary_only) {
+                MergeRuns(left, right, lkeys, rkeys, refs.extra, budget,
+                          primary_only, emit, c);
+              });
   return Status::OK();
 }
 

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <optional>
 #include <random>
@@ -338,6 +339,105 @@ TEST_F(ExecParityTest, IntermediateCapEnforcedByEveryJoinMethod) {
           exec.Materialize(*MultiMorselPlan(jm, ScanMethod::kSeqScan));
       EXPECT_FALSE(tuples.ok())
           << JoinMethodName(jm) << " threads=" << threads;
+    }
+  }
+}
+
+// The cap's verdict at its exact boundary: a join whose output is N tuples
+// materializes under max_intermediate_tuples = N and is cut off at N - 1,
+// for every join method, serially and with parallel probe morsels. Three
+// variants of the plan take both admission paths: an unfiltered inner side
+// (every output bound exact, admitted before any tuple is written), the
+// filtered inner side (the index-NL bound no longer exact) and an extra
+// edge (no bound exact, matches admitted in stages).
+TEST_F(ExecParityTest, IntermediateCapHoldsAtItsExactBoundary) {
+  for (int variant = 0; variant < 3; ++variant) {
+    for (JoinMethod jm : kJoinMethods) {
+      auto plan = MultiMorselPlan(jm, ScanMethod::kSeqScan);
+      if (variant == 0) plan->right->filters.clear();
+      if (variant == 2) {
+        plan->extra_edges = {Edge(*multi_morsel_db_, {"r", "w", "s", "w"})};
+      }
+      auto full = Executor(*multi_morsel_db_).Materialize(*plan);
+      ASSERT_TRUE(full.ok()) << full.status().ToString();
+      const size_t n = full->size();
+      ASSERT_GT(n, 0u);
+      for (size_t threads : {size_t{1}, size_t{4}}) {
+        ExecOptions options;
+        options.num_threads = threads;
+        ExecLimits at_cap;
+        at_cap.max_intermediate_tuples = n;
+        ExecLimits below_cap;
+        below_cap.max_intermediate_tuples = n - 1;
+        auto fits =
+            Executor(*multi_morsel_db_, at_cap, options).Materialize(*plan);
+        ASSERT_TRUE(fits.ok())
+            << JoinMethodName(jm) << " variant=" << variant
+            << " threads=" << threads << ": " << fits.status().ToString();
+        EXPECT_EQ(fits->data, full->data)
+            << JoinMethodName(jm) << " variant=" << variant
+            << " threads=" << threads;
+        EXPECT_FALSE(Executor(*multi_morsel_db_, below_cap, options)
+                         .Materialize(*plan)
+                         .ok())
+            << JoinMethodName(jm) << " variant=" << variant
+            << " threads=" << threads;
+      }
+    }
+  }
+}
+
+/// The (left, right) row-id pairs of a two-table join's flat output,
+/// sorted: its tuples as a multiset.
+std::vector<std::pair<uint32_t, uint32_t>> SortedPairs(
+    const std::vector<uint32_t>& data) {
+  std::vector<std::pair<uint32_t, uint32_t>> pairs;
+  for (size_t i = 0; i + 1 < data.size(); i += 2) {
+    pairs.emplace_back(data[i], data[i + 1]);
+  }
+  std::sort(pairs.begin(), pairs.end());
+  return pairs;
+}
+
+// The index-nested-loop and merge joins against the nested-loop reference,
+// with the inner filter s.f = 1, without and with the extra edge r.w = s.w,
+// serially and with parallel probe morsels, at two batch sizes. The index-NL
+// join emits the reference's tuples in its (outer tuple, ascending inner
+// row) order, so a postings-order slip in the base-table index fails here;
+// the merge join emits in key order, so it must match as a multiset.
+TEST_F(ExecParityTest, IndexAndMergeJoinsMatchNestedLoopReference) {
+  for (JoinMethod jm : {JoinMethod::kIndexNestLoop, JoinMethod::kMergeJoin}) {
+    for (bool extra_edge : {false, true}) {
+      auto plan = MultiMorselPlan(jm, ScanMethod::kSeqScan);
+      if (extra_edge) {
+        plan->extra_edges = {Edge(*multi_morsel_db_, {"r", "w", "s", "w"})};
+      }
+      const std::vector<uint32_t> expected =
+          NestedLoopJoin(*multi_morsel_db_, *plan);
+      ASSERT_GT(expected.size(), 0u);
+      for (size_t threads : {size_t{1}, size_t{4}}) {
+        for (size_t batch : {size_t{7}, size_t{1024}}) {
+          ExecOptions options;
+          options.num_threads = threads;
+          options.batch_size = batch;
+          Executor exec(*multi_morsel_db_, ExecLimits(), options);
+          auto count = exec.ExecuteCount(*plan);
+          auto tuples = exec.Materialize(*plan);
+          ASSERT_TRUE(count.ok()) << count.status().ToString();
+          ASSERT_TRUE(tuples.ok()) << tuples.status().ToString();
+          const std::string config =
+              JoinMethodName(jm) + (extra_edge ? " +extra" : "") +
+              " threads=" + std::to_string(threads) +
+              " batch=" + std::to_string(batch);
+          EXPECT_EQ(count->count, expected.size() / 2) << config;
+          if (jm == JoinMethod::kIndexNestLoop) {
+            EXPECT_EQ(tuples->data, expected) << config;
+          } else {
+            EXPECT_EQ(SortedPairs(tuples->data), SortedPairs(expected))
+                << config;
+          }
+        }
+      }
     }
   }
 }

@@ -2,7 +2,15 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <limits>
+#include <memory>
+#include <optional>
+#include <random>
+#include <span>
+#include <unordered_map>
+#include <vector>
 
+#include "common/hash.h"
 #include "datagen/stats_gen.h"
 #include "storage/catalog.h"
 #include "storage/csv.h"
@@ -74,6 +82,128 @@ TEST(IndexTest, InvalidatedByAppend) {
   EXPECT_EQ(t.GetIndex(0).Lookup(5).size(), 1u);
   ASSERT_TRUE(t.AppendRow({5}).ok());
   EXPECT_EQ(t.GetIndex(0).Lookup(5).size(), 2u);
+}
+
+/// The semantics HashIndex must reproduce: per-value row ids in ascending
+/// order (push_back over ascending rows), NULLs skipped.
+using IndexModel = std::unordered_map<Value, std::vector<uint32_t>>;
+
+IndexModel ModelOf(const Column& column) {
+  IndexModel model;
+  for (size_t row = 0; row < column.size(); ++row) {
+    if (column.IsValid(row)) {
+      model[column.Get(row)].push_back(static_cast<uint32_t>(row));
+    }
+  }
+  return model;
+}
+
+std::vector<uint32_t> ToVector(std::span<const uint32_t> rows) {
+  return std::vector<uint32_t>(rows.begin(), rows.end());
+}
+
+/// Checks column 0 of `t`'s index against the model: every value's exact
+/// postings in order, the counts, one ForEachKey visit per distinct value,
+/// and empty lookups for `misses` (values the column does not hold).
+void ExpectIndexMatchesModel(const Table& t,
+                             const std::vector<Value>& misses = {}) {
+  const HashIndex& index = t.GetIndex(0);
+  const IndexModel model = ModelOf(t.column(0));
+  size_t entries = 0;
+  for (const auto& [value, rows] : model) {
+    EXPECT_EQ(ToVector(index.Lookup(value)), rows) << "value " << value;
+    entries += rows.size();
+  }
+  EXPECT_EQ(index.num_distinct(), model.size());
+  EXPECT_EQ(index.num_entries(), entries);
+  size_t visits = 0;
+  index.ForEachKey([&](Value value, std::span<const uint32_t> rows) {
+    ++visits;
+    const auto it = model.find(value);
+    ASSERT_NE(it, model.end()) << "value " << value;
+    EXPECT_EQ(ToVector(rows), it->second) << "value " << value;
+  });
+  EXPECT_EQ(visits, model.size());
+  for (Value miss : misses) {
+    ASSERT_EQ(model.count(miss), 0u) << "value " << miss;
+    EXPECT_TRUE(index.Lookup(miss).empty()) << "value " << miss;
+  }
+}
+
+/// A one-column key table holding `values` (nullopt = NULL) in row order.
+std::unique_ptr<Table> KeyTable(const std::vector<std::optional<Value>>& values) {
+  auto t = std::make_unique<Table>("t");
+  EXPECT_TRUE(t->AddColumn("k", ColumnKind::kKey).ok());
+  for (const auto& v : values) EXPECT_TRUE(t->AppendRow({v}).ok());
+  return t;
+}
+
+TEST(IndexTest, MatchesModelOnRandomColumns) {
+  // Domains from heavy duplication to mostly unique, so the slot array
+  // grows from its minimum through several doublings.
+  std::mt19937_64 rng(7);
+  for (uint64_t domain : {3u, 300u, 30000u, 1u << 30}) {
+    std::vector<std::optional<Value>> values;
+    for (size_t i = 0; i < 20000; ++i) {
+      if (rng() % 10 == 0) {
+        values.push_back(std::nullopt);
+      } else {
+        values.push_back(static_cast<Value>(rng() % domain) - 100);
+      }
+    }
+    SCOPED_TRACE(domain);
+    ExpectIndexMatchesModel(*KeyTable(values),
+                            {-101, static_cast<Value>(domain) - 100});
+  }
+}
+
+TEST(IndexTest, EmptyAndAllNullColumnsIndexNothing) {
+  ExpectIndexMatchesModel(*KeyTable({}), {0, 1, -1});
+  ExpectIndexMatchesModel(
+      *KeyTable({std::nullopt, std::nullopt, std::nullopt}), {0, 1, -1});
+  EXPECT_EQ(KeyTable({std::nullopt})->GetIndex(0).num_entries(), 0u);
+}
+
+TEST(IndexTest, OneKeyOnEveryRow) {
+  const std::vector<std::optional<Value>> values(1000, Value{42});
+  const auto t = KeyTable(values);
+  ExpectIndexMatchesModel(*t, {0, 41, 43});
+  EXPECT_EQ(t->GetIndex(0).Lookup(42).size(), 1000u);
+}
+
+TEST(IndexTest, ExtremeKeys) {
+  constexpr Value kMin = std::numeric_limits<Value>::min();
+  constexpr Value kMax = std::numeric_limits<Value>::max();
+  ExpectIndexMatchesModel(
+      *KeyTable({kMax, kMin, 0, std::nullopt, -1, kMin, kMax, 0, kMax}),
+      {1, kMin + 1, kMax - 1});
+}
+
+TEST(IndexTest, KeysSharingAHomeSlot) {
+  // With at most 8 distinct values the index keeps its minimum 16 slots,
+  // whose home slot is the low 4 hash bits. Six values homed on the last
+  // slot make one probe chain that wraps around the array's end; a seventh
+  // value homed there is a miss that must walk the whole chain.
+  std::vector<Value> shared;
+  for (Value v = 0; shared.size() < 7; ++v) {
+    if ((HashMix64(static_cast<uint64_t>(v)) & 15) == 15) shared.push_back(v);
+  }
+  std::vector<std::optional<Value>> values;
+  for (size_t round = 0; round < 3; ++round) {
+    for (size_t k = 0; k < 6; ++k) values.push_back(shared[(k + round) % 6]);
+    values.push_back(std::nullopt);
+  }
+  ExpectIndexMatchesModel(*KeyTable(values), {shared[6]});
+}
+
+TEST(IndexTest, RebuiltAfterAppendMatchesModel) {
+  auto t = KeyTable({3, 1, std::nullopt, 3});
+  ExpectIndexMatchesModel(*t, {2});
+  ASSERT_TRUE(t->AppendRow({2}).ok());
+  ASSERT_TRUE(t->AppendRow({3}).ok());
+  ExpectIndexMatchesModel(*t, {4});
+  EXPECT_EQ(ToVector(t->GetIndex(0).Lookup(3)),
+            (std::vector<uint32_t>{0, 3, 5}));
 }
 
 TEST(CatalogTest, AddAndFindTables) {
