@@ -9,6 +9,7 @@
 #include <cstdio>
 
 #include "common/logging.h"
+#include "common/stopwatch.h"
 #include "common/str_util.h"
 #include "datagen/stats_gen.h"
 #include "datagen/streaming_feed.h"

@@ -1,12 +1,13 @@
 #!/usr/bin/env bash
-# Builds the repo with AddressSanitizer and runs the tests that pound the
-# executor's raw-pointer batch kernels (selection vectors, key gathers,
-# morsel buffers, reserved join output), the estimators' binary searches and
-# flat multi-leaf keys, the plan paths (planning, execution of planned and
-# hand-built plans, EXPLAIN, recosting), every estimator's update path (the
-# refresh goldens), plus the concurrency-sensitive binaries. Any
-# out-of-bounds access (including a write past a std::vector's size into
-# its reserved capacity) or leak in these paths fails the run.
+# Builds the repo with AddressSanitizer and UndefinedBehaviorSanitizer and
+# runs the tests that pound the executor's raw-pointer batch kernels
+# (selection vectors, key gathers, chunk buffers), the estimators' binary
+# searches and flat multi-leaf keys, the plan paths (planning, execution of
+# planned and hand-built plans, EXPLAIN, recosting), every estimator's
+# update path (the refresh goldens), plus the concurrency-sensitive
+# binaries. Any out-of-bounds access (including a write past a
+# std::vector's size into its reserved capacity), leak or undefined
+# behaviour in these paths fails the run.
 # scripts/asan_suppressions.txt silences the false positives that vector
 # annotations raise inside GoogleTest's prebuilt test registration; the
 # options are exported before the build because test discovery runs the
@@ -20,6 +21,7 @@ cd "$(dirname "$0")/.."
 BUILD_DIR=${BUILD_DIR:-build-asan}
 
 export ASAN_OPTIONS="${ASAN_OPTIONS:-halt_on_error=1 detect_leaks=1} suppressions=$PWD/scripts/asan_suppressions.txt"
+export UBSAN_OPTIONS="${UBSAN_OPTIONS:-print_stacktrace=1}"
 
 cmake -B "$BUILD_DIR" -S . -DCARDBENCH_ASAN=ON >/dev/null
 cmake --build "$BUILD_DIR" -j "$(nproc)" \
@@ -50,4 +52,4 @@ else
   echo "== kernel_parity_test (ASAN, CARDBENCH_SIMD=scalar) =="
   CARDBENCH_SIMD=scalar "$BUILD_DIR/tests/kernel_parity_test"
 fi
-echo "ASAN run clean."
+echo "ASAN+UBSAN run clean."

@@ -7,6 +7,7 @@
 
 #include "common/logging.h"
 #include "common/serde.h"
+#include "common/str_util.h"
 
 namespace cardbench {
 
@@ -196,31 +197,70 @@ void ChowLiuTreeModel::Serialize(SectionWriter& out) const {
 }
 
 Result<std::unique_ptr<ChowLiuTreeModel>> ChowLiuTreeModel::Deserialize(
-    SectionReader& in) {
+    SectionReader& in, const ExtendedTable& ext) {
   auto model = std::unique_ptr<ChowLiuTreeModel>(new ChowLiuTreeModel());
   CARDBENCH_ASSIGN_OR_RETURN(model->num_cols_, in.GetU64());
   CARDBENCH_ASSIGN_OR_RETURN(model->root_, in.GetU64());
   CARDBENCH_ASSIGN_OR_RETURN(model->total_rows_, in.GetDouble());
-  if (model->num_cols_ > 0 && model->root_ >= model->num_cols_) {
+  const size_t n = model->num_cols_;
+  if (n != ext.num_columns()) {
+    return Status::InvalidArgument(StrFormat(
+        "Chow-Liu model has %zu columns, its extended table %zu", n,
+        ext.num_columns()));
+  }
+  if (n > 0 && model->root_ >= n) {
     return Status::InvalidArgument("Chow-Liu root out of range");
   }
-  model->domains_.resize(model->num_cols_);
-  model->parent_.resize(model->num_cols_);
-  model->children_.assign(model->num_cols_, {});
-  model->counts_.resize(model->num_cols_);
-  for (size_t c = 0; c < model->num_cols_; ++c) {
+  model->domains_ = ext.BinDomains();
+  model->parent_.resize(n);
+  model->children_.assign(n, {});
+  model->counts_.resize(n);
+  for (size_t c = 0; c < n; ++c) {
     uint64_t domain = 0;
     CARDBENCH_ASSIGN_OR_RETURN(domain, in.GetU64());
-    model->domains_[c] = domain;
+    if (domain != model->domains_[c]) {
+      return Status::InvalidArgument(
+          StrFormat("Chow-Liu column %zu has %llu bins, its extended table "
+                    "column %zu",
+                    c, static_cast<unsigned long long>(domain),
+                    model->domains_[c]));
+    }
     int64_t parent = 0;
     CARDBENCH_ASSIGN_OR_RETURN(parent, in.GetI64());
-    if (parent >= static_cast<int64_t>(model->num_cols_)) {
+    if (parent < -1 || parent >= static_cast<int64_t>(n)) {
       return Status::InvalidArgument("Chow-Liu parent out of range");
     }
     model->parent_[c] = static_cast<int>(parent);
     CARDBENCH_ASSIGN_OR_RETURN(model->counts_[c], in.GetDoubles());
     if (parent >= 0) {
       model->children_[static_cast<size_t>(parent)].push_back(c);
+    }
+  }
+  // The root alone has no parent, and every other column reaches it:
+  // inference recurses from the root through children_ and indexes each
+  // column's counts by its parent's bin.
+  for (size_t c = 0; c < n; ++c) {
+    if ((model->parent_[c] < 0) != (c == model->root_)) {
+      return Status::InvalidArgument("Chow-Liu tree has a stray root");
+    }
+  }
+  for (size_t c = 0; c < n; ++c) {
+    size_t steps = 0;
+    for (int at = static_cast<int>(c); at != static_cast<int>(model->root_);
+         at = model->parent_[static_cast<size_t>(at)]) {
+      if (++steps > n) {
+        return Status::InvalidArgument("Chow-Liu parents form a cycle");
+      }
+    }
+    const size_t parent_domain =
+        model->parent_[c] < 0
+            ? 1
+            : model->domains_[static_cast<size_t>(model->parent_[c])];
+    if (model->counts_[c].size() != parent_domain * model->domains_[c]) {
+      return Status::InvalidArgument(
+          StrFormat("Chow-Liu column %zu has %zu counts, not %zu", c,
+                    model->counts_[c].size(),
+                    parent_domain * model->domains_[c]));
     }
   }
   return model;
@@ -238,9 +278,9 @@ void BayesCardEstimator::SerializeModel(const TableDistribution& model,
 }
 
 Result<std::unique_ptr<TableDistribution>> BayesCardEstimator::LoadModelPayload(
-    SectionReader& in) const {
+    SectionReader& in, const ExtendedTable& ext) const {
   CARDBENCH_ASSIGN_OR_RETURN(std::unique_ptr<ChowLiuTreeModel> bn,
-                             ChowLiuTreeModel::Deserialize(in));
+                             ChowLiuTreeModel::Deserialize(in, ext));
   return std::unique_ptr<TableDistribution>(std::move(bn));
 }
 

@@ -28,10 +28,14 @@ class ChowLiuTreeModel : public TableDistribution {
   /// Parent column of each column in the learned tree (-1 for the root).
   const std::vector<int>& parents() const { return parent_; }
 
-  /// Writes / restores the learned structure and CPT counts.
+  /// Writes / restores the learned structure and CPT counts. Deserialize
+  /// rejects a model that does not match `ext` (the extended table it was
+  /// trained over: column count and bin domains), whose parents do not form
+  /// one tree rooted at the root, or whose counts are not sized by the
+  /// domains inference indexes them with.
   void Serialize(SectionWriter& out) const;
   static Result<std::unique_ptr<ChowLiuTreeModel>> Deserialize(
-      SectionReader& in);
+      SectionReader& in, const ExtendedTable& ext);
 
  private:
   ChowLiuTreeModel() = default;  // for Deserialize
@@ -78,7 +82,7 @@ class BayesCardEstimator : public FanoutModelEstimator {
   void SerializeModel(const TableDistribution& model,
                       SectionWriter& out) const override;
   Result<std::unique_ptr<TableDistribution>> LoadModelPayload(
-      SectionReader& in) const override;
+      SectionReader& in, const ExtendedTable& ext) const override;
 
  private:
   /// Load path: constructs without training; state restored by Deserialize.

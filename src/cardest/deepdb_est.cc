@@ -578,7 +578,7 @@ void DeepDbEstimator::SerializeModel(const TableDistribution& model,
 }
 
 Result<std::unique_ptr<TableDistribution>> DeepDbEstimator::LoadModelPayload(
-    SectionReader& in) const {
+    SectionReader& in, const ExtendedTable&) const {
   CARDBENCH_ASSIGN_OR_RETURN(std::unique_ptr<SpnModel> spn,
                              SpnModel::Deserialize(in));
   return std::unique_ptr<TableDistribution>(std::move(spn));
@@ -604,7 +604,7 @@ void FlatEstimator::SerializeModel(const TableDistribution& model,
 }
 
 Result<std::unique_ptr<TableDistribution>> FlatEstimator::LoadModelPayload(
-    SectionReader& in) const {
+    SectionReader& in, const ExtendedTable&) const {
   CARDBENCH_ASSIGN_OR_RETURN(std::unique_ptr<SpnModel> spn,
                              SpnModel::Deserialize(in));
   return std::unique_ptr<TableDistribution>(std::move(spn));

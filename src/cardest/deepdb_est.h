@@ -126,7 +126,7 @@ class DeepDbEstimator : public FanoutModelEstimator {
   void SerializeModel(const TableDistribution& model,
                       SectionWriter& out) const override;
   Result<std::unique_ptr<TableDistribution>> LoadModelPayload(
-      SectionReader& in) const override;
+      SectionReader& in, const ExtendedTable& ext) const override;
 
  private:
   /// Load path: constructs without training; state restored by Deserialize.
@@ -163,7 +163,7 @@ class FlatEstimator : public FanoutModelEstimator {
   void SerializeModel(const TableDistribution& model,
                       SectionWriter& out) const override;
   Result<std::unique_ptr<TableDistribution>> LoadModelPayload(
-      SectionReader& in) const override;
+      SectionReader& in, const ExtendedTable& ext) const override;
 
  private:
   /// Load path: constructs without training; state restored by Deserialize.

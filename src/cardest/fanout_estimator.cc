@@ -87,7 +87,7 @@ Status FanoutModelEstimator::LoadFanout(std::istream& in,
     CARDBENCH_ASSIGN_OR_RETURN(std::unique_ptr<ExtendedTable> ext,
                                ExtendedTable::DeserializeMeta(db_, tables));
     CARDBENCH_ASSIGN_OR_RETURN(std::unique_ptr<TableDistribution> model,
-                               LoadModelPayload(tables));
+                               LoadModelPayload(tables, *ext));
     ext_tables[name] = std::move(ext);
     models[name] = std::move(model);
   }

@@ -123,8 +123,10 @@ class FanoutModelEstimator : public CardinalityEstimator {
 
   virtual void SerializeModel(const TableDistribution& model,
                               SectionWriter& out) const = 0;
+  /// Reads one table's model; `ext` is the extended table loaded beside it,
+  /// whose columns and bin domains the model must match.
   virtual Result<std::unique_ptr<TableDistribution>> LoadModelPayload(
-      SectionReader& in) const = 0;
+      SectionReader& in, const ExtendedTable& ext) const = 0;
 
   /// Must be called at the end of the subclass constructor (virtual
   /// dispatch is not available during base construction).

@@ -7,6 +7,7 @@
 
 #include "common/serde.h"
 #include "common/stopwatch.h"
+#include "common/str_util.h"
 #include "ml/clustering.h"
 
 namespace cardbench {
@@ -228,7 +229,8 @@ Result<std::unique_ptr<MultiHistEstimator>> MultiHistEstimator::Deserialize(
   CARDBENCH_ASSIGN_OR_RETURN(uint64_t num_tables, hist.GetU64());
   for (size_t t = 0; t < num_tables; ++t) {
     CARDBENCH_ASSIGN_OR_RETURN(std::string table, hist.GetString());
-    if (db.FindTable(table) == nullptr) {
+    const Table* base = db.FindTable(table);
+    if (base == nullptr) {
       return Status::NotFound("multihist groups for unknown table " + table);
     }
     CARDBENCH_ASSIGN_OR_RETURN(uint64_t num_groups, hist.GetU64());
@@ -240,6 +242,16 @@ Result<std::unique_ptr<MultiHistEstimator>> MultiHistEstimator::Deserialize(
         CARDBENCH_ASSIGN_OR_RETURN(std::string column, hist.GetString());
         group.columns.push_back(std::move(column));
         CARDBENCH_ASSIGN_OR_RETURN(int64_t column_id, hist.GetI64());
+        // UpdateImpl reads the column by id; it must be the named one.
+        if (column_id < 0 ||
+            static_cast<uint64_t>(column_id) >= base->num_columns() ||
+            base->column(static_cast<size_t>(column_id)).name() !=
+                group.columns.back()) {
+          return Status::InvalidArgument(
+              StrFormat("multihist column id %lld does not name %s.%s",
+                        static_cast<long long>(column_id), table.c_str(),
+                        group.columns.back().c_str()));
+        }
         group.column_ids.push_back(static_cast<int>(column_id));
         CARDBENCH_ASSIGN_OR_RETURN(ColumnBinner binner,
                                    ColumnBinner::Deserialize(hist));
@@ -249,6 +261,21 @@ Result<std::unique_ptr<MultiHistEstimator>> MultiHistEstimator::Deserialize(
       CARDBENCH_ASSIGN_OR_RETURN(uint64_t num_buckets, hist.GetU64());
       for (size_t b = 0; b < num_buckets; ++b) {
         CARDBENCH_ASSIGN_OR_RETURN(std::vector<uint16_t> key, hist.GetU16s());
+        // GroupSelectivity indexes one bin per group column with each key.
+        if (key.size() != group.binners.size()) {
+          return Status::InvalidArgument(
+              StrFormat("multihist bucket key of width %zu in a %zu-column "
+                        "group of %s",
+                        key.size(), group.binners.size(), table.c_str()));
+        }
+        for (size_t k = 0; k < key.size(); ++k) {
+          if (key[k] >= group.binners[k]->num_bins()) {
+            return Status::InvalidArgument(StrFormat(
+                "multihist bucket bin %u of %s.%s is past its %zu bins",
+                key[k], table.c_str(), group.columns[k].c_str(),
+                group.binners[k]->num_bins()));
+          }
+        }
         CARDBENCH_ASSIGN_OR_RETURN(double count, hist.GetDouble());
         group.joint[std::move(key)] = count;
       }

@@ -1,16 +1,18 @@
 #include "exec/executor.h"
 
 #include <algorithm>
+#include <atomic>
+#include <optional>
 #include <span>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "common/arena.h"
+#include "common/stopwatch.h"
 #include "common/str_util.h"
 #include "exec/join_hash.h"
-#include "exec/row_batch.h"
 #include "storage/filter.h"
+#include "storage/index.h"
 
 namespace cardbench {
 
@@ -21,212 +23,141 @@ namespace {
 /// cut-off latency.
 constexpr size_t kBudgetCheckInterval = 1 << 14;
 
-/// Resolves a (table, column) reference against a TupleSet: which tuple
+/// Resolves a (table, column) reference against a tuple layout: which tuple
 /// component and which storage column it denotes.
 struct ColRef {
   const Column* column = nullptr;
   int component = -1;
 };
 
-/// View of the per-execution budget shared by all morsel workers of one
-/// plan: the wall clock and the cut-off flag they publish into.
+/// Which limit cut a run off; the first one tripped wins.
+enum class CutOff : uint8_t { kNone = 0, kWallClock, kCap };
+
+/// The per-execution budget shared by all morsel workers of one run: the
+/// wall clock, the limits and the cut-off they publish into.
 struct Budget {
-  const Stopwatch* watch = nullptr;
+  Stopwatch watch;
   const ExecLimits* limits = nullptr;
-  std::atomic<bool>* timed_out = nullptr;
+  std::atomic<CutOff> cut_off{CutOff::kNone};
 
   bool TimedOut() const {
-    return timed_out->load(std::memory_order_relaxed);
+    return cut_off.load(std::memory_order_relaxed) != CutOff::kNone;
   }
 
-  /// False when the wall clock is exhausted (or another worker already
-  /// tripped the budget); publishes the cut-off.
-  bool CheckTime() const {
+  /// Publishes the cut-off unless another limit already did.
+  void Trip(CutOff reason) {
+    CutOff none = CutOff::kNone;
+    cut_off.compare_exchange_strong(none, reason, std::memory_order_relaxed);
+  }
+
+  /// False when the wall clock is exhausted (or the run was already cut
+  /// off); publishes the cut-off.
+  bool CheckTime() {
     if (TimedOut()) return false;
-    if (watch->ElapsedSeconds() > limits->timeout_seconds) {
-      timed_out->store(true, std::memory_order_relaxed);
+    if (watch.ElapsedSeconds() > limits->timeout_seconds) {
+      Trip(CutOff::kWallClock);
       return false;
     }
     return true;
   }
 };
 
-/// Operator-wide emitted-tuple counter enforcing max_intermediate_tuples
-/// across concurrent probe morsels of one materializing join. Tuples are
-/// admitted before they are written, so the admitted total is the
-/// operator's output up to the first refusal.
-class EmitCap {
+/// Counts work between wall-clock checks: Tick(n) checks the clock once
+/// every kBudgetCheckInterval rows, matches or iterations. Copyable, so a
+/// hot loop can tick a local copy kept in a register.
+class BudgetTicker {
  public:
-  EmitCap(size_t cap, Budget budget) : cap_(cap), budget_(budget) {}
+  explicit BudgetTicker(Budget& budget) : budget_(&budget) {}
 
-  /// Admits `n` more output tuples; false (and the shared cut-off is
-  /// published) when the operator's output would exceed the cap.
-  bool Admit(uint64_t n) {
-    if (emitted_.fetch_add(n, std::memory_order_relaxed) + n > cap_) {
-      budget_.timed_out->store(true, std::memory_order_relaxed);
-      return false;
-    }
-    return true;
-  }
-
-  /// Tuples the cap still admits: no morsel can write more from now on.
-  uint64_t Remaining() const {
-    const uint64_t emitted = emitted_.load(std::memory_order_relaxed);
-    return emitted >= cap_ ? 0 : cap_ - emitted;
+  /// False once the run is cut off.
+  bool Tick(size_t n = 1) {
+    since_check_ += n;
+    if (since_check_ < kBudgetCheckInterval) return true;
+    since_check_ = 0;
+    return budget_->CheckTime();
   }
 
  private:
-  std::atomic<uint64_t> emitted_{0};
-  uint64_t cap_;
-  Budget budget_;
+  Budget* budget_;
+  size_t since_check_ = 0;
 };
 
-/// Staged (left tuple, right tuple) pairs per cap admission of a join whose
-/// output bound is not exact.
-constexpr size_t kEmitStage = 1024;
-
-/// Output of one materializing join morsel, reserved once for `capacity`
-/// combined tuples before anything is written; the caller guarantees the
-/// morsel emits no more, so no append regrows `dst`. With `cap` null the
-/// tuples were admitted up front and are written directly. Otherwise
-/// matches are staged and each stage is admitted against `cap` before it
-/// is written, so the cap fails exactly when the operator's output exceeds
-/// it. Borrows the calling thread's arena for the stage: construct it on
-/// the thread that runs the morsel.
-class JoinEmitter {
- public:
-  /// `right` is null for the index-nested-loop join, whose right side of
-  /// each match is one base-table row.
-  JoinEmitter(const TupleSet& left, const TupleSet* right, uint64_t capacity,
-              EmitCap* cap, std::vector<uint32_t>* dst)
-      : left_(left),
-        right_(right),
-        larity_(left.arity()),
-        rarity_(right == nullptr ? 1 : right->arity()),
-        cap_(cap),
-        dst_(dst),
-        frame_(ThreadLocalArena()) {
-    if (cap_ != nullptr) {
-      stage_ = frame_.arena().AllocateArray<Pair>(kEmitStage);
-    }
-    dst_->reserve(dst_->size() + capacity * (larity_ + rarity_));
-  }
-
-  /// Emits left tuple `lt` joined with right tuple (index-NL: inner row)
-  /// `rt`. False once the operator's output exceeds the cap.
-  bool Emit(size_t lt, uint32_t rt) {
-    if (cap_ == nullptr) {
-      Write(lt, rt);
-      return true;
-    }
-    stage_[staged_++] = Pair{lt, rt};
-    return staged_ < kEmitStage || Flush();
-  }
-
-  /// Admits and writes the staged tuples; false when they exceed the cap.
-  bool Flush() {
-    const size_t n = staged_;
-    staged_ = 0;
-    if (n == 0) return true;
-    if (!cap_->Admit(n)) return false;
-    for (size_t i = 0; i < n; ++i) Write(stage_[i].left, stage_[i].right);
-    return true;
-  }
-
- private:
-  struct Pair {
-    size_t left;
-    uint32_t right;
-  };
-
-  void Write(size_t lt, uint32_t rt) {
-    const uint32_t* l = left_.data.data() + lt * larity_;
-    for (size_t c = 0; c < larity_; ++c) dst_->push_back(l[c]);
-    if (right_ == nullptr) {
-      dst_->push_back(rt);
-      return;
-    }
-    const uint32_t* r = right_->data.data() + size_t{rt} * rarity_;
-    for (size_t c = 0; c < rarity_; ++c) dst_->push_back(r[c]);
-  }
-
-  const TupleSet& left_;
-  const TupleSet* right_;
-  size_t larity_;
-  size_t rarity_;
-  EmitCap* cap_;
-  std::vector<uint32_t>* dst_;
-  ArenaFrame frame_;
-  Pair* stage_ = nullptr;
-  size_t staged_ = 0;
+/// Primary + extra join-edge endpoints bound on the two join inputs.
+struct EdgeRefs {
+  ColRef lkey;
+  ColRef rkey;
+  std::vector<std::pair<ColRef, ColRef>> extra;
 };
 
-/// Runs one join probe loop, `probe(emit, count, primary_only)`, in the
-/// mode its caller asks for. With `dst` null it counts the matches passing
-/// the join's filters into `*count`. Otherwise it sizes the output first:
-/// a counting pass with `primary_only` set ignores extra edges and inner
-/// filters, so its count bounds the output, exactly when `exact` (the join
-/// has neither). An exact bound is admitted whole before anything is
-/// written, so a join over the cap publishes the cut-off without writing a
-/// tuple; an inexact one is admitted stage by stage. Either way the output
-/// is reserved once, for min(bound, what the cap still admits) tuples.
-template <typename Probe>
-void CountOrEmit(const TupleSet& left, const TupleSet* right, bool exact,
-                 Budget budget, EmitCap* cap, std::vector<uint32_t>* dst,
-                 uint64_t* count, const Probe& probe) {
-  if (dst == nullptr) {
-    probe(nullptr, count, false);
-    return;
-  }
-  uint64_t bound = 0;
-  probe(nullptr, &bound, true);
-  if (budget.TimedOut()) return;
-  if (exact && !cap->Admit(bound)) return;
-  const uint64_t capacity = exact ? bound : std::min(bound, cap->Remaining());
-  JoinEmitter emit(left, right, capacity, exact ? nullptr : cap, dst);
-  probe(&emit, nullptr, false);
-  emit.Flush();
-}
+/// Key → multiplicity: a count-only root hash join's build side.
+struct KeyCountSlot {
+  Value key = 0;
+  uint64_t count = 0;
+};
+using KeyCounts = KeyCountTable<KeyCountSlot>;
 
-/// Gather buffers for one morsel's batched join-key access, allocated once
-/// at the morsel's batch capacity from the calling thread's arena (the
-/// frame unwinds when the morsel ends, so steady-state probing allocates
-/// zero heap). `rows[i]` is the base-table row of input tuple i of the
-/// batch, `keys[i]`/`valid[i]` the gathered key value and its non-NULL flag
-/// (see Column::Gather). Must be constructed on the thread that runs the
-/// morsel — it borrows that thread's arena.
-class KeyScratch {
- public:
-  explicit KeyScratch(size_t capacity) : frame_(ThreadLocalArena()) {
-    Arena& arena = frame_.arena();
-    rows = arena.AllocateArray<uint32_t>(capacity);
-    keys = arena.AllocateArray<Value>(capacity);
-    valid = arena.AllocateArray<uint8_t>(capacity);
-    hashes = arena.AllocateArray<uint64_t>(capacity);
-  }
-
-  uint32_t* rows = nullptr;
-  Value* keys = nullptr;
-  uint8_t* valid = nullptr;
-  /// Per-batch key hashes of the hash-join probe (computed once, then used
-  /// for both the prefetch lookahead and the table walk).
-  uint64_t* hashes = nullptr;
-
- private:
-  ArenaFrame frame_;
+/// The materialized inputs of a merge join and their sorted (key, tuple)
+/// runs.
+struct MergeInputs {
+  TupleSet left;
+  TupleSet right;
+  std::vector<std::pair<Value, uint32_t>> lkeys;
+  std::vector<std::pair<Value, uint32_t>> rkeys;
 };
 
-/// Index of the table `table_id` among a join input's component tables, or
-/// -1.
+/// A plan node compiled for one execution: its output layout and resolved
+/// columns, checked once before anything runs, plus the run's state.
+struct Op {
+  const PlanNode* node = nullptr;
+  /// Catalog ids of the output tuple's components, in order.
+  std::vector<int> table_ids;
+  std::unique_ptr<Op> left;
+  /// Null for an index nested loop: its inner side never runs.
+  std::unique_ptr<Op> right;
+  /// Scans: the table; index scans: the leading equality's postings.
+  const Table* table = nullptr;
+  std::span<const uint32_t> postings;
+  /// Joins: edge endpoints, outer side first.
+  EdgeRefs refs;
+  /// Index nested loop: the inner join column's index and the inner filters.
+  const HashIndex* index = nullptr;
+  const std::vector<CompiledPredicate>* inner_filters = nullptr;
+  /// The root under ExecuteCount: counts its output instead of emitting it,
+  /// and is the one join the cap does not apply to.
+  bool count_only = false;
+
+  /// Output tuples so far: EXPLAIN ANALYZE's actual rows and the cap's
+  /// count.
+  std::atomic<uint64_t> rows{0};
+  /// Output complete (the pipeline producing it finished uncut).
+  bool done = false;
+  /// Breaker state, set before the pipeline above it streams: a hash
+  /// join's materialized build side and its postings table, or its key
+  /// counts; a merge join's sorted inputs.
+  const TupleSet* build = nullptr;
+  const JoinHashTable* hash = nullptr;
+  const KeyCounts* key_counts = nullptr;
+  const MergeInputs* merge = nullptr;
+
+  bool IsScan() const { return node->IsScan(); }
+  JoinMethod method() const { return node->join_method; }
+  size_t arity() const { return table_ids.size(); }
+  /// Whether the op runs inside a pipeline (as opposed to being a source).
+  bool Streams() const {
+    return !IsScan() && method() != JoinMethod::kMergeJoin;
+  }
+};
+
+/// Index of the table `table_id` among a tuple layout's tables, or -1.
 int ComponentIndex(const std::vector<int>& table_ids, int table_id) {
   auto it = std::find(table_ids.begin(), table_ids.end(), table_id);
   return it == table_ids.end() ? -1
                                : static_cast<int>(it - table_ids.begin());
 }
 
-/// Binds the catalog column `ref` on a join input whose component tables are
-/// `table_ids`. Unbound (null column) when its table is not a component or
-/// either id names nothing.
+/// Binds the catalog column `ref` on a tuple layout of `table_ids`. Unbound
+/// (null column) when its table is not a component or either id names
+/// nothing.
 ColRef Resolve(const Database& db, const std::vector<int>& table_ids,
                CatalogColumn ref) {
   const int component = ComponentIndex(table_ids, ref.table_id);
@@ -249,47 +180,9 @@ Status CheckFilters(const Database& db, const PlanNode& node) {
   return Status::OK();
 }
 
-/// Evaluates the extra (non-primary) join edges for a candidate combined
-/// tuple. `refs[i]` resolves edge i's endpoints on the left/right input.
-bool ExtraEdgesMatch(const std::vector<std::pair<ColRef, ColRef>>& refs,
-                     const TupleSet& left, size_t ltuple, const TupleSet& right,
-                     size_t rtuple) {
-  for (const auto& [lref, rref] : refs) {
-    const uint32_t lrow = left.Row(ltuple, static_cast<size_t>(lref.component));
-    const uint32_t rrow =
-        right.Row(rtuple, static_cast<size_t>(rref.component));
-    if (!lref.column->IsValid(lrow) || !rref.column->IsValid(rrow)) {
-      return false;
-    }
-    if (lref.column->Get(lrow) != rref.column->Get(rrow)) return false;
-  }
-  return true;
-}
-
-/// Index-nested-loop variant: the right side is a single base-table row
-/// `irow` (the inner is never materialized, so every right ref binds to it).
-bool ExtraEdgesMatchInner(const std::vector<std::pair<ColRef, ColRef>>& refs,
-                          const TupleSet& left, size_t ltuple, uint32_t irow) {
-  for (const auto& [lref, rref] : refs) {
-    const uint32_t lrow = left.Row(ltuple, static_cast<size_t>(lref.component));
-    if (!lref.column->IsValid(lrow) || !rref.column->IsValid(irow)) {
-      return false;
-    }
-    if (lref.column->Get(lrow) != rref.column->Get(irow)) return false;
-  }
-  return true;
-}
-
-/// Primary + extra join-edge endpoints bound on the two join inputs.
-struct EdgeRefs {
-  ColRef lkey;
-  ColRef rkey;
-  std::vector<std::pair<ColRef, ColRef>> extra;
-};
-
 /// Binds every join edge of `plan` across a join whose outer input has the
-/// component tables `outer` and whose inner side has `inner`: the endpoint
-/// on an outer table binds to the outer input, the other to the inner side.
+/// layout `outer` and whose inner side has `inner`: the endpoint on an
+/// outer table binds to the outer input, the other to the inner side.
 Status ResolveEdges(const Database& db, const PlanNode& plan,
                     const std::vector<int>& outer,
                     const std::vector<int>& inner, EdgeRefs* out) {
@@ -313,56 +206,126 @@ Status ResolveEdges(const Database& db, const PlanNode& plan,
   return Status::OK();
 }
 
-/// Everything an index-nested-loop probe needs, resolved once before the
-/// probe loops: the inner table's join-column index and filters, and the
-/// edge endpoints (inner endpoints bind to the probed inner row).
-struct IndexJoinSetup {
-  const HashIndex* index = nullptr;
-  std::vector<CompiledPredicate> inner_filters;
-  EdgeRefs refs;
-};
+/// Compiles the plan subtree `node`, left input first, checking every id
+/// and method constraint; `count_only` marks the ExecuteCount root.
+Status Compile(const Database& db, const PlanNode& node, bool count_only,
+               std::unique_ptr<Op>* out) {
+  auto op = std::make_unique<Op>();
+  op->node = &node;
+  op->count_only = count_only;
+  if (node.IsScan()) {
+    op->table = db.TableById(node.table_id);
+    if (op->table == nullptr) {
+      return Status::NotFound(
+          StrFormat("scan of unknown table id %d", node.table_id));
+    }
+    CARDBENCH_RETURN_IF_ERROR(CheckFilters(db, node));
+    // The first filter of an index scan must be an equality served by the
+    // index.
+    if (node.scan_method == ScanMethod::kIndexScan) {
+      if (node.filters.empty() || node.filters[0].op != CompareOp::kEq) {
+        return Status::InvalidArgument("index scan requires a leading "
+                                       "equality filter on " +
+                                       op->table->name());
+      }
+      const CompiledPredicate& key = node.filters[0];
+      op->postings = op->table->GetIndex(static_cast<size_t>(key.column_id))
+                         .Lookup(key.value);
+    }
+    op->table_ids = {node.table_id};
+    *out = std::move(op);
+    return Status::OK();
+  }
 
-/// The one check of an index-nested-loop node, whether its output is
-/// counted or materialized: the inner side must be a base-table scan.
-Status SetupIndexJoin(const Database& db, const PlanNode& plan,
-                      const TupleSet& left, IndexJoinSetup* out) {
-  const PlanNode& inner = *plan.right;
-  if (!inner.IsScan()) {
-    return Status::InvalidArgument(
-        "index nested loop requires a base-table inner side");
+  CARDBENCH_RETURN_IF_ERROR(Compile(db, *node.left, false, &op->left));
+  op->table_ids = op->left->table_ids;
+  if (node.join_method == JoinMethod::kIndexNestLoop) {
+    // The inner side is a base table accessed through its join-column
+    // index; it is never scanned.
+    const PlanNode& inner = *node.right;
+    if (!inner.IsScan()) {
+      return Status::InvalidArgument(
+          "index nested loop requires a base-table inner side");
+    }
+    const Table* table = db.TableById(inner.table_id);
+    if (table == nullptr) {
+      return Status::NotFound(StrFormat("table id %d", inner.table_id));
+    }
+    CARDBENCH_RETURN_IF_ERROR(CheckFilters(db, inner));
+    CARDBENCH_RETURN_IF_ERROR(ResolveEdges(db, node, op->table_ids,
+                                           {inner.table_id}, &op->refs));
+    const CatalogColumn key = node.edge.left.table_id == inner.table_id
+                                  ? node.edge.left
+                                  : node.edge.right;
+    op->index = &table->GetIndex(static_cast<size_t>(key.column_id));
+    op->inner_filters = &inner.filters;
+    op->table_ids.push_back(inner.table_id);
+  } else {
+    CARDBENCH_RETURN_IF_ERROR(Compile(db, *node.right, false, &op->right));
+    CARDBENCH_RETURN_IF_ERROR(ResolveEdges(
+        db, node, op->table_ids, op->right->table_ids, &op->refs));
+    op->table_ids.insert(op->table_ids.end(), op->right->table_ids.begin(),
+                         op->right->table_ids.end());
   }
-  const Table* table = db.TableById(inner.table_id);
-  if (table == nullptr) {
-    return Status::NotFound(StrFormat("table id %d", inner.table_id));
-  }
-  CARDBENCH_RETURN_IF_ERROR(CheckFilters(db, inner));
-  CARDBENCH_RETURN_IF_ERROR(
-      ResolveEdges(db, plan, left.table_ids, {inner.table_id}, &out->refs));
-  const CatalogColumn key = plan.edge.left.table_id == inner.table_id
-                                ? plan.edge.left
-                                : plan.edge.right;
-  out->index = &table->GetIndex(static_cast<size_t>(key.column_id));
-  out->inner_filters = inner.filters;
+  *out = std::move(op);
   return Status::OK();
 }
 
-/// Appends the rows of [lo, hi) passing `preds` to `*sel` in batches of
-/// `batch_size`, checking the wall-clock budget every kBudgetCheckInterval
-/// processed rows. Output is in ascending row order regardless of batching.
-void ScanRange(const std::vector<CompiledPredicate>& preds, size_t lo,
-               size_t hi, size_t batch_size, Budget budget,
-               std::vector<uint32_t>* sel) {
-  size_t since_check = 0;
-  for (size_t b = lo; b < hi; b += batch_size) {
-    const size_t e = std::min(hi, b + batch_size);
-    if (since_check >= kBudgetCheckInterval) {
-      since_check = 0;
-      if (!budget.CheckTime()) return;
-    }
-    FilterRangeConjunction(preds, b, e, sel);
-    since_check += e - b;
+/// Records the actual rows of every op of `op`'s subtree whose output
+/// completed.
+void CollectActualRows(const Op& op,
+                       std::unordered_map<uint64_t, double>* actual_rows) {
+  if (op.done) {
+    (*actual_rows)[op.node->table_mask] =
+        static_cast<double>(op.rows.load(std::memory_order_relaxed));
   }
+  if (op.left != nullptr) CollectActualRows(*op.left, actual_rows);
+  if (op.right != nullptr) CollectActualRows(*op.right, actual_rows);
 }
+
+/// Whether the extra join edges hold between the outer tuple `outer` and
+/// the inner tuple `inner` (row ids in their inputs' layouts; for an index
+/// nested loop, the one inner row): every endpoint non-NULL and equal.
+bool ExtraEdgesMatch(const std::vector<std::pair<ColRef, ColRef>>& refs,
+                     const uint32_t* outer, const uint32_t* inner) {
+  for (const auto& [oref, iref] : refs) {
+    const uint32_t orow = outer[oref.component];
+    const uint32_t irow = inner[iref.component];
+    if (!oref.column->IsValid(orow) || !iref.column->IsValid(irow)) {
+      return false;
+    }
+    if (oref.column->Get(orow) != iref.column->Get(irow)) return false;
+  }
+  return true;
+}
+
+/// Gather buffers for batched join-key access, `capacity` entries each,
+/// from an arena the caller brackets with a frame. `rows[i]` is the
+/// base-table row of input tuple i of the batch, `keys[i]`/`valid[i]` the
+/// gathered key value and its non-NULL flag (see Column::Gather),
+/// `hashes[i]` its join hash.
+struct KeyScratch {
+  KeyScratch(Arena& arena, size_t capacity)
+      : rows(arena.AllocateArray<uint32_t>(capacity)),
+        keys(arena.AllocateArray<Value>(capacity)),
+        valid(arena.AllocateArray<uint8_t>(capacity)),
+        hashes(arena.AllocateArray<uint64_t>(capacity)) {}
+
+  /// Gathers the key column `key` of tuples [0, n) of `tuples` (row-major,
+  /// `arity` row ids each).
+  void Gather(const ColRef& key, const uint32_t* tuples, size_t arity,
+              size_t n) {
+    for (size_t t = 0; t < n; ++t) {
+      rows[t] = tuples[t * arity + static_cast<size_t>(key.component)];
+    }
+    key.column->Gather(rows, n, keys, valid);
+  }
+
+  uint32_t* rows;
+  Value* keys;
+  uint8_t* valid;
+  uint64_t* hashes;
+};
 
 /// JoinKeySource over a TupleSet's key column: batched row-id gathers
 /// through Column::Gather, exactly like the probe side's key access. Called
@@ -388,196 +351,320 @@ class TupleKeySource final : public JoinKeySource {
   const ColRef& key_;
 };
 
-/// Probes the radix join table `ht` for the input tuples [t_lo, t_hi) of
-/// `left`. With `emit` non-null, combined tuples are emitted in (probe
-/// tuple, ascending build row) order; otherwise matches are counted into
-/// `*count_out`, reading each key's run length when there are no extra
-/// edges to check (or `primary_only` says to ignore them). Keys are
-/// gathered and hashed a batch at a time through Column::Gather, and the
-/// table lines of probe i + kJoinPrefetchDistance are prefetched while
-/// probe i walks the table. The budget is checked on every loop that scales
-/// with input or output size.
-void RadixProbeMorsel(const TupleSet& left, const TupleSet& right,
-                      const ColRef& lkey, const JoinHashTable& ht,
-                      const std::vector<std::pair<ColRef, ColRef>>& extra,
-                      size_t batch_size, size_t t_lo, size_t t_hi,
-                      Budget budget, bool primary_only, JoinEmitter* emit,
-                      uint64_t* count_out) {
-  const bool count_runs = emit == nullptr && (primary_only || extra.empty());
-  KeyScratch kb(std::min(batch_size, t_hi - t_lo));
-  uint64_t count = 0;
-  size_t since_check = 0;
-  if (!budget.CheckTime()) return;
-  for (size_t b = t_lo; b < t_hi; b += batch_size) {
-    const size_t e = std::min(t_hi, b + batch_size);
-    if (since_check >= kBudgetCheckInterval) {
-      since_check = 0;
-      if (!budget.CheckTime()) return;
+/// Receives a producer's output chunk by chunk.
+class Consumer {
+ public:
+  virtual ~Consumer() = default;
+  /// Takes `n` tuples, row-major in the producer's layout. False once the
+  /// run is cut off: the producer stops at once.
+  virtual bool Consume(const uint32_t* tuples, size_t n) = 0;
+};
+
+/// One worker's output buffer of an operator: tuples of the operator's
+/// arity, row-major. The operator checks Full() after each input tuple's
+/// matches; Flush() then admits the buffered tuples — adds them to the
+/// operator's output count, which the cap checks unless the operator is
+/// the count-only root — and hands them to `next`. The buffer thus holds
+/// batch_size tuples plus at most one input tuple's matches.
+class Emitter {
+ public:
+  Emitter(Op& op, size_t batch_size, Budget& budget, Consumer* next)
+      : op_(op),
+        arity_(op.arity()),
+        limit_(batch_size * op.arity()),
+        budget_(budget),
+        next_(next),
+        buf_(limit_) {}
+
+  /// Space for one more output tuple.
+  uint32_t* Append() {
+    if (used_ + arity_ > buf_.size()) {
+      buf_.resize(std::max(2 * buf_.size(), used_ + arity_));
     }
-    for (size_t t = b; t < e; ++t) {
-      kb.rows[t - b] = left.Row(t, static_cast<size_t>(lkey.component));
+    uint32_t* tuple = buf_.data() + used_;
+    used_ += arity_;
+    return tuple;
+  }
+
+  bool Full() const { return used_ >= limit_; }
+
+  /// Admits and hands on the buffered tuples; false once the run is cut
+  /// off, by this operator's cap or anything downstream.
+  bool Flush() {
+    if (used_ == 0) return !budget_.TimedOut();
+    const size_t n = used_ / arity_;
+    used_ = 0;
+    const uint64_t total =
+        op_.rows.fetch_add(n, std::memory_order_relaxed) + n;
+    if (!op_.count_only && total > budget_.limits->max_intermediate_tuples) {
+      budget_.Trip(CutOff::kCap);
+      return false;
     }
-    lkey.column->Gather(kb.rows, e - b, kb.keys, kb.valid);
-    const size_t n = e - b;
+    return next_->Consume(buf_.data(), n);
+  }
+
+ private:
+  Op& op_;
+  size_t arity_;
+  size_t limit_;
+  Budget& budget_;
+  Consumer* next_;
+  std::vector<uint32_t> buf_;
+  size_t used_ = 0;
+};
+
+/// Appends the concatenation of `left` (`larity` row ids) and `right`
+/// (`rarity`) to `out`.
+inline void EmitJoined(Emitter& out, const uint32_t* left, size_t larity,
+                       const uint32_t* right, size_t rarity) {
+  uint32_t* tuple = out.Append();
+  for (size_t c = 0; c < larity; ++c) tuple[c] = left[c];
+  for (size_t c = 0; c < rarity; ++c) tuple[larity + c] = right[c];
+}
+
+/// One worker's probe of a hash or index-nested-loop join: consumes the
+/// outer input chunk by chunk, gathers and looks up its keys a batch at a
+/// time, and emits the matches in (outer tuple, ascending inner row) order,
+/// or counts them at the count-only root. The hash probe prefetches the
+/// table lines of probe i + kJoinPrefetchDistance while probe i walks the
+/// table.
+class Probe final : public Consumer {
+ public:
+  Probe(Op& op, Arena& arena, size_t batch_size, Budget& budget,
+        Consumer* next, uint64_t* count)
+      : op_(op),
+        larity_(op.left->arity()),
+        batch_(batch_size),
+        kb_(arena, batch_size),
+        ticker_(budget),
+        count_(count) {
+    if (!op.count_only) out_.emplace(op, batch_size, budget, next);
+  }
+
+  bool Consume(const uint32_t* tuples, size_t n) override {
+    for (size_t b = 0; b < n; b += batch_) {
+      const size_t m = std::min(n, b + batch_) - b;
+      if (!ticker_.Tick(m)) return false;
+      const uint32_t* in = tuples + b * larity_;
+      kb_.Gather(op_.refs.lkey, in, larity_, m);
+      const bool ok = op_.key_counts != nullptr ? ProbeKeyCounts(m)
+                      : op_.hash != nullptr     ? ProbeHash(in, m)
+                                                : ProbeIndex(in, m);
+      if (!ok) return false;
+    }
+    return true;
+  }
+
+  /// Hands on what is buffered (a morsel's end).
+  bool Flush() { return !out_.has_value() || out_->Flush(); }
+
+ private:
+  /// The count-only root without extra edges: adds each key's build-side
+  /// multiplicity.
+  bool ProbeKeyCounts(size_t n) {
+    uint64_t count = 0;
     for (size_t i = 0; i < n; ++i) {
-      kb.hashes[i] = kb.valid[i] ? JoinKeyHash(kb.keys[i]) : 0;
+      if (kb_.valid[i]) count += op_.key_counts->Get(kb_.keys[i]);
+    }
+    *count_ += count;
+    return true;
+  }
+
+  // The per-match loops below tick and count in locals (stored back on
+  // success) rather than through members: a store through `count_` could
+  // alias the ticker's counter, which would keep both in memory.
+
+  bool ProbeHash(const uint32_t* in, size_t n) {
+    const JoinHashTable& ht = *op_.hash;
+    const TupleSet& build = *op_.build;
+    const size_t rarity = build.arity();
+    const auto& extra = op_.refs.extra;
+    Emitter* out = out_.has_value() ? &*out_ : nullptr;
+    BudgetTicker ticker = ticker_;
+    uint64_t count = 0;
+    for (size_t i = 0; i < n; ++i) {
+      kb_.hashes[i] = kb_.valid[i] ? JoinKeyHash(kb_.keys[i]) : 0;
     }
     for (size_t i = 0; i < std::min(kJoinPrefetchDistance, n); ++i) {
-      if (kb.valid[i]) ht.Prefetch(kb.hashes[i]);
+      if (kb_.valid[i]) ht.Prefetch(kb_.hashes[i]);
     }
     for (size_t i = 0; i < n; ++i) {
       const size_t ahead = i + kJoinPrefetchDistance;
-      if (ahead < n && kb.valid[ahead]) ht.Prefetch(kb.hashes[ahead]);
-      if (!kb.valid[i]) continue;
-      if (count_runs) {
-        // Count-only without post-join filters: no per-match work at all.
-        const uint64_t matches = ht.CountMatches(kb.keys[i], kb.hashes[i]);
-        count += matches;
-        since_check += matches;
-        continue;
-      }
-      const size_t lt = b + i;
+      if (ahead < n && kb_.valid[ahead]) ht.Prefetch(kb_.hashes[ahead]);
+      if (!kb_.valid[i]) continue;
+      const uint32_t* outer = in + i * larity_;
       bool cut_off = false;
-      ht.ForEachMatch(kb.keys[i], kb.hashes[i], [&](uint32_t rt) {
-        if (++since_check >= kBudgetCheckInterval) {
-          since_check = 0;
-          if (!budget.CheckTime()) {
-            cut_off = true;
-            return false;
-          }
-        }
-        if (!extra.empty() && !ExtraEdgesMatch(extra, left, lt, right, rt)) {
-          return true;
-        }
-        if (emit == nullptr) {
-          ++count;
-        } else if (!emit->Emit(lt, rt)) {
+      ht.ForEachMatch(kb_.keys[i], kb_.hashes[i], [&](uint32_t rt) {
+        if (!ticker.Tick()) {
           cut_off = true;
           return false;
         }
+        const uint32_t* inner = build.data.data() + size_t{rt} * rarity;
+        if (!extra.empty() && !ExtraEdgesMatch(extra, outer, inner)) {
+          return true;
+        }
+        if (out != nullptr) {
+          EmitJoined(*out, outer, larity_, inner, rarity);
+        } else {
+          ++count;
+        }
         return true;
       });
-      if (cut_off) return;
+      if (cut_off) return false;
+      if (out != nullptr && out->Full() && !out->Flush()) return false;
     }
-    since_check += n;
+    ticker_ = ticker;
+    *count_ += count;
+    return true;
   }
-  if (count_out != nullptr) *count_out += count;
-}
 
-/// Index-nested-loop probe over the outer tuples [t_lo, t_hi): batched
-/// outer-key gathers, inner index lookups, compiled inner filters, extra
-/// edges. Emits (outer tuple, ascending inner row) tuples into `emit`, or
-/// counts into `*count_out` — adding whole posting lengths when there is
-/// nothing to filter (or `primary_only` says to ignore the filters).
-/// Budget-checked per posting-list entry batch (a huge posting list must
-/// respect the wall clock).
-void IndexProbeMorsel(const TupleSet& left, const IndexJoinSetup& s,
-                      size_t batch_size, size_t t_lo, size_t t_hi,
-                      Budget budget, bool primary_only, JoinEmitter* emit,
-                      uint64_t* count_out) {
-  const bool count_runs =
-      emit == nullptr &&
-      (primary_only || (s.inner_filters.empty() && s.refs.extra.empty()));
-  KeyScratch kb(std::min(batch_size, t_hi - t_lo));
-  uint64_t count = 0;
-  size_t since_check = 0;
-  if (!budget.CheckTime()) return;
-  for (size_t b = t_lo; b < t_hi; b += batch_size) {
-    const size_t e = std::min(t_hi, b + batch_size);
-    if (since_check >= kBudgetCheckInterval) {
-      since_check = 0;
-      if (!budget.CheckTime()) return;
-    }
-    for (size_t t = b; t < e; ++t) {
-      kb.rows[t - b] = left.Row(t, static_cast<size_t>(s.refs.lkey.component));
-    }
-    s.refs.lkey.column->Gather(kb.rows, e - b, kb.keys, kb.valid);
-    for (size_t i = 0; i < e - b; ++i) {
-      if (!kb.valid[i]) continue;
-      const size_t t = b + i;
-      const std::span<const uint32_t> postings = s.index->Lookup(kb.keys[i]);
+  bool ProbeIndex(const uint32_t* in, size_t n) {
+    const std::vector<CompiledPredicate>& filters = *op_.inner_filters;
+    const auto& extra = op_.refs.extra;
+    Emitter* out = out_.has_value() ? &*out_ : nullptr;
+    // A count with nothing to check per inner row adds posting lengths.
+    const bool count_runs = out == nullptr && filters.empty() && extra.empty();
+    BudgetTicker ticker = ticker_;
+    uint64_t count = 0;
+    for (size_t i = 0; i < n; ++i) {
+      if (!kb_.valid[i]) continue;
+      const std::span<const uint32_t> postings = op_.index->Lookup(kb_.keys[i]);
       if (count_runs) {
         count += postings.size();
-        since_check += postings.size();
+        if (!ticker.Tick(postings.size())) return false;
         continue;
       }
+      const uint32_t* outer = in + i * larity_;
       for (uint32_t irow : postings) {
-        if (++since_check >= kBudgetCheckInterval) {
-          since_check = 0;
-          if (!budget.CheckTime()) return;
-        }
-        if (!s.inner_filters.empty() &&
-            !RowPassesCompiled(s.inner_filters, irow)) {
-          continue;
-        }
-        if (!s.refs.extra.empty() &&
-            !ExtraEdgesMatchInner(s.refs.extra, left, t, irow)) {
-          continue;
-        }
-        if (emit == nullptr) {
+        if (!ticker.Tick()) return false;
+        if (!filters.empty() && !RowPassesCompiled(filters, irow)) continue;
+        if (!extra.empty() && !ExtraEdgesMatch(extra, outer, &irow)) continue;
+        if (out != nullptr) {
+          EmitJoined(*out, outer, larity_, &irow, 1);
+        } else {
           ++count;
-        } else if (!emit->Emit(t, irow)) {
-          return;
         }
       }
+      if (out != nullptr && out->Full() && !out->Flush()) return false;
     }
-    since_check += e - b;
+    ticker_ = ticker;
+    *count_ += count;
+    return true;
   }
-  if (count_out != nullptr) *count_out += count;
-}
+
+  Op& op_;
+  size_t larity_;
+  size_t batch_;
+  KeyScratch kb_;
+  BudgetTicker ticker_;
+  /// Emitting joins' output; empty at the count-only root.
+  std::optional<Emitter> out_;
+  uint64_t* count_;
+};
+
+/// Appends every tuple it is given to `target` (set per morsel).
+class TupleSink final : public Consumer {
+ public:
+  explicit TupleSink(size_t arity) : arity_(arity) {}
+
+  void set_target(std::vector<uint32_t>* target) { target_ = target; }
+
+  bool Consume(const uint32_t* tuples, size_t n) override {
+    target_->insert(target_->end(), tuples, tuples + n * arity_);
+    return true;
+  }
+
+ private:
+  size_t arity_;
+  std::vector<uint32_t>* target_ = nullptr;
+};
+
+/// Adds the non-NULL key column of every tuple it is given to `counts`.
+class KeyCountSink final : public Consumer {
+ public:
+  KeyCountSink(const ColRef& key, size_t arity, Arena& arena,
+               size_t batch_size, KeyCounts* counts)
+      : key_(key),
+        arity_(arity),
+        batch_(batch_size),
+        kb_(arena, batch_size),
+        counts_(counts) {}
+
+  bool Consume(const uint32_t* tuples, size_t n) override {
+    for (size_t b = 0; b < n; b += batch_) {
+      const size_t m = std::min(n, b + batch_) - b;
+      kb_.Gather(key_, tuples + b * arity_, arity_, m);
+      for (size_t i = 0; i < m; ++i) {
+        if (kb_.valid[i]) counts_->Add(kb_.keys[i]);
+      }
+    }
+    return true;
+  }
+
+ private:
+  ColRef key_;
+  size_t arity_;
+  size_t batch_;
+  KeyScratch kb_;
+  KeyCounts* counts_;
+};
+
+/// Counts the tuples it is given (a scan root's count).
+class CountSink final : public Consumer {
+ public:
+  explicit CountSink(uint64_t* count) : count_(count) {}
+
+  bool Consume(const uint32_t*, size_t n) override {
+    *count_ += n;
+    return true;
+  }
+
+ private:
+  uint64_t* count_;
+};
 
 /// Gathers the non-NULL key of every tuple of `ts` (batched, budgeted) and
 /// sorts by (key, tuple): the sorted run input of the merge join.
 std::vector<std::pair<Value, uint32_t>> SortedKeys(const TupleSet& ts,
                                                    const ColRef& key,
                                                    size_t batch_size,
-                                                   Budget budget) {
+                                                   Budget& budget) {
   std::vector<std::pair<Value, uint32_t>> keys;
   keys.reserve(ts.size());
-  KeyScratch kb(std::min(batch_size, ts.size()));
-  size_t since_check = 0;
+  ArenaFrame frame(ThreadLocalArena());
+  KeyScratch kb(frame.arena(), std::min(batch_size, ts.size()));
+  BudgetTicker ticker(budget);
   for (size_t b = 0; b < ts.size(); b += batch_size) {
-    const size_t e = std::min(ts.size(), b + batch_size);
-    if (since_check >= kBudgetCheckInterval) {
-      since_check = 0;
-      if (!budget.CheckTime()) return keys;
-    }
-    for (size_t t = b; t < e; ++t) {
-      kb.rows[t - b] = ts.Row(t, static_cast<size_t>(key.component));
-    }
-    key.column->Gather(kb.rows, e - b, kb.keys, kb.valid);
-    for (size_t i = 0; i < e - b; ++i) {
+    const size_t n = std::min(ts.size(), b + batch_size) - b;
+    if (!ticker.Tick(n)) return keys;
+    kb.Gather(key, ts.data.data() + b * ts.arity(), ts.arity(), n);
+    for (size_t i = 0; i < n; ++i) {
       if (kb.valid[i]) {
         keys.emplace_back(kb.keys[i], static_cast<uint32_t>(b + i));
       }
     }
-    since_check += e - b;
   }
   if (!budget.CheckTime()) return keys;
   std::sort(keys.begin(), keys.end());
   return keys;
 }
 
-/// Merge join over sorted runs: walks equal-key runs of both inputs and
-/// emits (into `emit`) or counts their cross products — as run-length
-/// products when there are no extra edges to check (or `primary_only` says
-/// to ignore them). Serial — the sort dominates merge-join cost; gathers
-/// are batched upstream.
-void MergeRuns(const TupleSet& left, const TupleSet& right,
-               const std::vector<std::pair<Value, uint32_t>>& lkeys,
-               const std::vector<std::pair<Value, uint32_t>>& rkeys,
-               const std::vector<std::pair<ColRef, ColRef>>& extra,
-               Budget budget, bool primary_only, JoinEmitter* emit,
-               uint64_t* count_out) {
-  const bool count_runs = emit == nullptr && (primary_only || extra.empty());
-  uint64_t count = 0;
+/// The merge join `op` over its sorted inputs: walks equal-key runs of both
+/// and emits their cross products into `out`, or counts them into *count —
+/// as run-length products when there are no extra edges to check. Serial:
+/// the sort dominates merge-join cost.
+bool MergeRuns(const Op& op, Budget& budget, Emitter* out, uint64_t* count) {
+  const MergeInputs& in = *op.merge;
+  const auto& lkeys = in.lkeys;
+  const auto& rkeys = in.rkeys;
+  const auto& extra = op.refs.extra;
+  const size_t larity = in.left.arity();
+  const size_t rarity = in.right.arity();
+  const bool count_runs = out == nullptr && extra.empty();
+  BudgetTicker ticker(budget);
   size_t li = 0, ri = 0;
-  size_t since_check = 0;
   while (li < lkeys.size() && ri < rkeys.size()) {
-    if (++since_check >= kBudgetCheckInterval) {
-      since_check = 0;
-      if (!budget.CheckTime()) return;
-    }
+    if (!ticker.Tick()) return false;
     if (lkeys[li].first < rkeys[ri].first) {
       ++li;
     } else if (lkeys[li].first > rkeys[ri].first) {
@@ -588,37 +675,383 @@ void MergeRuns(const TupleSet& left, const TupleSet& right,
       while (lend < lkeys.size() && lkeys[lend].first == v) ++lend;
       while (rend < rkeys.size() && rkeys[rend].first == v) ++rend;
       if (count_runs) {
-        count += static_cast<uint64_t>(lend - li) *
-                 static_cast<uint64_t>(rend - ri);
-        since_check += rend - ri;
+        *count += static_cast<uint64_t>(lend - li) *
+                  static_cast<uint64_t>(rend - ri);
+        if (!ticker.Tick(rend - ri)) return false;
       } else {
         for (size_t i = li; i < lend; ++i) {
+          const uint32_t* outer =
+              in.left.data.data() + size_t{lkeys[i].second} * larity;
           for (size_t j = ri; j < rend; ++j) {
-            if (++since_check >= kBudgetCheckInterval) {
-              since_check = 0;
-              if (!budget.CheckTime()) return;
-            }
-            if (!extra.empty() &&
-                !ExtraEdgesMatch(extra, left, lkeys[i].second, right,
-                                 rkeys[j].second)) {
+            if (!ticker.Tick()) return false;
+            const uint32_t* inner =
+                in.right.data.data() + size_t{rkeys[j].second} * rarity;
+            if (!extra.empty() && !ExtraEdgesMatch(extra, outer, inner)) {
               continue;
             }
-            if (emit == nullptr) {
-              ++count;
-            } else if (!emit->Emit(lkeys[i].second, rkeys[j].second)) {
-              return;
+            if (out == nullptr) {
+              ++*count;
+            } else {
+              EmitJoined(*out, outer, larity, inner, rarity);
             }
           }
+          if (out != nullptr && out->Full() && !out->Flush()) return false;
         }
       }
       li = lend;
       ri = rend;
     }
   }
-  if (count_out != nullptr) *count_out += count;
+  return true;
+}
+
+/// Where a pipeline's output goes: exactly one of a materialized TupleSet,
+/// the key counts of its column `key`, or a count.
+struct SinkSpec {
+  TupleSet* tuples = nullptr;
+  KeyCounts* key_counts = nullptr;
+  ColRef key;
+  uint64_t* count = nullptr;
+
+  static SinkSpec Tuples(TupleSet* out) { return {out, nullptr, {}, nullptr}; }
+  static SinkSpec KeysOf(const ColRef& key, KeyCounts* out) {
+    return {nullptr, out, key, nullptr};
+  }
+  static SinkSpec Count(uint64_t* out) { return {nullptr, nullptr, {}, out}; }
+};
+
+/// A pipeline's input: a scan or merge join (`op`), or tuples an earlier
+/// step materialized.
+struct Source {
+  Op* op = nullptr;
+  const TupleSet* tuples = nullptr;
+
+  const std::vector<int>& table_ids() const {
+    return op != nullptr ? op->table_ids : tuples->table_ids;
+  }
+};
+
+/// Arity of the tuples `source` streamed through `ops` produces.
+size_t OutputArity(const Source& source, std::span<Op* const> ops) {
+  return ops.empty() ? source.table_ids().size() : ops.back()->arity();
 }
 
 }  // namespace
+
+/// One execution: compiles nothing, owns the budget, and runs pipelines.
+class Executor::Run {
+ public:
+  explicit Run(const Executor& exec) : exec_(exec) {
+    budget_.limits = &exec.limits_;
+  }
+
+  Budget& budget() { return budget_; }
+
+  /// Runs the pipeline producing `top`'s output into `sink`: prepares the
+  /// breakers of the streaming joins on `top`'s left spine (and of the
+  /// merge join at its bottom, if any), then streams.
+  void Pipeline(Op& top, const SinkSpec& sink) {
+    std::vector<Op*> ops;
+    Op* source = &top;
+    while (source->Streams()) {
+      ops.push_back(source);
+      source = source->left.get();
+    }
+    std::reverse(ops.begin(), ops.end());
+    Prepare(*source, ops, 0, sink);
+  }
+
+ private:
+  /// Prepares the breaker of ops[i], then the rest, then streams. Recursive
+  /// so that each breaker's state lives on the stack until the pipeline has
+  /// run: hash tables borrow this thread's arena and must unwind in
+  /// reverse order.
+  void Prepare(Op& source, std::span<Op* const> ops, size_t i,
+               const SinkSpec& sink) {
+    if (budget_.TimedOut()) return;
+    if (i == ops.size()) {
+      if (source.IsScan()) {
+        Drive(Source{&source, nullptr}, ops, sink);
+        return;
+      }
+      MergeInputs in;
+      Pipeline(*source.left, SinkSpec::Tuples(&in.left));
+      if (budget_.TimedOut()) return;
+      Pipeline(*source.right, SinkSpec::Tuples(&in.right));
+      if (budget_.TimedOut()) return;
+      const size_t batch = exec_.options_.batch_size;
+      in.lkeys = SortedKeys(in.left, source.refs.lkey, batch, budget_);
+      in.rkeys = SortedKeys(in.right, source.refs.rkey, batch, budget_);
+      if (budget_.TimedOut()) return;
+      source.merge = &in;
+      Drive(Source{&source, nullptr}, ops, sink);
+      return;
+    }
+    Op& op = *ops[i];
+    if (op.method() != JoinMethod::kHashJoin) {
+      Prepare(source, ops, i + 1, sink);
+      return;
+    }
+    if (op.count_only && op.refs.extra.empty()) {
+      // Only each key's multiplicity matters: no build tuple is stored.
+      KeyCounts counts;
+      Pipeline(*op.right, SinkSpec::KeysOf(op.refs.rkey, &counts));
+      op.key_counts = &counts;
+      Prepare(source, ops, i + 1, sink);
+      return;
+    }
+    TupleSet build;
+    Pipeline(*op.right, SinkSpec::Tuples(&build));
+    if (budget_.TimedOut()) return;
+    TupleKeySource keys(build, op.refs.rkey);
+    JoinHashConfig config;
+    config.batch_size = exec_.options_.batch_size;
+    JoinHashTable ht;
+    const bool built = ht.Build(
+        keys, build.size(), config,
+        [this](size_t n, const std::function<void(size_t)>& fn) {
+          exec_.ForEachMorsel(n, fn);
+        },
+        [this] { return budget_.CheckTime(); });
+    if (!built || budget_.TimedOut()) return;
+    op.build = &build;
+    op.hash = &ht;
+    Prepare(source, ops, i + 1, sink);
+  }
+
+  /// Morsels of `source`: scan rows or postings, or materialized tuples; a
+  /// merge join's output is one morsel.
+  size_t NumMorsels(const Source& source) const {
+    const size_t batch = exec_.options_.batch_size;
+    size_t total = 0, per = std::max(batch, kScanMorselRows);
+    if (source.tuples != nullptr) {
+      total = source.tuples->size();
+      per = std::max(batch, kProbeMorselTuples);
+    } else if (!source.op->IsScan()) {
+      return 1;
+    } else if (source.op->node->scan_method == ScanMethod::kIndexScan) {
+      total = source.op->postings.size();
+    } else {
+      total = source.op->table->num_rows();
+    }
+    return (total + per - 1) / per;
+  }
+
+  /// Runs `source` through `ops` into `sink`. In parallel runs, while the
+  /// source spans fewer morsels than there are threads, the source (and
+  /// then the source joined through the next op) is materialized and used
+  /// as the next source, so a chain fanning out from a small input still
+  /// spreads over the workers.
+  void Drive(Source source, std::span<Op* const> ops, const SinkSpec& sink) {
+    TupleSet prefix;
+    if (exec_.pool_ != nullptr) {
+      const size_t threads = exec_.options_.num_threads;
+      while (!ops.empty() && NumMorsels(source) < threads &&
+             !budget_.TimedOut()) {
+        TupleSet next;
+        if (source.tuples == nullptr) {
+          Stream(source, {}, SinkSpec::Tuples(&next));
+        } else if (ops.size() >= 2) {
+          Stream(source, ops.first(1), SinkSpec::Tuples(&next));
+          ops = ops.subspan(1);
+        } else {
+          break;
+        }
+        prefix = std::move(next);
+        source = Source{nullptr, &prefix};
+      }
+    }
+    if (!budget_.TimedOut()) Stream(source, ops, sink);
+  }
+
+  /// One worker's instance of a pipeline: a probe per streaming join, in
+  /// order, then the sink, with all scratch in one arena frame.
+  class Chain {
+   public:
+    Chain(Run& run, const Source& source, std::span<Op* const> ops,
+          const SinkSpec& sink, KeyCounts* key_counts)
+        : frame_(ThreadLocalArena()) {
+      const size_t batch = run.exec_.options_.batch_size;
+      Budget& budget = run.budget_;
+      Consumer* next = nullptr;
+      if (sink.tuples != nullptr) {
+        next = &tuples_.emplace(sink.tuples->arity());
+      } else if (sink.key_counts != nullptr) {
+        next = &key_counts_.emplace(sink.key, OutputArity(source, ops),
+                                    frame_.arena(), batch, key_counts);
+      } else if (ops.empty() && source.op->IsScan()) {
+        next = &count_sink_.emplace(&count_);
+      }
+      probes_.resize(ops.size());
+      for (size_t i = ops.size(); i-- > 0;) {
+        probes_[i] = std::make_unique<Probe>(*ops[i], frame_.arena(), batch,
+                                             budget, next, &count_);
+        next = probes_[i].get();
+      }
+      head_ = next;
+      if (source.op != nullptr && !source.op->IsScan() &&
+          !source.op->count_only) {
+        merge_out_.emplace(*source.op, batch, budget, head_);
+      }
+    }
+
+    Consumer* head() { return head_; }
+    Emitter* merge_out() {
+      return merge_out_.has_value() ? &*merge_out_ : nullptr;
+    }
+    std::vector<uint32_t>& selection() { return selection_; }
+    uint64_t* count() { return &count_; }
+    void set_target(std::vector<uint32_t>* target) {
+      tuples_->set_target(target);
+    }
+
+    /// Hands on everything buffered, producer first (a morsel's end).
+    bool Flush() {
+      if (merge_out_.has_value() && !merge_out_->Flush()) return false;
+      for (auto& probe : probes_) {
+        if (!probe->Flush()) return false;
+      }
+      return true;
+    }
+
+   private:
+    /// Holds every probe's and sink's scratch; declared first, so it
+    /// unwinds last.
+    ArenaFrame frame_;
+    uint64_t count_ = 0;
+    std::vector<uint32_t> selection_;
+    std::optional<TupleSink> tuples_;
+    std::optional<KeyCountSink> key_counts_;
+    std::optional<CountSink> count_sink_;
+    std::vector<std::unique_ptr<Probe>> probes_;
+    Consumer* head_ = nullptr;
+    std::optional<Emitter> merge_out_;
+  };
+
+  /// Runs every morsel of `source` through `ops` into `sink`, on the
+  /// calling thread or on up to num_threads workers that pull morsels in
+  /// turn. Materialized output is concatenated in morsel order, counts and
+  /// key counts are summed, so results never depend on the thread count.
+  void Stream(const Source& source, std::span<Op* const> ops,
+              const SinkSpec& sink) {
+    const size_t morsels = NumMorsels(source);
+    const size_t workers =
+        exec_.pool_ != nullptr && morsels > 1
+            ? std::min(exec_.options_.num_threads, morsels)
+            : 1;
+    if (sink.tuples != nullptr) {
+      sink.tuples->table_ids = ops.empty() ? source.table_ids()
+                                           : ops.back()->table_ids;
+      sink.tuples->data.clear();
+    }
+    std::vector<std::vector<uint32_t>> parts(
+        workers > 1 && sink.tuples != nullptr ? morsels : 0);
+    std::vector<KeyCounts> worker_counts(
+        sink.key_counts != nullptr ? workers - 1 : 0);
+    std::vector<uint64_t> counts(workers, 0);
+    std::atomic<size_t> cursor{0};
+    auto work = [&](size_t w) {
+      Chain chain(*this, source, ops, sink,
+                  w == 0 ? sink.key_counts
+                         : (worker_counts.empty() ? nullptr
+                                                  : &worker_counts[w - 1]));
+      for (size_t m; (m = cursor.fetch_add(1)) < morsels;) {
+        if (sink.tuples != nullptr) {
+          chain.set_target(parts.empty() ? &sink.tuples->data : &parts[m]);
+        }
+        if (!Feed(source, m, chain) || !chain.Flush()) break;
+      }
+      counts[w] = *chain.count();
+    };
+    if (workers == 1) {
+      work(0);
+    } else {
+      ParallelFor(*exec_.pool_, workers, work);
+    }
+    if (budget_.TimedOut()) return;
+
+    if (!parts.empty()) {
+      size_t total = 0;
+      for (const auto& part : parts) total += part.size();
+      sink.tuples->data.reserve(total);
+      for (const auto& part : parts) {
+        sink.tuples->data.insert(sink.tuples->data.end(), part.begin(),
+                                 part.end());
+      }
+    }
+    for (const KeyCounts& counts_w : worker_counts) {
+      sink.key_counts->Merge(counts_w);
+    }
+    if (sink.count != nullptr) {
+      uint64_t total = 0;
+      for (uint64_t c : counts) total += c;
+      *sink.count += total;
+      // The count-only root's actual rows are its count (a scan root
+      // counted its rows as it streamed them).
+      Op* root = ops.empty() ? source.op : ops.back();
+      if (root != nullptr && root->count_only && !root->IsScan()) {
+        root->rows.store(total, std::memory_order_relaxed);
+      }
+    }
+    if (source.op != nullptr) source.op->done = true;
+    for (Op* op : ops) op->done = true;
+  }
+
+  /// Feeds morsel `m` of `source` into `chain`; false once the run is cut
+  /// off.
+  bool Feed(const Source& source, size_t m, Chain& chain) {
+    if (!budget_.CheckTime()) return false;
+    const size_t batch = exec_.options_.batch_size;
+    Consumer* head = chain.head();
+    if (source.tuples != nullptr) {
+      const TupleSet& ts = *source.tuples;
+      const size_t per = std::max(batch, kProbeMorselTuples);
+      const size_t hi = std::min(ts.size(), (m + 1) * per);
+      for (size_t b = m * per; b < hi; b += batch) {
+        const size_t n = std::min(hi, b + batch) - b;
+        if (!head->Consume(ts.data.data() + b * ts.arity(), n)) return false;
+      }
+      return true;
+    }
+    Op& op = *source.op;
+    if (!op.IsScan()) {
+      return MergeRuns(op, budget_, chain.merge_out(), chain.count());
+    }
+    // A scan: rows [lo, hi) of the table, or of the index scan's postings,
+    // filtered a batch at a time into the selection vector and handed on.
+    const std::vector<CompiledPredicate>& filters = op.node->filters;
+    const bool index_scan = op.node->scan_method == ScanMethod::kIndexScan;
+    const size_t per = std::max(batch, kScanMorselRows);
+    const size_t total =
+        index_scan ? op.postings.size() : op.table->num_rows();
+    const size_t hi = std::min(total, (m + 1) * per);
+    std::vector<uint32_t>& sel = chain.selection();
+    BudgetTicker ticker(budget_);
+    for (size_t b = m * per; b < hi; b += batch) {
+      const size_t e = std::min(hi, b + batch);
+      if (!ticker.Tick(e - b)) return false;
+      sel.clear();
+      if (index_scan) {
+        sel.assign(op.postings.begin() + b, op.postings.begin() + e);
+        size_t kept = sel.size();
+        for (size_t p = 1; p < filters.size() && kept > 0; ++p) {
+          kept = filters[p].column->FilterRows(sel.data(), kept,
+                                               filters[p].op, filters[p].value);
+        }
+        sel.resize(kept);
+      } else {
+        FilterRangeConjunction(filters, b, e, &sel);
+      }
+      if (sel.empty()) continue;
+      op.rows.fetch_add(sel.size(), std::memory_order_relaxed);
+      if (!head->Consume(sel.data(), sel.size())) return false;
+    }
+    return true;
+  }
+
+  const Executor& exec_;
+  Budget budget_;
+};
 
 Executor::Executor(const Database& db, ExecLimits limits, ExecOptions options)
     : db_(db), limits_(limits), options_(options) {
@@ -637,256 +1070,30 @@ void Executor::ForEachMorsel(size_t count,
   ParallelFor(*pool_, count, fn);
 }
 
-void Executor::RunProbeMorsels(
-    size_t total, Ctx& ctx, TupleSet* out, uint64_t* count_out,
-    const std::function<void(size_t, size_t, std::vector<uint32_t>*,
-                             uint64_t*)>& morsel) const {
-  const size_t morsel_tuples = std::max(options_.batch_size,
-                                        kProbeMorselTuples);
-  const size_t num_morsels =
-      total == 0 ? 0 : (total + morsel_tuples - 1) / morsel_tuples;
-  if (pool_ == nullptr || num_morsels <= 1) {
-    if (num_morsels >= 1) {
-      morsel(0, total, out != nullptr ? &out->data : nullptr, count_out);
-    }
-    return;
-  }
-  if (out != nullptr) {
-    // Per-morsel output batches concatenated in morsel order: identical
-    // tuple order to the serial run.
-    std::vector<RowBatch> parts(num_morsels);
-    ForEachMorsel(num_morsels, [&](size_t m) {
-      morsel(m * morsel_tuples, std::min(total, (m + 1) * morsel_tuples),
-             &parts[m].sel, nullptr);
-    });
-    if (ctx.TimedOut()) return;
-    size_t total_size = out->data.size();
-    for (const auto& part : parts) total_size += part.size();
-    out->data.reserve(total_size);
-    for (const auto& part : parts) {
-      out->data.insert(out->data.end(), part.sel.begin(), part.sel.end());
-    }
-  } else {
-    std::vector<uint64_t> counts(num_morsels, 0);
-    ForEachMorsel(num_morsels, [&](size_t m) {
-      morsel(m * morsel_tuples, std::min(total, (m + 1) * morsel_tuples),
-             nullptr, &counts[m]);
-    });
-    for (uint64_t c : counts) *count_out += c;
-  }
-}
-
-Status Executor::ExecuteScan(const PlanNode& plan, Ctx& ctx,
-                             TupleSet* out) const {
-  const Table* table = db_.TableById(plan.table_id);
-  if (table == nullptr) {
-    return Status::NotFound(
-        StrFormat("scan of unknown table id %d", plan.table_id));
-  }
-  CARDBENCH_RETURN_IF_ERROR(CheckFilters(db_, plan));
-  // The first filter of an index scan must be an equality served by the
-  // index.
-  if (plan.scan_method == ScanMethod::kIndexScan &&
-      (plan.filters.empty() || plan.filters[0].op != CompareOp::kEq)) {
-    return Status::InvalidArgument(
-        "index scan requires a leading equality filter on " + table->name());
-  }
-  out->table_ids = {plan.table_id};
-  out->data.clear();
-  Budget budget{&ctx.watch, ctx.limits, &ctx.timed_out};
-  if (!budget.CheckTime()) return Status::OK();
-
-  if (plan.scan_method == ScanMethod::kIndexScan) {
-    const CompiledPredicate& key = plan.filters[0];
-    const std::span<const uint32_t> postings =
-        table->GetIndex(static_cast<size_t>(key.column_id)).Lookup(key.value);
-    const auto rest =
-        std::span<const CompiledPredicate>(plan.filters).subspan(1);
-    // The posting list scales with input size: refine it in budget-checked
-    // batches so a huge list cannot blow past the wall clock. It also
-    // bounds the output, so the output never regrows.
-    const size_t batch = options_.batch_size;
-    size_t since_check = 0;
-    out->data.reserve(postings.size());
-    for (size_t lo = 0; lo < postings.size(); lo += batch) {
-      const size_t hi = std::min(postings.size(), lo + batch);
-      if (since_check >= kBudgetCheckInterval) {
-        since_check = 0;
-        if (!budget.CheckTime()) return Status::OK();
-      }
-      const size_t base = out->data.size();
-      out->data.insert(out->data.end(), postings.begin() + lo,
-                       postings.begin() + hi);
-      if (!rest.empty()) {
-        size_t kept = hi - lo;
-        for (const auto& p : rest) {
-          if (kept == 0) break;
-          kept = p.column->FilterRows(out->data.data() + base, kept, p.op,
-                                      p.value);
-        }
-        out->data.resize(base + kept);
-      }
-      since_check += hi - lo;
-    }
-    return Status::OK();
-  }
-
-  const size_t n = table->num_rows();
-  const size_t morsel_rows = std::max(options_.batch_size, kScanMorselRows);
-  const size_t num_morsels = n == 0 ? 0 : (n + morsel_rows - 1) / morsel_rows;
-  if (pool_ == nullptr || num_morsels <= 1) {
-    for (size_t m = 0; m < num_morsels; ++m) {
-      if (!budget.CheckTime()) return Status::OK();
-      ScanRange(plan.filters, m * morsel_rows,
-                std::min(n, (m + 1) * morsel_rows), options_.batch_size,
-                budget, &out->data);
-    }
-    return Status::OK();
-  }
-  // Morsel output batches concatenated in morsel order: row ids come out
-  // ascending, exactly as in the serial scan.
-  std::vector<RowBatch> parts(num_morsels);
-  ForEachMorsel(num_morsels, [&](size_t m) {
-    if (!budget.CheckTime()) return;
-    ScanRange(plan.filters, m * morsel_rows,
-              std::min(n, (m + 1) * morsel_rows), options_.batch_size, budget,
-              &parts[m].sel);
-  });
-  if (ctx.TimedOut()) return Status::OK();
-  size_t total = 0;
-  for (const auto& part : parts) total += part.size();
-  out->data.reserve(total);
-  for (const auto& part : parts) {
-    out->data.insert(out->data.end(), part.sel.begin(), part.sel.end());
-  }
-  return Status::OK();
-}
-
-Status Executor::ExecuteJoin(const PlanNode& plan, Ctx& ctx, TupleSet* out,
-                             uint64_t* count) const {
-  TupleSet left;
-  CARDBENCH_RETURN_IF_ERROR(ExecuteNode(*plan.left, ctx, &left));
-  if (ctx.TimedOut()) return Status::OK();
-  Budget budget{&ctx.watch, ctx.limits, &ctx.timed_out};
-  EmitCap cap(ctx.limits->max_intermediate_tuples, budget);
-
-  // Index-nested-loop: the inner side is a base table accessed through its
-  // join-column index; it is never materialized.
-  if (plan.join_method == JoinMethod::kIndexNestLoop) {
-    IndexJoinSetup setup;
-    CARDBENCH_RETURN_IF_ERROR(SetupIndexJoin(db_, plan, left, &setup));
-    if (out != nullptr) {
-      out->table_ids = left.table_ids;
-      out->table_ids.push_back(plan.right->table_id);
-    }
-    const bool exact = setup.inner_filters.empty() && setup.refs.extra.empty();
-    RunProbeMorsels(
-        left.size(), ctx, out, count,
-        [&](size_t lo, size_t hi, std::vector<uint32_t>* dst, uint64_t* cnt) {
-          CountOrEmit(left, nullptr, exact, budget, &cap, dst, cnt,
-                      [&](JoinEmitter* emit, uint64_t* c, bool primary_only) {
-                        IndexProbeMorsel(left, setup, options_.batch_size, lo,
-                                         hi, budget, primary_only, emit, c);
-                      });
-        });
-    return Status::OK();
-  }
-
-  TupleSet right;
-  CARDBENCH_RETURN_IF_ERROR(ExecuteNode(*plan.right, ctx, &right));
-  if (ctx.TimedOut()) return Status::OK();
-  EdgeRefs refs;
-  CARDBENCH_RETURN_IF_ERROR(
-      ResolveEdges(db_, plan, left.table_ids, right.table_ids, &refs));
-  if (out != nullptr) {
-    out->table_ids = left.table_ids;
-    out->table_ids.insert(out->table_ids.end(), right.table_ids.begin(),
-                          right.table_ids.end());
-  }
-
-  if (plan.join_method == JoinMethod::kHashJoin) {
-    // Build on the right (inner) side, probe with the left.
-    TupleKeySource source(right, refs.rkey);
-    JoinHashConfig config;
-    config.batch_size = options_.batch_size;
-    JoinHashTable ht;
-    const bool built = ht.Build(
-        source, right.size(), config,
-        [this](size_t n, const std::function<void(size_t)>& fn) {
-          ForEachMorsel(n, fn);
-        },
-        [&budget] { return budget.CheckTime(); });
-    if (!built || ctx.TimedOut()) return Status::OK();
-    RunProbeMorsels(
-        left.size(), ctx, out, count,
-        [&](size_t lo, size_t hi, std::vector<uint32_t>* dst, uint64_t* cnt) {
-          CountOrEmit(left, &right, refs.extra.empty(), budget, &cap, dst, cnt,
-                      [&](JoinEmitter* emit, uint64_t* c, bool primary_only) {
-                        RadixProbeMorsel(left, right, refs.lkey, ht,
-                                         refs.extra, options_.batch_size, lo,
-                                         hi, budget, primary_only, emit, c);
-                      });
-        });
-    return Status::OK();
-  }
-
-  // Merge join: sort both inputs by key (NULLs dropped), then walk equal
-  // runs, emitting or counting their cross products. Counts agree across
-  // join algorithms, but the root's method still matters for timing: merge
-  // join pays the sort, hash join the build.
-  const auto lkeys = SortedKeys(left, refs.lkey, options_.batch_size, budget);
-  const auto rkeys = SortedKeys(right, refs.rkey, options_.batch_size, budget);
-  if (ctx.TimedOut()) return Status::OK();
-  CountOrEmit(left, &right, refs.extra.empty(), budget, &cap,
-              out != nullptr ? &out->data : nullptr, count,
-              [&](JoinEmitter* emit, uint64_t* c, bool primary_only) {
-                MergeRuns(left, right, lkeys, rkeys, refs.extra, budget,
-                          primary_only, emit, c);
-              });
-  return Status::OK();
-}
-
-Status Executor::ExecuteNode(const PlanNode& plan, Ctx& ctx,
-                             TupleSet* out) const {
-  const Status status = plan.IsScan() ? ExecuteScan(plan, ctx, out)
-                                      : ExecuteJoin(plan, ctx, out, nullptr);
-  if (status.ok() && !ctx.TimedOut() && ctx.actual_rows != nullptr) {
-    (*ctx.actual_rows)[plan.table_mask] = static_cast<double>(out->size());
-  }
-  return status;
-}
-
 Result<ExecResult> Executor::ExecuteCount(const PlanNode& plan,
                                           bool analyze) const {
-  Ctx ctx;
-  ctx.limits = &limits_;
-  ExecResult result;
-  if (analyze) ctx.actual_rows = &result.actual_rows;
-  // The root is evaluated count-only: its children are materialized, the
-  // final join streams a match count. A scan root counts its rows.
+  std::unique_ptr<Op> root;
+  CARDBENCH_RETURN_IF_ERROR(Compile(db_, plan, /*count_only=*/true, &root));
+  Run run(*this);
   uint64_t count = 0;
-  if (plan.IsScan()) {
-    TupleSet out;
-    CARDBENCH_RETURN_IF_ERROR(ExecuteScan(plan, ctx, &out));
-    count = out.size();
-  } else {
-    CARDBENCH_RETURN_IF_ERROR(ExecuteJoin(plan, ctx, nullptr, &count));
-  }
+  run.Pipeline(*root, SinkSpec::Count(&count));
+  ExecResult result;
   result.count = count;
-  result.timed_out = ctx.TimedOut();
-  result.elapsed_seconds = ctx.watch.ElapsedSeconds();
-  if (analyze && !result.timed_out) {
-    result.actual_rows[plan.table_mask] = static_cast<double>(count);
-  }
+  const CutOff cut_off = run.budget().cut_off.load(std::memory_order_relaxed);
+  result.timed_out = cut_off != CutOff::kNone;
+  result.cap_exceeded = cut_off == CutOff::kCap;
+  result.elapsed_seconds = run.budget().watch.ElapsedSeconds();
+  if (analyze) CollectActualRows(*root, &result.actual_rows);
   return result;
 }
 
 Result<TupleSet> Executor::Materialize(const PlanNode& plan) const {
-  Ctx ctx;
-  ctx.limits = &limits_;
+  std::unique_ptr<Op> root;
+  CARDBENCH_RETURN_IF_ERROR(Compile(db_, plan, /*count_only=*/false, &root));
+  Run run(*this);
   TupleSet out;
-  CARDBENCH_RETURN_IF_ERROR(ExecuteNode(plan, ctx, &out));
-  if (ctx.TimedOut()) {
+  run.Pipeline(*root, SinkSpec::Tuples(&out));
+  if (run.budget().TimedOut()) {
     return Status::OutOfRange("materialization exceeded execution limits");
   }
   return out;

@@ -2,10 +2,13 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <bit>
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <iterator>
 
@@ -18,7 +21,7 @@ namespace cardbench {
 
 TrueCardService::TrueCardService(const Database& db, ExecLimits limits,
                                  ExecOptions options)
-    : db_(db), executor_(db, limits, options) {}
+    : db_(db), limits_(limits), executor_(db, limits, options) {}
 
 std::unique_ptr<PlanNode> TrueCardService::BuildCountingPlan(
     const QueryGraph& graph, uint64_t mask) const {
@@ -85,19 +88,49 @@ std::unique_ptr<PlanNode> TrueCardService::BuildCountingPlan(
   return plan;
 }
 
-std::optional<double> TrueCardService::Cached(const std::string& key) const {
+namespace {
+
+/// Records that `key`'s counting plan exceeds `cap`: the largest cap a
+/// plan is known to exceed answers for every smaller one.
+void NoteOverCap(const std::string& key, size_t cap,
+                 std::unordered_map<std::string, size_t>* verdicts) {
+  size_t& known = (*verdicts)[key];
+  known = std::max(known, cap);
+}
+
+Status OverCap(const std::string& key, size_t cap) {
+  return Status::OutOfRange(StrFormat(
+      "true-cardinality computation exceeded the intermediate-result cap "
+      "(%zu tuples): %s",
+      cap, key.c_str()));
+}
+
+}  // namespace
+
+std::optional<Result<double>> TrueCardService::Memoized(
+    const std::string& key) const {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = cache_.find(key);
-  if (it == cache_.end()) return std::nullopt;
-  return it->second;
+  if (auto it = cache_.find(key); it != cache_.end()) return it->second;
+  if (auto it = over_cap_.find(key);
+      it != over_cap_.end() && limits_.max_intermediate_tuples <= it->second) {
+    return OverCap(key, it->second);
+  }
+  return std::nullopt;
 }
 
 Result<double> TrueCardService::CountAndMemoize(const std::string& key,
                                                 const PlanNode& plan) {
   CARDBENCH_ASSIGN_OR_RETURN(ExecResult result, executor_.ExecuteCount(plan));
+  if (result.cap_exceeded) {
+    const size_t cap = limits_.max_intermediate_tuples;
+    std::lock_guard<std::mutex> lock(mu_);
+    NoteOverCap(key, cap, &over_cap_);
+    return OverCap(key, cap);
+  }
   if (result.timed_out) {
-    return Status::OutOfRange(
-        "true-cardinality computation exceeded limits: " + key);
+    return Status::OutOfRange(StrFormat(
+        "true-cardinality computation exceeded the time limit (%g s): %s",
+        limits_.timeout_seconds, key.c_str()));
   }
   const double card = static_cast<double>(result.count);
   std::lock_guard<std::mutex> lock(mu_);
@@ -107,7 +140,7 @@ Result<double> TrueCardService::CountAndMemoize(const std::string& key,
 
 Result<double> TrueCardService::Card(const Query& query) {
   const std::string key = query.CanonicalKey();
-  if (const auto card = Cached(key)) return *card;
+  if (auto memo = Memoized(key)) return *memo;
   // Compiled only on a miss: workload generation probes thousands of
   // candidate queries and mostly hits the memo.
   const QueryGraph graph(query, db_);
@@ -116,7 +149,7 @@ Result<double> TrueCardService::Card(const Query& query) {
 
 Result<double> TrueCardService::Card(const QueryGraph& graph, uint64_t mask) {
   const std::string& key = graph.CanonicalKey(mask);
-  if (const auto card = Cached(key)) return *card;
+  if (auto memo = Memoized(key)) return *memo;
   return CountAndMemoize(key, *BuildCountingPlan(graph, mask));
 }
 
@@ -133,52 +166,90 @@ Result<std::unordered_map<uint64_t, double>> TrueCardService::AllSubplanCards(
 void TrueCardService::ImportFrom(const TrueCardService& other) {
   std::scoped_lock lock(mu_, other.mu_);
   for (const auto& [key, card] : other.cache_) cache_[key] = card;
+  for (const auto& [key, cap] : other.over_cap_) {
+    NoteOverCap(key, cap, &over_cap_);
+  }
 }
 
 Status TrueCardService::SaveCache(const std::string& path) const {
-  return AtomicWriteFile(path, [&](std::ostream& out) {
+  CARDBENCH_RETURN_IF_ERROR(AtomicWriteFile(path, [&](std::ostream& out) {
     std::lock_guard<std::mutex> lock(mu_);
     for (const auto& [key, card] : cache_) {
       out << key << '\t' << StrFormat("%.17g", card) << '\n';
     }
     return Status::OK();
+  }));
+  return AtomicWriteFile(VerdictPath(path), [&](std::ostream& out) {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (const auto& [key, cap] : over_cap_) out << key << '\t' << cap << '\n';
+    return Status::OK();
   });
 }
 
-Status TrueCardService::LoadCache(const std::string& path) {
+namespace {
+
+/// Parses a memo file of "key<TAB>value" lines through `parse_value`
+/// (false for a malformed value) into `*out`. Every line SaveCache writes
+/// ends in '\n', so a missing final newline means a torn file.
+template <typename T, typename Parse>
+Status ParseMemoFile(const std::string& path, const Parse& parse_value,
+                     std::unordered_map<std::string, T>* out) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return Status::IOError("cannot open " + path);
   const std::string contents((std::istreambuf_iterator<char>(in)),
                              std::istreambuf_iterator<char>());
-  // Parse everything before touching the memo: one bad line rejects the
-  // whole file. Every line SaveCache writes ends in '\n', so a missing
-  // final newline means a torn file.
-  std::unordered_map<std::string, double> loaded;
   size_t begin = 0;
   for (size_t line_no = 1; begin < contents.size(); ++line_no) {
-    const auto malformed = [&] {
-      return Status::InvalidArgument(
-          StrFormat("malformed true-cardinality cache line %zu in %s",
-                    line_no, path.c_str()));
-    };
     const size_t end = contents.find('\n', begin);
-    if (end == std::string::npos) return malformed();
-    const std::string line = contents.substr(begin, end - begin);
+    const std::string line = contents.substr(
+        begin, end == std::string::npos ? std::string::npos : end - begin);
     const size_t tab = line.rfind('\t');
-    if (tab == std::string::npos || tab == 0 || tab + 1 == line.size()) {
-      return malformed();
+    T value{};
+    if (end == std::string::npos || tab == std::string::npos || tab == 0 ||
+        tab + 1 == line.size() || !parse_value(line.c_str() + tab + 1,
+                                               line.c_str() + line.size(),
+                                               &value)) {
+      return Status::InvalidArgument(StrFormat(
+          "malformed true-cardinality cache line %zu in %s", line_no,
+          path.c_str()));
     }
-    char* parsed_end = nullptr;
-    const double card = std::strtod(line.c_str() + tab + 1, &parsed_end);
-    if (parsed_end != line.c_str() + line.size() || !std::isfinite(card) ||
-        card < 0.0) {
-      return malformed();
-    }
-    loaded[line.substr(0, tab)] = card;
+    (*out)[line.substr(0, tab)] = value;
     begin = end + 1;
   }
+  return Status::OK();
+}
+
+}  // namespace
+
+Status TrueCardService::LoadCache(const std::string& path) {
+  // Parse everything before touching the memo: one bad line in either file
+  // rejects both.
+  std::unordered_map<std::string, double> cards;
+  CARDBENCH_RETURN_IF_ERROR(ParseMemoFile<double>(
+      path,
+      [](const char* text, const char* end, double* card) {
+        char* parsed_end = nullptr;
+        *card = std::strtod(text, &parsed_end);
+        return parsed_end == end && std::isfinite(*card) && *card >= 0.0;
+      },
+      &cards));
+  std::unordered_map<std::string, size_t> verdicts;
+  if (std::filesystem::exists(VerdictPath(path))) {
+    CARDBENCH_RETURN_IF_ERROR(ParseMemoFile<size_t>(
+        VerdictPath(path),
+        [](const char* text, const char* end, size_t* cap) {
+          if (*text < '0' || *text > '9') return false;
+          char* parsed_end = nullptr;
+          errno = 0;
+          const unsigned long long value = std::strtoull(text, &parsed_end, 10);
+          *cap = static_cast<size_t>(value);
+          return parsed_end == end && errno == 0;
+        },
+        &verdicts));
+  }
   std::lock_guard<std::mutex> lock(mu_);
-  for (auto& [key, card] : loaded) cache_[key] = card;
+  for (auto& [key, card] : cards) cache_[key] = card;
+  for (const auto& [key, cap] : verdicts) NoteOverCap(key, cap, &over_cap_);
   return Status::OK();
 }
 

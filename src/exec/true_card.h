@@ -27,9 +27,13 @@ class TrueCardService {
   /// Exact COUNT(*) of `query` (which may be a sub-plan query). Cached by
   /// the query's canonical key; the query is compiled into a QueryGraph
   /// only on a miss. Returns OutOfRange if execution exceeded the
-  /// (generous) limits. Thread-safe: the memo table is synchronized, and an
-  /// uncached execution serializes callers (the harness precomputes all
-  /// workload sub-plans, so the concurrent paths hit the memo).
+  /// (generous) limits. A run cut off by the intermediate-result cap is
+  /// memoized too, as a verdict with the cap it exceeded: it answers,
+  /// without executing, every later call on a service whose cap is no
+  /// larger. A run cut off by the wall clock is not memoized. Thread-safe:
+  /// the memo tables are synchronized, and an uncached execution serializes
+  /// callers (the harness precomputes all workload sub-plans, so the
+  /// concurrent paths hit the memo).
   Result<double> Card(const Query& query);
 
   /// Exact COUNT(*) of the sub-plan of `graph` selected by the connected
@@ -49,20 +53,35 @@ class TrueCardService {
   std::unique_ptr<PlanNode> BuildCountingPlan(const QueryGraph& graph,
                                               uint64_t mask) const;
 
-  /// Persists / restores the memo table (one "key<TAB>card" line per entry)
-  /// so repeated bench runs skip recomputation. SaveCache replaces the file
-  /// atomically (processes sharing a cache directory may be loading it).
-  /// LoadCache rejects a file with any malformed line, loading nothing.
+  /// Persists / restores the memo tables so repeated bench runs skip
+  /// recomputation: cardinalities in `path` (one "key<TAB>card" line per
+  /// entry), cap verdicts beside it in VerdictPath(path) (one
+  /// "key<TAB>cap" line per entry). SaveCache replaces both files
+  /// atomically (processes sharing a cache directory may be loading them).
+  /// LoadCache rejects the files if either has any malformed line, loading
+  /// nothing; a missing verdict file loads no verdicts.
   Status SaveCache(const std::string& path) const;
   Status LoadCache(const std::string& path);
 
-  /// Copies every memoized cardinality from `other` (used to transfer
-  /// results computed under different execution limits).
+  /// The verdict file beside the cardinality cache `path`. A separate file,
+  /// so that code reading only cardinalities reads `path` unchanged.
+  static std::string VerdictPath(const std::string& path) {
+    return path + ".over_cap";
+  }
+
+  /// Copies every memoized cardinality and cap verdict from `other` (used
+  /// to transfer results computed under different execution limits).
   void ImportFrom(const TrueCardService& other);
 
   size_t cache_size() const {
     std::lock_guard<std::mutex> lock(mu_);
     return cache_.size();
+  }
+
+  /// Number of memoized cap verdicts.
+  size_t verdict_count() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return over_cap_.size();
   }
 
   const Database& db() const { return db_; }
@@ -75,14 +94,21 @@ class TrueCardService {
   }
 
  private:
-  std::optional<double> Cached(const std::string& key) const;
-  /// Executes `plan` and memoizes its count under `key`.
+  /// The memoized answer for `key`: its cardinality, or the OutOfRange of
+  /// a cap verdict that answers this service; nullopt if neither.
+  std::optional<Result<double>> Memoized(const std::string& key) const;
+  /// Executes `plan` and memoizes its count, or its cap verdict, under
+  /// `key`.
   Result<double> CountAndMemoize(const std::string& key, const PlanNode& plan);
 
   const Database& db_;
+  ExecLimits limits_;
   Executor executor_;
   mutable std::mutex mu_;
   std::unordered_map<std::string, double> cache_;
+  /// Cap verdicts: key → the largest max_intermediate_tuples its counting
+  /// plan is known to exceed.
+  std::unordered_map<std::string, size_t> over_cap_;
 };
 
 }  // namespace cardbench

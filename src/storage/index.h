@@ -10,14 +10,87 @@
 
 namespace cardbench {
 
+/// Growable linear-probe table from key to a count: one slot per distinct
+/// key at load factor <= 1/2, doubled when a new key would pass it. `SlotT`
+/// has a Value `key` and an unsigned `count`; count == 0 marks an empty
+/// slot. HashIndex counts each value's rows here before laying out its
+/// postings; the executor's count-only root hash join aggregates its build
+/// side here instead of building postings.
+template <typename SlotT>
+class KeyCountTable {
+ public:
+  using Count = decltype(SlotT::count);
+
+  KeyCountTable() : slots_(kMinSlots), mask_(kMinSlots - 1) {}
+
+  /// Adds `n` (> 0) to the count of `key`.
+  void Add(Value key, Count n = 1) {
+    size_t slot = SlotOf(key);
+    if (slots_[slot].count == 0) {
+      if (2 * (num_distinct_ + 1) > slots_.size()) {
+        Grow();
+        slot = SlotOf(key);
+      }
+      slots_[slot].key = key;
+      ++num_distinct_;
+    }
+    slots_[slot].count += n;
+  }
+
+  /// The count of `key`; 0 if it was never added.
+  Count Get(Value key) const { return slots_[SlotOf(key)].count; }
+
+  /// Adds every count of `other` to this table.
+  void Merge(const KeyCountTable& other) {
+    for (const SlotT& s : other.slots_) {
+      if (s.count != 0) Add(s.key, s.count);
+    }
+  }
+
+  /// Index of the slot holding `key`, or of the empty slot ending its probe
+  /// chain (load <= 1/2 guarantees one).
+  size_t SlotOf(Value key) const {
+    size_t slot = HashMix64(static_cast<uint64_t>(key)) & mask_;
+    while (slots_[slot].count != 0 && slots_[slot].key != key) {
+      slot = (slot + 1) & mask_;
+    }
+    return slot;
+  }
+
+  size_t num_distinct() const { return num_distinct_; }
+
+  /// The slot array, in probe order. Callers may rewrite payload fields
+  /// other than `key` and `count`.
+  std::vector<SlotT>& slots() { return slots_; }
+  const std::vector<SlotT>& slots() const { return slots_; }
+
+ private:
+  /// Slots of a table with no (or few) keys; a power of two.
+  static constexpr size_t kMinSlots = 16;
+
+  /// Doubles the slot array and re-inserts every occupied slot.
+  void Grow() {
+    std::vector<SlotT> old(2 * slots_.size());
+    old.swap(slots_);
+    mask_ = slots_.size() - 1;
+    for (const SlotT& s : old) {
+      if (s.count != 0) slots_[SlotOf(s.key)] = s;
+    }
+  }
+
+  std::vector<SlotT> slots_;
+  size_t mask_;
+  size_t num_distinct_ = 0;
+};
+
 /// Hash index from column value to the ascending list of row ids holding
 /// it. NULLs are not indexed (SQL equi-join semantics: NULL joins nothing).
 /// Used by index scans, index-nested-loop joins, wander-join sampling and
 /// fanout-column construction.
 ///
 /// The layout is the join hash table's (exec/join_hash.h) without its
-/// partitions and tags: one linear-probe array of (key, offset, count)
-/// slots, one per distinct value, at load factor <= 1/2, over one
+/// partitions and tags: one KeyCountTable of (key, offset, count) slots,
+/// one per distinct value, at load factor <= 1/2, over one
 /// contiguous postings array holding each value's rows as a run in
 /// ascending row order. A lookup hashes the key with the shared finalizer
 /// (common/hash.h), walks to its slot and returns the run as a span: no
@@ -30,13 +103,13 @@ class HashIndex {
   /// Row ids whose value equals `v`, ascending (empty if none). The span
   /// stays valid for the index's lifetime.
   std::span<const uint32_t> Lookup(Value v) const {
-    const Slot& s = slots_[SlotOf(v)];
+    const Slot& s = counts_.slots()[counts_.SlotOf(v)];
     if (s.count == 0) return {};
     return {rows_.data() + s.offset, s.count};
   }
 
   /// Number of distinct indexed values.
-  size_t num_distinct() const { return num_distinct_; }
+  size_t num_distinct() const { return counts_.num_distinct(); }
 
   /// Total indexed (non-NULL) entries.
   size_t num_entries() const { return rows_.size(); }
@@ -46,7 +119,7 @@ class HashIndex {
   /// order-insensitive.
   template <typename Fn>
   void ForEachKey(Fn&& fn) const {
-    for (const Slot& s : slots_) {
+    for (const Slot& s : counts_.slots()) {
       if (s.count != 0) {
         fn(s.key, std::span<const uint32_t>(rows_.data() + s.offset, s.count));
       }
@@ -62,23 +135,8 @@ class HashIndex {
     uint32_t count = 0;
   };
 
-  /// Index of the slot holding `v`, or of the empty slot ending its probe
-  /// chain (load <= 1/2 guarantees one).
-  size_t SlotOf(Value v) const {
-    size_t slot = HashMix64(static_cast<uint64_t>(v)) & mask_;
-    while (slots_[slot].count != 0 && slots_[slot].key != v) {
-      slot = (slot + 1) & mask_;
-    }
-    return slot;
-  }
-
-  /// Doubles the slot array and re-inserts every occupied slot.
-  void Grow();
-
-  std::vector<Slot> slots_;
+  KeyCountTable<Slot> counts_;
   std::vector<uint32_t> rows_;
-  size_t mask_ = 0;
-  size_t num_distinct_ = 0;
 };
 
 }  // namespace cardbench

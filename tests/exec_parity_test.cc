@@ -27,11 +27,12 @@ constexpr size_t kMultiMorselRows = 60000;
 /// outputs are concatenated in morsel order) — and the hash join must
 /// match a nested-loop join written in this file.
 ///
-/// Two fixtures: STATS at scale 0.01 (real schema and data, but every scan,
-/// probe and build input fits in one morsel), and a synthetic two-table
+/// Three fixtures: STATS at scale 0.01 (real schema and data, but every
+/// scan, probe and build input fits in one morsel), a synthetic two-table
 /// database whose scan, probe and build inputs each span at least three
 /// morsels, so multi-thread runs take the executor's parallel scan, build
-/// and probe branches and their morsel-order concatenation.
+/// and probe branches and their morsel-order concatenation, and a
+/// synthetic four-table database for multi-join pipelines.
 class ExecParityTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
@@ -39,12 +40,15 @@ class ExecParityTest : public ::testing::Test {
     config.scale = 0.01;
     db_ = GenerateStatsDatabase(config).release();
     multi_morsel_db_ = MakeMultiMorselDatabase().release();
+    chain_db_ = MakeChainDatabase().release();
   }
   static void TearDownTestSuite() {
     delete db_;
     db_ = nullptr;
     delete multi_morsel_db_;
     multi_morsel_db_ = nullptr;
+    delete chain_db_;
+    chain_db_ = nullptr;
   }
 
   /// r(k, v, w) and s(k, f, w), kMultiMorselRows rows each. Join keys k
@@ -81,6 +85,59 @@ class ExecParityTest : public ::testing::Test {
       CARDBENCH_CHECK(
           s->AppendRow({key(), bernoulli(60), uniform(4)}).ok(),
           "append s");
+    }
+    return db;
+  }
+
+  /// A hub table and three dimension tables for multi-join pipelines. Every
+  /// join key repeats (duplicate keys fan out) and has NULLs on both sides:
+  ///   hub(a, b, v, w): 20000 rows; a ~ [0, 2000) → d1.k, b ~ [0, 1000) →
+  ///     d2.k, v ~ [0, 100) for filters, w ~ [0, 4) for extra edges.
+  ///   d1(k, c, x, w): 2000 rows; k ~ [0, 1800), c ~ [0, 500) → d3.k.
+  ///   d2(k, y, w): 1500 rows; k ~ [0, 1000), y ~ [0, 10).
+  ///   d3(k, z, w): 600 rows; k ~ [0, 500), z ~ [0, 10).
+  /// The hub's filtered scans span several probe morsels, so parallel runs
+  /// stream chains over more morsels than threads after a materialized
+  /// prefix.
+  static std::unique_ptr<Database> MakeChainDatabase() {
+    auto db = std::make_unique<Database>("chains");
+    std::mt19937_64 rng(2014);
+    auto key = [&rng](uint64_t n) -> std::optional<Value> {
+      if (rng() % 40 == 0) return std::nullopt;
+      return static_cast<Value>(rng() % n);
+    };
+    auto uniform = [&rng](uint64_t n) -> std::optional<Value> {
+      return static_cast<Value>(rng() % n);
+    };
+    auto add = [&db](const char* name,
+                     std::initializer_list<const char*> columns) {
+      Table* table = db->AddTable(name).value();
+      for (const char* column : columns) {
+        CARDBENCH_CHECK(table->AddColumn(column, ColumnKind::kNumeric).ok(),
+                        "add %s.%s", name, column);
+      }
+      return table;
+    };
+    Table* hub = add("hub", {"a", "b", "v", "w"});
+    Table* d1 = add("d1", {"k", "c", "x", "w"});
+    Table* d2 = add("d2", {"k", "y", "w"});
+    Table* d3 = add("d3", {"k", "z", "w"});
+    auto append = [](Table* table, std::vector<std::optional<Value>> row) {
+      CARDBENCH_CHECK(table->AppendRow(row).ok(), "append %s",
+                      table->name().c_str());
+    };
+    // Braced-list elements are evaluated in order: deterministic rows.
+    for (int i = 0; i < 20000; ++i) {
+      append(hub, {key(2000), key(1000), uniform(100), uniform(4)});
+    }
+    for (int i = 0; i < 2000; ++i) {
+      append(d1, {key(1800), key(500), uniform(10), uniform(4)});
+    }
+    for (int i = 0; i < 1500; ++i) {
+      append(d2, {key(1000), uniform(10), uniform(4)});
+    }
+    for (int i = 0; i < 600; ++i) {
+      append(d3, {key(500), uniform(10), uniform(4)});
     }
     return db;
   }
@@ -147,67 +204,185 @@ class ExecParityTest : public ::testing::Test {
     return join;
   }
 
+  /// A join of `left` and `right` on `edge` (names in `db`), with the
+  /// extra edges `extra`.
+  static std::unique_ptr<PlanNode> Join(const Database& db, JoinMethod method,
+                                        const JoinEdge& edge,
+                                        std::unique_ptr<PlanNode> left,
+                                        std::unique_ptr<PlanNode> right,
+                                        const std::vector<JoinEdge>& extra = {}) {
+    auto join = std::make_unique<PlanNode>();
+    join->type = PlanNode::Type::kJoin;
+    join->join_method = method;
+    join->edge = Edge(db, edge);
+    for (const JoinEdge& e : extra) join->extra_edges.push_back(Edge(db, e));
+    join->table_mask = left->table_mask | right->table_mask;
+    join->left = std::move(left);
+    join->right = std::move(right);
+    return join;
+  }
+
+  static std::unique_ptr<PlanNode> ChainScan(
+      const std::string& table, const std::vector<Predicate>& filters,
+      uint64_t mask) {
+    return Scan(*chain_db_, table, ScanMethod::kSeqScan, filters, mask);
+  }
+
+  /// hub ⋈ d1 ⋈ d2 ⋈ d3 as three index nested loops: d2 carries the inner
+  /// filter d2.y < 6, d3 joins on d1.c with the extra edge hub.w = d3.w.
+  static std::unique_ptr<PlanNode> IndexChainPlan() {
+    const Database& db = *chain_db_;
+    auto j1 = Join(db, JoinMethod::kIndexNestLoop, {"hub", "a", "d1", "k"},
+                   ChainScan("hub", {{"hub", "v", CompareOp::kLt, 60}}, 1),
+                   ChainScan("d1", {}, 2));
+    auto j2 = Join(db, JoinMethod::kIndexNestLoop, {"hub", "b", "d2", "k"},
+                   std::move(j1),
+                   ChainScan("d2", {{"d2", "y", CompareOp::kLt, 6}}, 4));
+    return Join(db, JoinMethod::kIndexNestLoop, {"d1", "c", "d3", "k"},
+                std::move(j2), ChainScan("d3", {}, 8),
+                {{"hub", "w", "d3", "w"}});
+  }
+
+  /// (hub ⋈ (d1 ⋈ d3)) ⋈ d2 as hash joins: the first join's build side is
+  /// itself a join. `root_extra` gives the root the extra edge
+  /// hub.w = d2.w.
+  static std::unique_ptr<PlanNode> HashChainPlan(bool root_extra) {
+    const Database& db = *chain_db_;
+    auto build = Join(db, JoinMethod::kHashJoin, {"d1", "c", "d3", "k"},
+                      ChainScan("d1", {{"d1", "x", CompareOp::kLt, 8}}, 2),
+                      ChainScan("d3", {}, 8));
+    auto j1 = Join(db, JoinMethod::kHashJoin, {"hub", "a", "d1", "k"},
+                   ChainScan("hub", {{"hub", "v", CompareOp::kLt, 60}}, 1),
+                   std::move(build));
+    std::vector<JoinEdge> extra;
+    if (root_extra) extra.push_back({"hub", "w", "d2", "w"});
+    return Join(db, JoinMethod::kHashJoin, {"hub", "b", "d2", "k"},
+                std::move(j1), ChainScan("d2", {}, 4), extra);
+  }
+
+  /// (hub ⋈ d1) as a merge join, then a hash join with d2 (filtered) and an
+  /// index nested loop with d3: a merge join as a pipeline's source.
+  static std::unique_ptr<PlanNode> MergeChainPlan() {
+    const Database& db = *chain_db_;
+    auto merge = Join(db, JoinMethod::kMergeJoin, {"hub", "a", "d1", "k"},
+                      ChainScan("hub", {{"hub", "v", CompareOp::kLt, 60}}, 1),
+                      ChainScan("d1", {}, 2));
+    auto j2 = Join(db, JoinMethod::kHashJoin, {"hub", "b", "d2", "k"},
+                   std::move(merge),
+                   ChainScan("d2", {{"d2", "y", CompareOp::kLt, 6}}, 4));
+    return Join(db, JoinMethod::kIndexNestLoop, {"d1", "c", "d3", "k"},
+                std::move(j2), ChainScan("d3", {}, 8));
+  }
+
   static Database* db_;
   static Database* multi_morsel_db_;
+  static Database* chain_db_;
 };
 
 Database* ExecParityTest::db_ = nullptr;
 Database* ExecParityTest::multi_morsel_db_ = nullptr;
+Database* ExecParityTest::chain_db_ = nullptr;
 
-/// Reference hash join: a nested loop over the materialized scan inputs of
-/// the two-leaf `plan`, whose edges have the left leaf's table on their
-/// left. For every probe (left) tuple in order it emits every build (right)
-/// tuple, in ascending order, whose primary and extra edge columns are all
-/// non-NULL and equal — the (probe tuple, ascending build row) order the
-/// hash join promises. Returns the combined tuples' row ids, row-major.
-std::vector<uint32_t> NestedLoopJoin(const Database& db,
-                                     const PlanNode& plan) {
-  Executor leaves(db);
-  const TupleSet left = leaves.Materialize(*plan.left).value();
-  const TupleSet right = leaves.Materialize(*plan.right).value();
-  // Each edge endpoint's value per input tuple, gathered once; NULL stays
-  // nullopt, and nullopt never equals a value.
-  auto gather = [&db](const TupleSet& ts, CatalogColumn ref) {
-    const Column& col = *db.ColumnById(ref.table_id, ref.column_id);
-    std::vector<std::optional<Value>> values(ts.size());
-    for (size_t t = 0; t < ts.size(); ++t) {
-      if (col.IsValid(ts.Row(t, 0))) values[t] = col.Get(ts.Row(t, 0));
+/// Reference evaluation of any plan: nested loops over the reference
+/// outputs of each join's inputs (an index nested loop's inner side is its
+/// filtered base table), emitting for every outer tuple in order every
+/// inner tuple, in order, whose primary and extra edge columns are all
+/// non-NULL and equal — the (outer tuple, ascending inner tuple) order the
+/// hash and index-nested-loop joins promise. No hashing, no index.
+TupleSet ReferenceJoin(const Database& db, const PlanNode& plan) {
+  if (plan.IsScan()) {
+    TupleSet out;
+    out.table_ids = {plan.table_id};
+    const Table& table = *db.TableById(plan.table_id);
+    for (uint32_t row = 0; row < table.num_rows(); ++row) {
+      if (RowPassesCompiled(plan.filters, row)) out.data.push_back(row);
     }
-    return values;
+    return out;
+  }
+  const TupleSet left = ReferenceJoin(db, *plan.left);
+  TupleSet right;
+  if (plan.join_method == JoinMethod::kIndexNestLoop) {
+    PlanNode inner;
+    inner.table_id = plan.right->table_id;
+    inner.filters = plan.right->filters;
+    right = ReferenceJoin(db, inner);
+  } else {
+    right = ReferenceJoin(db, *plan.right);
+  }
+  // Each edge endpoint's value per input tuple; NULL stays nullopt.
+  auto values = [&db](const TupleSet& ts, CatalogColumn ref) {
+    const auto it =
+        std::find(ts.table_ids.begin(), ts.table_ids.end(), ref.table_id);
+    std::vector<std::optional<Value>> out(ts.size());
+    if (it == ts.table_ids.end()) return out;
+    const size_t component = static_cast<size_t>(it - ts.table_ids.begin());
+    const Column& col = *db.ColumnById(ref.table_id, ref.column_id);
+    for (size_t t = 0; t < ts.size(); ++t) {
+      const uint32_t row = ts.Row(t, component);
+      if (col.IsValid(row)) out[t] = col.Get(row);
+    }
+    return out;
   };
+  std::vector<std::vector<std::optional<Value>>> lvals, rvals;
   std::vector<PlanEdge> edges = {plan.edge};
   edges.insert(edges.end(), plan.extra_edges.begin(), plan.extra_edges.end());
-  std::vector<std::vector<std::optional<Value>>> lvals, rvals;
   for (const PlanEdge& e : edges) {
-    lvals.push_back(gather(left, e.left));
-    rvals.push_back(gather(right, e.right));
+    const bool flip = std::find(left.table_ids.begin(), left.table_ids.end(),
+                                e.left.table_id) == left.table_ids.end();
+    lvals.push_back(values(left, flip ? e.right : e.left));
+    rvals.push_back(values(right, flip ? e.left : e.right));
   }
-  // The build tuples with a non-NULL primary key, ascending, with their
+  // The inner tuples with a non-NULL primary key, ascending, with their
   // keys in a flat array: the inner loop's only per-iteration load.
-  std::vector<Value> build_keys;
-  std::vector<size_t> build_tuples;
+  std::vector<Value> inner_keys;
+  std::vector<size_t> inner_tuples;
   for (size_t r = 0; r < right.size(); ++r) {
     if (!rvals[0][r].has_value()) continue;
-    build_keys.push_back(*rvals[0][r]);
-    build_tuples.push_back(r);
+    inner_keys.push_back(*rvals[0][r]);
+    inner_tuples.push_back(r);
   }
-  std::vector<uint32_t> out;
+  TupleSet out;
+  out.table_ids = left.table_ids;
+  out.table_ids.insert(out.table_ids.end(), right.table_ids.begin(),
+                       right.table_ids.end());
   for (size_t l = 0; l < left.size(); ++l) {
     if (!lvals[0][l].has_value()) continue;
     const Value key = *lvals[0][l];
-    for (size_t j = 0; j < build_keys.size(); ++j) {
-      if (build_keys[j] != key) continue;
-      const size_t r = build_tuples[j];
+    for (size_t j = 0; j < inner_keys.size(); ++j) {
+      if (inner_keys[j] != key) continue;
+      const size_t r = inner_tuples[j];
       bool match = true;
       for (size_t e = 1; e < edges.size() && match; ++e) {
-        match = lvals[e][l].has_value() && rvals[e][r] == lvals[e][l];
+        match = lvals[e][l].has_value() && lvals[e][l] == rvals[e][r];
       }
       if (!match) continue;
-      out.push_back(left.Row(l, 0));
-      out.push_back(right.Row(r, 0));
+      for (size_t c = 0; c < left.arity(); ++c) {
+        out.data.push_back(left.Row(l, c));
+      }
+      for (size_t c = 0; c < right.arity(); ++c) {
+        out.data.push_back(right.Row(r, c));
+      }
     }
   }
   return out;
+}
+
+/// A TupleSet's tuples, sorted: its contents as a multiset.
+std::vector<std::vector<uint32_t>> SortedTuples(const TupleSet& ts) {
+  std::vector<std::vector<uint32_t>> tuples;
+  for (size_t t = 0; t < ts.size(); ++t) {
+    tuples.emplace_back(ts.data.begin() + t * ts.arity(),
+                        ts.data.begin() + (t + 1) * ts.arity());
+  }
+  std::sort(tuples.begin(), tuples.end());
+  return tuples;
+}
+
+/// Every node of `plan`, root first.
+void CollectNodes(const PlanNode& plan, std::vector<const PlanNode*>* out) {
+  out->push_back(&plan);
+  if (plan.left != nullptr) CollectNodes(*plan.left, out);
+  if (plan.right != nullptr) CollectNodes(*plan.right, out);
 }
 
 constexpr JoinMethod kJoinMethods[] = {
@@ -413,7 +588,7 @@ TEST_F(ExecParityTest, IndexAndMergeJoinsMatchNestedLoopReference) {
         plan->extra_edges = {Edge(*multi_morsel_db_, {"r", "w", "s", "w"})};
       }
       const std::vector<uint32_t> expected =
-          NestedLoopJoin(*multi_morsel_db_, *plan);
+          ReferenceJoin(*multi_morsel_db_, *plan).data;
       ASSERT_GT(expected.size(), 0u);
       for (size_t threads : {size_t{1}, size_t{4}}) {
         for (size_t batch : {size_t{7}, size_t{1024}}) {
@@ -449,7 +624,7 @@ TEST_F(ExecParityTest, RadixJoinBitIdenticalToLegacyAcrossConfigs) {
   for (ScanMethod sm : kScanMethods) {
     const auto plan = MultiMorselPlan(JoinMethod::kHashJoin, sm);
     const std::vector<uint32_t> expected =
-        NestedLoopJoin(*multi_morsel_db_, *plan);
+        ReferenceJoin(*multi_morsel_db_, *plan).data;
     ASSERT_GT(expected.size(), 0u);
     for (size_t threads : {size_t{1}, size_t{4}}) {
       for (size_t batch : {size_t{7}, size_t{1024}}) {
@@ -479,7 +654,7 @@ TEST_F(ExecParityTest, ExtraEdgesAgreeAcrossJoinImpls) {
   auto plan = MultiMorselPlan(JoinMethod::kHashJoin, ScanMethod::kSeqScan);
   plan->extra_edges = {Edge(*multi_morsel_db_, {"r", "w", "s", "w"})};
   const std::vector<uint32_t> expected =
-      NestedLoopJoin(*multi_morsel_db_, *plan);
+      ReferenceJoin(*multi_morsel_db_, *plan).data;
   ASSERT_GT(expected.size(), 0u);
   for (size_t threads : {size_t{1}, size_t{4}}) {
     ExecOptions options;
@@ -514,6 +689,186 @@ TEST_F(ExecParityTest, BudgetCutOffsTripUnderBothJoinImpls) {
     capped.max_intermediate_tuples = 4;
     Executor small(*multi_morsel_db_, capped, options);
     EXPECT_FALSE(small.Materialize(*plan).ok()) << "threads=" << threads;
+  }
+}
+
+// Multi-join pipelines against the nested-loop reference: an index-NL
+// chain with an inner filter and an extra edge, a hash chain whose build
+// side is a join (key-count root and postings root), and a merge join
+// feeding a hash probe and an index nested loop. Hash and index-NL chains
+// must match the reference's tuples in order; a chain over a merge join
+// (which emits in key order) as a multiset.
+TEST_F(ExecParityTest, ChainsMatchNestedLoopReference) {
+  struct Case {
+    const char* name;
+    std::unique_ptr<PlanNode> plan;
+    bool ordered;
+  };
+  std::vector<Case> cases;
+  cases.push_back({"index chain", IndexChainPlan(), true});
+  cases.push_back({"hash chain", HashChainPlan(false), true});
+  cases.push_back({"hash chain +extra", HashChainPlan(true), true});
+  cases.push_back({"merge chain", MergeChainPlan(), false});
+  for (const Case& c : cases) {
+    const TupleSet expected = ReferenceJoin(*chain_db_, *c.plan);
+    ASSERT_GT(expected.size(), 1000u) << c.name;
+    for (size_t threads : {size_t{1}, size_t{4}}) {
+      for (size_t batch : {size_t{7}, size_t{1024}}) {
+        ExecOptions options;
+        options.num_threads = threads;
+        options.batch_size = batch;
+        Executor exec(*chain_db_, ExecLimits(), options);
+        auto count = exec.ExecuteCount(*c.plan);
+        auto tuples = exec.Materialize(*c.plan);
+        ASSERT_TRUE(count.ok()) << count.status().ToString();
+        ASSERT_TRUE(tuples.ok()) << tuples.status().ToString();
+        const std::string config = std::string(c.name) +
+                                   " threads=" + std::to_string(threads) +
+                                   " batch=" + std::to_string(batch);
+        EXPECT_FALSE(count->timed_out) << config;
+        EXPECT_EQ(count->count, expected.size()) << config;
+        EXPECT_EQ(tuples->table_ids, expected.table_ids) << config;
+        if (c.ordered) {
+          EXPECT_EQ(tuples->data, expected.data) << config;
+        } else {
+          EXPECT_EQ(SortedTuples(*tuples), SortedTuples(expected)) << config;
+        }
+      }
+    }
+  }
+}
+
+// EXPLAIN ANALYZE over the chains: identical serially and in parallel, one
+// entry per node that runs (an index nested loop's inner side never
+// does), and each non-root node's actual rows equal to the size of its
+// sub-plan's materialization.
+TEST_F(ExecParityTest, ChainActualRowsMatchSubplans) {
+  ExecOptions parallel;
+  parallel.num_threads = 4;
+  Executor serial_exec(*chain_db_);
+  Executor parallel_exec(*chain_db_, ExecLimits(), parallel);
+  for (const auto& plan : {IndexChainPlan(), HashChainPlan(false),
+                           HashChainPlan(true), MergeChainPlan()}) {
+    auto serial = serial_exec.ExecuteCount(*plan, /*analyze=*/true);
+    auto threaded = parallel_exec.ExecuteCount(*plan, /*analyze=*/true);
+    ASSERT_TRUE(serial.ok() && threaded.ok());
+    EXPECT_EQ(serial->actual_rows, threaded->actual_rows);
+    std::vector<const PlanNode*> nodes;
+    CollectNodes(*plan, &nodes);
+    size_t expected_entries = 0;
+    for (const PlanNode* node : nodes) {
+      bool inner_of_index_nl = false;
+      for (const PlanNode* parent : nodes) {
+        inner_of_index_nl |= parent->right.get() == node &&
+                             parent->join_method == JoinMethod::kIndexNestLoop;
+      }
+      if (inner_of_index_nl) {
+        EXPECT_EQ(serial->actual_rows.count(node->table_mask), 0u)
+            << node->table_mask;
+        continue;
+      }
+      ++expected_entries;
+      ASSERT_EQ(serial->actual_rows.count(node->table_mask), 1u)
+          << node->table_mask;
+      const double rows = serial->actual_rows.at(node->table_mask);
+      if (node == plan.get()) {
+        EXPECT_EQ(rows, static_cast<double>(serial->count));
+        continue;
+      }
+      auto sub = serial_exec.Materialize(*node);
+      ASSERT_TRUE(sub.ok()) << sub.status().ToString();
+      EXPECT_EQ(rows, static_cast<double>(sub->size())) << node->table_mask;
+    }
+    EXPECT_EQ(serial->actual_rows.size(), expected_entries);
+  }
+}
+
+// The cap under ExecuteCount on a streamed chain: the largest non-root
+// join output N fits under max_intermediate_tuples = N, and N - 1 cuts the
+// run off with the cap as the reason, serially and in parallel. The root's
+// count is never capped.
+TEST_F(ExecParityTest, ChainCapHoldsAtLargestIntermediate) {
+  for (const auto& plan : {IndexChainPlan(), HashChainPlan(false),
+                           HashChainPlan(true), MergeChainPlan()}) {
+    auto full = Executor(*chain_db_).ExecuteCount(*plan, /*analyze=*/true);
+    ASSERT_TRUE(full.ok());
+    std::vector<const PlanNode*> nodes;
+    CollectNodes(*plan, &nodes);
+    double largest = 0;
+    for (const PlanNode* node : nodes) {
+      if (node != plan.get() && !node->IsScan() &&
+          full->actual_rows.count(node->table_mask) > 0) {
+        largest = std::max(largest, full->actual_rows.at(node->table_mask));
+      }
+    }
+    const size_t n = static_cast<size_t>(largest);
+    ASSERT_GT(n, 0u);
+    for (size_t threads : {size_t{1}, size_t{4}}) {
+      ExecOptions options;
+      options.num_threads = threads;
+      ExecLimits at_cap;
+      at_cap.max_intermediate_tuples = n;
+      ExecLimits below_cap;
+      below_cap.max_intermediate_tuples = n - 1;
+      auto fits = Executor(*chain_db_, at_cap, options).ExecuteCount(*plan);
+      auto cut = Executor(*chain_db_, below_cap, options).ExecuteCount(*plan);
+      ASSERT_TRUE(fits.ok() && cut.ok());
+      EXPECT_FALSE(fits->timed_out) << "threads=" << threads;
+      EXPECT_EQ(fits->count, full->count) << "threads=" << threads;
+      EXPECT_TRUE(cut->timed_out) << "threads=" << threads;
+      EXPECT_TRUE(cut->cap_exceeded) << "threads=" << threads;
+    }
+  }
+}
+
+// The count-only root hash join: without extra edges it sums key counts of
+// its build side, with them it probes postings. Both must count what the
+// reference joins: NULL keys join nothing, duplicate keys multiply, and an
+// extra edge filters matches (a key-count root would ignore it). The build
+// sides, a scan of the hub and the hub joined with d1, span several morsels,
+// so parallel runs merge per-worker key counts.
+TEST_F(ExecParityTest, KeyCountRootHandlesNullsDuplicatesAndExtraEdges) {
+  const Database& db = *chain_db_;
+  auto root = [&](std::unique_ptr<PlanNode> build, bool extra) {
+    std::vector<JoinEdge> extras;
+    if (extra) extras.push_back({"d2", "w", "hub", "w"});
+    return Join(db, JoinMethod::kHashJoin, {"d2", "k", "hub", "b"},
+                ChainScan("d2", {}, 4), std::move(build), extras);
+  };
+  auto hub_build = [&] { return ChainScan("hub", {}, 1); };
+  auto join_build = [&] {
+    return Join(db, JoinMethod::kHashJoin, {"hub", "a", "d1", "k"},
+                ChainScan("hub", {}, 1), ChainScan("d1", {}, 2));
+  };
+  for (bool join_side : {false, true}) {
+    const size_t unfiltered =
+        ReferenceJoin(db, *root(join_side ? join_build() : hub_build(), false))
+            .size();
+    for (bool extra : {false, true}) {
+      const auto plan = root(join_side ? join_build() : hub_build(), extra);
+      const size_t expected = ReferenceJoin(db, *plan).size();
+      if (extra) {
+        ASSERT_LT(expected, unfiltered);
+      }
+      for (size_t threads : {size_t{1}, size_t{4}}) {
+        for (size_t batch : {size_t{7}, size_t{1024}}) {
+          ExecOptions options;
+          options.num_threads = threads;
+          options.batch_size = batch;
+          auto count = Executor(db, ExecLimits(), options)
+                           .ExecuteCount(*plan, /*analyze=*/true);
+          ASSERT_TRUE(count.ok()) << count.status().ToString();
+          const std::string config =
+              std::string(join_side ? "join" : "scan") + " build extra=" +
+              std::to_string(extra) + " threads=" + std::to_string(threads) +
+              " batch=" + std::to_string(batch);
+          EXPECT_EQ(count->count, expected) << config;
+          EXPECT_EQ(count->actual_rows.at(plan->table_mask),
+                    static_cast<double>(expected))
+              << config;
+        }
+      }
+    }
   }
 }
 

@@ -444,5 +444,134 @@ TEST_F(ExecTest, CacheSaveReplacesTheFileAtomically) {
   EXPECT_EQ(*reloaded_card, *card);
 }
 
+// A cap cut-off is memoized as a verdict with the cap it exceeded, and the
+// verdict survives SaveCache / LoadCache and ImportFrom.
+TEST_F(ExecTest, CapVerdictsRoundTripThroughDiskAndImport) {
+  const Query q = Parse(
+      "SELECT COUNT(*) FROM users, posts, comments WHERE users.Id = "
+      "posts.OwnerUserId AND posts.Id = comments.PostId;");
+  ExecLimits limits = TrueCardService::DefaultLimits();
+  limits.max_intermediate_tuples = 4;
+  TrueCardService svc(*db_, limits);
+  const auto first = svc.Card(q);
+  ASSERT_EQ(first.status().code(), StatusCode::kOutOfRange);
+  EXPECT_NE(first.status().message().find("cap"), std::string::npos)
+      << first.status().ToString();
+  EXPECT_EQ(svc.verdict_count(), 1u);
+  EXPECT_EQ(svc.cache_size(), 0u);
+
+  const std::string path = ::testing::TempDir() + "/true_card_verdicts.tsv";
+  ASSERT_TRUE(svc.SaveCache(path).ok());
+  TrueCardService loaded(*db_, limits);
+  ASSERT_TRUE(loaded.LoadCache(path).ok());
+  EXPECT_EQ(loaded.verdict_count(), 1u);
+  EXPECT_EQ(loaded.Card(q).status().code(), StatusCode::kOutOfRange);
+
+  TrueCardService imported(*db_, limits);
+  imported.ImportFrom(loaded);
+  EXPECT_EQ(imported.verdict_count(), 1u);
+
+  // The cardinality file itself holds no verdict line: code that reads only
+  // cardinalities reads it unchanged.
+  std::ifstream cards(path, std::ios::binary);
+  const std::string contents((std::istreambuf_iterator<char>(cards)),
+                             std::istreambuf_iterator<char>());
+  EXPECT_TRUE(contents.empty()) << contents;
+}
+
+/// Writes `cards` to `path` and `verdicts` to its verdict file.
+void WriteMemoFiles(const std::string& path, const std::string& cards,
+                    const std::string& verdicts) {
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << cards;
+  std::ofstream(TrueCardService::VerdictPath(path),
+                std::ios::binary | std::ios::trunc)
+      << verdicts;
+}
+
+// A verdict recorded under a 30M cap answers services whose cap is 20M or
+// 30M without executing anything (the query itself is tiny and would
+// count fine), and leaves a 50M service to execute.
+TEST_F(ExecTest, CapVerdictAnswersOnlyServicesWithNoLargerCap) {
+  const Query q =
+      Parse("SELECT COUNT(*) FROM badges WHERE badges.Date >= 500;");
+  const std::string path = ::testing::TempDir() + "/true_card_cap30m.tsv";
+  WriteMemoFiles(path, "", q.CanonicalKey() + "\t30000000\n");
+  for (size_t cap : {size_t{20000000}, size_t{30000000}, size_t{50000000}}) {
+    ExecLimits limits = TrueCardService::DefaultLimits();
+    limits.max_intermediate_tuples = cap;
+    TrueCardService svc(*db_, limits);
+    ASSERT_TRUE(svc.LoadCache(path).ok());
+    const auto card = svc.Card(q);
+    if (cap <= 30000000) {
+      EXPECT_EQ(card.status().code(), StatusCode::kOutOfRange) << cap;
+      EXPECT_EQ(svc.cache_size(), 0u) << cap;
+    } else {
+      ASSERT_TRUE(card.ok()) << card.status().ToString();
+      EXPECT_GT(*card, 0.0);
+    }
+  }
+}
+
+// A verdict is an answer, not a run: a service whose wall clock is already
+// exhausted still reports the cap verdict rather than a timeout.
+TEST_F(ExecTest, CapVerdictIsAnsweredWithoutExecuting) {
+  const Query q =
+      Parse("SELECT COUNT(*) FROM badges WHERE badges.Date >= 500;");
+  const std::string path = ::testing::TempDir() + "/true_card_expired.tsv";
+  WriteMemoFiles(path, "", q.CanonicalKey() + "\t30000000\n");
+  ExecLimits expired = TrueCardService::DefaultLimits();
+  expired.timeout_seconds = 0.0;
+  expired.max_intermediate_tuples = 20000000;
+  TrueCardService svc(*db_, expired);
+  ASSERT_TRUE(svc.LoadCache(path).ok());
+  const auto card = svc.Card(q);
+  ASSERT_EQ(card.status().code(), StatusCode::kOutOfRange);
+  EXPECT_NE(card.status().message().find("cap"), std::string::npos)
+      << card.status().ToString();
+  EXPECT_EQ(card.status().message().find("time"), std::string::npos)
+      << card.status().ToString();
+}
+
+// The wall clock's verdict depends on the machine and its load, so a
+// timeout memoizes nothing.
+TEST_F(ExecTest, WallClockCutOffIsNotMemoized) {
+  const Query q = Parse(
+      "SELECT COUNT(*) FROM users, comments WHERE users.Id = "
+      "comments.UserId;");
+  ExecLimits expired = TrueCardService::DefaultLimits();
+  expired.timeout_seconds = 0.0;
+  TrueCardService svc(*db_, expired);
+  const auto card = svc.Card(q);
+  ASSERT_EQ(card.status().code(), StatusCode::kOutOfRange);
+  EXPECT_NE(card.status().message().find("time"), std::string::npos)
+      << card.status().ToString();
+  EXPECT_EQ(svc.verdict_count(), 0u);
+  EXPECT_EQ(svc.cache_size(), 0u);
+  // A service with room to run still counts it.
+  TrueCardService fresh(*db_);
+  fresh.ImportFrom(svc);
+  EXPECT_TRUE(fresh.Card(q).ok());
+}
+
+TEST_F(ExecTest, MalformedVerdictLineFailsTheLoadAndLoadsNothing) {
+  const std::string path = ::testing::TempDir() + "/true_card_bad_cap.tsv";
+  for (const char* verdicts : {
+           "a\t30\nb\t\n",                          // empty cap
+           "a\t30\nb\t-3\n",                        // negative cap
+           "a\t30\nb\t 3\n",                        // leading blank
+           "a\t30\nb\t3.5\n",                       // not an integer
+           "a\t30\nb\t99999999999999999999999\n",   // out of range
+           "a\t30\nno tab\n",                        // no separator
+           "a\t30\nb\t3",                            // torn last line
+       }) {
+    WriteMemoFiles(path, "c\t12\n", verdicts);
+    TrueCardService svc(*db_);
+    EXPECT_EQ(svc.LoadCache(path).code(), StatusCode::kInvalidArgument)
+        << verdicts;
+    EXPECT_EQ(svc.cache_size(), 0u) << verdicts;
+    EXPECT_EQ(svc.verdict_count(), 0u) << verdicts;
+  }
+}
+
 }  // namespace
 }  // namespace cardbench

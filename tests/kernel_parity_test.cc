@@ -17,6 +17,12 @@ using simd::Cmp;
 using simd::KernelTable;
 using simd::Level;
 
+// Whether the `n` bytes at `a` and `b` are equal. Unlike std::memcmp it
+// takes null pointers for n == 0: an empty vector's data() may be null.
+bool SameBytes(const void* a, const void* b, size_t n) {
+  return n == 0 || std::memcmp(a, b, n) == 0;
+}
+
 // Every tier the host can execute, scalar first. The parity tests compare
 // each higher tier against the scalar reference bit for bit.
 std::vector<Level> AvailableLevels() {
@@ -66,15 +72,15 @@ TEST(KernelParityTest, ElementwiseKernelsBitIdentical) {
         kt.add_bias(bias.data() + off, d0.data() + off, n);
         kt.relu(relu.data() + off, n);
         const size_t bytes = axpy_ref.size() * sizeof(double);
-        EXPECT_EQ(0, std::memcmp(axpy.data(), axpy_ref.data(), bytes))
+        EXPECT_TRUE(SameBytes(axpy.data(), axpy_ref.data(), bytes))
             << "axpy " << simd::LevelName(level) << " n=" << n;
-        EXPECT_EQ(0, std::memcmp(add.data(), add_ref.data(), bytes))
+        EXPECT_TRUE(SameBytes(add.data(), add_ref.data(), bytes))
             << "vec_add " << simd::LevelName(level) << " n=" << n;
-        EXPECT_EQ(0, std::memcmp(scale.data(), scale_ref.data(), bytes))
+        EXPECT_TRUE(SameBytes(scale.data(), scale_ref.data(), bytes))
             << "vec_scale " << simd::LevelName(level) << " n=" << n;
-        EXPECT_EQ(0, std::memcmp(bias.data(), bias_ref.data(), bytes))
+        EXPECT_TRUE(SameBytes(bias.data(), bias_ref.data(), bytes))
             << "add_bias " << simd::LevelName(level) << " n=" << n;
-        EXPECT_EQ(0, std::memcmp(relu.data(), relu_ref.data(), bytes))
+        EXPECT_TRUE(SameBytes(relu.data(), relu_ref.data(), bytes))
             << "relu " << simd::LevelName(level) << " n=" << n;
       }
     }
@@ -93,7 +99,7 @@ TEST(KernelParityTest, ReluTiesAndSpecialsMatchScalar) {
   for (Level level : AvailableLevels()) {
     std::vector<double> x(specials, specials + n);
     simd::KernelsFor(level).relu(x.data(), n);
-    EXPECT_EQ(0, std::memcmp(x.data(), ref.data(), n * sizeof(double)))
+    EXPECT_TRUE(SameBytes(x.data(), ref.data(), n * sizeof(double)))
         << simd::LevelName(level);
   }
 }
@@ -109,7 +115,7 @@ TEST(KernelParityTest, DotBitIdenticalAcrossTiers) {
       for (Level level : AvailableLevels()) {
         const double got =
             simd::KernelsFor(level).dot(a.data() + off, b.data() + off, n);
-        EXPECT_EQ(0, std::memcmp(&got, &ref, sizeof(double)))
+        EXPECT_TRUE(SameBytes(&got, &ref, sizeof(double)))
             << "dot " << simd::LevelName(level) << " n=" << n << " off=" << off
             << " ref=" << ref << " got=" << got;
       }
@@ -140,7 +146,7 @@ TEST(KernelParityTest, FilterRangeMatchesScalarForAllOps) {
           ASSERT_EQ(ref_count, count)
               << "filter_range " << simd::LevelName(level) << " n=" << n
               << " op=" << static_cast<int>(op);
-          EXPECT_EQ(0, std::memcmp(out.data(), ref.data(),
+          EXPECT_TRUE(SameBytes(out.data(), ref.data(),
                                    count * sizeof(uint32_t)))
               << "filter_range " << simd::LevelName(level) << " n=" << n;
         }
@@ -177,8 +183,8 @@ TEST(KernelParityTest, FilterRowsMatchesScalarForAllOps) {
         ASSERT_EQ(ref_count, count)
             << "filter_rows " << simd::LevelName(level) << " n=" << n
             << " op=" << static_cast<int>(op);
-        EXPECT_EQ(0,
-                  std::memcmp(rows.data(), ref.data(), count * sizeof(uint32_t)))
+        EXPECT_TRUE(
+            SameBytes(rows.data(), ref.data(), count * sizeof(uint32_t)))
             << "filter_rows " << simd::LevelName(level) << " n=" << n;
       }
     }
@@ -209,10 +215,10 @@ TEST(KernelParityTest, GatherMatchesScalar) {
       std::vector<uint8_t> valid_out(n + 1, 0xCC);
       simd::KernelsFor(level).gather(values.data(), valid.data(), rows.data(),
                                      n, keys.data(), valid_out.data());
-      EXPECT_EQ(0, std::memcmp(keys.data(), keys_ref.data(),
+      EXPECT_TRUE(SameBytes(keys.data(), keys_ref.data(),
                                keys_ref.size() * sizeof(int64_t)))
           << "gather keys " << simd::LevelName(level) << " n=" << n;
-      EXPECT_EQ(0, std::memcmp(valid_out.data(), valid_ref.data(),
+      EXPECT_TRUE(SameBytes(valid_out.data(), valid_ref.data(),
                                valid_ref.size()))
           << "gather valid " << simd::LevelName(level) << " n=" << n;
     }
@@ -252,13 +258,13 @@ TEST(KernelParityTest, MatrixAndMlpBitIdenticalUnderForcedLevels) {
     const Matrix mm = a.MatMul(b);
     const Matrix mmt = a.MatMulTransposed(bt);
     const Matrix out = mlp.Infer(x);
-    EXPECT_EQ(0, std::memcmp(mm.data().data(), mm_ref.data().data(),
+    EXPECT_TRUE(SameBytes(mm.data().data(), mm_ref.data().data(),
                              mm.data().size() * sizeof(double)))
         << "MatMul " << simd::LevelName(level);
-    EXPECT_EQ(0, std::memcmp(mmt.data().data(), mmt_ref.data().data(),
+    EXPECT_TRUE(SameBytes(mmt.data().data(), mmt_ref.data().data(),
                              mmt.data().size() * sizeof(double)))
         << "MatMulTransposed " << simd::LevelName(level);
-    EXPECT_EQ(0, std::memcmp(out.data().data(), mlp_ref.data().data(),
+    EXPECT_TRUE(SameBytes(out.data().data(), mlp_ref.data().data(),
                              out.data().size() * sizeof(double)))
         << "Mlp::Infer " << simd::LevelName(level);
   }

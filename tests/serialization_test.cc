@@ -17,6 +17,7 @@
 #include "cardest/binner.h"
 #include "cardest/deepdb_est.h"
 #include "cardest/model_store.h"
+#include "cardest/multihist_est.h"
 #include "cardest/noisy_oracle_est.h"
 #include "cardest/postgres_est.h"
 #include "cardest/registry.h"
@@ -325,6 +326,223 @@ TEST(SpnSerializationTest, RejectsSumWeightsNotMatchingChildren) {
   auto nodes = ValidSpnNodes();
   nodes[3].weights = {3};
   EXPECT_EQ(LoadSpn(nodes), StatusCode::kInvalidArgument);
+}
+
+/// The database the crafted BayesCard and MultiHist artifacts load over.
+const Database& CraftDb() {
+  static const Database* db = [] {
+    StatsGenConfig config;
+    config.scale = 0.01;
+    return GenerateStatsDatabase(config).release();
+  }();
+  return *db;
+}
+
+/// A hand-written Chow-Liu payload: the column count and root as written,
+/// then per column its bin domain, parent and counts.
+struct CraftedChowLiu {
+  uint64_t num_cols = 0;
+  uint64_t root = 0;
+  std::vector<uint64_t> domains;
+  std::vector<int64_t> parents;
+  std::vector<std::vector<double>> counts;
+};
+
+/// A valid model of `ext`: a chain rooted at column 0, every count 1.
+CraftedChowLiu ValidChowLiu(const ExtendedTable& ext) {
+  CraftedChowLiu m;
+  m.num_cols = ext.num_columns();
+  for (size_t d : ext.BinDomains()) m.domains.push_back(d);
+  for (size_t c = 0; c < m.num_cols; ++c) {
+    m.parents.push_back(static_cast<int64_t>(c) - 1);
+    const uint64_t parent_domain = c == 0 ? 1 : m.domains[c - 1];
+    m.counts.emplace_back(parent_domain * m.domains[c], 1.0);
+  }
+  return m;
+}
+
+/// Loads a BayesCard artifact over CraftDb() whose `users` model is
+/// `crafted`; every other table carries its trained model. Whatever loads
+/// must estimate.
+StatusCode LoadBayesCard(const CraftedChowLiu& crafted) {
+  const Database& db = CraftDb();
+  ModelWriter writer("bayescard");
+  SectionWriter& meta = writer.AddSection("meta");
+  meta.PutU64(48);   // max bins
+  meta.PutDouble(0);  // train seconds
+  SectionWriter& tables = writer.AddSection("tables");
+  tables.PutU64(db.table_names().size());
+  for (const std::string& name : db.table_names()) {
+    const ExtendedTable ext(db, name, 48);
+    tables.PutString(name);
+    ext.SerializeMeta(tables);
+    if (name != "users") {
+      ChowLiuTreeModel(ext).Serialize(tables);
+      continue;
+    }
+    tables.PutU64(crafted.num_cols);
+    tables.PutU64(crafted.root);
+    tables.PutDouble(static_cast<double>(db.TableOrDie(name).num_rows()));
+    for (size_t c = 0; c < crafted.domains.size(); ++c) {
+      tables.PutU64(crafted.domains[c]);
+      tables.PutI64(crafted.parents[c]);
+      tables.PutDoubles(crafted.counts[c]);
+    }
+  }
+  std::stringstream stream;
+  EXPECT_TRUE(writer.WriteTo(stream).ok());
+  auto est = BayesCardEstimator::Deserialize(db, stream);
+  if (est.ok()) {
+    Query q;
+    q.tables = {"users"};
+    q.predicates = {{"users", "Reputation", CompareOp::kGe, 5},
+                    {"users", "Views", CompareOp::kLe, 40}};
+    EXPECT_GT((*est)->EstimateCard(q), 0.0);
+  }
+  return est.status().code();
+}
+
+TEST(ChowLiuSerializationTest, CraftedValidModelLoads) {
+  const ExtendedTable ext(CraftDb(), "users", 48);
+  ASSERT_GE(ext.num_columns(), 3u);
+  EXPECT_EQ(LoadBayesCard(ValidChowLiu(ext)), StatusCode::kOk);
+}
+
+TEST(ChowLiuSerializationTest, RejectsColumnCountOtherThanItsTable) {
+  const ExtendedTable ext(CraftDb(), "users", 48);
+  // A count the loader used to resize four arrays by before reading on.
+  auto model = ValidChowLiu(ext);
+  model.num_cols = uint64_t{1} << 40;
+  EXPECT_EQ(LoadBayesCard(model), StatusCode::kInvalidArgument);
+  // One column more than the extended table, fully written.
+  model = ValidChowLiu(ext);
+  ++model.num_cols;
+  model.domains.push_back(2);
+  model.parents.push_back(0);
+  model.counts.emplace_back(2 * model.domains[0], 1.0);
+  EXPECT_EQ(LoadBayesCard(model), StatusCode::kInvalidArgument);
+}
+
+TEST(ChowLiuSerializationTest, RejectsDomainOtherThanItsColumns) {
+  const ExtendedTable ext(CraftDb(), "users", 48);
+  auto model = ValidChowLiu(ext);
+  // Consistent with itself (counts resized), not with the binner that
+  // sizes the per-bin factors inference multiplies in.
+  model.domains[1] += 1;
+  model.counts[1].assign(model.domains[0] * model.domains[1], 1.0);
+  model.counts[2].assign(model.domains[1] * model.domains[2], 1.0);
+  EXPECT_EQ(LoadBayesCard(model), StatusCode::kInvalidArgument);
+}
+
+TEST(ChowLiuSerializationTest, RejectsCountsNotSizedByTheirDomains) {
+  const ExtendedTable ext(CraftDb(), "users", 48);
+  auto model = ValidChowLiu(ext);
+  model.counts[2].resize(model.domains[2]);  // a child sized like a root
+  EXPECT_EQ(LoadBayesCard(model), StatusCode::kInvalidArgument);
+  model = ValidChowLiu(ext);
+  model.counts[0].push_back(1.0);
+  EXPECT_EQ(LoadBayesCard(model), StatusCode::kInvalidArgument);
+}
+
+TEST(ChowLiuSerializationTest, RejectsParentsThatAreNotOneTree) {
+  const ExtendedTable ext(CraftDb(), "users", 48);
+  auto with_parents = [&](std::vector<std::pair<size_t, int64_t>> changes) {
+    auto model = ValidChowLiu(ext);
+    for (const auto& [c, parent] : changes) {
+      model.parents[c] = parent;
+      const uint64_t parent_domain =
+          parent < 0 ? 1 : model.domains[static_cast<size_t>(parent)];
+      model.counts[c].assign(parent_domain * model.domains[c], 1.0);
+    }
+    return LoadBayesCard(model);
+  };
+  EXPECT_EQ(with_parents({{2, 0}}), StatusCode::kOk);      // still a tree
+  EXPECT_EQ(with_parents({{1, 2}}), StatusCode::kInvalidArgument);  // cycle
+  EXPECT_EQ(with_parents({{2, -1}}), StatusCode::kInvalidArgument);  // 2 roots
+  EXPECT_EQ(with_parents({{0, 1}, {1, -1}}),
+            StatusCode::kInvalidArgument);  // root has a parent
+  EXPECT_EQ(with_parents({{2, -2}}), StatusCode::kInvalidArgument);
+}
+
+/// Loads a MultiHist artifact over CraftDb() with one group of `users`
+/// columns: (name, written column id) pairs, each with its column's
+/// 8-bin binner, and the bucket keys `keys`. Whatever loads must estimate.
+StatusCode LoadMultiHist(
+    const std::vector<std::pair<std::string, int64_t>>& columns,
+    const std::vector<std::vector<uint16_t>>& keys) {
+  const Database& db = CraftDb();
+  const Table& users = db.TableOrDie("users");
+  ModelWriter writer("multihist");
+  SectionWriter& meta = writer.AddSection("meta");
+  meta.PutU64(2);     // dims per group
+  meta.PutU64(8);     // bins per dim
+  meta.PutDouble(0);  // correlation threshold
+  meta.PutDouble(0);  // train seconds
+  SectionWriter& groups = writer.AddSection("groups");
+  groups.PutU64(1);
+  groups.PutString("users");
+  groups.PutU64(1);
+  groups.PutU64(columns.size());
+  for (const auto& [name, id] : columns) {
+    groups.PutString(name);
+    groups.PutI64(id);
+    ColumnBinner(users.ColumnByName(name), 8).Serialize(groups);
+  }
+  groups.PutU64(keys.size());
+  for (const auto& key : keys) {
+    groups.PutU16s(key);
+    groups.PutDouble(1.0);
+  }
+  groups.PutDouble(static_cast<double>(keys.size()));
+  std::stringstream stream;
+  EXPECT_TRUE(writer.WriteTo(stream).ok());
+  auto est = MultiHistEstimator::Deserialize(db, stream);
+  if (est.ok()) {
+    Query q;
+    q.tables = {"users"};
+    q.predicates = {{"users", "Reputation", CompareOp::kGe, 5},
+                    {"users", "Views", CompareOp::kLe, 40}};
+    EXPECT_GE((*est)->EstimateCard(q), 0.0);
+  }
+  return est.status().code();
+}
+
+/// The ids of users.Reputation and users.Views.
+std::vector<std::pair<std::string, int64_t>> MultiHistColumns() {
+  const Table& users = CraftDb().TableOrDie("users");
+  return {{"Reputation",
+           static_cast<int64_t>(users.ColumnIndexOrDie("Reputation"))},
+          {"Views", static_cast<int64_t>(users.ColumnIndexOrDie("Views"))}};
+}
+
+TEST(MultiHistSerializationTest, CraftedValidModelLoads) {
+  EXPECT_EQ(LoadMultiHist(MultiHistColumns(), {{0, 1}, {3, 2}, {7, 7}}),
+            StatusCode::kOk);
+}
+
+TEST(MultiHistSerializationTest, RejectsColumnIdsNotNamingTheirColumn) {
+  for (int64_t id : {int64_t{-1}, int64_t{99},
+                     MultiHistColumns()[1].second}) {
+    auto columns = MultiHistColumns();
+    columns[0].second = id;
+    EXPECT_EQ(LoadMultiHist(columns, {{0, 1}}), StatusCode::kInvalidArgument)
+        << id;
+  }
+}
+
+TEST(MultiHistSerializationTest, RejectsBucketKeysOfWrongWidth) {
+  EXPECT_EQ(LoadMultiHist(MultiHistColumns(), {{0, 1}, {1, 1, 1}}),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(LoadMultiHist(MultiHistColumns(), {{0, 1}, {1}}),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(MultiHistSerializationTest, RejectsBucketBinsPastTheirBinner) {
+  // An 8-bin binner has bins 0..7 (its NULL bin included).
+  EXPECT_EQ(LoadMultiHist(MultiHistColumns(), {{0, 1}, {8, 0}}),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(LoadMultiHist(MultiHistColumns(), {{0, 60000}}),
+            StatusCode::kInvalidArgument);
 }
 
 // ---------------------------------------------------------------------------
