@@ -4,10 +4,11 @@
 # (selection vectors, key gathers, chunk buffers), the estimators' binary
 # searches and flat multi-leaf keys, the plan paths (planning, execution of
 # planned and hand-built plans, EXPLAIN, recosting), every estimator's
-# update path (the refresh goldens), plus the concurrency-sensitive
-# binaries. Any out-of-bounds access (including a write past a
-# std::vector's size into its reserved capacity), leak or undefined
-# behaviour in these paths fails the run.
+# update path (the refresh goldens), the fanout family's arena-backed
+# inference over whole workloads (the fanout goldens), plus the
+# concurrency-sensitive binaries. Any out-of-bounds access (including a
+# write past a std::vector's size into its reserved capacity), leak or
+# undefined behaviour in these paths fails the run.
 # scripts/asan_suppressions.txt silences the false positives that vector
 # annotations raise inside GoogleTest's prebuilt test registration; the
 # options are exported before the build because test discovery runs the
@@ -27,8 +28,9 @@ cmake -B "$BUILD_DIR" -S . -DCARDBENCH_ASAN=ON >/dev/null
 cmake --build "$BUILD_DIR" -j "$(nproc)" \
   --target storage_test exec_test exec_parity_test thread_pool_test \
            service_test harness_test query_graph_test planner_golden_test \
-           refresh_golden_test batch_parity_test serialization_test \
-           model_store_test server_test server_metrics_test drift_test \
+           refresh_golden_test fanout_golden_test batch_parity_test \
+           serialization_test model_store_test server_test \
+           server_metrics_test drift_test \
            kernel_parity_test arena_test join_hash_test \
            binner_test cardest_test explain_analyze_test optimizer_test \
            optimizer_physical_test perror_test property_test
@@ -38,9 +40,9 @@ if [ "$#" -gt 0 ]; then
 else
   for test in storage_test exec_test exec_parity_test thread_pool_test \
               service_test harness_test query_graph_test \
-              planner_golden_test refresh_golden_test batch_parity_test \
-              serialization_test model_store_test server_test \
-              server_metrics_test drift_test \
+              planner_golden_test refresh_golden_test fanout_golden_test \
+              batch_parity_test serialization_test model_store_test \
+              server_test server_metrics_test drift_test \
               kernel_parity_test arena_test join_hash_test \
               binner_test cardest_test explain_analyze_test optimizer_test \
               optimizer_physical_test perror_test property_test; do

@@ -5,6 +5,7 @@
 #include <istream>
 #include <ostream>
 
+#include "common/arena.h"
 #include "common/logging.h"
 #include "common/serde.h"
 #include "common/str_util.h"
@@ -110,72 +111,114 @@ ChowLiuTreeModel::ChowLiuTreeModel(const ExtendedTable& ext) {
       }
     }
   }
+  RebuildDerived();
 }
 
-double ChowLiuTreeModel::NodeMessage(
-    size_t node,
-    const std::vector<const std::vector<double>*>& factor_of_col,
-    std::vector<double>* out_msg) const {
-  // Returns the message of `node` to its parent as a vector over the
-  // parent's bins: m(b_p) = sum_b P(b|b_p) phi(b) prod child messages(b).
-  // For the root (out_msg == nullptr) returns the scalar expectation.
-  const size_t dom = domains_[node];
-
-  // Subtree pruning: an all-ones subtree contributes exactly 1.
-  std::vector<double> phi(dom, 1.0);
-  bool has_factor = factor_of_col[node] != nullptr;
-  if (has_factor) phi = *factor_of_col[node];
-  std::vector<std::vector<double>> child_msgs;
-  for (size_t child : children_[node]) {
-    std::vector<double> msg;
-    (void)NodeMessage(child, factor_of_col, &msg);
-    if (!msg.empty()) {
-      child_msgs.push_back(std::move(msg));
-      has_factor = true;
+void ChowLiuTreeModel::RebuildDerived() {
+  // Breadth-first from the root puts every parent before its children;
+  // reversed, every column comes after all of its children.
+  children_first_.clear();
+  mass_.assign(num_cols_, {});
+  max_domain_ = 0;
+  if (num_cols_ == 0) return;
+  children_first_.push_back(root_);
+  for (size_t i = 0; i < children_first_.size(); ++i) {
+    for (size_t child : children_[children_first_[i]]) {
+      children_first_.push_back(child);
     }
   }
-  if (!has_factor) {
-    if (out_msg != nullptr) out_msg->clear();  // identity message
-    return 1.0;
-  }
-  for (const auto& msg : child_msgs) {
-    for (size_t b = 0; b < dom; ++b) phi[b] *= msg[b];
-  }
-
-  if (parent_[node] < 0) {
-    // Root: expectation under the smoothed marginal.
-    double total = 0.0, mass = 0.0;
-    for (size_t b = 0; b < dom; ++b) {
-      const double c = counts_[node][b] + kLaplace;
-      total += c * phi[b];
-      mass += c;
+  std::reverse(children_first_.begin(), children_first_.end());
+  for (size_t c = 0; c < num_cols_; ++c) {
+    const size_t dom = domains_[c];
+    const size_t rows =
+        parent_[c] < 0 ? 1 : domains_[static_cast<size_t>(parent_[c])];
+    mass_[c].resize(rows);
+    for (size_t pb = 0; pb < rows; ++pb) {
+      double mass = 0.0;
+      for (size_t b = 0; b < dom; ++b) {
+        mass += counts_[c][pb * dom + b] + kLaplace;
+      }
+      mass_[c][pb] = mass;
     }
-    return mass > 0 ? total / mass : 0.0;
+    max_domain_ = std::max(max_domain_, dom);
   }
-
-  const size_t pdom = domains_[static_cast<size_t>(parent_[node])];
-  out_msg->assign(pdom, 0.0);
-  for (size_t pb = 0; pb < pdom; ++pb) {
-    double total = 0.0, mass = 0.0;
-    for (size_t b = 0; b < dom; ++b) {
-      const double c = counts_[node][pb * dom + b] + kLaplace;
-      total += c * phi[b];
-      mass += c;
-    }
-    (*out_msg)[pb] = mass > 0 ? total / mass : 1.0;
-  }
-  return 0.0;
 }
 
 double ChowLiuTreeModel::ExpectProduct(
-    const std::vector<ColumnFactor>& factors) const {
+    std::span<const double* const> factor_of_col) const {
+  CARDBENCH_CHECK(factor_of_col.size() == num_cols_,
+                  "%zu factor slots for %zu columns", factor_of_col.size(),
+                  num_cols_);
   if (num_cols_ == 0) return 1.0;
-  std::vector<const std::vector<double>*> factor_of_col(num_cols_, nullptr);
-  for (const auto& factor : factors) {
-    CARDBENCH_CHECK(factor.col_idx < num_cols_, "factor column out of range");
-    factor_of_col[factor.col_idx] = &factor.per_bin;
+  ArenaFrame frame(ThreadLocalArena());
+  Arena& arena = frame.arena();
+  // msg_of[c]: column c's message to its parent over the parent's bins,
+  // m(b_p) = sum_b P(b|b_p) phi(b) prod child messages(b); null when c's
+  // subtree holds no factor (its message would be the identity).
+  const double** msg_of = arena.AllocateArray<const double*>(num_cols_);
+  double* phi = arena.AllocateArray<double>(max_domain_);
+  for (size_t node : children_first_) {
+    const double* factor = factor_of_col[node];
+    bool has_factor = factor != nullptr;
+    for (size_t child : children_[node]) {
+      has_factor |= msg_of[child] != nullptr;
+    }
+    if (!has_factor) {
+      msg_of[node] = nullptr;
+      continue;
+    }
+    const size_t dom = domains_[node];
+    if (factor != nullptr) {
+      std::copy_n(factor, dom, phi);
+    } else {
+      std::fill_n(phi, dom, 1.0);
+    }
+    for (size_t child : children_[node]) {
+      const double* msg = msg_of[child];
+      if (msg == nullptr) continue;
+      for (size_t b = 0; b < dom; ++b) phi[b] *= msg[b];
+    }
+
+    const double* counts = counts_[node].data();
+    const double* mass = mass_[node].data();
+    if (node == root_) {
+      // Root: expectation under the smoothed marginal.
+      double total = 0.0;
+      for (size_t b = 0; b < dom; ++b) total += (counts[b] + kLaplace) * phi[b];
+      return mass[0] > 0 ? total / mass[0] : 0.0;
+    }
+    // Four parent bins per pass over phi, one accumulator each: every
+    // accumulator still sums its own bins in bin order.
+    const size_t pdom = domains_[static_cast<size_t>(parent_[node])];
+    double* msg = arena.AllocateArray<double>(pdom);
+    size_t pb = 0;
+    for (; pb + 4 <= pdom; pb += 4) {
+      const double* r0 = counts + pb * dom;
+      const double* r1 = r0 + dom;
+      const double* r2 = r1 + dom;
+      const double* r3 = r2 + dom;
+      double t0 = 0.0, t1 = 0.0, t2 = 0.0, t3 = 0.0;
+      for (size_t b = 0; b < dom; ++b) {
+        t0 += (r0[b] + kLaplace) * phi[b];
+        t1 += (r1[b] + kLaplace) * phi[b];
+        t2 += (r2[b] + kLaplace) * phi[b];
+        t3 += (r3[b] + kLaplace) * phi[b];
+      }
+      msg[pb] = mass[pb] > 0 ? t0 / mass[pb] : 1.0;
+      msg[pb + 1] = mass[pb + 1] > 0 ? t1 / mass[pb + 1] : 1.0;
+      msg[pb + 2] = mass[pb + 2] > 0 ? t2 / mass[pb + 2] : 1.0;
+      msg[pb + 3] = mass[pb + 3] > 0 ? t3 / mass[pb + 3] : 1.0;
+    }
+    for (; pb < pdom; ++pb) {
+      const double* row = counts + pb * dom;
+      double total = 0.0;
+      for (size_t b = 0; b < dom; ++b) total += (row[b] + kLaplace) * phi[b];
+      msg[pb] = mass[pb] > 0 ? total / mass[pb] : 1.0;
+    }
+    msg_of[node] = msg;
   }
-  return NodeMessage(root_, factor_of_col, nullptr);
+  // The root comes last; reaching here means no factor anywhere.
+  return 1.0;
 }
 
 size_t ChowLiuTreeModel::ModelBytes() const {
@@ -263,6 +306,7 @@ Result<std::unique_ptr<ChowLiuTreeModel>> ChowLiuTreeModel::Deserialize(
                     parent_domain * model->domains_[c]));
     }
   }
+  model->RebuildDerived();
   return model;
 }
 
@@ -307,6 +351,7 @@ void ChowLiuTreeModel::UpdateWithRows(const ExtendedTable& ext,
     }
   }
   total_rows_ += static_cast<double>(new_rows.size());
+  RebuildDerived();
 }
 
 }  // namespace cardbench

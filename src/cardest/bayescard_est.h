@@ -3,6 +3,7 @@
 
 #include <iosfwd>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "cardest/fanout_estimator.h"
@@ -20,7 +21,8 @@ class ChowLiuTreeModel : public TableDistribution {
  public:
   explicit ChowLiuTreeModel(const ExtendedTable& ext);
 
-  double ExpectProduct(const std::vector<ColumnFactor>& factors) const override;
+  double ExpectProduct(
+      std::span<const double* const> factor_of_col) const override;
   size_t ModelBytes() const override;
   void UpdateWithRows(const ExtendedTable& ext,
                       const std::vector<size_t>& new_rows) override;
@@ -40,9 +42,11 @@ class ChowLiuTreeModel : public TableDistribution {
  private:
   ChowLiuTreeModel() = default;  // for Deserialize
 
-  double NodeMessage(size_t node, const std::vector<const std::vector<double>*>&
-                                       factor_of_col,
-                     std::vector<double>* out_msg) const;
+  /// Recomputes what inference derives from the structure and counts:
+  /// the children-first column order and every CPT row's smoothed mass.
+  /// Runs at the end of training, loading and UpdateWithRows; never
+  /// serialized.
+  void RebuildDerived();
 
   size_t num_cols_ = 0;
   std::vector<size_t> domains_;
@@ -53,6 +57,13 @@ class ChowLiuTreeModel : public TableDistribution {
   // root: counts_[root][b]; child c: counts_[c][parent_bin * domain + b].
   std::vector<std::vector<double>> counts_;
   double total_rows_ = 0.0;
+  // Derived (RebuildDerived): every column after all of its children, the
+  // root last; and mass_[c][parent_bin] = sum over b of
+  // counts_[c][parent_bin * domain + b] + kLaplace, summed in bin order (the
+  // root has one row).
+  std::vector<size_t> children_first_;
+  std::vector<std::vector<double>> mass_;
+  size_t max_domain_ = 0;
 };
 
 /// The BayesCard estimator: one Chow–Liu BN per table + the shared fanout

@@ -7,8 +7,10 @@
 #include <ostream>
 #include <span>
 
+#include "common/arena.h"
 #include "common/logging.h"
 #include "common/serde.h"
+#include "common/str_util.h"
 #include "ml/clustering.h"
 
 namespace cardbench {
@@ -27,9 +29,10 @@ SpnModel::SpnModel(const ExtendedTable& ext, const SpnOptions& options)
   if (ext.num_rows() == 0) {
     // Degenerate empty table: a single uniform leaf.
     root_ = MakeLeaf(ext, rows, 0, 0, 0);
-    return;
+  } else {
+    root_ = Learn(ext, rows, 0, rows.size(), std::move(cols), rng, 0);
   }
-  root_ = Learn(ext, rows, 0, rows.size(), std::move(cols), rng, 0);
+  RebuildDerived();
 }
 
 size_t SpnModel::MakeLeaf(const ExtendedTable& ext,
@@ -260,37 +263,58 @@ size_t SpnModel::Learn(const ExtendedTable& ext, std::vector<size_t>& rows,
   }
 }
 
-double SpnModel::Eval(
-    size_t node,
-    const std::vector<const std::vector<double>*>& factor_of_col) const {
-  const Node& nd = nodes_[node];
+void SpnModel::RebuildDerived() {
+  // Children precede their parents (training appends them first, and the
+  // loader rejects anything else), so one ascending pass sees each child's
+  // scope and idle value before its parent needs them. With no factor at
+  // all, every child of an evaluated node answers its idle value.
+  const std::vector<const double*> none(num_cols_, nullptr);
+  ArenaFrame frame(ThreadLocalArena());
+  for (Node& nd : nodes_) {
+    nd.scope = 0;
+    for (size_t col : nd.cols) nd.scope |= ScopeBit(col);
+    for (size_t child : nd.children) nd.scope |= nodes_[child].scope;
+    nd.idle = EvalNode(nd, none.data(), 0);
+  }
+}
+
+double SpnModel::EvalNode(const Node& nd, const double* const* factor_of_col,
+                          uint64_t scope) const {
   switch (nd.type) {
     case Node::Type::kLeaf: {
-      const std::vector<double>* factor = factor_of_col[nd.cols[0]];
+      const double* factor = factor_of_col[nd.cols[0]];
       if (factor == nullptr) return 1.0;
       const double denom =
           nd.total + kLeafSmoothing * static_cast<double>(nd.histogram.size());
       if (denom <= 0) return 0.0;
       double total = 0.0;
       for (size_t b = 0; b < nd.histogram.size(); ++b) {
-        total += (nd.histogram[b] + kLeafSmoothing) * (*factor)[b];
+        total += (nd.histogram[b] + kLeafSmoothing) * factor[b];
       }
       return total / denom;
     }
     case Node::Type::kMultiLeaf: {
-      bool any = false;
-      for (size_t col : nd.cols) any |= factor_of_col[col] != nullptr;
-      if (!any) return 1.0;
-      if (nd.total <= 0) return 0.0;
+      // The (key offset, factor) pairs of the columns that carry a factor,
+      // in column order.
       const size_t width = nd.cols.size();
+      Arena& arena = ThreadLocalArena();
+      size_t* offsets = arena.AllocateArray<size_t>(width);
+      const double** factors = arena.AllocateArray<const double*>(width);
+      size_t used = 0;
+      for (size_t k = 0; k < width; ++k) {
+        if (const double* factor = factor_of_col[nd.cols[k]]) {
+          offsets[used] = k;
+          factors[used] = factor;
+          ++used;
+        }
+      }
+      if (used == 0) return 1.0;
+      if (nd.total <= 0) return 0.0;
       const uint16_t* key = nd.joint_keys.data();
       double total = 0.0;
       for (double count : nd.joint_counts) {
         double phi = 1.0;
-        for (size_t k = 0; k < width; ++k) {
-          const std::vector<double>* factor = factor_of_col[nd.cols[k]];
-          if (factor != nullptr) phi *= (*factor)[key[k]];
-        }
+        for (size_t i = 0; i < used; ++i) phi *= factors[i][key[offsets[i]]];
         total += count * phi;
         key += width;
       }
@@ -299,7 +323,7 @@ double SpnModel::Eval(
     case Node::Type::kProduct: {
       double product = 1.0;
       for (size_t child : nd.children) {
-        product *= Eval(child, factor_of_col);
+        product *= Eval(child, factor_of_col, scope);
       }
       return product;
     }
@@ -309,7 +333,7 @@ double SpnModel::Eval(
       if (total_weight <= 0) return 0.0;
       double total = 0.0;
       for (size_t i = 0; i < nd.children.size(); ++i) {
-        total += nd.weights[i] * Eval(nd.children[i], factor_of_col);
+        total += nd.weights[i] * Eval(nd.children[i], factor_of_col, scope);
       }
       return total / total_weight;
     }
@@ -317,13 +341,17 @@ double SpnModel::Eval(
   return 0.0;
 }
 
-double SpnModel::ExpectProduct(const std::vector<ColumnFactor>& factors) const {
-  std::vector<const std::vector<double>*> factor_of_col(num_cols_, nullptr);
-  for (const auto& factor : factors) {
-    CARDBENCH_CHECK(factor.col_idx < num_cols_, "factor column out of range");
-    factor_of_col[factor.col_idx] = &factor.per_bin;
+double SpnModel::ExpectProduct(
+    std::span<const double* const> factor_of_col) const {
+  CARDBENCH_CHECK(factor_of_col.size() == num_cols_,
+                  "%zu factor slots for %zu columns", factor_of_col.size(),
+                  num_cols_);
+  uint64_t scope = 0;
+  for (size_t c = 0; c < num_cols_; ++c) {
+    if (factor_of_col[c] != nullptr) scope |= ScopeBit(c);
   }
-  return Eval(root_, factor_of_col);
+  ArenaFrame frame(ThreadLocalArena());
+  return Eval(root_, factor_of_col.data(), scope);
 }
 
 std::pair<size_t, bool> SpnModel::FindJointKey(
@@ -435,6 +463,7 @@ void SpnModel::UpdateWithRows(const ExtendedTable& ext,
   for (size_t r : new_rows) {
     Route(root_, ext.BinnedRow(r));
   }
+  RebuildDerived();
 }
 
 size_t SpnModel::ModelBytes() const {
@@ -480,7 +509,8 @@ void SpnModel::Serialize(SectionWriter& out) const {
   }
 }
 
-Result<std::unique_ptr<SpnModel>> SpnModel::Deserialize(SectionReader& in) {
+Result<std::unique_ptr<SpnModel>> SpnModel::Deserialize(
+    SectionReader& in, const ExtendedTable& ext) {
   auto model = std::unique_ptr<SpnModel>(new SpnModel());
   CARDBENCH_ASSIGN_OR_RETURN(model->options_.independence_threshold,
                              in.GetDouble());
@@ -494,6 +524,14 @@ Result<std::unique_ptr<SpnModel>> SpnModel::Deserialize(SectionReader& in) {
   CARDBENCH_ASSIGN_OR_RETURN(model->options_.max_multi_leaf_cols, in.GetU64());
   CARDBENCH_ASSIGN_OR_RETURN(model->options_.seed, in.GetU64());
   CARDBENCH_ASSIGN_OR_RETURN(model->num_cols_, in.GetU64());
+  if (model->num_cols_ != ext.num_columns()) {
+    return Status::InvalidArgument(StrFormat(
+        "SPN has %zu columns, its extended table %zu", model->num_cols_,
+        ext.num_columns()));
+  }
+  // Inference indexes each column's per-bin factor by leaf bin and
+  // multi-leaf key bin, so both must lie in the column's bin domain.
+  const std::vector<size_t> domains = ext.BinDomains();
   CARDBENCH_ASSIGN_OR_RETURN(model->root_, in.GetU64());
   uint64_t num_nodes = 0;
   CARDBENCH_ASSIGN_OR_RETURN(num_nodes, in.GetU64());
@@ -539,6 +577,12 @@ Result<std::unique_ptr<SpnModel>> SpnModel::Deserialize(SectionReader& in) {
     }
     nd.cols.assign(cols.begin(), cols.end());
     CARDBENCH_ASSIGN_OR_RETURN(nd.histogram, in.GetDoubles());
+    if (nd.type == Node::Type::kLeaf &&
+        nd.histogram.size() != domains[nd.cols[0]]) {
+      return Status::InvalidArgument(StrFormat(
+          "SPN leaf histogram has %zu bins, its column %zu has %zu",
+          nd.histogram.size(), nd.cols[0], domains[nd.cols[0]]));
+    }
     uint64_t joint_size = 0;
     CARDBENCH_ASSIGN_OR_RETURN(joint_size, in.GetU64());
     const size_t width = nd.cols.size();
@@ -548,6 +592,14 @@ Result<std::unique_ptr<SpnModel>> SpnModel::Deserialize(SectionReader& in) {
       if (key.size() != width) {
         return Status::InvalidArgument("SPN multi-leaf key width differs "
                                        "from its column count");
+      }
+      for (size_t k = 0; k < width; ++k) {
+        if (key[k] >= domains[nd.cols[k]]) {
+          return Status::InvalidArgument(StrFormat(
+              "SPN multi-leaf key bin %u outside column %zu's %zu bins",
+              static_cast<unsigned>(key[k]), nd.cols[k],
+              domains[nd.cols[k]]));
+        }
       }
       if (j > 0 && !std::lexicographical_compare(
                        nd.joint_keys.end() - static_cast<long>(width),
@@ -563,6 +615,7 @@ Result<std::unique_ptr<SpnModel>> SpnModel::Deserialize(SectionReader& in) {
     CARDBENCH_ASSIGN_OR_RETURN(nd.total, in.GetDouble());
     model->nodes_.push_back(std::move(nd));
   }
+  model->RebuildDerived();
   return model;
 }
 
@@ -578,9 +631,9 @@ void DeepDbEstimator::SerializeModel(const TableDistribution& model,
 }
 
 Result<std::unique_ptr<TableDistribution>> DeepDbEstimator::LoadModelPayload(
-    SectionReader& in, const ExtendedTable&) const {
+    SectionReader& in, const ExtendedTable& ext) const {
   CARDBENCH_ASSIGN_OR_RETURN(std::unique_ptr<SpnModel> spn,
-                             SpnModel::Deserialize(in));
+                             SpnModel::Deserialize(in, ext));
   return std::unique_ptr<TableDistribution>(std::move(spn));
 }
 
@@ -604,9 +657,9 @@ void FlatEstimator::SerializeModel(const TableDistribution& model,
 }
 
 Result<std::unique_ptr<TableDistribution>> FlatEstimator::LoadModelPayload(
-    SectionReader& in, const ExtendedTable&) const {
+    SectionReader& in, const ExtendedTable& ext) const {
   CARDBENCH_ASSIGN_OR_RETURN(std::unique_ptr<SpnModel> spn,
-                             SpnModel::Deserialize(in));
+                             SpnModel::Deserialize(in, ext));
   return std::unique_ptr<TableDistribution>(std::move(spn));
 }
 

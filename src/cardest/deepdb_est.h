@@ -1,8 +1,11 @@
 #ifndef CARDBENCH_CARDEST_DEEPDB_EST_H_
 #define CARDBENCH_CARDEST_DEEPDB_EST_H_
 
+#include <algorithm>
+#include <cstdint>
 #include <iosfwd>
 #include <memory>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -41,7 +44,8 @@ class SpnModel : public TableDistribution {
  public:
   SpnModel(const ExtendedTable& ext, const SpnOptions& options);
 
-  double ExpectProduct(const std::vector<ColumnFactor>& factors) const override;
+  double ExpectProduct(
+      std::span<const double* const> factor_of_col) const override;
   size_t ModelBytes() const override;
   void UpdateWithRows(const ExtendedTable& ext,
                       const std::vector<size_t>& new_rows) override;
@@ -51,13 +55,17 @@ class SpnModel : public TableDistribution {
   /// Writes / restores the learned structure: options, node list (type,
   /// children, weights, scopes, histograms, multi-leaf joints). Deserialize
   /// rejects, with InvalidArgument, what Eval would index out of bounds or
-  /// recurse on forever: a child index not below its parent's (training
-  /// appends children first, so this also rules out cycles), a sum node
-  /// whose weights and children differ in number, a leaf without exactly
-  /// one column, a column id >= the model's column count, and multi-leaf
-  /// keys of the wrong width or not strictly ascending.
+  /// recurse on forever: a column count other than that of `ext` (the
+  /// extended table it was trained over), a child index not below its
+  /// parent's (training appends children first, so this also rules out
+  /// cycles), a sum node whose weights and children differ in number, a
+  /// leaf without exactly one column or whose histogram is not sized to its
+  /// column's bin domain, a column id >= the model's column count, and
+  /// multi-leaf keys of the wrong width, not strictly ascending, or holding
+  /// a bin outside its column's domain.
   void Serialize(SectionWriter& out) const;
-  static Result<std::unique_ptr<SpnModel>> Deserialize(SectionReader& in);
+  static Result<std::unique_ptr<SpnModel>> Deserialize(
+      SectionReader& in, const ExtendedTable& ext);
 
  private:
   SpnModel() = default;  // for Deserialize
@@ -74,6 +82,11 @@ class SpnModel : public TableDistribution {
     std::vector<uint16_t> joint_keys;
     std::vector<double> joint_counts;
     double total = 0.0;
+    // Derived (RebuildDerived), never serialized: the ScopeBit of every
+    // column in the node's subtree, and the node's value when no factor
+    // touches that scope.
+    uint64_t scope = 0;
+    double idle = 1.0;
   };
 
   /// Where `key` (cols.size() bins) is or would be inserted among the
@@ -90,9 +103,25 @@ class SpnModel : public TableDistribution {
   size_t MakeMultiLeaf(const ExtendedTable& ext,
                        const std::vector<size_t>& rows, size_t begin,
                        size_t end, std::vector<size_t> cols);
-  double Eval(size_t node,
-              const std::vector<const std::vector<double>*>& factor_of_col)
-      const;
+  /// Column `col`'s bit in a scope word. One word covers every column
+  /// below 63; the columns at or above 63 share bit 63, so a wider table
+  /// prunes less but evaluates the same.
+  static uint64_t ScopeBit(size_t col) {
+    return uint64_t{1} << std::min<size_t>(col, 63);
+  }
+  /// Recomputes every node's scope and idle value, children first, through
+  /// EvalNode. Runs at the end of training, loading and UpdateWithRows.
+  void RebuildDerived();
+  /// The value of `node` under `factor_of_col`, whose non-null columns'
+  /// bits make up `scope`: the idle value when the node's scope misses it.
+  double Eval(size_t node, const double* const* factor_of_col,
+              uint64_t scope) const {
+    const Node& nd = nodes_[node];
+    return (nd.scope & scope) == 0 ? nd.idle
+                                   : EvalNode(nd, factor_of_col, scope);
+  }
+  double EvalNode(const Node& nd, const double* const* factor_of_col,
+                  uint64_t scope) const;
   double PointLikelihood(size_t node, const std::vector<uint16_t>& row) const;
   void Route(size_t node, const std::vector<uint16_t>& row);
 

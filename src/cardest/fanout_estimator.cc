@@ -4,8 +4,8 @@
 #include <bit>
 #include <istream>
 #include <ostream>
-#include <queue>
 
+#include "common/arena.h"
 #include "common/logging.h"
 #include "common/serde.h"
 #include "common/stopwatch.h"
@@ -15,27 +15,40 @@ namespace cardbench {
 namespace {
 
 /// Factor-sequence item standing for a table's predicate ColumnFactors; any
-/// other item is a fanout column whose per-bin mean factor is pushed.
+/// other item is a join edge side whose fanout column's per-bin mean factor
+/// is pushed.
 constexpr int kPredBlock = -1;
 
-/// Merges factors that target the same column by elementwise product.
-std::vector<ColumnFactor> MergeFactors(std::vector<ColumnFactor> factors) {
-  std::vector<ColumnFactor> merged;
-  for (auto& factor : factors) {
-    bool found = false;
-    for (auto& m : merged) {
-      if (m.col_idx == factor.col_idx) {
-        for (size_t b = 0; b < m.per_bin.size(); ++b) {
-          m.per_bin[b] *= factor.per_bin[b];
-        }
-        found = true;
-        break;
+/// Expectations of one query table, keyed by factor sequence: every key's
+/// items sit back to back in `items`, so a lookup compares a few ints and
+/// allocates nothing.
+class ExpectationMemo {
+ public:
+  const double* Find(std::span<const int> key) const {
+    for (const Entry& entry : entries_) {
+      if (entry.size == key.size() &&
+          std::equal(key.begin(), key.end(), items_.begin() + entry.begin)) {
+        return &entry.value;
       }
     }
-    if (!found) merged.push_back(std::move(factor));
+    return nullptr;
   }
-  return merged;
-}
+
+  void Add(std::span<const int> key, double value) {
+    entries_.push_back({static_cast<uint32_t>(items_.size()),
+                        static_cast<uint32_t>(key.size()), value});
+    items_.insert(items_.end(), key.begin(), key.end());
+  }
+
+ private:
+  struct Entry {
+    uint32_t begin;
+    uint32_t size;
+    double value;
+  };
+  std::vector<int> items_;
+  std::vector<Entry> entries_;
+};
 
 }  // namespace
 
@@ -111,120 +124,200 @@ Status FanoutModelEstimator::UpdateImpl(const InsertionBatch&) {
   return Status::OK();
 }
 
-double FanoutModelEstimator::ExpectWithFactors(
-    const QueryGraph& graph, int local, std::vector<int> key,
-    PredFactorCache* cache) const {
-  std::map<std::vector<int>, double>& memo =
-      cache->expectations[static_cast<size_t>(local)];
-  const auto hit = memo.find(key);
-  if (hit != memo.end()) return hit->second;
-  const std::string& table = graph.table(local).name;
-  const ExtendedTable& ext = *ext_tables_.at(table);
-  std::vector<ColumnFactor> factors;
+struct FanoutModelEstimator::QueryState {
+  QueryState(const FanoutModelEstimator& estimator, const QueryGraph& graph)
+      : tables(graph.num_tables()),
+        side_column(2 * graph.edges().size()),
+        side_mean(2 * graph.edges().size()),
+        used(graph.edges().size()),
+        children(graph.num_tables()) {
+    for (size_t local = 0; local < tables.size(); ++local) {
+      const QueryGraph::TableInfo& info = graph.table(local);
+      tables[local].ext = estimator.ext_tables_.at(info.name).get();
+      tables[local].model = estimator.models_.at(info.name).get();
+    }
+    for (size_t e = 0; e < graph.edges().size(); ++e) {
+      const QueryGraph::EdgeInfo& edge = graph.edges()[e];
+      const JoinEdge& je = *edge.edge;
+      side_column[2 * e] = tables[static_cast<size_t>(edge.left_local)]
+                               .ext->FanoutIndex(je.left_column,
+                                                 {je.right_table,
+                                                  je.right_column});
+      side_column[2 * e + 1] = tables[static_cast<size_t>(edge.right_local)]
+                                   .ext->FanoutIndex(je.right_column,
+                                                     {je.left_table,
+                                                      je.left_column});
+    }
+  }
+
+  /// Edge `e`'s side on local table `local`: 2e for its left table, 2e + 1
+  /// for its right one.
+  static int SideOf(const QueryGraph::EdgeInfo& edge, size_t e, int local) {
+    return static_cast<int>(2 * e) + (edge.left_local == local ? 0 : 1);
+  }
+
+  /// Builds the spanning tree of `mask` rooted at `root` into `children`
+  /// and `used`: breadth-first from the root, each table taking the mask's
+  /// edges in edge order; an edge to a visited table stays unused (a
+  /// non-tree edge).
+  void BuildTree(const QueryGraph& graph, uint64_t mask, int root) {
+    const std::vector<QueryGraph::EdgeInfo>& edges = graph.edges();
+    std::fill(used.begin(), used.end(), 0);
+    tree.clear();
+    order.assign(1, root);
+    uint64_t visited = uint64_t{1} << root;
+    for (size_t i = 0; i < order.size(); ++i) {
+      const int at = order[i];
+      const size_t begin = tree.size();
+      for (size_t e = 0; e < edges.size(); ++e) {
+        const QueryGraph::EdgeInfo& edge = edges[e];
+        if (used[e] || (edge.mask & mask) != edge.mask) continue;
+        int other;
+        if (edge.left_local == at) {
+          other = edge.right_local;
+        } else if (edge.right_local == at) {
+          other = edge.left_local;
+        } else {
+          continue;
+        }
+        if ((visited >> other) & 1) continue;
+        used[e] = 1;
+        visited |= uint64_t{1} << other;
+        tree.push_back({e, other});
+        order.push_back(other);
+      }
+      children[static_cast<size_t>(at)] = {begin, tree.size()};
+    }
+  }
+
+  /// The tree edges from `local` to its children, as (edge, child) pairs.
+  std::span<const std::pair<size_t, int>> ChildrenOf(int local) const {
+    const auto [begin, end] = children[static_cast<size_t>(local)];
+    return std::span<const std::pair<size_t, int>>(tree).subspan(begin,
+                                                                 end - begin);
+  }
+
+  struct Table {
+    const ExtendedTable* ext = nullptr;
+    const TableDistribution* model = nullptr;
+    /// Predicate ColumnFactors, built on first use.
+    bool preds_built = false;
+    std::vector<ColumnFactor> preds;
+    ExpectationMemo memo;
+  };
+  std::vector<Table> tables;
+  /// Per edge side: the fanout column of that side's table counting its
+  /// matches on the other side (-1: the pair is not join-compatible), and
+  /// its per-bin mean factor, built on first use.
+  std::vector<int> side_column;
+  std::vector<std::vector<double>> side_mean;
+
+  // Spanning-tree scratch, rebuilt per mask: `used` per edge, the (edge,
+  // child) pairs of every table in BFS order, each table's range of them,
+  // and the BFS queue.
+  std::vector<char> used;
+  std::vector<std::pair<size_t, int>> tree;
+  std::vector<std::pair<size_t, size_t>> children;
+  std::vector<int> order;
+  /// Factor-sequence scratch for Expect keys.
+  std::vector<int> key;
+};
+
+double FanoutModelEstimator::Expect(const QueryGraph& graph, QueryState& state,
+                                    int local, std::span<const int> key) const {
+  QueryState::Table& table = state.tables[static_cast<size_t>(local)];
+  if (const double* hit = table.memo.Find(key)) return *hit;
+
+  const size_t num_cols = table.ext->num_columns();
+  ArenaFrame frame(ThreadLocalArena());
+  const double** factor_of_col =
+      frame.arena().AllocateArray<const double*>(num_cols);
+  std::fill_n(factor_of_col, num_cols, nullptr);
+  // Predicate columns are distinct attributes, and a spanning tree reaches
+  // each neighbour over one edge, so no two factors share a column.
+  const auto place = [&](size_t col, const double* factor) {
+    CARDBENCH_CHECK(factor_of_col[col] == nullptr,
+                    "two factors on extended column %zu", col);
+    factor_of_col[col] = factor;
+  };
   for (int item : key) {
     if (item == kPredBlock) {
-      const std::vector<ColumnFactor>& preds =
-          PredFactorsFor(graph, local, cache);
-      factors.insert(factors.end(), preds.begin(), preds.end());
+      if (!table.preds_built) {
+        for (const auto& group : graph.table(local).pred_groups) {
+          const int idx = table.ext->AttrIndex(group.column);
+          if (idx < 0) continue;  // predicate on unmodeled column: ignore
+          table.preds.push_back(
+              {static_cast<size_t>(idx),
+               table.ext->PredicateFactor(static_cast<size_t>(idx),
+                                          group.preds)});
+        }
+        table.preds_built = true;
+      }
+      for (const ColumnFactor& pred : table.preds) {
+        place(pred.col_idx, pred.per_bin.data());
+      }
     } else {
-      const size_t idx = static_cast<size_t>(item);
-      factors.push_back({idx, ext.FanoutMeanFactor(idx)});
+      const size_t side = static_cast<size_t>(item);
+      const size_t col = static_cast<size_t>(state.side_column[side]);
+      std::vector<double>& mean = state.side_mean[side];
+      if (mean.empty()) mean = table.ext->FanoutMeanFactor(col);
+      place(col, mean.data());
     }
   }
   const double expectation =
-      models_.at(table)->ExpectProduct(MergeFactors(std::move(factors)));
-  memo.emplace(std::move(key), expectation);
+      table.model->ExpectProduct({factor_of_col, num_cols});
+  table.memo.Add(key, expectation);
   return expectation;
 }
 
-const std::vector<ColumnFactor>& FanoutModelEstimator::PredFactorsFor(
-    const QueryGraph& graph, int local, PredFactorCache* cache) const {
-  std::unique_ptr<std::vector<ColumnFactor>>& slot =
-      cache->by_local[static_cast<size_t>(local)];
-  if (!slot) {
-    const QueryGraph::TableInfo& info = graph.table(local);
-    const ExtendedTable& ext = *ext_tables_.at(info.name);
-    auto factors = std::make_unique<std::vector<ColumnFactor>>();
-    for (const auto& group : info.pred_groups) {
-      const int idx = ext.AttrIndex(group.column);
-      if (idx < 0) continue;  // predicate on unmodeled column: ignore
-      factors->push_back(
-          {static_cast<size_t>(idx),
-           ext.PredicateFactor(static_cast<size_t>(idx), group.preds)});
-    }
-    slot = std::move(factors);
-  }
-  return *slot;
-}
-
-double FanoutModelEstimator::GraphSubtreeRho(
-    const QueryGraph& graph, int local, int parent_local,
-    const QueryGraph::EdgeInfo& parent_edge,
-    const std::map<int, std::vector<std::pair<const QueryGraph::EdgeInfo*,
-                                              int>>>& tree_children,
-    PredFactorCache* cache) const {
-  const QueryGraph::TableInfo& info = graph.table(local);
-  const ExtendedTable& ext = *ext_tables_.at(info.name);
-
-  // Fanout column counting this table's matches in the parent. Orientation
-  // comes from the resolved local ids; column/table names from the edge.
-  const JoinEdge& je = *parent_edge.edge;
-  const bool i_am_left = parent_edge.left_local == local;
-  const std::string& my_col = i_am_left ? je.left_column : je.right_column;
-  const std::string& parent_col = i_am_left ? je.right_column : je.left_column;
-  const std::string& parent_name = graph.table(parent_local).name;
-  const int up_idx = ext.FanoutIndex(my_col, {parent_name, parent_col});
-  CARDBENCH_CHECK(up_idx >= 0, "no fanout column %s.%s -> %s.%s",
-                  info.name.c_str(), my_col.c_str(), parent_name.c_str(),
-                  parent_col.c_str());
-
-  std::vector<int> numer = {up_idx, kPredBlock};
+double FanoutModelEstimator::SubtreeRho(const QueryGraph& graph,
+                                        QueryState& state, int local,
+                                        int up_side) const {
+  // Fanout column counting this table's matches in the parent.
+  CARDBENCH_CHECK(state.side_column[static_cast<size_t>(up_side)] >= 0,
+                  "no fanout column %s -> parent",
+                  graph.table(local).name.c_str());
   double child_scalars = 1.0;
-  auto it = tree_children.find(local);
-  if (it != tree_children.end()) {
-    for (const auto& [edge, child] : it->second) {
-      const JoinEdge& ce = *edge->edge;
-      const bool child_is_right = edge->left_local == local;
-      const std::string& down_col =
-          child_is_right ? ce.left_column : ce.right_column;
-      const std::string& child_col =
-          child_is_right ? ce.right_column : ce.left_column;
-      const int idx = ext.FanoutIndex(
-          down_col, {graph.table(child).name, child_col});
-      CARDBENCH_CHECK(idx >= 0, "no fanout column for child edge");
-      numer.push_back(idx);
-      child_scalars *=
-          GraphSubtreeRho(graph, child, local, *edge, tree_children, cache);
-    }
+  for (const auto& [e, child] : state.ChildrenOf(local)) {
+    const QueryGraph::EdgeInfo& edge = graph.edges()[e];
+    child_scalars *= SubtreeRho(graph, state, child,
+                                QueryState::SideOf(edge, e, child));
   }
 
-  const double numer_e =
-      ExpectWithFactors(graph, local, std::move(numer), cache);
-  const double denom_e = ExpectWithFactors(graph, local, {up_idx}, cache);
+  std::vector<int>& key = state.key;
+  key.assign({up_side, kPredBlock});
+  for (const auto& [e, child] : state.ChildrenOf(local)) {
+    const int side = QueryState::SideOf(graph.edges()[e], e, local);
+    CARDBENCH_CHECK(state.side_column[static_cast<size_t>(side)] >= 0,
+                    "no fanout column for child edge");
+    key.push_back(side);
+  }
+  const double numer_e = Expect(graph, state, local, key);
+  const double denom_e = Expect(graph, state, local, {&up_side, 1});
   if (denom_e <= 1e-12) return 0.0;
   return (numer_e / denom_e) * child_scalars;
 }
 
 double FanoutModelEstimator::EstimateCard(const QueryGraph& graph,
                                           uint64_t mask) const {
-  PredFactorCache cache(graph.num_tables());
-  return EstimateCardImpl(graph, mask, &cache);
+  QueryState state(*this, graph);
+  return EstimateCardImpl(graph, mask, state);
 }
 
 std::vector<double> FanoutModelEstimator::EstimateCards(
     const QueryGraph& graph, std::span<const uint64_t> masks) const {
-  PredFactorCache cache(graph.num_tables());
+  QueryState state(*this, graph);
   std::vector<double> out;
   out.reserve(masks.size());
   for (uint64_t mask : masks) {
-    out.push_back(EstimateCardImpl(graph, mask, &cache));
+    out.push_back(EstimateCardImpl(graph, mask, state));
   }
   return out;
 }
 
 double FanoutModelEstimator::EstimateCardImpl(const QueryGraph& graph,
                                               uint64_t mask,
-                                              PredFactorCache* cache) const {
+                                              QueryState& state) const {
   CARDBENCH_CHECK(mask != 0, "empty query");
 
   // Single table: |T| * E[predicate factors].
@@ -232,8 +325,8 @@ double FanoutModelEstimator::EstimateCardImpl(const QueryGraph& graph,
     const int local = std::countr_zero(mask);
     const double rows =
         static_cast<double>(graph.table(local).table->num_rows());
-    return std::max(
-        1.0, rows * ExpectWithFactors(graph, local, {kPredBlock}, cache));
+    return std::max(1.0,
+                    rows * Expect(graph, state, local, {&kPredBlock, 1}));
   }
 
   // Ablation mode: join uniformity over single-table model estimates (the
@@ -241,7 +334,7 @@ double FanoutModelEstimator::EstimateCardImpl(const QueryGraph& graph,
   if (!use_fanout_join_) {
     double card = 1.0;
     for (uint64_t rest = mask; rest != 0; rest &= rest - 1) {
-      card *= EstimateCardImpl(graph, rest & ~(rest - 1), cache);
+      card *= EstimateCardImpl(graph, rest & ~(rest - 1), state);
     }
     for (const auto& edge : graph.edges()) {
       if ((edge.mask & mask) != edge.mask) continue;
@@ -260,73 +353,31 @@ double FanoutModelEstimator::EstimateCardImpl(const QueryGraph& graph,
       root = local;
     }
   }
-  std::map<int, std::vector<std::pair<const QueryGraph::EdgeInfo*, int>>>
-      tree_children;
-  std::vector<const QueryGraph::EdgeInfo*> non_tree;
-  {
-    uint64_t visited = uint64_t{1} << root;
-    std::queue<int> frontier;
-    frontier.push(root);
-    std::vector<bool> used(graph.edges().size(), false);
-    while (!frontier.empty()) {
-      const int at = frontier.front();
-      frontier.pop();
-      for (size_t e = 0; e < graph.edges().size(); ++e) {
-        if (used[e]) continue;
-        const QueryGraph::EdgeInfo& edge = graph.edges()[e];
-        if ((edge.mask & mask) != edge.mask) continue;
-        int other;
-        if (edge.left_local == at) {
-          other = edge.right_local;
-        } else if (edge.right_local == at) {
-          other = edge.left_local;
-        } else {
-          continue;
-        }
-        if ((visited >> other) & 1) continue;
-        used[e] = true;
-        visited |= uint64_t{1} << other;
-        tree_children[at].push_back({&edge, other});
-        frontier.push(other);
-      }
-    }
-    for (size_t e = 0; e < graph.edges().size(); ++e) {
-      const QueryGraph::EdgeInfo& edge = graph.edges()[e];
-      if ((edge.mask & mask) != edge.mask) continue;
-      if (!used[e]) non_tree.push_back(&edge);
-    }
-  }
+  state.BuildTree(graph, mask, root);
 
-  const QueryGraph::TableInfo& root_info = graph.table(root);
-  const ExtendedTable& root_ext = *ext_tables_.at(root_info.name);
-  std::vector<int> factors = {kPredBlock};
   double scalars = 1.0;
-  auto it = tree_children.find(root);
-  if (it != tree_children.end()) {
-    for (const auto& [edge, child] : it->second) {
-      const JoinEdge& je = *edge->edge;
-      const bool child_is_right = edge->left_local == root;
-      const std::string& my_col =
-          child_is_right ? je.left_column : je.right_column;
-      const std::string& child_col =
-          child_is_right ? je.right_column : je.left_column;
-      const int idx = root_ext.FanoutIndex(
-          my_col, {graph.table(child).name, child_col});
-      CARDBENCH_CHECK(idx >= 0, "no fanout column for root edge");
-      factors.push_back(idx);
-      scalars *=
-          GraphSubtreeRho(graph, child, root, *edge, tree_children, cache);
-    }
+  for (const auto& [e, child] : state.ChildrenOf(root)) {
+    const QueryGraph::EdgeInfo& edge = graph.edges()[e];
+    scalars *= SubtreeRho(graph, state, child,
+                          QueryState::SideOf(edge, e, child));
   }
-
-  double card = static_cast<double>(root_info.table->num_rows()) *
-                ExpectWithFactors(graph, root, std::move(factors), cache) *
-                scalars;
+  std::vector<int>& key = state.key;
+  key.assign(1, kPredBlock);
+  for (const auto& [e, child] : state.ChildrenOf(root)) {
+    const int side = QueryState::SideOf(graph.edges()[e], e, root);
+    CARDBENCH_CHECK(state.side_column[static_cast<size_t>(side)] >= 0,
+                    "no fanout column for root edge");
+    key.push_back(side);
+  }
+  double card = static_cast<double>(graph.table(root).table->num_rows()) *
+                Expect(graph, state, root, key) * scalars;
 
   // Independence correction for parallel/non-tree edges (PostgreSQL's
   // 1/max(ndv) equi-join selectivity).
-  for (const QueryGraph::EdgeInfo* edge : non_tree) {
-    card /= JoinUniformityDivisor(*edge);
+  for (size_t e = 0; e < graph.edges().size(); ++e) {
+    const QueryGraph::EdgeInfo& edge = graph.edges()[e];
+    if ((edge.mask & mask) != edge.mask || state.used[e]) continue;
+    card /= JoinUniformityDivisor(edge);
   }
   return std::max(card, 1e-6);
 }

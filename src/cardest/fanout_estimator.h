@@ -4,6 +4,7 @@
 #include <iosfwd>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -28,10 +29,13 @@ class TableDistribution {
  public:
   virtual ~TableDistribution() = default;
 
-  /// E[ Π_i factors[i].per_bin[bin(column factors[i].col_idx)] ] under the
-  /// modeled joint distribution. Factors arrive merged (one per column).
-  virtual double ExpectProduct(const std::vector<ColumnFactor>& factors)
-      const = 0;
+  /// E[ Π_c factor_of_col[c][bin(column c)] ] under the modeled joint
+  /// distribution, over the columns c whose factor is non-null.
+  /// `factor_of_col` holds one entry per extended-table column, and each
+  /// non-null factor one value per bin of its column. Allocates nothing on
+  /// the heap: scratch comes from the calling thread's arena.
+  virtual double ExpectProduct(
+      std::span<const double* const> factor_of_col) const = 0;
 
   virtual size_t ModelBytes() const = 0;
 
@@ -59,12 +63,11 @@ class FanoutModelEstimator : public CardinalityEstimator {
   FanoutModelEstimator(const Database& db, size_t max_bins);
 
   using CardinalityEstimator::EstimateCard;
-  /// Mask-based dispatch: spanning tree built over local table ids and
-  /// pre-resolved edges; predicate groups come from the graph (no per-call
-  /// name grouping). Model lookups stay name-keyed (the per-table models
-  /// are string-keyed internal state).
+  /// Mask-based dispatch: a spanning tree over the mask's join edges, the
+  /// query's tables resolved to their extended tables and models once per
+  /// call, predicate groups taken from the graph.
   double EstimateCard(const QueryGraph& graph, uint64_t mask) const override;
-  /// Batched: the per-table predicate ColumnFactors and the model
+  /// Batched: the per-table resolution, predicate ColumnFactors and model
   /// expectations (mask-independent per factor sequence) are computed once
   /// per query and shared across all masks; each mask then runs the
   /// unchanged fanout recursion over the same factor sequences —
@@ -139,43 +142,32 @@ class FanoutModelEstimator : public CardinalityEstimator {
   /// into the table's model, whatever the batch.
   Status UpdateImpl(const InsertionBatch& batch) override;
 
-  /// Per-query memos, both mask-independent, so a batch fills them once:
-  /// each local table's predicate ColumnFactors (built from the graph's
-  /// pred_groups), and each ExpectWithFactors result keyed by the local
-  /// table and the factor sequence pushed (see ExpectWithFactors).
-  struct PredFactorCache {
-    explicit PredFactorCache(size_t num_tables)
-        : by_local(num_tables), expectations(num_tables) {}
-    std::vector<std::unique_ptr<std::vector<ColumnFactor>>> by_local;
-    std::vector<std::map<std::vector<int>, double>> expectations;
-  };
+  /// What every sub-plan of one query shares, built once per EstimateCard
+  /// or EstimateCards call (defined in the .cc): each query table's
+  /// extended table, model and memos, each join edge side's fanout column,
+  /// and the spanning-tree scratch that each mask reuses.
+  struct QueryState;
 
   /// E[product of factors] under local table `local`'s model, the factors
-  /// given by `key` in push order: -1 stands for the table's predicate
-  /// factors, any other item for that fanout column's mean factor. Within
-  /// one query the key determines the factors, so the value is memoized in
-  /// `cache` (the query-invariant denominators E_c[F_{c->p}] and repeated
-  /// numerators run once per query) and the factor vectors are built only
-  /// on a miss. A hit returns the double the call would have computed.
-  double ExpectWithFactors(const QueryGraph& graph, int local,
-                           std::vector<int> key, PredFactorCache* cache) const;
+  /// given by `key` in push order: kPredBlock stands for the table's
+  /// predicate factors, any other item s for the mean factor of edge side
+  /// s's fanout column (see QueryState). Within one query the key
+  /// determines the factors, so the value is memoized per table (the
+  /// query-invariant denominators E_c[F_{c->p}] and repeated numerators run
+  /// once per query). A hit returns the double the call would have
+  /// computed.
+  double Expect(const QueryGraph& graph, QueryState& state, int local,
+                std::span<const int> key) const;
 
-  const std::vector<ColumnFactor>& PredFactorsFor(const QueryGraph& graph,
-                                                  int local,
-                                                  PredFactorCache* cache) const;
-
-  /// EstimateCard(graph, mask) with the predicate-factor memo threaded
-  /// through (the scalar overload passes a fresh one).
+  /// EstimateCard(graph, mask) over `state` (the scalar overload passes a
+  /// fresh one).
   double EstimateCardImpl(const QueryGraph& graph, uint64_t mask,
-                          PredFactorCache* cache) const;
+                          QueryState& state) const;
 
-  /// Recursive ρ computation for a child subtree, keyed on local table ids.
-  double GraphSubtreeRho(
-      const QueryGraph& graph, int local, int parent_local,
-      const QueryGraph::EdgeInfo& parent_edge,
-      const std::map<int, std::vector<std::pair<const QueryGraph::EdgeInfo*,
-                                                int>>>& tree_children,
-      PredFactorCache* cache) const;
+  /// ρ of the spanning-tree subtree rooted at `local`, reached from its
+  /// parent over edge side `up_side` (this table's side of the edge).
+  double SubtreeRho(const QueryGraph& graph, QueryState& state, int local,
+                    int up_side) const;
 
   size_t max_bins_;
   bool use_fanout_join_ = true;

@@ -94,7 +94,7 @@ QueryGraph::QueryGraph(const Query& query, const Database& db)
     edges_.push_back(std::move(info));
   }
 
-  // --- Sub-plan space: connected subsets and their canonical keys. ---
+  // --- Sub-plan space: connected subsets. ---
   const uint64_t full = full_mask();
   for (uint64_t mask = 1; mask <= full; ++mask) {
     if (IsConnected(mask)) connected_subsets_.push_back(mask);
@@ -103,10 +103,6 @@ QueryGraph::QueryGraph(const Query& query, const Database& db)
                    [](uint64_t a, uint64_t b) {
                      return std::popcount(a) < std::popcount(b);
                    });
-  canonical_keys_.reserve(connected_subsets_.size());
-  for (uint64_t mask : connected_subsets_) {
-    canonical_keys_[mask] = query_.Induced(mask).CanonicalKey();
-  }
   fingerprint_ = Fnv1aHash(query_.CanonicalKey());
 }
 
@@ -130,6 +126,12 @@ bool QueryGraph::IsConnected(uint64_t mask) const {
 }
 
 const std::string& QueryGraph::CanonicalKey(uint64_t mask) const {
+  std::call_once(canonical_keys_once_, [this] {
+    canonical_keys_.reserve(connected_subsets_.size());
+    for (uint64_t connected : connected_subsets_) {
+      canonical_keys_[connected] = query_.Induced(connected).CanonicalKey();
+    }
+  });
   auto it = canonical_keys_.find(mask);
   CARDBENCH_CHECK(it != canonical_keys_.end(),
                   "mask %llu is not a connected sub-plan of this query",

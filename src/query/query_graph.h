@@ -2,6 +2,7 @@
 #define CARDBENCH_QUERY_QUERY_GRAPH_H_
 
 #include <cstdint>
+#include <mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -21,17 +22,20 @@ namespace cardbench {
 /// Table pointers, predicate/join columns to column ids and Column pointers
 /// — and precomputes what the planning loop otherwise recomputes per
 /// (estimator x sub-plan): per-table adjacency bitmasks, the connected
-/// subset enumeration, the canonical key of the induced sub-query per
-/// connected mask, and a stable 64-bit fingerprint of the whole query.
+/// subset enumeration and a stable 64-bit fingerprint of the whole query.
+/// The canonical key of each connected sub-plan is built on the first
+/// CanonicalKey call, since only the oracles, the sampling-based estimators
+/// and the true-cardinality service read them.
 ///
 /// The graph deliberately stores *no* data statistics (NDV, null fractions,
 /// histograms): those live in the table indexes and estimator models and
 /// may change under data updates; the graph only pins identities, so it
 /// stays valid across appends to the underlying tables.
 ///
-/// Thread-safety: immutable after construction; safe to share across the
-/// service's worker threads without locking. Non-copyable and non-movable
-/// so internal pointers (into the owned Query copy) can never dangle.
+/// Thread-safety: immutable after construction (the canonical keys are
+/// built once, under std::call_once); safe to share across the service's
+/// worker threads without locking. Non-copyable and non-movable so
+/// internal pointers (into the owned Query copy) can never dangle.
 class QueryGraph {
  public:
   /// One resolved predicate of the query, in query order.
@@ -116,11 +120,12 @@ class QueryGraph {
     return connected_subsets_;
   }
 
-  /// Canonical key of the sub-plan `mask`, precomputed — byte-for-byte
-  /// equal to query().Induced(mask).CanonicalKey(), so hash-seeded samplers
-  /// and the true-cardinality disk cache see exactly the keys the string
-  /// path produced. Dies on a non-connected mask (no caller dispatches a
-  /// disconnected sub-plan).
+  /// Canonical key of the sub-plan `mask` — byte-for-byte equal to
+  /// query().Induced(mask).CanonicalKey(), so hash-seeded samplers and the
+  /// true-cardinality disk cache see exactly the keys the string path
+  /// produced. The first call on a graph builds every connected mask's key
+  /// (thread-safe); later calls look one up. Dies on a non-connected mask
+  /// (no caller dispatches a disconnected sub-plan).
   const std::string& CanonicalKey(uint64_t mask) const;
 
   /// Stable 64-bit fingerprint of the whole query: FNV-1a of the full-mask
@@ -136,7 +141,9 @@ class QueryGraph {
   std::vector<EdgeInfo> edges_;
   std::vector<PredInfo> preds_;
   std::vector<uint64_t> connected_subsets_;
-  std::unordered_map<uint64_t, std::string> canonical_keys_;  // by mask
+  // Canonical keys by connected mask, built by the first CanonicalKey call.
+  mutable std::once_flag canonical_keys_once_;
+  mutable std::unordered_map<uint64_t, std::string> canonical_keys_;
   uint64_t fingerprint_ = 0;
 };
 

@@ -117,7 +117,9 @@ INSTANTIATE_TEST_SUITE_P(AllEstimators, BatchParityTest,
 // Concurrent batch requests against the service's sharded cache: several
 // client threads replay every workload query against several estimators,
 // repeatedly, so batch lookups, batch fills and LRU touches race on the
-// same shards. Every response must still equal the direct batch result.
+// same shards, and the service's workers run the fanout family's inference
+// (per-thread arena scratch over shared models) side by side. Every
+// response must still equal the direct batch result.
 TEST(BatchServiceConcurrencyTest, ConcurrentBatchRequestsMatchDirect) {
   BenchEnv* env = SharedEnv();
   ASSERT_NE(env, nullptr);
@@ -129,8 +131,8 @@ TEST(BatchServiceConcurrencyTest, ConcurrentBatchRequestsMatchDirect) {
   options.cache_shards = 8;
   EstimationService service(options);
 
-  const std::vector<std::string> names = {"PostgreSQL", "UniSample",
-                                          "PessEst"};
+  const std::vector<std::string> names = {
+      "PostgreSQL", "UniSample", "PessEst", "BayesCard", "DeepDB", "FLAT"};
   for (const std::string& name : names) {
     auto est = env->MakeNamedEstimator(name);
     ASSERT_TRUE(est.ok()) << est.status().ToString();

@@ -8,6 +8,7 @@
 #include "cardest/postgres_est.h"
 #include "cardest/sampling_est.h"
 #include "cardest/truecard_est.h"
+#include "common/rng.h"
 #include "datagen/stats_gen.h"
 #include "datagen/update_split.h"
 #include "exec/true_card.h"
@@ -306,6 +307,47 @@ TEST_F(CardEstTest, ModelSizeScalingFollowsArchitecture) {
   EXPECT_LT(bn_growth, fspn_growth);
   EXPECT_GT(fspn_growth, 1.5);
   EXPECT_GT(bn_small.TrainSeconds(), 0.0);
+}
+
+TEST(SpnScopeTest, ColumnsPastBit63StillReachTheirLeaves) {
+  // Scope words give every column at or above 63 one shared bit. A factor
+  // on any column of a 70-column table must still reach that column's
+  // leaf or multi-leaf: a zero factor zeroes the expectation, and with no
+  // factor at all every node idles at 1. Columns 60 and up repeat one
+  // value, so FLAT's learner groups them into multi-leaves.
+  constexpr size_t kCols = 70;
+  Database db("wide");
+  Table* table = db.AddTable("t").value();
+  for (size_t c = 0; c < kCols; ++c) {
+    ASSERT_TRUE(
+        table->AddColumn("c" + std::to_string(c), ColumnKind::kNumeric).ok());
+  }
+  Rng rng(7);
+  for (int r = 0; r < 300; ++r) {
+    std::vector<std::optional<Value>> row;
+    for (size_t c = 0; c < kCols; ++c) {
+      row.push_back(c > 60 ? row[60]
+                           : std::optional<Value>(
+                                 static_cast<Value>(rng.NextUint64(5))));
+    }
+    ASSERT_TRUE(table->AppendRow(row).ok());
+  }
+  const ExtendedTable ext(db, "t", 8);
+  ASSERT_EQ(ext.num_columns(), kCols);
+  for (bool multi_leaf : {false, true}) {
+    SpnOptions options;
+    options.enable_multi_leaf = multi_leaf;
+    const SpnModel model(ext, options);
+    std::vector<const double*> factor_of_col(kCols, nullptr);
+    EXPECT_EQ(model.ExpectProduct(factor_of_col), 1.0);
+    for (size_t c : {0, 62, 63, 64, 69}) {
+      const std::vector<double> zero(ext.BinDomains()[c], 0.0);
+      factor_of_col.assign(kCols, nullptr);
+      factor_of_col[c] = zero.data();
+      EXPECT_EQ(model.ExpectProduct(factor_of_col), 0.0)
+          << "column " << c << (multi_leaf ? " (FLAT)" : " (DeepDB)");
+    }
+  }
 }
 
 }  // namespace

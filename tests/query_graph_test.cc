@@ -4,6 +4,9 @@
 
 #include <algorithm>
 #include <bit>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "common/str_util.h"
 #include "datagen/stats_gen.h"
@@ -121,6 +124,34 @@ TEST_F(QueryGraphTest, InducedSubplansAreByteIdenticalToLegacy) {
   for (uint64_t mask : graph.connected_subsets()) {
     const Query legacy = q.Induced(mask);
     EXPECT_EQ(graph.CanonicalKey(mask), legacy.CanonicalKey());
+  }
+}
+
+TEST_F(QueryGraphTest, FirstCanonicalKeyCallsRaceSafely) {
+  // The keys are built by whichever thread asks first; threads that ask at
+  // the same moment on a fresh graph must all see every key, each equal to
+  // the induced sub-query's (TSAN checks the build itself).
+  const Query q = Parse(kFourWayQuery);
+  const QueryGraph graph(q, *db_);
+  const std::vector<uint64_t>& masks = graph.connected_subsets();
+  constexpr size_t kThreads = 4;
+  std::vector<std::vector<std::string>> seen(kThreads);
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      // Each thread starts at a different mask.
+      for (size_t i = 0; i < masks.size(); ++i) {
+        seen[t].push_back(graph.CanonicalKey(masks[(i + t) % masks.size()]));
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (size_t t = 0; t < kThreads; ++t) {
+    ASSERT_EQ(seen[t].size(), masks.size());
+    for (size_t i = 0; i < masks.size(); ++i) {
+      const uint64_t mask = masks[(i + t) % masks.size()];
+      EXPECT_EQ(seen[t][i], q.Induced(mask).CanonicalKey());
+    }
   }
 }
 

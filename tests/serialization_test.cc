@@ -204,6 +204,23 @@ TEST(BinnerSerializationTest, RejectsValuesOutOfOrder) {
             StatusCode::kInvalidArgument);
 }
 
+/// The database the crafted SPN, BayesCard and MultiHist artifacts load
+/// over.
+const Database& CraftDb() {
+  static const Database* db = [] {
+    StatsGenConfig config;
+    config.scale = 0.01;
+    return GenerateStatsDatabase(config).release();
+  }();
+  return *db;
+}
+
+/// The extended table the crafted SPN artifacts load beside.
+const ExtendedTable& SpnExt() {
+  static const ExtendedTable* ext = new ExtendedTable(CraftDb(), "users", 48);
+  return *ext;
+}
+
 /// A hand-written SPN node, serialized in SpnModel's node layout.
 struct CraftedNode {
   uint32_t type = 2;  // 0 sum, 1 product, 2 leaf, 3 multi-leaf
@@ -215,12 +232,14 @@ struct CraftedNode {
   double total = 0.0;
 };
 
-/// A valid three-column model: a sum (root) over a product of a leaf and
-/// a multi-leaf, and a second leaf.
+/// A valid model of SpnExt() over its first three columns: a sum (root)
+/// over a product of a leaf and a multi-leaf, and a second leaf.
 std::vector<CraftedNode> ValidSpnNodes() {
   CraftedNode leaf;
   leaf.cols = {2};
-  leaf.histogram = {1, 3};
+  leaf.histogram.assign(SpnExt().BinDomains()[2], 0.0);
+  leaf.histogram[0] = 1;
+  leaf.histogram[1] = 3;
   leaf.total = 4;
   CraftedNode multi;
   multi.type = 3;
@@ -237,7 +256,10 @@ std::vector<CraftedNode> ValidSpnNodes() {
   return {leaf, multi, product, sum};
 }
 
-StatusCode LoadSpn(const std::vector<CraftedNode>& nodes) {
+/// Deserializes `nodes` (the last one the root) as an SPN of `num_cols`
+/// columns beside SpnExt().
+Result<std::unique_ptr<SpnModel>> CraftSpn(
+    const std::vector<CraftedNode>& nodes, uint64_t num_cols) {
   SectionWriter out;
   const SpnOptions options;
   out.PutDouble(options.independence_threshold);
@@ -248,7 +270,7 @@ StatusCode LoadSpn(const std::vector<CraftedNode>& nodes) {
   out.PutBool(true);
   out.PutU64(options.max_multi_leaf_cols);
   out.PutU64(options.seed);
-  out.PutU64(3);                 // columns
+  out.PutU64(num_cols);
   out.PutU64(nodes.size() - 1);  // root
   out.PutU64(nodes.size());
   for (const CraftedNode& nd : nodes) {
@@ -265,12 +287,27 @@ StatusCode LoadSpn(const std::vector<CraftedNode>& nodes) {
     out.PutDouble(nd.total);
   }
   SectionReader in(out.bytes());
-  auto model = SpnModel::Deserialize(in);
+  return SpnModel::Deserialize(in, SpnExt());
+}
+
+/// Loads `nodes` as an SPN of `num_cols` columns (by default SpnExt()'s)
+/// beside SpnExt().
+StatusCode LoadSpn(const std::vector<CraftedNode>& nodes,
+                   uint64_t num_cols = SpnExt().num_columns()) {
+  auto model = CraftSpn(nodes, num_cols);
   if (model.ok()) {
-    // Whatever loads must evaluate.
-    const std::vector<ColumnFactor> factors = {
-        {0, {0.5, 0.5}}, {1, {1.0, 0.0}}, {2, {0.25, 1.0}}};
-    EXPECT_GT((*model)->ExpectProduct(factors), 0.0);
+    // Whatever loads must evaluate: factors sized by their columns' bin
+    // domains on the three modeled columns, none on the rest.
+    const std::vector<size_t> domains = SpnExt().BinDomains();
+    std::vector<double> f0(domains[0], 0.5), f1(domains[1], 0.0),
+        f2(domains[2], 1.0);
+    f1[0] = 1.0;
+    f2[0] = 0.25;
+    std::vector<const double*> factor_of_col(domains.size(), nullptr);
+    factor_of_col[0] = f0.data();
+    factor_of_col[1] = f1.data();
+    factor_of_col[2] = f2.data();
+    EXPECT_GT((*model)->ExpectProduct(factor_of_col), 0.0);
   }
   return model.status().code();
 }
@@ -288,11 +325,45 @@ TEST(SpnSerializationTest, RejectsLeafWithoutExactlyOneColumn) {
 }
 
 TEST(SpnSerializationTest, RejectsColumnIdOutOfRange) {
+  const size_t num_cols = SpnExt().num_columns();
   auto nodes = ValidSpnNodes();
-  nodes[0].cols = {3};
+  nodes[0].cols = {num_cols};
   EXPECT_EQ(LoadSpn(nodes), StatusCode::kInvalidArgument);
   nodes = ValidSpnNodes();
-  nodes[1].cols = {0, 7};
+  nodes[1].cols = {0, num_cols + 4};
+  EXPECT_EQ(LoadSpn(nodes), StatusCode::kInvalidArgument);
+}
+
+TEST(SpnSerializationTest, RejectsColumnCountOtherThanItsTable) {
+  // One column more than the extended table, or 2^40 columns (inference
+  // sized its per-call factor slots by the count), used to load.
+  const uint64_t num_cols = SpnExt().num_columns();
+  EXPECT_EQ(LoadSpn(ValidSpnNodes(), num_cols + 1),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(LoadSpn(ValidSpnNodes(), uint64_t{1} << 40),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(SpnSerializationTest, RejectsLeafHistogramNotSizedToItsDomain) {
+  // One bin more than the column's domain used to load, and the leaf then
+  // read that bin's factor past the end of the factor vector.
+  auto nodes = ValidSpnNodes();
+  nodes[0].histogram.push_back(1.0);
+  EXPECT_EQ(LoadSpn(nodes), StatusCode::kInvalidArgument);
+  nodes = ValidSpnNodes();
+  nodes[0].histogram.pop_back();
+  EXPECT_EQ(LoadSpn(nodes), StatusCode::kInvalidArgument);
+}
+
+TEST(SpnSerializationTest, RejectsMultiLeafKeyBinOutsideItsDomain) {
+  // A key bin at the column's domain used to load, and the multi-leaf
+  // loop then indexed the column's factor with it.
+  const std::vector<size_t> domains = SpnExt().BinDomains();
+  auto nodes = ValidSpnNodes();
+  nodes[1].keys[2] = {1, static_cast<uint16_t>(domains[1])};
+  EXPECT_EQ(LoadSpn(nodes), StatusCode::kInvalidArgument);
+  nodes = ValidSpnNodes();
+  nodes[1].keys.push_back({static_cast<uint16_t>(domains[0]), 0});
   EXPECT_EQ(LoadSpn(nodes), StatusCode::kInvalidArgument);
 }
 
@@ -322,20 +393,43 @@ TEST(SpnSerializationTest, RejectsChildNotBelowItsParent) {
   EXPECT_EQ(LoadSpn(nodes), StatusCode::kInvalidArgument);
 }
 
+TEST(SpnSerializationTest, ZeroWeightSumIdlesAtZeroUntilAnUpdateWeighsIt) {
+  // A sum node whose weights are all zero evaluates to 0, so it idles at 0
+  // when the query puts no factor under it. Once an update routes a row
+  // into it, it idles at 1 like any weighted sum; a model that kept its
+  // load-time idle value would still answer 0.
+  const std::vector<size_t> domains = SpnExt().BinDomains();
+  CraftedNode under;
+  under.cols = {2};
+  under.histogram.assign(domains[2], 1.0);
+  under.total = static_cast<double>(domains[2]);
+  CraftedNode sum;
+  sum.type = 0;
+  sum.children = {0, 1};
+  sum.weights = {0, 0};
+  CraftedNode beside;
+  beside.cols = {0};
+  beside.histogram.assign(domains[0], 1.0);
+  beside.total = static_cast<double>(domains[0]);
+  CraftedNode product;
+  product.type = 1;
+  product.children = {2, 3};
+  auto model = CraftSpn({under, under, sum, beside, product},
+                        SpnExt().num_columns());
+  ASSERT_TRUE(model.ok()) << model.status().ToString();
+
+  const std::vector<double> ones(domains[0], 1.0);
+  std::vector<const double*> factor_of_col(domains.size(), nullptr);
+  factor_of_col[0] = ones.data();
+  EXPECT_EQ((*model)->ExpectProduct(factor_of_col), 0.0);
+  (*model)->UpdateWithRows(SpnExt(), {0});
+  EXPECT_GT((*model)->ExpectProduct(factor_of_col), 0.5);
+}
+
 TEST(SpnSerializationTest, RejectsSumWeightsNotMatchingChildren) {
   auto nodes = ValidSpnNodes();
   nodes[3].weights = {3};
   EXPECT_EQ(LoadSpn(nodes), StatusCode::kInvalidArgument);
-}
-
-/// The database the crafted BayesCard and MultiHist artifacts load over.
-const Database& CraftDb() {
-  static const Database* db = [] {
-    StatsGenConfig config;
-    config.scale = 0.01;
-    return GenerateStatsDatabase(config).release();
-  }();
-  return *db;
 }
 
 /// A hand-written Chow-Liu payload: the column count and root as written,
