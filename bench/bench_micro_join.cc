@@ -1,29 +1,31 @@
-// Micro-benchmark of the join hash path (src/exec/join_hash.h): builds and
-// count-probes the radix-partitioned open-addressing table against a
-// bench-local chained `std::unordered_map<Value, std::vector<uint32_t>>`
-// baseline (the "legacy" columns, named after the executor's join table
-// that the radix table replaced) over a (rows × radix_bits × threads)
-// sweep with STATS-like key duplication. Match counts are asserted
-// identical between the two tables at every point — layout, fan-out and
-// parallelism are performance knobs only. The JSON artifact feeds the
-// check_perf_floor gate: the shape to verify is multi-x probe throughput
-// over the baseline on STATS-scale build sides.
+// Micro-benchmark of the hash join's table (src/storage/index.h): builds a
+// HashIndex from key vectors, as the executor does from a build side's
+// gathered keys, and count-probes it with the executor's prefetching loop,
+// against a bench-local chained `std::unordered_map<Value,
+// std::vector<uint32_t>>` baseline (the "legacy" columns, named after the
+// executor's first join table) over a (rows × threads) sweep with
+// STATS-like key duplication. Match counts are asserted identical between
+// the two tables at every point. Both builds are serial; threads split
+// the probes into morsels. The JSON artifact feeds the check_perf_floor
+// gate: the shape to verify is multi-x probe throughput over the baseline
+// on STATS-scale build sides.
 //
 //   bench_micro_join [--json=PATH] [--reps=N] [--quick]
 //
 // Timing method: paired rounds. Per configuration, `reps` rounds each time
-// a baseline build, a radix build, a baseline probe and a radix probe, the
-// baseline first in even rounds and second in odd ones. A speedup is the
-// median over rounds of (baseline time / radix time) from the same round,
-// so a host-speed shift between rounds cancels instead of landing in the
-// ratio; ns-per-row figures are medians over rounds, and the quartiles of
-// the per-round probe ratios are reported as the spread.
+// a baseline build, an index build, a baseline probe and an index probe,
+// the baseline first in even rounds and second in odd ones. A speedup is
+// the median over rounds of (baseline time / index time) from the same
+// round, so a host-speed shift between rounds cancels instead of landing
+// in the ratio; ns-per-row figures are medians over rounds, and the
+// quartiles of the per-round probe ratios are reported as the spread.
 
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <functional>
+#include <optional>
 #include <random>
 #include <string>
 #include <unordered_map>
@@ -32,34 +34,13 @@
 #include "common/cpu_info.h"
 #include "common/logging.h"
 #include "common/thread_pool.h"
-#include "exec/join_hash.h"
 #include "paired_timing.h"
+#include "storage/index.h"
 
 namespace cardbench {
 namespace {
 
 constexpr size_t kProbeMorselTuples = size_t{1} << 14;
-
-/// JoinKeySource over plain vectors (the bench's stand-in for the
-/// executor's TupleSet-backed source).
-class VectorKeySource final : public JoinKeySource {
- public:
-  VectorKeySource(const std::vector<Value>& keys,
-                  const std::vector<uint8_t>& valid)
-      : keys_(keys), valid_(valid) {}
-
-  void GatherKeys(size_t lo, size_t hi, Value* keys,
-                  uint8_t* valid) const override {
-    for (size_t i = lo; i < hi; ++i) {
-      keys[i - lo] = keys_[i];
-      valid[i - lo] = valid_[i];
-    }
-  }
-
- private:
-  const std::vector<Value>& keys_;
-  const std::vector<uint8_t>& valid_;
-};
 
 struct Input {
   std::vector<Value> keys;
@@ -107,26 +88,21 @@ uint64_t ProbeLegacyMorsel(const LegacyTable& ht, const Input& probe,
   return count;
 }
 
-/// Count-probe of the radix table over one morsel, mirroring the
-/// executor's RadixProbeMorsel: batch-hashed keys with software prefetch
-/// kJoinPrefetchDistance probes ahead.
-uint64_t ProbeRadixMorsel(const JoinHashTable& ht, const Input& probe,
-                          size_t lo, size_t hi,
-                          std::vector<uint64_t>& hash_scratch) {
+/// Count-probe of the index over one morsel, in the executor's hash-join
+/// probe loop: the home slot of key i + kIndexPrefetchDistance is
+/// prefetched while key i is looked up.
+uint64_t ProbeIndexMorsel(const HashIndex& index, const Input& probe,
+                          size_t lo, size_t hi) {
   uint64_t count = 0;
-  uint64_t* hashes = hash_scratch.data();
+  const size_t end = std::min(lo + kIndexPrefetchDistance, hi);
+  for (size_t i = lo; i < end; ++i) {
+    if (probe.valid[i]) index.Prefetch(probe.keys[i]);
+  }
   for (size_t i = lo; i < hi; ++i) {
-    hashes[i - lo] = probe.valid[i] ? JoinKeyHash(probe.keys[i]) : 0;
-  }
-  const size_t n = hi - lo;
-  for (size_t i = 0; i < std::min(kJoinPrefetchDistance, n); ++i) {
-    if (probe.valid[lo + i]) ht.Prefetch(hashes[i]);
-  }
-  for (size_t i = 0; i < n; ++i) {
-    const size_t ahead = i + kJoinPrefetchDistance;
-    if (ahead < n && probe.valid[lo + ahead]) ht.Prefetch(hashes[ahead]);
-    if (!probe.valid[lo + i]) continue;
-    count += ht.CountMatches(probe.keys[lo + i], hashes[i]);
+    const size_t ahead = i + kIndexPrefetchDistance;
+    if (ahead < hi && probe.valid[ahead]) index.Prefetch(probe.keys[ahead]);
+    if (!probe.valid[i]) continue;
+    count += index.Lookup(probe.keys[i]).size();
   }
   return count;
 }
@@ -160,7 +136,6 @@ double Seconds(const std::function<void()>& fn) {
 
 struct ConfigResult {
   size_t rows = 0;
-  size_t radix_bits = 0;
   size_t threads = 0;
   double build_ns_per_row = 0.0;
   double probe_ns_per_row = 0.0;
@@ -198,120 +173,93 @@ int Run(int argc, char** argv) {
   const std::vector<size_t> row_counts =
       quick ? std::vector<size_t>{size_t{1} << 18}
             : std::vector<size_t>{size_t{1} << 16, size_t{1} << 20};
-  const std::vector<size_t> radix_bits_sweep =
-      quick ? std::vector<size_t>{size_t{4}}
-            : std::vector<size_t>{size_t{0}, size_t{4}, size_t{8}};
   const std::vector<size_t> thread_sweep = {size_t{1}, size_t{4}};
 
   std::printf(
       "join micro-bench: %zu paired rounds, cpu \"%s\" (best tier %s)\n",
       reps, CpuModelName().c_str(), CpuSimdCapability());
-  std::printf("%9s %5s %8s %11s %11s %11s %11s %9s\n", "rows", "bits",
-              "threads", "build ns/r", "probe ns/r", "leg bld ns",
-              "leg prb ns", "speedup");
+  std::printf("%9s %8s %11s %11s %11s %11s %9s\n", "rows", "threads",
+              "build ns/r", "probe ns/r", "leg bld ns", "leg prb ns",
+              "speedup");
 
   std::vector<ConfigResult> results;
   for (size_t rows : row_counts) {
     const int64_t domain = static_cast<int64_t>(rows / 4);
     const Input build = MakeInput(rows, domain, /*seed=*/rows + 1);
     const Input probe = MakeInput(rows * 2, domain, /*seed=*/rows + 2);
-    const VectorKeySource source(build.keys, build.valid);
 
-    for (size_t radix : radix_bits_sweep) {
-      for (size_t threads : thread_sweep) {
-        ThreadPool pool_storage(threads);
-        ThreadPool* pool = threads > 1 ? &pool_storage : nullptr;
-        JoinMorselRunner runner;
-        if (pool != nullptr) {
-          runner = [pool](size_t count,
-                          const std::function<void(size_t)>& fn) {
-            ParallelFor(*pool, count, fn);
-          };
+    for (size_t threads : thread_sweep) {
+      ThreadPool pool_storage(threads);
+      ThreadPool* pool = threads > 1 ? &pool_storage : nullptr;
+
+      std::vector<double> build_s, probe_s, legacy_build_s, legacy_probe_s;
+      std::vector<double> build_ratio, probe_ratio;
+      for (size_t r = 0; r < reps; ++r) {
+        double lb = 0, lp = 0, ib = 0, ip = 0;
+        uint64_t legacy_count = 0, count = 0;
+        // Each side probes the table it has just built.
+        auto time_legacy = [&] {
+          LegacyTable legacy;
+          lb = Seconds([&] { legacy = BuildLegacy(build); });
+          lp = Seconds([&] {
+            legacy_count = RunMorsels(
+                pool, probe.keys.size(), [&](size_t lo, size_t hi) {
+                  return ProbeLegacyMorsel(legacy, probe, lo, hi);
+                });
+          });
+        };
+        auto time_index = [&] {
+          std::optional<HashIndex> index;
+          ib = Seconds([&] { index.emplace(build.keys, build.valid); });
+          ip = Seconds([&] {
+            count = RunMorsels(pool, probe.keys.size(),
+                               [&](size_t lo, size_t hi) {
+                                 return ProbeIndexMorsel(*index, probe, lo, hi);
+                               });
+          });
+        };
+        if (r % 2 == 0) {
+          time_legacy();
+          time_index();
+        } else {
+          time_index();
+          time_legacy();
         }
-        JoinHashConfig config;
-        config.radix_bits = radix;
-
-        std::vector<double> build_s, probe_s, legacy_build_s, legacy_probe_s;
-        std::vector<double> build_ratio, probe_ratio;
-        for (size_t r = 0; r < reps; ++r) {
-          double lb = 0, lp = 0, rb = 0, rp = 0;
-          uint64_t legacy_count = 0, count = 0;
-          // Each side probes the table it has just built. The baseline
-          // build is serial at every thread count; only its probe
-          // parallelizes.
-          auto time_legacy = [&] {
-            LegacyTable legacy;
-            lb = Seconds([&] { legacy = BuildLegacy(build); });
-            lp = Seconds([&] {
-              legacy_count = RunMorsels(
-                  pool, probe.keys.size(), [&](size_t lo, size_t hi) {
-                    return ProbeLegacyMorsel(legacy, probe, lo, hi);
-                  });
-            });
-          };
-          auto time_radix = [&] {
-            JoinHashTable table;
-            rb = Seconds([&] {
-              CARDBENCH_CHECK(table.Build(source, build.keys.size(), config,
-                                          runner, nullptr),
-                              "build aborted without a budget");
-            });
-            rp = Seconds([&] {
-              count = RunMorsels(
-                  pool, probe.keys.size(), [&](size_t lo, size_t hi) {
-                    // Reused per-thread hash scratch, like the executor's
-                    // arena-backed KeyScratch (which never zero-fills).
-                    thread_local std::vector<uint64_t> scratch;
-                    scratch.resize(kProbeMorselTuples);
-                    return ProbeRadixMorsel(table, probe, lo, hi, scratch);
-                  });
-            });
-          };
-          if (r % 2 == 0) {
-            time_legacy();
-            time_radix();
-          } else {
-            time_radix();
-            time_legacy();
-          }
-          CARDBENCH_CHECK(legacy_count > 0,
-                          "degenerate workload: zero matches");
-          CARDBENCH_CHECK(count == legacy_count,
-                          "radix join counted %llu, legacy %llu at rows=%zu "
-                          "radix_bits=%zu threads=%zu — join table bug",
-                          static_cast<unsigned long long>(count),
-                          static_cast<unsigned long long>(legacy_count), rows,
-                          radix, threads);
-          legacy_build_s.push_back(lb);
-          legacy_probe_s.push_back(lp);
-          build_s.push_back(rb);
-          probe_s.push_back(rp);
-          build_ratio.push_back(rb > 0 ? lb / rb : 0.0);
-          probe_ratio.push_back(rp > 0 ? lp / rp : 0.0);
-        }
-
-        ConfigResult res;
-        res.rows = rows;
-        res.radix_bits = radix;
-        res.threads = threads;
-        const double rows_d = static_cast<double>(rows);
-        const double probes_d = static_cast<double>(probe.keys.size());
-        res.build_ns_per_row = Quantile(build_s, 0.5) * 1e9 / rows_d;
-        res.probe_ns_per_row = Quantile(probe_s, 0.5) * 1e9 / probes_d;
-        res.legacy_build_ns_per_row =
-            Quantile(legacy_build_s, 0.5) * 1e9 / rows_d;
-        res.legacy_probe_ns_per_row =
-            Quantile(legacy_probe_s, 0.5) * 1e9 / probes_d;
-        res.probe_speedup_vs_legacy = Quantile(probe_ratio, 0.5);
-        res.build_speedup_vs_legacy = Quantile(build_ratio, 0.5);
-        res.probe_speedup_p25 = Quantile(probe_ratio, 0.25);
-        res.probe_speedup_p75 = Quantile(probe_ratio, 0.75);
-        results.push_back(res);
-        std::printf("%9zu %5zu %8zu %11.2f %11.2f %11.2f %11.2f %8.2fx\n",
-                    rows, radix, threads, res.build_ns_per_row,
-                    res.probe_ns_per_row, res.legacy_build_ns_per_row,
-                    res.legacy_probe_ns_per_row, res.probe_speedup_vs_legacy);
+        CARDBENCH_CHECK(legacy_count > 0, "degenerate workload: zero matches");
+        CARDBENCH_CHECK(count == legacy_count,
+                        "index counted %llu, legacy %llu at rows=%zu "
+                        "threads=%zu — join table bug",
+                        static_cast<unsigned long long>(count),
+                        static_cast<unsigned long long>(legacy_count), rows,
+                        threads);
+        legacy_build_s.push_back(lb);
+        legacy_probe_s.push_back(lp);
+        build_s.push_back(ib);
+        probe_s.push_back(ip);
+        build_ratio.push_back(ib > 0 ? lb / ib : 0.0);
+        probe_ratio.push_back(ip > 0 ? lp / ip : 0.0);
       }
+
+      ConfigResult res;
+      res.rows = rows;
+      res.threads = threads;
+      const double rows_d = static_cast<double>(rows);
+      const double probes_d = static_cast<double>(probe.keys.size());
+      res.build_ns_per_row = Quantile(build_s, 0.5) * 1e9 / rows_d;
+      res.probe_ns_per_row = Quantile(probe_s, 0.5) * 1e9 / probes_d;
+      res.legacy_build_ns_per_row =
+          Quantile(legacy_build_s, 0.5) * 1e9 / rows_d;
+      res.legacy_probe_ns_per_row =
+          Quantile(legacy_probe_s, 0.5) * 1e9 / probes_d;
+      res.probe_speedup_vs_legacy = Quantile(probe_ratio, 0.5);
+      res.build_speedup_vs_legacy = Quantile(build_ratio, 0.5);
+      res.probe_speedup_p25 = Quantile(probe_ratio, 0.25);
+      res.probe_speedup_p75 = Quantile(probe_ratio, 0.75);
+      results.push_back(res);
+      std::printf("%9zu %8zu %11.2f %11.2f %11.2f %11.2f %8.2fx\n", rows,
+                  threads, res.build_ns_per_row, res.probe_ns_per_row,
+                  res.legacy_build_ns_per_row, res.legacy_probe_ns_per_row,
+                  res.probe_speedup_vs_legacy);
     }
   }
 
@@ -328,14 +276,14 @@ int Run(int argc, char** argv) {
       const ConfigResult& r = results[i];
       std::fprintf(
           out,
-          "    {\"rows\": %zu, \"radix_bits\": %zu, \"threads\": %zu, "
+          "    {\"rows\": %zu, \"threads\": %zu, "
           "\"build_ns_per_row\": %.3f, \"probe_ns_per_row\": %.3f, "
           "\"legacy_build_ns_per_row\": %.3f, "
           "\"legacy_probe_ns_per_row\": %.3f, "
           "\"build_speedup_vs_legacy\": %.3f, "
           "\"probe_speedup_vs_legacy\": %.3f, "
           "\"probe_speedup_p25\": %.3f, \"probe_speedup_p75\": %.3f}%s\n",
-          r.rows, r.radix_bits, r.threads, r.build_ns_per_row,
+          r.rows, r.threads, r.build_ns_per_row,
           r.probe_ns_per_row, r.legacy_build_ns_per_row,
           r.legacy_probe_ns_per_row, r.build_speedup_vs_legacy,
           r.probe_speedup_vs_legacy, r.probe_speedup_p25, r.probe_speedup_p75,

@@ -31,7 +31,7 @@ cmake --build "$BUILD_DIR" -j "$(nproc)" \
            refresh_golden_test fanout_golden_test batch_parity_test \
            serialization_test model_store_test server_test \
            server_metrics_test drift_test \
-           kernel_parity_test arena_test join_hash_test \
+           kernel_parity_test arena_test \
            binner_test cardest_test explain_analyze_test optimizer_test \
            optimizer_physical_test perror_test property_test
 
@@ -43,7 +43,7 @@ else
               planner_golden_test refresh_golden_test fanout_golden_test \
               batch_parity_test serialization_test model_store_test \
               server_test server_metrics_test drift_test \
-              kernel_parity_test arena_test join_hash_test \
+              kernel_parity_test arena_test \
               binner_test cardest_test explain_analyze_test optimizer_test \
               optimizer_physical_test perror_test property_test; do
     echo "== $test (ASAN) =="

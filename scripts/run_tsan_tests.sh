@@ -16,7 +16,7 @@ cmake --build "$BUILD_DIR" -j "$(nproc)" \
   --target thread_pool_test service_test optimizer_test harness_test \
            exec_parity_test query_graph_test planner_golden_test \
            batch_parity_test server_test server_metrics_test drift_test \
-           kernel_parity_test arena_test join_hash_test
+           kernel_parity_test arena_test
 
 export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1 second_deadlock_stack=1}"
 if [ "$#" -gt 0 ]; then
@@ -25,7 +25,7 @@ else
   for test in thread_pool_test service_test optimizer_test harness_test \
               exec_parity_test query_graph_test planner_golden_test \
               batch_parity_test server_test server_metrics_test drift_test \
-              kernel_parity_test arena_test join_hash_test; do
+              kernel_parity_test arena_test; do
     echo "== $test (TSAN) =="
     "$BUILD_DIR/tests/$test"
   done

@@ -213,11 +213,18 @@ Result<std::unique_ptr<ExtendedTable>> ExtendedTable::DeserializeMeta(
   CARDBENCH_ASSIGN_OR_RETURN(ext->table_name_, in.GetString());
   CARDBENCH_ASSIGN_OR_RETURN(ext->max_bins_, in.GetU64());
   CARDBENCH_ASSIGN_OR_RETURN(uint64_t num_columns, in.GetU64());
-  if (db.FindTable(ext->table_name_) == nullptr) {
+  const Table* table = db.FindTable(ext->table_name_);
+  if (table == nullptr) {
     return Status::NotFound("extended table for unknown table " +
                             ext->table_name_);
   }
-  ext->num_rows_ = db.TableOrDie(ext->table_name_).num_rows();
+  ext->num_rows_ = table->num_rows();
+  // Update rebuilds every column from the database, which must hold each
+  // column the artifact names.
+  auto unknown = [&](const std::string& what) {
+    return Status::InvalidArgument("extended table " + ext->table_name_ +
+                                   " names unknown " + what);
+  };
   for (size_t c = 0; c < num_columns; ++c) {
     ExtColumn col;
     CARDBENCH_ASSIGN_OR_RETURN(col.is_fanout, in.GetBool());
@@ -225,13 +232,24 @@ Result<std::unique_ptr<ExtendedTable>> ExtendedTable::DeserializeMeta(
       CARDBENCH_ASSIGN_OR_RETURN(col.fanout_my_column, in.GetString());
       CARDBENCH_ASSIGN_OR_RETURN(col.fanout_other.table, in.GetString());
       CARDBENCH_ASSIGN_OR_RETURN(col.fanout_other.column, in.GetString());
-      col.name = "fanout:" + col.fanout_my_column + "->" +
-                 col.fanout_other.table + "." + col.fanout_other.column;
+      const JoinEndpoint& other = col.fanout_other;
+      if (!table->FindColumn(col.fanout_my_column).has_value()) {
+        return unknown("column " + col.fanout_my_column);
+      }
+      const Table* other_table = db.FindTable(other.table);
+      if (other_table == nullptr ||
+          !other_table->FindColumn(other.column).has_value()) {
+        return unknown("fanout target " + other.table + "." + other.column);
+      }
+      col.name = "fanout:" + col.fanout_my_column + "->" + other.table + "." +
+                 other.column;
       ext->fanout_index_[{col.fanout_my_column,
-                          col.fanout_other.table + "." +
-                              col.fanout_other.column}] = c;
+                          other.table + "." + other.column}] = c;
     } else {
       CARDBENCH_ASSIGN_OR_RETURN(col.name, in.GetString());
+      if (!table->FindColumn(col.name).has_value()) {
+        return unknown("column " + col.name);
+      }
       ext->attr_index_[col.name] = c;
     }
     CARDBENCH_ASSIGN_OR_RETURN(ColumnBinner binner,

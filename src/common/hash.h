@@ -8,14 +8,12 @@ namespace cardbench {
 
 /// Shared 64-bit integer hash of the storage and execution layers: the
 /// splitmix64 finalizer (Stafford variant 13). Full-width mixing means any
-/// bit window of the result is usable — the radix join takes its partition
-/// id from the low bits, its bucket slot from the next bits and its 1-byte
-/// tag from the top bits, all from one hash; HashIndex takes its slot from
-/// the low bits of the same function, so a value hashes identically in
-/// every table of the system. std::hash<int64_t> is the identity on most
-/// standard libraries, which would put sequential keys in sequential slots;
-/// the finalizer spreads them. Cheap enough (2 multiplies, 3 shifts) to
-/// recompute rather than cache.
+/// bit window of the result is usable; KeyCountTable, and with it
+/// HashIndex, takes its slot from the low bits, so a value hashes
+/// identically in every table of the system. std::hash<int64_t> is the
+/// identity on most standard libraries, which would put sequential keys in
+/// sequential slots; the finalizer spreads them. Cheap enough (2
+/// multiplies, 3 shifts) to recompute rather than cache.
 inline uint64_t HashMix64(uint64_t x) {
   x ^= x >> 30;
   x *= 0xbf58476d1ce4e5b9ULL;

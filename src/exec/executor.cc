@@ -10,7 +10,6 @@
 #include "common/arena.h"
 #include "common/stopwatch.h"
 #include "common/str_util.h"
-#include "exec/join_hash.h"
 #include "storage/filter.h"
 #include "storage/index.h"
 
@@ -119,7 +118,9 @@ struct Op {
   std::span<const uint32_t> postings;
   /// Joins: edge endpoints, outer side first.
   EdgeRefs refs;
-  /// Index nested loop: the inner join column's index and the inner filters.
+  /// Index nested loop: the inner join column's index and the inner
+  /// filters. Hash join: the index over its build side's keys, set with
+  /// `build` before the pipeline above it streams.
   const HashIndex* index = nullptr;
   const std::vector<CompiledPredicate>* inner_filters = nullptr;
   /// The root under ExecuteCount: counts its output instead of emitting it,
@@ -132,10 +133,9 @@ struct Op {
   /// Output complete (the pipeline producing it finished uncut).
   bool done = false;
   /// Breaker state, set before the pipeline above it streams: a hash
-  /// join's materialized build side and its postings table, or its key
+  /// join's materialized build side (indexed in `index`), or its key
   /// counts; a merge join's sorted inputs.
   const TupleSet* build = nullptr;
-  const JoinHashTable* hash = nullptr;
   const KeyCounts* key_counts = nullptr;
   const MergeInputs* merge = nullptr;
 
@@ -302,14 +302,12 @@ bool ExtraEdgesMatch(const std::vector<std::pair<ColRef, ColRef>>& refs,
 /// Gather buffers for batched join-key access, `capacity` entries each,
 /// from an arena the caller brackets with a frame. `rows[i]` is the
 /// base-table row of input tuple i of the batch, `keys[i]`/`valid[i]` the
-/// gathered key value and its non-NULL flag (see Column::Gather),
-/// `hashes[i]` its join hash.
+/// gathered key value and its non-NULL flag (see Column::Gather).
 struct KeyScratch {
   KeyScratch(Arena& arena, size_t capacity)
       : rows(arena.AllocateArray<uint32_t>(capacity)),
         keys(arena.AllocateArray<Value>(capacity)),
-        valid(arena.AllocateArray<uint8_t>(capacity)),
-        hashes(arena.AllocateArray<uint64_t>(capacity)) {}
+        valid(arena.AllocateArray<uint8_t>(capacity)) {}
 
   /// Gathers the key column `key` of tuples [0, n) of `tuples` (row-major,
   /// `arity` row ids each).
@@ -324,31 +322,6 @@ struct KeyScratch {
   uint32_t* rows;
   Value* keys;
   uint8_t* valid;
-  uint64_t* hashes;
-};
-
-/// JoinKeySource over a TupleSet's key column: batched row-id gathers
-/// through Column::Gather, exactly like the probe side's key access. Called
-/// from build morsel workers for disjoint ranges; the row-id scratch comes
-/// from the calling worker's arena.
-class TupleKeySource final : public JoinKeySource {
- public:
-  TupleKeySource(const TupleSet& ts, const ColRef& key) : ts_(ts), key_(key) {}
-
-  void GatherKeys(size_t lo, size_t hi, Value* keys,
-                  uint8_t* valid) const override {
-    const size_t n = hi - lo;
-    ArenaFrame frame(ThreadLocalArena());
-    uint32_t* rows = frame.arena().AllocateArray<uint32_t>(n);
-    for (size_t t = lo; t < hi; ++t) {
-      rows[t - lo] = ts_.Row(t, static_cast<size_t>(key_.component));
-    }
-    key_.column->Gather(rows, n, keys, valid);
-  }
-
- private:
-  const TupleSet& ts_;
-  const ColRef& key_;
 };
 
 /// Receives a producer's output chunk by chunk.
@@ -426,7 +399,7 @@ inline void EmitJoined(Emitter& out, const uint32_t* left, size_t larity,
 /// outer input chunk by chunk, gathers and looks up its keys a batch at a
 /// time, and emits the matches in (outer tuple, ascending inner row) order,
 /// or counts them at the count-only root. The hash probe prefetches the
-/// table lines of probe i + kJoinPrefetchDistance while probe i walks the
+/// home slot of probe i + kIndexPrefetchDistance while probe i walks the
 /// table.
 class Probe final : public Consumer {
  public:
@@ -448,7 +421,7 @@ class Probe final : public Consumer {
       const uint32_t* in = tuples + b * larity_;
       kb_.Gather(op_.refs.lkey, in, larity_, m);
       const bool ok = op_.key_counts != nullptr ? ProbeKeyCounts(m)
-                      : op_.hash != nullptr     ? ProbeHash(in, m)
+                      : op_.build != nullptr    ? ProbeHash(in, m)
                                                 : ProbeIndex(in, m);
       if (!ok) return false;
     }
@@ -475,42 +448,31 @@ class Probe final : public Consumer {
   // alias the ticker's counter, which would keep both in memory.
 
   bool ProbeHash(const uint32_t* in, size_t n) {
-    const JoinHashTable& ht = *op_.hash;
+    const HashIndex& index = *op_.index;
     const TupleSet& build = *op_.build;
     const size_t rarity = build.arity();
     const auto& extra = op_.refs.extra;
     Emitter* out = out_.has_value() ? &*out_ : nullptr;
     BudgetTicker ticker = ticker_;
     uint64_t count = 0;
-    for (size_t i = 0; i < n; ++i) {
-      kb_.hashes[i] = kb_.valid[i] ? JoinKeyHash(kb_.keys[i]) : 0;
-    }
-    for (size_t i = 0; i < std::min(kJoinPrefetchDistance, n); ++i) {
-      if (kb_.valid[i]) ht.Prefetch(kb_.hashes[i]);
+    for (size_t i = 0; i < std::min(kIndexPrefetchDistance, n); ++i) {
+      if (kb_.valid[i]) index.Prefetch(kb_.keys[i]);
     }
     for (size_t i = 0; i < n; ++i) {
-      const size_t ahead = i + kJoinPrefetchDistance;
-      if (ahead < n && kb_.valid[ahead]) ht.Prefetch(kb_.hashes[ahead]);
+      const size_t ahead = i + kIndexPrefetchDistance;
+      if (ahead < n && kb_.valid[ahead]) index.Prefetch(kb_.keys[ahead]);
       if (!kb_.valid[i]) continue;
       const uint32_t* outer = in + i * larity_;
-      bool cut_off = false;
-      ht.ForEachMatch(kb_.keys[i], kb_.hashes[i], [&](uint32_t rt) {
-        if (!ticker.Tick()) {
-          cut_off = true;
-          return false;
-        }
+      for (uint32_t rt : index.Lookup(kb_.keys[i])) {
+        if (!ticker.Tick()) return false;
         const uint32_t* inner = build.data.data() + size_t{rt} * rarity;
-        if (!extra.empty() && !ExtraEdgesMatch(extra, outer, inner)) {
-          return true;
-        }
+        if (!extra.empty() && !ExtraEdgesMatch(extra, outer, inner)) continue;
         if (out != nullptr) {
           EmitJoined(*out, outer, larity_, inner, rarity);
         } else {
           ++count;
         }
-        return true;
-      });
-      if (cut_off) return false;
+      }
       if (out != nullptr && out->Full() && !out->Flush()) return false;
     }
     ticker_ = ticker;
@@ -623,30 +585,60 @@ class CountSink final : public Consumer {
   uint64_t* count_;
 };
 
-/// Gathers the non-NULL key of every tuple of `ts` (batched, budgeted) and
-/// sorts by (key, tuple): the sorted run input of the merge join.
+/// Gathers the key column `key` of every tuple of `ts` into `keys` and its
+/// non-NULL flags into `valid`, a batch at a time under the budget. False
+/// once the run is cut off, checked once more after the last batch: what
+/// callers do next (a sort, a HashIndex build) runs unchecked, bounded by
+/// the size of `ts`, which the cap has admitted.
+bool GatherKeys(const TupleSet& ts, const ColRef& key, size_t batch_size,
+                Budget& budget, std::vector<Value>* keys,
+                std::vector<uint8_t>* valid) {
+  keys->resize(ts.size());
+  valid->resize(ts.size());
+  ArenaFrame frame(ThreadLocalArena());
+  uint32_t* rows =
+      frame.arena().AllocateArray<uint32_t>(std::min(batch_size, ts.size()));
+  BudgetTicker ticker(budget);
+  for (size_t b = 0; b < ts.size(); b += batch_size) {
+    const size_t n = std::min(ts.size(), b + batch_size) - b;
+    if (!ticker.Tick(n)) return false;
+    for (size_t t = 0; t < n; ++t) {
+      rows[t] = ts.Row(b + t, static_cast<size_t>(key.component));
+    }
+    key.column->Gather(rows, n, keys->data() + b, valid->data() + b);
+  }
+  return budget.CheckTime();
+}
+
+/// The hash join's table over `ts`: a HashIndex from the key column `key`
+/// to tuple positions. Empty once the run is cut off.
+std::optional<HashIndex> IndexKeys(const TupleSet& ts, const ColRef& key,
+                                   size_t batch_size, Budget& budget) {
+  std::vector<Value> keys;
+  std::vector<uint8_t> valid;
+  if (!GatherKeys(ts, key, batch_size, budget, &keys, &valid)) {
+    return std::nullopt;
+  }
+  return HashIndex(keys, valid);
+}
+
+/// The merge join's sorted run input: the non-NULL keys of `ts`'s key
+/// column `key` with their tuple positions, sorted by (key, tuple).
+/// Incomplete once the run is cut off.
 std::vector<std::pair<Value, uint32_t>> SortedKeys(const TupleSet& ts,
                                                    const ColRef& key,
                                                    size_t batch_size,
                                                    Budget& budget) {
-  std::vector<std::pair<Value, uint32_t>> keys;
-  keys.reserve(ts.size());
-  ArenaFrame frame(ThreadLocalArena());
-  KeyScratch kb(frame.arena(), std::min(batch_size, ts.size()));
-  BudgetTicker ticker(budget);
-  for (size_t b = 0; b < ts.size(); b += batch_size) {
-    const size_t n = std::min(ts.size(), b + batch_size) - b;
-    if (!ticker.Tick(n)) return keys;
-    kb.Gather(key, ts.data.data() + b * ts.arity(), ts.arity(), n);
-    for (size_t i = 0; i < n; ++i) {
-      if (kb.valid[i]) {
-        keys.emplace_back(kb.keys[i], static_cast<uint32_t>(b + i));
-      }
-    }
+  std::vector<Value> keys;
+  std::vector<uint8_t> valid;
+  std::vector<std::pair<Value, uint32_t>> sorted;
+  if (!GatherKeys(ts, key, batch_size, budget, &keys, &valid)) return sorted;
+  sorted.reserve(keys.size());
+  for (size_t t = 0; t < keys.size(); ++t) {
+    if (valid[t]) sorted.emplace_back(keys[t], static_cast<uint32_t>(t));
   }
-  if (!budget.CheckTime()) return keys;
-  std::sort(keys.begin(), keys.end());
-  return keys;
+  std::sort(sorted.begin(), sorted.end());
+  return sorted;
 }
 
 /// The merge join `op` over its sorted inputs: walks equal-key runs of both
@@ -764,8 +756,7 @@ class Executor::Run {
  private:
   /// Prepares the breaker of ops[i], then the rest, then streams. Recursive
   /// so that each breaker's state lives on the stack until the pipeline has
-  /// run: hash tables borrow this thread's arena and must unwind in
-  /// reverse order.
+  /// run. A hash join's table is built serially, on the calling thread.
   void Prepare(Op& source, std::span<Op* const> ops, size_t i,
                const SinkSpec& sink) {
     if (budget_.TimedOut()) return;
@@ -803,19 +794,11 @@ class Executor::Run {
     TupleSet build;
     Pipeline(*op.right, SinkSpec::Tuples(&build));
     if (budget_.TimedOut()) return;
-    TupleKeySource keys(build, op.refs.rkey);
-    JoinHashConfig config;
-    config.batch_size = exec_.options_.batch_size;
-    JoinHashTable ht;
-    const bool built = ht.Build(
-        keys, build.size(), config,
-        [this](size_t n, const std::function<void(size_t)>& fn) {
-          exec_.ForEachMorsel(n, fn);
-        },
-        [this] { return budget_.CheckTime(); });
-    if (!built || budget_.TimedOut()) return;
+    const std::optional<HashIndex> index =
+        IndexKeys(build, op.refs.rkey, exec_.options_.batch_size, budget_);
+    if (!index.has_value()) return;
     op.build = &build;
-    op.hash = &ht;
+    op.index = &*index;
     Prepare(source, ops, i + 1, sink);
   }
 
@@ -1059,15 +1042,6 @@ Executor::Executor(const Database& db, ExecLimits limits, ExecOptions options)
   if (options_.num_threads > 1) {
     pool_ = std::make_unique<ThreadPool>(options_.num_threads);
   }
-}
-
-void Executor::ForEachMorsel(size_t count,
-                             const std::function<void(size_t)>& fn) const {
-  if (pool_ == nullptr || count <= 1) {
-    for (size_t m = 0; m < count; ++m) fn(m);
-    return;
-  }
-  ParallelFor(*pool_, count, fn);
 }
 
 Result<ExecResult> Executor::ExecuteCount(const PlanNode& plan,

@@ -2,7 +2,6 @@
 #define CARDBENCH_EXEC_EXECUTOR_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <unordered_map>
 
@@ -43,8 +42,10 @@ struct ExecOptions {
   /// Tuples per chunk and per vectorized batch (selection vectors, key
   /// gathers).
   size_t batch_size = 1024;
-  /// Worker threads for intra-query morsel parallelism (pipelines and hash
-  /// builds). 1 = serial, no pool is created.
+  /// Worker threads for intra-query morsel parallelism: every pipeline,
+  /// including the one feeding a hash join's build side, is split into
+  /// morsels; the hash table over that side is built serially. 1 = serial,
+  /// no pool is created.
   size_t num_threads = 1;
 };
 
@@ -118,11 +119,6 @@ class Executor {
  private:
   /// One execution's pipelines (executor.cc).
   class Run;
-
-  /// Runs `fn(m)` for every morsel m in [0, count): in order on the calling
-  /// thread when serial (or a single morsel), otherwise fanned out over the
-  /// morsel pool with a barrier. Results must not depend on morsel order.
-  void ForEachMorsel(size_t count, const std::function<void(size_t)>& fn) const;
 
   const Database& db_;
   ExecLimits limits_;

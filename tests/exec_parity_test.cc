@@ -11,7 +11,6 @@
 #include "common/thread_pool.h"
 #include "datagen/stats_gen.h"
 #include "exec/executor.h"
-#include "exec/join_hash.h"
 #include "storage/filter.h"
 
 namespace cardbench {
@@ -30,9 +29,10 @@ constexpr size_t kMultiMorselRows = 60000;
 /// Three fixtures: STATS at scale 0.01 (real schema and data, but every
 /// scan, probe and build input fits in one morsel), a synthetic two-table
 /// database whose scan, probe and build inputs each span at least three
-/// morsels, so multi-thread runs take the executor's parallel scan, build
-/// and probe branches and their morsel-order concatenation, and a
-/// synthetic four-table database for multi-join pipelines.
+/// morsels, so multi-thread runs take the executor's parallel scan and
+/// probe branches (the build side's pipeline among them) and their
+/// morsel-order concatenation, and a synthetic four-table database for
+/// multi-join pipelines.
 class ExecParityTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
@@ -427,7 +427,7 @@ TEST_F(ExecParityTest, MultiMorselFixtureSpansThreeMorselsPerInput) {
     auto build = exec.Materialize(*plan->right);
     ASSERT_TRUE(probe.ok() && build.ok());
     EXPECT_GT(probe->size(), 2 * kProbeMorselTuples) << ScanMethodName(sm);
-    EXPECT_GT(build->size(), 2 * kBuildMorselRows) << ScanMethodName(sm);
+    EXPECT_GT(build->size(), 2 * kScanMorselRows) << ScanMethodName(sm);
   }
 }
 
@@ -619,8 +619,8 @@ TEST_F(ExecParityTest, IndexAndMergeJoinsMatchNestedLoopReference) {
 
 // The hash join against the nested-loop reference: identical tuples in
 // identical order, and counts, for both inner scan methods, serially and
-// with parallel build and probe morsels, at several batch sizes.
-TEST_F(ExecParityTest, RadixJoinBitIdenticalToLegacyAcrossConfigs) {
+// with a parallel build-side pipeline and probe, at several batch sizes.
+TEST_F(ExecParityTest, HashJoinMatchesNestedLoopAcrossConfigs) {
   for (ScanMethod sm : kScanMethods) {
     const auto plan = MultiMorselPlan(JoinMethod::kHashJoin, sm);
     const std::vector<uint32_t> expected =
@@ -650,7 +650,7 @@ TEST_F(ExecParityTest, RadixJoinBitIdenticalToLegacyAcrossConfigs) {
 // Extra (non-primary) join edges run through the hash join's per-match
 // filter path; the nested-loop reference checks them independently. The
 // extra edge r.w = s.w keeps about a quarter of the primary matches.
-TEST_F(ExecParityTest, ExtraEdgesAgreeAcrossJoinImpls) {
+TEST_F(ExecParityTest, HashJoinExtraEdgesMatchNestedLoop) {
   auto plan = MultiMorselPlan(JoinMethod::kHashJoin, ScanMethod::kSeqScan);
   plan->extra_edges = {Edge(*multi_morsel_db_, {"r", "w", "s", "w"})};
   const std::vector<uint32_t> expected =
@@ -671,7 +671,7 @@ TEST_F(ExecParityTest, ExtraEdgesAgreeAcrossJoinImpls) {
 // Budget cut-offs must trip in the hash join serially and with parallel
 // morsels: an expired wall clock and an exhausted intermediate cap both
 // unwind.
-TEST_F(ExecParityTest, BudgetCutOffsTripUnderBothJoinImpls) {
+TEST_F(ExecParityTest, BudgetCutOffsTripInHashJoin) {
   const auto plan =
       MultiMorselPlan(JoinMethod::kHashJoin, ScanMethod::kSeqScan);
   for (size_t threads : {size_t{1}, size_t{4}}) {

@@ -496,6 +496,69 @@ StatusCode LoadBayesCard(const CraftedChowLiu& crafted) {
   return est.status().code();
 }
 
+/// Loads a trained BayesCard artifact over CraftDb() whose `users`
+/// extended-table meta names `unknown` in place of one name: the first
+/// attribute column's (`fanout` false), or field `field` (my column, other
+/// table, other column) of the first fanout column's. An empty `unknown`
+/// replaces nothing.
+StatusCode LoadBayesCardNaming(bool fanout, size_t field,
+                               const std::string& unknown) {
+  const Database& db = CraftDb();
+  ModelWriter writer("bayescard");
+  SectionWriter& meta = writer.AddSection("meta");
+  meta.PutU64(48);   // max bins
+  meta.PutDouble(0);  // train seconds
+  SectionWriter& tables = writer.AddSection("tables");
+  tables.PutU64(db.table_names().size());
+  for (const std::string& name : db.table_names()) {
+    const ExtendedTable ext(db, name, 48);
+    tables.PutString(name);
+    if (name != "users") {
+      ext.SerializeMeta(tables);
+    } else {
+      // ExtendedTable::SerializeMeta's layout, one name replaced.
+      tables.PutString(name);
+      tables.PutU64(48);
+      tables.PutU64(ext.num_columns());
+      bool replaced = unknown.empty();
+      for (size_t c = 0; c < ext.num_columns(); ++c) {
+        const ExtendedTable::ExtColumn& col = ext.column(c);
+        std::vector<std::string> names = {col.name};
+        if (col.is_fanout) {
+          names = {col.fanout_my_column, col.fanout_other.table,
+                   col.fanout_other.column};
+        }
+        if (!replaced && col.is_fanout == fanout) {
+          names[field] = unknown;
+          replaced = true;
+        }
+        tables.PutBool(col.is_fanout);
+        for (const std::string& n : names) tables.PutString(n);
+        col.binner->Serialize(tables);
+      }
+      EXPECT_TRUE(replaced);
+    }
+    ChowLiuTreeModel(ext).Serialize(tables);
+  }
+  std::stringstream stream;
+  EXPECT_TRUE(writer.WriteTo(stream).ok());
+  return BayesCardEstimator::Deserialize(db, stream).status().code();
+}
+
+// An artifact naming a column the database lacks would load, then abort
+// the process in the first Update's column lookups; the loader refuses it.
+TEST(ExtendedTableSerializationTest, RejectsColumnsTheDatabaseLacks) {
+  EXPECT_EQ(LoadBayesCardNaming(false, 0, ""), StatusCode::kOk);
+  EXPECT_EQ(LoadBayesCardNaming(false, 0, "NoSuchColumn"),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(LoadBayesCardNaming(true, 0, "NoSuchColumn"),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(LoadBayesCardNaming(true, 1, "no_such_table"),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(LoadBayesCardNaming(true, 2, "NoSuchColumn"),
+            StatusCode::kInvalidArgument);
+}
+
 TEST(ChowLiuSerializationTest, CraftedValidModelLoads) {
   const ExtendedTable ext(CraftDb(), "users", 48);
   ASSERT_GE(ext.num_columns(), 3u);

@@ -10,7 +10,7 @@
 //       {"kernel": "dot", "level": "avx2", "min_speedup_vs_scalar": 2.0}, ...
 //     ],
 //     "join_floors": [
-//       {"rows": 262144, "radix_bits": 4, "threads": 4,
+//       {"rows": 262144, "threads": 4,
 //        "max_build_ns_per_row": 60, "max_probe_ns_per_row": 40,
 //        "min_probe_speedup_vs_legacy": 2.0}, ...
 //     ],
@@ -108,17 +108,16 @@ int CheckKernelFloors(const JsonValue& floor, const JsonValue& measured) {
   return failures;
 }
 
-/// The bench_micro_join config matching (rows, radix_bits, threads), or
-/// nullptr when the sweep did not include that point.
+/// The bench_micro_join config matching (rows, threads), or nullptr when
+/// the sweep did not include that point.
 const JsonValue* FindJoinConfig(const JsonValue& measured, double rows,
-                                double radix_bits, double threads) {
+                                double threads) {
   const JsonValue* configs = measured.Find("configs");
   if (configs == nullptr || configs->kind != JsonValue::Kind::kArray) {
     return nullptr;
   }
   for (const JsonValue& c : configs->array) {
     if (JsonNumberOr(c.Find("rows"), -1.0) == rows &&
-        JsonNumberOr(c.Find("radix_bits"), -1.0) == radix_bits &&
         JsonNumberOr(c.Find("threads"), -1.0) == threads) {
       return &c;
     }
@@ -135,18 +134,15 @@ int CheckJoinFloors(const JsonValue& floor, const JsonValue& measured) {
   int failures = 0;
   for (const JsonValue& f : floors->array) {
     const double rows = JsonNumberOr(f.Find("rows"), -1.0);
-    const double radix_bits = JsonNumberOr(f.Find("radix_bits"), -1.0);
     const double threads = JsonNumberOr(f.Find("threads"), -1.0);
-    if (rows < 0.0 || radix_bits < 0.0 || threads < 0.0) {
+    if (rows < 0.0 || threads < 0.0) {
       std::fprintf(stderr, "malformed join floor entry\n");
       ++failures;
       continue;
     }
     char label[96];
-    std::snprintf(label, sizeof(label), "join r%.0f b%.0f t%.0f", rows,
-                  radix_bits, threads);
-    const JsonValue* config =
-        FindJoinConfig(measured, rows, radix_bits, threads);
+    std::snprintf(label, sizeof(label), "join r%.0f t%.0f", rows, threads);
+    const JsonValue* config = FindJoinConfig(measured, rows, threads);
     if (config == nullptr) {
       std::printf("SKIP %-24s (not measured in this run)\n", label);
       continue;
