@@ -168,7 +168,7 @@ int Run(int argc, char** argv) {
   }
 
   std::vector<Level> levels = {Level::kScalar};
-  for (Level l : {Level::kSse2, Level::kAvx2, Level::kAvx512}) {
+  for (Level l : {Level::kAvx2, Level::kAvx512}) {
     if (l <= simd::DetectLevel()) levels.push_back(l);
   }
 

@@ -1,10 +1,16 @@
-// Network-server throughput: replays the STATS-CEB workload against an
-// in-process cardserved instance over real loopback sockets — the wire
-// protocol, the poll event loop and the admission control all on the
-// serving path — and reports closed-loop throughput/latency at several
-// concurrency levels plus an open-loop overload point. The shapes to
-// verify: every closed-loop request completes with bounded tail latency
-// (no rejections, no hangs), the overloaded server answers immediate
+// Serving throughput: replays the STATS-CEB workload through one
+// EstimationService over both load-driver transports — in process
+// (ServiceEstimateBackend submits the harness's compiled QueryGraphs to
+// the service queue) and over real loopback sockets to the cardserved
+// instance fronting that same service (SocketEstimateBackend: the wire
+// protocol, the poll event loop, the graph LRU and the admission control
+// all on the serving path) — and reports closed-loop throughput/latency
+// of both at several concurrency levels, plus an open-loop overload point
+// over loopback. The shapes to verify: the service's estimates equal the
+// bits of serial EstimateCard calls (the thread-safety contract in
+// cardest/estimator.h is what makes sharing one trained model legal),
+// every closed-loop request completes with bounded tail latency (no
+// rejections, no hangs), the overloaded server answers immediate
 // structured rejections instead of hanging clients, and the /metrics
 // endpoint serves parseable per-estimator quantiles. (Closed-loop
 // throughput growth with concurrency depends on the host's core count —
@@ -18,6 +24,9 @@
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/cpu_info.h"
@@ -35,6 +44,7 @@ namespace {
 
 struct SweepRow {
   size_t concurrency = 0;
+  const char* transport = "";
   LoadReport report;
 };
 
@@ -46,6 +56,8 @@ struct OverloadRow {
 
 struct EstimatorRun {
   std::string name;
+  /// Workload queries whose served estimates differ from the serial ones.
+  size_t mismatched = 0;
   std::vector<SweepRow> closed_loop;
   OverloadRow overload;
   LatencyHistogram::Snapshot server_latency;
@@ -54,6 +66,42 @@ struct EstimatorRun {
 Result<std::unique_ptr<CardinalityEstimator>> NamedEstimator(
     BenchEnv& env, const std::string& registry_name) {
   return env.MakeNamedEstimator(registry_name);
+}
+
+/// Counts the workload queries whose whole-query answer from `service`
+/// differs from serial EstimateCard calls over every connected sub-plan on
+/// `reference`, an equally trained instance of the served model (training
+/// is deterministic). Equal estimates mean identical Q-Error and P-Error by
+/// construction: both metrics are pure functions of them.
+size_t CountServedMismatches(EstimationService& service,
+                             const std::string& name,
+                             const CardinalityEstimator& reference,
+                             const std::vector<const QueryGraph*>& graphs) {
+  size_t mismatched = 0;
+  for (const QueryGraph* graph : graphs) {
+    std::unordered_map<uint64_t, double> serial;
+    for (uint64_t mask : graph->connected_subsets()) {
+      serial[mask] = reference.EstimateCard(*graph, mask);
+    }
+    auto served = service.EstimateQuerySync(name, *graph);
+    CARDBENCH_CHECK(served.ok(), "estimate failed: %s",
+                    served.status().ToString().c_str());
+    if (*served != serial) ++mismatched;
+  }
+  return mismatched;
+}
+
+LoadReport RunClosedLoop(EstimateBackend& backend, const std::string& name,
+                         size_t concurrency, size_t replays) {
+  LoadDriver driver(backend);
+  LoadOptions load;
+  load.estimator = name;
+  load.concurrency = concurrency;
+  load.replays = replays;
+  auto report = driver.Run(load);
+  CARDBENCH_CHECK(report.ok(), "closed-loop run failed: %s",
+                  report.status().ToString().c_str());
+  return std::move(*report);
 }
 
 int RunBench(const BenchFlags& flags) {
@@ -65,16 +113,20 @@ int RunBench(const BenchFlags& flags) {
   std::vector<std::string> estimator_names = flags.estimators;
   if (estimator_names.empty()) estimator_names = {"PostgreSQL"};
 
+  std::vector<const QueryGraph*> graphs;
   std::vector<std::string> sqls;
   for (const auto& ctx : env.query_contexts()) {
+    graphs.push_back(ctx.graph.get());
     sqls.push_back(ctx.query->ToSql());
   }
   CARDBENCH_CHECK(!sqls.empty(), "empty workload");
-  std::printf("\nworkload: %s, %zu queries over loopback TCP\n",
+  std::printf("\nworkload: %s, %zu queries, in process and over loopback "
+              "TCP\n",
               env.dataset_name().c_str(), sqls.size());
 
   // The serving stack under test: service workers behind a bounded queue,
-  // fronted by the cardserved event loop on an ephemeral loopback port.
+  // driven directly and through the cardserved event loop on an ephemeral
+  // loopback port.
   ServiceOptions service_options;
   service_options.num_threads = std::max<size_t>(4, flags.threads);
   service_options.queue_depth = flags.queue_depth;
@@ -97,46 +149,55 @@ int RunBench(const BenchFlags& flags) {
   const std::vector<size_t> concurrency_levels = {1, 4, 16};
   const size_t closed_requests =
       std::max<size_t>(sqls.size(), flags.fast ? 300 : 1200);
+  const size_t replays = std::max<size_t>(1, closed_requests / sqls.size());
+
+  ServiceEstimateBackend inproc_backend(service, graphs);
+  SocketEstimateBackend socket_backend("127.0.0.1", server.port(), sqls);
+  const std::pair<const char*, EstimateBackend*> transports[] = {
+      {"inproc", &inproc_backend}, {"socket", &socket_backend}};
 
   std::vector<EstimatorRun> runs;
-  for (const std::string& name : serving_names) {
+  for (size_t e = 0; e < serving_names.size(); ++e) {
     EstimatorRun run;
-    run.name = name;
+    run.name = serving_names[e];
 
-    // Untimed warm-up pass: pays the sub-plan cache misses once so every
-    // measured concurrency point sees the same hot-cache serving path.
-    {
-      SocketEstimateBackend backend("127.0.0.1", server.port(), sqls);
-      LoadDriver driver(backend);
-      LoadOptions load;
-      load.estimator = name;
-      load.concurrency = 4;
-      auto warmup = driver.Run(load);
-      CARDBENCH_CHECK(warmup.ok(), "warm-up run failed: %s",
-                      warmup.status().ToString().c_str());
-    }
+    // Identity check on the cold cache, so the served answers are computed
+    // by the service's workers rather than recalled.
+    auto reference = NamedEstimator(env, estimator_names[e]);
+    CARDBENCH_CHECK(reference.ok(), "estimator %s failed: %s",
+                    estimator_names[e].c_str(),
+                    reference.status().ToString().c_str());
+    run.mismatched =
+        CountServedMismatches(service, run.name, **reference, graphs);
+    std::printf("\n%s estimates vs serial: %s (%zu/%zu queries match "
+                "exactly)\n",
+                run.name.c_str(),
+                run.mismatched == 0 ? "identical" : "MISMATCH",
+                graphs.size() - run.mismatched, graphs.size());
 
-    std::printf("\n%s, closed loop (clients keep one request in flight)\n",
-                name.c_str());
-    std::printf("%-12s %10s %10s %10s %10s %9s %9s\n", "concurrency",
-                "QPS", "p50", "p95", "p99", "rejected", "hit rate");
+    // Untimed warm-up pass over loopback: pays the server's graph compiles
+    // (and any sub-plan cache misses left) once, so every measured point of
+    // both transports sees the same hot-cache serving path.
+    RunClosedLoop(socket_backend, run.name, 4, 1);
+
+    std::printf("%s, closed loop (clients keep one request in flight)\n",
+                run.name.c_str());
+    std::printf("%-12s %-9s %10s %10s %10s %10s %9s %9s\n", "concurrency",
+                "transport", "QPS", "p50", "p95", "p99", "rejected",
+                "hit rate");
     for (size_t concurrency : concurrency_levels) {
-      SocketEstimateBackend backend("127.0.0.1", server.port(), sqls);
-      LoadDriver driver(backend);
-      LoadOptions load;
-      load.estimator = name;
-      load.concurrency = concurrency;
-      load.replays = std::max<size_t>(1, closed_requests / sqls.size());
-      auto report = driver.Run(load);
-      CARDBENCH_CHECK(report.ok(), "closed-loop run failed: %s",
-                      report.status().ToString().c_str());
-      std::printf("%-12zu %10.1f %10s %10s %10s %9zu %8.1f%%\n",
-                  concurrency, report->QueriesPerSecond(),
-                  FormatDuration(report->latency.p50).c_str(),
-                  FormatDuration(report->latency.p95).c_str(),
-                  FormatDuration(report->latency.p99).c_str(),
-                  report->rejected, 100.0 * report->cache.HitRate());
-      run.closed_loop.push_back(SweepRow{concurrency, std::move(*report)});
+      for (const auto& [transport, backend] : transports) {
+        LoadReport report =
+            RunClosedLoop(*backend, run.name, concurrency, replays);
+        std::printf("%-12zu %-9s %10.1f %10s %10s %10s %9zu %8.1f%%\n",
+                    concurrency, transport, report.QueriesPerSecond(),
+                    FormatDuration(report.latency.p50).c_str(),
+                    FormatDuration(report.latency.p95).c_str(),
+                    FormatDuration(report.latency.p99).c_str(),
+                    report.rejected, 100.0 * report.cache.HitRate());
+        run.closed_loop.push_back(
+            SweepRow{concurrency, transport, std::move(report)});
+      }
     }
     runs.push_back(std::move(run));
   }
@@ -181,6 +242,7 @@ int RunBench(const BenchFlags& flags) {
     EstimatorRun& run = runs[e];
     double peak_qps = 0.0;
     for (const SweepRow& row : run.closed_loop) {
+      if (std::string_view(row.transport) != "socket") continue;
       peak_qps = std::max(peak_qps, row.report.QueriesPerSecond());
     }
     const double offered = std::max(20000.0, peak_qps * 8.0);
@@ -222,8 +284,10 @@ int RunBench(const BenchFlags& flags) {
 
   size_t total_dropped = 0;
   bool closed_loop_clean = true;
+  bool identical = true;
   for (const EstimatorRun& run : runs) {
     total_dropped += run.overload.report.dropped;
+    if (run.mismatched != 0) identical = false;
     for (const SweepRow& row : run.closed_loop) {
       // Every request completed (no rejections — the queue is sized for
       // the client count) with a bounded tail.
@@ -233,11 +297,12 @@ int RunBench(const BenchFlags& flags) {
       }
     }
   }
-  std::printf("\nshape check: closed loop completes with bounded tails %s, "
-              "overload sheds load (%zu dropped) %s, /metrics parseable "
-              "%s\n",
-              closed_loop_clean ? "yes" : "NO", total_dropped,
-              total_dropped > 0 ? "yes" : "NO", metrics_ok ? "yes" : "NO");
+  std::printf("\nshape check: identical estimates to serial %s, closed "
+              "loop completes with bounded tails %s, overload sheds load "
+              "(%zu dropped) %s, /metrics parseable %s\n",
+              identical ? "yes" : "NO", closed_loop_clean ? "yes" : "NO",
+              total_dropped, total_dropped > 0 ? "yes" : "NO",
+              metrics_ok ? "yes" : "NO");
 
   const char* json_path = "bench_server_throughput.json";
   if (std::FILE* out = std::fopen(json_path, "w")) {
@@ -251,17 +316,21 @@ int RunBench(const BenchFlags& flags) {
                  service.num_threads(), service.queue_capacity());
     for (size_t e = 0; e < runs.size(); ++e) {
       const EstimatorRun& run = runs[e];
-      std::fprintf(out, "    {\"name\": \"%s\",\n", run.name.c_str());
+      std::fprintf(out,
+                   "    {\"name\": \"%s\",\n"
+                   "     \"identical_to_serial\": %s,\n",
+                   run.name.c_str(), run.mismatched == 0 ? "true" : "false");
       std::fprintf(out, "     \"closed_loop\": [\n");
       for (size_t i = 0; i < run.closed_loop.size(); ++i) {
         const SweepRow& row = run.closed_loop[i];
         std::fprintf(
             out,
-            "       {\"concurrency\": %zu, \"qps\": %.1f, "
+            "       {\"concurrency\": %zu, \"transport\": \"%s\", "
+            "\"qps\": %.1f, "
             "\"p50_us\": %.1f, \"p95_us\": %.1f, \"p99_us\": %.1f, "
             "\"requests\": %zu, \"rejected\": %zu, "
             "\"cache_hit_rate\": %.4f}%s\n",
-            row.concurrency, row.report.QueriesPerSecond(),
+            row.concurrency, row.transport, row.report.QueriesPerSecond(),
             row.report.latency.p50 * 1e6, row.report.latency.p95 * 1e6,
             row.report.latency.p99 * 1e6, row.report.requests,
             row.report.rejected, row.report.cache.HitRate(),
@@ -271,10 +340,10 @@ int RunBench(const BenchFlags& flags) {
       std::fprintf(
           out,
           "     \"open_loop\": {\"offered_qps\": %.1f, "
-          "\"completed\": %zu, \"dropped\": %zu, \"timeouts\": %zu, "
+          "\"completed\": %zu, \"dropped\": %zu, "
           "\"achieved_qps\": %.1f, \"wall_seconds\": %.3f},\n",
           run.overload.offered_qps, run.overload.report.requests,
-          run.overload.report.dropped, run.overload.report.timeouts,
+          run.overload.report.dropped,
           run.overload.report.QueriesPerSecond(),
           run.overload.reject_wall_seconds);
       std::fprintf(
@@ -310,8 +379,9 @@ int RunBench(const BenchFlags& flags) {
 int main(int argc, char** argv) {
   using namespace cardbench;
   const BenchFlags flags = ParseBenchFlags(argc, argv);
-  std::printf("Server throughput: STATS-CEB replay through cardserved "
-              "over loopback TCP (scale=%.2f%s)\n",
+  std::printf("Server throughput: STATS-CEB replay through the "
+              "estimation service, in process and through cardserved over "
+              "loopback TCP (scale=%.2f%s)\n",
               flags.scale, flags.fast ? ", fast" : "");
   return RunBench(flags);
 }

@@ -28,7 +28,6 @@ cpu_model=$(awk -F': ' '/^model name/ {print $2; exit}' /proc/cpuinfo 2>/dev/nul
 cpu_model=${cpu_model:-unknown}
 flags=$(awk -F': ' '/^flags/ {print $2; exit}' /proc/cpuinfo 2>/dev/null)
 simd=scalar
-case " $flags " in *" sse2 "*) simd=sse2 ;; esac
 case " $flags " in *" avx2 "*) simd=avx2 ;; esac
 if [[ " $flags " == *" avx512f "* && " $flags " == *" avx512dq "* &&
       " $flags " == *" avx512bw "* && " $flags " == *" avx512vl "* ]]; then

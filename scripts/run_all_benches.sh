@@ -78,8 +78,9 @@ run bench_micro_planner
 "$BENCH/bench_micro_join" --json=bench_micro_join.json \
   > "$LOGS/bench_micro_join.log" 2>&1
 [ -f bench_micro_join.json ] && mv bench_micro_join.json "$LOGS/"
-# Network serving sweep: the workload over loopback TCP through cardserved
-# (closed-loop concurrency levels + open-loop overload shedding); emits
+# Serving sweep: the workload through the estimation service in process and
+# over loopback TCP through cardserved (closed-loop concurrency levels per
+# transport + open-loop overload shedding); emits
 # bench_server_throughput.json with the per-estimator latency curves.
 run bench_server_throughput
 [ -f bench_server_throughput.json ] && mv bench_server_throughput.json "$LOGS/"

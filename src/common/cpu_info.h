@@ -9,8 +9,8 @@ namespace cardbench {
 /// unavailable. Cached after the first read.
 const std::string& CpuModelName();
 
-/// Best SIMD tier this host + build can dispatch to ("scalar", "sse2",
-/// "avx2", "avx512"); simd::LevelName(simd::DetectLevel()).
+/// Best SIMD tier this host + build can dispatch to ("scalar", "avx2",
+/// "avx512"); simd::LevelName(simd::DetectLevel()).
 const char* CpuSimdCapability();
 
 /// JSON object fragment `"cpu": {"model": ..., "simd": ...}` recorded in

@@ -4,11 +4,8 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "common/logging.h"
 #include "common/simd_internal.h"
-
-#if defined(__SSE2__)
-#include <emmintrin.h>
-#endif
 
 namespace cardbench::simd {
 
@@ -16,6 +13,7 @@ namespace {
 
 using internal::CmpApply;
 using internal::ReduceDotLanes;
+using internal::WithCmp;
 
 // ----------------------------------------------------------- scalar tier
 //
@@ -80,46 +78,20 @@ size_t FilterRowsScalarT(const int64_t* values, const uint8_t* valid,
   return out;
 }
 
-/// Dispatches the comparison once, outside the row loop.
-template <template <Cmp> class FnSelector, typename... Args>
-auto WithCmp(Cmp op, Args... args) {
-  switch (op) {
-    case Cmp::kEq: return FnSelector<Cmp::kEq>::Run(args...);
-    case Cmp::kNeq: return FnSelector<Cmp::kNeq>::Run(args...);
-    case Cmp::kLt: return FnSelector<Cmp::kLt>::Run(args...);
-    case Cmp::kLe: return FnSelector<Cmp::kLe>::Run(args...);
-    case Cmp::kGt: return FnSelector<Cmp::kGt>::Run(args...);
-    case Cmp::kGe: return FnSelector<Cmp::kGe>::Run(args...);
-  }
-  return FnSelector<Cmp::kEq>::Run(args...);
-}
-
-template <Cmp kOp>
-struct FilterRangeScalarSel {
-  static size_t Run(const int64_t* values, const uint8_t* valid, size_t begin,
-                    size_t end, int64_t rhs, uint32_t* out) {
-    return FilterRangeScalarT<kOp>(values, valid, begin, end, rhs, out);
-  }
-};
-
-template <Cmp kOp>
-struct FilterRowsScalarSel {
-  static size_t Run(const int64_t* values, const uint8_t* valid,
-                    uint32_t* rows, size_t n, int64_t rhs) {
-    return FilterRowsScalarT<kOp>(values, valid, rows, n, rhs);
-  }
-};
-
 size_t FilterRangeScalar(const int64_t* values, const uint8_t* valid,
                          size_t begin, size_t end, Cmp op, int64_t rhs,
                          uint32_t* out) {
-  return WithCmp<FilterRangeScalarSel>(op, values, valid, begin, end, rhs,
-                                       out);
+  return WithCmp(op, [&](auto k) {
+    return FilterRangeScalarT<decltype(k)::value>(values, valid, begin, end,
+                                                  rhs, out);
+  });
 }
 
 size_t FilterRowsScalar(const int64_t* values, const uint8_t* valid,
                         uint32_t* rows, size_t n, Cmp op, int64_t rhs) {
-  return WithCmp<FilterRowsScalarSel>(op, values, valid, rows, n, rhs);
+  return WithCmp(op, [&](auto k) {
+    return FilterRowsScalarT<decltype(k)::value>(values, valid, rows, n, rhs);
+  });
 }
 
 void GatherScalar(const int64_t* values, const uint8_t* valid,
@@ -137,112 +109,20 @@ constexpr KernelTable kScalarKernels = {
     FilterRangeScalar, FilterRowsScalar, GatherScalar,
 };
 
-// ------------------------------------------------------------- SSE2 tier
-//
-// Baseline on x86-64, so no separate TU or runtime check is needed. The
-// SSE2 tier vectorizes the double kernels (2 lanes); the integer selection
-// kernels need SSE4.2 compares and stay scalar at this tier.
-
-#if defined(__SSE2__)
-
-void AxpySse2(double* dst, const double* x, double a, size_t n) {
-  const __m128d va = _mm_set1_pd(a);
-  size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const __m128d r = _mm_add_pd(_mm_loadu_pd(dst + i),
-                                 _mm_mul_pd(va, _mm_loadu_pd(x + i)));
-    _mm_storeu_pd(dst + i, r);
-  }
-  for (; i < n; ++i) dst[i] += a * x[i];
-}
-
-void VecAddSse2(double* dst, const double* x, size_t n) {
-  size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    _mm_storeu_pd(dst + i,
-                  _mm_add_pd(_mm_loadu_pd(dst + i), _mm_loadu_pd(x + i)));
-  }
-  for (; i < n; ++i) dst[i] += x[i];
-}
-
-void VecScaleSse2(double* x, double a, size_t n) {
-  const __m128d va = _mm_set1_pd(a);
-  size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    _mm_storeu_pd(x + i, _mm_mul_pd(_mm_loadu_pd(x + i), va));
-  }
-  for (; i < n; ++i) x[i] *= a;
-}
-
-void AddBiasSse2(double* x, const double* bias, size_t n) {
-  size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    _mm_storeu_pd(x + i,
-                  _mm_add_pd(_mm_loadu_pd(x + i), _mm_loadu_pd(bias + i)));
-  }
-  for (; i < n; ++i) x[i] += bias[i];
-}
-
-void ReluSse2(double* x, size_t n) {
-  const __m128d zero = _mm_setzero_pd();
-  size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    // max(x, 0): ties and NaN resolve to the second operand (+0.0),
-    // matching the scalar tier.
-    _mm_storeu_pd(x + i, _mm_max_pd(_mm_loadu_pd(x + i), zero));
-  }
-  for (; i < n; ++i) x[i] = std::max(0.0, x[i]);
-}
-
-double DotSse2(const double* a, const double* b, size_t n) {
-  __m128d acc[kDotLanes / 2];
-  for (auto& v : acc) v = _mm_setzero_pd();
-  size_t i = 0;
-  for (; i + kDotLanes <= n; i += kDotLanes) {
-    for (size_t j = 0; j < kDotLanes / 2; ++j) {
-      acc[j] = _mm_add_pd(acc[j], _mm_mul_pd(_mm_loadu_pd(a + i + 2 * j),
-                                             _mm_loadu_pd(b + i + 2 * j)));
-    }
-  }
-  alignas(16) double lanes[kDotLanes];
-  for (size_t j = 0; j < kDotLanes / 2; ++j) {
-    _mm_store_pd(lanes + 2 * j, acc[j]);
-  }
-  for (; i < n; ++i) lanes[i % kDotLanes] += a[i] * b[i];
-  return ReduceDotLanes(lanes);
-}
-
-constexpr KernelTable kSse2Kernels = {
-    AxpySse2,         VecAddSse2,      VecScaleSse2,
-    AddBiasSse2,      ReluSse2,        DotSse2,
-    FilterRangeScalar, FilterRowsScalar, GatherScalar,
-};
-
-#endif  // __SSE2__
-
 // -------------------------------------------------------------- dispatch
 
 Level ClampToBuild(Level level) {
-#if !defined(__SSE2__)
-  if (level > Level::kScalar) level = Level::kScalar;
-#endif
   if (level >= Level::kAvx512 && internal::GetAvx512Kernels() == nullptr) {
     level = Level::kAvx2;
   }
   if (level >= Level::kAvx2 && internal::GetAvx2Kernels() == nullptr) {
-    level = Level::kSse2;
+    level = Level::kScalar;
   }
-#if !defined(__SSE2__)
-  if (level > Level::kScalar) level = Level::kScalar;
-#endif
   return level;
 }
 
 Level DetectImpl() {
   Level best = Level::kScalar;
-#if defined(__SSE2__)
-  best = Level::kSse2;
-#endif
 #if defined(__x86_64__) || defined(__i386__)
   if (__builtin_cpu_supports("avx2")) best = Level::kAvx2;
   if (__builtin_cpu_supports("avx512f") &&
@@ -260,16 +140,16 @@ Level DetectImpl() {
 bool g_forced = false;
 Level g_forced_level = Level::kScalar;
 
+/// DetectLevel() clamped by CARDBENCH_SIMD. An unknown value aborts: a
+/// misspelled clamp would otherwise dispatch to the widest tier silently,
+/// the opposite of what the variable asks for.
 Level EnvLevel() {
   const char* env = std::getenv("CARDBENCH_SIMD");
-  Level level = DetectLevel();
-  if (env != nullptr && *env != '\0') {
-    Level parsed;
-    if (ParseLevelName(env, &parsed)) {
-      level = std::min(level, parsed);
-    }
-  }
-  return level;
+  if (env == nullptr || *env == '\0') return DetectLevel();
+  Level parsed;
+  CARDBENCH_CHECK(ParseLevelName(env, &parsed),
+                  "CARDBENCH_SIMD=%s is not one of scalar|avx2|avx512", env);
+  return std::min(DetectLevel(), parsed);
 }
 
 }  // namespace
@@ -295,7 +175,6 @@ Level ActiveLevel() {
 const char* LevelName(Level level) {
   switch (level) {
     case Level::kScalar: return "scalar";
-    case Level::kSse2: return "sse2";
     case Level::kAvx2: return "avx2";
     case Level::kAvx512: return "avx512";
   }
@@ -304,8 +183,7 @@ const char* LevelName(Level level) {
 
 bool ParseLevelName(const char* name, Level* out) {
   if (name == nullptr) return false;
-  for (Level level : {Level::kScalar, Level::kSse2, Level::kAvx2,
-                      Level::kAvx512}) {
+  for (Level level : {Level::kScalar, Level::kAvx2, Level::kAvx512}) {
     if (std::strcmp(name, LevelName(level)) == 0) {
       *out = level;
       return true;
@@ -327,12 +205,6 @@ const KernelTable& KernelsFor(Level level) {
       if (t != nullptr) return *t;
       [[fallthrough]];
     }
-    case Level::kSse2:
-#if defined(__SSE2__)
-      return kSse2Kernels;
-#else
-      [[fallthrough]];
-#endif
     case Level::kScalar:
       return kScalarKernels;
   }

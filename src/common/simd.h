@@ -9,13 +9,12 @@ namespace cardbench::simd {
 /// Dispatch tiers of the shared kernel layer. Every tier implements the same
 /// kernel table; DetectLevel() picks the best one the host CPU and the build
 /// (CARDBENCH_NATIVE) support, and the CARDBENCH_SIMD environment variable
-/// ("scalar", "sse2", "avx2", "avx512") clamps it down for testing the
-/// fallback paths.
+/// ("scalar", "avx2", "avx512"; any other value aborts) clamps it down for
+/// testing the fallback paths.
 enum class Level : uint8_t {
   kScalar = 0,
-  kSse2 = 1,
-  kAvx2 = 2,
-  kAvx512 = 3,
+  kAvx2 = 1,
+  kAvx512 = 2,
 };
 
 /// Comparison operator of the integer filter kernels. Mirrors the numeric
@@ -82,10 +81,11 @@ struct KernelTable {
 Level DetectLevel();
 
 /// The dispatch decision: DetectLevel() clamped by CARDBENCH_SIMD and by
-/// ForceLevel(). Reads the environment once.
+/// ForceLevel(). Reads the environment once, on the first call, and aborts
+/// with a message if CARDBENCH_SIMD is set to an unknown level name.
 Level ActiveLevel();
 
-/// "scalar", "sse2", "avx2" or "avx512".
+/// "scalar", "avx2" or "avx512".
 const char* LevelName(Level level);
 
 /// Parses a level name; false on unknown names.

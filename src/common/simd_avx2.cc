@@ -20,6 +20,7 @@ using internal::CmpApply;
 using internal::kCompress4;
 using internal::ReduceDotLanes;
 using internal::ValidMask4;
+using internal::WithCmp;
 
 void AxpyAvx2(double* dst, const double* x, double a, size_t n) {
   const __m256d va = _mm256_set1_pd(a);
@@ -198,40 +199,17 @@ size_t FilterRowsAvx2T(const int64_t* values, const uint8_t* valid,
 size_t FilterRangeAvx2(const int64_t* values, const uint8_t* valid,
                        size_t begin, size_t end, Cmp op, int64_t rhs,
                        uint32_t* out) {
-  switch (op) {
-    case Cmp::kEq:
-      return FilterRangeAvx2T<Cmp::kEq>(values, valid, begin, end, rhs, out);
-    case Cmp::kNeq:
-      return FilterRangeAvx2T<Cmp::kNeq>(values, valid, begin, end, rhs, out);
-    case Cmp::kLt:
-      return FilterRangeAvx2T<Cmp::kLt>(values, valid, begin, end, rhs, out);
-    case Cmp::kLe:
-      return FilterRangeAvx2T<Cmp::kLe>(values, valid, begin, end, rhs, out);
-    case Cmp::kGt:
-      return FilterRangeAvx2T<Cmp::kGt>(values, valid, begin, end, rhs, out);
-    case Cmp::kGe:
-      return FilterRangeAvx2T<Cmp::kGe>(values, valid, begin, end, rhs, out);
-  }
-  return 0;
+  return WithCmp(op, [&](auto k) {
+    return FilterRangeAvx2T<decltype(k)::value>(values, valid, begin, end,
+                                                rhs, out);
+  });
 }
 
 size_t FilterRowsAvx2(const int64_t* values, const uint8_t* valid,
                       uint32_t* rows, size_t n, Cmp op, int64_t rhs) {
-  switch (op) {
-    case Cmp::kEq:
-      return FilterRowsAvx2T<Cmp::kEq>(values, valid, rows, n, rhs);
-    case Cmp::kNeq:
-      return FilterRowsAvx2T<Cmp::kNeq>(values, valid, rows, n, rhs);
-    case Cmp::kLt:
-      return FilterRowsAvx2T<Cmp::kLt>(values, valid, rows, n, rhs);
-    case Cmp::kLe:
-      return FilterRowsAvx2T<Cmp::kLe>(values, valid, rows, n, rhs);
-    case Cmp::kGt:
-      return FilterRowsAvx2T<Cmp::kGt>(values, valid, rows, n, rhs);
-    case Cmp::kGe:
-      return FilterRowsAvx2T<Cmp::kGe>(values, valid, rows, n, rhs);
-  }
-  return 0;
+  return WithCmp(op, [&](auto k) {
+    return FilterRowsAvx2T<decltype(k)::value>(values, valid, rows, n, rhs);
+  });
 }
 
 void GatherAvx2(const int64_t* values, const uint8_t* valid,

@@ -18,6 +18,7 @@ namespace {
 
 using internal::CmpApply;
 using internal::ReduceDotLanes;
+using internal::WithCmp;
 
 void AxpyAvx512(double* dst, const double* x, double a, size_t n) {
   const __m512d va = _mm512_set1_pd(a);
@@ -158,41 +159,17 @@ size_t FilterRowsAvx512T(const int64_t* values, const uint8_t* valid,
 size_t FilterRangeAvx512(const int64_t* values, const uint8_t* valid,
                          size_t begin, size_t end, Cmp op, int64_t rhs,
                          uint32_t* out) {
-  switch (op) {
-    case Cmp::kEq:
-      return FilterRangeAvx512T<Cmp::kEq>(values, valid, begin, end, rhs, out);
-    case Cmp::kNeq:
-      return FilterRangeAvx512T<Cmp::kNeq>(values, valid, begin, end, rhs,
-                                           out);
-    case Cmp::kLt:
-      return FilterRangeAvx512T<Cmp::kLt>(values, valid, begin, end, rhs, out);
-    case Cmp::kLe:
-      return FilterRangeAvx512T<Cmp::kLe>(values, valid, begin, end, rhs, out);
-    case Cmp::kGt:
-      return FilterRangeAvx512T<Cmp::kGt>(values, valid, begin, end, rhs, out);
-    case Cmp::kGe:
-      return FilterRangeAvx512T<Cmp::kGe>(values, valid, begin, end, rhs, out);
-  }
-  return 0;
+  return WithCmp(op, [&](auto k) {
+    return FilterRangeAvx512T<decltype(k)::value>(values, valid, begin, end,
+                                                  rhs, out);
+  });
 }
 
 size_t FilterRowsAvx512(const int64_t* values, const uint8_t* valid,
                         uint32_t* rows, size_t n, Cmp op, int64_t rhs) {
-  switch (op) {
-    case Cmp::kEq:
-      return FilterRowsAvx512T<Cmp::kEq>(values, valid, rows, n, rhs);
-    case Cmp::kNeq:
-      return FilterRowsAvx512T<Cmp::kNeq>(values, valid, rows, n, rhs);
-    case Cmp::kLt:
-      return FilterRowsAvx512T<Cmp::kLt>(values, valid, rows, n, rhs);
-    case Cmp::kLe:
-      return FilterRowsAvx512T<Cmp::kLe>(values, valid, rows, n, rhs);
-    case Cmp::kGt:
-      return FilterRowsAvx512T<Cmp::kGt>(values, valid, rows, n, rhs);
-    case Cmp::kGe:
-      return FilterRowsAvx512T<Cmp::kGe>(values, valid, rows, n, rhs);
-  }
-  return 0;
+  return WithCmp(op, [&](auto k) {
+    return FilterRowsAvx512T<decltype(k)::value>(values, valid, rows, n, rhs);
+  });
 }
 
 void GatherAvx512(const int64_t* values, const uint8_t* valid,

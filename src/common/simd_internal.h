@@ -3,10 +3,11 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <type_traits>
 
 #include "common/simd.h"
 
-/// Shared between simd.cc (dispatch + scalar/SSE2 tiers) and the
+/// Shared between simd.cc (dispatch + scalar tier) and the
 /// ISA-specific translation units (simd_avx2.cc / simd_avx512.cc, compiled
 /// with their own -m flags when CARDBENCH_NATIVE is on). Nothing here is
 /// part of the public kernel API.
@@ -24,6 +25,22 @@ inline bool CmpApply(Cmp op, int64_t a, int64_t b) {
     case Cmp::kGe: return a >= b;
   }
   return false;
+}
+
+/// Calls `fn(std::integral_constant<Cmp, k>{})` for the `k` equal to `op`,
+/// so every tier's filter entry points pick their `<Cmp kOp>` instantiation
+/// once, outside the row loop.
+template <typename Fn>
+auto WithCmp(Cmp op, Fn&& fn) {
+  switch (op) {
+    case Cmp::kEq: return fn(std::integral_constant<Cmp, Cmp::kEq>{});
+    case Cmp::kNeq: return fn(std::integral_constant<Cmp, Cmp::kNeq>{});
+    case Cmp::kLt: return fn(std::integral_constant<Cmp, Cmp::kLt>{});
+    case Cmp::kLe: return fn(std::integral_constant<Cmp, Cmp::kLe>{});
+    case Cmp::kGt: return fn(std::integral_constant<Cmp, Cmp::kGt>{});
+    case Cmp::kGe: return fn(std::integral_constant<Cmp, Cmp::kGe>{});
+  }
+  return fn(std::integral_constant<Cmp, Cmp::kEq>{});
 }
 
 /// The fixed lane-reduction tree of the dot contract (see simd.h). Every

@@ -30,7 +30,7 @@ Matrix Matrix::MatMulTransposed(const Matrix& other) const {
   // Every output element is one kernel-layer dot product under the 16-lane
   // striped contract (simd.h), for every batch size: single-row inference
   // and batched inference produce bit-identical activations by construction,
-  // and so do the scalar/SSE2/AVX2/AVX-512 dispatch tiers.
+  // and so do the scalar/AVX2/AVX-512 dispatch tiers.
   const simd::KernelTable& kt = simd::Active();
   for (size_t i = 0; i < rows_; ++i) {
     const double* a = Row(i);

@@ -215,8 +215,7 @@ Status SocketEstimateBackend::Validate(const std::string& estimator) {
 }
 
 BackendCallResult SocketEstimateBackend::EstimateQuery(
-    const std::string& estimator, size_t query_index,
-    double timeout_seconds) {
+    const std::string& estimator, size_t query_index) {
   BackendCallResult result;
   if (query_index >= sqls_.size()) {
     result.status = Status::OutOfRange("query index out of range");
@@ -232,7 +231,6 @@ BackendCallResult SocketEstimateBackend::EstimateQuery(
   ServerRequest request;
   request.estimator = estimator;
   request.sql = sqls_[query_index];
-  request.deadline_ms = timeout_seconds * 1e3;
   auto response = client->Call(request);
   ReleaseClient(std::move(client));
   if (!response.ok()) {

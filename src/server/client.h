@@ -73,8 +73,7 @@ class SocketEstimateBackend : public EstimateBackend {
   Status Validate(const std::string& estimator) override;
 
   BackendCallResult EstimateQuery(const std::string& estimator,
-                                  size_t query_index,
-                                  double timeout_seconds) override;
+                                  size_t query_index) override;
 
   EstimateCacheStats cache_stats() const override;
 

@@ -26,6 +26,8 @@ namespace cardbench {
 class RequestExecutor {
  public:
   /// `service` and `db` are borrowed and must outlive the executor.
+  /// `graph_cache_capacity` bounds the compiled-graph LRU (CardServer and
+  /// cardserve take the default).
   RequestExecutor(EstimationService& service, const Database& db,
                   size_t graph_cache_capacity = 512);
 

@@ -23,6 +23,9 @@ namespace cardbench {
 
 namespace {
 
+/// Accepted connections beyond this are closed immediately (fd budget).
+constexpr size_t kMaxConnections = 1024;
+
 Status SetNonBlocking(int fd) {
   const int flags = fcntl(fd, F_GETFL, 0);
   if (flags < 0 || fcntl(fd, F_SETFL, flags | O_NONBLOCK) < 0) {
@@ -85,7 +88,7 @@ struct CardServer::CompletionHub {
 CardServer::CardServer(EstimationService& service, const Database& db,
                        ServerOptions options)
     : service_(service),
-      executor_(service, db, options.graph_cache_capacity),
+      executor_(service, db),
       options_(std::move(options)) {
   // Model lifecycle events (incremental refreshes, hot-swaps) flow into the
   // metrics plane, surfacing model_version / refresh-latency / staleness-age
@@ -332,7 +335,7 @@ void CardServer::AcceptPending() {
       CARDBENCH_LOG("cardserved: accept failed: %s", std::strerror(errno));
       return;
     }
-    if (connections_.size() >= options_.max_connections) {
+    if (connections_.size() >= kMaxConnections) {
       close(fd);
       continue;
     }

@@ -23,8 +23,6 @@ struct ServerOptions {
   std::string host = "127.0.0.1";
   /// TCP port; 0 picks an ephemeral port (read it back via port()).
   uint16_t port = 0;
-  /// Compiled-QueryGraph LRU entries (SQL-text keyed).
-  size_t graph_cache_capacity = 512;
   /// Periodic metrics JSON snapshot: every `snapshot_period_seconds` the
   /// event loop rewrites `snapshot_path` (atomic rename). Disabled when the
   /// path is empty or the period is 0.
@@ -35,8 +33,6 @@ struct ServerOptions {
   /// force-closing (leak-free either way; responses past the budget are
   /// dropped, not leaked).
   double drain_timeout_seconds = 30.0;
-  /// Accepted connections beyond this are closed immediately (fd budget).
-  size_t max_connections = 1024;
 };
 
 /// cardserved: a standalone TCP front-end over the EstimationService.

@@ -35,8 +35,8 @@ struct SubplanCacheKey {
   }
 };
 
-/// Monotonic counters describing cache effectiveness; the load driver and
-/// cardserve report hit rate from a before/after delta.
+/// Monotonic counters describing cache effectiveness; the load driver
+/// reports hit rate from a before/after delta.
 struct EstimateCacheStats {
   uint64_t hits = 0;
   uint64_t misses = 0;

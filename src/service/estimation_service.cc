@@ -14,15 +14,18 @@ namespace {
 /// enough that batch-native estimators still amortize featurization.
 constexpr size_t kDeadlineCheckStride = 8;
 
+/// Sub-plan estimate cache entries, split evenly across the shards.
+constexpr size_t kSubplanCacheCapacity = 65536;
+constexpr size_t kSubplanCacheShards = 16;
+
 }  // namespace
 
 EstimationService::EstimationService(ServiceOptions options)
-    : options_(options),
-      cache_(options.cache_capacity, options.cache_shards),
+    : cache_(kSubplanCacheCapacity, kSubplanCacheShards),
       queue_(options.queue_depth),
       pool_(options.num_threads) {
   // Each pool thread runs one long-lived drain loop; the pool is sized to
-  // options_.num_threads so every worker owns exactly one loop.
+  // options.num_threads so every worker owns exactly one loop.
   for (size_t i = 0; i < pool_.num_threads(); ++i) {
     (void)pool_.Submit([this] { WorkerLoop(); });
   }

@@ -28,9 +28,6 @@ struct ServiceOptions {
   /// Bound of the request queue; Submit rejects with ResourceExhausted
   /// beyond it (never blocks the caller).
   size_t queue_depth = 256;
-  /// Total sub-plan estimate cache entries, split across shards.
-  size_t cache_capacity = 65536;
-  size_t cache_shards = 16;
 };
 
 /// In `subplan_mask`, requests estimation of every connected sub-plan of
@@ -97,7 +94,8 @@ using RefreshListener =
 /// The concurrent cardinality-estimation serving layer: owns trained
 /// estimator instances and answers estimation requests from a fixed-size
 /// worker pool behind a bounded request queue, memoizing sub-plan estimates
-/// in a sharded, version-invalidated LRU cache.
+/// in a sharded, version-invalidated LRU cache (65536 entries over 16
+/// shards).
 ///
 ///   callers --TryPush--> RequestQueue --Pop--> ThreadPool workers
 ///                                                |  SubplanEstimateCache
@@ -250,7 +248,6 @@ class EstimationService {
   void NotifyRefresh(const std::string& name, uint64_t model_version,
                      double seconds);
 
-  ServiceOptions options_;
   SubplanEstimateCache cache_;
   RequestQueue<WorkItem> queue_;
 

@@ -25,8 +25,7 @@ Status ServiceEstimateBackend::Validate(const std::string& estimator) {
 }
 
 BackendCallResult ServiceEstimateBackend::EstimateQuery(
-    const std::string& estimator, size_t query_index,
-    double timeout_seconds) {
+    const std::string& estimator, size_t query_index) {
   BackendCallResult result;
   if (query_index >= num_queries()) {
     result.status = Status::OutOfRange("query index out of range");
@@ -35,7 +34,6 @@ BackendCallResult ServiceEstimateBackend::EstimateQuery(
   EstimateRequest request;
   request.estimator = estimator;
   request.subplan_mask = kAllSubplans;
-  request.timeout_seconds = timeout_seconds;
   request.graph = graphs_[query_index];
   std::promise<EstimateResponse> promise;
   std::future<EstimateResponse> future = promise.get_future();
@@ -55,12 +53,6 @@ BackendCallResult ServiceEstimateBackend::EstimateQuery(
   return result;
 }
 
-LoadDriver::LoadDriver(EstimationService& service,
-                       std::vector<const QueryGraph*> graphs)
-    : owned_backend_(std::make_unique<ServiceEstimateBackend>(
-          service, std::move(graphs))),
-      backend_(*owned_backend_) {}
-
 LoadDriver::LoadDriver(EstimateBackend& backend) : backend_(backend) {}
 
 Result<LoadReport> LoadDriver::Run(const LoadOptions& options) {
@@ -71,8 +63,8 @@ Result<LoadReport> LoadDriver::Run(const LoadOptions& options) {
   if (options.estimator.empty()) {
     return Status::InvalidArgument("LoadOptions.estimator is empty");
   }
-  if (options.offered_qps < 0.0 || options.timeout_ms < 0.0) {
-    return Status::InvalidArgument("negative offered_qps or timeout_ms");
+  if (options.offered_qps < 0.0) {
+    return Status::InvalidArgument("negative offered_qps");
   }
   CARDBENCH_RETURN_IF_ERROR(backend_.Validate(options.estimator));
 
@@ -82,7 +74,6 @@ Result<LoadReport> LoadDriver::Run(const LoadOptions& options) {
   const bool open_loop = options.offered_qps > 0.0;
   const double arrival_interval =
       open_loop ? 1.0 / options.offered_qps : 0.0;
-  const double timeout_seconds = options.timeout_ms * 1e-3;
   const EstimateCacheStats before = backend_.cache_stats();
 
   // Work distribution: one shared ticket counter; clients pull the next
@@ -94,7 +85,6 @@ Result<LoadReport> LoadDriver::Run(const LoadOptions& options) {
   std::atomic<size_t> total_estimates{0};
   std::atomic<size_t> total_rejected{0};
   std::atomic<size_t> total_dropped{0};
-  std::atomic<size_t> total_timeouts{0};
   std::atomic<bool> failed{false};
   Status first_error = Status::OK();
   std::mutex error_mu;
@@ -132,8 +122,8 @@ Result<LoadReport> LoadDriver::Run(const LoadOptions& options) {
           start = wall.ElapsedSeconds();
         }
         for (;;) {
-          BackendCallResult result = backend_.EstimateQuery(
-              options.estimator, q, timeout_seconds);
+          BackendCallResult result =
+              backend_.EstimateQuery(options.estimator, q);
           if (result.status.ok()) {
             total_estimates.fetch_add(result.estimates);
             latencies.push_back(wall.ElapsedSeconds() - start);
@@ -150,10 +140,6 @@ Result<LoadReport> LoadDriver::Run(const LoadOptions& options) {
             total_rejected.fetch_add(1);
             std::this_thread::yield();
             continue;
-          }
-          if (result.status.code() == StatusCode::kDeadlineExceeded) {
-            total_timeouts.fetch_add(1);
-            break;
           }
           {
             std::lock_guard<std::mutex> lock(error_mu);
@@ -174,7 +160,6 @@ Result<LoadReport> LoadDriver::Run(const LoadOptions& options) {
   report.wall_seconds = wall_seconds;
   report.rejected = total_rejected.load();
   report.dropped = total_dropped.load();
-  report.timeouts = total_timeouts.load();
   report.estimates = total_estimates.load();
   std::vector<double> all_latencies;
   for (const auto& latencies : client_latencies) {

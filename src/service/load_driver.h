@@ -2,7 +2,6 @@
 #define CARDBENCH_SERVICE_LOAD_DRIVER_H_
 
 #include <cstddef>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -32,9 +31,6 @@ struct LoadOptions {
   /// retried, so the report shows how an overloaded server sheds load
   /// instead of hiding it behind retries.
   double offered_qps = 0.0;
-  /// Per-request deadline in milliseconds forwarded to the backend; 0
-  /// disables it. Expired requests count as `timeouts` in the report.
-  double timeout_ms = 0.0;
 };
 
 /// Outcome of one load run.
@@ -42,7 +38,6 @@ struct LoadReport {
   size_t requests = 0;   ///< completed query-estimation requests
   size_t rejected = 0;   ///< backpressure rejections (closed loop: retried)
   size_t dropped = 0;    ///< open-loop rejections, shed without retry
-  size_t timeouts = 0;   ///< requests answered with DeadlineExceeded
   size_t estimates = 0;  ///< sub-plan estimates inside completed requests
   double wall_seconds = 0.0;
   /// Per-request latency distribution over completed requests, in seconds
@@ -84,12 +79,10 @@ class EstimateBackend {
   virtual Status Validate(const std::string& estimator) = 0;
 
   /// Estimates every connected sub-plan of query `query_index`, blocking
-  /// until the response. `timeout_seconds` (0 = none) is the per-request
-  /// deadline. Protocol-level failures (rejection, deadline) come back in
+  /// until the response. Protocol-level failures (rejection) come back in
   /// `status` — the call itself reports, it does not retry.
   virtual BackendCallResult EstimateQuery(const std::string& estimator,
-                                          size_t query_index,
-                                          double timeout_seconds) = 0;
+                                          size_t query_index) = 0;
 
   /// Lifetime cache counters as seen through this backend; the driver
   /// reports per-run deltas of them.
@@ -107,8 +100,7 @@ class ServiceEstimateBackend : public EstimateBackend {
   size_t num_queries() const override { return graphs_.size(); }
   Status Validate(const std::string& estimator) override;
   BackendCallResult EstimateQuery(const std::string& estimator,
-                                  size_t query_index,
-                                  double timeout_seconds) override;
+                                  size_t query_index) override;
   EstimateCacheStats cache_stats() const override {
     return service_.cache_stats();
   }
@@ -127,23 +119,18 @@ class ServiceEstimateBackend : public EstimateBackend {
 /// or open-loop (fixed offered rate, overload-measuring) mode.
 class LoadDriver {
  public:
-  /// In-process convenience constructor; `graphs` are borrowed and must
-  /// outlive Run calls.
-  LoadDriver(EstimationService& service,
-             std::vector<const QueryGraph*> graphs);
-
-  /// Drives an explicit backend (e.g. SocketEstimateBackend for the
-  /// network server). `backend` is borrowed and must outlive Run calls.
+  /// Drives `backend` (ServiceEstimateBackend in process,
+  /// SocketEstimateBackend for the network server), which is borrowed and
+  /// must outlive Run calls.
   explicit LoadDriver(EstimateBackend& backend);
 
-  /// Runs one load session. Fails fast on the first non-backpressure,
-  /// non-deadline error (unknown estimator, transport failure);
-  /// backpressure is retried in closed-loop mode and shed in open-loop
-  /// mode, never silently ignored.
+  /// Runs one load session. Fails fast on the first non-backpressure
+  /// error (unknown estimator, transport failure); backpressure is retried
+  /// in closed-loop mode and shed in open-loop mode, never silently
+  /// ignored.
   Result<LoadReport> Run(const LoadOptions& options);
 
  private:
-  std::unique_ptr<ServiceEstimateBackend> owned_backend_;
   EstimateBackend& backend_;
 };
 

@@ -127,8 +127,6 @@ TEST(BatchServiceConcurrencyTest, ConcurrentBatchRequestsMatchDirect) {
   ServiceOptions options;
   options.num_threads = 4;
   options.queue_depth = 64;
-  options.cache_capacity = 4096;
-  options.cache_shards = 8;
   EstimationService service(options);
 
   const std::vector<std::string> names = {

@@ -1,5 +1,6 @@
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <vector>
@@ -27,7 +28,7 @@ bool SameBytes(const void* a, const void* b, size_t n) {
 // each higher tier against the scalar reference bit for bit.
 std::vector<Level> AvailableLevels() {
   std::vector<Level> levels = {Level::kScalar};
-  for (Level l : {Level::kSse2, Level::kAvx2, Level::kAvx512}) {
+  for (Level l : {Level::kAvx2, Level::kAvx512}) {
     if (l <= simd::DetectLevel()) levels.push_back(l);
   }
   return levels;
@@ -287,7 +288,7 @@ TEST(KernelParityTest, DispatchRespectsEnvironmentClamp) {
 }
 
 TEST(KernelParityTest, LevelNamesRoundTrip) {
-  for (Level l : {Level::kScalar, Level::kSse2, Level::kAvx2, Level::kAvx512}) {
+  for (Level l : {Level::kScalar, Level::kAvx2, Level::kAvx512}) {
     Level parsed;
     ASSERT_TRUE(simd::ParseLevelName(simd::LevelName(l), &parsed));
     EXPECT_EQ(l, parsed);
@@ -295,6 +296,22 @@ TEST(KernelParityTest, LevelNamesRoundTrip) {
   Level parsed;
   EXPECT_FALSE(simd::ParseLevelName("mmx", &parsed));
   EXPECT_FALSE(simd::ParseLevelName("", &parsed));
+}
+
+TEST(KernelParityDeathTest, UnknownEnvironmentLevelAborts) {
+  // The environment is read once, on a process's first ActiveLevel() call,
+  // so each case re-executes the binary and sets the variable in the child
+  // before that call.
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  for (const char* value : {"SCALAR", "avx", "mmx"}) {
+    EXPECT_DEATH(
+        {
+          setenv("CARDBENCH_SIMD", value, 1);
+          simd::ActiveLevel();
+        },
+        "scalar\\|avx2\\|avx512")
+        << value;
+  }
 }
 
 }  // namespace

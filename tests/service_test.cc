@@ -15,6 +15,7 @@
 #include "datagen/stats_gen.h"
 #include "query/parser.h"
 #include "query/query_graph.h"
+#include "service/estimate_cache.h"
 #include "service/estimation_service.h"
 #include "service/load_driver.h"
 #include "service/request_queue.h"
@@ -110,6 +111,23 @@ class GateEstimator : public CardinalityEstimator {
   bool released_ = false;
 };
 
+/// Estimator whose every estimate sleeps a fixed time, the shape of a model
+/// served out of process: workers overlap the waits without competing for
+/// a CPU.
+class SleepEstimator : public CardinalityEstimator {
+ public:
+  explicit SleepEstimator(std::chrono::milliseconds delay)
+      : CardinalityEstimator(TestDb()), delay_(delay) {}
+  std::string name() const override { return "Sleep"; }
+  double EstimateCard(const QueryGraph&, uint64_t) const override {
+    std::this_thread::sleep_for(delay_);
+    return 1.0;
+  }
+
+ private:
+  std::chrono::milliseconds delay_;
+};
+
 Query Parse(const std::string& sql) {
   auto q = ParseSql(sql);
   EXPECT_TRUE(q.ok()) << q.status().ToString();
@@ -152,6 +170,58 @@ std::unordered_map<uint64_t, double> SerialEstimates(
                       : estimator.EstimateCard(query.Induced(mask));
   }
   return cards;
+}
+
+SubplanCacheKey CacheKey(uint64_t fingerprint) {
+  return SubplanCacheKey{"Hash", fingerprint, /*subplan_mask=*/1,
+                         /*model_version=*/1};
+}
+
+TEST(SubplanEstimateCacheTest, EvictsLeastRecentlyUsedEntry) {
+  SubplanEstimateCache cache(/*capacity=*/2, /*num_shards=*/1);
+  cache.Insert(CacheKey(1), 10.0);
+  cache.Insert(CacheKey(2), 20.0);
+  double estimate = 0.0;
+  ASSERT_TRUE(cache.Lookup(CacheKey(1), &estimate));  // 2 is now the LRU
+  cache.Insert(CacheKey(3), 30.0);
+  EXPECT_EQ(cache.stats().evictions, 1u);
+  EXPECT_EQ(cache.size(), 2u);
+  EXPECT_FALSE(cache.Lookup(CacheKey(2), &estimate));
+  ASSERT_TRUE(cache.Lookup(CacheKey(1), &estimate));
+  EXPECT_EQ(estimate, 10.0);
+  ASSERT_TRUE(cache.Lookup(CacheKey(3), &estimate));
+  EXPECT_EQ(estimate, 30.0);
+
+  // The batch fill evicts in the same order: 3 was touched last, so 4
+  // pushes out 1.
+  cache.InsertBatch({CacheKey(4)}, {40.0});
+  EXPECT_EQ(cache.stats().evictions, 2u);
+  std::vector<double> estimates;
+  std::vector<bool> hit;
+  EXPECT_EQ(cache.LookupBatch({CacheKey(1), CacheKey(3), CacheKey(4)},
+                              &estimates, &hit),
+            2u);
+  EXPECT_EQ(hit, (std::vector<bool>{false, true, true}));
+  EXPECT_EQ(estimates[2], 40.0);
+}
+
+TEST(SubplanEstimateCacheTest, BoundsEveryShardAndCountsEvictions) {
+  // 10 entries over 4 shards is 2 per shard: the bound is per shard, so
+  // the cache holds 8 once every shard has overflowed.
+  SubplanEstimateCache cache(/*capacity=*/10, /*num_shards=*/4);
+  EXPECT_EQ(cache.capacity(), 8u);
+  constexpr uint64_t kKeys = 100;
+  for (uint64_t i = 0; i < kKeys; ++i) cache.Insert(CacheKey(i), 1.0);
+  EXPECT_EQ(cache.size(), 8u);
+  EXPECT_EQ(cache.stats().evictions, kKeys - 8);
+  // Re-inserting a resident key refreshes it in place: no eviction.
+  double estimate = 0.0;
+  const uint64_t resident = kKeys - 1;
+  ASSERT_TRUE(cache.Lookup(CacheKey(resident), &estimate));
+  cache.Insert(CacheKey(resident), 2.0);
+  EXPECT_EQ(cache.stats().evictions, kKeys - 8);
+  ASSERT_TRUE(cache.Lookup(CacheKey(resident), &estimate));
+  EXPECT_EQ(estimate, 2.0);
 }
 
 TEST(RequestQueueTest, TryPushRespectsCapacityAndNeverBlocks) {
@@ -437,6 +507,53 @@ TEST(EstimationServiceTest, EightThreadHammerMatchesSerialExactly) {
   EXPECT_EQ(mismatches.load(), 0u);
 }
 
+TEST(EstimationServiceTest, WorkersAnswerRequestsConcurrently) {
+  // Eight requests for different queries (so none is a cache hit) of one
+  // 50 ms estimate each take 400 ms one at a time; eight workers overlap
+  // the sleeps and finish in about 50 ms. The waits are sleeps, not CPU
+  // work, so a loaded host delays them little; the bound of half the
+  // serial sum leaves room for that.
+  constexpr auto kDelay = std::chrono::milliseconds(50);
+  constexpr size_t kRequests = 8;
+  ServiceOptions options;
+  options.num_threads = kRequests;
+  EstimationService service(options);
+  service.RegisterEstimator(std::make_unique<SleepEstimator>(kDelay));
+  std::vector<std::unique_ptr<const QueryGraph>> graphs;
+  for (size_t i = 0; i < kRequests; ++i) {
+    graphs.push_back(std::make_unique<const QueryGraph>(
+        Parse(StrFormat("SELECT COUNT(*) FROM users WHERE "
+                        "users.Reputation >= %zu;",
+                        i)),
+        TestDb()));
+  }
+
+  std::mutex mu;
+  std::condition_variable cv;
+  size_t done = 0;
+  size_t ok = 0;
+  const auto start = std::chrono::steady_clock::now();
+  for (const auto& graph : graphs) {
+    ASSERT_TRUE(service
+                    .Submit(EstimateRequest{"Sleep", graph->full_mask(),
+                                            graph.get()},
+                            [&](EstimateResponse response) {
+                              std::lock_guard<std::mutex> lock(mu);
+                              ++done;
+                              if (response.status.ok()) ++ok;
+                              cv.notify_all();
+                            })
+                    .ok());
+  }
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return done == kRequests; });
+  }
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  EXPECT_EQ(ok, kRequests);
+  EXPECT_LT(elapsed, kRequests * kDelay / 2);
+}
+
 TEST(EstimationServiceTest, RepeatedReplayServesFromCache) {
   EstimationService service;
   auto owned = std::make_unique<HashEstimator>();
@@ -496,7 +613,8 @@ TEST(LoadDriverTest, ClosedLoopReplayReportsThroughputAndCacheDelta) {
   const std::vector<std::unique_ptr<const QueryGraph>> graphs = TestGraphs();
   std::vector<const QueryGraph*> pointers;
   for (const auto& graph : graphs) pointers.push_back(graph.get());
-  LoadDriver driver(service, pointers);
+  ServiceEstimateBackend backend(service, pointers);
+  LoadDriver driver(backend);
 
   LoadOptions load;
   load.estimator = "Hash";
@@ -518,8 +636,7 @@ class SlowBackend : public EstimateBackend {
  public:
   size_t num_queries() const override { return 20; }
   Status Validate(const std::string&) override { return Status::OK(); }
-  BackendCallResult EstimateQuery(const std::string&, size_t,
-                                  double) override {
+  BackendCallResult EstimateQuery(const std::string&, size_t) override {
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
     BackendCallResult result;
     result.estimates = 1;
@@ -548,7 +665,8 @@ TEST(LoadDriverTest, OpenLoopLatencyCountsScheduleDelay) {
 TEST(LoadDriverTest, UnknownEstimatorFailsFast) {
   EstimationService service;
   const QueryGraph graph(TestQueries()[2], TestDb());
-  LoadDriver driver(service, {&graph});
+  ServiceEstimateBackend backend(service, {&graph});
+  LoadDriver driver(backend);
   LoadOptions load;
   load.estimator = "NoSuchModel";
   auto report = driver.Run(load);

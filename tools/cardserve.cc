@@ -1,12 +1,9 @@
 // cardserve: a small serving front-end over the EstimationService. Builds
-// the STATS environment, trains the requested estimators, then answers
-// cardinality estimates for SQL queries read one-per-line from stdin. With
-// no stdin input it instead replays the STATS-CEB workload once through the
-// service and prints a serving report (throughput, tail latency, cache).
+// the STATS environment, trains (or loads) the requested estimators, then
+// answers cardinality estimates for SQL queries read one-per-line from
+// stdin. Load tests of the serving stack are bench_server_throughput's.
 //
-//   build/tools/cardserve --fast --estimators=PostgreSQL --threads=4
-//   echo "SELECT COUNT(*) FROM users WHERE users.Reputation >= 100;" \
-//     | build/tools/cardserve --fast
+//   build/tools/cardserve --fast --estimators=PostgreSQL --threads=4 < q.sql
 
 #include <cstdio>
 #include <iostream>
@@ -19,7 +16,6 @@
 #include "server/protocol.h"
 #include "server/request_executor.h"
 #include "service/estimation_service.h"
-#include "service/load_driver.h"
 
 namespace cardbench {
 namespace {
@@ -37,10 +33,9 @@ void PrintCacheStats(const EstimationService& service) {
 /// Serves SQL queries from stdin through the same RequestExecutor +
 /// protocol structs the network server uses — the CLI is the in-process
 /// transport of the cardserved request path, not a parallel
-/// implementation. Returns the number served.
-size_t ServeStdin(RequestExecutor& executor,
-                  const std::vector<std::string>& estimators) {
-  size_t served = 0;
+/// implementation.
+void ServeStdin(RequestExecutor& executor,
+                const std::vector<std::string>& estimators) {
   std::string line;
   while (std::getline(std::cin, line)) {
     if (line.empty() || line[0] == '#') continue;
@@ -65,40 +60,6 @@ size_t ServeStdin(RequestExecutor& executor,
                   card == response.cards.end() ? 0.0 : card->second,
                   FormatDuration(response.elapsed_us * 1e-6).c_str());
     }
-    ++served;
-  }
-  return served;
-}
-
-/// Replays the workload once through the service, per estimator. Clients
-/// submit the harness's pre-compiled QueryGraphs, so the service runs its
-/// mask-based dispatch and fingerprint-keyed cache path.
-void ReplayWorkload(EstimationService& service, BenchEnv& env,
-                    const std::vector<std::string>& estimators,
-                    size_t concurrency) {
-  std::vector<const QueryGraph*> graphs;
-  for (const auto& ctx : env.query_contexts()) graphs.push_back(ctx.graph.get());
-  std::printf("no stdin input — replaying %zu workload queries\n",
-              graphs.size());
-  for (const std::string& name : estimators) {
-    LoadDriver driver(service, graphs);
-    LoadOptions load;
-    load.estimator = name;
-    load.concurrency = concurrency;
-    load.replays = 2;  // second pass exercises the sub-plan cache
-    auto report = driver.Run(load);
-    if (!report.ok()) {
-      std::printf("%-12s replay failed: %s\n", name.c_str(),
-                  report.status().ToString().c_str());
-      continue;
-    }
-    std::printf("%-12s %8.1f QPS   p50 %s   p95 %s   p99 %s   "
-                "hit rate %.1f%%   rejected %zu\n",
-                name.c_str(), report->QueriesPerSecond(),
-                FormatDuration(report->latency.p50).c_str(),
-                FormatDuration(report->latency.p95).c_str(),
-                FormatDuration(report->latency.p99).c_str(),
-                100.0 * report->cache.HitRate(), report->rejected);
   }
 }
 
@@ -140,10 +101,7 @@ int Run(const BenchFlags& flags) {
               flags.exec_threads, flags.batch_size);
 
   RequestExecutor executor(service, env.db());
-  if (ServeStdin(executor, estimators) == 0) {
-    ReplayWorkload(service, env, estimators,
-                   std::max<size_t>(2, flags.threads * 2));
-  }
+  ServeStdin(executor, estimators);
   PrintCacheStats(service);
   return 0;
 }
