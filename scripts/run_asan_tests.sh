@@ -53,5 +53,9 @@ else
   # so the fallback path is ASAN-clean too.
   echo "== kernel_parity_test (ASAN, CARDBENCH_SIMD=scalar) =="
   CARDBENCH_SIMD=scalar "$BUILD_DIR/tests/kernel_parity_test"
+  # The executor's index nested loops compact their arena-backed filter
+  # chunks in place with whichever tier dispatch picks; run the AVX2 one.
+  echo "== exec_parity_test (ASAN, CARDBENCH_SIMD=avx2) =="
+  CARDBENCH_SIMD=avx2 "$BUILD_DIR/tests/exec_parity_test"
 fi
 echo "ASAN+UBSAN run clean."

@@ -349,14 +349,13 @@ class Emitter {
         next_(next),
         buf_(limit_) {}
 
-  /// Space for one more output tuple.
-  uint32_t* Append() {
-    if (used_ + arity_ > buf_.size()) {
-      buf_.resize(std::max(2 * buf_.size(), used_ + arity_));
-    }
-    uint32_t* tuple = buf_.data() + used_;
-    used_ += arity_;
-    return tuple;
+  /// Space for `n` more output tuples, row-major.
+  uint32_t* Append(size_t n = 1) {
+    const size_t used = used_ + n * arity_;
+    if (used > buf_.size()) buf_.resize(std::max(2 * buf_.size(), used));
+    uint32_t* tuples = buf_.data() + used_;
+    used_ = used;
+    return tuples;
   }
 
   bool Full() const { return used_ >= limit_; }
@@ -400,7 +399,8 @@ inline void EmitJoined(Emitter& out, const uint32_t* left, size_t larity,
 /// time, and emits the matches in (outer tuple, ascending inner row) order,
 /// or counts them at the count-only root. The hash probe prefetches the
 /// home slot of probe i + kIndexPrefetchDistance while probe i walks the
-/// table.
+/// table; an index nested loop with inner filters filters its postings
+/// kIndexChunkRows at a time.
 class Probe final : public Consumer {
  public:
   Probe(Op& op, Arena& arena, size_t batch_size, Budget& budget,
@@ -412,6 +412,10 @@ class Probe final : public Consumer {
         ticker_(budget),
         count_(count) {
     if (!op.count_only) out_.emplace(op, batch_size, budget, next);
+    if (op.inner_filters != nullptr && !op.inner_filters->empty()) {
+      chunk_ = arena.AllocateArray<uint32_t>(kIndexChunkRows);
+      pieces_ = arena.AllocateArray<RunPiece>(kIndexChunkRows);
+    }
   }
 
   bool Consume(const uint32_t* tuples, size_t n) override {
@@ -480,39 +484,115 @@ class Probe final : public Consumer {
     return true;
   }
 
+  /// The index nested loop. Without inner filters each outer tuple's
+  /// posting run is emitted (one n-tuple Append), counted, or checked
+  /// against the extra edges whole. With them, the runs of consecutive
+  /// outer tuples are copied into the chunk, a longer run splitting across
+  /// chunks, and each full chunk (and the batch's last) goes to
+  /// FilterChunk.
   bool ProbeIndex(const uint32_t* in, size_t n) {
-    const std::vector<CompiledPredicate>& filters = *op_.inner_filters;
     const auto& extra = op_.refs.extra;
     Emitter* out = out_.has_value() ? &*out_ : nullptr;
-    // A count with nothing to check per inner row adds posting lengths.
-    const bool count_runs = out == nullptr && filters.empty() && extra.empty();
     BudgetTicker ticker = ticker_;
     uint64_t count = 0;
     for (size_t i = 0; i < n; ++i) {
       if (!kb_.valid[i]) continue;
-      const std::span<const uint32_t> postings = op_.index->Lookup(kb_.keys[i]);
-      if (count_runs) {
-        count += postings.size();
-        if (!ticker.Tick(postings.size())) return false;
+      const std::span<const uint32_t> run = op_.index->Lookup(kb_.keys[i]);
+      const uint32_t* outer = in + i * larity_;
+      if (chunk_ != nullptr) {
+        for (size_t lo = 0; lo < run.size();) {
+          const size_t take =
+              std::min(run.size() - lo, kIndexChunkRows - filled_);
+          if (!ticker.Tick(take)) return false;
+          pieces_[num_pieces_++] = {outer, run.data() + lo,
+                                    static_cast<uint32_t>(take),
+                                    lo + take == run.size()};
+          std::copy_n(run.data() + lo, take, chunk_ + filled_);
+          lo += take;
+          filled_ += take;
+          if (filled_ == kIndexChunkRows && !FilterChunk()) return false;
+        }
         continue;
       }
-      const uint32_t* outer = in + i * larity_;
-      for (uint32_t irow : postings) {
-        if (!ticker.Tick()) return false;
-        if (!filters.empty() && !RowPassesCompiled(filters, irow)) continue;
-        if (!extra.empty() && !ExtraEdgesMatch(extra, outer, &irow)) continue;
-        if (out != nullptr) {
-          EmitJoined(*out, outer, larity_, &irow, 1);
-        } else {
-          ++count;
+      if (!ticker.Tick(run.size())) return false;
+      if (!extra.empty()) {
+        for (uint32_t irow : run) {
+          if (!ExtraEdgesMatch(extra, outer, &irow)) continue;
+          if (out != nullptr) {
+            EmitJoined(*out, outer, larity_, &irow, 1);
+          } else {
+            ++count;
+          }
         }
+      } else if (out != nullptr) {
+        uint32_t* tuple = out->Append(run.size());
+        for (uint32_t irow : run) {
+          std::copy_n(outer, larity_, tuple);
+          tuple[larity_] = irow;
+          tuple += larity_ + 1;
+        }
+      } else {
+        count += run.size();
       }
       if (out != nullptr && out->Full() && !out->Flush()) return false;
     }
     ticker_ = ticker;
     *count_ += count;
+    return chunk_ == nullptr || FilterChunk();
+  }
+
+  /// Filters the chunk's rows in place through the storage kernels, then
+  /// adds the survivors (the count-only root without extra edges) or walks
+  /// each run piece against them, emitting or counting its matches and
+  /// checking Full() where an outer tuple's run ends. The walk is exact:
+  /// a piece's rows ascend strictly and a row's verdict does not depend on
+  /// the outer tuple, so the piece's survivors are the next ones in order,
+  /// and a row that failed equals no survivor.
+  bool FilterChunk() {
+    const size_t kept =
+        FilterRowsConjunction(*op_.inner_filters, chunk_, filled_);
+    const size_t pieces = num_pieces_;
+    filled_ = num_pieces_ = 0;
+    const auto& extra = op_.refs.extra;
+    Emitter* out = out_.has_value() ? &*out_ : nullptr;
+    if (out == nullptr && extra.empty()) {
+      *count_ += kept;
+      return true;
+    }
+    uint64_t count = 0;
+    size_t s = 0;
+    for (size_t p = 0; p < pieces && s < kept; ++p) {
+      const RunPiece& piece = pieces_[p];
+      uint32_t survivor = chunk_[s];
+      for (size_t j = 0; j < piece.size; ++j) {
+        const uint32_t irow = piece.rows[j];
+        if (irow != survivor) continue;
+        if (extra.empty() || ExtraEdgesMatch(extra, piece.outer, &irow)) {
+          if (out != nullptr) {
+            EmitJoined(*out, piece.outer, larity_, &irow, 1);
+          } else {
+            ++count;
+          }
+        }
+        if (++s == kept) break;
+        survivor = chunk_[s];
+      }
+      if (out != nullptr && piece.ends_run && out->Full() && !out->Flush()) {
+        return false;
+      }
+    }
+    *count_ += count;
     return true;
   }
+
+  /// The part of one outer tuple's posting run that one chunk holds.
+  struct RunPiece {
+    const uint32_t* outer;
+    const uint32_t* rows;
+    uint32_t size;
+    /// The run's last part: the outer tuple's matches are complete.
+    bool ends_run;
+  };
 
   Op& op_;
   size_t larity_;
@@ -522,6 +602,12 @@ class Probe final : public Consumer {
   /// Emitting joins' output; empty at the count-only root.
   std::optional<Emitter> out_;
   uint64_t* count_;
+  /// An index nested loop with inner filters: the chunk of copied inner
+  /// rows, kIndexChunkRows long, and its run pieces in order.
+  uint32_t* chunk_ = nullptr;
+  RunPiece* pieces_ = nullptr;
+  size_t filled_ = 0;
+  size_t num_pieces_ = 0;
 };
 
 /// Appends every tuple it is given to `target` (set per morsel).

@@ -32,6 +32,12 @@ struct ExecLimits {
 inline constexpr size_t kScanMorselRows = size_t{1} << 14;
 inline constexpr size_t kProbeMorselTuples = size_t{1} << 12;
 
+/// Inner rows per filter call of an index nested loop with inner filters:
+/// the posting runs of consecutive outer tuples are copied into a chunk of
+/// this many rows (a longer run splits across chunks) and filtered in place
+/// through the storage filter kernels.
+inline constexpr size_t kIndexChunkRows = size_t{1} << 10;
+
 /// Knobs of the vectorized, morsel-driven execution pipelines. No knob
 /// affects results: with num_threads == 1 output is bit-identical to any
 /// other configuration (morsel outputs are concatenated in morsel order, so

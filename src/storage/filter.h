@@ -31,8 +31,9 @@ std::vector<CompiledPredicate> CompilePredicates(
     const Table& table, const std::vector<Predicate>& predicates);
 
 /// Scalar fallback: true iff `row` satisfies every compiled predicate
-/// (NULLs never pass). For call sites that test isolated rows (samples,
-/// index postings, random walks).
+/// (NULLs never pass). For call sites that test isolated rows, such as the
+/// wander join's random walks; batches of rows, index postings among them,
+/// go through FilterRowsConjunction.
 inline bool RowPassesCompiled(const std::vector<CompiledPredicate>& predicates,
                               uint32_t row) {
   for (const auto& p : predicates) {

@@ -26,13 +26,14 @@ constexpr size_t kMultiMorselRows = 60000;
 /// outputs are concatenated in morsel order) — and the hash join must
 /// match a nested-loop join written in this file.
 ///
-/// Three fixtures: STATS at scale 0.01 (real schema and data, but every
+/// Four fixtures: STATS at scale 0.01 (real schema and data, but every
 /// scan, probe and build input fits in one morsel), a synthetic two-table
 /// database whose scan, probe and build inputs each span at least three
 /// morsels, so multi-thread runs take the executor's parallel scan and
 /// probe branches (the build side's pipeline among them) and their
-/// morsel-order concatenation, and a synthetic four-table database for
-/// multi-join pipelines.
+/// morsel-order concatenation, a synthetic four-table database for
+/// multi-join pipelines, and a synthetic three-table database for index
+/// nested loops with inner filters.
 class ExecParityTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
@@ -41,6 +42,7 @@ class ExecParityTest : public ::testing::Test {
     db_ = GenerateStatsDatabase(config).release();
     multi_morsel_db_ = MakeMultiMorselDatabase().release();
     chain_db_ = MakeChainDatabase().release();
+    index_nl_db_ = MakeIndexNestLoopDatabase().release();
   }
   static void TearDownTestSuite() {
     delete db_;
@@ -49,6 +51,8 @@ class ExecParityTest : public ::testing::Test {
     multi_morsel_db_ = nullptr;
     delete chain_db_;
     chain_db_ = nullptr;
+    delete index_nl_db_;
+    index_nl_db_ = nullptr;
   }
 
   /// r(k, v, w) and s(k, f, w), kMultiMorselRows rows each. Join keys k
@@ -139,6 +143,62 @@ class ExecParityTest : public ::testing::Test {
     for (int i = 0; i < 600; ++i) {
       append(d3, {key(500), uniform(10), uniform(4)});
     }
+    return db;
+  }
+
+  /// Inner rows of i holding the heavy key 0: more than two filter chunks
+  /// of an index nested loop, so its run splits across three.
+  static constexpr size_t kHeavyRunRows = 2 * kIndexChunkRows + 300;
+
+  /// Index nested loops with inner filters:
+  ///   o(k, w): 3000 rows; k = 0 (the heavy key) on every 150th row, else
+  ///     ~ [1, 400) with 1/40 NULLs; w ~ [0, 4) for an extra edge.
+  ///   i(k, a, b, w): kHeavyRunRows rows of k = 0 spread over 6000 rows
+  ///     of k ~ [1, 400) (1/40 NULLs); the filtered columns a ~ [0, 100)
+  ///     and b ~ [0, 10) are NULL on 1/8 of the rows each; w ~ [0, 4).
+  ///   d(k): 40 rows, k ~ [0, 10) → i.b, to put the join inside a chain.
+  static std::unique_ptr<Database> MakeIndexNestLoopDatabase() {
+    auto db = std::make_unique<Database>("index_nl");
+    std::mt19937_64 rng(2023);
+    auto maybe = [&rng](uint64_t null_one_in, uint64_t n,
+                        Value base = 0) -> std::optional<Value> {
+      if (rng() % null_one_in == 0) return std::nullopt;
+      return base + static_cast<Value>(rng() % n);
+    };
+    auto add = [&db](const char* name,
+                     std::initializer_list<const char*> columns) {
+      Table* table = db->AddTable(name).value();
+      for (const char* column : columns) {
+        CARDBENCH_CHECK(table->AddColumn(column, ColumnKind::kNumeric).ok(),
+                        "add %s.%s", name, column);
+      }
+      return table;
+    };
+    Table* o = add("o", {"k", "w"});
+    Table* i = add("i", {"k", "a", "b", "w"});
+    Table* d = add("d", {"k"});
+    auto append = [](Table* table, std::vector<std::optional<Value>> row) {
+      CARDBENCH_CHECK(table->AppendRow(row).ok(), "append %s",
+                      table->name().c_str());
+    };
+    // Braced-list elements are evaluated in order: deterministic rows.
+    for (int r = 0; r < 3000; ++r) {
+      const std::optional<Value> k =
+          r % 150 == 0 ? std::optional<Value>(0) : maybe(40, 399, 1);
+      append(o, {k, static_cast<Value>(rng() % 4)});
+    }
+    const size_t rows = 6000 + kHeavyRunRows;
+    size_t heavy_left = kHeavyRunRows;
+    for (size_t r = 0; r < rows; ++r) {
+      // Heavy rows drawn without replacement: exactly kHeavyRunRows of them.
+      const bool heavy = rng() % (rows - r) < heavy_left;
+      heavy_left -= heavy ? 1 : 0;
+      const std::optional<Value> k =
+          heavy ? std::optional<Value>(0) : maybe(40, 399, 1);
+      append(i, {k, maybe(8, 100), maybe(8, 10),
+                 static_cast<Value>(rng() % 4)});
+    }
+    for (int r = 0; r < 40; ++r) append(d, {static_cast<Value>(rng() % 10)});
     return db;
   }
 
@@ -274,14 +334,33 @@ class ExecParityTest : public ::testing::Test {
                 std::move(j2), ChainScan("d3", {}, 8));
   }
 
+  /// o ⋈ i on o.k = i.k as an index nested loop with the inner filters
+  /// `filters` (and the extra edge o.w = i.w); with `chain`, the left input
+  /// of an unfiltered index nested loop with d on i.b = d.k.
+  static std::unique_ptr<PlanNode> FilteredIndexPlan(
+      const std::vector<Predicate>& filters, bool extra_edge, bool chain) {
+    const Database& db = *index_nl_db_;
+    std::vector<JoinEdge> extra;
+    if (extra_edge) extra.push_back({"o", "w", "i", "w"});
+    auto join = Join(db, JoinMethod::kIndexNestLoop, {"o", "k", "i", "k"},
+                     Scan(db, "o", ScanMethod::kSeqScan, {}, 1),
+                     Scan(db, "i", ScanMethod::kSeqScan, filters, 2), extra);
+    if (!chain) return join;
+    return Join(db, JoinMethod::kIndexNestLoop, {"i", "b", "d", "k"},
+                std::move(join),
+                Scan(db, "d", ScanMethod::kSeqScan, {}, 4));
+  }
+
   static Database* db_;
   static Database* multi_morsel_db_;
   static Database* chain_db_;
+  static Database* index_nl_db_;
 };
 
 Database* ExecParityTest::db_ = nullptr;
 Database* ExecParityTest::multi_morsel_db_ = nullptr;
 Database* ExecParityTest::chain_db_ = nullptr;
+Database* ExecParityTest::index_nl_db_ = nullptr;
 
 /// Reference evaluation of any plan: nested loops over the reference
 /// outputs of each join's inputs (an index nested loop's inner side is its
@@ -732,6 +811,58 @@ TEST_F(ExecParityTest, ChainsMatchNestedLoopReference) {
           EXPECT_EQ(tuples->data, expected.data) << config;
         } else {
           EXPECT_EQ(SortedTuples(*tuples), SortedTuples(expected)) << config;
+        }
+      }
+    }
+  }
+}
+
+// Index nested loops with inner filters against the nested-loop reference:
+// the same tuples in the same (outer tuple, ascending inner row) order, and
+// counts. The inner rows are filtered a chunk of postings at a time; the
+// heavy key's run spans three chunks, the filtered columns hold NULLs, and
+// the conjunctions of two and three predicates cover every CompareOp. Each
+// runs without and with an extra edge, as the root (counting under
+// ExecuteCount) and inside a chain (emitting into an unfiltered index
+// nested loop), serially and in parallel, at two batch sizes.
+TEST_F(ExecParityTest, IndexNestLoopInnerFiltersMatchReference) {
+  const Database& db = *index_nl_db_;
+  const Table& inner = db.TableOrDie("i");
+  ASSERT_EQ(inner.GetIndex(inner.ColumnIndexOrDie("k")).Lookup(0).size(),
+            kHeavyRunRows);
+  ASSERT_GT(kHeavyRunRows, 2 * kIndexChunkRows);
+  const std::vector<std::vector<Predicate>> conjunctions = {
+      {{"i", "a", CompareOp::kGe, 20}, {"i", "b", CompareOp::kLt, 7}},
+      {{"i", "a", CompareOp::kNeq, 40},
+       {"i", "b", CompareOp::kLe, 5},
+       {"i", "a", CompareOp::kGt, 10}},
+      {{"i", "b", CompareOp::kEq, 3}, {"i", "a", CompareOp::kLt, 90}},
+  };
+  for (size_t f = 0; f < conjunctions.size(); ++f) {
+    for (bool extra_edge : {false, true}) {
+      for (bool chain : {false, true}) {
+        const auto plan =
+            FilteredIndexPlan(conjunctions[f], extra_edge, chain);
+        const TupleSet expected = ReferenceJoin(db, *plan);
+        ASSERT_GT(expected.size(), kIndexChunkRows);
+        for (size_t threads : {size_t{1}, size_t{4}}) {
+          for (size_t batch : {size_t{7}, size_t{1024}}) {
+            ExecOptions options;
+            options.num_threads = threads;
+            options.batch_size = batch;
+            Executor exec(db, ExecLimits(), options);
+            auto count = exec.ExecuteCount(*plan);
+            auto tuples = exec.Materialize(*plan);
+            ASSERT_TRUE(count.ok()) << count.status().ToString();
+            ASSERT_TRUE(tuples.ok()) << tuples.status().ToString();
+            const std::string config =
+                "filters#" + std::to_string(f) +
+                (extra_edge ? " +extra" : "") + (chain ? " chain" : " root") +
+                " threads=" + std::to_string(threads) +
+                " batch=" + std::to_string(batch);
+            EXPECT_EQ(count->count, expected.size()) << config;
+            EXPECT_EQ(tuples->data, expected.data) << config;
+          }
         }
       }
     }

@@ -275,11 +275,14 @@ TEST(KernelParityTest, MatrixAndMlpBitIdenticalUnderForcedLevels) {
 TEST(KernelParityTest, DispatchRespectsEnvironmentClamp) {
   // ActiveLevel() never exceeds what the CPU supports; under
   // CARDBENCH_SIMD=scalar (the kernel_parity_scalar ctest entry) it must be
-  // exactly the scalar tier.
+  // exactly the scalar tier. An empty value counts as unset
+  // (kernel_parity_empty_env).
   EXPECT_LE(static_cast<int>(simd::ActiveLevel()),
             static_cast<int>(simd::DetectLevel()));
   const char* env = std::getenv("CARDBENCH_SIMD");
-  if (env != nullptr) {
+  if (env == nullptr || *env == '\0') {
+    EXPECT_EQ(simd::ActiveLevel(), simd::DetectLevel());
+  } else {
     simd::Level parsed;
     ASSERT_TRUE(simd::ParseLevelName(env, &parsed));
     EXPECT_LE(static_cast<int>(simd::ActiveLevel()),
