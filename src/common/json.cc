@@ -1,7 +1,7 @@
 #include "common/json.h"
 
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
 
 namespace cardbench {
 
@@ -28,9 +28,10 @@ void AppendJsonString(const std::string& text, std::string* out) {
 }
 
 void AppendJsonDouble(double value, std::string* out) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
-  out->append(buf);
+  char buf[32];  // the longest shortest form, "-2.2250738585072014e-308", is 24
+  const std::to_chars_result written =
+      std::to_chars(buf, buf + sizeof(buf), value);
+  out->append(buf, written.ptr);
 }
 
 double JsonNumberOr(const JsonValue* value, double fallback) {
@@ -71,7 +72,7 @@ Status JsonParser::ParseValue(JsonValue* out, int depth) {
     return ParseString(&out->string);
   }
   if (c == 't' || c == 'f') return ParseKeyword(c == 't', out);
-  if (c == 'n') return ParseNull(out);
+  if (c == 'n' && text_.compare(pos_, 3, "nan") != 0) return ParseNull(out);
   return ParseNumber(out);
 }
 
@@ -208,11 +209,17 @@ Status JsonParser::ParseNull(JsonValue* out) {
 }
 
 Status JsonParser::ParseNumber(JsonValue* out) {
-  const char* begin = text_.c_str() + pos_;
-  char* end = nullptr;
-  const double value = std::strtod(begin, &end);
-  if (end == begin) return Status::InvalidArgument("expected JSON number");
-  pos_ += static_cast<size_t>(end - begin);
+  const char* begin = text_.data() + pos_;
+  double value = 0.0;
+  const std::from_chars_result parsed =
+      std::from_chars(begin, text_.data() + text_.size(), value);
+  if (parsed.ec == std::errc::result_out_of_range) {
+    return Status::InvalidArgument("JSON number out of double range");
+  }
+  if (parsed.ec != std::errc()) {
+    return Status::InvalidArgument("expected JSON number");
+  }
+  pos_ += static_cast<size_t>(parsed.ptr - begin);
   out->kind = JsonValue::Kind::kNumber;
   out->number = value;
   return Status::OK();

@@ -34,7 +34,10 @@ struct JsonValue {
 };
 
 /// Strict recursive-descent parser: depth-capped, trailing garbage is an
-/// error, \u escapes decode as UTF-8 BMP code points.
+/// error, \u escapes decode as UTF-8 BMP code points. Numbers are read by
+/// std::from_chars: no leading '+', no hex, and a value outside double's
+/// range (1e400, 1e-400) is an error; besides JSON's grammar it takes the
+/// `inf`, `-inf` and `nan` spellings AppendJsonDouble writes.
 class JsonParser {
  public:
   explicit JsonParser(const std::string& text) : text_(text) {}
@@ -62,8 +65,10 @@ class JsonParser {
 /// Appends `text` as a quoted, escaped JSON string.
 void AppendJsonString(const std::string& text, std::string* out);
 
-/// Appends `value` in %.17g form — round-trips every finite double, so the
-/// repo's bit-identical-estimate discipline extends to the wire.
+/// Appends `value` in its shortest round-trip form (std::to_chars): the
+/// parser reads back the identical double, so the repo's
+/// bit-identical-estimate discipline extends to the wire. Infinities and
+/// NaN come out as `inf`, `-inf` and `nan`.
 void AppendJsonDouble(double value, std::string* out);
 
 /// Typed field access with fallbacks (absent or wrong-kind -> fallback).

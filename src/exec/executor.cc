@@ -385,13 +385,22 @@ class Emitter {
   size_t used_ = 0;
 };
 
+/// Copies `n` row ids of one tuple. Every per-tuple copy goes through this
+/// plain loop: a tuple is a few ids wide, and GCC compiles `std::copy_n`
+/// (or `memcpy`) of a runtime length into one `memmove` call per tuple,
+/// which costs more than the copy itself (EXPERIMENTS.md, "Pipelined count
+/// execution").
+inline void CopyIds(const uint32_t* src, size_t n, uint32_t* dst) {
+  for (size_t c = 0; c < n; ++c) dst[c] = src[c];
+}
+
 /// Appends the concatenation of `left` (`larity` row ids) and `right`
 /// (`rarity`) to `out`.
 inline void EmitJoined(Emitter& out, const uint32_t* left, size_t larity,
                        const uint32_t* right, size_t rarity) {
   uint32_t* tuple = out.Append();
-  for (size_t c = 0; c < larity; ++c) tuple[c] = left[c];
-  for (size_t c = 0; c < rarity; ++c) tuple[larity + c] = right[c];
+  CopyIds(left, larity, tuple);
+  CopyIds(right, rarity, tuple + larity);
 }
 
 /// One worker's probe of a hash or index-nested-loop join: consumes the
@@ -527,7 +536,7 @@ class Probe final : public Consumer {
       } else if (out != nullptr) {
         uint32_t* tuple = out->Append(run.size());
         for (uint32_t irow : run) {
-          std::copy_n(outer, larity_, tuple);
+          CopyIds(outer, larity_, tuple);
           tuple[larity_] = irow;
           tuple += larity_ + 1;
         }

@@ -37,11 +37,11 @@ class RequestExecutor {
   Result<std::shared_ptr<const QueryGraph>> Compile(const std::string& sql);
 
   /// Executes `request` and delivers the response through `done`, exactly
-  /// once. Parse/validation errors and admission rejections are answered
-  /// synchronously (from the calling thread); accepted requests complete
-  /// later on a service worker thread. The rejection path never blocks —
-  /// a full queue answers ResourceExhausted with the observed queue depth
-  /// and the service's retry-after hint.
+  /// once. Parse/validation errors, admission rejections and requests whose
+  /// every sub-plan is cached are answered synchronously (from the calling
+  /// thread); the others complete later on a service worker thread. The
+  /// rejection path never blocks — a full queue answers ResourceExhausted
+  /// with the observed queue depth and the service's retry-after hint.
   void ExecuteAsync(const ServerRequest& request,
                     std::function<void(ServerResponse)> done);
 

@@ -50,21 +50,30 @@ struct CardServer::Connection {
   bool closed = false;
 };
 
+/// One finished request on its way back to its connection.
+struct CardServer::Completion {
+  uint64_t conn_id = 0;
+  std::string estimator;
+  double latency_seconds = 0.0;
+  ServerResponse response;
+};
+
 /// Channel from service-worker callbacks back to the event loop. Shared via
 /// shared_ptr so a completion that outlives the server (force-closed drain)
 /// lands in a closed hub, not freed memory.
 struct CardServer::CompletionHub {
-  struct Completion {
-    uint64_t conn_id = 0;
-    std::string estimator;
-    double latency_seconds = 0.0;
-    ServerResponse response;
-  };
-
   std::mutex mu;
   std::vector<Completion> ready;
   int wake_fd = -1;  ///< write end of the self-pipe (owned by the hub)
   bool closed = false;
+  /// The event loop's thread while the loop runs (a default id before and
+  /// after). A completion arriving on it needs no hub: the server is alive
+  /// and the caller may touch connections.
+  std::atomic<std::thread::id> loop_thread{};
+
+  bool OnLoopThread() const {
+    return loop_thread.load() == std::this_thread::get_id();
+  }
 
   void Push(Completion completion) {
     bool wake = false;
@@ -204,6 +213,7 @@ ServerGauges CardServer::Gauges() const {
 }
 
 void CardServer::EventLoop() {
+  hub_->loop_thread.store(std::this_thread::get_id());
   Stopwatch uptime;
   bool draining = false;
   Stopwatch drain_watch;
@@ -321,6 +331,7 @@ void CardServer::EventLoop() {
     hub_->closed = true;
     hub_->ready.clear();
   }
+  hub_->loop_thread.store(std::thread::id());
   close(wake_read_fd_);
   wake_read_fd_ = -1;
   running_.store(false);
@@ -470,49 +481,60 @@ void CardServer::DispatchFrame(Connection& conn, const std::string& payload) {
   const uint64_t conn_id = conn.id;
   const std::string estimator = decoded->estimator;
   std::shared_ptr<CompletionHub> hub = hub_;
-  // The callback runs on a service worker thread for admitted requests and
-  // inline on this thread for rejections; both routes converge on the hub,
-  // so the poll loop below is the only place that touches connections.
+  // The callback runs on a service worker thread for queued requests, and
+  // on this thread for rejections, for requests answered from the cache
+  // inside Submit and for expired queued requests a later Submit purges.
+  // Only the loop thread touches connections: the others hand over through
+  // the hub and its wake-up, the loop thread delivers at once. `this` is
+  // dereferenced only on the loop thread, where the server is alive.
   executor_.ExecuteAsync(
       *decoded,
-      [hub, conn_id, estimator, watch](ServerResponse response) {
-        CompletionHub::Completion completion;
+      [this, hub, conn_id, estimator, watch](ServerResponse response) {
+        Completion completion;
         completion.conn_id = conn_id;
         completion.estimator = estimator;
         completion.latency_seconds = watch.ElapsedSeconds();
         completion.response = std::move(response);
-        hub->Push(std::move(completion));
+        if (hub->OnLoopThread()) {
+          Deliver(completion);
+        } else {
+          hub->Push(std::move(completion));
+        }
       });
 }
 
 void CardServer::DrainCompletions() {
-  std::vector<CompletionHub::Completion> ready;
+  std::vector<Completion> ready;
   {
     std::lock_guard<std::mutex> lock(hub_->mu);
     ready.swap(hub_->ready);
   }
-  for (auto& completion : ready) {
-    in_flight_.fetch_sub(1);
-    switch (completion.response.code) {
-      case StatusCode::kOk:
-        metrics_.counters().completed.fetch_add(1);
-        break;
-      case StatusCode::kResourceExhausted:
-        metrics_.counters().rejected.fetch_add(1);
-        break;
-      case StatusCode::kDeadlineExceeded:
-        metrics_.counters().deadline_exceeded.fetch_add(1);
-        break;
-      default:
-        metrics_.counters().failed.fetch_add(1);
-    }
-    metrics_.RecordLatency(completion.estimator,
-                           completion.latency_seconds);
-    auto it = connections_.find(completion.conn_id);
-    if (it == connections_.end()) continue;  // client went away: drop
-    QueueResponse(*it->second, completion.response);
-    if (it->second->closed) CloseConnection(completion.conn_id);
+  for (const Completion& completion : ready) {
+    Connection* conn = Deliver(completion);
+    if (conn != nullptr && conn->closed) CloseConnection(completion.conn_id);
   }
+}
+
+CardServer::Connection* CardServer::Deliver(const Completion& completion) {
+  in_flight_.fetch_sub(1);
+  switch (completion.response.code) {
+    case StatusCode::kOk:
+      metrics_.counters().completed.fetch_add(1);
+      break;
+    case StatusCode::kResourceExhausted:
+      metrics_.counters().rejected.fetch_add(1);
+      break;
+    case StatusCode::kDeadlineExceeded:
+      metrics_.counters().deadline_exceeded.fetch_add(1);
+      break;
+    default:
+      metrics_.counters().failed.fetch_add(1);
+  }
+  metrics_.RecordLatency(completion.estimator, completion.latency_seconds);
+  auto it = connections_.find(completion.conn_id);
+  if (it == connections_.end()) return nullptr;  // client went away: drop
+  QueueResponse(*it->second, completion.response);
+  return it->second.get();
 }
 
 void CardServer::QueueResponse(Connection& conn,

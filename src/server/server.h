@@ -39,23 +39,29 @@ struct ServerOptions {
 ///
 /// One event-loop thread multiplexes every connection with poll() over
 /// non-blocking sockets; requests are length-prefixed JSON frames
-/// (src/server/protocol.h) that compile to QueryGraphs and fan out to the
-/// service's worker pool; completions return to the loop through a
-/// self-pipe and are written back on the owning connection. The same port
-/// answers plain-text `GET /metrics` (and `/metrics.json`) probes.
+/// (src/server/protocol.h) that compile to QueryGraphs and go to the
+/// EstimationService. A request whose every sub-plan is cached is answered
+/// inside Submit, on the loop thread, and its response is queued on the
+/// connection at once; the others fan out to the service's worker pool, and
+/// their completions return to the loop through a self-pipe and are written
+/// back on the owning connection. The same port answers plain-text
+/// `GET /metrics` (and `/metrics.json`) probes.
 ///
 /// Control flow per request:
 ///
 ///   socket bytes -> FrameReader -> DecodeRequest
 ///     -> RequestExecutor (graph LRU, admission, deadline stamp)
-///       -> EstimationService workers -> completion self-pipe
-///         -> event loop -> EncodeResponse frame -> socket
+///       -> EstimationService::Submit
+///          -- all cached: answered on the loop thread ----------+
+///          -- otherwise: workers -> completion self-pipe -> event loop
+///            -> EncodeResponse frame -> socket  <---------------+
 ///
 /// Admission control composes two layers: the service's bounded queue
 /// rejects with ResourceExhausted (+ queue depth and retry-after hint in
 /// the payload), and the server itself answers Unavailable while draining.
 /// Rejections are immediate structured responses — an overloaded server
-/// never hangs a client.
+/// never hangs a client — and a cached request takes no queue slot, so it
+/// is answered even when the queue is full.
 ///
 /// Shutdown: NotifyShutdown() is async-signal-safe (one write(2) to the
 /// self-pipe); the loop then stops accepting, rejects new frames, waits for
@@ -104,6 +110,7 @@ class CardServer {
 
  private:
   struct Connection;
+  struct Completion;
   struct CompletionHub;
 
   void EventLoop();
@@ -114,6 +121,10 @@ class CardServer {
   void DispatchFrame(Connection& conn, const std::string& payload);
   void QueueResponse(Connection& conn, const ServerResponse& response);
   void DrainCompletions();
+  /// Accounts a completed request and queues its response on its
+  /// connection, if still open (returned; nullptr otherwise). Loop thread
+  /// only; never closes a connection.
+  Connection* Deliver(const Completion& completion);
   void CloseConnection(uint64_t conn_id);
   void MaybeWriteSnapshot(double uptime_seconds);
 

@@ -3,36 +3,31 @@
 
 #include <atomic>
 #include <cstdint>
-#include <list>
 #include <memory>
 #include <mutex>
-#include <string>
-#include <unordered_map>
+#include <span>
 #include <vector>
 
 namespace cardbench {
 
-/// Identity of one cached sub-plan estimate: which estimator produced it,
-/// which workload query it belongs to (the QueryGraph's 64-bit fingerprint
-/// — FNV-1a of the query's canonical key) and which connected table subset
-/// of that query (bitmask, as used by the optimizer's DP and the Q-Error
-/// analysis).
+/// Identity of one cached sub-plan estimate: the serving epoch of the model
+/// that produced it, the workload query (the QueryGraph's 64-bit
+/// fingerprint — FNV-1a of the query's canonical key) and the connected
+/// table subset of that query (bitmask, as used by the optimizer's DP and
+/// the Q-Error analysis).
+///
+/// An epoch names one state of one registered model for the lifetime of
+/// the EstimationService: the service hands out a fresh one, from a single
+/// service-wide counter, whenever a registration, hot-swap or refresh may
+/// change what an estimator answers. A key therefore needs neither the
+/// estimator's name nor its model version, and the entries of a replaced
+/// model become unreachable at once and age out under LRU.
 struct SubplanCacheKey {
-  std::string estimator;
+  uint64_t epoch = 0;
   uint64_t fingerprint = 0;
   uint64_t subplan_mask = 0;
-  /// Version of the model that produced the estimate. Hot-swapping a model
-  /// bumps this in every new key, so entries computed by the retired
-  /// version can never be served for the new one (and vice versa) — the
-  /// cache stays linearizable across swaps without a global flush.
-  uint64_t model_version = 0;
 
-  bool operator==(const SubplanCacheKey& other) const {
-    return subplan_mask == other.subplan_mask &&
-           fingerprint == other.fingerprint &&
-           model_version == other.model_version &&
-           estimator == other.estimator;
-  }
+  bool operator==(const SubplanCacheKey&) const = default;
 };
 
 /// Monotonic counters describing cache effectiveness; the load driver
@@ -41,7 +36,6 @@ struct EstimateCacheStats {
   uint64_t hits = 0;
   uint64_t misses = 0;
   uint64_t evictions = 0;
-  uint64_t invalidated_hits = 0;  ///< lookups that found a stale-version entry
 
   double HitRate() const {
     const uint64_t total = hits + misses;
@@ -49,81 +43,76 @@ struct EstimateCacheStats {
   }
 };
 
-/// Sharded LRU cache for sub-plan cardinality estimates.
+/// Sharded LRU cache for sub-plan cardinality estimates that allocates
+/// nothing after construction.
 ///
-/// Concurrency: keys hash onto `num_shards` independent shards, each with
-/// its own mutex, LRU list and map — concurrent lookups from the service's
-/// worker pool contend only when they collide on a shard.
-///
-/// Invalidation: the cache carries a data version (an atomic counter).
-/// Every entry records the version it was inserted under; BumpVersion
-/// (hooked to data updates — appends, estimator retrains) makes every older
-/// entry unservable in O(1), and stale entries are reclaimed lazily on
-/// touch. This is what keeps `dynamic_updates`-style workloads correct: an
-/// estimate computed before an insert batch is never served after it.
+/// Keys hash onto `num_shards` independent shards, each behind its own
+/// mutex, so concurrent lookups contend only when they collide on a shard.
+/// A shard is a fixed array of entries threaded on an index-linked LRU
+/// list (front = most recently used) plus an open-addressing index of
+/// (hash, entry) slots with linear probing and backward-shift deletion,
+/// sized to at least twice the entries. Eviction is exact LRU per shard:
+/// inserting into a full shard reuses its least recently used entry.
 class SubplanEstimateCache {
  public:
   /// `capacity` is the total entry budget, split evenly across
   /// `num_shards` shards (each shard holds at least one entry).
   explicit SubplanEstimateCache(size_t capacity, size_t num_shards = 16);
+  ~SubplanEstimateCache();
 
-  /// Returns true and writes the estimate if present and current-version.
+  SubplanEstimateCache(const SubplanEstimateCache&) = delete;
+  SubplanEstimateCache& operator=(const SubplanEstimateCache&) = delete;
+
+  /// Returns true and writes the estimate if present (and marks it most
+  /// recently used).
   bool Lookup(const SubplanCacheKey& key, double* estimate);
 
-  /// Inserts (or refreshes) the estimate under the current version.
+  /// Inserts the estimate, or refreshes a resident one in place.
   void Insert(const SubplanCacheKey& key, double estimate);
 
-  /// Batch probe: fills hit[i]/estimates[i] for every key, grouping keys by
-  /// shard so each shard's mutex is taken at most once per call (instead of
-  /// once per key). Per-key semantics (LRU touch, lazy stale reclaim,
-  /// stats) are identical to Lookup. Returns the number of hits.
+  /// Batch probe: fills hit[i]/estimates[i] for every key. Keys are taken
+  /// shard by shard, so each shard's mutex is taken once per run of up to
+  /// 64 keys instead of once per key; per-key semantics (LRU touch, stats)
+  /// are those of Lookup. Returns the number of hits.
   size_t LookupBatch(const std::vector<SubplanCacheKey>& keys,
                      std::vector<double>* estimates, std::vector<bool>* hit);
 
-  /// Batch fill: Insert for every (key, estimate) pair, one shard lock
-  /// acquisition per touched shard.
+  /// Batch fill: Insert for every (key, estimate) pair, grouped by shard
+  /// like LookupBatch.
   void InsertBatch(const std::vector<SubplanCacheKey>& keys,
                    const std::vector<double>& estimates);
 
-  /// Invalidates every entry inserted before this call.
-  void BumpVersion() { version_.fetch_add(1, std::memory_order_acq_rel); }
-
-  uint64_t version() const { return version_.load(std::memory_order_acquire); }
+  /// All-or-nothing probe: when every key is present, writes the estimates
+  /// (estimates[i] for keys[i]), counts one hit per key and returns true.
+  /// Otherwise returns false at the first absent key and counts nothing, so
+  /// a caller that then takes the LookupBatch path counts each key once.
+  /// Keys found before the miss are marked most recently used either way.
+  bool LookupAll(std::span<const SubplanCacheKey> keys, double* estimates);
 
   EstimateCacheStats stats() const;
 
-  /// Current live entries across shards (stale entries count until lazily
-  /// reclaimed).
+  /// Current entries across shards.
   size_t size() const;
 
-  size_t capacity() const { return per_shard_capacity_ * shards_.size(); }
+  size_t capacity() const { return per_shard_capacity_ * num_shards_; }
 
  private:
-  struct Entry {
-    SubplanCacheKey key;
-    double estimate = 0.0;
-    uint64_t version = 0;
-  };
-  struct KeyHash {
-    size_t operator()(const SubplanCacheKey& key) const;
-  };
-  struct Shard {
-    std::mutex mu;
-    /// Front = most recently used.
-    std::list<Entry> lru;
-    std::unordered_map<SubplanCacheKey, std::list<Entry>::iterator, KeyHash> map;
-  };
+  class Shard;
 
-  Shard& ShardFor(const SubplanCacheKey& key);
+  /// Runs `fn(shard, i, hash)` for every key, grouped by shard under the
+  /// shard's lock and in key order within a shard. Stops, returning false,
+  /// as soon as `fn` does.
+  template <typename Fn>
+  bool ForEachByShard(std::span<const SubplanCacheKey> keys, Fn&& fn);
+  size_t ShardOf(uint64_t hash) const;
 
   size_t per_shard_capacity_;
-  std::vector<std::unique_ptr<Shard>> shards_;
-  std::atomic<uint64_t> version_{1};
+  size_t num_shards_;
+  std::unique_ptr<Shard[]> shards_;
 
   std::atomic<uint64_t> hits_{0};
   std::atomic<uint64_t> misses_{0};
   std::atomic<uint64_t> evictions_{0};
-  std::atomic<uint64_t> invalidated_hits_{0};
 };
 
 }  // namespace cardbench

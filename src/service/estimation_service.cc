@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <future>
+#include <span>
 #include <utility>
 
 #include "common/str_util.h"
@@ -17,6 +18,25 @@ constexpr size_t kDeadlineCheckStride = 8;
 /// Sub-plan estimate cache entries, split evenly across the shards.
 constexpr size_t kSubplanCacheCapacity = 65536;
 constexpr size_t kSubplanCacheShards = 16;
+
+/// The sub-plans a request asks for: one mask, or every connected subset.
+std::span<const uint64_t> RequestedMasks(const EstimateRequest& request) {
+  if (request.subplan_mask == kAllSubplans) {
+    return request.graph->connected_subsets();
+  }
+  return {&request.subplan_mask, 1};
+}
+
+/// One cache key per mask, written into `keys`.
+void MakeKeys(uint64_t epoch, const QueryGraph& graph,
+              std::span<const uint64_t> masks,
+              std::vector<SubplanCacheKey>* keys) {
+  keys->clear();
+  keys->reserve(masks.size());
+  for (uint64_t mask : masks) {
+    keys->push_back(SubplanCacheKey{epoch, graph.fingerprint(), mask});
+  }
+}
 
 }  // namespace
 
@@ -41,6 +61,7 @@ void EstimationService::RegisterEstimator(
   if (entry.estimator != nullptr) retired_.push_back(entry.estimator);
   entry.estimator = std::move(estimator);
   entry.model_version = 1;
+  entry.epoch = ++last_epoch_;
   entry.installed_at = Clock::now();
 }
 
@@ -52,11 +73,12 @@ const CardinalityEstimator* EstimationService::GetEstimator(
 }
 
 std::shared_ptr<CardinalityEstimator> EstimationService::Snapshot(
-    const std::string& name, uint64_t* model_version) const {
+    const std::string& name, uint64_t* model_version, uint64_t* epoch) const {
   std::shared_lock<std::shared_mutex> lock(registry_mu_);
   auto it = estimators_.find(name);
   if (it == estimators_.end()) return nullptr;
   *model_version = it->second.model_version;
+  *epoch = it->second.epoch;
   return it->second.estimator;
 }
 
@@ -70,11 +92,12 @@ void EstimationService::HotSwapEstimator(
     if (entry.estimator != nullptr) retired_.push_back(entry.estimator);
     entry.estimator = std::move(estimator);
     entry.Advance(model_version, refresh_seconds);
+    entry.epoch = ++last_epoch_;
     model_version = entry.model_version;
   }
-  // No cache flush and no quiesce: keys carry the model version, so the
-  // new version simply misses into fresh entries while in-flight requests
-  // finish against their snapshot of the old one.
+  // No cache flush and no quiesce: the new version has a fresh epoch, so it
+  // misses into fresh entries while in-flight requests finish against their
+  // snapshot of the old one.
   NotifyRefresh(name, model_version, refresh_seconds);
 }
 
@@ -112,12 +135,13 @@ Status EstimationService::Refresh(const InsertionBatch& batch,
         first_error = status;
       }
       out.model_version = entry.model_version;
+      // A fresh epoch whatever the outcome, so nothing cached before this
+      // refresh is served after it: estimates from a model in an unknown
+      // state are strictly worse than recomputed ones.
+      entry.epoch = ++last_epoch_;
       if (report != nullptr) report->entries.push_back(std::move(out));
     }
   }
-  // Bump even on error: serving estimates from a model in an unknown state
-  // is strictly worse than recomputing them.
-  cache_.BumpVersion();
   for (const Refreshed& r : refreshed) {
     NotifyRefresh(r.name, r.model_version, r.seconds);
   }
@@ -175,6 +199,10 @@ Status EstimationService::Submit(EstimateRequest request,
     if (!request.graph->IsConnected(mask)) {
       return Status::InvalidArgument("subplan mask is not connected");
     }
+  }
+  if (!shut_down_.load(std::memory_order_acquire) &&
+      AnswerFromCache(request, done)) {
+    return Status::OK();
   }
   WorkItem item{std::move(request), std::move(done)};
   if (item.request.timeout_seconds > 0.0) {
@@ -265,8 +293,39 @@ EstimationService::EstimateQuerySync(const std::string& estimator,
 }
 
 void EstimationService::Shutdown() {
+  shut_down_.store(true, std::memory_order_release);
   queue_.Close();
   pool_.Shutdown();
+}
+
+bool EstimationService::AnswerFromCache(const EstimateRequest& request,
+                                        const EstimateCallback& done) {
+  // Shared like a worker, so a Refresh cannot change models or epochs
+  // under the probe; while one runs the request queues instead of waiting.
+  std::shared_lock<std::shared_mutex> serving(update_mu_, std::try_to_lock);
+  if (!serving.owns_lock()) return false;
+  uint64_t model_version = 0;
+  uint64_t epoch = 0;
+  if (Snapshot(request.estimator, &model_version, &epoch) == nullptr) {
+    return false;  // Process answers NotFound
+  }
+  // Per-thread scratch: a cached answer allocates only its response.
+  thread_local std::vector<SubplanCacheKey> keys;
+  thread_local std::vector<double> estimates;
+  const std::span<const uint64_t> masks = RequestedMasks(request);
+  MakeKeys(epoch, *request.graph, masks, &keys);
+  estimates.resize(masks.size());
+  if (!cache_.LookupAll(keys, estimates.data())) return false;
+  serving.unlock();
+  EstimateResponse response;
+  response.model_version = model_version;
+  response.cache_hits = masks.size();
+  response.cards.reserve(masks.size());
+  for (size_t i = 0; i < masks.size(); ++i) {
+    response.cards.emplace(masks[i], estimates[i]);
+  }
+  if (done) done(std::move(response));
+  return true;
 }
 
 void EstimationService::WorkerLoop() {
@@ -303,8 +362,9 @@ EstimateResponse EstimationService::Process(const EstimateRequest& request,
   // every estimate (and every cache key) of this response comes from the
   // same model version.
   uint64_t model_version = 0;
+  uint64_t epoch = 0;
   const std::shared_ptr<CardinalityEstimator> snapshot =
-      Snapshot(request.estimator, &model_version);
+      Snapshot(request.estimator, &model_version, &epoch);
   const CardinalityEstimator* estimator = snapshot.get();
   if (estimator == nullptr) {
     response.status =
@@ -318,18 +378,9 @@ EstimateResponse EstimationService::Process(const EstimateRequest& request,
   // estimator — as one EstimateCards batch — and the fresh estimates are
   // filled back in one batch.
   const QueryGraph& graph = *request.graph;
-  std::vector<uint64_t> masks;
-  if (request.subplan_mask == kAllSubplans) {
-    masks = graph.connected_subsets();
-  } else {
-    masks.push_back(request.subplan_mask);
-  }
+  const std::span<const uint64_t> masks = RequestedMasks(request);
   std::vector<SubplanCacheKey> keys;
-  keys.reserve(masks.size());
-  for (uint64_t mask : masks) {
-    keys.push_back(SubplanCacheKey{request.estimator, graph.fingerprint(),
-                                   mask, model_version});
-  }
+  MakeKeys(epoch, graph, masks, &keys);
   std::vector<double> estimates;
   std::vector<bool> hit;
   const size_t hits = cache_.LookupBatch(keys, &estimates, &hit);

@@ -36,9 +36,9 @@ inline constexpr uint64_t kAllSubplans = 0;
 
 /// One estimation request: which estimator, which compiled query, which
 /// sub-plan(s). `graph` is borrowed — it must outlive the request's
-/// completion. Workers dispatch through the estimators' mask-based overload
-/// and key the cache on the graph's precomputed fingerprint, so the serving
-/// path materializes no sub-query and hashes no string.
+/// completion. The service dispatches through the estimators' mask-based
+/// overload and keys the cache on the graph's precomputed fingerprint, so
+/// the serving path materializes no sub-query and hashes no query string.
 struct EstimateRequest {
   std::string estimator;
   /// kAllSubplans, or one connected sub-plan of `graph` (Submit rejects a
@@ -92,21 +92,24 @@ using RefreshListener =
     std::function<void(const std::string&, uint64_t, double)>;
 
 /// The concurrent cardinality-estimation serving layer: owns trained
-/// estimator instances and answers estimation requests from a fixed-size
-/// worker pool behind a bounded request queue, memoizing sub-plan estimates
-/// in a sharded, version-invalidated LRU cache (65536 entries over 16
-/// shards).
+/// estimator instances and answers estimation requests, memoizing sub-plan
+/// estimates in a sharded, epoch-keyed LRU cache (65536 entries over 16
+/// shards). A request whose every sub-plan is cached is answered by Submit
+/// on the calling thread; any other goes through a bounded request queue to
+/// a fixed-size worker pool.
 ///
-///   callers --TryPush--> RequestQueue --Pop--> ThreadPool workers
-///                                                |  SubplanEstimateCache
-///                                                +--CardinalityEstimator::EstimateCard (const, shared)
+///   callers --Submit--+--every sub-plan cached--> done() on the caller
+///                     |        (SubplanEstimateCache::LookupAll)
+///                     +--TryPush--> RequestQueue --Pop--> ThreadPool workers
+///                                                  |  SubplanEstimateCache
+///                                                  +--CardinalityEstimator::EstimateCards (const, shared)
 ///
 /// Concurrency contract: estimators are shared across workers and accessed
-/// only through the const, thread-safe EstimateCard path (see the contract
+/// only through the const, thread-safe estimation path (see the contract
 /// in cardest/estimator.h). Refresh is the one exclusive operation: it
-/// quiesces workers with a writer lock, runs the estimators' Update, and
-/// bumps the cache version so stale estimates can never be served
-/// afterwards.
+/// quiesces workers and cache answers with a writer lock, runs the
+/// estimators' Update, and gives every estimator a fresh cache epoch, so
+/// estimates cached before it can never be served afterwards.
 class EstimationService {
  public:
   explicit EstimationService(ServiceOptions options = ServiceOptions());
@@ -115,8 +118,8 @@ class EstimationService {
   EstimationService(const EstimationService&) = delete;
   EstimationService& operator=(const EstimationService&) = delete;
 
-  /// Registers `estimator` under its name() at model version 1. Replaces an
-  /// existing registration of the same name.
+  /// Registers `estimator` under its name() at model version 1, with a
+  /// fresh cache epoch. Replaces an existing registration of the same name.
   void RegisterEstimator(std::unique_ptr<CardinalityEstimator> estimator);
 
   /// Registered estimator lookup (nullptr if absent). The pointer stays
@@ -126,9 +129,10 @@ class EstimationService {
 
   /// Atomically replaces the model serving `estimator->name()` with a new
   /// version. Readers never block: each in-flight request holds a
-  /// shared_ptr snapshot of exactly one version, and cache keys carry the
-  /// model version, so concurrent estimates are always answered entirely by
-  /// the old or entirely by the new model — never a torn mix. The retired
+  /// snapshot of exactly one (model, version, cache epoch), and the new
+  /// version gets a fresh epoch, so concurrent estimates are always
+  /// answered entirely by the old or entirely by the new model — never a
+  /// torn mix. The retired
   /// version stays alive until service destruction. `refresh_seconds` is
   /// the wall-clock the caller spent producing the new version (full
   /// retrain time), reported through the refresh listener and VersionInfo.
@@ -140,10 +144,10 @@ class EstimationService {
   /// (InsertionBatch{}) is the data-update hook. Per-estimator outcomes
   /// land in `report` (if given): success advances the estimator's model
   /// version to max(current+1, batch.data_version); Unsupported marks
-  /// full_retrain_required instead of failing the pass. Returns the first
-  /// other error (a malformed batch fails every estimator before any model
-  /// changes), after attempting every estimator and bumping the cache data
-  /// version.
+  /// full_retrain_required instead of failing the pass. Whatever its
+  /// outcome, every estimator then answers from a fresh cache epoch. Returns
+  /// the first other error (a malformed batch fails every estimator before
+  /// any model changes), after attempting every estimator.
   Status Refresh(const InsertionBatch& batch, RefreshReport* report = nullptr);
 
   /// Per-estimator lifecycle snapshot (registration order not guaranteed).
@@ -162,12 +166,18 @@ class EstimationService {
   /// Installs the model-version-change listener (pass nullptr to clear).
   void SetRefreshListener(RefreshListener listener);
 
-  /// Enqueues `request`; `done` runs on a worker thread when it completes
-  /// (including with a non-OK response status, e.g. unknown estimator).
-  /// Returns — without invoking `done` — InvalidArgument for a malformed
-  /// request (no graph, negative timeout, a sub-plan mask naming tables
-  /// absent from the graph or not connected), and ResourceExhausted when
-  /// the queue is full or the service is shut down.
+  /// Answers `request` through `done`, exactly once when it returns OK.
+  /// When every requested sub-plan is in the cache, `done` runs on the
+  /// calling thread before Submit returns (no queue slot taken, so this
+  /// holds even when the queue is full); a running Refresh sends the
+  /// request to the queue instead of blocking the caller. Otherwise the
+  /// request is enqueued and `done` runs on a worker thread when it
+  /// completes (including with a non-OK response status, e.g. unknown
+  /// estimator). `done` must therefore not take a lock its caller holds
+  /// around Submit. Returns — without invoking `done` — InvalidArgument for
+  /// a malformed request (no graph, negative timeout, a sub-plan mask
+  /// naming tables absent from the graph or not connected), and
+  /// ResourceExhausted when the queue is full or the service is shut down.
   Status Submit(EstimateRequest request, EstimateCallback done);
 
   /// Blocking single sub-plan estimate (convenience over Submit).
@@ -187,7 +197,8 @@ class EstimationService {
   size_t queue_size() const { return queue_.size(); }
 
   /// Mean worker-side processing time over the service lifetime, seconds
-  /// (0 until the first request completes).
+  /// (0 until the first queued request completes; requests answered from
+  /// the cache inside Submit are not counted).
   double avg_process_seconds() const;
 
   /// Backoff hint attached to queue-full rejections: the time one full
@@ -196,8 +207,9 @@ class EstimationService {
   /// with the same full queue.
   double SuggestedRetrySeconds() const;
 
-  /// Stops admission, drains queued requests (their callbacks still run)
-  /// and joins the workers. Idempotent; the destructor calls it.
+  /// Stops admission (cached answers included), drains queued requests
+  /// (their callbacks still run) and joins the workers. Idempotent; the
+  /// destructor calls it.
   void Shutdown();
 
  private:
@@ -211,13 +223,16 @@ class EstimationService {
     Clock::time_point deadline = Clock::time_point::max();
   };
 
-  /// One entry of the versioned registry: the live model, its version, and
-  /// refresh bookkeeping. Swaps replace `estimator` (the old shared_ptr is
-  /// retired); refreshes mutate the object in place under the update_mu_
-  /// writer lock. Both then Advance.
+  /// One entry of the versioned registry: the live model, its version, its
+  /// cache epoch and refresh bookkeeping. Swaps replace `estimator` (the
+  /// old shared_ptr is retired); refreshes mutate the object in place under
+  /// the update_mu_ writer lock. Both then Advance.
   struct RegisteredEstimator {
     std::shared_ptr<CardinalityEstimator> estimator;
     uint64_t model_version = 1;
+    /// Cache-key epoch of what `estimator` answers now; see
+    /// SubplanCacheKey.
+    uint64_t epoch = 0;
     uint64_t refresh_count = 0;
     double last_refresh_seconds = 0.0;
     Clock::time_point installed_at;
@@ -239,12 +254,16 @@ class EstimationService {
   /// non-OK response comes back as the error.
   Result<EstimateResponse> SubmitSync(EstimateRequest request);
   void WorkerLoop();
+  /// Runs `done` on this thread and returns true when every sub-plan of
+  /// `request` is cached; false (nothing run, nothing counted) otherwise.
+  bool AnswerFromCache(const EstimateRequest& request,
+                       const EstimateCallback& done);
   EstimateResponse Process(const EstimateRequest& request,
                            Clock::time_point deadline);
-  /// One coherent (model, version) view for a whole request.
+  /// One coherent (model, version, cache epoch) view for a whole request.
   std::shared_ptr<CardinalityEstimator> Snapshot(const std::string& name,
-                                                 uint64_t* model_version)
-      const;
+                                                 uint64_t* model_version,
+                                                 uint64_t* epoch) const;
   void NotifyRefresh(const std::string& name, uint64_t model_version,
                      double seconds);
 
@@ -255,13 +274,17 @@ class EstimationService {
   std::atomic<uint64_t> processed_requests_{0};
   std::atomic<uint64_t> processed_nanos_{0};
 
-  /// Readers: workers serving estimates. Writer: Refresh (in-place model
-  /// mutation needs exclusive access; hot-swaps don't — they only retire a
-  /// pointer).
+  /// Readers: workers serving estimates and Submit answering from the
+  /// cache (through a try-lock). Writer: Refresh (in-place model mutation
+  /// needs exclusive access; hot-swaps don't — they only retire a pointer).
   std::shared_mutex update_mu_;
+  /// Set by Shutdown: Submit stops answering from the cache.
+  std::atomic<bool> shut_down_{false};
 
   mutable std::shared_mutex registry_mu_;
   std::unordered_map<std::string, RegisteredEstimator> estimators_;
+  /// The last cache epoch handed out (guarded by registry_mu_).
+  uint64_t last_epoch_ = 0;
   /// Hot-swapped-out models, kept alive so GetEstimator pointers obtained
   /// before a swap stay valid for the service's lifetime.
   std::vector<std::shared_ptr<CardinalityEstimator>> retired_;

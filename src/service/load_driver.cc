@@ -173,8 +173,6 @@ Result<LoadReport> LoadDriver::Run(const LoadOptions& options) {
   report.cache.hits = after.hits - before.hits;
   report.cache.misses = after.misses - before.misses;
   report.cache.evictions = after.evictions - before.evictions;
-  report.cache.invalidated_hits =
-      after.invalidated_hits - before.invalidated_hits;
   return report;
 }
 

@@ -402,12 +402,18 @@ const Database& SchemaDb() {
 
 /// Deterministic estimator parameterized by a generation tag: every answer
 /// is a pure function of (tag, sub-plan key), so a torn read — a response
-/// mixing two generations — is detectable by exact comparison.
+/// mixing two generations — is detectable by exact comparison. A
+/// refreshable one moves to the next generation in place on Update; the
+/// others answer Unsupported (full retrain required).
 class TaggedEstimator : public CardinalityEstimator {
  public:
-  explicit TaggedEstimator(double tag)
-      : CardinalityEstimator(SchemaDb()), tag_(tag) {}
-  std::string name() const override { return "Tagged"; }
+  explicit TaggedEstimator(double tag, std::string name = "Tagged",
+                           bool refreshable = false)
+      : CardinalityEstimator(SchemaDb()),
+        tag_(tag),
+        name_(std::move(name)),
+        refreshable_(refreshable) {}
+  std::string name() const override { return name_; }
   using CardinalityEstimator::EstimateCard;
   double EstimateCard(const QueryGraph& graph, uint64_t mask) const override {
     return tag_ * 1e9 +
@@ -415,7 +421,15 @@ class TaggedEstimator : public CardinalityEstimator {
   }
 
  private:
+  Status UpdateImpl(const InsertionBatch&) override {
+    if (!refreshable_) return Status::Unsupported(name_ + " needs a retrain");
+    tag_ += 1.0;
+    return Status::OK();
+  }
+
   double tag_;
+  std::string name_;
+  bool refreshable_;
 };
 
 std::unordered_map<uint64_t, double> ExpectedCards(double tag,
@@ -507,6 +521,110 @@ TEST(DriftTest, HotSwapIsLinearizableUnderConcurrentLoad) {
   EXPECT_EQ(info[0].model_version, 2u);
   EXPECT_EQ(info[0].refresh_count, 1u);
   EXPECT_DOUBLE_EQ(info[0].last_refresh_seconds, 0.5);
+}
+
+TEST(DriftTest, RefreshIsLinearizableUnderConcurrentLoad) {
+  const Query query = Parse(
+      "SELECT COUNT(*) FROM users, posts, comments WHERE users.Id = "
+      "posts.OwnerUserId AND posts.Id = comments.PostId AND "
+      "posts.Score >= 5;");
+  const QueryGraph graph(query, SchemaDb());
+  const auto v1_cards = ExpectedCards(1.0, query);
+  const auto v2_cards = ExpectedCards(2.0, query);
+  const auto frozen_cards = ExpectedCards(7.0, query);
+
+  ServiceOptions options;
+  options.num_threads = 4;
+  options.queue_depth = 4096;
+  EstimationService service(options);
+  service.RegisterEstimator(std::make_unique<TaggedEstimator>(
+      1.0, "Tagged", /*refreshable=*/true));
+  service.RegisterEstimator(std::make_unique<TaggedEstimator>(7.0, "Frozen"));
+
+  // Readers hammer the (soon cached) query on both estimators across an
+  // in-place Refresh. "Tagged" refreshes to generation 2: every response
+  // must be entirely v1 at model_version 1 or entirely v2 at version 2.
+  // "Frozen" answers Unsupported and keeps version 1 and its answers,
+  // though it too restarts from a fresh cache epoch.
+  std::atomic<bool> stop{false};
+  std::atomic<size_t> v1_seen{0}, v2_seen{0}, frozen_seen{0};
+  std::vector<std::string> errors;
+  std::mutex errors_mu;
+  auto fail = [&](std::string error) {
+    std::lock_guard<std::mutex> lock(errors_mu);
+    errors.push_back(std::move(error));
+  };
+  auto reader = [&](int id) {
+    for (size_t i = id; !stop.load(); ++i) {
+      const bool frozen = i % 2 == 1;
+      std::promise<EstimateResponse> promise;
+      auto future = promise.get_future();
+      EstimateRequest request;
+      request.estimator = frozen ? "Frozen" : "Tagged";
+      request.graph = &graph;
+      const Status submitted = service.Submit(
+          std::move(request),
+          [&promise](EstimateResponse r) { promise.set_value(std::move(r)); });
+      if (!submitted.ok()) return fail("submit: " + submitted.ToString());
+      const EstimateResponse response = future.get();
+      if (!response.status.ok()) {
+        return fail("response: " + response.status.ToString());
+      }
+      if (frozen) {
+        if (response.model_version != 1 || response.cards != frozen_cards) {
+          return fail("frozen estimator changed at model_version " +
+                      std::to_string(response.model_version));
+        }
+        frozen_seen.fetch_add(1);
+        continue;
+      }
+      const bool is_v1 =
+          response.model_version == 1 && response.cards == v1_cards;
+      const bool is_v2 =
+          response.model_version == 2 && response.cards == v2_cards;
+      if (is_v1) v1_seen.fetch_add(1);
+      if (is_v2) v2_seen.fetch_add(1);
+      if (!is_v1 && !is_v2) {
+        return fail("torn response at model_version " +
+                    std::to_string(response.model_version));
+      }
+    }
+  };
+  auto no_errors = [&] {
+    std::lock_guard<std::mutex> lock(errors_mu);
+    return errors.empty();
+  };
+  std::vector<std::thread> readers;
+  for (int i = 0; i < 4; ++i) readers.emplace_back(reader, i);
+
+  // Let v1 serve from the cache, refresh, let v2 serve from the cache.
+  while (v1_seen.load() < 50 && no_errors()) std::this_thread::yield();
+  RefreshReport report;
+  const Status refreshed = service.Refresh(InsertionBatch{}, &report);
+  const size_t frozen_before = frozen_seen.load();
+  while ((v2_seen.load() < 50 || frozen_seen.load() < frozen_before + 50) &&
+         no_errors()) {
+    std::this_thread::yield();
+  }
+  stop.store(true);
+  for (auto& t : readers) t.join();
+
+  EXPECT_TRUE(refreshed.ok()) << refreshed.ToString();
+  EXPECT_TRUE(errors.empty()) << errors.front();
+  EXPECT_GE(v1_seen.load(), 50u);
+  EXPECT_GE(v2_seen.load(), 50u);
+  ASSERT_EQ(report.entries.size(), 2u);
+  for (const RefreshReport::Entry& entry : report.entries) {
+    EXPECT_EQ(entry.full_retrain_required, entry.name == "Frozen")
+        << entry.name;
+  }
+  for (const auto& info : service.VersionInfo()) {
+    EXPECT_EQ(info.model_version, info.name == "Frozen" ? 1u : 2u)
+        << info.name;
+  }
+  // The estimates cached before the refresh were not served after it.
+  const EstimateCacheStats stats = service.cache_stats();
+  EXPECT_GE(stats.misses, 4 * graph.connected_subsets().size());
 }
 
 TEST(DriftTest, ResponsesStampTheServingModelVersion) {

@@ -8,8 +8,10 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <cmath>
 #include <condition_variable>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -71,6 +73,32 @@ TEST(ProtocolTest, ResponseRoundTripPreservesExactDoubles) {
   EXPECT_DOUBLE_EQ(decoded->elapsed_us, 913.25);
 }
 
+TEST(ProtocolTest, ResponseRoundTripIsBitIdenticalAtTheEdges) {
+  using Limits = std::numeric_limits<double>;
+  const std::vector<double> values = {
+      Limits::denorm_min(), Limits::max(), Limits::lowest(), -0.0,
+      1.0 / 3.0, 0.1, static_cast<double>((uint64_t{1} << 53) + 1),
+      Limits::infinity(), -Limits::infinity(), Limits::quiet_NaN()};
+  ServerResponse response;
+  for (size_t i = 0; i < values.size(); ++i) {
+    response.cards[i + 1] = values[i];
+  }
+  auto decoded = DecodeResponse(EncodeResponse(response));
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  ASSERT_EQ(decoded->cards.size(), values.size());
+  for (size_t i = 0; i < values.size(); ++i) {
+    const double got = decoded->cards.at(i + 1);
+    if (std::isnan(values[i])) {
+      EXPECT_TRUE(std::isnan(got)) << "got " << got;
+      continue;
+    }
+    uint64_t want_bits = 0, got_bits = 0;
+    std::memcpy(&want_bits, &values[i], sizeof(want_bits));
+    std::memcpy(&got_bits, &got, sizeof(got_bits));
+    EXPECT_EQ(got_bits, want_bits) << "value " << values[i];
+  }
+}
+
 TEST(ProtocolTest, RejectionResponseCarriesBackpressurePayload) {
   ServerResponse response;
   response.id = 9;
@@ -97,6 +125,15 @@ TEST(ProtocolTest, DecodeRequestRejectsGarbage) {
       DecodeRequest(
           "{\"estimator\":\"x\",\"sql\":\"y\",\"deadline_ms\":-1}")
           .ok());
+  // Signed, hexadecimal and out-of-range spellings are not JSON numbers.
+  for (const char* number : {"+1", "0x10", "1e400"}) {
+    const std::string payload =
+        std::string("{\"estimator\":\"x\",\"sql\":\"y\",\"deadline_ms\":") +
+        number + "}";
+    EXPECT_EQ(DecodeRequest(payload).status().code(),
+              StatusCode::kInvalidArgument)
+        << payload;
+  }
 }
 
 TEST(ProtocolTest, FrameReaderHandlesArbitraryFragmentation) {
@@ -392,6 +429,60 @@ TEST_F(ServerTest, AdmissionRejectCarriesQueueDepthAndRetryHint) {
   first.join();
   second.join();
   server.Stop();
+}
+
+TEST_F(ServerTest, CachedRequestIsAnsweredWhileTheOnlyWorkerIsBlocked) {
+  ServiceOptions options;
+  options.num_threads = 1;
+  options.queue_depth = 1;
+  EstimationService service(options);
+  auto gate = std::make_unique<GateEstimator>();
+  GateEstimator* gate_ptr = gate.get();
+  service.RegisterEstimator(std::move(gate));
+  service.RegisterEstimator(std::make_unique<HashEstimator>());
+  CardServer server(service, *db_);
+  ASSERT_TRUE(server.Start().ok());
+
+  CardClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
+  ServerRequest request;
+  request.estimator = "Hash";
+  request.sql = kJoinSql;
+  auto first = client.Call(request);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  ASSERT_TRUE(first->ok()) << first->error;
+
+  // The only worker is pinned inside the gate and a second gated request
+  // fills the depth-1 queue.
+  auto call_gate = [&server] {
+    CardClient gated;
+    ASSERT_TRUE(gated.Connect("127.0.0.1", server.port()).ok());
+    ServerRequest gate_request;
+    gate_request.estimator = "Gate";
+    gate_request.sql = kSingleSql;
+    auto response = gated.Call(gate_request);
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    EXPECT_TRUE(response->ok()) << response->error;
+  };
+  std::thread pinned(call_gate);
+  gate_ptr->WaitUntilEntered();
+  std::thread queued(call_gate);
+  while (service.queue_size() < 1) std::this_thread::yield();
+
+  // The replay is answered from the cache, taking no queue slot.
+  auto replay = client.Call(request);
+  ASSERT_TRUE(replay.ok()) << replay.status().ToString();
+  ASSERT_TRUE(replay->ok()) << replay->error;
+  EXPECT_EQ(replay->cards, first->cards);
+  EXPECT_EQ(replay->cache_hits, first->cards.size());
+  EXPECT_EQ(replay->cache_misses, 0u);
+
+  gate_ptr->Release();
+  pinned.join();
+  queued.join();
+  server.Stop();
+  EXPECT_EQ(server.in_flight(), 0u);
+  EXPECT_EQ(server.metrics().counters().completed.load(), 4u);
 }
 
 TEST_F(ServerTest, QueuedRequestPastDeadlineAnswersDeadlineExceeded) {

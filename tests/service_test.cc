@@ -5,10 +5,13 @@
 #include <chrono>
 #include <condition_variable>
 #include <future>
+#include <list>
 #include <memory>
 #include <mutex>
+#include <random>
 #include <thread>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/str_util.h"
@@ -173,8 +176,7 @@ std::unordered_map<uint64_t, double> SerialEstimates(
 }
 
 SubplanCacheKey CacheKey(uint64_t fingerprint) {
-  return SubplanCacheKey{"Hash", fingerprint, /*subplan_mask=*/1,
-                         /*model_version=*/1};
+  return SubplanCacheKey{/*epoch=*/1, fingerprint, /*subplan_mask=*/1};
 }
 
 TEST(SubplanEstimateCacheTest, EvictsLeastRecentlyUsedEntry) {
@@ -222,6 +224,141 @@ TEST(SubplanEstimateCacheTest, BoundsEveryShardAndCountsEvictions) {
   EXPECT_EQ(cache.stats().evictions, kKeys - 8);
   ASSERT_TRUE(cache.Lookup(CacheKey(resident), &estimate));
   EXPECT_EQ(estimate, 2.0);
+}
+
+/// The cache's specification at one shard: an exact LRU over a recency
+/// list (front = most recently used) and a map into it, with the same
+/// counters.
+class ReferenceLru {
+ public:
+  explicit ReferenceLru(size_t capacity) : capacity_(capacity) {}
+
+  bool Lookup(const SubplanCacheKey& key, double* estimate) {
+    if (!Touch(key, estimate)) {
+      ++stats_.misses;
+      return false;
+    }
+    ++stats_.hits;
+    return true;
+  }
+
+  void Insert(const SubplanCacheKey& key, double estimate) {
+    auto it = index_.find(key);
+    if (it != index_.end()) {
+      it->second->second = estimate;
+      lru_.splice(lru_.begin(), lru_, it->second);
+      return;
+    }
+    lru_.emplace_front(key, estimate);
+    index_[key] = lru_.begin();
+    if (lru_.size() > capacity_) {
+      index_.erase(lru_.back().first);
+      lru_.pop_back();
+      ++stats_.evictions;
+    }
+  }
+
+  /// SubplanEstimateCache::LookupAll: touches keys in order up to the
+  /// first absent one, counting hits only when none is absent.
+  bool LookupAll(const std::vector<SubplanCacheKey>& keys,
+                 std::vector<double>* estimates) {
+    estimates->assign(keys.size(), 0.0);
+    for (size_t i = 0; i < keys.size(); ++i) {
+      if (!Touch(keys[i], &(*estimates)[i])) return false;
+    }
+    stats_.hits += keys.size();
+    return true;
+  }
+
+  size_t size() const { return lru_.size(); }
+  const EstimateCacheStats& stats() const { return stats_; }
+
+ private:
+  struct KeyHash {
+    size_t operator()(const SubplanCacheKey& key) const {
+      return key.epoch * 31 + key.fingerprint * 7 + key.subplan_mask;
+    }
+  };
+  using Lru = std::list<std::pair<SubplanCacheKey, double>>;
+
+  bool Touch(const SubplanCacheKey& key, double* estimate) {
+    auto it = index_.find(key);
+    if (it == index_.end()) return false;
+    lru_.splice(lru_.begin(), lru_, it->second);
+    *estimate = it->second->second;
+    return true;
+  }
+
+  size_t capacity_;
+  Lru lru_;
+  std::unordered_map<SubplanCacheKey, Lru::iterator, KeyHash> index_;
+  EstimateCacheStats stats_;
+};
+
+TEST(SubplanEstimateCacheTest, MatchesReferenceLruOnRandomOperations) {
+  // Seeded random Insert/Lookup/InsertBatch/LookupBatch/LookupAll streams
+  // at one shard, where the cache must be exactly the reference LRU. Keys
+  // come from a pool about twice the capacity (hits, misses and evictions
+  // all happen), batches run past the cache's 64-key runs, and keys may
+  // repeat within a batch.
+  for (const size_t capacity : {1, 2, 7, 64, 1000}) {
+    SCOPED_TRACE("capacity " + std::to_string(capacity));
+    std::mt19937_64 rng(20261019 + capacity);
+    std::vector<SubplanCacheKey> pool;
+    for (size_t k = 0; k < 2 * capacity + 5; ++k) {
+      pool.push_back(SubplanCacheKey{1 + rng() % 3, rng() % 64, rng() % 8});
+    }
+    auto any_key = [&] { return pool[rng() % pool.size()]; };
+    SubplanEstimateCache cache(capacity, /*num_shards=*/1);
+    ReferenceLru reference(capacity);
+    for (int step = 0; step < 4000; ++step) {
+      SCOPED_TRACE("step " + std::to_string(step));
+      const int op = static_cast<int>(rng() % 5);
+      std::vector<SubplanCacheKey> keys(op < 2 ? 1 : 1 + rng() % 80);
+      for (SubplanCacheKey& key : keys) key = any_key();
+      if (op == 0) {
+        const double estimate = static_cast<double>(rng() % 1000);
+        cache.Insert(keys[0], estimate);
+        reference.Insert(keys[0], estimate);
+      } else if (op == 1) {
+        double got = -1.0, want = -1.0;
+        ASSERT_EQ(cache.Lookup(keys[0], &got),
+                  reference.Lookup(keys[0], &want));
+        ASSERT_EQ(got, want);
+      } else if (op == 2) {
+        std::vector<double> estimates(keys.size());
+        for (double& e : estimates) e = static_cast<double>(rng() % 1000);
+        cache.InsertBatch(keys, estimates);
+        for (size_t i = 0; i < keys.size(); ++i) {
+          reference.Insert(keys[i], estimates[i]);
+        }
+      } else if (op == 3) {
+        std::vector<double> got;
+        std::vector<bool> hit;
+        const size_t hits = cache.LookupBatch(keys, &got, &hit);
+        size_t want_hits = 0;
+        for (size_t i = 0; i < keys.size(); ++i) {
+          double want = 0.0;
+          const bool want_hit = reference.Lookup(keys[i], &want);
+          want_hits += want_hit ? 1 : 0;
+          ASSERT_EQ(hit[i], want_hit) << "key " << i;
+          ASSERT_EQ(got[i], want) << "key " << i;
+        }
+        ASSERT_EQ(hits, want_hits);
+      } else {
+        std::vector<double> got(keys.size()), want;
+        const bool all = cache.LookupAll(keys, got.data());
+        ASSERT_EQ(all, reference.LookupAll(keys, &want));
+        if (all) {
+          ASSERT_EQ(got, want);
+        }
+      }
+      ASSERT_EQ(cache.size(), reference.size());
+      ASSERT_EQ(cache.stats().hits, reference.stats().hits);
+      ASSERT_EQ(cache.stats().misses, reference.stats().misses);
+      ASSERT_EQ(cache.stats().evictions, reference.stats().evictions);
+    }
+  }
 }
 
 TEST(RequestQueueTest, TryPushRespectsCapacityAndNeverBlocks) {
@@ -297,15 +434,20 @@ TEST(EstimationServiceTest, UnknownEstimatorReturnsNotFound) {
 TEST(EstimationServiceTest, SubmitAfterShutdownIsRejectedWithoutCallback) {
   EstimationService service;
   service.RegisterEstimator(std::make_unique<HashEstimator>());
+  const QueryGraph cached(TestQueries()[0], TestDb());
+  ASSERT_TRUE(service.EstimateQuerySync("Hash", cached).ok());
   service.Shutdown();
 
+  // Uncached and fully cached requests alike.
   const QueryGraph graph(TestQueries()[2], TestDb());
-  std::atomic<bool> callback_ran{false};
-  Status status =
-      service.Submit(EstimateRequest{"Hash", kAllSubplans, &graph},
-                     [&](EstimateResponse) { callback_ran.store(true); });
-  EXPECT_EQ(status.code(), StatusCode::kResourceExhausted);
-  EXPECT_FALSE(callback_ran.load());
+  for (const QueryGraph* g : {&graph, &cached}) {
+    std::atomic<bool> callback_ran{false};
+    Status status =
+        service.Submit(EstimateRequest{"Hash", kAllSubplans, g},
+                       [&](EstimateResponse) { callback_ran.store(true); });
+    EXPECT_EQ(status.code(), StatusCode::kResourceExhausted);
+    EXPECT_FALSE(callback_ran.load());
+  }
 }
 
 TEST(EstimationServiceTest, FullQueueRejectsWithResourceExhausted) {
@@ -370,6 +512,140 @@ TEST(EstimationServiceTest, RejectionPayloadCarriesDepthAndRetryHint) {
 
   gate_ptr->Release();
   service.Shutdown();  // drain the queued request while `graph` is alive
+}
+
+/// A service with one worker, a "Hash" estimator and a "Gate" one whose
+/// first request pins the worker inside EstimateCard until Release.
+struct PinnedWorker {
+  PinnedWorker() : service(Options()) {
+    auto owned_gate = std::make_unique<GateEstimator>();
+    gate = owned_gate.get();
+    service.RegisterEstimator(std::move(owned_gate));
+    auto owned_hash = std::make_unique<HashEstimator>();
+    hash = owned_hash.get();
+    service.RegisterEstimator(std::move(owned_hash));
+  }
+  ~PinnedWorker() {
+    gate->Release();
+    service.Shutdown();
+  }
+
+  static ServiceOptions Options() {
+    ServiceOptions options;
+    options.num_threads = 1;
+    return options;
+  }
+
+  void Pin() {
+    ASSERT_TRUE(service
+                    .Submit(EstimateRequest{"Gate", gated.full_mask(), &gated},
+                            [](EstimateResponse) {})
+                    .ok());
+    gate->WaitUntilEntered();
+  }
+
+  const QueryGraph gated{TestQueries()[2], TestDb()};
+  EstimationService service;
+  GateEstimator* gate = nullptr;
+  HashEstimator* hash = nullptr;
+};
+
+/// What a callback saw: its thread and the response.
+using Completion = std::pair<std::thread::id, EstimateResponse>;
+
+Status SubmitRecording(EstimationService& service, EstimateRequest request,
+                       std::promise<Completion>* completion) {
+  return service.Submit(
+      std::move(request), [completion](EstimateResponse response) {
+        completion->set_value(
+            Completion{std::this_thread::get_id(), std::move(response)});
+      });
+}
+
+TEST(EstimationServiceTest, CachedRequestCompletesOnTheCallingThread) {
+  // Declared before the service: a request that queued would reach them
+  // when the service drains.
+  const QueryGraph graph(TestQueries()[0], TestDb());
+  std::promise<Completion> completion;
+  std::future<Completion> done = completion.get_future();
+  PinnedWorker pinned;
+  const size_t num_subplans = graph.connected_subsets().size();
+  auto warm = pinned.service.EstimateQuerySync("Hash", graph);
+  ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+  pinned.Pin();
+
+  // Every sub-plan is cached: the callback has run, on this thread, before
+  // Submit returns, although the only worker is blocked.
+  ASSERT_TRUE(SubmitRecording(pinned.service,
+                              EstimateRequest{"Hash", kAllSubplans, &graph},
+                              &completion)
+                  .ok());
+  ASSERT_EQ(done.wait_for(std::chrono::seconds(0)), std::future_status::ready);
+  const auto [thread, response] = done.get();
+  EXPECT_EQ(thread, std::this_thread::get_id());
+  ASSERT_TRUE(response.status.ok()) << response.status.ToString();
+  EXPECT_EQ(response.cards, *warm);
+  EXPECT_EQ(response.cache_hits, num_subplans);
+  EXPECT_EQ(response.cache_misses, 0u);
+  EXPECT_EQ(response.model_version, 1u);
+  EXPECT_EQ(pinned.hash->calls(), num_subplans);
+  EXPECT_EQ(pinned.service.queue_size(), 0u);
+}
+
+TEST(EstimationServiceTest, PartlyCachedRequestQueues) {
+  const QueryGraph graph(TestQueries()[0], TestDb());
+  std::promise<Completion> completion;
+  std::future<Completion> done = completion.get_future();
+  PinnedWorker pinned;
+  const size_t num_subplans = graph.connected_subsets().size();
+  ASSERT_TRUE(pinned.service.EstimateSync("Hash", graph, 1).ok());
+  pinned.Pin();
+
+  // One sub-plan of the whole query is cached: the request waits in the
+  // queue for the blocked worker and completes there.
+  ASSERT_TRUE(SubmitRecording(pinned.service,
+                              EstimateRequest{"Hash", kAllSubplans, &graph},
+                              &completion)
+                  .ok());
+  EXPECT_EQ(done.wait_for(std::chrono::milliseconds(20)),
+            std::future_status::timeout);
+  EXPECT_EQ(pinned.service.queue_size(), 1u);
+  pinned.gate->Release();
+  const auto [thread, response] = done.get();
+  EXPECT_NE(thread, std::this_thread::get_id());
+  ASSERT_TRUE(response.status.ok()) << response.status.ToString();
+  EXPECT_EQ(response.cards.size(), num_subplans);
+  EXPECT_EQ(response.cache_hits, 1u);
+  EXPECT_EQ(response.cache_misses, num_subplans - 1);
+}
+
+TEST(EstimationServiceTest, CacheStatsCountEachSubplanOnce) {
+  EstimationService service;
+  auto owned = std::make_unique<HashEstimator>();
+  HashEstimator* estimator = owned.get();
+  service.RegisterEstimator(std::move(owned));
+  const QueryGraph graph(TestQueries()[0], TestDb());
+  const uint64_t n = graph.connected_subsets().size();
+  ASSERT_GT(n, 2u);
+
+  // A miss through the queue.
+  ASSERT_TRUE(service.EstimateSync("Hash", graph, 1).ok());
+  EXPECT_EQ(service.cache_stats().hits, 0u);
+  EXPECT_EQ(service.cache_stats().misses, 1u);
+  // A partly cached request is probed on the calling thread, then queued
+  // and probed again by the worker: still one hit and n - 1 misses.
+  ASSERT_TRUE(service.EstimateQuerySync("Hash", graph).ok());
+  EXPECT_EQ(service.cache_stats().hits, 1u);
+  EXPECT_EQ(service.cache_stats().misses, n);
+  // A fully cached request, answered on the calling thread: n hits.
+  ASSERT_TRUE(service.EstimateQuerySync("Hash", graph).ok());
+  EXPECT_EQ(service.cache_stats().hits, 1 + n);
+  EXPECT_EQ(service.cache_stats().misses, n);
+  // And a single cached mask: one more hit.
+  ASSERT_TRUE(service.EstimateSync("Hash", graph, 1).ok());
+  EXPECT_EQ(service.cache_stats().hits, 2 + n);
+  EXPECT_EQ(service.cache_stats().misses, n);
+  EXPECT_EQ(estimator->calls(), n);
 }
 
 TEST(EstimationServiceTest, DeadlineExpiredInQueueAnswersDeadlineExceeded) {
