@@ -27,6 +27,7 @@
 #include <functional>
 #include <optional>
 #include <random>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -88,22 +89,19 @@ uint64_t ProbeLegacyMorsel(const LegacyTable& ht, const Input& probe,
   return count;
 }
 
-/// Count-probe of the index over one morsel, in the executor's hash-join
-/// probe loop: the home slot of key i + kIndexPrefetchDistance is
-/// prefetched while key i is looked up.
+/// Count-probe of the index over one morsel, through the executor's
+/// hash-join probe loop (HashIndex::ProbeBatch): each key is hashed once,
+/// its home slot prefetched kIndexPrefetchDistance keys ahead of its
+/// lookup, and a repeated key reuses the previous run.
 uint64_t ProbeIndexMorsel(const HashIndex& index, const Input& probe,
                           size_t lo, size_t hi) {
   uint64_t count = 0;
-  const size_t end = std::min(lo + kIndexPrefetchDistance, hi);
-  for (size_t i = lo; i < end; ++i) {
-    if (probe.valid[i]) index.Prefetch(probe.keys[i]);
-  }
-  for (size_t i = lo; i < hi; ++i) {
-    const size_t ahead = i + kIndexPrefetchDistance;
-    if (ahead < hi && probe.valid[ahead]) index.Prefetch(probe.keys[ahead]);
-    if (!probe.valid[i]) continue;
-    count += index.Lookup(probe.keys[i]).size();
-  }
+  RunMemo memo;
+  index.ProbeBatch(probe.keys.data() + lo, probe.valid.data() + lo, hi - lo,
+                   memo, [&count](size_t, std::span<const uint32_t> run) {
+                     count += run.size();
+                     return true;
+                   });
   return count;
 }
 

@@ -18,6 +18,19 @@ cmake --build "$BUILD_DIR" -j "$(nproc)" \
            batch_parity_test server_test server_metrics_test drift_test \
            kernel_parity_test arena_test
 
+# Six parity cases start no thread: they estimate every sub-plan of the
+# workload from the calling thread through the autoregressive models, whose
+# network inference TSAN slows about 40x (~200 s each). They stay in tier-1
+# and in the ASAN lane; every case that starts a thread stays here.
+SLOW_AR="UAE UAE_Q NeuroCardE"
+skip_filter() {
+  local est filter=""
+  for est in $SLOW_AR; do
+    filter="${filter:+$filter:}AllEstimators/$1/$est"
+  done
+  echo "--gtest_filter=-$filter"
+}
+
 export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1 second_deadlock_stack=1}"
 if [ "$#" -gt 0 ]; then
   ctest --test-dir "$BUILD_DIR" --output-on-failure "$@"
@@ -27,7 +40,15 @@ else
               batch_parity_test server_test server_metrics_test drift_test \
               kernel_parity_test arena_test; do
     echo "== $test (TSAN) =="
-    "$BUILD_DIR/tests/$test"
+    case "$test" in
+      planner_golden_test)
+        "$BUILD_DIR/tests/$test" \
+          "$(skip_filter PlannerParityTest.GraphPathIsBitIdenticalToLegacy)" ;;
+      batch_parity_test)
+        "$BUILD_DIR/tests/$test" \
+          "$(skip_filter BatchParityTest.BatchIsBitIdenticalToScalar)" ;;
+      *) "$BUILD_DIR/tests/$test" ;;
+    esac
   done
 fi
 echo "TSAN run clean."

@@ -95,6 +95,23 @@ struct KeyCountSlot {
 };
 using KeyCounts = KeyCountTable<KeyCountSlot>;
 
+/// Which components of a join's two inputs its output keeps, in output
+/// order: the outer input's `left`, then the inner side's `right` (an index
+/// nested loop's inner side is its one row, so `right` is {0} or empty).
+/// Under Materialize every component is kept, in the order of the inputs.
+struct Projection {
+  std::vector<uint32_t> left;
+  std::vector<uint32_t> right;
+
+  /// Writes the output tuple joined from the outer tuple `outer` and the
+  /// inner tuple `inner`.
+  void Write(const uint32_t* outer, const uint32_t* inner,
+             uint32_t* tuple) const {
+    for (uint32_t c : left) *tuple++ = outer[c];
+    for (uint32_t c : right) *tuple++ = inner[c];
+  }
+};
+
 /// The materialized inputs of a merge join and their sorted (key, tuple)
 /// runs.
 struct MergeInputs {
@@ -108,8 +125,11 @@ struct MergeInputs {
 /// columns, checked once before anything runs, plus the run's state.
 struct Op {
   const PlanNode* node = nullptr;
-  /// Catalog ids of the output tuple's components, in order.
+  /// Catalog ids of the output tuple's components, in order: the tables
+  /// some ancestor reads (a scan always outputs its one table).
   std::vector<int> table_ids;
+  /// Joins: which input components the output keeps.
+  Projection projection;
   std::unique_ptr<Op> left;
   /// Null for an index nested loop: its inner side never runs.
   std::unique_ptr<Op> right;
@@ -206,10 +226,36 @@ Status ResolveEdges(const Database& db, const PlanNode& plan,
   return Status::OK();
 }
 
+/// Appends the catalog ids of the tables under `node` to `out`, left input
+/// first: the layout of the node's full output.
+void AppendTables(const PlanNode& node, std::vector<int>* out) {
+  if (node.IsScan()) {
+    out->push_back(node.table_id);
+    return;
+  }
+  AppendTables(*node.left, out);
+  AppendTables(*node.right, out);
+}
+
+/// Appends to `table_ids` the tables of the input layout `input` that
+/// `needed` names, in input order, and their components to `keep`.
+void KeepNeeded(const std::vector<int>& input, const std::vector<int>& needed,
+                std::vector<int>* table_ids, std::vector<uint32_t>* keep) {
+  for (size_t c = 0; c < input.size(); ++c) {
+    if (ComponentIndex(needed, input[c]) < 0) continue;
+    table_ids->push_back(input[c]);
+    keep->push_back(static_cast<uint32_t>(c));
+  }
+}
+
 /// Compiles the plan subtree `node`, left input first, checking every id
 /// and method constraint; `count_only` marks the ExecuteCount root.
+/// `needed` names the tables some ancestor reads: the edge endpoints of the
+/// joins above, or every table under Materialize. A join's output keeps
+/// only those components, so a count plan streams the ids it will read
+/// and no others; each input must also carry the join's own endpoints.
 Status Compile(const Database& db, const PlanNode& node, bool count_only,
-               std::unique_ptr<Op>* out) {
+               const std::vector<int>& needed, std::unique_ptr<Op>* out) {
   auto op = std::make_unique<Op>();
   op->node = &node;
   op->count_only = count_only;
@@ -237,8 +283,25 @@ Status Compile(const Database& db, const PlanNode& node, bool count_only,
     return Status::OK();
   }
 
-  CARDBENCH_RETURN_IF_ERROR(Compile(db, *node.left, false, &op->left));
-  op->table_ids = op->left->table_ids;
+  std::vector<int> outer_tables;
+  AppendTables(*node.left, &outer_tables);
+  std::vector<int> outer_needed, inner_needed;
+  for (int t : needed) {
+    (ComponentIndex(outer_tables, t) >= 0 ? outer_needed : inner_needed)
+        .push_back(t);
+  }
+  // The endpoint on an outer table binds to the outer input (ResolveEdges).
+  auto need = [&](const PlanEdge& edge) {
+    const bool flip = ComponentIndex(outer_tables, edge.left.table_id) < 0;
+    outer_needed.push_back(flip ? edge.right.table_id : edge.left.table_id);
+    inner_needed.push_back(flip ? edge.left.table_id : edge.right.table_id);
+  };
+  need(node.edge);
+  for (const PlanEdge& edge : node.extra_edges) need(edge);
+  CARDBENCH_RETURN_IF_ERROR(
+      Compile(db, *node.left, false, outer_needed, &op->left));
+  const std::vector<int>& outer = op->left->table_ids;
+  KeepNeeded(outer, needed, &op->table_ids, &op->projection.left);
   if (node.join_method == JoinMethod::kIndexNestLoop) {
     // The inner side is a base table accessed through its join-column
     // index; it is never scanned.
@@ -252,20 +315,22 @@ Status Compile(const Database& db, const PlanNode& node, bool count_only,
       return Status::NotFound(StrFormat("table id %d", inner.table_id));
     }
     CARDBENCH_RETURN_IF_ERROR(CheckFilters(db, inner));
-    CARDBENCH_RETURN_IF_ERROR(ResolveEdges(db, node, op->table_ids,
-                                           {inner.table_id}, &op->refs));
+    CARDBENCH_RETURN_IF_ERROR(
+        ResolveEdges(db, node, outer, {inner.table_id}, &op->refs));
     const CatalogColumn key = node.edge.left.table_id == inner.table_id
                                   ? node.edge.left
                                   : node.edge.right;
     op->index = &table->GetIndex(static_cast<size_t>(key.column_id));
     op->inner_filters = &inner.filters;
-    op->table_ids.push_back(inner.table_id);
+    KeepNeeded({inner.table_id}, needed, &op->table_ids,
+               &op->projection.right);
   } else {
-    CARDBENCH_RETURN_IF_ERROR(Compile(db, *node.right, false, &op->right));
-    CARDBENCH_RETURN_IF_ERROR(ResolveEdges(
-        db, node, op->table_ids, op->right->table_ids, &op->refs));
-    op->table_ids.insert(op->table_ids.end(), op->right->table_ids.begin(),
-                         op->right->table_ids.end());
+    CARDBENCH_RETURN_IF_ERROR(
+        Compile(db, *node.right, false, inner_needed, &op->right));
+    CARDBENCH_RETURN_IF_ERROR(
+        ResolveEdges(db, node, outer, op->right->table_ids, &op->refs));
+    KeepNeeded(op->right->table_ids, needed, &op->table_ids,
+               &op->projection.right);
   }
   *out = std::move(op);
   return Status::OK();
@@ -310,13 +375,17 @@ struct KeyScratch {
         valid(arena.AllocateArray<uint8_t>(capacity)) {}
 
   /// Gathers the key column `key` of tuples [0, n) of `tuples` (row-major,
-  /// `arity` row ids each).
+  /// `arity` row ids each; one-id tuples are their own rows).
   void Gather(const ColRef& key, const uint32_t* tuples, size_t arity,
               size_t n) {
-    for (size_t t = 0; t < n; ++t) {
-      rows[t] = tuples[t * arity + static_cast<size_t>(key.component)];
+    const uint32_t* from = tuples;
+    if (arity > 1) {
+      for (size_t t = 0; t < n; ++t) {
+        rows[t] = tuples[t * arity + static_cast<size_t>(key.component)];
+      }
+      from = rows;
     }
-    key.column->Gather(rows, n, keys, valid);
+    key.column->Gather(from, n, keys, valid);
   }
 
   uint32_t* rows;
@@ -385,31 +454,51 @@ class Emitter {
   size_t used_ = 0;
 };
 
-/// Copies `n` row ids of one tuple. Every per-tuple copy goes through this
-/// plain loop: a tuple is a few ids wide, and GCC compiles `std::copy_n`
-/// (or `memcpy`) of a runtime length into one `memmove` call per tuple,
-/// which costs more than the copy itself (EXPERIMENTS.md, "Pipelined count
-/// execution").
-inline void CopyIds(const uint32_t* src, size_t n, uint32_t* dst) {
-  for (size_t c = 0; c < n; ++c) dst[c] = src[c];
+/// Appends the output tuple of the join `projection` belongs to, joined
+/// from `outer` and `inner`, to `out`. Every per-tuple copy goes through
+/// Projection::Write's plain loops: a tuple is a few ids wide, and GCC
+/// compiles `std::copy_n` (or `memcpy`) of a runtime length into one
+/// `memmove` call per tuple, which costs more than the copy itself
+/// (EXPERIMENTS.md, "Pipelined count execution").
+inline void EmitJoined(Emitter& out, const Projection& projection,
+                       const uint32_t* outer, const uint32_t* inner) {
+  projection.Write(outer, inner, out.Append());
 }
 
-/// Appends the concatenation of `left` (`larity` row ids) and `right`
-/// (`rarity`) to `out`.
-inline void EmitJoined(Emitter& out, const uint32_t* left, size_t larity,
-                       const uint32_t* right, size_t rarity) {
-  uint32_t* tuple = out.Append();
-  CopyIds(left, larity, tuple);
-  CopyIds(right, rarity, tuple + larity);
+/// Appends the joins of `outer` with `n` inner tuples, `inner(j)` the j-th,
+/// to `out` with one n-tuple Append. When no inner component is kept, every
+/// output tuple equals the first: it is projected once and replicated.
+template <typename InnerFn>
+void EmitRun(Emitter& out, const Projection& projection,
+             const uint32_t* outer, size_t n, InnerFn inner) {
+  if (n == 0) return;
+  const size_t nl = projection.left.size();
+  uint32_t* tuple = out.Append(n);
+  if (projection.right.empty()) {
+    projection.Write(outer, nullptr, tuple);
+    if (nl == 1) {
+      std::fill_n(tuple + 1, n - 1, tuple[0]);
+    } else {
+      // An overlapping forward copy: each tuple repeats the one before.
+      for (size_t k = nl; k < n * nl; ++k) tuple[k] = tuple[k - nl];
+    }
+    return;
+  }
+  const size_t arity = nl + projection.right.size();
+  for (size_t j = 0; j < n; ++j, tuple += arity) {
+    projection.Write(outer, inner(j), tuple);
+  }
 }
 
 /// One worker's probe of a hash or index-nested-loop join: consumes the
 /// outer input chunk by chunk, gathers and looks up its keys a batch at a
 /// time, and emits the matches in (outer tuple, ascending inner row) order,
-/// or counts them at the count-only root. The hash probe prefetches the
-/// home slot of probe i + kIndexPrefetchDistance while probe i walks the
-/// table; an index nested loop with inner filters filters its postings
-/// kIndexChunkRows at a time.
+/// or counts them at the count-only root. A key equal to the previous
+/// input tuple's reuses its lookup (RunMemo; the key-count root, its
+/// count), across batches and morsels. The hash probe hashes each key
+/// once and prefetches the home slot of probe i + kIndexPrefetchDistance
+/// while probe i walks the table (HashIndex::ProbeBatch); an index nested
+/// loop with inner filters filters its postings kIndexChunkRows at a time.
 class Probe final : public Consumer {
  public:
   Probe(Op& op, Arena& arena, size_t batch_size, Budget& budget,
@@ -448,10 +537,16 @@ class Probe final : public Consumer {
   /// The count-only root without extra edges: adds each key's build-side
   /// multiplicity.
   bool ProbeKeyCounts(size_t n) {
+    CountMemo memo = count_memo_;
     uint64_t count = 0;
     for (size_t i = 0; i < n; ++i) {
-      if (kb_.valid[i]) count += op_.key_counts->Get(kb_.keys[i]);
+      if (!kb_.valid[i]) continue;
+      if (!memo.set || kb_.keys[i] != memo.key) {
+        memo = {true, kb_.keys[i], op_.key_counts->Get(kb_.keys[i])};
+      }
+      count += memo.count;
     }
+    count_memo_ = memo;
     *count_ += count;
     return true;
   }
@@ -461,52 +556,70 @@ class Probe final : public Consumer {
   // alias the ticker's counter, which would keep both in memory.
 
   bool ProbeHash(const uint32_t* in, size_t n) {
-    const HashIndex& index = *op_.index;
     const TupleSet& build = *op_.build;
     const size_t rarity = build.arity();
     const auto& extra = op_.refs.extra;
+    const Projection& projection = op_.projection;
     Emitter* out = out_.has_value() ? &*out_ : nullptr;
     BudgetTicker ticker = ticker_;
     uint64_t count = 0;
-    for (size_t i = 0; i < std::min(kIndexPrefetchDistance, n); ++i) {
-      if (kb_.valid[i]) index.Prefetch(kb_.keys[i]);
-    }
-    for (size_t i = 0; i < n; ++i) {
-      const size_t ahead = i + kIndexPrefetchDistance;
-      if (ahead < n && kb_.valid[ahead]) index.Prefetch(kb_.keys[ahead]);
-      if (!kb_.valid[i]) continue;
-      const uint32_t* outer = in + i * larity_;
-      for (uint32_t rt : index.Lookup(kb_.keys[i])) {
-        if (!ticker.Tick()) return false;
-        const uint32_t* inner = build.data.data() + size_t{rt} * rarity;
-        if (!extra.empty() && !ExtraEdgesMatch(extra, outer, inner)) continue;
-        if (out != nullptr) {
-          EmitJoined(*out, outer, larity_, inner, rarity);
-        } else {
-          ++count;
-        }
-      }
-      if (out != nullptr && out->Full() && !out->Flush()) return false;
-    }
+    const bool ok = op_.index->ProbeBatch(
+        kb_.keys, kb_.valid, n, memo_,
+        [&](size_t i, std::span<const uint32_t> run) {
+          const uint32_t* outer = in + i * larity_;
+          if (extra.empty()) {
+            // Without extra edges the root counts key multiplicities
+            // (ProbeKeyCounts), so this join emits its whole run.
+            if (!ticker.Tick(run.size())) return false;
+            EmitRun(*out, projection, outer, run.size(), [&](size_t j) {
+              return build.data.data() + size_t{run[j]} * rarity;
+            });
+            return !out->Full() || out->Flush();
+          }
+          for (uint32_t rt : run) {
+            if (!ticker.Tick()) return false;
+            const uint32_t* inner = build.data.data() + size_t{rt} * rarity;
+            if (!ExtraEdgesMatch(extra, outer, inner)) continue;
+            if (out != nullptr) {
+              EmitJoined(*out, projection, outer, inner);
+            } else {
+              ++count;
+            }
+          }
+          return out == nullptr || !out->Full() || out->Flush();
+        });
+    if (!ok) return false;
     ticker_ = ticker;
     *count_ += count;
     return true;
   }
 
   /// The index nested loop. Without inner filters each outer tuple's
-  /// posting run is emitted (one n-tuple Append), counted, or checked
-  /// against the extra edges whole. With them, the runs of consecutive
-  /// outer tuples are copied into the chunk, a longer run splitting across
-  /// chunks, and each full chunk (and the batch's last) goes to
-  /// FilterChunk.
+  /// posting run is emitted (EmitRun), counted, or checked against the
+  /// extra edges whole. With them, the runs of consecutive outer tuples
+  /// are copied into the chunk, a longer run splitting across chunks, and
+  /// each full chunk (and the batch's last) goes to FilterChunk.
   bool ProbeIndex(const uint32_t* in, size_t n) {
     const auto& extra = op_.refs.extra;
+    const Projection& projection = op_.projection;
     Emitter* out = out_.has_value() ? &*out_ : nullptr;
     BudgetTicker ticker = ticker_;
+    RunMemo memo = memo_;
     uint64_t count = 0;
+    if (chunk_ == nullptr && out == nullptr && extra.empty()) {
+      // The count-only root adds run lengths: constant work per input
+      // tuple, which Consume has ticked.
+      for (size_t i = 0; i < n; ++i) {
+        if (kb_.valid[i]) count += op_.index->Lookup(kb_.keys[i], memo).size();
+      }
+      memo_ = memo;
+      *count_ += count;
+      return true;
+    }
     for (size_t i = 0; i < n; ++i) {
       if (!kb_.valid[i]) continue;
-      const std::span<const uint32_t> run = op_.index->Lookup(kb_.keys[i]);
+      const std::span<const uint32_t> run =
+          op_.index->Lookup(kb_.keys[i], memo);
       const uint32_t* outer = in + i * larity_;
       if (chunk_ != nullptr) {
         for (size_t lo = 0; lo < run.size();) {
@@ -528,24 +641,19 @@ class Probe final : public Consumer {
         for (uint32_t irow : run) {
           if (!ExtraEdgesMatch(extra, outer, &irow)) continue;
           if (out != nullptr) {
-            EmitJoined(*out, outer, larity_, &irow, 1);
+            EmitJoined(*out, projection, outer, &irow);
           } else {
             ++count;
           }
         }
-      } else if (out != nullptr) {
-        uint32_t* tuple = out->Append(run.size());
-        for (uint32_t irow : run) {
-          CopyIds(outer, larity_, tuple);
-          tuple[larity_] = irow;
-          tuple += larity_ + 1;
-        }
       } else {
-        count += run.size();
+        EmitRun(*out, projection, outer, run.size(),
+                [&](size_t j) { return &run[j]; });
       }
       if (out != nullptr && out->Full() && !out->Flush()) return false;
     }
     ticker_ = ticker;
+    memo_ = memo;
     *count_ += count;
     return chunk_ == nullptr || FilterChunk();
   }
@@ -578,7 +686,7 @@ class Probe final : public Consumer {
         if (irow != survivor) continue;
         if (extra.empty() || ExtraEdgesMatch(extra, piece.outer, &irow)) {
           if (out != nullptr) {
-            EmitJoined(*out, piece.outer, larity_, &irow, 1);
+            EmitJoined(*out, op_.projection, piece.outer, &irow);
           } else {
             ++count;
           }
@@ -603,6 +711,13 @@ class Probe final : public Consumer {
     bool ends_run;
   };
 
+  /// The key-count root's last key and its multiplicity.
+  struct CountMemo {
+    bool set = false;
+    Value key = 0;
+    uint64_t count = 0;
+  };
+
   Op& op_;
   size_t larity_;
   size_t batch_;
@@ -611,6 +726,9 @@ class Probe final : public Consumer {
   /// Emitting joins' output; empty at the count-only root.
   std::optional<Emitter> out_;
   uint64_t* count_;
+  /// The last lookup, reused by a repeated key.
+  RunMemo memo_;
+  CountMemo count_memo_;
   /// An index nested loop with inner filters: the chunk of copied inner
   /// rows, kIndexChunkRows long, and its run pieces in order.
   uint32_t* chunk_ = nullptr;
@@ -636,7 +754,8 @@ class TupleSink final : public Consumer {
   std::vector<uint32_t>* target_ = nullptr;
 };
 
-/// Adds the non-NULL key column of every tuple it is given to `counts`.
+/// Adds the non-NULL key column of every tuple it is given to `counts`, a
+/// run of equal keys at a time.
 class KeyCountSink final : public Consumer {
  public:
   KeyCountSink(const ColRef& key, size_t arity, Arena& arena,
@@ -651,8 +770,17 @@ class KeyCountSink final : public Consumer {
     for (size_t b = 0; b < n; b += batch_) {
       const size_t m = std::min(n, b + batch_) - b;
       kb_.Gather(key_, tuples + b * arity_, arity_, m);
-      for (size_t i = 0; i < m; ++i) {
-        if (kb_.valid[i]) counts_->Add(kb_.keys[i]);
+      for (size_t i = 0; i < m;) {
+        if (!kb_.valid[i]) {
+          ++i;
+          continue;
+        }
+        size_t end = i + 1;
+        while (end < m && kb_.valid[end] && kb_.keys[end] == kb_.keys[i]) {
+          ++end;
+        }
+        counts_->Add(kb_.keys[i], end - i);
+        i = end;
       }
     }
     return true;
@@ -779,7 +907,7 @@ bool MergeRuns(const Op& op, Budget& budget, Emitter* out, uint64_t* count) {
             if (out == nullptr) {
               ++*count;
             } else {
-              EmitJoined(*out, outer, larity, inner, rarity);
+              EmitJoined(*out, op.projection, outer, inner);
             }
           }
           if (out != nullptr && out->Full() && !out->Flush()) return false;
@@ -1141,8 +1269,10 @@ Executor::Executor(const Database& db, ExecLimits limits, ExecOptions options)
 
 Result<ExecResult> Executor::ExecuteCount(const PlanNode& plan,
                                           bool analyze) const {
+  // Nothing above the root reads its output.
   std::unique_ptr<Op> root;
-  CARDBENCH_RETURN_IF_ERROR(Compile(db_, plan, /*count_only=*/true, &root));
+  CARDBENCH_RETURN_IF_ERROR(
+      Compile(db_, plan, /*count_only=*/true, /*needed=*/{}, &root));
   Run run(*this);
   uint64_t count = 0;
   run.Pipeline(*root, SinkSpec::Count(&count));
@@ -1157,8 +1287,12 @@ Result<ExecResult> Executor::ExecuteCount(const PlanNode& plan,
 }
 
 Result<TupleSet> Executor::Materialize(const PlanNode& plan) const {
+  // The result is full-width: every table of the plan is read.
+  std::vector<int> tables;
+  AppendTables(plan, &tables);
   std::unique_ptr<Op> root;
-  CARDBENCH_RETURN_IF_ERROR(Compile(db_, plan, /*count_only=*/false, &root));
+  CARDBENCH_RETURN_IF_ERROR(
+      Compile(db_, plan, /*count_only=*/false, tables, &root));
   Run run(*this);
   TupleSet out;
   run.Pipeline(*root, SinkSpec::Tuples(&out));

@@ -86,7 +86,10 @@ struct ExecResult {
 /// join, and Materialize's result; a count-only root hash join with no
 /// extra edges aggregates its build side into key counts instead. Tuples are
 /// composites of base-table row ids (TupleSet); every intermediate tuple is
-/// produced exactly once, whether or not it is stored.
+/// produced exactly once, whether or not it is stored. Under ExecuteCount a
+/// join's tuples keep only the ids the joins above it read; Materialize's
+/// keep every table's. A probe whose key equals the previous input tuple's
+/// reuses that lookup.
 ///
 /// Plan nodes name tables and columns by catalog id; the executor resolves
 /// and checks every id once, before anything runs. Scans evaluate the

@@ -1,6 +1,7 @@
 #ifndef CARDBENCH_STORAGE_INDEX_H_
 #define CARDBENCH_STORAGE_INDEX_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -49,20 +50,28 @@ class KeyCountTable {
 
   /// Index of the slot holding `key`, or of the empty slot ending its probe
   /// chain (load <= 1/2 guarantees one).
-  size_t SlotOf(Value key) const {
-    size_t slot = HomeSlot(key);
+  size_t SlotOf(Value key) const { return SlotOf(key, HomeSlot(key)); }
+
+  /// SlotOf(key) from its home slot, `home` == HomeSlot(key): a batched
+  /// probe hashes each key once, for the prefetch and the lookup.
+  size_t SlotOf(Value key, size_t home) const {
+    size_t slot = home;
     while (slots_[slot].count != 0 && slots_[slot].key != key) {
       slot = (slot + 1) & mask_;
     }
     return slot;
   }
 
-  /// Prefetches the slot SlotOf(key) starts its walk at. Locality 3
-  /// (prefetcht0) pulls it all the way into L1: the demand load follows
-  /// within a few probes, and a t2 prefetch would still leave it paying the
-  /// L2 round trip.
-  void Prefetch(Value key) const {
-    __builtin_prefetch(slots_.data() + HomeSlot(key), 0, 3);
+  /// The slot SlotOf(key) starts its walk at.
+  size_t HomeSlot(Value key) const {
+    return HashMix64(static_cast<uint64_t>(key)) & mask_;
+  }
+
+  /// Prefetches the slot `home`. Locality 3 (prefetcht0) pulls it all the
+  /// way into L1: the demand load follows within a few probes, and a t2
+  /// prefetch would still leave it paying the L2 round trip.
+  void Prefetch(size_t home) const {
+    __builtin_prefetch(slots_.data() + home, 0, 3);
   }
 
   size_t num_distinct() const { return num_distinct_; }
@@ -75,10 +84,6 @@ class KeyCountTable {
  private:
   /// Slots of a table with no (or few) keys; a power of two.
   static constexpr size_t kMinSlots = 16;
-
-  size_t HomeSlot(Value key) const {
-    return HashMix64(static_cast<uint64_t>(key)) & mask_;
-  }
 
   /// Doubles the slot array and re-inserts every occupied slot.
   void Grow() {
@@ -100,6 +105,17 @@ class KeyCountTable {
 /// of probe i + kIndexPrefetchDistance is already on its way up the cache
 /// hierarchy.
 inline constexpr size_t kIndexPrefetchDistance = 8;
+
+/// The last lookup of a stream of probes into one HashIndex: a key equal to
+/// `key` reuses `run` instead of walking the table again. Fan-out joins
+/// repeat their upstream components, so consecutive probe keys are often
+/// equal. A lookup is a function of the key alone, so a memo stays exact
+/// across batches and morsels for as long as its index lives.
+struct RunMemo {
+  bool set = false;
+  Value key = 0;
+  std::span<const uint32_t> run;
+};
 
 /// Hash index from key to the ascending list of row ids holding it. NULLs
 /// are not indexed (SQL equi-join semantics: NULL joins nothing). Built
@@ -126,14 +142,62 @@ class HashIndex {
   /// Row ids whose value equals `v`, ascending (empty if none). The span
   /// stays valid for the index's lifetime.
   std::span<const uint32_t> Lookup(Value v) const {
-    const Slot& s = counts_.slots()[counts_.SlotOf(v)];
+    return Lookup(v, counts_.HomeSlot(v));
+  }
+
+  /// Lookup(v) from its home slot, `home` == KeyCountTable::HomeSlot(v).
+  std::span<const uint32_t> Lookup(Value v, size_t home) const {
+    const Slot& s = counts_.slots()[counts_.SlotOf(v, home)];
     if (s.count == 0) return {};
     return {rows_.data() + s.offset, s.count};
   }
 
-  /// Pulls the slot a Lookup(v) starts at into L1. Batched probes call
-  /// this kIndexPrefetchDistance keys ahead.
-  void Prefetch(Value v) const { counts_.Prefetch(v); }
+  /// Lookup(v) through `memo`: v equal to the memo's key reuses its run;
+  /// any other v is looked up and becomes the memo.
+  std::span<const uint32_t> Lookup(Value v, RunMemo& memo) const {
+    if (!memo.set || v != memo.key) memo = {true, v, Lookup(v)};
+    return memo.run;
+  }
+
+  /// The batched probe loop of the executor's hash join and of
+  /// bench_micro_join: calls `fn(i, run)` with the run of each non-NULL
+  /// keys[i] (valid[i] != 0), i ascending in [0, n), and stops at the
+  /// first call that returns false; returns whether none did. Each key is
+  /// hashed once: its home slot is prefetched kIndexPrefetchDistance keys
+  /// ahead of its lookup and looked up from there. A key equal to the one
+  /// before it is neither hashed nor prefetched, and a key equal to
+  /// `memo`'s (the last key looked up, in this call or an earlier one)
+  /// reuses its run; the memo ends holding the last key's.
+  template <typename Fn>
+  bool ProbeBatch(const Value* keys, const uint8_t* valid, size_t n,
+                  RunMemo& memo, Fn&& fn) const {
+    constexpr size_t kAhead = kIndexPrefetchDistance;
+    size_t homes[kAhead] = {};
+    // A key that repeats its valid predecessor finds that key in the memo
+    // when its turn comes, so its home slot is never read.
+    auto prefetch = [&](size_t j) {
+      if (valid[j] == 0 ||
+          (j > 0 && valid[j - 1] != 0 && keys[j] == keys[j - 1])) {
+        return;
+      }
+      homes[j % kAhead] = counts_.HomeSlot(keys[j]);
+      counts_.Prefetch(homes[j % kAhead]);
+    };
+    for (size_t j = 0; j < std::min(kAhead, n); ++j) prefetch(j);
+    RunMemo last = memo;  // a local, so `fn`'s stores cannot alias it
+    bool ok = true;
+    for (size_t i = 0; i < n && ok; ++i) {
+      const size_t home = homes[i % kAhead];
+      if (i + kAhead < n) prefetch(i + kAhead);
+      if (valid[i] == 0) continue;
+      if (!last.set || keys[i] != last.key) {
+        last = {true, keys[i], Lookup(keys[i], home)};
+      }
+      ok = fn(i, last.run);
+    }
+    memo = last;
+    return ok;
+  }
 
   /// Number of distinct indexed values.
   size_t num_distinct() const { return counts_.num_distinct(); }

@@ -5,6 +5,7 @@
 #include <optional>
 #include <random>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/logging.h"
@@ -26,14 +27,15 @@ constexpr size_t kMultiMorselRows = 60000;
 /// outputs are concatenated in morsel order) — and the hash join must
 /// match a nested-loop join written in this file.
 ///
-/// Four fixtures: STATS at scale 0.01 (real schema and data, but every
+/// Five fixtures: STATS at scale 0.01 (real schema and data, but every
 /// scan, probe and build input fits in one morsel), a synthetic two-table
 /// database whose scan, probe and build inputs each span at least three
 /// morsels, so multi-thread runs take the executor's parallel scan and
 /// probe branches (the build side's pipeline among them) and their
 /// morsel-order concatenation, a synthetic four-table database for
-/// multi-join pipelines, and a synthetic three-table database for index
-/// nested loops with inner filters.
+/// multi-join pipelines, a synthetic three-table database for index
+/// nested loops with inner filters, and a synthetic four-table database of
+/// fan-out chains whose probe keys repeat in runs.
 class ExecParityTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
@@ -43,6 +45,7 @@ class ExecParityTest : public ::testing::Test {
     multi_morsel_db_ = MakeMultiMorselDatabase().release();
     chain_db_ = MakeChainDatabase().release();
     index_nl_db_ = MakeIndexNestLoopDatabase().release();
+    fanout_db_ = MakeFanoutDatabase().release();
   }
   static void TearDownTestSuite() {
     delete db_;
@@ -53,6 +56,8 @@ class ExecParityTest : public ::testing::Test {
     chain_db_ = nullptr;
     delete index_nl_db_;
     index_nl_db_ = nullptr;
+    delete fanout_db_;
+    fanout_db_ = nullptr;
   }
 
   /// r(k, v, w) and s(k, f, w), kMultiMorselRows rows each. Join keys k
@@ -199,6 +204,77 @@ class ExecParityTest : public ::testing::Test {
                  static_cast<Value>(rng() % 4)});
     }
     for (int r = 0; r < 40; ++r) append(d, {static_cast<Value>(rng() % 10)});
+    return db;
+  }
+
+  /// Rows of the fan-out fixture's driving table f: more than one scan
+  /// morsel, so a run of equal keys crosses the morsel boundary.
+  static constexpr size_t kFanoutRows = kScanMorselRows + 3616;
+
+  /// Fan-out chains whose probe keys repeat in runs (the previous input
+  /// tuple's key reused, the ids a later join reads kept):
+  ///   f(k, k2, w): kFanoutRows rows in runs of 7 of k = row / 7 (so runs
+  ///     cross batches of 3 and the morsel boundary); k is NULL on the
+  ///     run's fourth row in every fourth run, the run of key 0 among
+  ///     them; k2 = k / 2 (runs of 14), NULL on the run's sixth row in
+  ///     every third run of k; w ~ [0, 4).
+  ///   g(k, c, w): 6000 rows, k ~ [0, 2858) → f.k (about two rows per key,
+  ///     so a join with f fans out and repeats f's components), c ~
+  ///     [0, 500) → d.k.
+  ///   h(k, c, w): 3000 rows, k ~ [0, 1500) → f.k2, c ~ [0, 300) → d.k
+  ///     and for an inner filter.
+  ///   d(k, w): 1000 rows, k ~ [0, 500).
+  /// g.k and h.k hold key 0 on their first three rows and NULL on the
+  /// fourth, so the NULLs inside f's runs of key 0 follow a key with
+  /// matches, and so does the NULL in h's scan order. Other keys are NULL on
+  /// 1/40 of the rows; w ~ [0, 4) everywhere, for extra edges.
+  static std::unique_ptr<Database> MakeFanoutDatabase() {
+    auto db = std::make_unique<Database>("fanout");
+    std::mt19937_64 rng(2025);
+    auto add = [&db](const char* name,
+                     std::initializer_list<const char*> columns) {
+      Table* table = db->AddTable(name).value();
+      for (const char* column : columns) {
+        CARDBENCH_CHECK(table->AddColumn(column, ColumnKind::kNumeric).ok(),
+                        "add %s.%s", name, column);
+      }
+      return table;
+    };
+    auto append = [](Table* table, std::vector<std::optional<Value>> row) {
+      CARDBENCH_CHECK(table->AppendRow(row).ok(), "append %s",
+                      table->name().c_str());
+    };
+    auto key = [&rng](uint64_t n) -> std::optional<Value> {
+      if (rng() % 40 == 0) return std::nullopt;
+      return static_cast<Value>(rng() % n);
+    };
+    auto zero_first = [&key](size_t row, uint64_t n) -> std::optional<Value> {
+      if (row < 3) return 0;
+      if (row == 3) return std::nullopt;
+      return key(n);
+    };
+    auto w = [&rng]() -> std::optional<Value> {
+      return static_cast<Value>(rng() % 4);
+    };
+    Table* f = add("f", {"k", "k2", "w"});
+    Table* g = add("g", {"k", "c", "w"});
+    Table* h = add("h", {"k", "c", "w"});
+    Table* d = add("d", {"k", "w"});
+    for (size_t r = 0; r < kFanoutRows; ++r) {
+      const Value run = static_cast<Value>(r / 7);
+      std::optional<Value> k = run, k2 = run / 2;
+      if (r % 7 == 3 && run % 4 == 0) k.reset();
+      if (r % 7 == 5 && run % 3 == 0) k2.reset();
+      append(f, {k, k2, w()});
+    }
+    // Braced-list elements are evaluated in order: deterministic rows.
+    for (size_t r = 0; r < 6000; ++r) {
+      append(g, {zero_first(r, 2858), key(500), w()});
+    }
+    for (size_t r = 0; r < 3000; ++r) {
+      append(h, {zero_first(r, 1500), key(300), w()});
+    }
+    for (size_t r = 0; r < 1000; ++r) append(d, {key(500), w()});
     return db;
   }
 
@@ -351,16 +427,80 @@ class ExecParityTest : public ::testing::Test {
                 Scan(db, "d", ScanMethod::kSeqScan, {}, 4));
   }
 
+  static std::unique_ptr<PlanNode> FanoutScan(
+      const std::string& table, const std::vector<Predicate>& filters = {}) {
+    const uint64_t mask = uint64_t{1} << fanout_db_->TableId(table);
+    return Scan(*fanout_db_, table, ScanMethod::kSeqScan, filters, mask);
+  }
+
+  /// f ⋈ g as an index nested loop: the fan-out every chain below starts
+  /// with, repeating f's components over g's matches.
+  static std::unique_ptr<PlanNode> FanoutJoin(JoinMethod method) {
+    return Join(*fanout_db_, method, {"f", "k", "g", "k"}, FanoutScan("f"),
+                FanoutScan("g"));
+  }
+
+  /// The fan-out fixture's plans, each with a later join keyed on an
+  /// upstream component, whose keys arrive in runs with NULLs inside:
+  ///   index: f ⋈ g ⋈ h ⋈ d as index nested loops; h (inner filter h.c <
+  ///     200) joins on f.k2 with the extra edge f.w = h.w, whose outer
+  ///     endpoint sits two joins up; d joins on g.c at the count-only root.
+  ///   index root: f ⋈ g ⋈ h as index nested loops, h on f.k2 at a
+  ///     count-only root without filters or extra edges.
+  ///   hash: (f ⋈ g) ⋈ (h ⋈ d) with a hash join on f.k2 = h.k whose build
+  ///     side, an index nested loop, feeds the extra edge f.w = d.w.
+  ///   merge: (f ⋈ g as a merge join) ⋈ h as a hash join on f.k2 with the
+  ///     extra edge f.w = h.w, then d on g.c as an index nested loop.
+  ///   key counts: h ⋈ (f ⋈ g ⋈ d) as a count-only hash join on h.k = f.k2
+  ///     whose build side is an index-NL chain: a key-count root.
+  static std::vector<std::pair<std::string, std::unique_ptr<PlanNode>>>
+  FanoutPlans() {
+    const Database& db = *fanout_db_;
+    std::vector<std::pair<std::string, std::unique_ptr<PlanNode>>> plans;
+    auto fgh = Join(db, JoinMethod::kIndexNestLoop, {"f", "k2", "h", "k"},
+                    FanoutJoin(JoinMethod::kIndexNestLoop),
+                    FanoutScan("h", {{"h", "c", CompareOp::kLt, 200}}),
+                    {{"f", "w", "h", "w"}});
+    plans.emplace_back(
+        "index", Join(db, JoinMethod::kIndexNestLoop, {"g", "c", "d", "k"},
+                      std::move(fgh), FanoutScan("d")));
+    plans.emplace_back(
+        "index root",
+        Join(db, JoinMethod::kIndexNestLoop, {"f", "k2", "h", "k"},
+             FanoutJoin(JoinMethod::kIndexNestLoop), FanoutScan("h")));
+    plans.emplace_back(
+        "hash",
+        Join(db, JoinMethod::kHashJoin, {"f", "k2", "h", "k"},
+             FanoutJoin(JoinMethod::kIndexNestLoop),
+             Join(db, JoinMethod::kIndexNestLoop, {"h", "c", "d", "k"},
+                  FanoutScan("h"), FanoutScan("d")),
+             {{"f", "w", "d", "w"}}));
+    auto merge = Join(db, JoinMethod::kHashJoin, {"f", "k2", "h", "k"},
+                      FanoutJoin(JoinMethod::kMergeJoin), FanoutScan("h"),
+                      {{"f", "w", "h", "w"}});
+    plans.emplace_back(
+        "merge", Join(db, JoinMethod::kIndexNestLoop, {"g", "c", "d", "k"},
+                      std::move(merge), FanoutScan("d")));
+    auto build = Join(db, JoinMethod::kIndexNestLoop, {"g", "c", "d", "k"},
+                      FanoutJoin(JoinMethod::kIndexNestLoop), FanoutScan("d"));
+    plans.emplace_back("key counts",
+                       Join(db, JoinMethod::kHashJoin, {"h", "k", "f", "k2"},
+                            FanoutScan("h"), std::move(build)));
+    return plans;
+  }
+
   static Database* db_;
   static Database* multi_morsel_db_;
   static Database* chain_db_;
   static Database* index_nl_db_;
+  static Database* fanout_db_;
 };
 
 Database* ExecParityTest::db_ = nullptr;
 Database* ExecParityTest::multi_morsel_db_ = nullptr;
 Database* ExecParityTest::chain_db_ = nullptr;
 Database* ExecParityTest::index_nl_db_ = nullptr;
+Database* ExecParityTest::fanout_db_ = nullptr;
 
 /// Reference evaluation of any plan: nested loops over the reference
 /// outputs of each join's inputs (an index nested loop's inner side is its
@@ -998,6 +1138,88 @@ TEST_F(ExecParityTest, KeyCountRootHandlesNullsDuplicatesAndExtraEdges) {
                     static_cast<double>(expected))
               << config;
         }
+      }
+    }
+  }
+}
+
+// Fan-out chains against the nested-loop reference. Later joins key on
+// components of tables one or two joins up, so consecutive input tuples
+// share keys: each probe reuses the previous lookup, and a count plan keeps
+// only the components later joins read. Runs of equal keys hold NULLs and
+// cross batches (sizes 1, 3, 1024) and f's morsel boundary. Under
+// ExecuteCount the count, every node's EXPLAIN ANALYZE rows (the size of
+// its sub-plan's reference) and the cap's verdict at the largest
+// intermediate N (fits at N, cut off at N - 1) must match at 1 and 4
+// threads; Materialize must return the reference's full-width tuples in
+// its order (as a multiset over the merge join, which emits in key order).
+TEST_F(ExecParityTest, FanoutChainsReuseLookupsAndKeepNeededComponents) {
+  const Database& db = *fanout_db_;
+  const Column& fk = db.TableOrDie("f").column(0);
+  // A run with a NULL inside spans the morsel boundary, and key 0's run
+  // holds a NULL.
+  ASSERT_GT(fk.size(), kScanMorselRows);
+  ASSERT_TRUE(fk.IsValid(kScanMorselRows - 2) && fk.IsValid(kScanMorselRows));
+  ASSERT_EQ(fk.Get(kScanMorselRows - 2), fk.Get(kScanMorselRows));
+  ASSERT_FALSE(fk.IsValid(kScanMorselRows - 1));
+  ASSERT_EQ(fk.Get(2), 0);
+  ASSERT_FALSE(fk.IsValid(3));
+  for (const auto& [name, plan] : FanoutPlans()) {
+    const TupleSet expected = ReferenceJoin(db, *plan);
+    ASSERT_GT(expected.size(), 1000u) << name;
+    // Each node that runs (an index nested loop's inner side does not)
+    // with its reference size; the largest non-root join sets the cap.
+    std::vector<const PlanNode*> nodes;
+    CollectNodes(*plan, &nodes);
+    std::unordered_map<uint64_t, double> expected_rows;
+    size_t largest = 0;
+    for (const PlanNode* node : nodes) {
+      bool inner_of_index_nl = false;
+      for (const PlanNode* parent : nodes) {
+        inner_of_index_nl |= parent->right.get() == node &&
+                             parent->join_method == JoinMethod::kIndexNestLoop;
+      }
+      if (inner_of_index_nl) continue;
+      const size_t rows = ReferenceJoin(db, *node).size();
+      expected_rows[node->table_mask] = static_cast<double>(rows);
+      if (node != plan.get() && !node->IsScan()) {
+        largest = std::max(largest, rows);
+      }
+    }
+    ASSERT_GT(largest, 0u) << name;
+    const bool ordered = name != "merge";
+    for (size_t threads : {size_t{1}, size_t{4}}) {
+      for (size_t batch : {size_t{1}, size_t{3}, size_t{1024}}) {
+        ExecOptions options;
+        options.num_threads = threads;
+        options.batch_size = batch;
+        const std::string config = name + " threads=" +
+                                   std::to_string(threads) +
+                                   " batch=" + std::to_string(batch);
+        Executor exec(db, ExecLimits(), options);
+        auto count = exec.ExecuteCount(*plan, /*analyze=*/true);
+        auto tuples = exec.Materialize(*plan);
+        ASSERT_TRUE(count.ok()) << count.status().ToString();
+        ASSERT_TRUE(tuples.ok()) << tuples.status().ToString();
+        EXPECT_FALSE(count->timed_out) << config;
+        EXPECT_EQ(count->count, expected.size()) << config;
+        EXPECT_EQ(count->actual_rows, expected_rows) << config;
+        EXPECT_EQ(tuples->table_ids, expected.table_ids) << config;
+        if (ordered) {
+          EXPECT_EQ(tuples->data, expected.data) << config;
+        } else {
+          EXPECT_EQ(SortedTuples(*tuples), SortedTuples(expected)) << config;
+        }
+        ExecLimits at_cap;
+        at_cap.max_intermediate_tuples = largest;
+        ExecLimits below_cap;
+        below_cap.max_intermediate_tuples = largest - 1;
+        auto fits = Executor(db, at_cap, options).ExecuteCount(*plan);
+        auto cut = Executor(db, below_cap, options).ExecuteCount(*plan);
+        ASSERT_TRUE(fits.ok() && cut.ok()) << config;
+        EXPECT_FALSE(fits->timed_out) << config;
+        EXPECT_EQ(fits->count, expected.size()) << config;
+        EXPECT_TRUE(cut->timed_out && cut->cap_exceeded) << config;
       }
     }
   }
