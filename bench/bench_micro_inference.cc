@@ -1,6 +1,9 @@
 // google-benchmark microbenchmarks for estimator inference latency (§6.1):
-// one EstimateCard call on representative single-table and 3-way-join
-// sub-plan queries for each always-available method. Complements the
+// one single-mask EstimateCard call on representative single-table and
+// 3-way-join sub-plan queries for each always-available method. For a
+// batched estimator (PostgreSQL, UniSample, PessEst, the fanout family,
+// NeuroCard^E) that call is a one-mask EstimateCards batch, so these rows
+// price a batch of one, per-call setup included. Complements the
 // wall-clock planning times of Table 3/Figure 3 with controlled per-call
 // numbers.
 //
@@ -157,9 +160,9 @@ void RunBatchSweep() {
   }
   EstimatorConfig config;
   config.fast = true;
-  // PostgreSQL rides the default per-mask loop (the ~1x reference row);
-  // MSCN / LW-NN batch their GEMMs, LW-XGB its GBDT walk, DeepDB its factor
-  // cache. The AR family is excluded only for sweep runtime.
+  // PostgreSQL's batch only shares table selectivities (the ~1x reference
+  // row); MSCN / LW-NN batch their GEMMs, LW-XGB its GBDT walk, DeepDB its
+  // factor cache. The AR family is excluded only for sweep runtime.
   const std::vector<std::string> names = {"PostgreSQL", "MSCN", "LW-NN",
                                           "LW-XGB", "DeepDB"};
   constexpr size_t kTargetSubplans = 256;

@@ -7,8 +7,9 @@
 // all on the serving path) — and reports closed-loop throughput/latency
 // of both at several concurrency levels, plus an open-loop overload point
 // over loopback. The shapes to verify: the service's estimates equal the
-// bits of serial EstimateCard calls (the thread-safety contract in
-// cardest/estimator.h is what makes sharing one trained model legal),
+// bits of serial single-mask EstimateCard calls, one-mask batches for a
+// batched estimator (the thread-safety and batch-composition contracts in
+// cardest/estimator.h are what make sharing one trained model legal),
 // every closed-loop request completes with bounded tail latency (no
 // rejections, no hangs), the overloaded server answers immediate
 // structured rejections instead of hanging clients, and the /metrics
@@ -69,9 +70,9 @@ Result<std::unique_ptr<CardinalityEstimator>> NamedEstimator(
 }
 
 /// Counts the workload queries whose whole-query answer from `service`
-/// differs from serial EstimateCard calls over every connected sub-plan on
-/// `reference`, an equally trained instance of the served model (training
-/// is deterministic). Equal estimates mean identical Q-Error and P-Error by
+/// differs from serial single-mask EstimateCard calls over every connected
+/// sub-plan on `reference`, an equally trained instance of the served model
+/// (training is deterministic). Equal estimates mean identical Q-Error and P-Error by
 /// construction: both metrics are pure functions of them.
 size_t CountServedMismatches(EstimationService& service,
                              const std::string& name,

@@ -318,50 +318,6 @@ Status AutoregressiveEstimator::UpdateImpl(const InsertionBatch& batch) {
   return Status::OK();
 }
 
-double AutoregressiveEstimator::ProgressiveEstimate(
-    const std::vector<std::pair<size_t, std::vector<double>>>& factors,
-    Rng& rng) const {
-  const size_t batch = options_.progressive_samples;
-  Matrix encoded(batch, made_->input_dim());
-  std::vector<double> weights(batch, 1.0);
-
-  // Factors sorted by column order (the autoregressive order).
-  std::vector<std::pair<size_t, const std::vector<double>*>> ordered;
-  for (const auto& [col, per_bin] : factors) ordered.push_back({col, &per_bin});
-  std::sort(ordered.begin(), ordered.end());
-
-  for (const auto& [col, per_bin] : ordered) {
-    const Matrix probs = made_->ConditionalProbs(encoded, col);
-    const size_t offset = made_->ColumnOffset(col);
-    for (size_t s = 0; s < batch; ++s) {
-      if (weights[s] <= 0.0) continue;
-      double mass = 0.0;
-      for (size_t b = 0; b < columns_[col].domain; ++b) {
-        mass += probs.At(s, b) * (*per_bin)[b];
-      }
-      weights[s] *= mass;
-      if (mass <= 1e-300) {
-        weights[s] = 0.0;
-        continue;
-      }
-      // Sample the conditioning bin proportionally to prob * factor.
-      double pick = rng.NextDouble() * mass;
-      size_t chosen = columns_[col].domain - 1;
-      for (size_t b = 0; b < columns_[col].domain; ++b) {
-        pick -= probs.At(s, b) * (*per_bin)[b];
-        if (pick <= 0) {
-          chosen = b;
-          break;
-        }
-      }
-      encoded.At(s, offset + chosen) = 1.0;
-    }
-  }
-  double mean = 0.0;
-  for (double w : weights) mean += w;
-  return mean / static_cast<double>(batch);
-}
-
 bool AutoregressiveEstimator::GraphMapToTree(
     const QueryGraph& graph, uint64_t mask, std::vector<bool>* table_in_s,
     std::vector<int>* local_of_sampler) const {
@@ -391,30 +347,19 @@ bool AutoregressiveEstimator::GraphMapToTree(
   return true;
 }
 
-double AutoregressiveEstimator::EstimateCard(const QueryGraph& graph,
-                                             uint64_t mask) const {
-  // Per-sub-plan progressive-sampling stream (see header).
-  Rng rng(options_.seed ^ 0xABCDEF ^ Fnv1aHash(graph.CanonicalKey(mask)));
-  std::vector<bool> in_s;
-  std::vector<int> local_of_sampler;
-  if (!GraphMapToTree(graph, mask, &in_s, &local_of_sampler)) {
-    // Off-tree join (FK-FK shortcut): independence fallback — single-table
-    // estimates combined with 1/max(ndv) per edge (tree-schema limitation).
-    double card = 1.0;
-    for (uint64_t rest = mask; rest != 0; rest &= rest - 1) {
-      card *= EstimateCard(graph, rest & ~(rest - 1));
-    }
-    for (const auto& edge : graph.edges()) {
-      if ((edge.mask & mask) != edge.mask) continue;
-      card /= JoinUniformityDivisor(edge);
-    }
-    return std::max(card, 1.0);
+double AutoregressiveEstimator::OffTreeEstimate(const QueryGraph& graph,
+                                                uint64_t mask) const {
+  // Independence fallback (tree-schema limitation): single-table estimates,
+  // each a one-mask batch, combined with 1/max(ndv) per edge.
+  double card = 1.0;
+  for (uint64_t rest = mask; rest != 0; rest &= rest - 1) {
+    card *= EstimateCard(graph, rest & ~(rest - 1));
   }
-
-  const std::vector<std::pair<size_t, std::vector<double>>> factors =
-      BuildGraphFactors(graph, in_s, local_of_sampler);
-  const double expectation = ProgressiveEstimate(factors, rng);
-  return std::max(1.0, sampler_->foj_size() * expectation);
+  for (const auto& edge : graph.edges()) {
+    if ((edge.mask & mask) != edge.mask) continue;
+    card /= JoinUniformityDivisor(edge);
+  }
+  return std::max(card, 1.0);
 }
 
 std::vector<std::pair<size_t, std::vector<double>>>
@@ -482,8 +427,8 @@ std::vector<double> AutoregressiveEstimator::EstimateCards(
     const QueryGraph& graph, std::span<const uint64_t> masks) const {
   std::vector<double> out(masks.size(), 0.0);
 
-  // Per-mask progressive-sampling state. Off-tree masks take the scalar
-  // path immediately (the independence fallback draws no samples).
+  // Per-mask progressive-sampling state. Off-tree masks are answered
+  // immediately (the independence fallback draws no samples).
   struct Item {
     size_t out_idx = 0;
     Rng rng{0};
@@ -495,16 +440,16 @@ std::vector<double> AutoregressiveEstimator::EstimateCards(
   std::vector<Item> items;
   const size_t batch = options_.progressive_samples;
   for (size_t i = 0; i < masks.size(); ++i) {
-    Rng rng(options_.seed ^ 0xABCDEF ^ Fnv1aHash(graph.CanonicalKey(masks[i])));
     std::vector<bool> in_s;
     std::vector<int> local_of_sampler;
     if (!GraphMapToTree(graph, masks[i], &in_s, &local_of_sampler)) {
-      out[i] = EstimateCard(graph, masks[i]);
+      out[i] = OffTreeEstimate(graph, masks[i]);
       continue;
     }
     Item item;
     item.out_idx = i;
-    item.rng = rng;
+    item.rng = Rng(options_.seed ^ 0xABCDEF ^
+                   Fnv1aHash(graph.CanonicalKey(masks[i])));
     item.factors = BuildGraphFactors(graph, in_s, local_of_sampler);
     item.encoded = Matrix(batch, made_->input_dim());
     item.weights.assign(batch, 1.0);
@@ -513,9 +458,9 @@ std::vector<double> AutoregressiveEstimator::EstimateCards(
   if (items.empty()) return out;
 
   // Constrained columns across the batch, ascending — each mask's factors
-  // are already in ascending column order (ProgressiveEstimate's sort is a
-  // stable no-op on them), so processing its subset of the union in that
-  // order reproduces the scalar column order exactly.
+  // are already in ascending column order (BuildGraphFactors walks the
+  // model columns in order), so processing its subset of the union in that
+  // order samples each mask's columns in the autoregressive order.
   std::vector<size_t> union_cols;
   for (const Item& item : items) {
     for (const auto& [col, per_bin] : item.factors) union_cols.push_back(col);
@@ -537,7 +482,7 @@ std::vector<double> AutoregressiveEstimator::EstimateCards(
 
     // One fused MADE forward over all active masks' sample rows; the
     // network is row-independent, so each mask's probability block equals
-    // its scalar ConditionalProbs result.
+    // what a ConditionalProbs call over its rows alone returns.
     Matrix gathered(active.size() * batch, made_->input_dim());
     for (size_t k = 0; k < active.size(); ++k) {
       std::copy(active[k]->encoded.data().begin(),

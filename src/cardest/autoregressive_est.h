@@ -72,18 +72,18 @@ class AutoregressiveEstimator : public CardinalityEstimator {
   }
 
   using CardinalityEstimator::EstimateCard;
-  /// Progressive-sampling randomness is derived from a hash of the
-  /// sub-plan's canonical key, so estimates are deterministic per sub-plan
-  /// and safe under concurrent callers (thread-safety contract). Tables and
-  /// join edges map onto the FOJ spanning tree by resolved ids.
-  double EstimateCard(const QueryGraph& graph, uint64_t mask) const override;
-  /// Batched: every on-tree mask keeps its own progressive-sampling state
-  /// (encoded matrix, weights, canonical-key-seeded RNG) but the MADE
-  /// forward passes are fused — one ConditionalProbs call per constrained
-  /// column over the concatenation of all active masks' sample rows. Each
-  /// mask's arithmetic and RNG stream are untouched (the network is
-  /// row-independent), so results are bit-identical to per-mask
-  /// EstimateCard; off-tree masks take the scalar independence fallback.
+  double EstimateCard(const QueryGraph& graph, uint64_t mask) const override {
+    return EstimateCards(graph, {&mask, 1})[0];
+  }
+  /// Tables and join edges map onto the FOJ spanning tree by resolved ids.
+  /// Every on-tree mask keeps its own progressive-sampling state (encoded
+  /// matrix, weights, an RNG seeded by a hash of the sub-plan's canonical
+  /// key, so estimates are deterministic per sub-plan and safe under
+  /// concurrent callers) but the MADE forward passes are fused — one
+  /// ConditionalProbs call per constrained column over the concatenation
+  /// of all active masks' sample rows. The network is row-independent, so
+  /// a mask's estimate does not depend on the batch that carries it.
+  /// Off-tree masks take the independence fallback (OffTreeEstimate).
   std::vector<double> EstimateCards(
       const QueryGraph& graph,
       std::span<const uint64_t> masks) const override;
@@ -129,13 +129,8 @@ class AutoregressiveEstimator : public CardinalityEstimator {
       const;
   void Train();
 
-  /// Factor per constrained column (empty per_bin means unconstrained).
-  double ProgressiveEstimate(
-      const std::vector<std::pair<size_t, std::vector<double>>>& factors,
-      Rng& rng) const;
-
-  /// The per-column factors of an on-tree sub-plan, in model
-  /// column order — the input of ProgressiveEstimate.
+  /// The per-column factors of an on-tree sub-plan, in model column
+  /// order — the autoregressive order progressive sampling walks.
   std::vector<std::pair<size_t, std::vector<double>>> BuildGraphFactors(
       const QueryGraph& graph, const std::vector<bool>& table_in_s,
       const std::vector<int>& local_of_sampler) const;
@@ -147,6 +142,12 @@ class AutoregressiveEstimator : public CardinalityEstimator {
   bool GraphMapToTree(const QueryGraph& graph, uint64_t mask,
                       std::vector<bool>* table_in_s,
                       std::vector<int>* local_of_sampler) const;
+
+  /// Estimate of a mask whose join edges leave the spanning tree (FK-FK
+  /// shortcut): the product of its tables' single-table estimates, in
+  /// ascending local order, divided by each in-mask edge's
+  /// JoinUniformityDivisor in edge order, then clamped to >= 1.
+  double OffTreeEstimate(const QueryGraph& graph, uint64_t mask) const;
 
   /// Rebuilds the id-keyed views over the sampler's spanning tree (table id
   /// -> sampler slot; packed edge keys) — called whenever sampler_ is

@@ -221,13 +221,6 @@ double ChowLiuTreeModel::ExpectProduct(
   return 1.0;
 }
 
-size_t ChowLiuTreeModel::ModelBytes() const {
-  size_t bytes = sizeof(*this);
-  for (const auto& counts : counts_) bytes += counts.size() * sizeof(double);
-  bytes += parent_.size() * sizeof(int);
-  return bytes;
-}
-
 void ChowLiuTreeModel::Serialize(SectionWriter& out) const {
   out.PutU64(num_cols_);
   out.PutU64(root_);

@@ -23,7 +23,6 @@ class ChowLiuTreeModel : public TableDistribution {
 
   double ExpectProduct(
       std::span<const double* const> factor_of_col) const override;
-  size_t ModelBytes() const override;
   void UpdateWithRows(const ExtendedTable& ext,
                       const std::vector<size_t>& new_rows) override;
 

@@ -263,12 +263,4 @@ Result<ColumnBinner> ColumnBinner::Deserialize(SectionReader& in) {
   return binner;
 }
 
-size_t ColumnBinner::MemoryBytes() const {
-  size_t bytes = sizeof(*this) +
-                 (starts_.size() + ends_.size()) * sizeof(Value) +
-                 (means_.size() + masses_.size()) * sizeof(double);
-  for (const auto& bin : bin_values_) bytes += bin.size() * sizeof(BinValue);
-  return bytes;
-}
-
 }  // namespace cardbench

@@ -62,8 +62,6 @@ class ColumnBinner {
   /// bin boundaries: updates per-bin masses and means (model-update path).
   void Refresh(const Column& column);
 
-  size_t MemoryBytes() const;
-
   /// Appends the binner (bins, boundaries, per-bin value counts) to a serde
   /// section and restores it. Serialization covers everything EstimateCard
   /// needs, enabling model transfer without the source data (§4.3's

@@ -466,20 +466,6 @@ void SpnModel::UpdateWithRows(const ExtendedTable& ext,
   RebuildDerived();
 }
 
-size_t SpnModel::ModelBytes() const {
-  size_t bytes = sizeof(*this);
-  for (const auto& nd : nodes_) {
-    bytes += sizeof(nd);
-    bytes += nd.children.size() * sizeof(size_t);
-    bytes += nd.weights.size() * sizeof(double);
-    bytes += nd.cols.size() * sizeof(size_t);
-    bytes += nd.histogram.size() * sizeof(double);
-    bytes += nd.joint_keys.size() * sizeof(uint16_t);
-    bytes += nd.joint_counts.size() * sizeof(double);
-  }
-  return bytes;
-}
-
 void SpnModel::Serialize(SectionWriter& out) const {
   out.PutDouble(options_.independence_threshold);
   out.PutDouble(options_.high_correlation_threshold);

@@ -46,7 +46,6 @@ class SpnModel : public TableDistribution {
 
   double ExpectProduct(
       std::span<const double* const> factor_of_col) const override;
-  size_t ModelBytes() const override;
   void UpdateWithRows(const ExtendedTable& ext,
                       const std::vector<size_t>& new_rows) override;
 

@@ -18,16 +18,19 @@ namespace cardbench {
 
 /// The cardinality-estimator interface, the reproduction of the paper's
 /// PostgreSQL integration point (§4.2): the optimizer derives the sub-plan
-/// query space of each query and calls EstimateCard for every sub-plan
-/// exactly as the overwritten `calc_joinrel_size_estimate` injects
-/// estimates into PostgreSQL's planner. Implementations range from the
+/// query space of each query and asks for every sub-plan's estimate in one
+/// EstimateCards call, as the overwritten `calc_joinrel_size_estimate`
+/// injects estimates into PostgreSQL's planner. Implementations range from the
 /// built-in histogram baseline to learned data-driven models; each writes
-/// one estimation body, EstimateCard(graph, mask), over the compiled
-/// QueryGraph (and may batch it in EstimateCards).
+/// one estimation body over the compiled QueryGraph. A per-mask estimator
+/// writes EstimateCard(graph, mask) and inherits the EstimateCards loop; a
+/// batched estimator writes EstimateCards and answers a single mask as a
+/// one-mask batch.
 ///
 /// Thread-safety contract (required by `src/service` and the harness's
-/// `--threads=N` fan-out): EstimateCard is const and must be safe to call
-/// concurrently from many threads on one shared instance, and deterministic
+/// `--threads=N` fan-out): EstimateCard and EstimateCards are const and
+/// must be safe to call concurrently from many threads on one shared
+/// instance, and deterministic
 /// — the same sub-plan always receives the same estimate regardless of
 /// call order or interleaving (samplers derive their randomness from a
 /// hash of the sub-plan, never from shared mutable generator state).
@@ -49,7 +52,8 @@ class CardinalityEstimator {
   /// and precomputed canonical keys, so no name is re-resolved per
   /// sub-plan. Never executes the query; implementations should return a
   /// non-negative finite value (the optimizer clamps >= 1). Const and
-  /// thread-safe per the class-level contract.
+  /// thread-safe per the class-level contract. A batched estimator
+  /// overrides this as `return EstimateCards(graph, {&mask, 1})[0];`.
   virtual double EstimateCard(const QueryGraph& graph, uint64_t mask) const = 0;
 
   /// Estimated COUNT(*) of a whole (connected) query: compiles it against
@@ -72,13 +76,16 @@ class CardinalityEstimator {
   /// cache misses as one (smaller) batch — so learned estimators can
   /// featurize all masks into a single matrix and run one batched GEMM, and
   /// sampling estimators can materialize per-table probes once per query.
+  /// The default calls EstimateCard per mask.
   ///
-  /// Parity contract: overrides must be *bit-identical* to calling
-  /// EstimateCard(graph, mask) per element — same doubles, byte for byte.
-  /// Batching may only amortize work whose per-mask arithmetic order is
-  /// unchanged (row-independent GEMMs, shared read-only factor caches,
-  /// per-mask hash-seeded RNG streams). batch_parity_test enforces this for
-  /// the whole zoo. Const and thread-safe per the class-level contract.
+  /// Parity contract: a mask's estimate must not depend on the batch that
+  /// carries it — same doubles, byte for byte, whatever the other masks and
+  /// their order, a one-mask batch included. Batching may only amortize
+  /// work whose per-mask arithmetic order is unchanged (row-independent
+  /// GEMMs, shared read-only factor caches, per-mask hash-seeded RNG
+  /// streams). batch_parity_test checks this for the whole zoo, and the
+  /// planner and fanout goldens pin the bits. Const and thread-safe per the
+  /// class-level contract.
   virtual std::vector<double> EstimateCards(
       const QueryGraph& graph, std::span<const uint64_t> masks) const {
     std::vector<double> out;

@@ -260,12 +260,4 @@ Result<std::unique_ptr<ExtendedTable>> ExtendedTable::DeserializeMeta(
   return ext;
 }
 
-size_t ExtendedTable::MemoryBytes() const {
-  size_t bytes = sizeof(*this);
-  for (const auto& ext : columns_) {
-    bytes += ext.binner->MemoryBytes() + ext.bins.size() * sizeof(uint16_t);
-  }
-  return bytes;
-}
-
 }  // namespace cardbench

@@ -84,8 +84,6 @@ class ExtendedTable {
   /// Returns the indexes of rows that are new since construction.
   std::vector<size_t> RefreshAfterInsert(const Database& db);
 
-  size_t MemoryBytes() const;
-
   /// Appends the inference-relevant state (column metadata + binners) to a
   /// serde section. Per-row bin arrays are data-derived and are NOT
   /// written: a deserialized table answers factor queries immediately and

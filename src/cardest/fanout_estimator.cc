@@ -298,12 +298,6 @@ double FanoutModelEstimator::SubtreeRho(const QueryGraph& graph,
   return (numer_e / denom_e) * child_scalars;
 }
 
-double FanoutModelEstimator::EstimateCard(const QueryGraph& graph,
-                                          uint64_t mask) const {
-  QueryState state(*this, graph);
-  return EstimateCardImpl(graph, mask, state);
-}
-
 std::vector<double> FanoutModelEstimator::EstimateCards(
     const QueryGraph& graph, std::span<const uint64_t> masks) const {
   QueryState state(*this, graph);

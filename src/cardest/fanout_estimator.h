@@ -37,8 +37,6 @@ class TableDistribution {
   virtual double ExpectProduct(
       std::span<const double* const> factor_of_col) const = 0;
 
-  virtual size_t ModelBytes() const = 0;
-
   /// Incremental parameter update after `ext` absorbed newly inserted rows
   /// (structure must be preserved — the paper's update protocol, §6.3).
   virtual void UpdateWithRows(const ExtendedTable& ext,
@@ -63,15 +61,14 @@ class FanoutModelEstimator : public CardinalityEstimator {
   FanoutModelEstimator(const Database& db, size_t max_bins);
 
   using CardinalityEstimator::EstimateCard;
-  /// Mask-based dispatch: a spanning tree over the mask's join edges, the
-  /// query's tables resolved to their extended tables and models once per
-  /// call, predicate groups taken from the graph.
-  double EstimateCard(const QueryGraph& graph, uint64_t mask) const override;
-  /// Batched: the per-table resolution, predicate ColumnFactors and model
-  /// expectations (mask-independent per factor sequence) are computed once
-  /// per query and shared across all masks; each mask then runs the
-  /// unchanged fanout recursion over the same factor sequences —
-  /// bit-identical to per-mask EstimateCard.
+  double EstimateCard(const QueryGraph& graph, uint64_t mask) const override {
+    return EstimateCards(graph, {&mask, 1})[0];
+  }
+  /// A spanning tree over each mask's join edges, predicate groups taken
+  /// from the graph. The per-table resolution, predicate ColumnFactors and
+  /// model expectations (mask-independent per factor sequence) are
+  /// computed once per call and shared across all masks; each mask then
+  /// runs the fanout recursion over the same factor sequences.
   std::vector<double> EstimateCards(
       const QueryGraph& graph,
       std::span<const uint64_t> masks) const override;
@@ -142,8 +139,8 @@ class FanoutModelEstimator : public CardinalityEstimator {
   /// into the table's model, whatever the batch.
   Status UpdateImpl(const InsertionBatch& batch) override;
 
-  /// What every sub-plan of one query shares, built once per EstimateCard
-  /// or EstimateCards call (defined in the .cc): each query table's
+  /// What every sub-plan of one query shares, built once per EstimateCards
+  /// call (defined in the .cc): each query table's
   /// extended table, model and memos, each join edge side's fanout column,
   /// and the spanning-tree scratch that each mask reuses.
   struct QueryState;
@@ -159,8 +156,7 @@ class FanoutModelEstimator : public CardinalityEstimator {
   double Expect(const QueryGraph& graph, QueryState& state, int local,
                 std::span<const int> key) const;
 
-  /// EstimateCard(graph, mask) over `state` (the scalar overload passes a
-  /// fresh one).
+  /// The estimate of one mask of the EstimateCards call that owns `state`.
   double EstimateCardImpl(const QueryGraph& graph, uint64_t mask,
                           QueryState& state) const;
 

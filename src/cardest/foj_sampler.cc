@@ -115,13 +115,6 @@ int FojSampler::TableIndex(const std::string& table) const {
   return -1;
 }
 
-int FojSampler::EdgeToParent(size_t child_idx) const {
-  for (size_t e = 0; e < edges_.size(); ++e) {
-    if (edges_[e].child_idx == child_idx) return static_cast<int>(e);
-  }
-  return -1;
-}
-
 std::vector<int64_t> FojSampler::SampleTuple(Rng& rng) const {
   std::vector<int64_t> tuple(order_.size(), -1);
   // Root row proportional to its subtree weight.

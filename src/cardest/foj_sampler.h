@@ -51,8 +51,6 @@ class FojSampler {
   double foj_size() const { return foj_size_; }
 
   int TableIndex(const std::string& table) const;
-  /// Tree edge whose child is `child_idx`, or -1 for the root.
-  int EdgeToParent(size_t child_idx) const;
 
   double SubtreeWeight(size_t table_idx, uint32_t row) const {
     return weight_[table_idx][row];

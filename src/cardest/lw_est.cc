@@ -28,7 +28,9 @@ void FeaturizeTraining(const QueryFeaturizer& featurizer, const Database& db,
   targets->reserve(training.size());
   for (const TrainingQuery& example : training) {
     const QueryGraph graph(example.query, db);
-    features->push_back(featurizer.FlatFeatures(graph, graph.full_mask()));
+    const FlatFeaturePlan plan(featurizer, graph);
+    std::vector<double>& row = features->emplace_back(plan.dim());
+    plan.FillRow(graph, graph.full_mask(), row.data());
     targets->push_back(TargetOf(example.cardinality));
   }
 }
@@ -96,21 +98,12 @@ Status LwNnEstimator::UpdateImpl(const InsertionBatch& batch) {
   return Status::OK();
 }
 
-double LwNnEstimator::EstimateCard(const QueryGraph& graph,
-                                   uint64_t mask) const {
-  const std::vector<double> features = featurizer_.FlatFeatures(graph, mask);
-  Matrix x(1, features.size());
-  for (size_t c = 0; c < features.size(); ++c) x.At(0, c) = features[c];
-  return CardOf(net_->Infer(x).At(0, 0));
-}
-
 std::vector<double> LwNnEstimator::EstimateCards(
     const QueryGraph& graph, std::span<const uint64_t> masks) const {
   std::vector<double> out;
   if (masks.empty()) return out;
   // Vocabulary slots and predicate range folds resolved once for the whole
-  // batch (FillRow emits the same doubles as FlatFeatures per mask), then
-  // one multi-row GEMM through the net.
+  // batch, then one multi-row GEMM through the net.
   const FlatFeaturePlan plan(featurizer_, graph);
   Matrix x(masks.size(), plan.dim());
   for (size_t r = 0; r < masks.size(); ++r) {
@@ -152,11 +145,6 @@ Status LwXgbEstimator::UpdateImpl(const InsertionBatch& batch) {
   gbdt_.BoostMore(features, targets, extra);
   train_seconds_ += watch.ElapsedSeconds();
   return Status::OK();
-}
-
-double LwXgbEstimator::EstimateCard(const QueryGraph& graph,
-                                    uint64_t mask) const {
-  return CardOf(gbdt_.Predict(featurizer_.FlatFeatures(graph, mask)));
 }
 
 std::vector<double> LwXgbEstimator::EstimateCards(

@@ -34,9 +34,12 @@ class LwNnEstimator : public CardinalityEstimator {
 
   std::string name() const override { return "LW-NN"; }
   using CardinalityEstimator::EstimateCard;
-  double EstimateCard(const QueryGraph& graph, uint64_t mask) const override;
-  /// Batched: all masks featurized into one (N x flat_dim) matrix, one
-  /// forward pass. Bit-identical per row (row-independent GEMM).
+  double EstimateCard(const QueryGraph& graph, uint64_t mask) const override {
+    return EstimateCards(graph, {&mask, 1})[0];
+  }
+  /// All masks featurized into one (N x flat_dim) matrix, one forward
+  /// pass. A row's output does not depend on the others (row-independent
+  /// GEMM).
   std::vector<double> EstimateCards(
       const QueryGraph& graph,
       std::span<const uint64_t> masks) const override;
@@ -78,8 +81,10 @@ class LwXgbEstimator : public CardinalityEstimator {
 
   std::string name() const override { return "LW-XGB"; }
   using CardinalityEstimator::EstimateCard;
-  double EstimateCard(const QueryGraph& graph, uint64_t mask) const override;
-  /// Batched: one tree-major GBDT pass over all featurized masks.
+  double EstimateCard(const QueryGraph& graph, uint64_t mask) const override {
+    return EstimateCards(graph, {&mask, 1})[0];
+  }
+  /// One tree-major GBDT pass over all featurized masks.
   std::vector<double> EstimateCards(
       const QueryGraph& graph,
       std::span<const uint64_t> masks) const override;

@@ -1,10 +1,8 @@
 #include "cardest/model_store.h"
 
-#include <algorithm>
 #include <cctype>
-#include <cstdlib>
-#include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -115,101 +113,6 @@ std::string ModelStore::MakeKey(const std::string& estimator,
   key.push_back('-');
   key.append(hex);
   return key;
-}
-
-std::string ModelStore::MakeLineageKey(const std::string& estimator,
-                                       const EstimatorConfig& config) {
-  uint64_t h = kFnvOffset;
-  h = MixU64(h, config.fast ? 1 : 0);
-  std::string key;
-  key.reserve(estimator.size() + 17);
-  for (char c : estimator) {
-    key.push_back(std::isalnum(static_cast<unsigned char>(c)) ? c : '_');
-  }
-  char hex[17];
-  std::snprintf(hex, sizeof(hex), "%016llx",
-                static_cast<unsigned long long>(h));
-  key.push_back('-');
-  key.append(hex);
-  return key;
-}
-
-std::string ModelStore::VersionPathFor(const std::string& lineage,
-                                       uint64_t version) const {
-  return dir_ + "/" + lineage + "@v" + std::to_string(version) + ".cbm";
-}
-
-namespace {
-
-std::string LatestPointerPath(const std::string& dir,
-                              const std::string& lineage) {
-  return dir + "/" + lineage + ".latest";
-}
-
-}  // namespace
-
-Status ModelStore::PersistVersion(const std::string& lineage, uint64_t version,
-                                  const CardinalityEstimator& est) {
-  std::error_code ec;
-  std::filesystem::create_directories(dir_, ec);
-  const Status persisted =
-      AtomicWriteFile(VersionPathFor(lineage, version),
-                      [&](std::ostream& out) { return est.Serialize(out); });
-  // Oracles (TrueCard) have nothing to persist; that is not a failure of
-  // the refresh pipeline.
-  if (persisted.code() == StatusCode::kUnsupported) return Status::OK();
-  CARDBENCH_RETURN_IF_ERROR(persisted);
-  return AtomicWriteFile(LatestPointerPath(dir_, lineage),
-                         [&](std::ostream& out) {
-                           out << version << "\n";
-                           return Status::OK();
-                         });
-}
-
-Result<uint64_t> ModelStore::LatestVersion(const std::string& lineage) const {
-  std::ifstream in(LatestPointerPath(dir_, lineage));
-  if (!in) return Status::NotFound("no latest pointer for " + lineage);
-  uint64_t version = 0;
-  in >> version;
-  if (in.fail()) {
-    return Status::IOError("malformed latest pointer for " + lineage);
-  }
-  return version;
-}
-
-Result<std::unique_ptr<CardinalityEstimator>> ModelStore::LoadVersion(
-    const std::string& lineage, uint64_t version, const Loader& loader) const {
-  const std::string path = VersionPathFor(lineage, version);
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::NotFound("no artifact at " + path);
-  return loader(in);
-}
-
-std::vector<uint64_t> ModelStore::ListVersions(
-    const std::string& lineage) const {
-  std::vector<uint64_t> versions;
-  const std::string prefix = lineage + "@v";
-  const std::string suffix = ".cbm";
-  std::error_code ec;
-  std::filesystem::directory_iterator it(dir_, ec);
-  if (ec) return versions;
-  for (const auto& entry : it) {
-    const std::string name = entry.path().filename().string();
-    if (name.size() <= prefix.size() + suffix.size()) continue;
-    if (name.compare(0, prefix.size(), prefix) != 0) continue;
-    if (name.compare(name.size() - suffix.size(), suffix.size(), suffix) != 0) {
-      continue;
-    }
-    const std::string digits =
-        name.substr(prefix.size(), name.size() - prefix.size() - suffix.size());
-    if (digits.empty() ||
-        digits.find_first_not_of("0123456789") != std::string::npos) {
-      continue;
-    }
-    versions.push_back(std::strtoull(digits.c_str(), nullptr, 10));
-  }
-  std::sort(versions.begin(), versions.end());
-  return versions;
 }
 
 Result<std::unique_ptr<CardinalityEstimator>> ModelStore::BuildOrLoad(

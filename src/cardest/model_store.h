@@ -79,42 +79,6 @@ class ModelStore {
                              const EstimatorConfig& config,
                              uint64_t workload_fingerprint = 0);
 
-  // ---- Versioned lineage store (online refresh pipeline) ----
-  //
-  // A lineage names an estimator's refresh stream independent of the data
-  // it was last (re)trained on: key = (estimator name, config). Each
-  // refresh persists a new immutable artifact `<lineage>@v<N>.cbm` and
-  // atomically repoints the `<lineage>.latest` file at it, so a reader
-  // always resolves either the previous complete version or the new
-  // complete version — never a torn artifact. Old versions stay on disk
-  // for rollback and provenance (ListVersions).
-
-  /// Lineage key: sanitized estimator name + config hash (no dataset or
-  /// workload fingerprint — those change on every refresh by design).
-  static std::string MakeLineageKey(const std::string& estimator,
-                                    const EstimatorConfig& config);
-
-  /// Artifact path of one version: <dir>/<lineage>@v<N>.cbm.
-  std::string VersionPathFor(const std::string& lineage,
-                             uint64_t version) const;
-
-  /// Persists `est` as `version` of `lineage` (atomic temp + rename), then
-  /// atomically rewrites the `.latest` pointer. Estimators that do not
-  /// support serialization succeed as a no-op.
-  Status PersistVersion(const std::string& lineage, uint64_t version,
-                        const CardinalityEstimator& est);
-
-  /// The version the `.latest` pointer names, or NotFound.
-  Result<uint64_t> LatestVersion(const std::string& lineage) const;
-
-  /// Loads one persisted version via `loader`.
-  Result<std::unique_ptr<CardinalityEstimator>> LoadVersion(
-      const std::string& lineage, uint64_t version,
-      const Loader& loader) const;
-
-  /// Every persisted version of `lineage`, ascending.
-  std::vector<uint64_t> ListVersions(const std::string& lineage) const;
-
  private:
   std::string dir_;
 };

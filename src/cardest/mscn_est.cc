@@ -139,28 +139,6 @@ Status MscnEstimator::UpdateImpl(const InsertionBatch& batch) {
   return Status::OK();
 }
 
-double MscnEstimator::Forward(
-    const QueryFeaturizer::SetFeatures& features) const {
-  const size_t h = options_.hidden_units;
-  const Matrix pt = MeanPool(table_module_->Infer(ToMatrix(features.tables)));
-  const Matrix pj = MeanPool(join_module_->Infer(ToMatrix(features.joins)));
-  const Matrix pp =
-      MeanPool(pred_module_->Infer(ToMatrix(features.predicates)));
-  Matrix concat(1, 3 * h);
-  for (size_t c = 0; c < h; ++c) {
-    concat.At(0, c) = pt.At(0, c);
-    concat.At(0, h + c) = pj.At(0, c);
-    concat.At(0, 2 * h + c) = pp.At(0, c);
-  }
-  const Matrix y = head_->Infer(concat);
-  return std::max(1.0, std::exp2(y.At(0, 0)) - 1.0);
-}
-
-double MscnEstimator::EstimateCard(const QueryGraph& graph,
-                                   uint64_t mask) const {
-  return Forward(featurizer_.MscnFeatures(graph, mask));
-}
-
 std::vector<double> MscnEstimator::EstimateCards(
     const QueryGraph& graph, std::span<const uint64_t> masks) const {
   std::vector<double> out;
@@ -173,8 +151,8 @@ std::vector<double> MscnEstimator::EstimateCards(
   // once over those rows. A mask's pooled vector is then a segment mean of
   // its elements' hidden rows — summed in the same order MeanPool sums them
   // and scaled by the same 1/count, and hidden rows don't depend on which
-  // batch computed them (row-independent GEMM) — so every mask's forward is
-  // bit-identical to its scalar EstimateCard.
+  // batch computed them (row-independent GEMM) — so a mask's forward does
+  // not depend on the batch that carries it.
   uint64_t union_mask = 0;
   for (uint64_t mask : masks) union_mask |= mask;
 
@@ -196,8 +174,8 @@ std::vector<double> MscnEstimator::EstimateCards(
   const Matrix ht = table_module_->Infer(xt);
 
   // The trailing all-zero element backs masks with no edge (no predicate):
-  // the scalar path pools exactly one zero element there. Zero rows need no
-  // writes — Matrix zero-initializes.
+  // MscnFeatures, which training pools, holds exactly one zero element
+  // there. Zero rows need no writes — Matrix zero-initializes.
   std::vector<int> edge_row(graph.edges().size(), -1);
   size_t num_joins = 0;
   for (const auto& edge : graph.edges()) {
@@ -241,8 +219,7 @@ std::vector<double> MscnEstimator::EstimateCards(
   auto pool_rows = [&](size_t i, size_t offset, const Matrix& hidden,
                        const std::vector<int>& rows_used) {
     // Same additions in the same order as MeanPool (vec_add is elementwise),
-    // same 1/count scale — segment pooling stays bit-identical to the
-    // scalar path.
+    // same 1/count scale.
     double* dst = concat.Row(i) + offset;
     for (const int r : rows_used) {
       kt.vec_add(dst, hidden.Row(static_cast<size_t>(r)), h);

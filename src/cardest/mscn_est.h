@@ -34,14 +34,15 @@ class MscnEstimator : public CardinalityEstimator {
 
   std::string name() const override { return "MSCN"; }
   using CardinalityEstimator::EstimateCard;
-  /// Mask-based dispatch: features come from the featurizer's graph
-  /// overload (dense id-resolved vocabularies), then the same forward pass.
-  double EstimateCard(const QueryGraph& graph, uint64_t mask) const override;
-  /// Batched: every mask's set elements are concatenated into one matrix
-  /// per module (tables/joins/predicates), each module runs a single
-  /// forward pass, per-mask segments are mean-pooled (same summation order
-  /// as the scalar path) and the pooled rows feed one head forward pass.
-  /// Bit-identical to per-mask EstimateCard: the GEMM is row-independent.
+  double EstimateCard(const QueryGraph& graph, uint64_t mask) const override {
+    return EstimateCards(graph, {&mask, 1})[0];
+  }
+  /// Every distinct set element of the masks (tables/joins/predicates) is
+  /// featurized into one matrix per module, each module runs a single
+  /// forward pass, per-mask segments are mean-pooled (the summation order
+  /// training's pooling uses) and the pooled rows feed one head forward
+  /// pass. The GEMM is row-independent, so a mask's estimate does not
+  /// depend on the rest of the batch.
   std::vector<double> EstimateCards(
       const QueryGraph& graph,
       std::span<const uint64_t> masks) const override;
@@ -71,12 +72,6 @@ class MscnEstimator : public CardinalityEstimator {
   /// from the current parameters (shared by the ctor and UpdateImpl).
   void TrainEpochs(const std::vector<TrainingQuery>& training, size_t epochs,
                    Rng& rng);
-
-  /// Forward through one module + mean pooling; returns (1 × hidden).
-  Matrix ModuleForward(Mlp& module,
-                       const std::vector<std::vector<double>>& elements,
-                       Matrix* cache_in) const;
-  double Forward(const QueryFeaturizer::SetFeatures& features) const;
 
   QueryFeaturizer featurizer_;
   MscnOptions options_;

@@ -76,47 +76,36 @@ double PostgresEstimator::GraphTableSelectivity(
   return selectivity;
 }
 
-double PostgresEstimator::EstimateCard(const QueryGraph& graph,
-                                       uint64_t mask) const {
-  TableSelectivities selectivities(graph.num_tables());
-  return EstimateMask(graph, mask, selectivities);
-}
-
 std::vector<double> PostgresEstimator::EstimateCards(
     const QueryGraph& graph, std::span<const uint64_t> masks) const {
-  TableSelectivities selectivities(graph.num_tables());
+  // Per-call memo of GraphTableSelectivity by local table id.
+  std::vector<std::optional<double>> selectivities(graph.num_tables());
   std::vector<double> out;
   out.reserve(masks.size());
   for (uint64_t mask : masks) {
-    out.push_back(EstimateMask(graph, mask, selectivities));
+    double card = 1.0;
+    for (uint64_t rest = mask; rest != 0; rest &= rest - 1) {
+      const int local = std::countr_zero(rest);
+      const QueryGraph::TableInfo& info = graph.table(local);
+      std::optional<double>& selectivity =
+          selectivities[static_cast<size_t>(local)];
+      if (!selectivity) selectivity = GraphTableSelectivity(info);
+      card *= static_cast<double>(info.table->num_rows()) * *selectivity;
+    }
+    for (const auto& edge : graph.edges()) {
+      if ((edge.mask & mask) != edge.mask) continue;
+      const ColumnStatsEntry* left =
+          StatsById(edge.left_table_id, edge.left_column_id);
+      const ColumnStatsEntry* right =
+          StatsById(edge.right_table_id, edge.right_column_id);
+      CARDBENCH_CHECK(left != nullptr && right != nullptr,
+                      "missing join-column statistics");
+      card *= (1.0 - left->null_frac) * (1.0 - right->null_frac) /
+              std::max(left->ndv, right->ndv);
+    }
+    out.push_back(std::max(card, 1e-6));
   }
   return out;
-}
-
-double PostgresEstimator::EstimateMask(
-    const QueryGraph& graph, uint64_t mask,
-    TableSelectivities& selectivities) const {
-  double card = 1.0;
-  for (uint64_t rest = mask; rest != 0; rest &= rest - 1) {
-    const int local = std::countr_zero(rest);
-    const QueryGraph::TableInfo& info = graph.table(local);
-    std::optional<double>& selectivity =
-        selectivities[static_cast<size_t>(local)];
-    if (!selectivity) selectivity = GraphTableSelectivity(info);
-    card *= static_cast<double>(info.table->num_rows()) * *selectivity;
-  }
-  for (const auto& edge : graph.edges()) {
-    if ((edge.mask & mask) != edge.mask) continue;
-    const ColumnStatsEntry* left =
-        StatsById(edge.left_table_id, edge.left_column_id);
-    const ColumnStatsEntry* right =
-        StatsById(edge.right_table_id, edge.right_column_id);
-    CARDBENCH_CHECK(left != nullptr && right != nullptr,
-                    "missing join-column statistics");
-    card *= (1.0 - left->null_frac) * (1.0 - right->null_frac) /
-            std::max(left->ndv, right->ndv);
-  }
-  return std::max(card, 1e-6);
 }
 
 Status PostgresEstimator::Serialize(std::ostream& out) const {

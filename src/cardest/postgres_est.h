@@ -29,13 +29,14 @@ class PostgresEstimator : public CardinalityEstimator {
 
   std::string name() const override { return "PostgreSQL"; }
   using CardinalityEstimator::EstimateCard;
-  /// Mask-based dispatch: per-table selectivities from the graph's
-  /// pre-resolved predicate groups, eqjoinsel per in-mask edge through a
-  /// dense (table_id, column_id) statistics index — no name lookups.
-  double EstimateCard(const QueryGraph& graph, uint64_t mask) const override;
-  /// Batched: each table's selectivity (its predicates folded through the
-  /// column histograms, mask-independent) is computed at most once per
-  /// call; every mask then multiplies in the scalar path's order.
+  double EstimateCard(const QueryGraph& graph, uint64_t mask) const override {
+    return EstimateCards(graph, {&mask, 1})[0];
+  }
+  /// Per-table selectivities from the graph's pre-resolved predicate
+  /// groups, eqjoinsel per in-mask edge through a dense (table_id,
+  /// column_id) statistics index — no name lookups. Each table's
+  /// selectivity (its predicates folded through the column histograms,
+  /// mask-independent) is computed at most once per call.
   std::vector<double> EstimateCards(
       const QueryGraph& graph,
       std::span<const uint64_t> masks) const override;
@@ -73,12 +74,6 @@ class PostgresEstimator : public CardinalityEstimator {
     return stats_by_id_[table_id][column_id];
   }
   double GraphTableSelectivity(const QueryGraph::TableInfo& info) const;
-
-  /// Per-call memo of GraphTableSelectivity by local table id.
-  using TableSelectivities = std::vector<std::optional<double>>;
-  /// The one per-mask body of EstimateCard and EstimateCards.
-  double EstimateMask(const QueryGraph& graph, uint64_t mask,
-                      TableSelectivities& selectivities) const;
 
   const Database& db_;
   size_t stats_target_;

@@ -86,51 +86,6 @@ size_t QueryFeaturizer::flat_dim() const {
   return table_index_.size() + join_index_.size() + 3 * column_index_.size();
 }
 
-std::vector<double> QueryFeaturizer::FlatFeatures(const QueryGraph& graph,
-                                                  uint64_t mask) const {
-  std::vector<double> features(flat_dim(), 0.0);
-  for (uint64_t rest = mask; rest != 0; rest &= rest - 1) {
-    features[table_slot_[graph.table(std::countr_zero(rest)).table_id]] = 1.0;
-  }
-  const size_t join_base = table_index_.size();
-  for (const auto& edge : graph.edges()) {
-    if ((edge.mask & mask) != edge.mask) continue;
-    auto it = join_index_.find(edge.canonical);
-    if (it != join_index_.end()) features[join_base + it->second] = 1.0;
-  }
-  const size_t col_base = join_base + join_index_.size();
-  // Fold predicates per column into a normalized range (in query order
-  // within a column).
-  std::map<std::pair<int, int>, ValueRange> ranges;
-  for (const auto& pred : graph.predicates()) {
-    if (((mask >> pred.local_table) & 1) == 0) continue;
-    if (pred.pred.op == CompareOp::kNeq) {
-      // Represent <> as "has predicate" with the full range.
-      ranges.try_emplace({pred.table_id, pred.column_id});
-      continue;
-    }
-    ranges[{pred.table_id, pred.column_id}].Apply(pred.pred.op,
-                                                  pred.pred.value);
-  }
-  // Default encoding for unconstrained columns: has_pred=0, lo=0, hi=1.
-  for (const auto& [key, idx] : column_index_) {
-    features[col_base + 3 * idx + 1] = 0.0;
-    features[col_base + 3 * idx + 2] = 1.0;
-  }
-  for (const auto& [key, range] : ranges) {
-    const int slot = column_slot_[key.first][key.second];
-    if (slot < 0) continue;
-    const ColumnInfo& info = *column_info_by_id_[key.first][key.second];
-    auto norm = [&](double v) {
-      return std::clamp((v - info.min) / (info.max - info.min), 0.0, 1.0);
-    };
-    features[col_base + 3 * slot] = 1.0;
-    features[col_base + 3 * slot + 1] = norm(static_cast<double>(range.lo));
-    features[col_base + 3 * slot + 2] = norm(static_cast<double>(range.hi));
-  }
-  return features;
-}
-
 std::vector<double> QueryFeaturizer::MscnTableElement(
     const QueryGraph::TableInfo& info) const {
   std::vector<double> element(table_element_dim(), 0.0);
@@ -231,8 +186,7 @@ QueryFeaturizer::SetFeatures QueryFeaturizer::MscnFeatures(
 FlatFeaturePlan::FlatFeaturePlan(const QueryFeaturizer& featurizer,
                                  const QueryGraph& graph) {
   // The default row: no tables, no joins, every column unconstrained
-  // (has_pred=0, lo=0, hi=1) — exactly what FlatFeatures writes before the
-  // range overrides.
+  // (has_pred=0, lo=0, hi=1).
   base_.assign(featurizer.flat_dim(), 0.0);
   const size_t join_base = featurizer.table_index_.size();
   const size_t col_base = join_base + featurizer.join_index_.size();
@@ -242,8 +196,9 @@ FlatFeaturePlan::FlatFeaturePlan(const QueryFeaturizer& featurizer,
   }
 
   // Per local table: the one-hot slot plus the folded ranges of its
-  // predicated columns. A column's range only folds predicates of its own
-  // table, in query order — the same fold FlatFeatures runs per mask.
+  // predicated columns. A column's range folds the predicates of its own
+  // table in query order; <> counts as "has predicate" over the full
+  // range.
   table_patches_.resize(graph.num_tables());
   for (size_t local = 0; local < graph.num_tables(); ++local) {
     auto& patches = table_patches_[local];

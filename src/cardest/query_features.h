@@ -31,16 +31,13 @@ class QueryFeaturizer {
   explicit QueryFeaturizer(const Database& db, uint64_t seed = 3,
                            size_t bitmap_size = 64);
 
-  /// Flat feature vector of the sub-plan `mask` for LW-style regressors:
-  /// vocabulary slots resolved through dense (table_id, column_id) tables
-  /// and the graph's precomputed canonical edge keys. A whole query (a
-  /// training example) is its compiled graph at full_mask().
-  std::vector<double> FlatFeatures(const QueryGraph& graph,
-                                   uint64_t mask) const;
+  /// Length of the flat feature vector LW-style regressors read (see
+  /// FlatFeaturePlan).
   size_t flat_dim() const;
 
-  /// Per-set element features for MSCN's three modules. Empty sets are
-  /// represented by one all-zero element so pooling stays defined.
+  /// Per-set element features for MSCN's three modules, which training
+  /// reads. Empty sets are represented by one all-zero element so pooling
+  /// stays defined.
   struct SetFeatures {
     std::vector<std::vector<double>> tables;
     std::vector<std::vector<double>> joins;
@@ -52,8 +49,8 @@ class QueryFeaturizer {
   /// vectors are mask-independent — a table's one-hot + bitmap, an edge's
   /// one-hot, a predicate's encoding never change across the sub-plans of
   /// one query — so batch callers featurize each distinct element once and
-  /// gather. MscnFeatures(graph, mask) is defined in terms of these, which
-  /// is what keeps the batched path bit-identical.
+  /// gather. MscnFeatures(graph, mask) is defined in terms of these, so
+  /// inference sees the elements training saw.
   std::vector<double> MscnTableElement(const QueryGraph::TableInfo& info) const;
   std::vector<double> MscnJoinElement(const QueryGraph::EdgeInfo& edge) const;
   std::vector<double> MscnPredElement(const QueryGraph::PredInfo& pred) const;
@@ -98,12 +95,15 @@ class QueryFeaturizer {
   std::vector<std::vector<const ColumnInfo*>> column_info_by_id_;
 };
 
-/// Resolve-once flat featurization for one query: vocabulary lookups and
-/// the per-table predicate range folds happen once at construction, and
-/// each mask's feature row is then the default row plus the sparse patches
-/// of the mask's tables and edges. FillRow produces the same doubles as
-/// QueryFeaturizer::FlatFeatures(graph, mask) — the batched LW estimators
-/// depend on that for batch-vs-scalar parity.
+/// Flat featurization of one query's sub-plans for LW-style regressors:
+/// table and join one-hots, then [has predicate, normalized lo, normalized
+/// hi] per filterable column. Vocabulary slots are resolved through dense
+/// (table_id, column_id) tables and the graph's precomputed canonical edge
+/// keys, once at construction together with the per-table predicate range
+/// folds; each mask's feature row is then the default row plus the sparse
+/// patches of the mask's tables and edges. A training example is its
+/// query's compiled graph at full_mask(), so training and inference share
+/// this one featurization.
 class FlatFeaturePlan {
  public:
   FlatFeaturePlan(const QueryFeaturizer& featurizer, const QueryGraph& graph);

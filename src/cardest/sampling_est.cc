@@ -108,32 +108,6 @@ void UniSampleEstimator::Resample() {
   }
 }
 
-double UniSampleEstimator::EstimateCard(const QueryGraph& graph,
-                                        uint64_t mask) const {
-  double card = 1.0;
-  for (uint64_t rest = mask; rest != 0; rest &= rest - 1) {
-    const QueryGraph::TableInfo& info = graph.table(std::countr_zero(rest));
-    const std::vector<uint32_t>& sample = *samples_by_id_[info.table_id];
-    // Probe scratch lives on the thread's arena: the sample copy is released
-    // when the frame unwinds, so repeated probes allocate zero heap.
-    ArenaFrame frame(ThreadLocalArena());
-    uint32_t* passing = frame.arena().AllocateArray<uint32_t>(sample.size());
-    std::memcpy(passing, sample.data(), sample.size() * sizeof(uint32_t));
-    const size_t pass =
-        FilterRowsConjunction(info.compiled, passing, sample.size());
-    const double sel = sample.empty()
-                           ? 1.0
-                           : static_cast<double>(pass) /
-                                 static_cast<double>(sample.size());
-    card *= static_cast<double>(info.table->num_rows()) * sel;
-  }
-  for (const auto& edge : graph.edges()) {
-    if ((edge.mask & mask) != edge.mask) continue;
-    card *= 1.0 / JoinUniformityDivisor(edge);
-  }
-  return std::max(card, 1e-6);
-}
-
 std::vector<double> UniSampleEstimator::EstimateCards(
     const QueryGraph& graph, std::span<const uint64_t> masks) const {
   std::vector<double> out;
@@ -141,13 +115,14 @@ std::vector<double> UniSampleEstimator::EstimateCards(
   uint64_t union_mask = 0;
   for (uint64_t mask : masks) union_mask |= mask;
 
-  // One sample probe per table of the batch: rows x sampled selectivity,
-  // exactly the factor the scalar path multiplies in per table.
+  // One sample probe per table of the batch: rows x sampled selectivity.
   std::vector<double> contribution(graph.num_tables(), 1.0);
   for (uint64_t rest = union_mask; rest != 0; rest &= rest - 1) {
     const int local = std::countr_zero(rest);
     const QueryGraph::TableInfo& info = graph.table(local);
     const std::vector<uint32_t>& sample = *samples_by_id_[info.table_id];
+    // Probe scratch lives on the thread's arena: the sample copy is released
+    // when the frame unwinds, so repeated probes allocate zero heap.
     ArenaFrame frame(ThreadLocalArena());
     uint32_t* passing = frame.arena().AllocateArray<uint32_t>(sample.size());
     std::memcpy(passing, sample.data(), sample.size() * sizeof(uint32_t));
@@ -446,24 +421,11 @@ Status PessEstEstimator::UpdateImpl(const InsertionBatch&) {
   return Status::OK();
 }
 
-double PessEstEstimator::EstimateCard(const QueryGraph& graph,
-                                      uint64_t mask) const {
-  // Exact filtered base cardinalities (the bound must hold), through the
-  // graph's pre-bound compiled predicates.
-  std::vector<double> base(graph.num_tables(), 0.0);
-  for (uint64_t rest = mask; rest != 0; rest &= rest - 1) {
-    const int local = std::countr_zero(rest);
-    const QueryGraph::TableInfo& info = graph.table(local);
-    base[local] = static_cast<double>(
-        CountRangeConjunction(info.compiled, 0, info.table->num_rows()));
-  }
-  return BoundWithBase(graph, mask, base);
-}
-
 std::vector<double> PessEstEstimator::EstimateCards(
     const QueryGraph& graph, std::span<const uint64_t> masks) const {
-  // The filtered base cardinalities are mask-independent — count each table
-  // of the batch once instead of once per sub-plan containing it.
+  // Exact filtered base cardinalities (the bound must hold), through the
+  // graph's pre-bound compiled predicates. They are mask-independent —
+  // count each table of the batch once, not once per sub-plan holding it.
   uint64_t union_mask = 0;
   for (uint64_t mask : masks) union_mask |= mask;
   std::vector<double> base(graph.num_tables(), 0.0);

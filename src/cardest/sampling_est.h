@@ -27,13 +27,13 @@ class UniSampleEstimator : public CardinalityEstimator {
 
   std::string name() const override { return "UniSample"; }
   using CardinalityEstimator::EstimateCard;
-  /// Mask-based dispatch: samples looked up by table id, filters evaluated
-  /// through the graph's pre-bound compiled predicates.
-  double EstimateCard(const QueryGraph& graph, uint64_t mask) const override;
-  /// Batched: each table's sample probe (rows x selectivity) and each
-  /// edge's uniformity selectivity are materialized once per query and
-  /// reused across all masks, multiplied per mask in the scalar path's
-  /// order — bit-identical to per-mask EstimateCard.
+  double EstimateCard(const QueryGraph& graph, uint64_t mask) const override {
+    return EstimateCards(graph, {&mask, 1})[0];
+  }
+  /// Samples looked up by table id, filters evaluated through the graph's
+  /// pre-bound compiled predicates. Each table's sample probe (rows x
+  /// selectivity) and each edge's uniformity selectivity are materialized
+  /// once per call and multiplied into every mask that holds them.
   std::vector<double> EstimateCards(
       const QueryGraph& graph,
       std::span<const uint64_t> masks) const override;
@@ -112,11 +112,12 @@ class PessEstEstimator : public CardinalityEstimator {
 
   std::string name() const override { return "PessEst"; }
   using CardinalityEstimator::EstimateCard;
-  double EstimateCard(const QueryGraph& graph, uint64_t mask) const override;
-  /// Batched: the exact filtered base cardinality of every table in the
-  /// batch (the expensive full-table predicate count, mask-independent) is
-  /// computed once per query; each mask then runs the unchanged bound
-  /// search over it — bit-identical to per-mask EstimateCard.
+  double EstimateCard(const QueryGraph& graph, uint64_t mask) const override {
+    return EstimateCards(graph, {&mask, 1})[0];
+  }
+  /// The exact filtered base cardinality of every table in the batch (the
+  /// expensive full-table predicate count, mask-independent) is computed
+  /// once per call; each mask then runs the bound search over it.
   std::vector<double> EstimateCards(
       const QueryGraph& graph,
       std::span<const uint64_t> masks) const override;
@@ -141,8 +142,8 @@ class PessEstEstimator : public CardinalityEstimator {
 
   void BuildDegreeSketches();
   double MaxDegreeOf(int table_id, int column_id, const Table& table) const;
-  /// The bound search of EstimateCard(graph, mask) over precomputed
-  /// filtered base cardinalities (indexed by local table id).
+  /// The bound search of one mask over precomputed filtered base
+  /// cardinalities (indexed by local table id).
   double BoundWithBase(const QueryGraph& graph, uint64_t mask,
                        const std::vector<double>& base) const;
 

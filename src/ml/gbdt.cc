@@ -153,21 +153,6 @@ void GbdtRegressor::BoostRounds(
   }
 }
 
-double GbdtRegressor::Predict(const std::vector<double>& features) const {
-  double out = base_prediction_;
-  for (const auto& tree : trees_) {
-    int node = 0;
-    while (tree[static_cast<size_t>(node)].feature >= 0) {
-      const Node& nd = tree[static_cast<size_t>(node)];
-      node = features[static_cast<size_t>(nd.feature)] <= nd.threshold
-                 ? nd.left
-                 : nd.right;
-    }
-    out += options_.learning_rate * tree[static_cast<size_t>(node)].value;
-  }
-  return out;
-}
-
 std::vector<double> GbdtRegressor::PredictBatch(
     const std::vector<std::vector<double>>& rows) const {
   std::vector<double> out(rows.size(), base_prediction_);
@@ -185,12 +170,6 @@ std::vector<double> GbdtRegressor::PredictBatch(
     }
   }
   return out;
-}
-
-size_t GbdtRegressor::ModelBytes() const {
-  size_t nodes = 0;
-  for (const auto& tree : trees_) nodes += tree.size();
-  return nodes * sizeof(Node) + sizeof(*this);
 }
 
 void GbdtRegressor::SerializeParams(SectionWriter& out) const {

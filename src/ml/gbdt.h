@@ -43,19 +43,15 @@ class GbdtRegressor {
   void BoostMore(const std::vector<std::vector<double>>& features,
                  const std::vector<double>& targets, size_t extra_trees);
 
-  /// Predicts one example.
-  double Predict(const std::vector<double>& features) const;
-
   /// Predicts a batch of examples, walking each tree over all rows before
-  /// moving to the next (the tree stays hot in cache). Accumulation order
-  /// per row is identical to Predict — base prediction, then trees in
-  /// order — so results are bit-identical to a scalar loop.
+  /// moving to the next (the tree stays hot in cache). Each row accumulates
+  /// the base prediction, then the trees in order, so a row's prediction
+  /// does not depend on the other rows.
   std::vector<double> PredictBatch(
       const std::vector<std::vector<double>>& rows) const;
 
   size_t num_trees() const { return trees_.size(); }
   const GbdtOptions& options() const { return options_; }
-  size_t ModelBytes() const;
 
   /// Appends the fitted ensemble (base prediction + every tree's nodes) to
   /// a serde section; LoadParams replaces any fitted state.

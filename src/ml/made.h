@@ -49,8 +49,6 @@ class MadeModel {
   /// Mean NLL of `rows` without updating parameters (validation).
   double EvalNll(const std::vector<std::vector<uint16_t>>& rows);
 
-  size_t ParamBytes() const { return net_.ParamBytes(); }
-
   /// Parameter dump/restore of the masked net. Masks are structural (fully
   /// determined by `domains` and the layer sizes), so only weights travel;
   /// construct an identically-shaped model first, then LoadParams.

@@ -88,10 +88,6 @@ void LinearLayer::Step(double lr) {
   ApplyMask();
 }
 
-size_t LinearLayer::ParamBytes() const {
-  return (weight_.data().size() + bias_.size()) * sizeof(double);
-}
-
 Mlp::Mlp(const std::vector<size_t>& dims, Rng& rng) {
   CARDBENCH_CHECK(dims.size() >= 2, "Mlp needs at least input and output dim");
   for (size_t i = 0; i + 1 < dims.size(); ++i) {
@@ -148,12 +144,6 @@ Matrix Mlp::Backward(const Matrix& grad_out) {
 
 void Mlp::Step(double lr) {
   for (auto& layer : layers_) layer.Step(lr);
-}
-
-size_t Mlp::ParamBytes() const {
-  size_t total = 0;
-  for (const auto& layer : layers_) total += layer.ParamBytes();
-  return total;
 }
 
 void LinearLayer::SerializeParams(SectionWriter& out) const {

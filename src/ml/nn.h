@@ -35,7 +35,6 @@ class LinearLayer {
 
   size_t in_dim() const { return weight_.cols(); }
   size_t out_dim() const { return weight_.rows(); }
-  size_t ParamBytes() const;
 
   /// Appends the trained parameters (weights + bias) to a serde section.
   /// Optimizer state and masks are structural/transient and are not
@@ -81,8 +80,6 @@ class Mlp {
 
   /// Adam step on all layers.
   void Step(double lr);
-
-  size_t ParamBytes() const;
 
   /// Parameter dump/restore across all layers, in layer order. Loading
   /// validates that layer count and dims match the constructed topology.

@@ -1,10 +1,13 @@
-// Batched-estimation parity suite: EstimateCards (one call per query over
-// all connected sub-plans) must be bit-identical to per-mask EstimateCard
-// for every estimator in the zoo — same doubles, independent of batch
-// composition and order — and routing the serving layer through the batch
-// path must change nothing observable. (What the planner does with the
-// batch is pinned by planner_golden_test.) The concurrent case hammers the
-// service's batch cache path from several client threads (TSAN coverage).
+// Batched-estimation parity suite: for every estimator in the zoo, a mask's
+// estimate must not depend on the batch that carries it — same doubles
+// from EstimateCards over all connected sub-plans (one call per query),
+// from the single-mask EstimateCard (a one-mask batch for a batched
+// estimator, the one body of a per-mask one), from a strided sub-batch and
+// from the reversed batch — and routing the serving layer through the batch
+// path must change nothing observable. (The bits themselves are pinned by
+// planner_golden_test and fanout_golden_test.) The concurrent case hammers
+// the service's batch cache path from several client threads (TSAN
+// coverage).
 
 #include <gtest/gtest.h>
 
@@ -64,7 +67,9 @@ TEST_P(BatchParityTest, BatchIsBitIdenticalToScalar) {
     const std::vector<uint64_t>& subsets = graph.connected_subsets();
 
     // One batched call over the optimizer's full sub-plan space equals the
-    // per-mask scalar path, double-for-double.
+    // single-mask call per mask, double-for-double. For a batched estimator
+    // that call is a one-mask batch, so this checks batch composition at
+    // its smallest.
     const std::vector<double> batch = estimator.EstimateCards(graph, subsets);
     ASSERT_EQ(batch.size(), subsets.size()) << ctx.query->name;
     for (size_t i = 0; i < subsets.size(); ++i) {

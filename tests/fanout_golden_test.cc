@@ -3,7 +3,7 @@
 // reproduce the checked-in bits of every sub-plan estimate of every
 // STATS-CEB and JOB-LIGHT query (tests/golden/fanout_golden.txt, line format
 // in tools/fanout_golden.h), through the batched EstimateCards and through
-// the scalar EstimateCard alike.
+// the single-mask EstimateCard (a one-mask batch) alike.
 
 #include <gtest/gtest.h>
 
@@ -41,6 +41,8 @@ TEST(FanoutGoldenTest, BatchedEstimatesAreBitIdentical) {
   ExpectGolden(golden::FanoutLines());
 }
 
+// The single-mask call per sub-plan: one one-mask batch each, which must
+// reproduce the batched goldens bit for bit.
 TEST(FanoutGoldenTest, ScalarEstimatesAreBitIdentical) {
   ExpectGolden(golden::FanoutLines(
       [](const CardinalityEstimator& estimator, const QueryGraph& graph,

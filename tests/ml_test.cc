@@ -194,9 +194,10 @@ TEST(GbdtTest, FitsStepFunction) {
   }
   GbdtRegressor gbdt;
   gbdt.Fit(x, y);
+  const std::vector<double> predictions = gbdt.PredictBatch(x);
   double se = 0;
   for (size_t i = 0; i < x.size(); ++i) {
-    const double d = gbdt.Predict(x[i]) - y[i];
+    const double d = predictions[i] - y[i];
     se += d * d;
   }
   EXPECT_LT(se / static_cast<double>(x.size()), 0.5);
@@ -218,9 +219,10 @@ TEST(GbdtTest, BeatsMeanPredictor) {
   for (double t : y) mean_se += (t - mean) * (t - mean);
   GbdtRegressor gbdt;
   gbdt.Fit(x, y);
+  const std::vector<double> predictions = gbdt.PredictBatch(x);
   double se = 0;
   for (size_t i = 0; i < x.size(); ++i) {
-    const double d = gbdt.Predict(x[i]) - y[i];
+    const double d = predictions[i] - y[i];
     se += d * d;
   }
   EXPECT_LT(se, mean_se * 0.05);

@@ -30,7 +30,10 @@ class QueryFeaturesTest : public ::testing::Test {
   // Whole-query features: the query's compiled graph at the full mask.
   static std::vector<double> Flat(const Query& q) {
     const QueryGraph graph(q, *db_);
-    return featurizer_->FlatFeatures(graph, graph.full_mask());
+    const FlatFeaturePlan plan(*featurizer_, graph);
+    std::vector<double> features(plan.dim());
+    plan.FillRow(graph, graph.full_mask(), features.data());
+    return features;
   }
   static QueryFeaturizer::SetFeatures Mscn(const Query& q) {
     const QueryGraph graph(q, *db_);

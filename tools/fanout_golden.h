@@ -56,7 +56,7 @@ inline const std::vector<std::string>& FanoutEstimatorNames() {
 }
 
 /// Produces the estimates of `masks`, in order (the batched EstimateCards
-/// by default; the test also replays the scalar overload through it).
+/// by default; the test also replays the single-mask overload through it).
 using EstimatesFn = std::function<std::vector<double>(
     const CardinalityEstimator&, const QueryGraph&,
     const std::vector<uint64_t>&)>;
