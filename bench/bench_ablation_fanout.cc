@@ -9,8 +9,7 @@
 
 #include <cstdio>
 
-#include "cardest/bayescard_est.h"
-#include "cardest/deepdb_est.h"
+#include "cardest/fanout_estimator.h"
 #include "common/logging.h"
 #include "common/str_util.h"
 #include "harness/bench_env.h"
@@ -52,19 +51,19 @@ int main(int argc, char** argv) {
   // --- Fanout join method on/off. ---
   std::printf("-- fanout join method vs join uniformity --\n");
   {
-    BayesCardEstimator bn(env.db());
+    FanoutModelEstimator bn(env.db(), FanoutModelKind::kBayesCard);
     Report(env, "BayesCard (fanout)", bn, pg_exec);
     bn.set_use_fanout_join(false);
     Report(env, "BayesCard (uniformity)", bn, pg_exec);
   }
   {
-    DeepDbEstimator spn(env.db());
+    FanoutModelEstimator spn(env.db(), FanoutModelKind::kDeepDb);
     Report(env, "DeepDB (fanout)", spn, pg_exec);
     spn.set_use_fanout_join(false);
     Report(env, "DeepDB (uniformity)", spn, pg_exec);
   }
   {
-    FlatEstimator fspn(env.db());
+    FanoutModelEstimator fspn(env.db(), FanoutModelKind::kFlat);
     Report(env, "FLAT (fanout)", fspn, pg_exec);
     fspn.set_use_fanout_join(false);
     Report(env, "FLAT (uniformity)", fspn, pg_exec);
@@ -75,13 +74,13 @@ int main(int argc, char** argv) {
   for (const double independence : {0.15, 0.3, 0.6}) {
     SpnOptions options;
     options.independence_threshold = independence;
-    DeepDbEstimator spn(env.db(), 48, options);
+    FanoutModelEstimator spn(env.db(), FanoutModelKind::kDeepDb, 48, options);
     Report(env, StrFormat("DeepDB (indep=%.2f)", independence), spn, pg_exec);
   }
   for (const double high : {0.5, 0.7, 0.9}) {
     SpnOptions options;
     options.high_correlation_threshold = high;
-    FlatEstimator fspn(env.db(), 48, options);
+    FanoutModelEstimator fspn(env.db(), FanoutModelKind::kFlat, 48, options);
     Report(env, StrFormat("FLAT (factorize=%.2f)", high), fspn, pg_exec);
   }
   std::printf("\n(expected: uniformity variants collapse toward "

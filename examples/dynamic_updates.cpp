@@ -9,7 +9,7 @@
 
 #include <cstdio>
 
-#include "cardest/bayescard_est.h"
+#include "cardest/fanout_estimator.h"
 #include "common/stopwatch.h"
 #include "common/str_util.h"
 #include "datagen/stats_gen.h"
@@ -33,7 +33,7 @@ int main() {
 
   // Train on the stale half only.
   Stopwatch train_watch;
-  BayesCardEstimator model(*split.stale);
+  FanoutModelEstimator model(*split.stale, FanoutModelKind::kBayesCard);
   std::printf("trained BayesCard on stale data in %s (model %s)\n",
               FormatDuration(train_watch.ElapsedSeconds()).c_str(),
               FormatBytes(model.ModelBytes()).c_str());

@@ -5,7 +5,9 @@
 # searches and flat multi-leaf keys, the plan paths (planning, execution of
 # planned and hand-built plans, EXPLAIN, recosting), every estimator's
 # update path (the refresh goldens), the fanout family's arena-backed
-# inference over whole workloads (the fanout goldens), plus the
+# inference over whole workloads (the fanout goldens), the learned
+# estimators' training and inference (MSCN's element matrices, the
+# autoregressive family's progressive sampling), plus the
 # concurrency-sensitive binaries. Any out-of-bounds access (including a
 # write past a std::vector's size into its reserved capacity), leak or
 # undefined behaviour in these paths fails the run.
@@ -33,7 +35,8 @@ cmake --build "$BUILD_DIR" -j "$(nproc)" \
            server_metrics_test drift_test \
            kernel_parity_test arena_test \
            binner_test cardest_test explain_analyze_test optimizer_test \
-           optimizer_physical_test perror_test property_test
+           optimizer_physical_test perror_test property_test \
+           learned_est_test query_features_test
 
 if [ "$#" -gt 0 ]; then
   ctest --test-dir "$BUILD_DIR" --output-on-failure "$@"
@@ -45,7 +48,8 @@ else
               server_test server_metrics_test drift_test \
               kernel_parity_test arena_test \
               binner_test cardest_test explain_analyze_test optimizer_test \
-              optimizer_physical_test perror_test property_test; do
+              optimizer_physical_test perror_test property_test \
+              learned_est_test query_features_test; do
     echo "== $test (ASAN) =="
     "$BUILD_DIR/tests/$test"
   done

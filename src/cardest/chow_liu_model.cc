@@ -1,9 +1,7 @@
-#include "cardest/bayescard_est.h"
+#include "cardest/chow_liu_model.h"
 
 #include <algorithm>
 #include <cmath>
-#include <istream>
-#include <ostream>
 
 #include "common/arena.h"
 #include "common/logging.h"
@@ -301,32 +299,6 @@ Result<std::unique_ptr<ChowLiuTreeModel>> ChowLiuTreeModel::Deserialize(
   }
   model->RebuildDerived();
   return model;
-}
-
-Status BayesCardEstimator::Serialize(std::ostream& out) const {
-  return SerializeFanout(out, "bayescard");
-}
-
-void BayesCardEstimator::SerializeModel(const TableDistribution& model,
-                                        SectionWriter& out) const {
-  const auto* bn = dynamic_cast<const ChowLiuTreeModel*>(&model);
-  CARDBENCH_CHECK(bn != nullptr, "BayesCard model is not a Chow-Liu tree");
-  bn->Serialize(out);
-}
-
-Result<std::unique_ptr<TableDistribution>> BayesCardEstimator::LoadModelPayload(
-    SectionReader& in, const ExtendedTable& ext) const {
-  CARDBENCH_ASSIGN_OR_RETURN(std::unique_ptr<ChowLiuTreeModel> bn,
-                             ChowLiuTreeModel::Deserialize(in, ext));
-  return std::unique_ptr<TableDistribution>(std::move(bn));
-}
-
-Result<std::unique_ptr<BayesCardEstimator>> BayesCardEstimator::Deserialize(
-    const Database& db, std::istream& in) {
-  auto est = std::unique_ptr<BayesCardEstimator>(
-      new BayesCardEstimator(db, /*max_bins=*/48, DeferredInit{}));
-  CARDBENCH_RETURN_IF_ERROR(est->LoadFanout(in, "bayescard"));
-  return est;
 }
 
 void ChowLiuTreeModel::UpdateWithRows(const ExtendedTable& ext,

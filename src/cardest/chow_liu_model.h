@@ -1,7 +1,6 @@
-#ifndef CARDBENCH_CARDEST_BAYESCARD_EST_H_
-#define CARDBENCH_CARDEST_BAYESCARD_EST_H_
+#ifndef CARDBENCH_CARDEST_CHOW_LIU_MODEL_H_
+#define CARDBENCH_CARDEST_CHOW_LIU_MODEL_H_
 
-#include <iosfwd>
 #include <memory>
 #include <span>
 #include <vector>
@@ -26,15 +25,12 @@ class ChowLiuTreeModel : public TableDistribution {
   void UpdateWithRows(const ExtendedTable& ext,
                       const std::vector<size_t>& new_rows) override;
 
-  /// Parent column of each column in the learned tree (-1 for the root).
-  const std::vector<int>& parents() const { return parent_; }
-
   /// Writes / restores the learned structure and CPT counts. Deserialize
   /// rejects a model that does not match `ext` (the extended table it was
   /// trained over: column count and bin domains), whose parents do not form
   /// one tree rooted at the root, or whose counts are not sized by the
   /// domains inference indexes them with.
-  void Serialize(SectionWriter& out) const;
+  void Serialize(SectionWriter& out) const override;
   static Result<std::unique_ptr<ChowLiuTreeModel>> Deserialize(
       SectionReader& in, const ExtendedTable& ext);
 
@@ -65,41 +61,6 @@ class ChowLiuTreeModel : public TableDistribution {
   size_t max_domain_ = 0;
 };
 
-/// The BayesCard estimator: one Chow–Liu BN per table + the shared fanout
-/// join method.
-class BayesCardEstimator : public FanoutModelEstimator {
- public:
-  explicit BayesCardEstimator(const Database& db, size_t max_bins = 48)
-      : FanoutModelEstimator(db, max_bins) {
-    TrainAll();
-  }
-
-  std::string name() const override { return "BayesCard"; }
-
-  /// Persists all per-table BNs plus the extended-table metadata, and
-  /// restores a ready-to-serve estimator without retraining — the paper's
-  /// model-transfer deployment path (§4.3). The loaded estimator still
-  /// supports Update (bins are recomputed lazily).
-  Status Serialize(std::ostream& out) const override;
-  static Result<std::unique_ptr<BayesCardEstimator>> Deserialize(
-      const Database& db, std::istream& in);
-
- protected:
-  std::unique_ptr<TableDistribution> BuildModel(
-      const ExtendedTable& ext) override {
-    return std::make_unique<ChowLiuTreeModel>(ext);
-  }
-  void SerializeModel(const TableDistribution& model,
-                      SectionWriter& out) const override;
-  Result<std::unique_ptr<TableDistribution>> LoadModelPayload(
-      SectionReader& in, const ExtendedTable& ext) const override;
-
- private:
-  /// Load path: constructs without training; state restored by Deserialize.
-  BayesCardEstimator(const Database& db, size_t max_bins, DeferredInit tag)
-      : FanoutModelEstimator(db, max_bins, tag) {}
-};
-
 }  // namespace cardbench
 
-#endif  // CARDBENCH_CARDEST_BAYESCARD_EST_H_
+#endif  // CARDBENCH_CARDEST_CHOW_LIU_MODEL_H_

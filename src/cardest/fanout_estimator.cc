@@ -5,6 +5,8 @@
 #include <istream>
 #include <ostream>
 
+#include "cardest/chow_liu_model.h"
+#include "cardest/spn_model.h"
 #include "common/arena.h"
 #include "common/logging.h"
 #include "common/serde.h"
@@ -50,26 +52,56 @@ class ExpectationMemo {
   std::vector<Entry> entries_;
 };
 
-}  // namespace
+/// Each kind's method name and artifact format tag, in enum order.
+struct KindInfo {
+  FanoutModelKind kind;
+  const char* name;
+  const char* tag;
+};
+constexpr KindInfo kKinds[] = {
+    {FanoutModelKind::kBayesCard, "BayesCard", "bayescard"},
+    {FanoutModelKind::kDeepDb, "DeepDB", "deepdb"},
+    {FanoutModelKind::kFlat, "FLAT", "flat"},
+};
 
-FanoutModelEstimator::FanoutModelEstimator(const Database& db, size_t max_bins)
-    : CardinalityEstimator(db), db_(db), max_bins_(max_bins) {
-  for (const auto& name : db_.table_names()) {
-    ext_tables_[name] = std::make_unique<ExtendedTable>(db_, name, max_bins_);
-  }
+const KindInfo& InfoOf(FanoutModelKind kind) {
+  return kKinds[static_cast<size_t>(kind)];
 }
 
-void FanoutModelEstimator::TrainAll() {
+}  // namespace
+
+std::string FanoutModelName(FanoutModelKind kind) { return InfoOf(kind).name; }
+
+std::optional<FanoutModelKind> FanoutKindNamed(const std::string& name) {
+  for (const KindInfo& info : kKinds) {
+    if (info.name == name) return info.kind;
+  }
+  return std::nullopt;
+}
+
+FanoutModelEstimator::FanoutModelEstimator(const Database& db,
+                                           FanoutModelKind kind,
+                                           size_t max_bins,
+                                           const SpnOptions& spn)
+    : CardinalityEstimator(db), kind_(kind), max_bins_(max_bins) {
+  for (const auto& name : db.table_names()) {
+    ext_tables_[name] = std::make_unique<ExtendedTable>(db, name, max_bins_);
+  }
   Stopwatch watch;
-  for (const auto& name : db_.table_names()) {
-    models_[name] = BuildModel(*ext_tables_[name]);
+  for (const auto& name : db.table_names()) {
+    const ExtendedTable& ext = *ext_tables_[name];
+    if (kind_ == FanoutModelKind::kBayesCard) {
+      models_[name] = std::make_unique<ChowLiuTreeModel>(ext);
+    } else {
+      models_[name] = std::make_unique<SpnModel>(
+          ext, spn, /*multi_leaf=*/kind_ == FanoutModelKind::kFlat);
+    }
   }
   train_seconds_ = watch.ElapsedSeconds();
 }
 
-Status FanoutModelEstimator::SerializeFanout(std::ostream& out,
-                                             const std::string& tag) const {
-  ModelWriter writer(tag);
+Status FanoutModelEstimator::Serialize(std::ostream& out) const {
+  ModelWriter writer(InfoOf(kind_).tag);
   SectionWriter& meta = writer.AddSection("meta");
   meta.PutU64(max_bins_);
   meta.PutDouble(train_seconds_);
@@ -78,47 +110,52 @@ Status FanoutModelEstimator::SerializeFanout(std::ostream& out,
   for (const auto& [name, ext] : ext_tables_) {
     tables.PutString(name);
     ext->SerializeMeta(tables);
-    SerializeModel(*models_.at(name), tables);
+    models_.at(name)->Serialize(tables);
   }
   return writer.WriteTo(out);
 }
 
-Status FanoutModelEstimator::LoadFanout(std::istream& in,
-                                        const std::string& tag) {
-  CARDBENCH_ASSIGN_OR_RETURN(ModelReader reader, ModelReader::Open(in, tag));
+Result<std::unique_ptr<FanoutModelEstimator>> FanoutModelEstimator::Deserialize(
+    const Database& db, FanoutModelKind kind, std::istream& in) {
+  CARDBENCH_ASSIGN_OR_RETURN(ModelReader reader,
+                             ModelReader::Open(in, InfoOf(kind).tag));
+  auto est = std::unique_ptr<FanoutModelEstimator>(
+      new FanoutModelEstimator(db, kind, DeferredInit{}));
   CARDBENCH_ASSIGN_OR_RETURN(SectionReader meta, reader.Section("meta"));
-  CARDBENCH_ASSIGN_OR_RETURN(max_bins_, meta.GetU64());
-  CARDBENCH_ASSIGN_OR_RETURN(train_seconds_, meta.GetDouble());
+  CARDBENCH_ASSIGN_OR_RETURN(est->max_bins_, meta.GetU64());
+  CARDBENCH_ASSIGN_OR_RETURN(est->train_seconds_, meta.GetDouble());
   CARDBENCH_ASSIGN_OR_RETURN(SectionReader tables, reader.Section("tables"));
   uint64_t num_tables = 0;
   CARDBENCH_ASSIGN_OR_RETURN(num_tables, tables.GetU64());
-  std::map<std::string, std::unique_ptr<ExtendedTable>> ext_tables;
-  std::map<std::string, std::unique_ptr<TableDistribution>> models;
   for (uint64_t t = 0; t < num_tables; ++t) {
     std::string name;
     CARDBENCH_ASSIGN_OR_RETURN(name, tables.GetString());
     CARDBENCH_ASSIGN_OR_RETURN(std::unique_ptr<ExtendedTable> ext,
-                               ExtendedTable::DeserializeMeta(db_, tables));
-    CARDBENCH_ASSIGN_OR_RETURN(std::unique_ptr<TableDistribution> model,
-                               LoadModelPayload(tables, *ext));
-    ext_tables[name] = std::move(ext);
-    models[name] = std::move(model);
+                               ExtendedTable::DeserializeMeta(db, tables));
+    std::unique_ptr<TableDistribution> model;
+    if (kind == FanoutModelKind::kBayesCard) {
+      CARDBENCH_ASSIGN_OR_RETURN(model,
+                                 ChowLiuTreeModel::Deserialize(tables, *ext));
+    } else {
+      CARDBENCH_ASSIGN_OR_RETURN(model, SpnModel::Deserialize(tables, *ext));
+    }
+    est->ext_tables_[name] = std::move(ext);
+    est->models_[name] = std::move(model);
   }
   // Every base table needs a model for estimation to work.
-  for (const auto& table : db_.table_names()) {
-    if (models.count(table) == 0) {
+  for (const auto& table : db.table_names()) {
+    if (est->models_.count(table) == 0) {
       return Status::InvalidArgument("fanout artifact misses table " + table);
     }
   }
-  ext_tables_ = std::move(ext_tables);
-  models_ = std::move(models);
-  return Status::OK();
+  return est;
 }
 
 Status FanoutModelEstimator::UpdateImpl(const InsertionBatch&) {
-  for (const auto& name : db_.table_names()) {
+  const Database& db = *database();
+  for (const auto& name : db.table_names()) {
     const std::vector<size_t> new_rows =
-        ext_tables_[name]->RefreshAfterInsert(db_);
+        ext_tables_[name]->RefreshAfterInsert(db);
     models_[name]->UpdateWithRows(*ext_tables_[name], new_rows);
   }
   return Status::OK();

@@ -1,9 +1,11 @@
 #ifndef CARDBENCH_CARDEST_FANOUT_ESTIMATOR_H_
 #define CARDBENCH_CARDEST_FANOUT_ESTIMATOR_H_
 
+#include <cstdint>
 #include <iosfwd>
 #include <map>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -41,12 +43,50 @@ class TableDistribution {
   /// (structure must be preserved — the paper's update protocol, §6.3).
   virtual void UpdateWithRows(const ExtendedTable& ext,
                               const std::vector<size_t>& new_rows) = 0;
+
+  /// Writes the learned structure and parameters; each model class has a
+  /// static Deserialize that reads them back against the extended table.
+  virtual void Serialize(SectionWriter& out) const = 0;
 };
 
-/// Shared base for the ML data-driven estimators (BayesCard, DeepDB, FLAT):
-/// builds one extended table + one TableDistribution per base table, and
-/// answers multi-table queries with the fanout method over a spanning tree
-/// of the query's join graph:
+/// Learning knobs shared by the SPN (DeepDB) and FSPN (FLAT) learners;
+/// whether multi-leaves are learned is the estimator kind's choice.
+struct SpnOptions {
+  /// RDC-style dependence threshold below which column groups are treated
+  /// as independent (paper: 0.3).
+  double independence_threshold = 0.3;
+  /// Dependence threshold above which FLAT factorizes a group into a joint
+  /// multi-leaf (paper: 0.7). Ignored by the plain SPN.
+  double high_correlation_threshold = 0.7;
+  /// Do not split a slice holding less than this fraction of the table
+  /// (paper: 1%).
+  double min_slice_fraction = 0.01;
+  size_t min_slice_rows = 64;
+  /// Rows subsampled for dependence tests (speed).
+  size_t dependence_sample = 2000;
+  /// Cap on multi-leaf group size.
+  size_t max_multi_leaf_cols = 4;
+  uint64_t seed = 1234;
+};
+
+/// The per-table model a FanoutModelEstimator learns; the paper's three
+/// data-driven PGM methods (§4.1) differ only in this.
+enum class FanoutModelKind {
+  kBayesCard,  ///< Chow–Liu tree BN (ChowLiuTreeModel)
+  kDeepDb,     ///< SPN (SpnModel)
+  kFlat,       ///< FSPN (SpnModel with multi-leaves)
+};
+
+/// The method name of `kind`: "BayesCard", "DeepDB" or "FLAT".
+std::string FanoutModelName(FanoutModelKind kind);
+
+/// The kind whose method name is `name`, if there is one.
+std::optional<FanoutModelKind> FanoutKindNamed(const std::string& name);
+
+/// The ML data-driven estimators BayesCard, DeepDB and FLAT: one extended
+/// table + one TableDistribution of the estimator's kind per base table,
+/// and multi-table queries answered with the fanout method over a spanning
+/// tree of the query's join graph:
 ///
 ///   Card = |T_r| * E_r[pred_r * Π_c F_{r→c} * ρ(c)]
 ///   ρ(c) = E_c[F_{c→p} * pred_c * Π_{gc} F_{c→gc} ρ(gc)] / E_c[F_{c→p}]
@@ -56,9 +96,14 @@ class TableDistribution {
 /// balance of independence" the paper credits these methods with (§5.1).
 class FanoutModelEstimator : public CardinalityEstimator {
  public:
-  /// Builds extended tables and per-table models immediately (training time
-  /// is recorded for Figure 3).
-  FanoutModelEstimator(const Database& db, size_t max_bins);
+  /// Builds the extended tables, then trains one model of `kind` per table
+  /// (the training time recorded for Figure 3). `spn` configures DeepDB's
+  /// and FLAT's learner; BayesCard ignores it.
+  FanoutModelEstimator(const Database& db, FanoutModelKind kind,
+                       size_t max_bins = 48,
+                       const SpnOptions& spn = SpnOptions());
+
+  std::string name() const override { return FanoutModelName(kind_); }
 
   using CardinalityEstimator::EstimateCard;
   double EstimateCard(const QueryGraph& graph, uint64_t mask) const override {
@@ -81,60 +126,25 @@ class FanoutModelEstimator : public CardinalityEstimator {
   /// fanout-aware join handling.
   void set_use_fanout_join(bool enabled) { use_fanout_join_ = enabled; }
 
- protected:
-  /// Deferred-initialization tag: constructs without building extended
-  /// tables or models (used by subclass model-loading paths, which inject
-  /// deserialized state via InjectState).
-  struct DeferredInit {};
-  FanoutModelEstimator(const Database& db, size_t max_bins, DeferredInit)
-      : CardinalityEstimator(db), db_(db), max_bins_(max_bins) {}
-
-  /// Installs deserialized per-table state (model-loading path).
-  void InjectState(
-      std::map<std::string, std::unique_ptr<ExtendedTable>> ext_tables,
-      std::map<std::string, std::unique_ptr<TableDistribution>> models) {
-    ext_tables_ = std::move(ext_tables);
-    models_ = std::move(models);
-  }
-
-  const std::map<std::string, std::unique_ptr<ExtendedTable>>& ext_tables()
-      const {
-    return ext_tables_;
-  }
-  const std::map<std::string, std::unique_ptr<TableDistribution>>& models()
-      const {
-    return models_;
-  }
-
-  /// Subclasses create their model class (BN / SPN / FSPN) per table.
-  virtual std::unique_ptr<TableDistribution> BuildModel(
-      const ExtendedTable& ext) = 0;
-
-  /// Shared artifact layout for the fanout family: a "meta" section
-  /// (max_bins, train_seconds) plus one "tables" section holding, per base
-  /// table, the extended-table metadata followed by the model payload
-  /// (written by the subclass's SerializeModel). Subclasses expose this via
-  /// their Serialize override with their own format tag.
-  Status SerializeFanout(std::ostream& out, const std::string& tag) const;
-
-  /// Restores state written by SerializeFanout into this (deferred-init)
-  /// instance; model payloads are read back through LoadModelPayload.
-  Status LoadFanout(std::istream& in, const std::string& tag);
-
-  virtual void SerializeModel(const TableDistribution& model,
-                              SectionWriter& out) const = 0;
-  /// Reads one table's model; `ext` is the extended table loaded beside it,
-  /// whose columns and bin domains the model must match.
-  virtual Result<std::unique_ptr<TableDistribution>> LoadModelPayload(
-      SectionReader& in, const ExtendedTable& ext) const = 0;
-
-  /// Must be called at the end of the subclass constructor (virtual
-  /// dispatch is not available during base construction).
-  void TrainAll();
-
-  const Database& db_;
+  /// Persists every table's extended-table metadata and model, and restores
+  /// a ready-to-serve estimator without retraining — the paper's
+  /// model-transfer deployment path (§4.3). The artifact, tagged by kind
+  /// ("bayescard", "deepdb" or "flat"), holds a "meta" section (max_bins,
+  /// train_seconds) and a "tables" section: per base table its name, its
+  /// extended-table metadata and its model. Deserialize refuses another
+  /// kind's artifact. The loaded estimator still supports Update (bins are
+  /// recomputed lazily).
+  Status Serialize(std::ostream& out) const override;
+  static Result<std::unique_ptr<FanoutModelEstimator>> Deserialize(
+      const Database& db, FanoutModelKind kind, std::istream& in);
 
  private:
+  /// Load path: constructs without extended tables or models; Deserialize
+  /// restores them.
+  struct DeferredInit {};
+  FanoutModelEstimator(const Database& db, FanoutModelKind kind, DeferredInit)
+      : CardinalityEstimator(db), kind_(kind) {}
+
   /// Refreshes every table's extended table and folds the rows it gained
   /// into the table's model, whatever the batch.
   Status UpdateImpl(const InsertionBatch& batch) override;
@@ -165,7 +175,8 @@ class FanoutModelEstimator : public CardinalityEstimator {
   double SubtreeRho(const QueryGraph& graph, QueryState& state, int local,
                     int up_side) const;
 
-  size_t max_bins_;
+  FanoutModelKind kind_;
+  size_t max_bins_ = 0;
   bool use_fanout_join_ = true;
   double train_seconds_ = 0.0;
   std::map<std::string, std::unique_ptr<ExtendedTable>> ext_tables_;

@@ -117,10 +117,9 @@ std::vector<double> LwNnEstimator::EstimateCards(
 
 LwXgbEstimator::LwXgbEstimator(const Database& db,
                                const std::vector<TrainingQuery>& training,
-                               GbdtOptions options, uint64_t seed)
+                               GbdtOptions options)
     : CardinalityEstimator(db), featurizer_(db), gbdt_(options) {
   CARDBENCH_CHECK(!training.empty(), "LW-XGB requires training queries");
-  (void)seed;
   Stopwatch watch;
   std::vector<std::vector<double>> features;
   std::vector<double> targets;

@@ -77,7 +77,7 @@ class LwXgbEstimator : public CardinalityEstimator {
  public:
   LwXgbEstimator(const Database& db,
                  const std::vector<TrainingQuery>& training,
-                 GbdtOptions options = GbdtOptions(), uint64_t seed = 17);
+                 GbdtOptions options = GbdtOptions());
 
   std::string name() const override { return "LW-XGB"; }
   using CardinalityEstimator::EstimateCard;

@@ -86,27 +86,6 @@ size_t QueryFeaturizer::flat_dim() const {
   return table_index_.size() + join_index_.size() + 3 * column_index_.size();
 }
 
-std::vector<double> QueryFeaturizer::MscnTableElement(
-    const QueryGraph::TableInfo& info) const {
-  std::vector<double> element(table_element_dim(), 0.0);
-  MscnTableElementInto(info, element.data());
-  return element;
-}
-
-std::vector<double> QueryFeaturizer::MscnJoinElement(
-    const QueryGraph::EdgeInfo& edge) const {
-  std::vector<double> element(join_element_dim(), 0.0);
-  MscnJoinElementInto(edge, element.data());
-  return element;
-}
-
-std::vector<double> QueryFeaturizer::MscnPredElement(
-    const QueryGraph::PredInfo& pred) const {
-  std::vector<double> element(predicate_element_dim(), 0.0);
-  MscnPredElementInto(pred, element.data());
-  return element;
-}
-
 void QueryFeaturizer::MscnTableElementInto(const QueryGraph::TableInfo& info,
                                            double* out) const {
   // One-hot table plus predicate-satisfaction bitmap over the table's
@@ -158,29 +137,71 @@ void QueryFeaturizer::MscnPredElementInto(const QueryGraph::PredInfo& pred,
   }
 }
 
-QueryFeaturizer::SetFeatures QueryFeaturizer::MscnFeatures(
-    const QueryGraph& graph, uint64_t mask) const {
-  SetFeatures out;
-  for (uint64_t rest = mask; rest != 0; rest &= rest - 1) {
-    out.tables.push_back(
-        MscnTableElement(graph.table(std::countr_zero(rest))));
+namespace {
+
+/// One MSCN set over `count` candidate elements: element e is in a mask
+/// when `in_mask(e, mask)`. Elements of the masks' union get a row each, in
+/// element order, written by `fill(e, row)`; a mask without elements gets
+/// the trailing all-zero row.
+template <typename InMask, typename Fill>
+QueryFeaturizer::MscnSet BuildMscnSet(size_t count, size_t dim,
+                                      std::span<const uint64_t> masks,
+                                      uint64_t union_mask, InMask in_mask,
+                                      Fill fill) {
+  QueryFeaturizer::MscnSet set;
+  std::vector<uint32_t> row_of(count);
+  uint32_t num_rows = 0;
+  for (size_t e = 0; e < count; ++e) {
+    if (in_mask(e, union_mask)) row_of[e] = num_rows++;
   }
-  for (const auto& edge : graph.edges()) {
-    if ((edge.mask & mask) != edge.mask) continue;
-    out.joins.push_back(MscnJoinElement(edge));
+  bool zero_row = false;
+  set.offsets.reserve(masks.size() + 1);
+  set.offsets.push_back(0);
+  for (uint64_t mask : masks) {
+    for (size_t e = 0; e < count; ++e) {
+      if (in_mask(e, mask)) set.rows.push_back(row_of[e]);
+    }
+    if (set.rows.size() == set.offsets.back()) {
+      set.rows.push_back(num_rows);
+      zero_row = true;
+    }
+    set.offsets.push_back(set.rows.size());
   }
-  if (out.joins.empty()) {
-    out.joins.push_back(std::vector<double>(join_element_dim(), 0.0));
+  set.x = Matrix(num_rows + (zero_row ? 1 : 0), dim);
+  for (size_t e = 0; e < count; ++e) {
+    if (in_mask(e, union_mask)) fill(e, set.x.Row(row_of[e]));
   }
-  for (const auto& pred : graph.predicates()) {
-    if (((mask >> pred.local_table) & 1) == 0) continue;
-    out.predicates.push_back(MscnPredElement(pred));
-  }
-  if (out.predicates.empty()) {
-    out.predicates.push_back(
-        std::vector<double>(predicate_element_dim(), 0.0));
-  }
-  return out;
+  return set;
+}
+
+}  // namespace
+
+QueryFeaturizer::MscnSets QueryFeaturizer::MscnElements(
+    const QueryGraph& graph, std::span<const uint64_t> masks) const {
+  uint64_t union_mask = 0;
+  for (uint64_t mask : masks) union_mask |= mask;
+  const auto& edges = graph.edges();
+  const auto& preds = graph.predicates();
+  MscnSets sets;
+  sets.tables = BuildMscnSet(
+      graph.num_tables(), table_element_dim(), masks, union_mask,
+      [](size_t local, uint64_t mask) { return ((mask >> local) & 1) != 0; },
+      [&](size_t local, double* row) {
+        MscnTableElementInto(graph.table(local), row);
+      });
+  sets.joins = BuildMscnSet(
+      edges.size(), join_element_dim(), masks, union_mask,
+      [&](size_t e, uint64_t mask) {
+        return (edges[e].mask & mask) == edges[e].mask;
+      },
+      [&](size_t e, double* row) { MscnJoinElementInto(edges[e], row); });
+  sets.predicates = BuildMscnSet(
+      preds.size(), predicate_element_dim(), masks, union_mask,
+      [&](size_t p, uint64_t mask) {
+        return ((mask >> preds[p].local_table) & 1) != 0;
+      },
+      [&](size_t p, double* row) { MscnPredElementInto(preds[p], row); });
+  return sets;
 }
 
 FlatFeaturePlan::FlatFeaturePlan(const QueryFeaturizer& featurizer,

@@ -1,12 +1,15 @@
 #ifndef CARDBENCH_CARDEST_QUERY_FEATURES_H_
 #define CARDBENCH_CARDEST_QUERY_FEATURES_H_
 
+#include <cstdint>
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "cardest/extended_table.h"
 #include "common/rng.h"
+#include "ml/matrix.h"
 #include "query/query.h"
 #include "query/query_graph.h"
 #include "storage/catalog.h"
@@ -35,42 +38,52 @@ class QueryFeaturizer {
   /// FlatFeaturePlan).
   size_t flat_dim() const;
 
-  /// Per-set element features for MSCN's three modules, which training
-  /// reads. Empty sets are represented by one all-zero element so pooling
-  /// stays defined.
-  struct SetFeatures {
-    std::vector<std::vector<double>> tables;
-    std::vector<std::vector<double>> joins;
-    std::vector<std::vector<double>> predicates;
+  /// One MSCN set module's input over the sub-plans of one call: one row
+  /// per element, and each mask's element rows.
+  struct MscnSet {
+    Matrix x;
+    /// Mask i's rows of `x` are rows[offsets[i] .. offsets[i + 1]).
+    std::vector<uint32_t> rows;
+    std::vector<size_t> offsets;
+
+    std::span<const uint32_t> RowsOf(size_t i) const {
+      return std::span<const uint32_t>(rows).subspan(
+          offsets[i], offsets[i + 1] - offsets[i]);
+    }
   };
-  SetFeatures MscnFeatures(const QueryGraph& graph, uint64_t mask) const;
+  struct MscnSets {
+    MscnSet tables;
+    MscnSet joins;
+    MscnSet predicates;
+  };
 
-  /// Per-element builders. A sub-plan's MSCN element
-  /// vectors are mask-independent — a table's one-hot + bitmap, an edge's
-  /// one-hot, a predicate's encoding never change across the sub-plans of
-  /// one query — so batch callers featurize each distinct element once and
-  /// gather. MscnFeatures(graph, mask) is defined in terms of these, so
-  /// inference sees the elements training saw.
-  std::vector<double> MscnTableElement(const QueryGraph::TableInfo& info) const;
-  std::vector<double> MscnJoinElement(const QueryGraph::EdgeInfo& edge) const;
-  std::vector<double> MscnPredElement(const QueryGraph::PredInfo& pred) const;
+  /// MSCN's three set-module inputs for the sub-plans `masks` of one query.
+  /// A set element is mask-independent — a table's one-hot + sample
+  /// bitmap, an edge's one-hot, a predicate's encoding — so each element
+  /// of the masks' union is featurized once, into a zero-initialized row:
+  /// tables in ascending local order, edges and predicates in graph order.
+  /// A mask with an empty set pools one all-zero row, which is appended
+  /// only when some mask needs it. Training featurizes a query as its
+  /// graph's full mask, so inference sees the elements training saw.
+  MscnSets MscnElements(const QueryGraph& graph,
+                        std::span<const uint64_t> masks) const;
 
-  /// Raw-row variants writing into `out[0..*_element_dim())`, which must be
-  /// zero-initialized (only the non-zero entries are written — batch callers
-  /// featurize straight into zero-initialized Matrix rows, no copies). The
-  /// vector builders above delegate here. The table variant evaluates the
-  /// sample bitmap through the batched storage filter kernels on the
-  /// thread's arena instead of row-at-a-time predicate evaluation.
-  void MscnTableElementInto(const QueryGraph::TableInfo& info,
-                            double* out) const;
-  void MscnJoinElementInto(const QueryGraph::EdgeInfo& edge, double* out) const;
-  void MscnPredElementInto(const QueryGraph::PredInfo& pred, double* out) const;
   size_t table_element_dim() const { return table_index_.size() + bitmap_size_; }
   size_t join_element_dim() const { return join_index_.size(); }
   size_t predicate_element_dim() const { return column_index_.size() + 6 + 1; }
 
  private:
   friend class FlatFeaturePlan;
+
+  /// MscnElements' per-element builders, writing into
+  /// `out[0..*_element_dim())`, which must be zero-initialized (only the
+  /// non-zero entries are written). The table variant evaluates the sample
+  /// bitmap through the batched storage filter kernels on the thread's
+  /// arena instead of row-at-a-time predicate evaluation.
+  void MscnTableElementInto(const QueryGraph::TableInfo& info,
+                            double* out) const;
+  void MscnJoinElementInto(const QueryGraph::EdgeInfo& edge, double* out) const;
+  void MscnPredElementInto(const QueryGraph::PredInfo& pred, double* out) const;
 
   /// Canonical key of a join edge (endpoint-sorted).
   static std::string EdgeKey(const JoinEdge& edge);

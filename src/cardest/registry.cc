@@ -1,10 +1,10 @@
 #include "cardest/registry.h"
 
 #include <istream>
+#include <optional>
 
 #include "cardest/autoregressive_est.h"
-#include "cardest/bayescard_est.h"
-#include "cardest/deepdb_est.h"
+#include "cardest/fanout_estimator.h"
 #include "cardest/lw_est.h"
 #include "cardest/model_store.h"
 #include "cardest/mscn_est.h"
@@ -96,14 +96,9 @@ static Result<std::unique_ptr<CardinalityEstimator>> BuildEstimator(
     return std::unique_ptr<CardinalityEstimator>(
         new LwXgbEstimator(db, *training, options));
   }
-  if (name == "BayesCard") {
-    return std::unique_ptr<CardinalityEstimator>(new BayesCardEstimator(db));
-  }
-  if (name == "DeepDB") {
-    return std::unique_ptr<CardinalityEstimator>(new DeepDbEstimator(db));
-  }
-  if (name == "FLAT") {
-    return std::unique_ptr<CardinalityEstimator>(new FlatEstimator(db));
+  if (const std::optional<FanoutModelKind> kind = FanoutKindNamed(name)) {
+    return std::unique_ptr<CardinalityEstimator>(
+        new FanoutModelEstimator(db, *kind));
   }
   if (name == "NeuroCardE" || name == "UAE-Q" || name == "UAE") {
     ArOptions options;
@@ -145,12 +140,9 @@ Result<std::unique_ptr<CardinalityEstimator>> DeserializeEstimator(
     result = AsBase(LwNnEstimator::Deserialize(db, in));
   } else if (name == "LW-XGB") {
     result = AsBase(LwXgbEstimator::Deserialize(db, in));
-  } else if (name == "BayesCard") {
-    result = AsBase(BayesCardEstimator::Deserialize(db, in));
-  } else if (name == "DeepDB") {
-    result = AsBase(DeepDbEstimator::Deserialize(db, in));
-  } else if (name == "FLAT") {
-    result = AsBase(FlatEstimator::Deserialize(db, in));
+  } else if (const std::optional<FanoutModelKind> kind =
+                 FanoutKindNamed(name)) {
+    result = AsBase(FanoutModelEstimator::Deserialize(db, *kind, in));
   } else if (name == "NeuroCardE" || name == "UAE-Q" || name == "UAE") {
     result = AsBase(AutoregressiveEstimator::Deserialize(db, in));
   } else if (name != "TrueCard") {

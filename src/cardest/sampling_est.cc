@@ -6,6 +6,7 @@
 #include <cstring>
 #include <istream>
 #include <limits>
+#include <optional>
 #include <ostream>
 #include <queue>
 #include <span>
@@ -529,10 +530,15 @@ Result<std::unique_ptr<PessEstEstimator>> PessEstEstimator::Deserialize(
     if (table == nullptr) {
       return Status::NotFound("degree sketch for unknown table " + table_name);
     }
+    const std::optional<size_t> column_id = table->FindColumn(column_name);
+    if (!column_id.has_value()) {
+      return Status::NotFound("degree sketch for unknown column " +
+                              table_name + "." + column_name);
+    }
     const int table_id = db.TableId(table_name);
     const uint64_t key =
         (static_cast<uint64_t>(static_cast<uint32_t>(table_id)) << 32) |
-        static_cast<uint32_t>(table->ColumnIndexOrDie(column_name));
+        static_cast<uint32_t>(*column_id);
     est->max_degree_[key] = max_deg;
   }
   return est;

@@ -1,10 +1,8 @@
-#include "cardest/deepdb_est.h"
+#include "cardest/spn_model.h"
 
 #include <algorithm>
 #include <cmath>
-#include <istream>
 #include <numeric>
-#include <ostream>
 #include <span>
 
 #include "common/arena.h"
@@ -19,8 +17,11 @@ namespace {
 constexpr double kLeafSmoothing = 0.05;
 }  // namespace
 
-SpnModel::SpnModel(const ExtendedTable& ext, const SpnOptions& options)
-    : options_(options), num_cols_(ext.num_columns()) {
+SpnModel::SpnModel(const ExtendedTable& ext, const SpnOptions& options,
+                   bool multi_leaf)
+    : options_(options),
+      multi_leaf_(multi_leaf),
+      num_cols_(ext.num_columns()) {
   Rng rng(options_.seed);
   std::vector<size_t> rows(ext.num_rows());
   for (size_t r = 0; r < rows.size(); ++r) rows[r] = r;
@@ -136,7 +137,7 @@ size_t SpnModel::Learn(const ExtendedTable& ext, std::vector<size_t>& rows,
 
   // FSPN extension: carve out highly correlated groups as joint
   // multi-leaves (FLAT's factorize + multi-leaf, simplified).
-  if (options_.enable_multi_leaf) {
+  if (multi_leaf_) {
     std::vector<bool> taken(cols.size(), false);
     std::vector<std::vector<size_t>> groups;  // indexes into cols
     for (size_t i = 0; i < cols.size(); ++i) {
@@ -472,7 +473,7 @@ void SpnModel::Serialize(SectionWriter& out) const {
   out.PutDouble(options_.min_slice_fraction);
   out.PutU64(options_.min_slice_rows);
   out.PutU64(options_.dependence_sample);
-  out.PutBool(options_.enable_multi_leaf);
+  out.PutBool(multi_leaf_);
   out.PutU64(options_.max_multi_leaf_cols);
   out.PutU64(options_.seed);
   out.PutU64(num_cols_);
@@ -506,7 +507,7 @@ Result<std::unique_ptr<SpnModel>> SpnModel::Deserialize(
                              in.GetDouble());
   CARDBENCH_ASSIGN_OR_RETURN(model->options_.min_slice_rows, in.GetU64());
   CARDBENCH_ASSIGN_OR_RETURN(model->options_.dependence_sample, in.GetU64());
-  CARDBENCH_ASSIGN_OR_RETURN(model->options_.enable_multi_leaf, in.GetBool());
+  CARDBENCH_ASSIGN_OR_RETURN(model->multi_leaf_, in.GetBool());
   CARDBENCH_ASSIGN_OR_RETURN(model->options_.max_multi_leaf_cols, in.GetU64());
   CARDBENCH_ASSIGN_OR_RETURN(model->options_.seed, in.GetU64());
   CARDBENCH_ASSIGN_OR_RETURN(model->num_cols_, in.GetU64());
@@ -603,58 +604,6 @@ Result<std::unique_ptr<SpnModel>> SpnModel::Deserialize(
   }
   model->RebuildDerived();
   return model;
-}
-
-Status DeepDbEstimator::Serialize(std::ostream& out) const {
-  return SerializeFanout(out, "deepdb");
-}
-
-void DeepDbEstimator::SerializeModel(const TableDistribution& model,
-                                     SectionWriter& out) const {
-  const auto* spn = dynamic_cast<const SpnModel*>(&model);
-  CARDBENCH_CHECK(spn != nullptr, "DeepDB model is not an SPN");
-  spn->Serialize(out);
-}
-
-Result<std::unique_ptr<TableDistribution>> DeepDbEstimator::LoadModelPayload(
-    SectionReader& in, const ExtendedTable& ext) const {
-  CARDBENCH_ASSIGN_OR_RETURN(std::unique_ptr<SpnModel> spn,
-                             SpnModel::Deserialize(in, ext));
-  return std::unique_ptr<TableDistribution>(std::move(spn));
-}
-
-Result<std::unique_ptr<DeepDbEstimator>> DeepDbEstimator::Deserialize(
-    const Database& db, std::istream& in) {
-  auto est = std::unique_ptr<DeepDbEstimator>(
-      new DeepDbEstimator(db, /*max_bins=*/48, DeferredInit{}));
-  CARDBENCH_RETURN_IF_ERROR(est->LoadFanout(in, "deepdb"));
-  return est;
-}
-
-Status FlatEstimator::Serialize(std::ostream& out) const {
-  return SerializeFanout(out, "flat");
-}
-
-void FlatEstimator::SerializeModel(const TableDistribution& model,
-                                   SectionWriter& out) const {
-  const auto* spn = dynamic_cast<const SpnModel*>(&model);
-  CARDBENCH_CHECK(spn != nullptr, "FLAT model is not an FSPN");
-  spn->Serialize(out);
-}
-
-Result<std::unique_ptr<TableDistribution>> FlatEstimator::LoadModelPayload(
-    SectionReader& in, const ExtendedTable& ext) const {
-  CARDBENCH_ASSIGN_OR_RETURN(std::unique_ptr<SpnModel> spn,
-                             SpnModel::Deserialize(in, ext));
-  return std::unique_ptr<TableDistribution>(std::move(spn));
-}
-
-Result<std::unique_ptr<FlatEstimator>> FlatEstimator::Deserialize(
-    const Database& db, std::istream& in) {
-  auto est = std::unique_ptr<FlatEstimator>(
-      new FlatEstimator(db, /*max_bins=*/48, DeferredInit{}));
-  CARDBENCH_RETURN_IF_ERROR(est->LoadFanout(in, "flat"));
-  return est;
 }
 
 }  // namespace cardbench

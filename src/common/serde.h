@@ -122,10 +122,6 @@ class ModelReader {
   /// Cursor over a named section's payload; NotFound if absent.
   Result<SectionReader> Section(std::string_view name) const;
 
-  bool HasSection(std::string_view name) const {
-    return sections_.count(std::string(name)) > 0;
-  }
-
  private:
   ModelReader() = default;
 

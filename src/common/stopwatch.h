@@ -19,9 +19,6 @@ class Stopwatch {
     return std::chrono::duration<double>(Clock::now() - start_).count();
   }
 
-  /// Elapsed time in milliseconds.
-  double ElapsedMillis() const { return ElapsedSeconds() * 1e3; }
-
   /// Elapsed time in microseconds.
   double ElapsedMicros() const { return ElapsedSeconds() * 1e6; }
 

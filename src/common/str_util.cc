@@ -91,7 +91,7 @@ std::string FormatBytes(size_t bytes) {
 }
 
 std::string FormatCount(double count) {
-  if (count < 0) return "-" + FormatCount(-count);
+  if (count < 0) return StrFormat("-%s", FormatCount(-count).c_str());
   if (count < 1e6) return StrFormat("%.0f", count);
   const int exp = static_cast<int>(std::floor(std::log10(count)));
   const double mant = count / std::pow(10.0, exp);

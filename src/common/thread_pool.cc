@@ -49,11 +49,6 @@ void ThreadPool::Shutdown() {
   workers_.clear();
 }
 
-size_t ThreadPool::QueueDepth() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return queue_.size();
-}
-
 void ThreadPool::WorkerLoop() {
   for (;;) {
     std::packaged_task<void()> task;

@@ -48,13 +48,10 @@ class ThreadPool {
 
   size_t num_threads() const { return workers_.size(); }
 
-  /// Queued-but-not-started task count (diagnostics).
-  size_t QueueDepth() const;
-
  private:
   void WorkerLoop();
 
-  mutable std::mutex mu_;
+  std::mutex mu_;
   std::condition_variable work_available_;
   std::deque<std::packaged_task<void()>> queue_;
   bool shutting_down_ = false;

@@ -40,8 +40,6 @@ class Matrix {
 
   void AddInPlace(const Matrix& other, double scale = 1.0);
 
-  size_t SizeBytes() const { return data_.size() * sizeof(double); }
-
  private:
   size_t rows_ = 0;
   size_t cols_ = 0;

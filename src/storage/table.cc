@@ -69,11 +69,4 @@ size_t Table::MemoryBytes() const {
   return total;
 }
 
-std::vector<std::string> Table::ColumnNames() const {
-  std::vector<std::string> names;
-  names.reserve(columns_.size());
-  for (const auto& col : columns_) names.push_back(col.name());
-  return names;
-}
-
 }  // namespace cardbench

@@ -59,9 +59,6 @@ class Table {
   /// Approximate in-memory footprint in bytes (columns only).
   size_t MemoryBytes() const;
 
-  /// Names of all columns in declaration order.
-  std::vector<std::string> ColumnNames() const;
-
  private:
   std::string name_;
   std::vector<Column> columns_;

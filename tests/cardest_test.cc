@@ -2,13 +2,14 @@
 
 #include <memory>
 
-#include "cardest/bayescard_est.h"
-#include "cardest/deepdb_est.h"
+#include "cardest/fanout_estimator.h"
 #include "cardest/multihist_est.h"
 #include "cardest/postgres_est.h"
 #include "cardest/sampling_est.h"
+#include "cardest/spn_model.h"
 #include "cardest/truecard_est.h"
 #include "common/rng.h"
+#include "common/str_util.h"
 #include "datagen/stats_gen.h"
 #include "datagen/update_split.h"
 #include "exec/true_card.h"
@@ -184,64 +185,68 @@ TEST_F(CardEstTest, PessEstExactOnSingleTables) {
 
 // ---- Data-driven PGM estimators (shared fanout machinery). ----
 
-template <typename T>
-class PgmEstimatorTest : public CardEstTest {};
+class PgmEstimatorTest : public CardEstTest,
+                         public ::testing::WithParamInterface<FanoutModelKind> {
+};
 
-using PgmTypes =
-    ::testing::Types<BayesCardEstimator, DeepDbEstimator, FlatEstimator>;
+INSTANTIATE_TEST_SUITE_P(
+    Kinds, PgmEstimatorTest,
+    ::testing::Values(FanoutModelKind::kBayesCard, FanoutModelKind::kDeepDb,
+                      FanoutModelKind::kFlat),
+    [](const ::testing::TestParamInfo<FanoutModelKind>& info) {
+      return FanoutModelName(info.param);
+    });
 
-TYPED_TEST_SUITE(PgmEstimatorTest, PgmTypes);
-
-TYPED_TEST(PgmEstimatorTest, SingleTableEstimatesAreAccurate) {
-  TypeParam est(*this->db_);
+TEST_P(PgmEstimatorTest, SingleTableEstimatesAreAccurate) {
+  FanoutModelEstimator est(*db_, GetParam());
   for (const char* sql : kSingleTableQueries) {
-    const Query q = this->Parse(sql);
-    const double truth = this->Truth(q);
+    const Query q = Parse(sql);
+    const double truth = Truth(q);
     if (truth < 20) continue;
     EXPECT_LT(QError(est.EstimateCard(q), truth), 1.6) << sql;
   }
 }
 
-TYPED_TEST(PgmEstimatorTest, UnfilteredJoinSizeIsNearExact) {
+TEST_P(PgmEstimatorTest, UnfilteredJoinSizeIsNearExact) {
   // The fanout method gives the exact join size when no predicates apply:
   // |T_r| * E[F] telescopes to the true count.
-  TypeParam est(*this->db_);
+  FanoutModelEstimator est(*db_, GetParam());
   for (const char* sql : kJoinQueries) {
-    const Query q = this->Parse(sql);
-    EXPECT_LT(QError(est.EstimateCard(q), this->Truth(q)), 1.35) << sql;
+    const Query q = Parse(sql);
+    EXPECT_LT(QError(est.EstimateCard(q), Truth(q)), 1.35) << sql;
   }
 }
 
-TYPED_TEST(PgmEstimatorTest, FilteredJoinsStayWithinModestQError) {
-  TypeParam est(*this->db_);
-  const Query q = this->Parse(
+TEST_P(PgmEstimatorTest, FilteredJoinsStayWithinModestQError) {
+  FanoutModelEstimator est(*db_, GetParam());
+  const Query q = Parse(
       "SELECT COUNT(*) FROM users, posts, comments WHERE users.Id = "
       "posts.OwnerUserId AND posts.Id = comments.PostId AND posts.Score >= 5 "
       "AND users.Reputation >= 50;");
-  const double truth = this->Truth(q);
+  const double truth = Truth(q);
   if (truth >= 20) {
     EXPECT_LT(QError(est.EstimateCard(q), truth), 8.0);
   }
 }
 
-TYPED_TEST(PgmEstimatorTest, FkFkJoinSupported) {
-  TypeParam est(*this->db_);
-  const Query q = this->Parse(
+TEST_P(PgmEstimatorTest, FkFkJoinSupported) {
+  FanoutModelEstimator est(*db_, GetParam());
+  const Query q = Parse(
       "SELECT COUNT(*) FROM comments, badges WHERE comments.UserId = "
       "badges.UserId;");
-  EXPECT_LT(QError(est.EstimateCard(q), this->Truth(q)), 3.0);
+  EXPECT_LT(QError(est.EstimateCard(q), Truth(q)), 3.0);
 }
 
-TYPED_TEST(PgmEstimatorTest, UpdateTracksInsertedRows) {
+TEST_P(PgmEstimatorTest, UpdateTracksInsertedRows) {
   // Build on the stale half, then insert the rest and refresh: the
   // single-table estimate must follow the new row count.
   StatsGenConfig config;
   config.scale = 0.05;
   auto full = GenerateStatsDatabase(config);
   TimeSplit split = SplitDatabaseByTime(*full, StatsTimestampColumn, 0.5);
-  TypeParam est(*split.stale);
+  FanoutModelEstimator est(*split.stale, GetParam());
 
-  const Query q = this->Parse("SELECT COUNT(*) FROM votes;");
+  const Query q = Parse("SELECT COUNT(*) FROM votes;");
   const double before = est.EstimateCard(q);
   ASSERT_TRUE(ApplyInsertions(*split.stale, split.insertions).ok());
   ASSERT_TRUE(est.Update(InsertionBatch{}).ok());
@@ -256,7 +261,7 @@ TEST_F(CardEstTest, FanoutAblationDegradesJoinAccuracy) {
   // With the fanout method disabled, BayesCard falls back to join
   // uniformity: on the skewed FK-FK join its estimate must degrade
   // relative to the fanout-based one (the DESIGN.md ablation).
-  BayesCardEstimator est(*db_);
+  FanoutModelEstimator est(*db_, FanoutModelKind::kBayesCard);
   const Query q = Parse(
       "SELECT COUNT(*) FROM comments, badges WHERE comments.UserId = "
       "badges.UserId;");
@@ -279,8 +284,8 @@ TEST_F(CardEstTest, SpnOptionsControlModelGranularity) {
   loose.independence_threshold = 0.6;
   SpnOptions strict;
   strict.independence_threshold = 0.1;
-  DeepDbEstimator coarse(*db_, 48, loose);
-  DeepDbEstimator fine(*db_, 48, strict);
+  FanoutModelEstimator coarse(*db_, FanoutModelKind::kDeepDb, 48, loose);
+  FanoutModelEstimator fine(*db_, FanoutModelKind::kDeepDb, 48, strict);
   EXPECT_GE(fine.ModelBytes(), coarse.ModelBytes());
 }
 
@@ -293,10 +298,10 @@ TEST_F(CardEstTest, ModelSizeScalingFollowsArchitecture) {
   big_config.scale = 0.2;
   auto big_db = GenerateStatsDatabase(big_config);
 
-  BayesCardEstimator bn_small(*db_);
-  BayesCardEstimator bn_big(*big_db);
-  FlatEstimator fspn_small(*db_);
-  FlatEstimator fspn_big(*big_db);
+  FanoutModelEstimator bn_small(*db_, FanoutModelKind::kBayesCard);
+  FanoutModelEstimator bn_big(*big_db, FanoutModelKind::kBayesCard);
+  FanoutModelEstimator fspn_small(*db_, FanoutModelKind::kFlat);
+  FanoutModelEstimator fspn_big(*big_db, FanoutModelKind::kFlat);
 
   const double bn_growth = static_cast<double>(bn_big.ModelBytes()) /
                            static_cast<double>(bn_small.ModelBytes());
@@ -320,7 +325,7 @@ TEST(SpnScopeTest, ColumnsPastBit63StillReachTheirLeaves) {
   Table* table = db.AddTable("t").value();
   for (size_t c = 0; c < kCols; ++c) {
     ASSERT_TRUE(
-        table->AddColumn("c" + std::to_string(c), ColumnKind::kNumeric).ok());
+        table->AddColumn(StrFormat("c%zu", c), ColumnKind::kNumeric).ok());
   }
   Rng rng(7);
   for (int r = 0; r < 300; ++r) {
@@ -335,9 +340,7 @@ TEST(SpnScopeTest, ColumnsPastBit63StillReachTheirLeaves) {
   const ExtendedTable ext(db, "t", 8);
   ASSERT_EQ(ext.num_columns(), kCols);
   for (bool multi_leaf : {false, true}) {
-    SpnOptions options;
-    options.enable_multi_leaf = multi_leaf;
-    const SpnModel model(ext, options);
+    const SpnModel model(ext, SpnOptions(), multi_leaf);
     std::vector<const double*> factor_of_col(kCols, nullptr);
     EXPECT_EQ(model.ExpectProduct(factor_of_col), 1.0);
     for (size_t c : {0, 62, 63, 64, 69}) {

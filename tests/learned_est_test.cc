@@ -110,7 +110,9 @@ TEST_F(LearnedEstTest, FojSamplerInvariants) {
     for (const auto& edge : sampler.edges()) {
       const int64_t prow = tuple[edge.parent_idx];
       const int64_t crow = tuple[edge.child_idx];
-      if (prow < 0) EXPECT_LT(crow, 0);  // absent parent -> absent subtree
+      if (prow < 0) {
+        EXPECT_LT(crow, 0);  // absent parent -> absent subtree
+      }
       if (prow < 0 || crow < 0) continue;
       const Table& parent =
           db_->TableOrDie(sampler.bfs_order()[edge.parent_idx]);

@@ -7,7 +7,7 @@
 
 #include <functional>
 
-#include "cardest/bayescard_est.h"
+#include "cardest/fanout_estimator.h"
 #include "cardest/registry.h"
 #include "datagen/stats_gen.h"
 #include "exec/executor.h"
@@ -138,7 +138,7 @@ class FanoutExactnessTest : public ::testing::TestWithParam<size_t> {
     config.scale = 0.04;
     db_ = GenerateStatsDatabase(config).release();
     truecard_ = new TrueCardService(*db_);
-    model_ = new BayesCardEstimator(*db_);
+    model_ = new FanoutModelEstimator(*db_, FanoutModelKind::kBayesCard);
   }
   static void TearDownTestSuite() {
     delete model_;
@@ -147,12 +147,12 @@ class FanoutExactnessTest : public ::testing::TestWithParam<size_t> {
   }
   static Database* db_;
   static TrueCardService* truecard_;
-  static BayesCardEstimator* model_;
+  static FanoutModelEstimator* model_;
 };
 
 Database* FanoutExactnessTest::db_ = nullptr;
 TrueCardService* FanoutExactnessTest::truecard_ = nullptr;
-BayesCardEstimator* FanoutExactnessTest::model_ = nullptr;
+FanoutModelEstimator* FanoutExactnessTest::model_ = nullptr;
 
 TEST_P(FanoutExactnessTest, UnfilteredSchemaJoinIsNearExact) {
   const JoinRelation& rel = db_->join_relations().at(GetParam());

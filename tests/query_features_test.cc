@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
+
 #include "cardest/query_features.h"
 #include "datagen/stats_gen.h"
 #include "query/parser.h"
@@ -35,9 +38,13 @@ class QueryFeaturesTest : public ::testing::Test {
     plan.FillRow(graph, graph.full_mask(), features.data());
     return features;
   }
-  static QueryFeaturizer::SetFeatures Mscn(const Query& q) {
+  // MSCN's set-module inputs for the sub-plans `masks` of the query's graph
+  // (none: the full mask, as training featurizes it).
+  static QueryFeaturizer::MscnSets Mscn(const Query& q,
+                                        std::vector<uint64_t> masks = {}) {
     const QueryGraph graph(q, *db_);
-    return featurizer_->MscnFeatures(graph, graph.full_mask());
+    if (masks.empty()) masks.push_back(graph.full_mask());
+    return featurizer_->MscnElements(graph, masks);
   }
 
   static Database* db_;
@@ -88,27 +95,47 @@ TEST_F(QueryFeaturesTest, MscnSetsHaveOneElementPerItem) {
       "posts.OwnerUserId AND posts.Id = comments.PostId AND posts.Score >= 3 "
       "AND users.Views >= 1;");
   const auto sets = Mscn(q);
-  EXPECT_EQ(sets.tables.size(), 3u);
-  EXPECT_EQ(sets.joins.size(), 2u);
-  EXPECT_EQ(sets.predicates.size(), 2u);
-  for (const auto& e : sets.tables) {
-    EXPECT_EQ(e.size(), featurizer_->table_element_dim());
-  }
-  for (const auto& e : sets.joins) {
-    EXPECT_EQ(e.size(), featurizer_->join_element_dim());
-  }
-  for (const auto& e : sets.predicates) {
-    EXPECT_EQ(e.size(), featurizer_->predicate_element_dim());
-  }
+  EXPECT_EQ(sets.tables.x.rows(), 3u);
+  EXPECT_EQ(sets.joins.x.rows(), 2u);
+  EXPECT_EQ(sets.predicates.x.rows(), 2u);
+  EXPECT_EQ(sets.tables.RowsOf(0).size(), 3u);
+  EXPECT_EQ(sets.joins.RowsOf(0).size(), 2u);
+  EXPECT_EQ(sets.predicates.RowsOf(0).size(), 2u);
+  EXPECT_EQ(sets.tables.x.cols(), featurizer_->table_element_dim());
+  EXPECT_EQ(sets.joins.x.cols(), featurizer_->join_element_dim());
+  EXPECT_EQ(sets.predicates.x.cols(), featurizer_->predicate_element_dim());
 }
 
 TEST_F(QueryFeaturesTest, EmptySetsGetZeroPlaceholder) {
-  const Query q = Parse("SELECT COUNT(*) FROM users;");
-  const auto sets = Mscn(q);
-  ASSERT_EQ(sets.joins.size(), 1u);
-  ASSERT_EQ(sets.predicates.size(), 1u);
-  for (double v : sets.joins[0]) EXPECT_DOUBLE_EQ(v, 0.0);
-  for (double v : sets.predicates[0]) EXPECT_DOUBLE_EQ(v, 0.0);
+  const auto is_zero = [](const Matrix& x, size_t row) {
+    return std::all_of(x.Row(row), x.Row(row) + x.cols(),
+                       [](double v) { return v == 0.0; });
+  };
+  const auto sets = Mscn(Parse("SELECT COUNT(*) FROM users;"));
+  ASSERT_EQ(sets.joins.x.rows(), 1u);
+  ASSERT_EQ(sets.predicates.x.rows(), 1u);
+  EXPECT_TRUE(is_zero(sets.joins.x, 0));
+  EXPECT_TRUE(is_zero(sets.predicates.x, 0));
+  EXPECT_EQ(sets.joins.RowsOf(0).size(), 1u);
+  EXPECT_EQ(sets.predicates.RowsOf(0).size(), 1u);
+
+  // Over several sub-plans, the zero row is appended only when one of them
+  // has an empty set, and only that one pools it.
+  const Query join = Parse(
+      "SELECT COUNT(*) FROM users, posts WHERE users.Id = posts.OwnerUserId "
+      "AND posts.Score >= 3;");
+  const auto both = Mscn(join, {0b11});
+  EXPECT_EQ(both.joins.x.rows(), 1u);
+  EXPECT_FALSE(is_zero(both.joins.x, 0));
+  const auto split = Mscn(join, {0b01, 0b11});
+  ASSERT_EQ(split.joins.x.rows(), 2u);
+  EXPECT_TRUE(is_zero(split.joins.x, 1));
+  EXPECT_EQ(std::vector<uint32_t>(split.joins.RowsOf(0).begin(),
+                                  split.joins.RowsOf(0).end()),
+            std::vector<uint32_t>{1});
+  EXPECT_EQ(std::vector<uint32_t>(split.joins.RowsOf(1).begin(),
+                                  split.joins.RowsOf(1).end()),
+            std::vector<uint32_t>{0});
 }
 
 TEST_F(QueryFeaturesTest, BitmapReactsToPredicateSelectivity) {
@@ -120,9 +147,8 @@ TEST_F(QueryFeaturesTest, BitmapReactsToPredicateSelectivity) {
       "SELECT COUNT(*) FROM users WHERE users.Reputation >= 100000000;");
   auto count_bits = [&](const Query& q) {
     const auto sets = Mscn(q);
-    double bits = 0;
-    for (double v : sets.tables[0]) bits += v;
-    return bits;
+    const double* row = sets.tables.x.Row(0);
+    return std::accumulate(row, row + sets.tables.x.cols(), 0.0);
   };
   EXPECT_GT(count_bits(loose), count_bits(tight));
   // The impossible predicate zeroes the whole bitmap (only the table

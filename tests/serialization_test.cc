@@ -13,14 +13,14 @@
 #include <sstream>
 #include <string>
 
-#include "cardest/bayescard_est.h"
 #include "cardest/binner.h"
-#include "cardest/deepdb_est.h"
+#include "cardest/chow_liu_model.h"
 #include "cardest/model_store.h"
 #include "cardest/multihist_est.h"
 #include "cardest/noisy_oracle_est.h"
 #include "cardest/postgres_est.h"
 #include "cardest/registry.h"
+#include "cardest/spn_model.h"
 #include "common/rng.h"
 #include "common/serde.h"
 #include "datagen/stats_gen.h"
@@ -485,7 +485,8 @@ StatusCode LoadBayesCard(const CraftedChowLiu& crafted) {
   }
   std::stringstream stream;
   EXPECT_TRUE(writer.WriteTo(stream).ok());
-  auto est = BayesCardEstimator::Deserialize(db, stream);
+  auto est = FanoutModelEstimator::Deserialize(
+      db, FanoutModelKind::kBayesCard, stream);
   if (est.ok()) {
     Query q;
     q.tables = {"users"};
@@ -542,7 +543,9 @@ StatusCode LoadBayesCardNaming(bool fanout, size_t field,
   }
   std::stringstream stream;
   EXPECT_TRUE(writer.WriteTo(stream).ok());
-  return BayesCardEstimator::Deserialize(db, stream).status().code();
+  auto est = FanoutModelEstimator::Deserialize(
+      db, FanoutModelKind::kBayesCard, stream);
+  return est.status().code();
 }
 
 // An artifact naming a column the database lacks would load, then abort
@@ -557,6 +560,27 @@ TEST(ExtendedTableSerializationTest, RejectsColumnsTheDatabaseLacks) {
             StatusCode::kInvalidArgument);
   EXPECT_EQ(LoadBayesCardNaming(true, 2, "NoSuchColumn"),
             StatusCode::kInvalidArgument);
+}
+
+// The loader refuses, and must not abort on, a degree sketch naming a column
+// its table lacks, as it refuses one naming an unknown table.
+TEST(PessEstSerializationTest, RejectsSketchOfColumnItsTableLacks) {
+  const auto load = [](const std::string& table, const std::string& column) {
+    ModelWriter writer("pessest");
+    SectionWriter& sketches = writer.AddSection("sketches");
+    sketches.PutU64(1);
+    sketches.PutString(table);
+    sketches.PutString(column);
+    sketches.PutU64(1);  // one (degree, count) histogram entry
+    sketches.PutU64(3);
+    sketches.PutU64(1);
+    std::stringstream stream;
+    EXPECT_TRUE(writer.WriteTo(stream).ok());
+    return DeserializeEstimator("PessEst", CraftDb(), stream).status().code();
+  };
+  EXPECT_EQ(load("users", "Id"), StatusCode::kOk);
+  EXPECT_EQ(load("users", "NoSuchColumn"), StatusCode::kNotFound);
+  EXPECT_EQ(load("no_such_table", "Id"), StatusCode::kNotFound);
 }
 
 TEST(ChowLiuSerializationTest, CraftedValidModelLoads) {
@@ -868,10 +892,11 @@ TEST(BayesCardSerializationTest, LoadedModelStillUpdates) {
   StatsGenConfig config;
   config.scale = 0.04;
   auto db = GenerateStatsDatabase(config);
-  BayesCardEstimator original(*db);
+  FanoutModelEstimator original(*db, FanoutModelKind::kBayesCard);
   std::stringstream stream;
   ASSERT_TRUE(original.Serialize(stream).ok());
-  auto loaded = BayesCardEstimator::Deserialize(*db, stream);
+  auto loaded = FanoutModelEstimator::Deserialize(
+      *db, FanoutModelKind::kBayesCard, stream);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
 
   Table& tags = db->TableOrDie("tags");
@@ -925,6 +950,31 @@ TEST(FanoutModelSerializationTest, UpdatedModelsRoundTripBitIdentically) {
       EXPECT_EQ((*loaded)->EstimateCards(graph, masks),
                 (*est)->EstimateCards(graph, masks))
           << name << ": " << sql;
+    }
+  }
+}
+
+TEST(FanoutModelSerializationTest, EachKindKeepsItsArtifactTag) {
+  // The refresh goldens compare sections, not tags, so this pins the
+  // kind -> tag map: each artifact opens under its own tag only.
+  const std::vector<std::pair<std::string, std::string>> tags = {
+      {"BayesCard", "bayescard"}, {"DeepDB", "deepdb"}, {"FLAT", "flat"}};
+  TrueCardService truecard(CraftDb());
+  for (const auto& [name, tag] : tags) {
+    auto est = MakeEstimator(name, CraftDb(), truecard, nullptr);
+    ASSERT_TRUE(est.ok()) << est.status().ToString();
+    std::stringstream stream;
+    ASSERT_TRUE((*est)->Serialize(stream).ok());
+    const std::string bytes = stream.str();
+    std::istringstream own(bytes);
+    EXPECT_TRUE(ModelReader::Open(own, tag).ok()) << name;
+    for (const auto& other : tags) {
+      if (other.first == name) continue;
+      std::istringstream in(bytes);
+      EXPECT_EQ(
+          DeserializeEstimator(other.first, CraftDb(), in).status().code(),
+          StatusCode::kInvalidArgument)
+          << name << " artifact loaded as " << other.first;
     }
   }
 }

@@ -396,7 +396,9 @@ TEST(FilterKernelTest, GatherReportsValuesAndNulls) {
   col.Gather(rows.data(), rows.size(), keys.data(), valid.data());
   for (size_t i = 0; i < rows.size(); ++i) {
     EXPECT_EQ(valid[i] != 0, col.IsValid(rows[i])) << rows[i];
-    if (valid[i]) EXPECT_EQ(keys[i], col.Get(rows[i])) << rows[i];
+    if (valid[i]) {
+      EXPECT_EQ(keys[i], col.Get(rows[i])) << rows[i];
+    }
   }
 }
 
